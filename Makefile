@@ -17,6 +17,10 @@
 #                     `PYTHONPATH=src python benchmarks/check_baselines.py --write`)
 #   make lint         ruff check over src/tests/benchmarks/examples
 #                     (config: ruff.toml)
+#   make loc          logical line count of src/repro, per module and total
+#                     (benchmarks/check_loc.py: lines carrying a token that
+#                     is no comment, docstring or bare string) — the number
+#                     ROADMAP aim 2 asks to go down; report only, no gate
 #   make lint-prov    provlint — the project's AST invariant checker
 #                     (lock discipline, metering/billing coverage,
 #                     determinism, ':v' wire-format ownership, router
@@ -130,7 +134,7 @@ MIGRATION_TEST_FILES = tests/unit/test_migration_handle.py \
 	tests/properties/test_prop_migration.py \
 	tests/integration/test_fleet_live_migration.py
 
-.PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check lint lint-prov
+.PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check lint lint-prov loc
 
 test:
 	HYPOTHESIS_PROFILE=ci $(PYTEST) -x -q
@@ -155,6 +159,9 @@ bench-check:
 
 lint:
 	ruff check src tests benchmarks examples
+
+loc:
+	$(PYTHON) benchmarks/check_loc.py
 
 lint-prov:
 	PYTHONPATH=src $(PYTHON) -m repro.devtools.provlint src tests benchmarks examples

@@ -19,14 +19,15 @@ Four kinds of advice:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 from repro.advisor.model import WorkflowModel
 from repro.aws.account import AWSAccount
-from repro.core.base import PROV_DOMAIN
+from repro.aws.backend import SDB_KIND
+from repro.core.base import PROV_DOMAIN, fetch_overflow
 from repro.passlib.records import ObjectRef, ProvenanceBundle
 from repro.passlib.serializer import bundle_from_item
-from repro.query.engine import SimpleDBEngine
 
 
 @dataclass(frozen=True)
@@ -67,21 +68,11 @@ class ProvenanceAdvisor:
         the advisor needs no special access, only what §4.2 put there.
         """
         advisor = cls()
-        engine = SimpleDBEngine(account, domain=domain)
-        token = None
-        names: list[str] = []
-        while True:
-            page = account.simpledb.query(domain, None, next_token=token)
-            names.extend(page.item_names)
-            token = page.next_token
-            if token is None:
-                break
-        for item_name in names:
-            attrs = account.simpledb.get_attributes(domain, item_name)
-            if not attrs:
-                continue
-            bundle = bundle_from_item(item_name, attrs, engine._fetch_overflow)
-            advisor.model.ingest(bundle)
+        backend = account.provenance_backends()[SDB_KIND]
+        fetch = partial(fetch_overflow, account)
+        for item_name, attrs in backend.enumerate_items(domain):
+            if attrs:
+                advisor.model.ingest(bundle_from_item(item_name, attrs, fetch))
         return advisor
 
     def observe(self, bundle: ProvenanceBundle) -> None:

@@ -126,7 +126,7 @@ def parse_index_specs(
       (``between``/``>=``/``<=``) over one contiguous slice. Composite
       indexes are sparse on *both* attributes, so a query phase may only
       be served from one when its predicate constrains the range
-      attribute (see :meth:`DynamoBackend._first_fit`);
+      attribute (see :meth:`DynamoBackend.candidate_paths`);
     * a sequence of ready :class:`IndexSpec` objects (passed through).
 
     >>> [s.name for s in parse_index_specs("name,input")]
@@ -180,7 +180,7 @@ def parse_index_specs(
     return tuple(specs)
 
 
-def _equality_candidates(node: Node) -> dict[str, tuple[str, ...]]:
+def equality_candidates(node: Node) -> dict[str, tuple[str, ...]]:
     """Attributes a predicate pins to an equality value set.
 
     For each returned ``attribute → values``, *every* item matching the
@@ -203,8 +203,8 @@ def _equality_candidates(node: Node) -> dict[str, tuple[str, ...]]:
             return {node.attribute: (node.value,)}
         return {}
     if isinstance(node, BoolOp):
-        left = _equality_candidates(node.left)
-        right = _equality_candidates(node.right)
+        left = equality_candidates(node.left)
+        right = equality_candidates(node.right)
         if node.op == "and":
             # Either side's restriction is a valid superset filter.
             merged = dict(left)
@@ -310,9 +310,12 @@ class AccessPath:
     filter), ``"gsi"`` (equality Query over a secondary index for
     ``values``), or ``"gsi-range"`` (composite-index Query for
     ``values`` with ``range_condition`` restricting the partition
-    slice). The planner enumerates these via
-    :meth:`DynamoBackend.candidate_paths`, prices them, and hands the
-    winner back through ``query_pages(..., path=...)``.
+    slice). Each backend lists the paths sound for a predicate through
+    ``candidate_paths`` (native default first, then every usable index
+    in declaration order — the first ``"gsi"`` entry is what
+    ``plan_first_fit`` returns and ``query_pages(path=None)`` runs);
+    the planner prices them and hands the winner back through
+    ``query_pages(..., path=...)``.
     """
 
     kind: str
@@ -351,6 +354,20 @@ def _retry_unavailable(fn, *args, attempts: int = 4, **kwargs):
             if attempt == attempts - 1:
                 raise
     raise AssertionError("unreachable")  # pragma: no cover
+
+
+def _paged(fetch, token_attr: str = "next_token"):
+    """Every page of one continuation-token read, lazily: ``fetch(token)``
+    issues one request (``None`` = from the start) and the page's
+    ``token_attr`` resumes it. A page is handed over before the next is
+    requested, so a consumer that stops early pays for no further page."""
+    token = None
+    while True:
+        page = fetch(token)
+        yield page
+        token = getattr(page, token_attr)
+        if token is None:
+            return
 
 
 class ProvenanceBackend(Protocol):
@@ -548,46 +565,38 @@ class SimpleDBBackend:
         has exactly one access path, so the request sequence (and the
         meter) cannot depend on either.
         """
-        token: str | None = None
-        while True:
-            if select_mode:
-                page = self.service.select(select, next_token=token)
-            else:
-                page = self.service.query_with_attributes(
-                    store,
-                    expression,
-                    attribute_names=attribute_names,
-                    next_token=token,
-                )
+        if select_mode:
+            pages = self._pages(self.service.select, select)
+        else:
+            pages = self._pages(
+                self.service.query_with_attributes,
+                store,
+                expression,
+                attribute_names=attribute_names,
+            )
+        for page in pages:
             yield from page.items
-            token = page.next_token
-            if token is None:
-                return
+
+    def _pages(self, request, *args, **kwargs):
+        """Every page of one ``next_token``-paged service read."""
+        return _paged(lambda token: request(*args, next_token=token, **kwargs))
 
     def enumerate_items(self, store):
         """The §5 Q1-over-everything pattern: page every item *name*
         with Query, then one GetAttributes per item — SimpleDB cannot
         "generalise the query", so each item is its own round trip."""
-        token: str | None = None
-        names: list[str] = []
-        while True:
-            page = self.service.query(store, None, next_token=token)
-            names.extend(page.item_names)
-            token = page.next_token
-            if token is None:
-                break
+        names = [
+            name
+            for page in self._pages(self.service.query, store, None)
+            for name in page.item_names
+        ]
         for item_name in names:
             yield item_name, self.service.get_attributes(store, item_name)
 
     def scan_pages(self, store):
         """Full-domain QueryWithAttributes paging (migration/recovery)."""
-        token: str | None = None
-        while True:
-            page = self.service.query_with_attributes(store, None, next_token=token)
+        for page in self._pages(self.service.query_with_attributes, store, None):
             yield from page.items
-            token = page.next_token
-            if token is None:
-                return
 
     def migration_pages(self, store):
         """SimpleDB has no secondary access path — always the scan."""
@@ -746,20 +755,30 @@ class DynamoBackend:
             self.service.get_item, store, item_name, consistent=self.consistent_reads
         )
 
+    def _pages(self, request, *args, **kwargs):
+        """Every page of one paged service read, each request riding out
+        throttles through :meth:`_with_backoff`."""
+        return _paged(
+            lambda key: self._with_backoff(
+                request, *args, exclusive_start_key=key, **kwargs
+            ),
+            "last_evaluated_key",
+        )
+
     def _scan_all(self, store: str):
         """Paged Scan over the whole table (the only read path there is)."""
-        start_key: str | None = None
-        while True:
-            page = self._with_backoff(
-                self.service.scan,
-                store,
-                exclusive_start_key=start_key,
-                consistent=self.consistent_reads,
-            )
+        for page in self._pages(
+            self.service.scan, store, consistent=self.consistent_reads
+        ):
             yield from page.items
-            start_key = page.last_evaluated_key
-            if start_key is None:
-                return
+
+    def _stale(self, store: str, spec: IndexSpec) -> bool:
+        """Whether the index lags its base table past the staleness bound."""
+        return (
+            self.index_staleness_bound is not None
+            and self.service.index_lag_seconds(store, spec.name)
+            > self.index_staleness_bound
+        )
 
     def query_pages(
         self,
@@ -787,64 +806,81 @@ class DynamoBackend:
         projection trims only what the caller sees, not what the scan
         cost — DynamoDB's filter-expression accounting.
 
-        ``path`` pins a planner-chosen :class:`AccessPath` instead of
-        the first-fit choice. A pinned index path is re-checked against
-        the staleness bound at execution time (plans are made from
-        statistics that may have aged); a stale index falls back to the
-        Scan path, counted like any other stale fallback.
+        ``path=None`` executes the first fit of :meth:`_usable_indexes`;
+        a table with no indexes at all scans without counting a
+        *fallback* — there was never an index to fall back from.
+        ``path`` pins a planner-chosen :class:`AccessPath` instead. A
+        pinned index path is re-checked against the staleness bound at
+        execution time (plans are made from statistics that may have
+        aged); a stale index falls back to the Scan path, counted like
+        any other stale fallback.
         """
         if compiled is None:
             compiled = parse_query(expression)
         wanted = None if attribute_names is None else set(attribute_names)
+        stale = False
         if path is None:
-            path = self._index_plan(store, compiled, wanted)
-        elif path.kind in ("gsi", "gsi-range"):
-            lag = self.service.index_lag_seconds(store, path.index.name)
-            if (
-                self.index_staleness_bound is not None
-                and lag > self.index_staleness_bound
-            ):
-                self.stale_index_fallbacks += 1
+            for path in self._usable_indexes(store, compiled, wanted):
+                if path is not None:
+                    break
+                stale = True
+        elif path.index is not None and self._stale(store, path.index):
+            path, stale = None, True
+        if path is None:  # nothing usable: the Scan path
+            path = SCAN_PATH
+            if stale or self.service.list_indexes(store):
                 self.scan_fallbacks += 1
-                path = SCAN_PATH
-        if path.kind in ("gsi", "gsi-range"):
+            if stale:
+                self.stale_index_fallbacks += 1
+        if path.index is not None:
             self.gsi_queries += 1
-            yield from self._query_via_index(
-                store, path.index, path.values, compiled, wanted, path.range_condition
+            matches = self._index_items(
+                self.service.query_index,
+                store,
+                path.index.name,
+                list(path.values),
+                range_condition=path.range_condition,
+                keep=compiled.matches,
             )
-            return
-        for item_name, attrs in run_query(list(self._scan_all(store)), compiled):
-            if wanted is not None:
-                attrs = {k: v for k, v in attrs.items() if k in wanted}
-            yield item_name, dict(attrs)
+        else:
+            matches = run_query(list(self._scan_all(store)), compiled)
+        for item_name, attrs in matches:
+            yield item_name, {
+                k: v for k, v in attrs.items() if wanted is None or k in wanted
+            }
 
-    def _first_fit(
+    def _usable_indexes(
         self, store: str, compiled: CompiledQuery, wanted: set[str] | None
-    ) -> tuple[AccessPath | None, bool]:
-        """First usable GSI access path, or None — counter-neutral.
+    ) -> Iterator[AccessPath | None]:
+        """Every sound index path for a compiled predicate, lazily, in
+        index declaration order — the one eligibility rule first fit,
+        the fallback counters and the cost planner all read.
 
         An index is usable when the predicate pins its key attribute to
         an equality value set (the superset guarantee of
-        :func:`_equality_candidates`), its projection covers every
+        :func:`equality_candidates`), its projection covers every
         attribute the predicate references plus the caller's requested
         projection (an ``ALL``-projection index covers anything,
         including full-item reads), and its replication lag is inside
         the staleness bound. A *composite* index is additionally usable
         only when the predicate constrains its range attribute (the
         index is sparse on that attribute, so an unconstrained predicate
-        could match items the index has no entries for). Indexes are
-        tried in declaration order; composite indexes are served by hash
-        equality alone here — adding the range condition is the cost
-        planner's improvement, not the first-fit baseline's. Returns
-        ``(path, stale_seen)``.
+        could match items the index has no entries for).
+
+        Each usable index yields its hash-equality ``"gsi"`` path; a
+        composite one then yields the ``"gsi-range"`` twin over the
+        predicate's slice (strictly fewer entries served — the cost
+        planner's improvement, never the first fit). An index that is
+        eligible but stale yields ``None`` instead, so the executing
+        caller can tell a staleness fallback from "no index fits";
+        counter-neutral itself.
         """
         specs = self.service.list_indexes(store)
         if not specs:
-            return None, False
-        candidates = _equality_candidates(compiled.predicate)
+            return
+        candidates = equality_candidates(compiled.predicate)
         ranges = _range_candidates(compiled.predicate)
         referenced = _referenced_attributes(compiled.predicate)
-        stale = False
         for spec in specs:
             values = candidates.get(spec.key_attribute)
             if not values:
@@ -855,32 +891,18 @@ class DynamoBackend:
                 continue
             if not spec.project_all and (wanted is None or not spec.covers(wanted)):
                 continue
-            lag = self.service.index_lag_seconds(store, spec.name)
-            if (
-                self.index_staleness_bound is not None
-                and lag > self.index_staleness_bound
-            ):
-                stale = True
+            if self._stale(store, spec):
+                yield None
                 continue
-            return AccessPath("gsi", spec, tuple(sorted(set(values)))), stale
-        return None, stale
-
-    def _index_plan(
-        self, store: str, compiled: CompiledQuery, wanted: set[str] | None
-    ) -> AccessPath:
-        """The default (no-planner) choice, with fallback accounting.
-
-        A table with no indexes at all scans without counting a
-        *fallback* — there was never an index to fall back from."""
-        if not self.service.list_indexes(store):
-            return SCAN_PATH
-        path, stale = self._first_fit(store, compiled, wanted)
-        if path is not None:
-            return path
-        if stale:
-            self.stale_index_fallbacks += 1
-        self.scan_fallbacks += 1
-        return SCAN_PATH
+            ordered = tuple(sorted(set(values)))
+            yield AccessPath("gsi", spec, ordered)
+            if spec.range_attribute is not None:
+                yield AccessPath(
+                    "gsi-range",
+                    spec,
+                    ordered,
+                    range_condition_for(ranges[spec.range_attribute]),
+                )
 
     def plan_first_fit(
         self, store: str, compiled: CompiledQuery, wanted: set[str] | None
@@ -888,92 +910,32 @@ class DynamoBackend:
         """What ``path=None`` would execute, without touching the
         fallback counters (the planner's baseline mode predicts this
         path's cost but execution still does its own accounting)."""
-        path, _ = self._first_fit(store, compiled, wanted)
-        return path if path is not None else SCAN_PATH
+        usable = filter(None, self._usable_indexes(store, compiled, wanted))
+        return next(usable, SCAN_PATH)
 
     def candidate_paths(
         self, store: str, compiled: CompiledQuery, wanted: set[str] | None
     ) -> list[AccessPath]:
-        """Every sound access path for a compiled predicate, Scan first.
+        """Every sound access path for a compiled predicate, Scan first;
+        the first ``"gsi"`` entry (if any) is the first fit."""
+        return [SCAN_PATH, *filter(None, self._usable_indexes(store, compiled, wanted))]
 
-        Eligibility matches :meth:`_first_fit` exactly — same equality,
-        coverage, range-constraint, and staleness rules — but *all*
-        usable indexes are enumerated, and a composite index contributes
-        both its hash-equality Query and the range-conditioned Query
-        over the predicate's slice (strictly fewer entries served; the
-        cost model prices the difference).
+    def _index_items(self, request, store: str, *args, keep=None, **kwargs):
+        """Paged index read, deduplicated to one yield per item (the
+        service hands out each page's entries as fresh copies).
+
+        ``keep`` filters entries *before* they count as seen: an item
+        holding two indexed values has two entries, and one whose
+        replica still carries a stale projection failing the predicate
+        must not mask the other.
         """
-        paths = [SCAN_PATH]
-        specs = self.service.list_indexes(store)
-        if not specs:
-            return paths
-        candidates = _equality_candidates(compiled.predicate)
-        ranges = _range_candidates(compiled.predicate)
-        referenced = _referenced_attributes(compiled.predicate)
-        for spec in specs:
-            values = candidates.get(spec.key_attribute)
-            if not values:
-                continue
-            if spec.range_attribute is not None and spec.range_attribute not in ranges:
-                continue
-            if not spec.covers(referenced):
-                continue
-            if not spec.project_all and (wanted is None or not spec.covers(wanted)):
-                continue
-            lag = self.service.index_lag_seconds(store, spec.name)
-            if (
-                self.index_staleness_bound is not None
-                and lag > self.index_staleness_bound
-            ):
-                continue
-            ordered = tuple(sorted(set(values)))
-            paths.append(AccessPath("gsi", spec, ordered))
-            if spec.range_attribute is not None:
-                paths.append(
-                    AccessPath(
-                        "gsi-range",
-                        spec,
-                        ordered,
-                        range_condition_for(ranges[spec.range_attribute]),
-                    )
-                )
-        return paths
-
-    def _query_via_index(
-        self,
-        store: str,
-        spec: IndexSpec,
-        values: tuple[str, ...],
-        compiled: CompiledQuery,
-        wanted: set[str] | None,
-        range_condition: tuple[str, ...] | None = None,
-    ):
-        """Paged batch Query over one index, deduplicated and re-filtered."""
         seen: set[str] = set()
-        start_key: str | None = None
-        ordered = sorted(set(values))
-        while True:
-            page = self._with_backoff(
-                self.service.query_index,
-                store,
-                spec.name,
-                ordered,
-                exclusive_start_key=start_key,
-                range_condition=range_condition,
-            )
+        for page in self._pages(request, store, *args, **kwargs):
             for item_name, attrs in page.entries:
-                if item_name in seen:
-                    continue
-                if not compiled.matches(attrs):
+                if item_name in seen or (keep is not None and not keep(attrs)):
                     continue
                 seen.add(item_name)
-                if wanted is None:
-                    yield item_name, dict(attrs)
-                else:
-                    yield item_name, {k: v for k, v in attrs.items() if k in wanted}
-            start_key = page.last_evaluated_key
-            if start_key is None:
-                return
+                yield item_name, attrs
 
     def enumerate_items(self, store):
         """Scan pages already carry full items — no per-item round trip
@@ -1001,18 +963,14 @@ class DynamoBackend:
         if spec is None:
             return False, self._scan_all(store)
         self.migration_index_streams += 1
-        return True, self._stream_index_items(store, spec)
+        return True, self._index_items(self.service.scan_index, store, spec.name)
 
     def _migration_index(self, store: str) -> IndexSpec | None:
         stale = False
         for spec in self.service.list_indexes(store):
             if not spec.project_all:
                 continue
-            lag = self.service.index_lag_seconds(store, spec.name)
-            if (
-                self.index_staleness_bound is not None
-                and lag > self.index_staleness_bound
-            ):
+            if self._stale(store, spec):
                 stale = True
                 continue
             if self.service.index_distinct_item_count(
@@ -1025,26 +983,6 @@ class DynamoBackend:
             # base-table scan (same semantics as the query planner).
             self.stale_index_fallbacks += 1
         return None
-
-    def _stream_index_items(self, store: str, spec: IndexSpec):
-        """Paged index Scan, deduplicated to one yield per item."""
-        seen: set[str] = set()
-        start_key: str | None = None
-        while True:
-            page = self._with_backoff(
-                self.service.scan_index,
-                store,
-                spec.name,
-                exclusive_start_key=start_key,
-            )
-            for item_name, attrs in page.entries:
-                if item_name in seen:
-                    continue
-                seen.add(item_name)
-                yield item_name, dict(attrs)
-            start_key = page.last_evaluated_key
-            if start_key is None:
-                return
 
     def site_statistics(self, store: str) -> dict:
         """One metered DescribeTable call — table and per-index stats
@@ -1072,11 +1010,7 @@ class DynamoBackend:
                 continue
             if project_all and not spec.project_all:
                 continue
-            lag = self.service.index_lag_seconds(store, spec.name)
-            if (
-                self.index_staleness_bound is not None
-                and lag > self.index_staleness_bound
-            ):
+            if self._stale(store, spec):
                 stale = True
                 continue
             return spec
@@ -1094,25 +1028,13 @@ class DynamoBackend:
         """Paged range Query over one composite-index partition,
         deduplicated, in range-attribute order (composite entries sort
         by range value within the hash partition)."""
-        seen: set[str] = set()
-        start_key: str | None = None
-        while True:
-            page = self._with_backoff(
-                self.service.query_index,
-                store,
-                index_name,
-                [hash_value],
-                exclusive_start_key=start_key,
-                range_condition=range_condition,
-            )
-            for item_name, attrs in page.entries:
-                if item_name in seen:
-                    continue
-                seen.add(item_name)
-                yield item_name, dict(attrs)
-            start_key = page.last_evaluated_key
-            if start_key is None:
-                return
+        return self._index_items(
+            self.service.query_index,
+            store,
+            index_name,
+            [hash_value],
+            range_condition=range_condition,
+        )
 
     def item_count(self, store: str) -> int:
         return self.service.item_count(store)

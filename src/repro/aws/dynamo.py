@@ -366,6 +366,32 @@ class _Table:
     window_write_units: float = 0.0
 
 
+def _merged(
+    key: str, existing: ItemState | None, adds: list[tuple[str, str]]
+) -> tuple[ItemState, int, int]:
+    """ADD ``adds`` into a copy of ``existing``'s string sets (``None`` =
+    absent item): ``(state, old_size, new_size)``, refusing an empty
+    update or one that would outgrow the item-size limit. The one
+    set-merge UpdateItem and every BatchWriteItem entry share."""
+    if not adds:
+        raise errors.ItemSizeLimitExceeded("an item write requires attributes")
+    state: ItemState = dict(existing) if existing is not None else {}
+    # Stored-byte accounting: an absent item occupies nothing (its key
+    # bytes only start counting once the item exists).
+    old_size = _item_size(key, state) if existing is not None else 0
+    for name, value in adds:
+        merged = set(state.get(name, ()))
+        merged.add(value)
+        state[name] = tuple(sorted(merged))
+    new_size = _item_size(key, state)
+    if new_size > units.DDB_MAX_ITEM_SIZE:
+        raise errors.ItemSizeLimitExceeded(
+            f"item {key!r} would be {new_size} bytes "
+            f"(limit {units.DDB_MAX_ITEM_SIZE})"
+        )
+    return state, old_size, new_size
+
+
 class DynamoDBService:
     """The simulated DynamoDB-style endpoint for one AWS account."""
 
@@ -682,24 +708,8 @@ class DynamoDBService:
         the index's own replica schedule — the asynchronous maintenance
         real GSIs perform.
         """
-        if not adds:
-            raise errors.ItemSizeLimitExceeded("update_item requires attributes")
         table = self._table(table_name)
-        existing = table.authority.get(key)
-        state: ItemState = dict(existing) if existing is not None else {}
-        # Stored-byte accounting: an absent item occupies nothing (its
-        # key bytes only start counting once the item exists).
-        old_size = _item_size(key, state) if existing is not None else 0
-        for name, value in adds:
-            merged = set(state.get(name, ()))
-            merged.add(value)
-            state[name] = tuple(sorted(merged))
-        new_size = _item_size(key, state)
-        if new_size > units.DDB_MAX_ITEM_SIZE:
-            raise errors.ItemSizeLimitExceeded(
-                f"item {key!r} would be {new_size} bytes "
-                f"(limit {units.DDB_MAX_ITEM_SIZE})"
-            )
+        state, old_size, new_size = _merged(key, table.authority.get(key), adds)
         write_units = _write_units_for(max(old_size, new_size))
         index_writes, shared_units, index_charges = self._index_put_plan(
             table, key, state
@@ -753,44 +763,29 @@ class DynamoDBService:
                 f"{units.DDB_MAX_BATCH_WRITE_ITEMS})"
             )
         table = self._table(table_name)
-        # Validate the whole request before anything commits or meters
+        # Stage the whole request before anything commits or meters
         # (mirrors update_item, which sizes the merged item before the
-        # fault/admission/metering sequence).
-        staged: dict[str, ItemState] = {}
+        # fault/admission/metering sequence). An entry repeating a key
+        # merges onto the previous entry's staged state.
+        staged: list[tuple[ItemState | None, ItemState, int, int]] = []
+        latest: dict[str, ItemState] = {}
         for key, adds in puts:
-            if not adds:
-                raise errors.ItemSizeLimitExceeded(
-                    "batch_write_item requires attributes"
-                )
-            state = staged.get(key)
-            if state is None:
-                existing = table.authority.get(key)
-                state = dict(existing) if existing is not None else {}
-            for name, value in adds:
-                merged = set(state.get(name, ()))
-                merged.add(value)
-                state[name] = tuple(sorted(merged))
-            if _item_size(key, state) > units.DDB_MAX_ITEM_SIZE:
-                raise errors.ItemSizeLimitExceeded(
-                    f"item {key!r} would be {_item_size(key, state)} bytes "
-                    f"(limit {units.DDB_MAX_ITEM_SIZE})"
-                )
-            staged[key] = state
+            base = latest[key] if key in latest else table.authority.get(key)
+            state, old_size, new_size = _merged(key, base, adds)
+            latest[key] = state
+            staged.append((base, state, old_size, new_size))
         self._check_faults("BatchWriteItem")
         unprocessed: list[tuple[str, list[tuple[str, str]]]] = []
         admitted_units = 0.0
         admitted_transfer = 0
         admitted_index_units = 0.0
         admitted_index_stored = 0
-        for key, adds in puts:
+        for (key, adds), (base, state, old_size, new_size) in zip(puts, staged):
             existing = table.authority.get(key)
-            state = dict(existing) if existing is not None else {}
-            old_size = _item_size(key, state) if existing is not None else 0
-            for name, value in adds:
-                merged = set(state.get(name, ()))
-                merged.add(value)
-                state[name] = tuple(sorted(merged))
-            new_size = _item_size(key, state)
+            if existing is not base:
+                # An earlier entry for this key was left unprocessed, so
+                # its adds must not ride along: merge onto what committed.
+                state, old_size, new_size = _merged(key, existing, adds)
             write_units = _write_units_for(max(old_size, new_size))
             index_writes, shared_units, index_charges = self._index_put_plan(
                 table, key, state

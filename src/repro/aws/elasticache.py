@@ -129,11 +129,10 @@ def build_read_cache(spec, clock: SimClock, meter: Meter):
 
 def attrs_nbytes(attrs) -> int:
     """Node-memory estimate for one cached item's attribute map."""
-    total = 0
-    for name, values in attrs.items():
-        total += len(name)
-        total += sum(len(value) for value in values)
-    return total
+    return sum(
+        len(name.encode()) + sum(len(value.encode()) for value in values)
+        for name, values in attrs.items()
+    )
 
 
 class ReadCacheAuthority:

@@ -302,7 +302,9 @@ class S3Service:
         ]
         page = tuple(visible[:max_keys])
         truncated = len(visible) > max_keys
-        self._meter.record_transfer_out(billing.S3, sum(len(k) for k in page))
+        self._meter.record_transfer_out(
+            billing.S3, sum(len(k.encode()) for k in page)
+        )
         return S3ListResult(
             keys=page,
             is_truncated=truncated,

@@ -427,7 +427,9 @@ class SimpleDBService:
         matched = self._execute(domain, parse_query(expression), next_token)
         page, token = self._paginate(matched, min(max_items, QUERY_MAX_PAGE))
         names = tuple(name for name, _ in page)
-        self._meter.record_transfer_out(billing.SDB, sum(len(n) for n in names))
+        self._meter.record_transfer_out(
+            billing.SDB, sum(len(n.encode()) for n in names)
+        )
         return QueryResult(item_names=names, next_token=token)
 
     @synchronized
@@ -450,7 +452,7 @@ class SimpleDBService:
             if wanted is not None:
                 attrs = {k: v for k, v in attrs.items() if k in wanted}
             projected.append((name, dict(attrs)))
-            out_bytes += len(name) + _attr_size(dict(attrs))
+            out_bytes += len(name.encode()) + _attr_size(attrs)
         self._meter.record_transfer_out(billing.SDB, out_bytes)
         return QueryWithAttributesResult(items=tuple(projected), next_token=token)
 
@@ -477,7 +479,7 @@ class SimpleDBService:
                 wanted = set(parsed.projection)
                 attrs = {k: v for k, v in attrs.items() if k in wanted}
             projected.append((name, dict(attrs)))
-            out_bytes += len(name) + _attr_size(dict(attrs))
+            out_bytes += len(name.encode()) + _attr_size(attrs)
         self._meter.record_transfer_out(billing.SDB, out_bytes)
         return SelectResult(items=tuple(projected), next_token=token)
 

@@ -47,6 +47,7 @@ replica time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 from repro.aws.account import AWSAccount
@@ -181,6 +182,8 @@ class ProvenanceCloudStore:
         #: does) makes every consumer observe the same epoch — and the
         #: same live migration — simultaneously.
         self.routing = as_handle(router) if router is not None else fresh_handle(shards)
+        #: Resolves a spilled value's ``@s3:`` pointer (a metered GET).
+        self._fetch_overflow = partial(fetch_overflow, account)
         self.stores_completed = 0
         self._provisioned = False
 
@@ -268,6 +271,41 @@ class ProvenanceCloudStore:
 def backend_for_site(account: AWSAccount, site: Site):
     """The backend adapter hosting one routed site."""
     return account.provenance_backends()[site.kind]
+
+
+def fetch_overflow(account: AWSAccount, key: str, bucket: str = DATA_BUCKET) -> str:
+    """The text of one spilled >1 KB record value (a metered S3 GET) —
+    what every decoder passes to the serializer to resolve ``@s3:``
+    pointers."""
+    return account.s3.get(bucket, key).bytes().decode("utf-8")
+
+
+def read_provenance_item(
+    account: AWSAccount, site: Site, item_name: str
+) -> dict[str, tuple[str, ...]]:
+    """Point-read one provenance item from its site's backend.
+
+    SimpleDB shards read a replica via GetAttributes; DynamoDB-style
+    shards issue an eventually consistent GetItem — either way the
+    read may be stale or empty ({}), which is exactly what the
+    MD5‖nonce retry discipline exists to absorb.
+
+    When the read-cache tier is on, the authority is consulted first; a
+    miss falls through to the backend and fills the cache, fenced
+    against invalidations that land during the read. Empty results are
+    never cached — a replica that has not seen the item yet must not
+    suppress the next probe.
+    """
+    cache = account.read_cache
+    if cache is not None:
+        hit, attrs = cache.get_item(item_name)
+        if hit:
+            return attrs
+        fence = cache.fence()
+    attrs = backend_for_site(account, site).get_item(site.domain, item_name)
+    if cache is not None and attrs:
+        cache.put_item(item_name, attrs, fence)
+    return attrs
 
 
 def put_provenance_item(

@@ -46,11 +46,11 @@ from repro.core.base import (
     _InconsistentRead,
     backend_for_site,
     data_key,
+    read_provenance_item,
 )
 from repro.core.coalesce import WriteCoalescer
 from repro.errors import NoSuchKey, ReadCorrectnessViolation
 from repro.passlib.records import (
-    VERSION_DIGITS,
     Attr,
     FlushEvent,
     ObjectRef,
@@ -186,9 +186,10 @@ class S3SimpleDB(ProvenanceCloudStore):
             current = self.account.s3.get(DATA_BUCKET, data_key(name))
         except NoSuchKey:
             current = None
-        if current is not None and current.metadata.get("nonce") == f"v{version:04d}":
+        nonce = ObjectRef.nonce_of(version)
+        if current is not None and current.metadata.get("nonce") == nonce:
             stored_token = (attrs.get(Attr.MD5) or ("",))[0]
-            expected = consistency_token(current.blob.md5(), f"v{version:04d}")
+            expected = consistency_token(current.blob.md5(), nonce)
             if stored_token != expected:
                 self.consistency_retries += 1
                 self._uncache(subject.item_name)
@@ -197,32 +198,13 @@ class S3SimpleDB(ProvenanceCloudStore):
         return ReadResult(subject=subject, data=data, bundle=bundle, consistent=consistent)
 
     def _get_provenance_attrs(self, name: str, item_name: str):
-        """Point-read one provenance item from its shard's backend.
-
-        SimpleDB shards read a replica via GetAttributes; DynamoDB-style
-        shards issue an eventually consistent GetItem — either way the
-        read may be stale or empty, which is exactly what the MD5‖nonce
-        retry discipline exists to absorb. The site comes from the
-        shared routing handle: during a live migration reads stay on
-        the source layout until the owning shard cuts over.
-
-        When the read-cache tier is on, the authority is consulted
-        first; a miss falls through to the backend and fills the cache,
-        fenced against invalidations that land during the read. Empty
-        results are never cached — a replica that has not seen the item
-        yet must not suppress the next probe.
-        """
-        cache = self.account.read_cache
-        if cache is not None:
-            hit, attrs = cache.get_item(item_name)
-            if hit:
-                return attrs
-            fence = cache.fence()
-        site = self.routing.read_site(name)
-        attrs = backend_for_site(self.account, site).get_item(site.domain, item_name)
-        if cache is not None and attrs:
-            cache.put_item(item_name, attrs, fence)
-        return attrs
+        """Fenced, cached point read of one item from the shard serving
+        ``name`` right now — the site comes from the shared routing
+        handle: during a live migration reads stay on the source layout
+        until the owning shard cuts over."""
+        return read_provenance_item(
+            self.account, self.routing.read_site(name), item_name
+        )
 
     def _uncache(self, item_name: str) -> None:
         """Drop one item's read-cache entry (consistency-retry paths)."""
@@ -230,10 +212,7 @@ class S3SimpleDB(ProvenanceCloudStore):
             self.account.read_cache.invalidate(item_name)
 
     def _decode_item(self, item_name: str, attrs) -> ProvenanceBundle:
-        def fetch_overflow(key: str) -> str:
-            return self.account.s3.get(DATA_BUCKET, key).bytes().decode("utf-8")
-
-        return bundle_from_item(item_name, attrs, fetch_overflow)
+        return bundle_from_item(item_name, attrs, self._fetch_overflow)
 
     def version_history(self, name: str, max_gap: int = 2) -> list[ProvenanceBundle]:
         """Every stored version's provenance, oldest first.
@@ -298,7 +277,7 @@ class S3SimpleDB(ProvenanceCloudStore):
             site.domain,
             spec.name,
             basename,
-            (">=", f"v{1:0{VERSION_DIGITS}d}"),
+            (">=", ObjectRef.nonce_of(1)),
         ):
             if not item_name.startswith(prefix):
                 continue

@@ -109,7 +109,7 @@ class S3Standalone(ProvenanceCloudStore):
 
     def _do_read(self, name: str, version: int | None) -> ReadResult:
         result = self.account.s3.get(DATA_BUCKET, data_key(name))
-        subject, bundle = self._decode(name, result.metadata)
+        subject, (bundle, _ancestors) = self._decode(name, result.metadata)
         if version is not None and subject.version != version:
             raise ReadCorrectnessViolation(
                 f"{name}: S3 holds version {subject.version}; version "
@@ -126,37 +126,25 @@ class S3Standalone(ProvenanceCloudStore):
         """Read provenance only, via HEAD (the §4.1 query primitive)."""
         self.provision()
         head = self.account.s3.head(DATA_BUCKET, data_key(name))
-        subject, bundle = self._decode(name, head.metadata)
+        subject, (bundle, _ancestors) = self._decode(name, head.metadata)
         return ReadResult(subject=subject, data=None, bundle=bundle, consistent=True)
 
     def _decode(self, name: str, metadata: dict[str, str]):
+        """(subject, (own bundle, piggybacked ancestor bundles))."""
         nonce = metadata.get("nonce", "v0001")
         version = parse_nonce(nonce)
         if version is None:
             raise ReadCorrectnessViolation(f"{name}: malformed nonce {nonce!r}")
         subject = ObjectRef(name, version)
-
-        def fetch_overflow(key: str) -> str:
-            blob_result = self.account.s3.get(DATA_BUCKET, key)
-            return blob_result.bytes().decode("utf-8")
-
-        bundle, _ancestors = bundles_from_s3_metadata(subject, metadata, fetch_overflow)
-        return subject, bundle
+        return subject, bundles_from_s3_metadata(
+            subject, metadata, self._fetch_overflow
+        )
 
     def read_with_ancestors(self, name: str):
         """Read the full metadata payload including piggybacked ancestors."""
         self.provision()
         result = self.account.s3.get(DATA_BUCKET, data_key(name))
-        nonce = result.metadata.get("nonce", "v0001")
-        version = parse_nonce(nonce)
-        if version is None:
-            raise ReadCorrectnessViolation(f"{name}: malformed nonce {nonce!r}")
-        subject = ObjectRef(name, version)
-
-        def fetch_overflow(key: str) -> str:
-            return self.account.s3.get(DATA_BUCKET, key).bytes().decode("utf-8")
-
-        return bundles_from_s3_metadata(subject, result.metadata, fetch_overflow)
+        return self._decode(name, result.metadata)[1]
 
     # -- diagram (Figure 1) ------------------------------------------------------
 

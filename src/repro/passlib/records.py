@@ -62,9 +62,16 @@ class ObjectRef:
         if self.version < 1:
             raise ValueError(f"versions start at 1, got {self.version} for {self.name!r}")
 
+    @staticmethod
+    def nonce_of(version: int) -> str:
+        """The zero-padded version nonce ``vNNNN`` — the one spelling
+        every encoding below, the S3 ``nonce`` metadata and the
+        version-range predicates share (lexicographic = version order)."""
+        return f"v{version:0{VERSION_DIGITS}d}"
+
     def encode(self) -> str:
         """Wire encoding used in record values: ``name:vNNNN``."""
-        return f"{self.name}:v{self.version:0{VERSION_DIGITS}d}"
+        return f"{self.name}:{self.nonce_of(self.version)}"
 
     @property
     def path(self) -> str:
@@ -78,7 +85,7 @@ class ObjectRef:
     @property
     def item_name(self) -> str:
         """SimpleDB item name for this version: ``name_vNNNN``."""
-        return f"{self.name}_v{self.version:0{VERSION_DIGITS}d}"
+        return f"{self.name}_{self.nonce_of(self.version)}"
 
     @classmethod
     def decode(cls, text: str) -> "ObjectRef":
@@ -197,7 +204,7 @@ class FlushEvent:
     @property
     def nonce(self) -> str:
         """The consistency nonce — 'typically the file version' (§4.2)."""
-        return f"v{self.subject.version:0{VERSION_DIGITS}d}"
+        return ObjectRef.nonce_of(self.subject.version)
 
     def all_bundles(self) -> tuple[ProvenanceBundle, ...]:
         """Ancestor bundles first, then the file's own bundle."""

@@ -1,6 +1,6 @@
-"""The Q1/Q2/Q3 query engines (paper §5, Table 3).
+"""The Q1–Q4 query engines (paper §5, Table 3).
 
-The three representative queries:
+The paper's three representative queries, plus a version-range query:
 
 * **Q1** — given an object and version, retrieve that version's
   provenance. (The paper runs it over *all* objects, since a single
@@ -11,6 +11,13 @@ The three representative queries:
   Q2's result set closed transitively over input edges. SimpleDB has no
   recursive queries or stored procedures, so the client iterates —
   one batched query per BFS frontier chunk.
+* **Q4** — file versions inside a version window: one range predicate.
+
+Q2–Q4 are declarations over one phase executor:
+:meth:`SimpleDBEngine._scatter` takes a phase's queries — *(bracket
+expression, SELECT where-clause)* pairs, two spellings of one predicate
+— plus a row decoder, and owns site enumeration, compile-once-per-query,
+planning, paging, wave dispatch, merging and memoisation.
 
 Each engine method returns a :class:`QueryMeasurement` whose operation
 and byte counts come from meter deltas — the queries are charged exactly
@@ -55,15 +62,21 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, TypeVar
+from functools import partial
+from typing import Callable, Iterable, TypeVar
 
 from repro.aws.account import AWSAccount
 from repro.aws.billing import ELASTICACHE, Usage
 from repro.aws.sdb_query import CompiledQuery, parse_query, quote_literal
 from repro.concurrency import new_lock
-from repro.core.base import DATA_BUCKET, PROV_DOMAIN
+from repro.core.base import (
+    DATA_BUCKET,
+    PROV_DOMAIN,
+    fetch_overflow,
+    read_provenance_item,
+)
 from repro.errors import NoSuchKey
-from repro.passlib.records import VERSION_DIGITS, Attr, ObjectRef, ProvenanceBundle
+from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
 from repro.passlib.serializer import (
     bundle_from_item,
     bundles_from_s3_metadata,
@@ -160,10 +173,14 @@ class _Metered:
     def __init__(
         self,
         account: AWSAccount,
+        bucket: str,
         latency_model: QueryLatencyModel = DEFAULT_LATENCY_MODEL,
     ):
         self.account = account
+        self.bucket = bucket
         self.latency_model = latency_model
+        #: Resolves a spilled value's ``@s3:`` pointer (a metered GET).
+        self._fetch_overflow = partial(fetch_overflow, account, bucket=bucket)
 
     def _measure(self, refs: set[ObjectRef], before: Usage) -> QueryMeasurement:
         spent = self.account.meter.snapshot() - before
@@ -196,8 +213,7 @@ class S3ScanEngine(_Metered):
         bucket: str = DATA_BUCKET,
         latency_model: QueryLatencyModel = DEFAULT_LATENCY_MODEL,
     ):
-        super().__init__(account, latency_model)
-        self.bucket = bucket
+        super().__init__(account, bucket, latency_model)
         #: Objects the last scan skipped because their ``nonce`` metadata
         #: would not parse — a malformed item must not abort the scan.
         self.skipped_items = 0
@@ -214,9 +230,6 @@ class S3ScanEngine(_Metered):
                 break
             marker = page.next_marker
         return keys
-
-    def _fetch_overflow(self, key: str) -> str:
-        return self.account.s3.get(self.bucket, key).bytes().decode("utf-8")
 
     def scan_bundles(self) -> list[ProvenanceBundle]:
         """HEAD every object; decode its own + piggybacked bundles.
@@ -313,7 +326,7 @@ class SimpleDBEngine(_Metered):
         latency_model: QueryLatencyModel = DEFAULT_LATENCY_MODEL,
         planner: str | None = None,
     ):
-        super().__init__(account, latency_model)
+        super().__init__(account, bucket, latency_model)
         #: Shared routing indirection: passing a store's handle (what
         #: ``Simulation.query_engine`` does) makes every scatter phase
         #: observe live-migration cutovers at the moment it dispatches —
@@ -330,7 +343,6 @@ class SimpleDBEngine(_Metered):
         #: Retained for single-shard callers (and select rendering when
         #: N=1); with ``shards > 1`` queries name per-shard domains.
         self.domain = self.routing.current.domains[0]
-        self.bucket = bucket
         self.ref_batch = ref_batch
         self.select_mode = select_mode
         if concurrency is None:
@@ -369,9 +381,6 @@ class SimpleDBEngine(_Metered):
     def router(self) -> ShardRouter:
         """The settled layout (kept for introspection call sites)."""
         return self.routing.current
-
-    def _fetch_overflow(self, key: str) -> str:
-        return self.account.s3.get(self.bucket, key).bytes().decode("utf-8")
 
     # -- scatter-gather dispatch ----------------------------------------------
 
@@ -485,35 +494,91 @@ class SimpleDBEngine(_Metered):
         self._sequential_latency += sum(durations)
         return results
 
-    def _backend(self, site: Site):
-        """The backend adapter hosting one routed site."""
-        return self.backends[site.kind]
+    def _gather(self, tasks: list[tuple[str, Callable[[], Iterable[T]]]]) -> set[T]:
+        """One wave's per-stream results, merged into one set."""
+        found: set[T] = set()
+        for part in self._run_wave(tasks):
+            found.update(part)
+        return found
 
-    def _memoised(self, key: tuple, compute: Callable[[], T]) -> T:
-        """Run one scatter phase through the memo side of the cache.
+    def _scatter(
+        self,
+        memo_key: tuple,
+        queries: Iterable[tuple[str, str]],
+        decode: Callable[[str, dict], T],
+    ) -> set[T]:
+        """One scatter phase: every query on every site, as one wave.
 
-        The memo key carries the routing epoch (a layout cutover makes
-        old entries unreachable LRU garbage rather than wrong answers);
-        the fill is fenced on the authority's invalidation generation,
-        captured by the consult itself — any provenance write between
-        consult and fill refuses the memoisation. Memo spend is scoped
-        (sanitizer discipline) and credited to the ``"elasticache"``
-        label on the cache split, since a memo hit stands in for a whole
-        scatter phase, not any one shard's stream.
+        ``queries`` are *(bracket expression, SELECT where-clause)*
+        pairs — two spellings of the same predicate (``select_mode`` is
+        a SimpleDB wire-language choice; a DynamoDB-placed shard
+        evaluates the compiled predicate over an index Query or a Scan
+        instead). Each expression is compiled once and shared across its
+        shard streams — compilation is client CPU, never metered, so
+        hoisting it is meter-neutral. The wave is built query-major,
+        site-minor over the sites routing names *now*; the query x site
+        streams are mutually independent reads. Each stream asks the
+        planner for its access path (None = the backend's native
+        choice) inside its own meter scope, so the statistics consult
+        is billed to the right shard and the USD prediction accrues to
+        the in-flight query, then pages the backend and decodes every
+        ``(item name, attrs)`` row with ``decode``.
+
+        Memoised through the cache authority: a repeated phase answers
+        with zero backend reads until a write (or layout cutover)
+        invalidates it. The memo key carries the routing epoch (a
+        cutover makes old entries unreachable LRU garbage rather than
+        wrong answers); the fill is fenced on the authority's
+        invalidation generation, captured by the consult itself — any
+        provenance write between consult and fill refuses the
+        memoisation. Memo spend is scoped (sanitizer discipline) and
+        credited to the ``"elasticache"`` label on the cache split,
+        since a memo hit stands in for the whole phase, not any one
+        shard's stream.
         """
         cache = self.cache
-        if cache is None:
-            return compute()
-        full_key = key + (self.routing.epoch,)
-        with self.account.meter.scoped() as scope:
-            hit, value, fence = cache.memo_get(full_key)
-        self._credit_cache_scope(scope)
-        if hit:
-            return value
-        value = compute()
-        with self.account.meter.scoped() as scope:
-            cache.memo_put(full_key, fence, value, _memo_nbytes(value))
-        self._credit_cache_scope(scope)
+        if cache is not None:
+            full_key = memo_key + (self.routing.epoch,)
+            with self.account.meter.scoped() as scope:
+                hit, value, fence = cache.memo_get(full_key)
+            self._credit_cache_scope(scope)
+            if hit:
+                return value
+
+        def stream(site: Site, expression: str, where: str, compiled: CompiledQuery):
+            backend = self.backends[site.kind]
+            path = None
+            if self.planner is not None:
+                path, predicted = self.planner.choose(
+                    backend, site.domain, compiled, {Attr.TYPE}
+                )
+                with self._predicted_lock:
+                    if self._predicted is not None:
+                        self._predicted += predicted
+            return [
+                decode(name, attrs)
+                for name, attrs in backend.query_pages(
+                    site.domain,
+                    expression,
+                    f"select type from {site.domain} where {where}",
+                    self.select_mode,
+                    [Attr.TYPE],
+                    compiled=compiled,
+                    path=path,
+                )
+            ]
+
+        sites = self._query_sites()
+        tasks = []
+        for expression, where in queries:
+            compiled = parse_query(expression)
+            for label, site in sites:
+                tasks.append((label, partial(stream, site, expression, where, compiled)))
+        value = self._gather(tasks)
+        if cache is not None:
+            with self.account.meter.scoped() as scope:
+                cache.memo_put(full_key, fence, value, _memo_nbytes(value))
+            self._credit_cache_scope(scope)
         return value
 
     def _credit_cache_scope(self, scope) -> None:
@@ -568,32 +633,21 @@ class SimpleDBEngine(_Metered):
         Routed to the shard owning ``ref.path`` — its operation count is
         independent of how many shards the domain is split into (during
         a live migration, the source shard until the owning target
-        shard cuts over, then the target).
+        shard cuts over, then the target). With the read-cache tier on,
+        the point read consults the authority first.
         """
         before = self._begin()
         site = self.routing.read_site(ref.path)
-        backend = self._backend(site)
 
-        def lookup() -> ProvenanceBundle | None:
-            cache = self.cache
-            fence = 0
-            if cache is not None:
-                hit, attrs = cache.get_item(ref.item_name)
-                if hit:
-                    return bundle_from_item(
-                        ref.item_name, attrs, self._fetch_overflow
-                    )
-                fence = cache.fence()
-            attrs = backend.get_item(site.domain, ref.item_name)
+        def lookup() -> list[ObjectRef]:
+            attrs = read_provenance_item(self.account, site, ref.item_name)
             if not attrs:
-                return None
-            if cache is not None:
-                cache.put_item(ref.item_name, attrs, fence)
-            return bundle_from_item(ref.item_name, attrs, self._fetch_overflow)
+                return []
+            bundle = bundle_from_item(ref.item_name, attrs, self._fetch_overflow)
+            return [bundle.subject]
 
         with self.account.meter.expect_scope():
-            (bundle,) = self._run_wave([(self._label(site), lookup)])
-        refs = {bundle.subject} if bundle is not None else set()
+            refs = self._gather([(self._label(site), lookup)])
         return self._measure_sharded(refs, before)
 
     def q1_all(self) -> QueryMeasurement:
@@ -609,183 +663,70 @@ class SimpleDBEngine(_Metered):
         """
         before = self._begin()
 
-        def scan_shard(site: Site) -> Callable[[], set[ObjectRef]]:
-            backend = self._backend(site)
-
-            def stream() -> set[ObjectRef]:
-                found: set[ObjectRef] = set()
-                for item_name, attrs in backend.enumerate_items(site.domain):
-                    if not attrs:
-                        continue
-                    bundle = bundle_from_item(
-                        item_name, attrs, self._fetch_overflow
-                    )
-                    found.add(bundle.subject)
-                return found
-
-            return stream
+        def scan_shard(site: Site) -> list[ObjectRef]:
+            items = self.backends[site.kind].enumerate_items(site.domain)
+            return [
+                bundle_from_item(item_name, attrs, self._fetch_overflow).subject
+                for item_name, attrs in items
+                if attrs
+            ]
 
         with self.account.meter.expect_scope():
-            shard_refs = self._run_wave(
-                [(label, scan_shard(site)) for label, site in self._query_sites()]
+            refs = self._gather(
+                [
+                    (label, partial(scan_shard, site))
+                    for label, site in self._query_sites()
+                ]
             )
-        refs: set[ObjectRef] = set()
-        for found in shard_refs:
-            refs.update(found)
         return self._measure_sharded(refs, before)
 
     # -- Q2 -------------------------------------------------------------------------
 
-    def _paged_query(
-        self,
-        site: Site,
-        expression: str,
-        select: str,
-        compiled: CompiledQuery | None = None,
-    ):
-        """Run one logical query on one site via its backend, paging.
-
-        Yields (item name, attrs) pairs; the bracket expression and the
-        SELECT statement are two spellings of the same predicate (a
-        DynamoDB-placed shard evaluates the compiled predicate client
-        side over a Scan instead — ``select_mode`` is a SimpleDB wire
-        language choice). ``compiled`` is the predicate compiled once
-        by the phase and shared across its shard streams — compilation
-        is client CPU, never metered, so hoisting it is meter-neutral.
-        Spend accrues to whichever meter scope the consuming stream
-        opened — callers consume the generator fully inside their task,
-        and the planner's path choice (with its statistics consult)
-        runs eagerly here, inside the same scope.
-        """
-        if compiled is None:
-            compiled = parse_query(expression)
-        path = self._plan(site, compiled)
-        return self._backend(site).query_pages(
-            site.domain,
-            expression,
-            select,
-            self.select_mode,
-            [Attr.TYPE],
-            compiled=compiled,
-            path=path,
-        )
-
-    def _plan(self, site: Site, compiled: CompiledQuery):
-        """Ask the planner for this stream's access path (None = the
-        backend's native choice), accruing its USD prediction onto the
-        in-flight query's accumulator."""
-        if self.planner is None:
-            return None
-        path, predicted = self.planner.choose(
-            self._backend(site), site.domain, compiled, {Attr.TYPE}
-        )
-        with self._predicted_lock:
-            if self._predicted is not None:
-                self._predicted += predicted
-        return path
-
-    def _find_program_instances(self, program: str) -> set[ObjectRef]:
-        """Phase 1: all process versions of ``program`` — every site.
-
-        Memoised through the cache authority: a repeated Q2/Q3 for the
-        same program answers this phase with zero backend reads until a
-        write (or layout cutover) invalidates it.
-        """
-        return self._memoised(
-            ("instances", program),
-            lambda: self._find_program_instances_live(program),
-        )
-
-    def _find_program_instances_live(self, program: str) -> set[ObjectRef]:
+    def _program_instances(self, program: str) -> set[ObjectRef]:
+        """Phase 1: all process versions of ``program`` — every site."""
         literal = quote_literal(program)
-        expression = f"['type' = 'process'] intersection ['name' = {literal}]"
-        compiled = parse_query(expression)  # once per phase, not per shard
-
-        def find_on(site: Site) -> Callable[[], list[ObjectRef]]:
-            select = (
-                f"select type from {site.domain} "
-                f"where type = 'process' and name = {literal}"
-            )
-
-            def stream() -> list[ObjectRef]:
-                return [
-                    ObjectRef.from_item_name(name)
-                    for name, _ in self._paged_query(
-                        site, expression, select, compiled
-                    )
-                ]
-
-            return stream
-
-        found: set[ObjectRef] = set()
-        for refs in self._run_wave(
-            [(label, find_on(site)) for label, site in self._query_sites()]
-        ):
-            found.update(refs)
-        return found
+        return self._scatter(
+            ("instances", program),
+            [
+                (
+                    f"['type' = 'process'] intersection ['name' = {literal}]",
+                    f"type = 'process' and name = {literal}",
+                )
+            ],
+            _decode_ref,
+        )
 
     def _objects_with_inputs(self, inputs: set[ObjectRef]) -> set[tuple[ObjectRef, str]]:
         """All items listing any of ``inputs`` as an input, with their type.
 
         An item's ``input`` edges can point at objects on *other* shards,
-        so every chunk scatters across all domains and the matches are
-        gathered into one set. The chunk x shard streams are mutually
-        independent reads, so they form a single dispatch wave.
-
-        Memoised per frontier: repeated Q2/Q3 replay the same BFS rounds,
-        so each round's whole chunk-x-shard wave collapses to one cache
-        consult while its memo entry stays valid.
+        so every ``ref_batch``-sized chunk of references is its own
+        query, scattered across all domains. Memoised per frontier:
+        repeated Q2/Q3 replay the same BFS rounds, so each round's whole
+        chunk-x-shard wave collapses to one cache consult while its memo
+        entry stays valid.
         """
-        key = ("inputs",) + tuple(ref.encode() for ref in sorted(inputs))
-        return self._memoised(key, lambda: self._objects_with_inputs_live(inputs))
+        encoded = [ref.encode() for ref in sorted(inputs)]
 
-    def _objects_with_inputs_live(
-        self, inputs: set[ObjectRef]
-    ) -> set[tuple[ObjectRef, str]]:
-        ordered = sorted(inputs)
-        sites = self._query_sites()
-        tasks: list[tuple[str, Callable[[], list[tuple[ObjectRef, str]]]]] = []
-        for start in range(0, len(ordered), self.ref_batch):
-            chunk = ordered[start : start + self.ref_batch]
-            literals = [quote_literal(ref.encode()) for ref in chunk]
-            disjunction = " or ".join(f"'input' = {lit}" for lit in literals)
-            expression = f"[{disjunction}]"
-            compiled = parse_query(expression)  # once per chunk, not per shard
-            in_list = ", ".join(literals)
-            for label, site in sites:
-                select = (
-                    f"select type from {site.domain} where input in ({in_list})"
-                )
-                tasks.append(
-                    (label, self._match_stream(site, expression, select, compiled))
-                )
-        found: set[tuple[ObjectRef, str]] = set()
-        for matches in self._run_wave(tasks):
-            found.update(matches)
-        return found
+        def chunk_queries():  # built only when the memo misses
+            for start in range(0, len(encoded), self.ref_batch):
+                literals = [
+                    quote_literal(value)
+                    for value in encoded[start : start + self.ref_batch]
+                ]
+                disjunction = " or ".join(f"'input' = {lit}" for lit in literals)
+                yield f"[{disjunction}]", f"input in ({', '.join(literals)})"
 
-    def _match_stream(
-        self,
-        site: Site,
-        expression: str,
-        select: str,
-        compiled: CompiledQuery | None = None,
-    ) -> Callable[[], list[tuple[ObjectRef, str]]]:
-        def stream() -> list[tuple[ObjectRef, str]]:
-            matches: list[tuple[ObjectRef, str]] = []
-            for name, attrs in self._paged_query(site, expression, select, compiled):
-                kind = (attrs.get(Attr.TYPE) or ("file",))[0]
-                matches.append((ObjectRef.from_item_name(name), kind))
-            return matches
-
-        return stream
+        return self._scatter(
+            ("inputs", *encoded), chunk_queries(), _decode_ref_and_kind
+        )
 
     def q2_outputs_of(self, program: str) -> QueryMeasurement:
         """Files that are outputs of ``program`` — two indexed phases (§5),
         each phase scattered across every shard."""
         before = self._begin(planned=True)
         with self.account.meter.expect_scope():
-            instances = self._find_program_instances(program)
+            instances = self._program_instances(program)
             refs: set[ObjectRef] = set()
             if instances:
                 refs = {
@@ -813,15 +754,14 @@ class SimpleDBEngine(_Metered):
         """
         before = self._begin(planned=True)
         with self.account.meter.expect_scope():
-            instances = self._find_program_instances(program)
-            seeds = {
+            instances = self._program_instances(program)
+            results = {
                 ref
                 for ref, kind in self._objects_with_inputs(instances)
                 if kind == "file"
             }
-            visited: set[ObjectRef] = set(seeds)
-            results: set[ObjectRef] = set(seeds)
-            frontier = set(seeds)
+            visited = set(results)
+            frontier = set(results)
             while frontier:
                 children = self._objects_with_inputs(frontier)
                 frontier = set()
@@ -852,41 +792,20 @@ class SimpleDBEngine(_Metered):
         table. Memoised like the other scatter phases.
         """
         before = self._begin(planned=True)
-        lo = f"v{lo_version:0{VERSION_DIGITS}d}"
-        hi = f"v{hi_version:0{VERSION_DIGITS}d}"
+        lo, hi = ObjectRef.nonce_of(lo_version), ObjectRef.nonce_of(hi_version)
         lo_literal, hi_literal = quote_literal(lo), quote_literal(hi)
-        expression = (
-            f"['type' = 'file'] intersection "
-            f"['nonce' >= {lo_literal} and 'nonce' <= {hi_literal}]"
-        )
-        compiled = parse_query(expression)
-
-        def find_on(site: Site) -> Callable[[], list[ObjectRef]]:
-            select = (
-                f"select type from {site.domain} where type = 'file' "
-                f"and nonce between {lo_literal} and {hi_literal}"
-            )
-
-            def stream() -> list[ObjectRef]:
-                return [
-                    ObjectRef.from_item_name(name)
-                    for name, _ in self._paged_query(
-                        site, expression, select, compiled
-                    )
-                ]
-
-            return stream
-
-        def live() -> set[ObjectRef]:
-            found: set[ObjectRef] = set()
-            for refs in self._run_wave(
-                [(label, find_on(site)) for label, site in self._query_sites()]
-            ):
-                found.update(refs)
-            return found
-
         with self.account.meter.expect_scope():
-            refs = self._memoised(("range", lo, hi), live)
+            refs = self._scatter(
+                ("range", lo, hi),
+                [
+                    (
+                        f"['type' = 'file'] intersection "
+                        f"['nonce' >= {lo_literal} and 'nonce' <= {hi_literal}]",
+                        f"type = 'file' and nonce between {lo_literal} and {hi_literal}",
+                    )
+                ],
+                _decode_ref,
+            )
         return self._measure_sharded(set(refs), before)
 
 
@@ -894,16 +813,24 @@ class SimpleDBEngine(_Metered):
 # Shared closure helpers (also used by the scan engine)
 # ---------------------------------------------------------------------------
 
+def _decode_ref(item_name: str, attrs: dict) -> ObjectRef:
+    """Row decoder for phases that want the matching object versions."""
+    return ObjectRef.from_item_name(item_name)
+
+
+def _decode_ref_and_kind(item_name: str, attrs: dict) -> tuple[ObjectRef, str]:
+    """Row decoder for cross-reference phases: the match and its type."""
+    return ObjectRef.from_item_name(item_name), (attrs.get(Attr.TYPE) or ("file",))[0]
+
+
 def _memo_nbytes(value) -> int:
-    """Node-memory estimate for a memoised scatter-phase result — a set
-    of :class:`ObjectRef` (phase 1) or ``(ref, kind)`` pairs (matches)."""
+    """Node-memory estimate (UTF-8 bytes) for a memoised scatter-phase
+    result — a set of :class:`ObjectRef` (phase 1) or ``(ref, kind)``
+    pairs (matches)."""
     total = 0
     for element in value:
-        if isinstance(element, tuple):
-            ref, kind = element
-            total += len(ref.encode()) + len(kind)
-        else:
-            total += len(element.encode())
+        ref, kind = element if isinstance(element, tuple) else (element, "")
+        total += len(ref.encode().encode()) + len(kind.encode())
     return total
 
 def _direct_outputs(bundles: list[ProvenanceBundle], program: str) -> set[ObjectRef]:

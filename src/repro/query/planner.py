@@ -4,7 +4,7 @@ Until now every Q2/Q3 phase paid whatever access path its backend
 happened to pick: SimpleDB always answers with its server-side
 Query/Select (there is nothing else), and the DynamoDB-style adapter
 chooses GSI-vs-Scan by *first fit* over the declared indexes
-(:meth:`~repro.aws.backend.DynamoBackend._first_fit`) — nobody consults
+(:meth:`~repro.aws.backend.DynamoBackend.plan_first_fit`) — nobody consults
 the price book, even though every operation is already metered to the
 cent. This module closes that loop: it enumerates the candidate access
 paths a phase could run (DDB Scan, GSI equality Query, composite GSI
@@ -51,12 +51,7 @@ from __future__ import annotations
 import math
 import os
 
-from repro.aws.backend import (
-    AccessPath,
-    SCAN_PATH,
-    SDB_PATH,
-    _equality_candidates,
-)
+from repro.aws.backend import SCAN_PATH, AccessPath, equality_candidates
 from repro.aws.billing import GB, SDB_BOX_USAGE_HOURS, PriceBook
 from repro.aws.dynamo import SCAN_MAX_PAGE
 from repro.aws.sdb_query import CompiledQuery
@@ -212,7 +207,7 @@ class QueryPlanner:
         item_count = stats["item_count"]
         attributes = stats["attributes"]
         matches = item_count
-        for attribute, values in _equality_candidates(compiled.predicate).items():
+        for attribute, values in equality_candidates(compiled.predicate).items():
             info = attributes.get(attribute)
             if info is None or not info["distinct_values"]:
                 matches = 0
@@ -282,7 +277,7 @@ class QueryPlanner:
             + wire_bytes / GB * self.prices.ddb_transfer_out_gb
         )
 
-    def _estimate(self, backend, stats: dict, path, compiled) -> float:
+    def _estimate(self, stats: dict, path: AccessPath, compiled) -> float:
         if path.kind == "sdb":
             return self._estimate_sdb(stats, compiled)
         return self._estimate_ddb(stats, path)
@@ -303,19 +298,24 @@ class QueryPlanner:
         paid for one. The caller executes via
         ``query_pages(..., path=path)`` and accumulates the prediction
         onto the measurement.
+
+        The backend enumerates its sound paths once per call, native
+        default first (SimpleDB's only path; Scan on DynamoDB) with the
+        first ``"gsi"`` entry being the first fit — baseline mode asks
+        for that one path alone.
         """
         stats, consult = self._site_stats(backend, store)
-        if backend.kind == "sdb":
-            return SDB_PATH, self._estimate_sdb(stats, compiled) + consult
-        first_fit = backend.plan_first_fit(store, compiled, wanted)
-        first_fit_cost = self._estimate(backend, stats, first_fit, compiled)
         if self.mode == "first-fit":
-            return first_fit, first_fit_cost + consult
+            paths = [backend.plan_first_fit(store, compiled, wanted)]
+        else:
+            paths = backend.candidate_paths(store, compiled, wanted)
+        first_fit = next((path for path in paths if path.kind == "gsi"), paths[0])
+        first_fit_cost = self._estimate(stats, first_fit, compiled)
         best, best_cost = first_fit, first_fit_cost
-        for path in backend.candidate_paths(store, compiled, wanted):
-            if path == first_fit:
+        for path in paths:
+            if path is first_fit:
                 continue
-            cost = self._estimate(backend, stats, path, compiled)
+            cost = self._estimate(stats, path, compiled)
             if cost < HYSTERESIS * first_fit_cost and cost < best_cost:
                 best, best_cost = path, cost
         return best, best_cost + consult

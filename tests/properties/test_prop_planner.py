@@ -21,12 +21,29 @@ scale) over the full shards × placement grid and, per cell, compares
 * **off is off** — no planner, no ``predicted_cost``, and no
   statistics consults (the DescribeTable/DomainMetadata control-plane
   requests only planned modes pay).
+
+Below the grid, one hypothesis property pins the access-path enumerator
+itself over random predicates × index declarations × per-index lag:
+``plan_first_fit``, ``candidate_paths`` and a ``path=None`` execution
+all read the same enumeration, and the fallback counters move exactly
+as the pre-enumerator first-fit code moved them.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.aws.account import AWSAccount, ConsistencyConfig
+from repro.aws.backend import (
+    SCAN_PATH,
+    DynamoBackend,
+    _range_candidates,
+    _referenced_attributes,
+    equality_candidates,
+)
+from repro.aws.dynamo import IndexSpec
+from repro.aws.sdb_query import parse_query
 from repro.bench.matrix import Q4_VERSION_RANGE, default_workloads
 from repro.query.planner import PREDICTION_ERROR_BOUND
 from repro.sim import Simulation
@@ -123,3 +140,138 @@ def test_planner_differential_properties(traces, key, cell):
     # Off plans nothing: no prediction, no statistics consults.
     assert rows["off"]["predicted_usd"] is None
     assert rows["off"]["stats_consults"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The access-path enumerator: one eligibility rule, three readers
+# ---------------------------------------------------------------------------
+
+ATTRS = ("a", "b", "n")
+
+BRACKETS = (
+    "['a' = 'x']",
+    "['a' = 'x']",
+    "['a' = 'x' or 'a' = 'y']",
+    "['b' = 'x']",
+    "['b' = 'x']",
+    "['b' starts-with 'x']",
+    "['n' >= '1' and 'n' <= '5']",
+    "['n' = '3']",
+    "['a' = 'x'] intersection ['n' >= '1' and 'n' <= '5']",
+    "['b' = 'x'] intersection ['n' > '2']",
+    "not ['a' = 'x']",
+)
+
+predicates = st.lists(st.sampled_from(BRACKETS), min_size=1, max_size=3).flatmap(
+    lambda brackets: st.lists(
+        st.sampled_from(("intersection", "union")),
+        min_size=len(brackets) - 1,
+        max_size=len(brackets) - 1,
+    ).map(
+        lambda joins: " ".join(
+            piece for pair in zip(brackets, (*joins, "")) for piece in pair if piece
+        )
+    )
+)
+
+index_declarations = st.lists(
+    st.tuples(
+        st.sampled_from(ATTRS),
+        st.sampled_from((None, "n")),
+        st.sets(st.sampled_from(ATTRS), max_size=2),
+        st.sampled_from((True, True, False)),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda drawn: drawn[:2],
+).map(
+    lambda drawn: tuple(
+        IndexSpec(
+            name=f"gsi-{key}-{range_attr}",
+            key_attribute=key,
+            range_attribute=None if key == range_attr else range_attr,
+            include=tuple(sorted(include)),
+            project_all=project_all,
+        )
+        for key, range_attr, include, project_all in drawn
+    )
+)
+
+
+def parent_index_plan(specs, lags, bound, compiled, wanted):
+    """The parent commit's ``_first_fit`` + ``_index_plan``, restated as
+    the oracle: ``(first-fit spec or None, (gsi, scan, stale) counter
+    deltas of one path=None execution)``."""
+    if not specs:
+        return None, (0, 0, 0)
+    candidates = equality_candidates(compiled.predicate)
+    ranges = _range_candidates(compiled.predicate)
+    referenced = _referenced_attributes(compiled.predicate)
+    stale = False
+    for spec in specs:
+        if not candidates.get(spec.key_attribute):
+            continue
+        if spec.range_attribute is not None and spec.range_attribute not in ranges:
+            continue
+        if not spec.covers(referenced):
+            continue
+        if not spec.project_all and (wanted is None or not spec.covers(wanted)):
+            continue
+        if lags[spec.name] > bound:
+            stale = True
+            continue
+        return spec, (1, 0, 0)
+    return None, (0, 1, int(stale))
+
+
+@settings(max_examples=300, deadline=None)
+@example(expression="['a' = 'x']", declarations=(), wanted=None, lag_draws=[0.0] * 4)
+@given(
+    expression=predicates,
+    declarations=index_declarations,
+    wanted=st.none() | st.sets(st.sampled_from(ATTRS), max_size=1),
+    lag_draws=st.lists(st.sampled_from((0.0, 0.4, 9.0)), min_size=4, max_size=4),
+)
+def test_one_enumeration_serves_first_fit_candidates_and_execution(
+    expression, declarations, wanted, lag_draws
+):
+    bound = 0.5
+    account = AWSAccount(seed=3, consistency=ConsistencyConfig.strong())
+    backend = DynamoBackend(
+        account.dynamodb,
+        index_specs=declarations,
+        index_staleness_bound=bound,
+    )
+    backend.provision("t")
+    specs = account.dynamodb.list_indexes("t")
+    lags = {spec.name: lag for spec, lag in zip(specs, lag_draws)}
+    account.dynamodb.index_lag_seconds = lambda store, name: lags[name]
+    compiled = parse_query(expression)
+
+    def counters():
+        return (
+            backend.gsi_queries,
+            backend.scan_fallbacks,
+            backend.stale_index_fallbacks,
+        )
+
+    paths = backend.candidate_paths("t", compiled, wanted)
+    first_fit = backend.plan_first_fit("t", compiled, wanted)
+    assert counters() == (0, 0, 0)  # planning is counter-neutral
+
+    assert paths[0] is SCAN_PATH
+    assert first_fit == next((p for p in paths if p.kind == "gsi"), SCAN_PATH)
+    for before, path in zip(paths, paths[1:]):
+        assert path.kind in ("gsi", "gsi-range")
+        if path.kind == "gsi-range":
+            assert (before.kind, before.index, before.values) == (
+                "gsi", path.index, path.values
+            )
+
+    expected_spec, expected_counters = parent_index_plan(
+        specs, lags, bound, compiled, wanted
+    )
+    assert first_fit.index == expected_spec
+    attribute_names = None if wanted is None else sorted(wanted)
+    assert list(backend.query_pages("t", expression, "", False, attribute_names)) == []
+    assert counters() == expected_counters

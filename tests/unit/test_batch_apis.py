@@ -297,6 +297,18 @@ class TestBatchWriteItem:
         for key, _ in unprocessed:
             assert ddb.authoritative_item("t", key) is None
 
+    def test_repeated_key_merges_only_what_was_admitted(self, strong_account):
+        """Entries repeating a key merge in call order — but an entry
+        left unprocessed must not ride along with a later admitted one."""
+        ddb = strong_account.dynamodb
+        ddb.create_table("t", write_capacity=2)
+        assert ddb.batch_write_item("t", [("k", [("a", "1")]), ("k", [("a", "2")])]) == []
+        assert ddb.authoritative_item("t", "k") == {"a": ("1", "2")}
+        strong_account.clock.advance(1.0)  # a fresh admission window
+        big = ("j", [("v", "x" * 3000)])  # 3 WCU: more than the window holds
+        assert ddb.batch_write_item("t", [big, ("j", [("w", "y")])]) == [big]
+        assert ddb.authoritative_item("t", "j") == {"w": ("y",)}
+
     def test_every_entry_throttled_raises_unmetered(self, strong_account):
         ddb = strong_account.dynamodb
         ddb.create_table("t", write_capacity=2)

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.aws import billing
+from repro.aws.account import AWSAccount, ConsistencyConfig
+from repro.aws.elasticache import attrs_nbytes
+from repro.aws.simpledb import Attribute
+from repro.blob import BytesBlob
 from repro.clock import SimClock
 from repro.units import GB, SECONDS_PER_MONTH
 
@@ -131,3 +135,59 @@ class TestPriceBook:
         clock.advance(3 * SECONDS_PER_MONTH)
         storage_cost = billing.PriceBook().cost(meter2.snapshot()).total
         assert op_cost < storage_cost
+
+
+class TestTransferOutIsBytesNotCharacters:
+    """The read side bills UTF-8 bytes, like every write path: a
+    non-ASCII object path must not be under-metered on the way out."""
+
+    PATH = "données/résumé-日本.csv"
+    ITEM = f"{PATH}_v0001"
+
+    def _bytes_out(self, account, service, call):
+        before = account.meter.snapshot()
+        call()
+        return (account.meter.snapshot() - before).transfer_out(service)
+
+    def test_simpledb_query_and_select(self, strong_account):
+        sdb = strong_account.simpledb
+        sdb.create_domain("d")
+        sdb.put_attributes("d", self.ITEM, [Attribute("type", "file")])
+        name_bytes = len(self.ITEM.encode())
+        assert name_bytes > len(self.ITEM)
+        attr_bytes = len(b"type") + len(b"file")
+        assert self._bytes_out(
+            strong_account, billing.SDB, lambda: sdb.query("d", None)
+        ) == name_bytes
+        assert self._bytes_out(
+            strong_account,
+            billing.SDB,
+            lambda: sdb.query_with_attributes("d", None),
+        ) == name_bytes + attr_bytes
+        assert self._bytes_out(
+            strong_account, billing.SDB, lambda: sdb.select("select * from d")
+        ) == name_bytes + attr_bytes
+
+    def test_s3_list(self, strong_account):
+        s3 = strong_account.s3
+        s3.create_bucket("b")
+        s3.put("b", self.PATH, BytesBlob(b"x"))
+        assert self._bytes_out(
+            strong_account, billing.S3, lambda: s3.list_keys("b")
+        ) == len(self.PATH.encode())
+
+    def test_cache_fill_and_hit(self):
+        account = AWSAccount(
+            seed=1, consistency=ConsistencyConfig.strong(), read_cache="on"
+        )
+        cache = account.read_cache
+        attrs = {"nom": ("résumé",)}
+        nbytes = len("nom".encode()) + len("résumé".encode())
+        assert attrs_nbytes(attrs) == nbytes
+        before = account.meter.snapshot()
+        cache.put_item(self.ITEM, attrs, cache.fence())
+        hit, _ = cache.get_item(self.ITEM)
+        spent = account.meter.snapshot() - before
+        assert hit
+        assert spent.transfer_in(billing.ELASTICACHE) == nbytes
+        assert spent.transfer_out(billing.ELASTICACHE) == nbytes

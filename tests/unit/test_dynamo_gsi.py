@@ -20,6 +20,8 @@ What must hold for GSI-served queries to be sound and honestly priced:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -257,6 +259,41 @@ class TestAdapterPlanning:
             )
         )
         assert [name for name, _ in rows] == ["good"]
+        assert adapter.gsi_queries == 1
+
+    def test_stale_entry_does_not_mask_the_items_fresh_entry(
+        self, account, monkeypatch
+    ):
+        """An item holding two indexed values has two entries. When the
+        first one's replica still carries the pre-update projection
+        (failing the predicate) and the second has converged, the item
+        must still be returned: entries are filtered by the predicate
+        *before* they count as seen."""
+        adapter = self.make_adapter(account)
+        adapter.put_provenance_item("p", "item", [("k", "a"), ("t", "proc")])
+        adapter.put_provenance_item("p", "item", [("k", "b"), ("t", "file")])
+        serve = account.dynamodb.query_index
+
+        def first_entry_lags(*args, **kwargs):
+            page = serve(*args, **kwargs)
+            (name, fresh), *rest = page.entries
+            assert (name, fresh) == rest[0] == (
+                "item", {"k": ("a", "b"), "t": ("file", "proc")}
+            )
+            stale = {"k": ("a",), "t": ("proc",)}
+            return dataclasses.replace(page, entries=((name, stale), *rest))
+
+        monkeypatch.setattr(account.dynamodb, "query_index", first_entry_lags)
+        rows = list(
+            adapter.query_pages(
+                "p",
+                "['k' = 'a' or 'k' = 'b'] intersection ['t' = 'file']",
+                "",
+                False,
+                ["t"],
+            )
+        )
+        assert rows == [("item", {"t": ("file", "proc")})]
         assert adapter.gsi_queries == 1
 
     def test_results_identical_index_vs_scan(self, account):
