@@ -15,6 +15,14 @@
 #   make bench-check  perf-regression gate: metered Q1/Q2/Q3 totals vs
 #                     benchmarks/baselines.json (rebaseline with
 #                     `PYTHONPATH=src python benchmarks/check_baselines.py --write`)
+#   make bench-perf W=<workload> [SECONDS=5]
+#                     one run of the two-plane perf harness behind
+#                     BENCHMARK.json (benchmarks/perf/run.py; workloads:
+#                     ingest-a3-paper, ingest-a2-batched, query-sdb-cold,
+#                     query-ddb-mixed). Prints every metric; the last
+#                     stdout line is the JSON result. Exit code = the
+#                     harness's own checks (result sets vs the oracle,
+#                     sim plane identical across cycles) — no timing gate
 #   make lint         ruff check over src/tests/benchmarks/examples
 #                     (config: ruff.toml)
 #   make loc          logical line count of src/repro, per module and total
@@ -134,7 +142,9 @@ MIGRATION_TEST_FILES = tests/unit/test_migration_handle.py \
 	tests/properties/test_prop_migration.py \
 	tests/integration/test_fleet_live_migration.py
 
-.PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check lint lint-prov loc
+SECONDS ?= 5
+
+.PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check bench-perf lint lint-prov loc
 
 test:
 	HYPOTHESIS_PROFILE=ci $(PYTEST) -x -q
@@ -156,6 +166,9 @@ bench-matrix:
 
 bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/check_baselines.py
+
+bench-perf:
+	$(PYTHON) benchmarks/perf/run.py --workload $(W) --seconds $(SECONDS)
 
 lint:
 	ruff check src tests benchmarks examples

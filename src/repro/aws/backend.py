@@ -180,45 +180,6 @@ def parse_index_specs(
     return tuple(specs)
 
 
-def equality_candidates(node: Node) -> dict[str, tuple[str, ...]]:
-    """Attributes a predicate pins to an equality value set.
-
-    For each returned ``attribute → values``, *every* item matching the
-    predicate has some value of that attribute inside ``values`` — the
-    superset guarantee that makes an index on the attribute a sound
-    access path (query the index for each value, then re-apply the full
-    predicate to the candidates).
-    """
-    if isinstance(node, BracketPredicate):
-        # CNF over one value: the satisfying value must be in any
-        # all-equality OR-group's value set.
-        for group in node.conjunctions:
-            if group and all(c.op == "=" for c in group):
-                return {
-                    node.attribute: tuple(dict.fromkeys(c.value for c in group))
-                }
-        return {}
-    if isinstance(node, Comparison):
-        if node.op == "=" and not node.every:
-            return {node.attribute: (node.value,)}
-        return {}
-    if isinstance(node, BoolOp):
-        left = equality_candidates(node.left)
-        right = equality_candidates(node.right)
-        if node.op == "and":
-            # Either side's restriction is a valid superset filter.
-            merged = dict(left)
-            merged.update(right)
-            return merged
-        # OR: only attributes restricted on *both* sides stay pinned.
-        return {
-            attribute: tuple(dict.fromkeys(left[attribute] + right[attribute]))
-            for attribute in left
-            if attribute in right
-        }
-    return {}  # Not / Null / MatchAll pin nothing
-
-
 def _range_candidates(node: Node) -> dict[str, tuple[str | None, str | None]]:
     """Attributes a predicate constrains to an inclusive value range.
 
@@ -878,7 +839,7 @@ class DynamoBackend:
         specs = self.service.list_indexes(store)
         if not specs:
             return
-        candidates = equality_candidates(compiled.predicate)
+        candidates = compiled.pinned
         ranges = _range_candidates(compiled.predicate)
         referenced = _referenced_attributes(compiled.predicate)
         for spec in specs:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterator, TypeVar
+from typing import Callable, Collection, Generic, Iterator, TypeVar
 
 from repro.clock import SimClock
 
@@ -201,6 +201,22 @@ class ReplicaSet(Generic[V]):
             version_value = replica[key]
             if version_value[1] is not _TOMBSTONE:
                 yield key, version_value[1]  # type: ignore[misc]
+
+    def visible_items(self) -> Collection[tuple[str, V]]:
+        """(key, value) pairs visible on one randomly chosen replica, in
+        no particular order — for readers that impose their own (a
+        SimpleDB query sorts its matches, far fewer than the replica).
+
+        With no install pending every replica equals the authoritative
+        view, which is then handed out as a live view instead of a
+        tombstone-filtered copy: consume it before the next write. The
+        replica draw is made either way, so the RNG stream does not
+        depend on the replication state.
+        """
+        replica = self._pick_replica()
+        if not self.pending_installs:
+            return self._authority.items()  # type: ignore[return-value]
+        return [(k, v) for k, (_, v) in replica.items() if v is not _TOMBSTONE]
 
     def authoritative_keys(self) -> list[str]:
         return sorted(self._authority)

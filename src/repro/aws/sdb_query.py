@@ -29,8 +29,10 @@ Semantics follow 2009 SimpleDB:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import InvalidQueryExpression
@@ -38,14 +40,17 @@ from repro.errors import InvalidQueryExpression
 #: An item is a mapping from attribute name to a tuple of string values.
 ItemAttrs = Mapping[str, Sequence[str]]
 
+#: A compiled predicate: one item's attributes in, include/exclude out.
+Matcher = Callable[[ItemAttrs], bool]
+
 _COMPARATORS: dict[str, Callable[[str, str], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "starts-with": lambda a, b: a.startswith(b),
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "starts-with": str.startswith,
     "does-not-start-with": lambda a, b: not a.startswith(b),
 }
 
@@ -149,10 +154,17 @@ class _TokenStream:
 # ---------------------------------------------------------------------------
 
 class Node:
-    """A compiled query node; evaluates an item to include/exclude."""
+    """A query node; ``matches`` decides one item's include/exclude.
 
-    def matches(self, attrs: ItemAttrs) -> bool:
-        raise NotImplementedError
+    Each node compiles itself to a closure the first time ``matches``
+    is read and keeps it (nodes are frozen, so a parsed query can be
+    shared and its matcher with it): evaluating an item then does no
+    per-comparison operator lookup and enters no generator frame —
+    what a scan over a whole replica, or a DynamoDB Scan filter, pays
+    per item.
+    """
+
+    matches: Matcher
 
 
 @dataclass(frozen=True)
@@ -164,14 +176,39 @@ class Comparison(Node):
     value: str
     every: bool = False  # SELECT's every(attr): all values must satisfy
 
-    def matches(self, attrs: ItemAttrs) -> bool:
-        values = attrs.get(self.attribute)
-        if not values:
-            return False
+    @cached_property
+    def matches(self) -> Matcher:
+        attribute, literal, every = self.attribute, self.value, self.every
+        if self.op == "=" and not every:
+            return lambda attrs: literal in (attrs.get(attribute) or ())
         compare = _COMPARATORS[self.op]
-        if self.every:
-            return all(compare(v, self.value) for v in values)
-        return any(compare(v, self.value) for v in values)
+
+        def matches(attrs: ItemAttrs) -> bool:
+            values = attrs.get(attribute)
+            if not values:
+                return False
+            # any(): the first True decides; every(): the first False.
+            for value in values:
+                if compare(value, literal) is not every:
+                    return not every
+            return every
+
+        return matches
+
+
+def _value_test(group: tuple[Comparison, ...]) -> Callable[[str], bool]:
+    """One bracket OR-group as a test on a single attribute value."""
+    if all(c.op == "=" for c in group):
+        return frozenset(c.value for c in group).__contains__
+    pairs = [(_COMPARATORS[c.op], c.value) for c in group]
+
+    def test(value: str) -> bool:
+        for compare, literal in pairs:
+            if compare(value, literal):
+                return True
+        return False
+
+    return test
 
 
 @dataclass(frozen=True)
@@ -186,17 +223,21 @@ class BracketPredicate(Node):
     attribute: str
     conjunctions: tuple[tuple[Comparison, ...], ...]
 
-    def matches(self, attrs: ItemAttrs) -> bool:
-        values = attrs.get(self.attribute)
-        if not values:
+    @cached_property
+    def matches(self) -> Matcher:
+        attribute = self.attribute
+        tests = [_value_test(group) for group in self.conjunctions]
+
+        def matches(attrs: ItemAttrs) -> bool:
+            for value in attrs.get(attribute) or ():
+                for test in tests:
+                    if not test(value):
+                        break
+                else:
+                    return True
             return False
-        for value in values:
-            if all(
-                any(_COMPARATORS[c.op](value, c.value) for c in group)
-                for group in self.conjunctions
-            ):
-                return True
-        return False
+
+        return matches
 
 
 @dataclass(frozen=True)
@@ -206,17 +247,20 @@ class Null(Node):
     attribute: str
     negated: bool
 
-    def matches(self, attrs: ItemAttrs) -> bool:
-        present = bool(attrs.get(self.attribute))
-        return present if self.negated else not present
+    @cached_property
+    def matches(self) -> Matcher:
+        attribute, negated = self.attribute, self.negated
+        return lambda attrs: bool(attrs.get(attribute)) is negated
 
 
 @dataclass(frozen=True)
 class Not(Node):
     operand: Node
 
-    def matches(self, attrs: ItemAttrs) -> bool:
-        return not self.operand.matches(attrs)
+    @cached_property
+    def matches(self) -> Matcher:
+        operand = self.operand.matches
+        return lambda attrs: not operand(attrs)
 
 
 @dataclass(frozen=True)
@@ -227,10 +271,27 @@ class BoolOp(Node):
     left: Node
     right: Node
 
-    def matches(self, attrs: ItemAttrs) -> bool:
-        if self.op == "and":
-            return self.left.matches(attrs) and self.right.matches(attrs)
-        return self.left.matches(attrs) or self.right.matches(attrs)
+    @cached_property
+    def matches(self) -> Matcher:
+        # A same-operator chain (an IN list is one, 25 deep) flattens to
+        # one loop over its operands, left to right.
+        operands: list[Matcher] = []
+        pending: list[Node] = [self]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, BoolOp) and node.op == self.op:
+                pending += (node.right, node.left)
+            else:
+                operands.append(node.matches)
+        decisive = self.op == "or"  # or: first True decides; and: first False
+
+        def matches(attrs: ItemAttrs) -> bool:
+            for operand in operands:
+                if operand(attrs) is decisive:
+                    return decisive
+            return not decisive
+
+        return matches
 
 
 @dataclass(frozen=True)
@@ -249,8 +310,15 @@ class CompiledQuery:
     sort_attribute: str | None = None
     sort_descending: bool = False
 
-    def matches(self, attrs: ItemAttrs) -> bool:
-        return self.predicate.matches(attrs)
+    @cached_property
+    def matches(self) -> Matcher:
+        return self.predicate.matches
+
+    @cached_property
+    def pinned(self) -> dict[str, tuple[str, ...]]:
+        """:func:`equality_candidates` of the predicate — walked once
+        per parsed statement, not once per shard and page. Read-only."""
+        return equality_candidates(self.predicate)
 
     def sort_key(self, name: str, attrs: ItemAttrs) -> tuple:
         if self.sort_attribute is None:
@@ -259,12 +327,63 @@ class CompiledQuery:
         return (min(values), name)
 
 
+def equality_candidates(node: Node) -> dict[str, tuple[str, ...]]:
+    """Attributes a predicate pins to an equality value set.
+
+    For each returned ``attribute → values``, *every* item matching the
+    predicate has some value of that attribute inside ``values`` — the
+    superset guarantee that makes an index on the attribute a sound
+    access path (look each value up in the index, then re-apply the full
+    predicate to the candidates). SimpleDB's attribute postings and the
+    DynamoDB adapter's GSI eligibility both rest on it.
+    """
+    if isinstance(node, BracketPredicate):
+        # CNF over one value: the satisfying value must be in any
+        # all-equality OR-group's value set.
+        for group in node.conjunctions:
+            if group and all(c.op == "=" for c in group):
+                return {
+                    node.attribute: tuple(dict.fromkeys(c.value for c in group))
+                }
+        return {}
+    if isinstance(node, Comparison):
+        if node.op == "=" and not node.every:
+            return {node.attribute: (node.value,)}
+        return {}
+    if isinstance(node, BoolOp):
+        left = equality_candidates(node.left)
+        right = equality_candidates(node.right)
+        if node.op == "and":
+            # Either side's restriction is a valid superset filter.
+            merged = dict(left)
+            merged.update(right)
+            return merged
+        # OR: only attributes restricted on *both* sides stay pinned.
+        return {
+            attribute: tuple(dict.fromkeys(left[attribute] + right[attribute]))
+            for attribute in left
+            if attribute in right
+        }
+    return {}  # Not / Null / MatchAll pin nothing
+
+
 # ---------------------------------------------------------------------------
 # Query-language parser (bracket syntax)
 # ---------------------------------------------------------------------------
 
+#: Distinct statements each parser keeps compiled. A Q3 closure walks a
+#: few dozen reference chunks per wave and re-sends each to every shard
+#: and page, so a small window already absorbs every repeat.
+PARSE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_query(expression: str | None) -> CompiledQuery:
     """Parse a 2009 bracket Query expression; ``None``/empty matches all.
+
+    Memoised on the expression text: a scatter query sends the same
+    wire string to every shard and every page, and the frozen AST (with
+    its compiled matcher) is safe to share.
 
     >>> q = parse_query("['type' = 'file'] intersection not ['ver' > '2']")
     >>> q.matches({'type': ('file',), 'ver': ('1',)})
@@ -385,8 +504,10 @@ class SelectStatement:
         return self.projection == ("count(*)",)
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_select(statement: str) -> SelectStatement:
-    """Parse a SimpleDB SELECT statement (2009 subset).
+    """Parse a SimpleDB SELECT statement (2009 subset); memoised on the
+    statement text like :func:`parse_query`.
 
     >>> s = parse_select("select * from prov where type = 'file' limit 10")
     >>> s.domain, s.limit

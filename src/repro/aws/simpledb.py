@@ -8,8 +8,9 @@ Implements the indexing/query service of paper §2.2:
   per item, 100 attributes per ``PutAttributes`` call — the limits that
   force architecture A2 to spill large provenance values to S3 and to
   batch its writes;
-* automatic indexing and three query primitives — ``Query``,
-  ``QueryWithAttributes`` and ``Select`` — with result pagination;
+* **automatic indexing** and three query primitives — ``Query``,
+  ``QueryWithAttributes`` and ``Select`` — with result pagination (see
+  "Indexing" below);
 * **idempotency**: re-running ``PutAttributes`` with the same attributes
   or ``DeleteAttributes`` on absent attributes is not an error (§2.2),
   which the A3 commit daemon's replay correctness rests on;
@@ -20,12 +21,34 @@ Implements the indexing/query service of paper §2.2:
 Machine time (the real SimpleDB billing unit) is estimated per request
 and recorded on the meter; the paper normalises to operation counts, and
 the meter records those too.
+
+Indexing. §2.2 picks SimpleDB because it indexes every attribute with no
+schema, and Table 1's "efficient query" column for A2/A3 rests on that.
+The service keeps, per domain, ``attribute → value → names of the items
+holding it`` (*postings*), folded in from each item's old→new diff on
+every write path. A query whose predicate pins some attribute to an
+equality value set (:func:`~repro.aws.sdb_query.equality_candidates` —
+``=``, ``in``, all-``=`` bracket groups, and intersections containing
+one) reads the postings of the pinned attribute with the fewest and
+evaluates the full predicate over those candidates only. Predicates
+that pin nothing (``not``, ``!=``, ranges, the empty expression) scan.
+The postings describe the *authoritative* state, so they are consulted
+only when the replica the request drew provably equals it (no replica
+install pending — always under the strong model, and after any
+quiesce); inside an eventual-consistency window the drawn replica is
+scanned, stale reads and all. Two planes, on purpose: the **metered**
+box-usage stays the 2009 broad-scan model (``SCAN_HOURS_PER_ITEM`` ×
+visible items, whichever path ran), because that is what the service
+billed; only the **host** cost of simulating it is index-bound.
 """
 
 from __future__ import annotations
 
+import json
+import operator
 import random
 from dataclasses import dataclass
+from typing import Collection
 
 from repro import errors, units
 from repro.aws import billing
@@ -105,6 +128,14 @@ def _attr_count(state: ItemState) -> int:
     return sum(len(values) for values in state.values())
 
 
+def _holders(posting: str | set[str]) -> Collection[str]:
+    """The item names behind one posting. A lone holder is stored
+    unboxed — most provenance values (a name:version reference, a hash)
+    belong to one item, and a set apiece would outweigh the domain
+    itself — and the second holder promotes it to a set."""
+    return posting if isinstance(posting, set) else (posting,)
+
+
 class SimpleDBService:
     """The simulated SimpleDB endpoint for one AWS account."""
 
@@ -127,13 +158,15 @@ class SimpleDBService:
         # Authoritative attribute state used for read-modify-write; the
         # ReplicaSet holds copies for eventually consistent reads.
         self._authority: dict[str, dict[str, ItemState]] = {}
-        # Incremental per-domain statistics (what DomainMetadata reports
-        # and the query planner's cost model consumes): total attribute
-        # bytes, plus per attribute name a refcount of the items holding
-        # each value — every write path folds its own old/new diff in,
-        # so the figures are exact without ever scanning.
+        # Per domain: total attribute bytes, and the attribute index —
+        # attribute name → value → the items holding it (see _holders).
+        # Every write funnels through _commit_item, which folds the
+        # item's old/new diff in, so both are exact without ever
+        # scanning. Queries read the postings; DomainMetadata (and
+        # through it the query planner's cost model) derives its
+        # per-attribute counts from them.
         self._stat_bytes: dict[str, int] = {}
-        self._stat_values: dict[str, dict[str, dict[str, int]]] = {}
+        self._postings: dict[str, dict[str, dict[str, str | set[str]]]] = {}
         # Serialises the public API: concurrent scatter-gather workers
         # observe each request as atomic, exactly as the single-threaded
         # simulation always has (see repro.concurrency).
@@ -151,14 +184,14 @@ class SimpleDBService:
             )
             self._authority[name] = {}
             self._stat_bytes[name] = 0
-            self._stat_values[name] = {}
+            self._postings[name] = {}
 
     @synchronized
     def delete_domain(self, name: str) -> None:
         self._request("DeleteDomain")
         self._domains.pop(name, None)
         self._stat_bytes.pop(name, None)
-        self._stat_values.pop(name, None)
+        self._postings.pop(name, None)
         removed = self._authority.pop(name, None)
         if removed:
             freed = sum(_attr_size(state) for state in removed.values())
@@ -194,36 +227,54 @@ class SimpleDBService:
             "item_bytes": self._stat_bytes[name],
             "attributes": {
                 attr: {
-                    "distinct_values": len(refcounts),
-                    "value_count": sum(refcounts.values()),
+                    "distinct_values": len(by_value),
+                    "value_count": sum(len(_holders(p)) for p in by_value.values()),
                 }
-                for attr, refcounts in self._stat_values[name].items()
+                for attr, by_value in self._postings[name].items()
             },
         }
 
-    def _stat_apply(
-        self, domain: str, old_state: ItemState, new_state: ItemState
-    ) -> None:
-        """Fold one item's old→new diff into the domain statistics.
-        Called with the service lock held, from every write path."""
-        self._stat_bytes[domain] += _attr_size(new_state) - _attr_size(old_state)
-        values = self._stat_values[domain]
-        for attr in set(old_state) | set(new_state):
-            old_values = set(old_state.get(attr, ()))
-            new_values = set(new_state.get(attr, ()))
+    def _commit_item(self, domain: str, item_name: str, new_state: ItemState) -> None:
+        """Make ``new_state`` the item's authoritative state (empty =
+        the item is gone): bill the stored-byte delta, fold the old→new
+        diff into the domain's statistics and postings, and replicate.
+        The one place an item changes; called with the service lock
+        held, from every write path."""
+        authority = self._authority[domain]
+        old_state = authority.get(item_name, {})
+        delta = _attr_size(new_state) - _attr_size(old_state)
+        self._meter.adjust_stored(billing.SDB, delta)
+        self._stat_bytes[domain] += delta
+        postings = self._postings[domain]
+        for attr in old_state.keys() | new_state.keys():
+            old_values = old_state.get(attr, ())
+            new_values = new_state.get(attr, ())
             if old_values == new_values:
                 continue
-            refcounts = values.setdefault(attr, {})
-            for value in new_values - old_values:
-                refcounts[value] = refcounts.get(value, 0) + 1
-            for value in old_values - new_values:
-                remaining = refcounts.get(value, 0) - 1
-                if remaining > 0:
-                    refcounts[value] = remaining
+            by_value = postings.setdefault(attr, {})
+            for value in set(new_values).difference(old_values):
+                holders = by_value.get(value)
+                if holders is None:
+                    by_value[value] = item_name
+                elif isinstance(holders, set):
+                    holders.add(item_name)
                 else:
-                    refcounts.pop(value, None)
-            if not refcounts:
-                values.pop(attr, None)
+                    by_value[value] = {holders, item_name}
+            for value in set(old_values).difference(new_values):
+                holders = by_value[value]
+                if isinstance(holders, set) and len(holders) > 1:
+                    holders.discard(item_name)
+                else:
+                    del by_value[value]
+            if not by_value:
+                del postings[attr]
+        store = self._domains[domain]
+        if new_state:
+            authority[item_name] = new_state
+            store.write(item_name, dict(new_state))
+        else:
+            authority.pop(item_name, None)
+            store.delete(item_name)
 
     # -- writes ---------------------------------------------------------------
 
@@ -242,19 +293,14 @@ class SimpleDBService:
         """
         self._request("PutAttributes")
         attrs = self._validated_attrs("PutAttributes", attributes)
-        store = self._domain(domain)
-        authority = self._authority[domain]
-        old_state = authority.get(item_name, {})
+        self._domain(domain)
+        old_state = self._authority[domain].get(item_name, {})
         state = self._merged_state(old_state, attrs, item_name)
-        old_size = _attr_size(dict(old_state))
         self._meter.record_transfer_in(
             billing.SDB,
             sum(len(a.name.encode()) + len(a.value.encode()) for a in attrs),
         )
-        self._meter.adjust_stored(billing.SDB, _attr_size(state) - old_size)
-        self._stat_apply(domain, old_state, state)
-        authority[item_name] = state
-        store.write(item_name, dict(state))
+        self._commit_item(domain, item_name, state)
 
     @synchronized
     def batch_put_attributes(
@@ -281,7 +327,7 @@ class SimpleDBService:
                 f"{len(items)} items in one call (limit "
                 f"{units.SDB_MAX_BATCH_PUT_ITEMS})"
             )
-        store = self._domain(domain)
+        self._domain(domain)
         authority = self._authority[domain]
         staged: dict[str, ItemState] = {}
         transfer = 0
@@ -296,12 +342,7 @@ class SimpleDBService:
             )
         self._meter.record_transfer_in(billing.SDB, transfer)
         for item_name, state in staged.items():
-            old_state = authority.get(item_name, {})
-            old_size = _attr_size(dict(old_state))
-            self._meter.adjust_stored(billing.SDB, _attr_size(state) - old_size)
-            self._stat_apply(domain, old_state, state)
-            authority[item_name] = state
-            store.write(item_name, dict(state))
+            self._commit_item(domain, item_name, state)
 
     @staticmethod
     def _validated_attrs(
@@ -359,17 +400,12 @@ class SimpleDBService:
         Idempotent: deleting absent attributes or items succeeds silently.
         """
         self._request("DeleteAttributes")
-        store = self._domain(domain)
-        authority = self._authority[domain]
-        state = authority.get(item_name)
+        self._domain(domain)
+        state = self._authority[domain].get(item_name)
         if state is None:
             return
-        old_size = _attr_size(state)
         if attributes is None:
-            del authority[item_name]
-            self._meter.adjust_stored(billing.SDB, -old_size)
-            self._stat_apply(domain, state, {})
-            store.delete(item_name)
+            self._commit_item(domain, item_name, {})
             return
         new_state: ItemState = dict(state)
         for attr in attributes:
@@ -386,14 +422,7 @@ class SimpleDBService:
                 new_state[attr.name] = remaining
             else:
                 new_state.pop(attr.name, None)
-        if new_state:
-            authority[item_name] = new_state
-            store.write(item_name, dict(new_state))
-        else:
-            del authority[item_name]
-            store.delete(item_name)
-        self._meter.adjust_stored(billing.SDB, _attr_size(new_state) - old_size)
-        self._stat_apply(domain, state, new_state)
+        self._commit_item(domain, item_name, new_state)
 
     # -- reads -----------------------------------------------------------------
 
@@ -424,8 +453,9 @@ class SimpleDBService:
     ) -> QueryResult:
         """Return names of items matching a bracket-language expression."""
         self._request("Query")
-        matched = self._execute(domain, parse_query(expression), next_token)
-        page, token = self._paginate(matched, min(max_items, QUERY_MAX_PAGE))
+        compiled = parse_query(expression)
+        matched = self._execute(domain, compiled, next_token)
+        page, token = self._paginate(matched, min(max_items, QUERY_MAX_PAGE), compiled)
         names = tuple(name for name, _ in page)
         self._meter.record_transfer_out(
             billing.SDB, sum(len(n.encode()) for n in names)
@@ -443,8 +473,9 @@ class SimpleDBService:
     ) -> QueryWithAttributesResult:
         """Return matching items together with (a subset of) attributes."""
         self._request("QueryWithAttributes")
-        matched = self._execute(domain, parse_query(expression), next_token)
-        page, token = self._paginate(matched, min(max_items, QUERY_MAX_PAGE))
+        compiled = parse_query(expression)
+        matched = self._execute(domain, compiled, next_token)
+        page, token = self._paginate(matched, min(max_items, QUERY_MAX_PAGE), compiled)
         wanted = None if attribute_names is None else set(attribute_names)
         projected: list[tuple[str, dict[str, tuple[str, ...]]]] = []
         out_bytes = 0
@@ -469,7 +500,9 @@ class SimpleDBService:
         if parsed.is_count:
             return SelectResult(items=(), next_token=None, count=len(matched))
         limit = parsed.limit if parsed.limit is not None else SELECT_MAX_PAGE
-        page, token = self._paginate(matched, min(limit, SELECT_MAX_PAGE))
+        page, token = self._paginate(
+            matched, min(limit, SELECT_MAX_PAGE), parsed.query
+        )
         projected: list[tuple[str, dict[str, tuple[str, ...]]]] = []
         out_bytes = 0
         for name, attrs in page:
@@ -507,34 +540,85 @@ class SimpleDBService:
         query: CompiledQuery,
         next_token: str | None,
     ) -> list[tuple[str, ItemState]]:
+        """Every row the query matches from ``next_token`` on, in the
+        query's order.
+
+        Each request draws one replica and bills box usage on the number
+        of items visible there — SimpleDB charged more machine time for
+        broader queries, and that 2009 model holds whichever path then
+        finds the rows. When the drawn replica equals the authoritative
+        state (nothing pending) and the predicate pins an attribute, the
+        rows come from that attribute's postings and the predicate runs
+        over those candidates only; otherwise over the whole replica.
+        """
         store = self._domain(domain)
-        snapshot = list(store.items_snapshot())
-        # Box usage grows with the number of items scanned, mirroring how
-        # SimpleDB charged more machine time for broader queries.
-        self._meter.record_box_usage(len(snapshot) * SCAN_HOURS_PER_ITEM)
-        matched = run_query(snapshot, query)
+        rows = store.visible_items()
+        self._meter.record_box_usage(len(rows) * SCAN_HOURS_PER_ITEM)
+        if not store.pending_installs:
+            names = self._candidates(domain, query)
+            if names is not None:
+                authority = self._authority[domain]
+                rows = [(name, authority[name]) for name in names]
+        matched = run_query(rows, query)
         if next_token is not None:
-            matched = self._resume(matched, next_token)
+            last = self._token_key(query, next_token)
+            beyond = operator.lt if query.sort_descending else operator.gt
+            matched = [
+                (n, a) for n, a in matched if beyond(query.sort_key(n, a), last)
+            ]
         return matched
 
+    def _candidates(self, domain: str, query: CompiledQuery) -> set[str] | None:
+        """Names of every item that can match, read off the postings of
+        the pinned attribute with the fewest; ``None`` when the
+        predicate pins no attribute (only a scan will do)."""
+        pinned = query.pinned
+        if not pinned:
+            return None
+        postings = self._postings[domain]
+
+        def held(attr: str) -> list[Collection[str]]:
+            by_value = postings.get(attr, {})
+            return [_holders(by_value[v]) for v in pinned[attr] if v in by_value]
+
+        fewest = min(map(held, pinned), key=lambda found: sum(map(len, found)))
+        return set().union(*fewest)
+
+    # A next_token names the last row served by its key in the query's
+    # own ordering: ``after:<name>`` for an unsorted query (rows are in
+    # name order), ``after-key:[sort value, name]`` for a sorted one —
+    # a bare name cannot place a row ordered by (sort value, name).
+
     @staticmethod
-    def _resume(
-        matched: list[tuple[str, ItemState]], next_token: str
-    ) -> list[tuple[str, ItemState]]:
-        if not next_token.startswith("after:"):
-            raise errors.InvalidNextToken(next_token)
-        last_name = next_token[len("after:"):]
-        return [(n, a) for n, a in matched if n > last_name]
+    def _token_key(query: CompiledQuery, next_token: str) -> tuple:
+        if query.sort_attribute is None:
+            if next_token.startswith("after:"):
+                return (next_token[len("after:"):],)
+        elif next_token.startswith("after-key:"):
+            try:
+                key = json.loads(next_token[len("after-key:"):])
+            except ValueError:
+                key = None
+            if (
+                isinstance(key, list)
+                and len(key) == 2
+                and all(isinstance(part, str) for part in key)
+            ):
+                return tuple(key)
+        raise errors.InvalidNextToken(next_token)
 
     @staticmethod
     def _paginate(
-        matched: list[tuple[str, ItemState]], max_items: int
+        matched: list[tuple[str, ItemState]], max_items: int, query: CompiledQuery
     ) -> tuple[list[tuple[str, ItemState]], str | None]:
         if max_items < 1:
             raise ValueError(f"max_items must be >= 1, got {max_items}")
         page = matched[:max_items]
-        token = f"after:{page[-1][0]}" if len(matched) > max_items and page else None
-        return page, token
+        if len(matched) <= max_items:
+            return page, None
+        if query.sort_attribute is None:
+            return page, f"after:{page[-1][0]}"
+        return page, "after-key:" + json.dumps(query.sort_key(*page[-1]))
 
     def _request(self, op: str) -> None:
         self._faults.before_request(billing.SDB, op)

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import os
 
-from repro.aws.backend import SCAN_PATH, AccessPath, equality_candidates
+from repro.aws.backend import SCAN_PATH, AccessPath
 from repro.aws.billing import GB, SDB_BOX_USAGE_HOURS, PriceBook
 from repro.aws.dynamo import SCAN_MAX_PAGE
 from repro.aws.sdb_query import CompiledQuery
@@ -207,7 +207,7 @@ class QueryPlanner:
         item_count = stats["item_count"]
         attributes = stats["attributes"]
         matches = item_count
-        for attribute, values in equality_candidates(compiled.predicate).items():
+        for attribute, values in compiled.pinned.items():
             info = attributes.get(attribute)
             if info is None or not info["distinct_values"]:
                 matches = 0

@@ -40,10 +40,9 @@ from repro.aws.backend import (
     DynamoBackend,
     _range_candidates,
     _referenced_attributes,
-    equality_candidates,
 )
 from repro.aws.dynamo import IndexSpec
-from repro.aws.sdb_query import parse_query
+from repro.aws.sdb_query import equality_candidates, parse_query
 from repro.bench.matrix import Q4_VERSION_RANGE, default_workloads
 from repro.query.planner import PREDICTION_ERROR_BOUND
 from repro.sim import Simulation

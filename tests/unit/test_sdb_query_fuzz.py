@@ -155,18 +155,20 @@ class TestPaginationAcrossShards:
 
 _values = st.text(alphabet="abc0:/_-", min_size=1, max_size=8)
 _attrs = st.sampled_from(["type", "name", "input", "ver"])
-_ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "starts-with"])
+_ops = st.sampled_from(
+    ["=", "!=", "<", "<=", ">", ">=", "starts-with", "does-not-start-with"]
+)
 
 
 @st.composite
-def bracket_expressions(draw):
+def bracket_expressions(draw, values=_values):
     attribute = draw(_attrs)
     n_terms = draw(st.integers(min_value=1, max_value=6))
     connectives = [draw(st.sampled_from(["or", "and"])) for _ in range(n_terms - 1)]
     parts = []
     for index in range(n_terms):
         op = draw(_ops)
-        value = draw(_values).replace("'", "''")
+        value = draw(values).replace("'", "''")
         parts.append(f"'{attribute}' {op} '{value}'")
         if index < n_terms - 1:
             parts.append(connectives[index])

@@ -163,6 +163,52 @@ class TestQuery:
         with pytest.raises(errors.InvalidNextToken):
             populated.query("d", next_token="garbage")
 
+    @pytest.mark.parametrize("api", ["query", "query_with_attributes", "select"])
+    @pytest.mark.parametrize(
+        "direction, page_size, expected",
+        [("asc", 2, ["d", "b", "c", "a"]), ("desc", 1, ["a", "c", "b", "d"])],
+    )
+    def test_sorted_query_pages_each_row_once_in_order(
+        self, sdb, api, direction, page_size, expected
+    ):
+        """Rows of a sorted query are ordered by (sort value, name); a
+        token naming only the last item's *name* resumed past the wrong
+        rows (asc lost ``a`` and served ``d`` twice)."""
+        for name, k in zip("abcd", "3120"):
+            sdb.put_attributes("d", name, [("k", k)])
+        seen, token = [], None
+        while True:
+            if api == "select":
+                page = sdb.select(
+                    f"select k from d where k is not null order by k {direction} "
+                    f"limit {page_size}",
+                    next_token=token,
+                )
+                seen += [name for name, _ in page.items]
+            else:
+                page = getattr(sdb, api)(
+                    "d",
+                    f"['k' >= '0'] sort 'k' {direction}",
+                    max_items=page_size,
+                    next_token=token,
+                )
+                seen += page.item_names
+            token = page.next_token
+            if token is None:
+                break
+        assert seen == expected
+
+    def test_sorted_query_rejects_a_token_it_did_not_mint(self, sdb):
+        for name, k in zip("abcd", "3120"):
+            sdb.put_attributes("d", name, [("k", k)])
+        sorted_query = "['k' >= '0'] sort 'k'"
+        token = sdb.query("d", sorted_query, max_items=1).next_token
+        for bad in ("after:a", "after-key:", 'after-key:["0"]', "after-key:[0, 1]"):
+            with pytest.raises(errors.InvalidNextToken):
+                sdb.query("d", sorted_query, next_token=bad)
+        with pytest.raises(errors.InvalidNextToken):
+            sdb.query("d", "['k' >= '0']", next_token=token)
+
     def test_select_count(self, populated):
         result = populated.select("select count(*) from d where type = 'file'")
         assert result.count == 2
