@@ -24,8 +24,9 @@ behaviour under test.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Collection, Generic, Iterator, TypeVar
+from typing import Callable, Collection, Generic, Iterator, Mapping, Sequence, TypeVar
 
 from repro.clock import SimClock
 
@@ -66,6 +67,28 @@ class DelayModel:
 STRONG = DelayModel()
 
 
+@dataclass(frozen=True)
+class OrderedSnapshot(Generic[V]):
+    """One view of a keyspace in key order: ``keys`` ascending, ``values``
+    by key. A range read bisects to its first key, so a page costs the
+    entries it returns, not the size of the keyspace."""
+
+    keys: Sequence[str]
+    values: Mapping[str, V]
+
+    def between(
+        self, after: str | None = None, before: str | None = None
+    ) -> Iterator[tuple[str, V]]:
+        """(key, value) pairs with ``after < key < before``, ascending
+        (``None`` = unbounded on that side)."""
+        keys, values = self.keys, self.values
+        lo = 0 if after is None else bisect_right(keys, after)
+        hi = len(keys) if before is None else bisect_left(keys, before)
+        for i in range(lo, hi):
+            key = keys[i]
+            yield key, values[key]
+
+
 class ReplicaSet(Generic[V]):
     """An eventually consistent, replicated key-value space.
 
@@ -73,6 +96,10 @@ class ReplicaSet(Generic[V]):
     item attribute maps, or queue entries. ``V`` must be treated as
     immutable by callers — updates replace the whole value, mirroring how
     S3 PUT replaces whole objects and SimpleDB replicates item state.
+
+    The authoritative keys are also kept as a sorted list, updated in
+    place by every write, so ordered readers (DynamoDB Scan / Query
+    paging) seek instead of sorting: see :meth:`ordered_snapshot`.
     """
 
     def __init__(
@@ -91,6 +118,12 @@ class ReplicaSet(Generic[V]):
         self._delays = delays
         # The authoritative view: applied in write order, immediately.
         self._authority: dict[str, object] = {}
+        # The same keys, ascending; with ``_authority`` this is the live
+        # ordered view ``ordered_snapshot`` hands out.
+        self._ordered_keys: list[str] = []
+        self._live: OrderedSnapshot[V] = OrderedSnapshot(
+            self._ordered_keys, self._authority  # type: ignore[arg-type]
+        )
         self._version = 0
         # Per-replica views: key -> (version, value).
         self._replicas: list[dict[str, tuple[int, object]]] = [
@@ -120,8 +153,11 @@ class ReplicaSet(Generic[V]):
         self._version += 1
         version = self._version
         if value is _TOMBSTONE:
-            self._authority.pop(key, None)
+            if self._authority.pop(key, _TOMBSTONE) is not _TOMBSTONE:
+                del self._ordered_keys[bisect_left(self._ordered_keys, key)]
         else:
+            if key not in self._authority:
+                insort(self._ordered_keys, key)
             self._authority[key] = value
         for replica in self._replicas:
             delay = self._delays.sample(self._rng)
@@ -194,13 +230,27 @@ class ReplicaSet(Generic[V]):
         replica = self._pick_replica()
         return sorted(k for k, (_, v) in replica.items() if v is not _TOMBSTONE)
 
-    def items_snapshot(self) -> Iterator[tuple[str, V]]:
-        """(key, value) pairs visible on one randomly chosen replica."""
+    def ordered_snapshot(self, authoritative: bool = False) -> OrderedSnapshot[V]:
+        """The keyspace visible on one randomly chosen replica, in key
+        order — the view a DynamoDB Scan or index Query pages through.
+
+        With no install pending every replica equals the authoritative
+        view, and the maintained sorted keys are handed out as a live
+        view (the :meth:`visible_items` rule): consume it before the
+        next write. Inside an eventual window the same kind of object
+        is built once from the drawn replica, tombstones dropped, so a
+        reader never knows which it got. The replica draw is made
+        either way — the RNG stream does not depend on the replication
+        state. ``authoritative=True`` is the strongly consistent read:
+        the live view, and no draw.
+        """
+        if authoritative:
+            return self._live
         replica = self._pick_replica()
-        for key in sorted(replica):
-            version_value = replica[key]
-            if version_value[1] is not _TOMBSTONE:
-                yield key, version_value[1]  # type: ignore[misc]
+        if not self.pending_installs:
+            return self._live
+        values = {k: v for k, (_, v) in replica.items() if v is not _TOMBSTONE}
+        return OrderedSnapshot(sorted(values), values)  # type: ignore[arg-type]
 
     def visible_items(self) -> Collection[tuple[str, V]]:
         """(key, value) pairs visible on one randomly chosen replica, in
@@ -219,11 +269,10 @@ class ReplicaSet(Generic[V]):
         return [(k, v) for k, (_, v) in replica.items() if v is not _TOMBSTONE]
 
     def authoritative_keys(self) -> list[str]:
-        return sorted(self._authority)
+        return list(self._ordered_keys)
 
     def authoritative_items(self) -> Iterator[tuple[str, V]]:
-        for key in sorted(self._authority):
-            yield key, self._authority[key]  # type: ignore[misc]
+        return self._live.between()
 
     # -- convergence ------------------------------------------------------
 

@@ -47,6 +47,21 @@ budget (:data:`~repro.units.DDB_PAGE_BYTES`, the simulation-scale
 analogue of DynamoDB's 1 MB page): a scan spends it on every item it
 crosses, an index page only on matching projected entries, which is
 exactly why indexed queries need fewer round trips.
+
+**How a page is located.** Every table and index keeps its keys sorted
+(:meth:`ReplicaSet.ordered_snapshot
+<repro.aws.consistency.ReplicaSet.ordered_snapshot>`), so a page costs
+host time proportional to the page, as on the real service: ``Scan``
+bisects past ``exclusive_start_key``, an index ``Query`` reads each
+wanted hash value's contiguous run of entry keys, and both stop one
+entry after the page is full (the peek that decides
+``last_evaluated_key``). An eventually consistent read draws one
+replica per request; while no replica install is pending that replica
+equals the authoritative state and the maintained order is read in
+place, otherwise the drawn replica is sorted once for the request. A
+strongly consistent ``Scan`` reads the authoritative order and draws
+nothing. None of this changes what is billed: a ``Scan`` still pays
+read units for every item it crosses.
 """
 
 from __future__ import annotations
@@ -54,6 +69,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro import errors, units
 from repro.aws import billing
@@ -93,6 +109,9 @@ def _write_units_for(nbytes: int) -> float:
 #: NUL cannot appear in serialised provenance attributes, and it sorts
 #: before every printable byte, so entries order by (value, item name).
 INDEX_KEY_SEP = "\x00"
+#: ``value + _PARTITION_END`` is the first key past hash value ``value``'s
+#: entries (the successor of the separator).
+_PARTITION_END = "\x01"
 
 
 @dataclass(frozen=True)
@@ -348,7 +367,13 @@ def _stat_entry_deleted(index: _Index, entry_key: str, size: int) -> None:
 
 @dataclass
 class _Table:
-    """One table: replicated state plus provisioned-throughput ledger."""
+    """One table: replicated state plus provisioned-throughput ledger.
+
+    Stored item states are immutable by contract: ``authority`` and the
+    replica set hold the *same* object (as do index entries projected
+    from it), every write installs a fresh one (:func:`_merged` copies
+    before it edits), and every read hands out ``dict(state)``.
+    """
 
     replicas: ReplicaSet
     authority: dict[str, ItemState]
@@ -452,16 +477,9 @@ class DynamoDBService:
         removed = self._tables.pop(name, None)
         if removed is None:
             return
-        if removed.authority:
-            freed = sum(
-                _item_size(key, state) for key, state in removed.authority.items()
-            )
-            self._meter.adjust_stored(billing.DDB, -freed)
-        index_freed = sum(
-            _entry_size(entry_key, projected)
-            for index in removed.indexes.values()
-            for entry_key, projected in index.replicas.authoritative_items()
-        )
+        if removed.total_bytes:
+            self._meter.adjust_stored(billing.DDB, -removed.total_bytes)
+        index_freed = sum(index.entry_bytes for index in removed.indexes.values())
         if index_freed:
             self._meter.adjust_stored(billing.DDB_GSI, -index_freed)
 
@@ -517,7 +535,7 @@ class DynamoDBService:
                 size = _entry_size(entry_key, projected)
                 backfill_units += _write_units_for(size)
                 stored += size
-                index.replicas.write(entry_key, dict(projected))
+                index.replicas.write(entry_key, projected)
                 _stat_entry_written(index, entry_key, size, True)
         if backfill_units:
             self._meter.record_capacity(billing.DDB_GSI, write_units=backfill_units)
@@ -534,12 +552,8 @@ class DynamoDBService:
         index = table.indexes.pop(index_name, None)
         if index is None:
             return
-        freed = sum(
-            _entry_size(entry_key, projected)
-            for entry_key, projected in index.replicas.authoritative_items()
-        )
-        if freed:
-            self._meter.adjust_stored(billing.DDB_GSI, -freed)
+        if index.entry_bytes:
+            self._meter.adjust_stored(billing.DDB_GSI, -index.entry_bytes)
 
     @synchronized
     def list_indexes(self, table_name: str) -> list[IndexSpec]:
@@ -726,14 +740,14 @@ class DynamoDBService:
         self._meter.adjust_stored(billing.DDB, new_size - old_size)
         table.total_bytes += new_size - old_size
         table.authority[key] = state
-        table.replicas.write(key, dict(state))
+        table.replicas.write(key, state)
         if index_writes:
             self._meter.record_capacity(billing.DDB_GSI, write_units=index_units)
             stored_delta = sum(delta for _, _, _, delta, _ in index_writes)
             if stored_delta:
                 self._meter.adjust_stored(billing.DDB_GSI, stored_delta)
             for index, entry_key, projected, delta, is_new in index_writes:
-                index.replicas.write(entry_key, dict(projected))
+                index.replicas.write(entry_key, projected)
                 _stat_entry_written(index, entry_key, delta, is_new)
 
     @synchronized
@@ -802,7 +816,7 @@ class DynamoDBService:
             self._meter.adjust_stored(billing.DDB, new_size - old_size)
             table.total_bytes += new_size - old_size
             table.authority[key] = state
-            table.replicas.write(key, dict(state))
+            table.replicas.write(key, state)
             if index_writes:
                 admitted_index_units += shared_units + sum(
                     charge for _, _, charge in index_charges
@@ -811,7 +825,7 @@ class DynamoDBService:
                     delta for _, _, _, delta, _ in index_writes
                 )
                 for index, entry_key, projected, delta, is_new in index_writes:
-                    index.replicas.write(entry_key, dict(projected))
+                    index.replicas.write(entry_key, projected)
                     _stat_entry_written(index, entry_key, delta, is_new)
         if len(unprocessed) == len(puts):
             raise errors.ProvisionedThroughputExceeded(
@@ -906,22 +920,16 @@ class DynamoDBService:
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         table = self._table(table_name)
-        if consistent:
-            snapshot = [
-                (key, dict(table.authority[key])) for key in sorted(table.authority)
-            ]
-        else:
-            snapshot = [(k, dict(v)) for k, v in table.replicas.items_snapshot()]
-        if exclusive_start_key is not None:
-            snapshot = [(k, v) for k, v in snapshot if k > exclusive_start_key]
+        rows = table.replicas.ordered_snapshot(authoritative=consistent).between(
+            exclusive_start_key
+        )
+        page_limit = min(limit, SCAN_MAX_PAGE)
         page: list[tuple[str, ItemState]] = []
         scanned_bytes = 0
-        for key, state in snapshot:
-            page.append((key, state))
+        for key, state in rows:
+            page.append((key, dict(state)))
             scanned_bytes += _item_size(key, state)
-            if len(page) >= min(limit, SCAN_MAX_PAGE):
-                break
-            if scanned_bytes >= units.DDB_PAGE_BYTES:
+            if len(page) >= page_limit or scanned_bytes >= units.DDB_PAGE_BYTES:
                 break
         base = float(max(1, math.ceil(scanned_bytes / units.DDB_RCU_BYTES)))
         read_units = base if consistent else base / 2.0
@@ -929,14 +937,10 @@ class DynamoDBService:
         self._admit(table, read_units, 0.0)
         self._meter.record_request(billing.DDB, "Scan")
         self._meter.record_capacity(billing.DDB, read_units=read_units)
-        self._meter.record_transfer_out(
-            billing.DDB, sum(len(k.encode()) + _attr_size(v) for k, v in page)
-        )
-        last_key = page[-1][0] if len(snapshot) > len(page) and page else None
-        return ScanResult(
-            items=tuple((k, dict(v)) for k, v in page),
-            last_evaluated_key=last_key,
-        )
+        # Everything scanned is returned, so transfer-out is the same sum.
+        self._meter.record_transfer_out(billing.DDB, scanned_bytes)
+        last_key = page[-1][0] if page and next(rows, None) is not None else None
+        return ScanResult(items=tuple(page), last_evaluated_key=last_key)
 
     @synchronized
     def query_index(
@@ -986,40 +990,44 @@ class DynamoDBService:
                     "range_condition requires a composite index"
                 )
             _validate_range_condition(range_condition)
-        wanted = set(key_values)
-        matches: list[tuple[str, str, ItemState]] = []
-        for entry_key, projected in index.replicas.items_snapshot():
-            value, _, rest = entry_key.partition(INDEX_KEY_SEP)
-            if value not in wanted:
-                continue
-            if range_condition is not None:
-                range_value = rest.rpartition(INDEX_KEY_SEP)[0]
-                if not _range_matches(range_value, range_condition):
-                    continue
-            if exclusive_start_key is not None and entry_key <= exclusive_start_key:
-                continue
-            item_name = rest.rpartition(INDEX_KEY_SEP)[2]
-            matches.append((entry_key, item_name, projected))
+        snapshot = index.replicas.ordered_snapshot()
+
+        def matches() -> Iterator[tuple[str, ItemState]]:
+            # One hash value's entries are the contiguous keys prefixed
+            # ``value + SEP``; partitions in value order are index order.
+            for value in sorted(set(key_values)):
+                after = max(value, exclusive_start_key or "")
+                for entry_key, projected in snapshot.between(
+                    after, value + _PARTITION_END
+                ):
+                    if range_condition is not None:
+                        rest = entry_key[len(value) + 1:]
+                        range_value = rest.rpartition(INDEX_KEY_SEP)[0]
+                        if not _range_matches(range_value, range_condition):
+                            continue
+                    yield entry_key, projected
+
         billing_key = (
             billing.DDB_GSI_RANGE if range_condition is not None else billing.DDB_GSI
         )
         return self._serve_index_page(
-            table, index, matches, limit, "Query", billing_key
+            table, index, matches(), limit, "Query", billing_key
         )
 
     def _serve_index_page(
         self,
         table: _Table,
         index: _Index,
-        matches: list[tuple[str, str, ItemState]],
+        matches: Iterator[tuple[str, ItemState]],
         limit: int,
         op: str,
         billing_key: str = billing.DDB_GSI,
     ) -> IndexQueryResult:
         """Shared paging/admission/metering for every GSI read path.
 
-        ``matches`` are (entry key, item name, projected attrs) in index
-        order, already filtered past the pagination token — Query and
+        ``matches`` lazily yields (entry key, projected attrs) in index
+        order, already past the pagination token; the page takes what it
+        needs and peeks one more for ``last_evaluated_key``. Query and
         Scan differ only in how they select entries, never in how a page
         is budgeted, admitted (the index's own ``rcu`` window when
         provisioned, the base table's otherwise), or billed (eventual
@@ -1028,14 +1036,17 @@ class DynamoDBService:
         Queries, which land on
         :data:`~repro.aws.billing.DDB_GSI_RANGE`).
         """
-        page: list[tuple[str, str, ItemState]] = []
+        page_limit = min(limit, SCAN_MAX_PAGE)
+        entries: list[tuple[str, ItemState]] = []
         page_bytes = 0
-        for entry_key, item_name, projected in matches:
-            page.append((entry_key, item_name, dict(projected)))
+        transfer = 0
+        entry_key = None
+        for entry_key, projected in matches:
+            item_name = entry_key.rpartition(INDEX_KEY_SEP)[2]
+            entries.append((item_name, dict(projected)))
             page_bytes += _entry_size(entry_key, projected)
-            if len(page) >= min(limit, SCAN_MAX_PAGE):
-                break
-            if page_bytes >= units.DDB_PAGE_BYTES:
+            transfer += len(item_name.encode()) + _attr_size(projected)
+            if len(entries) >= page_limit or page_bytes >= units.DDB_PAGE_BYTES:
                 break
         base = float(max(1, math.ceil(page_bytes / units.DDB_RCU_BYTES)))
         read_units = base / 2.0  # no strongly consistent GSI reads exist
@@ -1046,20 +1057,9 @@ class DynamoDBService:
             self._admit(table, read_units, 0.0)
         self._meter.record_request(billing_key, op)
         self._meter.record_capacity(billing_key, read_units=read_units)
-        self._meter.record_transfer_out(
-            billing_key,
-            sum(
-                len(item_name.encode()) + _attr_size(projected)
-                for _, item_name, projected in page
-            ),
-        )
-        last = page[-1][0] if page and len(matches) > len(page) else None
-        return IndexQueryResult(
-            entries=tuple(
-                (item_name, projected) for _, item_name, projected in page
-            ),
-            last_evaluated_key=last,
-        )
+        self._meter.record_transfer_out(billing_key, transfer)
+        last = entry_key if next(matches, None) is not None else None
+        return IndexQueryResult(entries=tuple(entries), last_evaluated_key=last)
 
     @synchronized
     def scan_index(
@@ -1089,11 +1089,7 @@ class DynamoDBService:
             raise errors.NoSuchIndex(
                 f"table {table_name!r} has no index {index_name!r}"
             )
-        matches = [
-            (entry_key, entry_key.rpartition(INDEX_KEY_SEP)[2], projected)
-            for entry_key, projected in index.replicas.items_snapshot()
-            if exclusive_start_key is None or entry_key > exclusive_start_key
-        ]
+        matches = index.replicas.ordered_snapshot().between(exclusive_start_key)
         return self._serve_index_page(table, index, matches, limit, "Scan")
 
     @synchronized
@@ -1104,11 +1100,8 @@ class DynamoDBService:
         :meth:`item_count` to decide whether a sparse index really
         covers the whole table before streaming from it."""
         index = self._index(table_name, index_name)
-        names = {
-            entry_key.rpartition(INDEX_KEY_SEP)[2]
-            for entry_key, _ in index.replicas.authoritative_items()
-        }
-        return len(names)
+        entry_keys = index.replicas.authoritative_keys()
+        return len({key.rpartition(INDEX_KEY_SEP)[2] for key in entry_keys})
 
     @synchronized
     def describe_table(self, table_name: str) -> dict:
@@ -1158,7 +1151,7 @@ class DynamoDBService:
     @synchronized
     def authoritative_item_names(self, table_name: str) -> list[str]:
         table = self._tables.get(table_name)
-        return sorted(table.authority) if table is not None else []
+        return table.replicas.authoritative_keys() if table is not None else []
 
     @synchronized
     def item_count(self, table_name: str) -> int:

@@ -110,6 +110,27 @@ class TestCapacityMetering:
         assert spent.read_units(billing.DDB) >= 8.0
         assert spent.request_count(billing.DDB, "Scan") == pages
 
+    def test_scan_resumes_past_a_start_key_that_is_gone_or_never_was(self, ddb):
+        for name in ("a", "c", "e"):
+            ddb.update_item("t", name, [("v", name)])
+        assert ddb.scan("t", exclusive_start_key="b").item_names == ("c", "e")
+        first = ddb.scan("t", limit=2)
+        assert (first.item_names, first.last_evaluated_key) == (("a", "c"), "c")
+        ddb.delete_item("t", "c")  # the token now names a deleted item
+        rest = ddb.scan("t", exclusive_start_key=first.last_evaluated_key, limit=2)
+        assert (rest.item_names, rest.last_evaluated_key) == (("e",), None)
+        assert ddb.scan("t", exclusive_start_key="e").items == ()
+
+    def test_scan_transfers_out_exactly_what_it_scanned(self, account, ddb):
+        ddb.update_item("t", "k1", [("v", "x" * 10), ("w", "yz")])
+        ddb.update_item("t", "k2", [("v", "x")])
+        before = account.meter.snapshot()
+        ddb.scan("t", limit=1)
+        ddb.scan("t")
+        spent = account.meter.snapshot() - before
+        one = len("k1") + len("v") + 10 + len("w") + 2
+        assert spent.transfer_out(billing.DDB) == one + (one + len("k2") + 2)
+
     def test_storage_round_trip_returns_to_zero(self, account, ddb):
         ddb.update_item("t", "a", [("v", "payload")])
         ddb.update_item("t", "b", [("v", "payload")])

@@ -172,6 +172,27 @@ class TestIndexQuery:
         # ~700 B entries against the shared byte budget: several pages.
         assert pages >= (40 * 700) // DDB_PAGE_BYTES
 
+    def test_query_reads_whole_partitions_in_value_order(self, ddb):
+        """Hash values that prefix one another are separate partitions,
+        several wanted values come back in value order whatever order
+        they were asked in, and a token inside one partition resumes
+        there and carries on into the next."""
+        for name, value in [("i1", "a"), ("i2", "ab"), ("i3", "b"), ("i4", "a"),
+                            ("", "a"), ("i5", "a\x01")]:
+            ddb.update_item("t", name, [("k", value)])
+
+        def names(page):
+            return [name for name, _ in page.entries]
+
+        assert names(ddb.query_index("t", "gsi-k", ["a"])) == ["", "i1", "i4"]
+        assert names(ddb.query_index("t", "gsi-k", ["ab"])) == ["i2"]
+        first = ddb.query_index("t", "gsi-k", ["b", "a", "b"], limit=2)
+        assert names(first) == ["", "i1"]
+        rest = ddb.query_index(
+            "t", "gsi-k", ["b", "a"], exclusive_start_key=first.last_evaluated_key
+        )
+        assert (names(rest), rest.last_evaluated_key) == (["i4", "i3"], None)
+
     def test_unknown_index_and_empty_values_rejected(self, ddb):
         with pytest.raises(errors.NoSuchIndex):
             ddb.query_index("t", "nope", ["a"])
