@@ -23,6 +23,13 @@
 #                     stdout line is the JSON result. Exit code = the
 #                     harness's own checks (result sets vs the oracle,
 #                     sim plane identical across cycles) — no timing gate
+#   make profile W=<workload> PHASE=ingest|queries|migrate [SEED=1] [CYCLES=3]
+#                     cProfile of one phase of a perf-harness workload
+#                     (benchmarks/profile_phase.py): same plan and call
+#                     order as the harness, one warm cycle, then CYCLES
+#                     profiled; json.dumps calls per operation, then top
+#                     30 by tottime and by cumulative. The profile every
+#                     perf PR starts from (ROADMAP aim 1)
 #   make lint         ruff check over src/tests/benchmarks/examples
 #                     (config: ruff.toml)
 #   make loc          logical line count of src/repro, per module and total
@@ -143,8 +150,10 @@ MIGRATION_TEST_FILES = tests/unit/test_migration_handle.py \
 	tests/integration/test_fleet_live_migration.py
 
 SECONDS ?= 5
+SEED ?= 1
+CYCLES ?= 3
 
-.PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check bench-perf lint lint-prov loc
+.PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check bench-perf profile lint lint-prov loc
 
 test:
 	HYPOTHESIS_PROFILE=ci $(PYTEST) -x -q
@@ -169,6 +178,10 @@ bench-check:
 
 bench-perf:
 	$(PYTHON) benchmarks/perf/run.py --workload $(W) --seconds $(SECONDS)
+
+profile:
+	$(PYTHON) benchmarks/profile_phase.py --workload $(W) --phase $(PHASE) \
+		--seed $(SEED) --cycles $(CYCLES)
 
 lint:
 	ruff check src tests benchmarks examples

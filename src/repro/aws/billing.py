@@ -319,6 +319,9 @@ class Meter:
         self._last_update: dict[str, float] = {}
         self._box_usage_hours = 0.0
         self._lock = new_lock("meter", name="meter")
+        #: Decided once, as ``new_lock`` picks the lock shim: a meter
+        #: built with the sanitizer off stays inert for its lifetime.
+        self._sanitized = sanitize.enabled()
         self._scope_local = threading.local()
 
     # -- scoped accounting -----------------------------------------------
@@ -351,14 +354,15 @@ class Meter:
 
         The sharded query engine brackets each measured query (and each
         per-shard stream task) with this marker. Under ``REPRO_SANITIZE=1``
-        any record landing on a marked thread with *no* active
-        :meth:`scoped` context is reported as an unattributed-spend leak
-        — spend that would silently vanish from ``per_shard`` totals.
+        (read once, when the meter is built) any record landing on a
+        marked thread with *no* active :meth:`scoped` context is reported
+        as an unattributed-spend leak — spend that would silently vanish
+        from ``per_shard`` totals.
         With the sanitizer off this is an inert no-op: no state is
         touched and the meter is byte-identical to the unsanitized
         build.
         """
-        if not sanitize.enabled():
+        if not self._sanitized:
             yield
             return
         local = self._scope_local
@@ -372,7 +376,7 @@ class Meter:
         """Record an unattributed-spend leak (sanitizer only; see
         :meth:`expect_scope`). Called with the meter lock held; the
         expectation marker and scope stack are both thread-local."""
-        if not sanitize.enabled():
+        if not self._sanitized:
             return
         if getattr(self._scope_local, "expect", 0) and not self._scope_stack():
             sanitize.record(

@@ -421,14 +421,14 @@ class SQSService:
         if self._retention <= 0:
             return
         cutoff = self._clock.now - self._retention
+        # A host dict is in enqueue order and the clock never runs
+        # backwards, so the expired messages are a prefix of each host.
         for host in queue.hosts:
-            expired = [
-                message_id
-                for message_id, message in host.items()
-                if message.enqueued_at < cutoff
-            ]
-            for message_id in expired:
-                message = host.pop(message_id)
+            while host:
+                message_id, message = next(iter(host.items()))
+                if message.enqueued_at >= cutoff:
+                    break
+                del host[message_id]
                 self._meter.adjust_stored(billing.SQS, -len(message.body.encode()))
                 self.messages_expired += 1
 

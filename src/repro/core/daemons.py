@@ -315,10 +315,12 @@ class CommitDaemon:
         now = self.account.clock.now
         self._applied_txns[txn_id] = now
         horizon = now - SQS_RETENTION_SECONDS
-        for old_id, marked_at in list(self._applied_txns.items()):
-            if marked_at >= horizon:
+        applied = self._applied_txns
+        while applied:
+            old_id = next(iter(applied))
+            if applied[old_id] >= horizon:
                 break
-            del self._applied_txns[old_id]
+            del applied[old_id]
 
     # -- group commit (write_batch > 1) -------------------------------------
 

@@ -25,6 +25,12 @@ then a commit record. Record types (JSON bodies, ≤8 KB each):
     never got one (the client crashed mid-log), and SQS's 4-day
     retention garbage-collects their records.
 
+Every record body is dumped exactly once (``wire_dumps`` output is
+ASCII, so ``len`` is its byte size). An item's attributes fit one
+``prov`` record iff ``len(whole) + 1 <= MESSAGE_BUDGET``, because
+``len(whole) = base_overhead + Σ entry_size − 1`` (an entry's size counts
+its separating comma) — the greedy per-entry split's own no-cut condition.
+
 :class:`TransactionAssembler` reconstructs transactions from the
 unordered, sampled, at-least-once stream ``ReceiveMessage`` yields.
 """
@@ -37,15 +43,11 @@ from dataclasses import dataclass, field
 from repro.aws.sqs import ReceivedMessage
 from repro.core.base import temp_key
 from repro.passlib.records import FlushEvent
-from repro.passlib.serializer import SdbItemPayload, to_simpledb_items
+from repro.passlib.serializer import SdbItemPayload, to_simpledb_items, wire_dumps
 from repro.units import SQS_MAX_MESSAGE_SIZE
 
 #: Leave headroom under the 8 KB SQS limit for the JSON envelope.
 MESSAGE_BUDGET = SQS_MAX_MESSAGE_SIZE - 256
-
-
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -70,63 +72,67 @@ def build_wal_bundle(event: FlushEvent, txn_id: str) -> WalBundle:
     temp_data_key = temp_key(txn_id, event.subject.name)
     temp_puts: list[tuple[str, object]] = [(temp_data_key, event.data)]
 
-    records: list[dict] = []
-    records.append(
-        {
-            "t": "data",
-            "txn": txn_id,
-            "subject": event.subject.encode(),
-            "temp": temp_data_key,
-            "nonce": event.nonce,
-            "md5": event.data.md5(),
-            "size": event.data.size,
-        }
-    )
+    bodies: list[str] = [
+        wire_dumps(
+            {
+                "t": "data",
+                "txn": txn_id,
+                "subject": event.subject.encode(),
+                "temp": temp_data_key,
+                "nonce": event.nonce,
+                "md5": event.data.md5(),
+                "size": event.data.size,
+            }
+        )
+    ]
     for payload in payloads:
         for overflow in payload.overflow:
-            body = {
-                "t": "ovfl",
-                "txn": txn_id,
-                "key": overflow.key,
-                "value": overflow.value,
-            }
-            if len(_dumps(body).encode()) <= MESSAGE_BUDGET:
-                records.append(body)
-            else:
+            body = wire_dumps(
+                {"t": "ovfl", "txn": txn_id, "key": overflow.key, "value": overflow.value}
+            )
+            if len(body) > MESSAGE_BUDGET:
                 staged = temp_key(txn_id, overflow.key)
                 temp_puts.append((staged, overflow.value))
-                records.append(
+                body = wire_dumps(
                     {"t": "ovfl_ptr", "txn": txn_id, "key": overflow.key, "temp": staged}
                 )
-        records.extend(_chunk_item(txn_id, payload))
-    records.append({"t": "commit", "txn": txn_id})
+            bodies.append(body)
+        bodies.extend(prov_records(txn_id, payload))
+    bodies.append(wire_dumps({"t": "commit", "txn": txn_id}))
 
-    begin = {"t": "begin", "txn": txn_id, "n": len(records)}
-    messages = tuple(_dumps(r) for r in [begin, *records])
-    return WalBundle(txn_id=txn_id, temp_puts=tuple(temp_puts), messages=messages)
-
-
-def _chunk_item(txn_id: str, payload: SdbItemPayload) -> list[dict]:
-    """Split one item's attributes into ≤8 KB ``prov`` records (§4.3 1(d))."""
-    chunks: list[dict] = []
-    current: list[list[str]] = []
-    current_size = 0
-    base_overhead = len(
-        _dumps({"t": "prov", "txn": txn_id, "item": payload.item_name, "attrs": []}).encode()
+    begin = wire_dumps({"t": "begin", "txn": txn_id, "n": len(bodies)})
+    return WalBundle(
+        txn_id=txn_id, temp_puts=tuple(temp_puts), messages=(begin, *bodies)
     )
-    for name, value in payload.attributes:
-        entry_size = len(_dumps([name, value]).encode()) + 1
-        if current and base_overhead + current_size + entry_size > MESSAGE_BUDGET:
-            chunks.append(
-                {"t": "prov", "txn": txn_id, "item": payload.item_name, "attrs": current}
-            )
-            current, current_size = [], 0
-        current.append([name, value])
-        current_size += entry_size
-    if current:
-        chunks.append(
-            {"t": "prov", "txn": txn_id, "item": payload.item_name, "attrs": current}
+
+
+def prov_records(txn_id: str, payload: SdbItemPayload) -> list[str]:
+    """One item's attributes as ≤8 KB ``prov`` record bodies (§4.3 1(d))."""
+
+    def body(attrs) -> str:
+        return wire_dumps(
+            {"t": "prov", "txn": txn_id, "item": payload.item_name, "attrs": attrs}
         )
+
+    if not payload.attributes:
+        return []
+    whole = body(payload.attributes)
+    if len(whole) + 1 <= MESSAGE_BUDGET:
+        return [whole]
+    # Too big for one message: cut greedily before the entry that would
+    # overflow (an entry larger than the budget still gets its own record).
+    chunks: list[str] = []
+    current: list[tuple[str, str]] = []
+    current_size = 0
+    base_overhead = len(body([]))
+    for entry in payload.attributes:
+        entry_size = len(wire_dumps(entry)) + 1
+        if current and base_overhead + current_size + entry_size > MESSAGE_BUDGET:
+            chunks.append(body(current))
+            current, current_size = [], 0
+        current.append(entry)
+        current_size += entry_size
+    chunks.append(body(current))
     return chunks
 
 

@@ -65,7 +65,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.aws.billing import DDB_GSI, Usage
-from repro.core.wal import _chunk_item, _dumps, parse_record
+from repro.core.wal import parse_record, prov_records
 from repro.errors import NoSuchDomain, NoSuchTable
 from repro.migration.handle import RouterHandle, Site, WritePlan
 from repro.passlib.records import ObjectRef
@@ -339,8 +339,8 @@ class LiveMigration:
             item_name=item_name, attributes=tuple(attributes), overflow=()
         )
         with self.account.meter.scoped() as scope:
-            for record in _chunk_item(txn_id, payload):
-                self.account.sqs.send_message(self._wal_url, _dumps(record))
+            for body in prov_records(txn_id, payload):
+                self.account.sqs.send_message(self._wal_url, body)
                 self.report.wal_records += 1
         self.report.catch_up_usage += scope.usage()
 

@@ -246,16 +246,33 @@ def to_simpledb_items(
 
     The file's own item carries the extra ``md5``/``nonce`` consistency
     records (§4.2): ``md5 = H(md5(data) ‖ nonce)``.
+
+    At the default threshold the (immutable) payloads are encoded once
+    per event and kept in the frozen event's ``__dict__`` (where
+    ``functools.cached_property`` would put them: not a field, so
+    equality, hash, ``repr`` and ``dataclasses.replace`` ignore them and
+    they die with the event). The store path, the WAL and ``TraceStats``
+    each get their own list of the same payloads.
     """
-    payloads = []
-    for bundle in event.ancestors:
-        payloads.append(_bundle_to_item(bundle, spill_threshold))
+    if spill_threshold != SPILL_THRESHOLD:
+        return list(_encode_simpledb_items(event, spill_threshold))
+    memo = event.__dict__
+    if "_simpledb_items" not in memo:
+        memo["_simpledb_items"] = _encode_simpledb_items(event, spill_threshold)
+    return list(memo["_simpledb_items"])
+
+
+def _encode_simpledb_items(
+    event: FlushEvent, spill_threshold: int
+) -> tuple[SdbItemPayload, ...]:
     extra = (
         (Attr.MD5, consistency_token(event.data.md5(), event.nonce)),
         (Attr.NONCE, event.nonce),
     )
-    payloads.append(_bundle_to_item(event.bundle, spill_threshold, extra))
-    return payloads
+    return (
+        *(_bundle_to_item(bundle, spill_threshold) for bundle in event.ancestors),
+        _bundle_to_item(event.bundle, spill_threshold, extra),
+    )
 
 
 def _bundle_to_item(
@@ -345,8 +362,8 @@ def bundle_from_wire(data: dict) -> ProvenanceBundle:
     )
 
 
-def wire_dumps(payload: dict) -> str:
-    """Canonical compact JSON used for SQS bodies (8 KB budget)."""
+def wire_dumps(payload: dict | list | tuple) -> str:
+    """Canonical compact JSON used for SQS bodies (8 KB budget); ASCII."""
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 

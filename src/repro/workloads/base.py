@@ -17,10 +17,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.blob import SyntheticBlob
+from repro.core.wal import build_wal_bundle
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import FlushEvent, ObjectRef
 from repro.passlib.serializer import to_s3_metadata, to_simpledb_items
-from repro.units import KB
+from repro.units import (
+    KB,
+    SDB_BILLABLE_OVERHEAD_PER_ELEMENT,
+    SDB_MAX_ATTRS_PER_CALL,
+)
 
 
 class Workload:
@@ -147,9 +152,6 @@ class TraceStats:
     per_workload_objects: dict[str, int] = field(default_factory=dict)
 
     def add_event(self, event: FlushEvent) -> None:
-        from repro.core.wal import build_wal_bundle  # late: avoid cycle
-        from repro.units import SDB_MAX_ATTRS_PER_CALL
-
         self.n_objects += 1
         self.raw_bytes += event.data.size
 
@@ -166,13 +168,12 @@ class TraceStats:
         items = to_simpledb_items(event)
         self.n_sdb_items += len(items)
         file_item_name = event.subject.item_name
+        OVH = SDB_BILLABLE_OVERHEAD_PER_ELEMENT
         for item in items:
             # Arch-2 provenance storage = SimpleDB *billable* bytes (raw
             # plus the documented 45-byte indexing overhead per item
             # name, attribute name, and value) + the spilled >1 KB
             # values that live as S3 objects (§5).
-            from repro.units import SDB_BILLABLE_OVERHEAD_PER_ELEMENT as OVH
-
             item_bytes = (
                 len(item.item_name.encode()) + OVH
                 + sum(

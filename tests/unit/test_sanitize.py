@@ -148,6 +148,27 @@ def test_expect_bracket_is_thread_local(sanitized):
     assert sanitize.violations() == ()
 
 
+def test_the_sanitizer_is_decided_when_the_meter_is_built(sanitized, monkeypatch):
+    """Like ``new_lock``'s shim, the flag is read once at construction:
+    a meter built with the sanitizer on keeps flagging, one built with
+    it off stays inert even if the variable is set later."""
+    built_on = Meter(SimClock())
+    monkeypatch.delenv(sanitize.SANITIZE_ENV)
+    built_off = Meter(SimClock())
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+
+    with built_off.expect_scope():
+        built_off.record_request("s3", "GetObject")
+        built_off.record_transfer_out("s3", 512)
+    assert sanitize.violations() == ()
+
+    monkeypatch.delenv(sanitize.SANITIZE_ENV)
+    with built_on.expect_scope():
+        built_on.record_request("s3", "GetObject")
+    assert [v.kind for v in sanitize.violations()] == ["unattributed-spend"]
+    sanitize.reset()
+
+
 # -- off means off ---------------------------------------------------------
 
 

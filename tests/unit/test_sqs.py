@@ -172,6 +172,44 @@ class TestRetention:
         assert bodies == {"fresh"}
         assert account.sqs.messages_expired == 1
 
+    def test_expiry_across_hosts_drops_exactly_the_old_prefix(self, queue):
+        """Three enqueue waves spread over all hosts: one request past
+        the first two waves' retention drops exactly those messages (what
+        a scan of every stored message would find), bills their bytes
+        off the stored level, and leaves the live wave untouched."""
+        from repro.aws import billing
+
+        account, url = queue
+        sqs = account.sqs
+        waves = [[f"w{wave}-{i:02d}-" + "x" * i for i in range(40)] for wave in range(3)]
+        for bodies in waves[:2]:
+            for body in bodies:
+                sqs.send_message(url, body)
+            account.clock.advance(SECONDS_PER_DAY)
+        account.clock.advance(2 * SECONDS_PER_DAY)  # wave 0 is 4 days old, wave 1 is 3
+        for body in waves[2]:
+            sqs.send_message(url, body)
+        hosts = sqs._queues[url].hosts
+        assert sum(1 for host in hosts if host) > 1  # the waves interleave on several hosts
+        assert sqs.messages_expired == 0
+
+        def stored():
+            return account.meter.stored_bytes(billing.SQS)
+
+        account.clock.advance(1)  # wave 0 is now past retention
+        before = stored()
+        assert sqs.exact_message_count(url) == 80
+        assert sqs.messages_expired == 40
+        assert before - stored() == sum(len(b.encode()) for b in waves[0])
+
+        account.clock.advance(SECONDS_PER_DAY)  # wave 1 follows
+        before = stored()
+        sqs.send_message(url, "")
+        assert sqs.messages_expired == 80
+        assert before - stored() == sum(len(b.encode()) for b in waves[1])
+        remaining = {m.body for host in hosts for m in host.values()}
+        assert remaining == set(waves[2]) | {""}
+
 
 class TestConcurrency:
     """Regression for the PL001 finding that SQS was the one metered

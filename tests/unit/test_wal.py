@@ -3,16 +3,21 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.aws.sqs import ReceivedMessage
-from repro.blob import SyntheticBlob
+from repro.blob import BytesBlob, SyntheticBlob
+from repro.core.base import temp_key
 from repro.core.wal import (
     MESSAGE_BUDGET,
     TransactionAssembler,
     build_wal_bundle,
     parse_record,
+    prov_records,
 )
 from repro.passlib.capture import PassSystem
+from repro.passlib.records import FlushEvent, ObjectRef, ProvenanceBundle, ProvenanceRecord
+from repro.passlib.serializer import SdbItemPayload, to_simpledb_items
 from repro.units import KB
 
 
@@ -92,6 +97,156 @@ class TestBuildWalBundle:
         bundle = build_wal_bundle(event, "txn-5")
         for message in bundle.messages:
             assert len(message.encode()) <= MESSAGE_BUDGET + 256
+
+
+# -- the pre-PR-15 algorithm, kept here as the byte-for-byte oracle --------
+
+
+def _reference_dumps(payload) -> str:
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+
+def _reference_chunks(txn_id, payload) -> list[dict]:
+    """Greedy split: measure every attribute, cut before the one that
+    would push the record past the budget."""
+    def record(attrs):
+        return {"t": "prov", "txn": txn_id, "item": payload.item_name, "attrs": attrs}
+
+    chunks, current, current_size = [], [], 0
+    base_overhead = len(_reference_dumps(record([])).encode())
+    for name, value in payload.attributes:
+        entry_size = len(_reference_dumps([name, value]).encode()) + 1
+        if current and base_overhead + current_size + entry_size > MESSAGE_BUDGET:
+            chunks.append(record(current))
+            current, current_size = [], 0
+        current.append([name, value])
+        current_size += entry_size
+    if current:
+        chunks.append(record(current))
+    return chunks
+
+
+def _reference_bundle(event, txn_id) -> tuple[list[str], list[str]]:
+    """(message bodies, temp-put keys) as every record dict was built
+    first and dumped at the end."""
+    temp_data_key = temp_key(txn_id, event.subject.name)
+    temp_keys = [temp_data_key]
+    records = [
+        {
+            "t": "data",
+            "txn": txn_id,
+            "subject": event.subject.encode(),
+            "temp": temp_data_key,
+            "nonce": event.nonce,
+            "md5": event.data.md5(),
+            "size": event.data.size,
+        }
+    ]
+    for payload in to_simpledb_items(event):
+        for overflow in payload.overflow:
+            body = {"t": "ovfl", "txn": txn_id, "key": overflow.key, "value": overflow.value}
+            if len(_reference_dumps(body).encode()) > MESSAGE_BUDGET:
+                staged = temp_key(txn_id, overflow.key)
+                temp_keys.append(staged)
+                body = {"t": "ovfl_ptr", "txn": txn_id, "key": overflow.key, "temp": staged}
+            records.append(body)
+        records.extend(_reference_chunks(txn_id, payload))
+    records.append({"t": "commit", "txn": txn_id})
+    begin = {"t": "begin", "txn": txn_id, "n": len(records)}
+    return [_reference_dumps(r) for r in [begin, *records]], temp_keys
+
+
+#: One- to four-byte UTF-8, and characters JSON has to escape.
+_UNITS = st.sampled_from(["a", " ", '"', "\\", "\n", "é", "日", "😀"])
+#: Value sizes in UTF-8 bytes: mostly just under the 1 KB spill
+#: threshold (the attributes that fill a message), else tiny, spilled,
+#: or a whole message's worth (``ovfl_ptr``).
+_BYTES = st.one_of(
+    st.integers(600, 1024),
+    st.integers(600, 1024),
+    st.integers(0, 60),
+    st.integers(1025, 1500),
+    st.integers(7000, 9000),
+)
+
+
+@st.composite
+def _values(draw) -> str:
+    unit = draw(_UNITS)
+    return draw(st.text("xyz", max_size=3)) + unit * (draw(_BYTES) // len(unit.encode()))
+
+
+@st.composite
+def _bundles(draw, name: str, kind: str, max_records: int):
+    subject = ObjectRef(name, draw(st.integers(1, 3)))
+    records = [
+        ProvenanceRecord(
+            subject,
+            draw(st.sampled_from(["env", "argv", "name", "clé"])),
+            draw(_values()),
+        )
+        for _ in range(draw(st.one_of(st.integers(0, 3), st.integers(7, max_records))))
+    ]
+    return ProvenanceBundle(subject=subject, kind=kind, records=tuple(records))
+
+
+@st.composite
+def _events(draw):
+    ancestors = [
+        draw(_bundles(f"proc/{j}", "process", max_records=24))
+        for j in range(draw(st.integers(0, 2)))
+    ]
+    return FlushEvent(
+        bundle=draw(_bundles("out/ünï.dat", "file", max_records=24)),
+        data=BytesBlob(draw(st.binary(max_size=8))),
+        ancestors=tuple(ancestors),
+    )
+
+
+class TestDumpOnceMatchesTheGreedySplitter:
+    @given(event=_events(), txn_id=st.sampled_from(["stats", "client-0.e00002-000017"]))
+    def test_bundle_is_byte_identical_to_the_reference(self, event, txn_id):
+        bundle = build_wal_bundle(event, txn_id)
+        messages, temp_keys = _reference_bundle(event, txn_id)
+        assert list(bundle.messages) == messages
+        assert [key for key, _ in bundle.temp_puts] == temp_keys
+
+    @staticmethod
+    def _item(attributes) -> SdbItemPayload:
+        return SdbItemPayload(item_name="f_v0001", attributes=tuple(attributes), overflow=())
+
+    def _assert_matches_reference(self, payload) -> list[str]:
+        bodies = prov_records("txn-1", payload)
+        assert bodies == [_reference_dumps(c) for c in _reference_chunks("txn-1", payload)]
+        return bodies
+
+    def test_empty_item_logs_no_prov_record(self):
+        assert self._assert_matches_reference(self._item([])) == []
+
+    def test_one_oversized_attribute_still_gets_its_own_record(self):
+        (body,) = self._assert_matches_reference(self._item([("env", "x" * (9 * KB))]))
+        assert len(body) > MESSAGE_BUDGET
+
+    @pytest.mark.parametrize("filler", ["x", "日"])
+    def test_exact_fit_is_the_last_single_record(self, filler):
+        """``len(body) + 1 == MESSAGE_BUDGET`` still fits one record; one
+        more attribute byte is where the greedy split first cuts."""
+        head = [("k", filler * 150)] * 7
+        empty_tail = len(prov_records("txn-1", self._item([*head, ("pad", "")]))[0])
+        pad = MESSAGE_BUDGET - 1 - empty_tail
+        assert pad > 0
+        (fit,) = self._assert_matches_reference(self._item([*head, ("pad", "p" * pad)]))
+        assert len(fit) + 1 == MESSAGE_BUDGET
+        over = self._assert_matches_reference(self._item([*head, ("pad", "p" * (pad + 1))]))
+        assert len(over) == 2
+
+    def test_multi_chunk_split_keeps_every_attribute_in_order(self):
+        attributes = [(f"a{i}", "é" * 400) for i in range(30)]
+        bodies = self._assert_matches_reference(self._item(attributes))
+        assert len(bodies) > 2
+        assert all(len(body.encode()) <= MESSAGE_BUDGET for body in bodies)
+        rejoined = [tuple(pair) for body in bodies for pair in json.loads(body)["attrs"]]
+        assert rejoined == attributes
 
 
 class TestParseRecord:
