@@ -35,7 +35,10 @@
 #   make loc          logical line count of src/repro, per module and total
 #                     (benchmarks/check_loc.py: lines carrying a token that
 #                     is no comment, docstring or bare string) — the number
-#                     ROADMAP aim 2 asks to go down; report only, no gate
+#                     ROADMAP aim 2 asks to go down. A ratchet: fails when
+#                     the total exceeds CEILING in that file; a PR that
+#                     legitimately grows src/repro raises the constant in
+#                     the same diff (the baselines.json convention)
 #   make lint-prov    provlint — the project's AST invariant checker
 #                     (lock discipline, metering/billing coverage,
 #                     determinism, ':v' wire-format ownership, router
@@ -67,9 +70,12 @@
 #                                APIs (BatchPutAttributes / BatchWriteItem),
 #                                and the A3 commit daemon applies rounds of
 #                                N transactions with batched puts and
-#                                DeleteMessageBatch. 1 (default) = the
-#                                paper's one-request-per-item path,
-#                                byte-identical on the meter;
+#                                DeleteMessageBatch. One write path at
+#                                every width: 1 (default) is a batch of
+#                                one sent as single-item requests — the
+#                                paper's one-request-per-item protocol,
+#                                byte-identical on the meter; the width
+#                                only picks single-item vs batch requests;
 #                                bench_group_commit.py quantifies the
 #                                ops/item and USD/item savings at 8 and 25
 #   REPRO_MIGRATION=...          default `repro demo --migrate` spec: e.g.

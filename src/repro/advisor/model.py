@@ -97,9 +97,6 @@ class WorkflowModel:
 
     # -- queries ------------------------------------------------------------------
 
-    def program_of(self, process: ObjectRef) -> str | None:
-        return self._program.get(process)
-
     def producer_of(self, file_ref: ObjectRef) -> ObjectRef | None:
         return self._producer.get(file_ref)
 

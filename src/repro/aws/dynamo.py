@@ -1159,12 +1159,6 @@ class DynamoDBService:
         return len(table.authority) if table is not None else 0
 
     @synchronized
-    def provisioned_throughput(self, table_name: str) -> tuple[int, int]:
-        """(read_capacity, write_capacity) units/second for a table."""
-        table = self._table(table_name)
-        return table.read_capacity, table.write_capacity
-
-    @synchronized
     def authoritative_index_entries(
         self, table_name: str, index_name: str
     ) -> dict[tuple[str, str], ItemState]:

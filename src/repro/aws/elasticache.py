@@ -8,7 +8,7 @@ hot objects. This module provides :class:`ReadCacheAuthority` — a single
 ad-hoc per-consumer caches:
 
 * **invalidation** — every provenance put/delete path (the
-  :func:`repro.core.base.put_provenance_item` choke points, orphan
+  :func:`repro.core.base.put_provenance_items` choke point, orphan
   recovery, the live-migration replay/repair/scrub writes) calls
   :meth:`invalidate` / :meth:`invalidate_many`, which drop the item's
   cached entry and advance the authority's **generation** — the version

@@ -326,10 +326,6 @@ class S3Service:
     def authoritative_record(self, bucket: str, key: str) -> S3ObjectRecord | None:
         return self._bucket(bucket).read_authoritative(key)
 
-    @synchronized
-    def stale_read_count(self, bucket: str) -> int:
-        return self._bucket(bucket).stale_reads
-
     # -- internals -------------------------------------------------------------
 
     def _read_replica(self, bucket: str, key: str) -> S3ObjectRecord:

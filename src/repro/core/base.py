@@ -308,107 +308,90 @@ def read_provenance_item(
     return attrs
 
 
-def put_provenance_item(
+def put_provenance_items(
     account: AWSAccount,
     routing: RouterHandle | ShardRouter,
-    item_name: str,
-    attributes: Iterable[tuple[str, str]],
+    items: Iterable[tuple[str, Iterable[tuple[str, str]]]],
+    batched: bool,
 ) -> None:
-    """Store one provenance item per the handle's current write plan.
+    """Store provenance items per the handle's current write plan.
 
-    The single implementation of §4.2 step 3 / §4.3 step 2(c): both the
-    A2 client path and the A3 commit daemon must route, batch, and place
-    identically, or a sharded deployment's two write paths diverge. The
-    backend handles its own write shape — SimpleDB batches ≤100
-    attributes per PutAttributes call, the DynamoDB-style store merges
-    one string-set UpdateItem — and both are idempotent set-merges.
+    The single implementation of §4.2 step 3 / §4.3 step 2(c): the A2
+    client (through its coalescer) and the A3 commit daemon both land
+    here, so a sharded deployment's two write paths route, group, and
+    place identically. Each item is routed through its own write plan
+    (shard placement, migration double-writes, and WAL capture are all
+    per-item decisions), then the per-site groups go to their backend.
 
-    During a live migration the plan may name a second site (the
+    ``batched`` is the caller's width, never the size of the call at
+    hand. Width 1 (``batched=False``) is a batch of one: every item is
+    its own group and lands, in caller order, as single-item requests
+    (SimpleDB PutAttributes in ≤100-attribute calls, one DynamoDB-style
+    UpdateItem) — the paper's protocol. Width > 1 (``batched=True``)
+    makes the whole call one group sent through the backends' batch
+    APIs (BatchPutAttributes / BatchWriteItem), so N items to one shard
+    cost one-ish round trips instead of N, while a call spanning
+    shards, backends, or a migration window degrades gracefully into
+    one batch per site — and a trailing one-item call at width 8 is
+    still a one-entry batch request. Every shape is an idempotent
+    set-merge.
+
+    During a live migration a plan may name a second site (the
     double-write window: the write is mirrored to the target layout,
     its spend captured in a scoped meter context and attributed to the
     migration's overhead, never to the client's own bill analysis) or
     ask for WAL capture (the copy phase: the bulk copy may already have
     passed this item, so the write is queued for catch-up replay).
 
+    Ordering within a group: primaries land site-by-site in
+    first-appearance order, with items in caller order within each site
+    — all the same-object ordering argument needs (one object's
+    versions always hash to one site). Mirrors run after the primaries,
+    each site inside its own scoped meter so the double-write
+    accounting stays attributed per site, then captures.
+
     Being the single choke point also makes it the write-through
-    invalidation hook: when the account runs the read-cache tier, the
-    item's cached entry is dropped *after* the write lands on every
-    planned site — covering the A2 client, the A3 commit daemon, the
-    coalescer, and migration double-writes alike.
-    """
-    routing = as_handle(routing)
-    plan = routing.write_plan(item_name)
-    attrs = list(attributes)
-    primary, *mirrors = plan.sites
-    backend_for_site(account, primary).put_provenance_item(
-        primary.domain, item_name, attrs
-    )
-    migration = routing.migration
-    for site in mirrors:
-        with account.meter.scoped() as scope:
-            backend_for_site(account, site).put_provenance_item(
-                site.domain, item_name, attrs
-            )
-        if migration is not None:
-            migration.note_double_write(site, scope.usage())
-    if plan.capture and migration is not None:
-        migration.capture_write(item_name, attrs)
-    if account.read_cache is not None:
-        account.read_cache.invalidate(item_name)
-
-
-def put_provenance_items(
-    account: AWSAccount,
-    routing: RouterHandle | ShardRouter,
-    items: Iterable[tuple[str, Iterable[tuple[str, str]]]],
-) -> None:
-    """Store many provenance items through the batch write path.
-
-    The group-commit counterpart of :func:`put_provenance_item`: each
-    item is routed through the *same* write plan it would get alone
-    (shard placement, migration double-writes, and WAL capture are all
-    per-item decisions), then the per-site groups go to each backend's
-    batch API — so a flush of N items to one shard costs one-ish round
-    trips instead of N, while a flush spanning shards, backends, or a
-    migration window degrades gracefully into one batch per site.
-
-    Ordering: primaries land site-by-site in first-appearance order,
-    with items in caller order within each site — the same per-item,
-    per-site order the single-item path produces, which is all the
-    same-object ordering argument needs (one object's versions always
-    hash to one site). Mirror batches run after all primaries, each
-    inside its own scoped meter so the migration's double-write
-    accounting stays attributed per site.
+    invalidation hook: when the account runs the read-cache tier, a
+    group's cached entries are dropped *after* its writes land on every
+    planned site — covering the A2 client, the A3 commit daemon, and
+    migration double-writes alike.
     """
     routing = as_handle(routing)
     migration = routing.migration
-    primaries: dict[tuple[str, str], tuple[Site, list]] = {}
-    mirrors: dict[tuple[str, str], tuple[Site, list]] = {}
-    captures: list[tuple[str, list[tuple[str, str]]]] = []
-    written: list[str] = []
-    for item_name, attributes in items:
-        attrs = list(attributes)
-        plan = routing.write_plan(item_name)
-        primary, *rest = plan.sites
-        primaries.setdefault(primary.key, (primary, []))[1].append(
-            (item_name, attrs)
-        )
-        written.append(item_name)
-        for site in rest:
-            mirrors.setdefault(site.key, (site, []))[1].append((item_name, attrs))
-        if plan.capture and migration is not None:
-            captures.append((item_name, attrs))
-    for site, group in primaries.values():
-        backend_for_site(account, site).put_provenance_items(site.domain, group)
-    for site, group in mirrors.values():
-        with account.meter.scoped() as scope:
-            backend_for_site(account, site).put_provenance_items(site.domain, group)
-        if migration is not None:
-            migration.note_double_write(site, scope.usage())
-    for item_name, attrs in captures:
-        migration.capture_write(item_name, attrs)
-    if account.read_cache is not None:
-        account.read_cache.invalidate_many(written)
+    cache = account.read_cache
+
+    def put(site: Site, members: list) -> None:
+        backend = backend_for_site(account, site)
+        if batched:
+            backend.put_provenance_items(site.domain, members)
+        else:
+            for item_name, attrs in members:
+                backend.put_provenance_item(site.domain, item_name, attrs)
+
+    items = [(item_name, list(attributes)) for item_name, attributes in items]
+    for group in [items] if batched else [[item] for item in items]:
+        primaries: dict[tuple[str, str], tuple[Site, list]] = {}
+        mirrors: dict[tuple[str, str], tuple[Site, list]] = {}
+        captures: list[tuple[str, list[tuple[str, str]]]] = []
+        for item in group:
+            plan = routing.write_plan(item[0])
+            primary, *rest = plan.sites
+            primaries.setdefault(primary.key, (primary, []))[1].append(item)
+            for site in rest:
+                mirrors.setdefault(site.key, (site, []))[1].append(item)
+            if plan.capture and migration is not None:
+                captures.append(item)
+        for site, members in primaries.values():
+            put(site, members)
+        for site, members in mirrors.values():
+            with account.meter.scoped() as scope:
+                put(site, members)
+            if migration is not None:
+                migration.note_double_write(site, scope.usage())
+        for item_name, attrs in captures:
+            migration.capture_write(item_name, attrs)
+        if cache is not None:
+            cache.invalidate_many([item_name for item_name, _ in group])
 
 
 def data_key(name: str) -> str:

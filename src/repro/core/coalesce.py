@@ -16,10 +16,13 @@ paper's A1 local-log client accepts between flushes — while anything
 already WAL-logged (A3) or already flushed survives. The property suite
 pins exactly that bound.
 
-``batch_size=1`` (the default everywhere) bypasses the buffer entirely
-and delegates to the legacy single-item path, byte-identical on the
-billing meter — the invariant the frozen-reference meter-identity
-property enforces.
+``batch_size=1`` (the default everywhere) is a batch of one, not a
+second path: every ``put`` fills the buffer and flushes before
+returning, and the width picks only the request shape — single-item
+requests (PutAttributes / UpdateItem) at 1, the batch APIs above it.
+That keeps width 1 byte-identical on the billing meter to the paper's
+one-request-per-item protocol — the invariant the meter-identity
+property and the metered baselines enforce.
 
 The knob: pass ``write_batch=`` to :class:`~repro.sim.Simulation` /
 :class:`~repro.fleet.ClientFleet` / the stores, use ``repro demo
@@ -33,7 +36,7 @@ import os
 from typing import Iterable
 
 from repro.aws.account import AWSAccount
-from repro.core.base import put_provenance_item, put_provenance_items
+from repro.core.base import put_provenance_items
 from repro.migration.handle import RouterHandle
 from repro.sharding import ShardRouter
 
@@ -42,19 +45,24 @@ WRITE_BATCH_ENV = "REPRO_WRITE_BATCH"
 
 
 def resolve_write_batch(write_batch: int | None = None) -> int:
-    """Normalise the write-batch knob: argument, else environment, else 1.
+    """Normalise the write-batch knob: argument, else environment, else 1
+    (unset or empty); a malformed value raises, naming the knob.
 
     >>> resolve_write_batch(8)
     8
     >>> resolve_write_batch()  # with REPRO_WRITE_BATCH unset
     1
     """
+    knob = "write batch"
     if write_batch is None:
-        text = os.environ.get(WRITE_BATCH_ENV, "").strip()
-        write_batch = int(text) if text else 1
-    batch = int(write_batch)
+        knob = WRITE_BATCH_ENV
+        write_batch = os.environ.get(WRITE_BATCH_ENV, "").strip() or 1
+    try:
+        batch = int(write_batch)
+    except ValueError:
+        batch = 0
     if batch < 1:
-        raise ValueError(f"write batch must be >= 1, got {write_batch!r}")
+        raise ValueError(f"{knob} must be an integer >= 1, got {write_batch!r}")
     return batch
 
 
@@ -89,16 +97,11 @@ class WriteCoalescer:
         return len(self._buffer)
 
     def put(self, item_name: str, attributes: Iterable[tuple[str, str]]) -> None:
-        """Buffer one item, flushing when the buffer reaches size.
-
-        With ``batch_size=1`` this *is* the legacy
-        :func:`put_provenance_item` call — same requests, same meter.
+        """Buffer one item, flushing when the buffer reaches size —
+        which at ``batch_size=1`` is every call: the item has landed
+        when ``put`` returns.
         """
-        attrs = list(attributes)
-        if self.batch_size <= 1:
-            put_provenance_item(self.account, self.routing, item_name, attrs)
-            return
-        self._buffer.append((item_name, attrs))
+        self._buffer.append((item_name, list(attributes)))
         if len(self._buffer) >= self.batch_size:
             self.flush()
 
@@ -112,9 +115,11 @@ class WriteCoalescer:
         if not self._buffer:
             return 0
         batch, self._buffer = self._buffer, []
-        put_provenance_items(self.account, self.routing, batch)
-        self.flushes += 1
-        self.coalesced_items += len(batch)
+        batched = self.batch_size > 1
+        put_provenance_items(self.account, self.routing, batch, batched)
+        if batched:
+            self.flushes += 1
+            self.coalesced_items += len(batch)
         return len(batch)
 
     def close(self) -> int:

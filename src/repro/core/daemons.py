@@ -2,7 +2,8 @@
 
 **Commit daemon** — periodically checks the WAL queue's approximate
 length; once past a threshold it drains the queue, reassembles
-transactions, and applies every *complete* one:
+transactions, and applies every *complete* one, strictly in log order,
+in rounds of ``write_batch`` transactions:
 
 1. COPY the temporary data object to its real name, stamping the nonce
    (COPY, not rename, so a replay after a crash can re-run — §4.3);
@@ -10,6 +11,13 @@ transactions, and applies every *complete* one:
 3. PutAttributes the provenance items (≤100 attributes per call);
 4. DeleteMessage all of the transaction's WAL records;
 5. DELETE the temporary object.
+
+There is one apply path. At the default width 1 a round is a single
+transaction and the steps above are the paper's protocol request for
+request; at ``write_batch > 1`` steps 1–2 still run per transaction and
+in order, while steps 3–4 are issued once for the round through the
+batch APIs (BatchPutAttributes / BatchWriteItem per shard site,
+DeleteMessageBatch) — the width picks the request shape, nothing else.
 
 Every step is idempotent, because the daemon may crash after applying
 but before deleting the messages, in which case the records are received
@@ -38,7 +46,6 @@ from repro.core.base import (
     TEMP_PREFIX,
     call_with_retries,
     data_key,
-    put_provenance_item,
     put_provenance_items,
 )
 from repro.core.coalesce import resolve_write_batch
@@ -56,7 +63,15 @@ from repro.units import (
 
 @dataclass
 class CommitDaemonStats:
-    """Counters exposed for tests, benchmarks, and examples."""
+    """Counters exposed for tests, benchmarks, and examples.
+
+    ``transactions_deferred`` counts a transaction when the apply loop
+    *reaches* it and cannot apply it — its temp object is not visible
+    yet (replica lag), or it sits behind an incomplete transaction. A
+    replica-lag deferral ends the phase (strict order), so complete
+    transactions after it are not reached and not counted in that run.
+    The rule is the same at every ``write_batch``.
+    """
 
     runs: int = 0
     transactions_applied: int = 0
@@ -114,9 +129,10 @@ class CommitDaemon:
         self.visibility_timeout = visibility_timeout
         self.faults = faults
         #: Group-commit width: how many complete transactions one apply
-        #: round bundles into shared batch writes. ``1`` (the default,
-        #: or ``REPRO_WRITE_BATCH``) is the paper's one-transaction-at-a-
-        #: time path, byte-identical on the meter.
+        #: round holds. At ``1`` (the default, or ``REPRO_WRITE_BATCH``)
+        #: a round is one transaction applied with single-item requests
+        #: — the paper's protocol, byte-identical on the meter; above it
+        #: the round's puts and message deletes use the batch APIs.
         self.write_batch = resolve_write_batch(write_batch)
         self.stats = CommitDaemonStats()
         #: Transactions applied, mapped to the simulated time they were
@@ -204,20 +220,26 @@ class CommitDaemon:
                 continue
             blocking_id = txn.txn_id
             break
-        if self.write_batch > 1:
-            applied += self._apply_rounds(assembler, blocking_id)
-        else:
-            for txn in assembler.complete():
-                if blocking_id is not None and txn.txn_id > blocking_id:
-                    self.stats.transactions_deferred += 1
-                    continue
-                try:
-                    self._apply(txn)
-                except _DeferTransaction:
-                    self.stats.transactions_deferred += 1
-                    break  # strict order: nothing after may jump the queue
-                applied += 1
+        # Rounds of ``write_batch`` transactions (a width-1 round is a
+        # group of one). A deferral truncates its group and ends the
+        # phase: nothing after the stuck transaction may jump the queue.
+        complete = assembler.complete()
+        eligible = [
+            txn for txn in complete
+            if blocking_id is None or txn.txn_id <= blocking_id
+        ]
+        for start in range(0, len(eligible), self.write_batch):
+            group = eligible[start : start + self.write_batch]
+            done = self._apply_group(group)
+            applied += len(done)
+            for txn in done:
                 assembler.forget(txn.txn_id)
+            if len(done) < len(group):
+                self.stats.transactions_deferred += 1
+                break
+        else:
+            # Reached the tail blocked behind the incomplete transaction.
+            self.stats.transactions_deferred += len(complete) - len(eligible)
         # Hand every message we could not act on straight back to the
         # queue (visibility 0): uncommitted transactions may still be
         # mid-log, deferred ones retry next run — either way, holding
@@ -236,55 +258,7 @@ class CommitDaemon:
                 except ReceiptHandleInvalid:
                     pass  # superseded by a later receive; nothing to release
 
-    # -- applying one transaction (§4.3 steps 2(b)-(d)) -------------------------------
-
-    def _apply(self, txn: AssembledTransaction) -> None:
-        faults = self.faults
-        faults.check("daemon.apply.begin")
-        if txn.txn_id in self._applied_txns:
-            self.stats.duplicate_applies += 1
-        assert txn.data is not None  # is_complete guarantees it
-
-        # 2(b): COPY temp object to its real name, stamping the nonce.
-        self._copy_with_retry(
-            txn,
-            txn.data["temp"],
-            self._destination_key(txn),
-            metadata={"nonce": txn.data["nonce"]},
-        )
-        faults.check("daemon.apply.after_copy")
-
-        # Spilled >1 KB values become their own S3 objects.
-        for record in txn.overflow:
-            if record["t"] == "ovfl":
-                call_with_retries(
-                    self.account.s3.put, DATA_BUCKET, record["key"], record["value"]
-                )
-            else:  # ovfl_ptr: staged like data, promoted by COPY
-                self._copy_with_retry(txn, record["temp"], record["key"])
-        faults.check("daemon.apply.after_overflow")
-
-        # 2(c): store the provenance items, ≤100 attributes per call,
-        # each item on its shard's domain (same helper as the A2 path).
-        for item_name, attributes in txn.items():
-            put_provenance_item(self.account, self.routing, item_name, attributes)
-        faults.check("daemon.apply.after_put_attributes")
-
-        # 2(d): delete the WAL messages...
-        for handle in txn.handles:
-            try:
-                self.account.sqs.delete_message(self.queue_url, handle)
-            except ReceiptHandleInvalid:
-                pass  # superseded handle from an earlier crashed run
-        faults.check("daemon.apply.after_delete_messages")
-        # ...and the temporary object(s).
-        self.account.s3.delete(DATA_BUCKET, txn.data["temp"])
-        for record in txn.overflow:
-            if record["t"] == "ovfl_ptr":
-                self.account.s3.delete(DATA_BUCKET, record["temp"])
-        faults.check("daemon.apply.done")
-        self._mark_applied(txn.txn_id)
-        self.stats.transactions_applied += 1
+    # -- applying transactions (§4.3 steps 2(b)-(d)) ---------------------------
 
     @staticmethod
     def _destination_key(txn: AssembledTransaction) -> str:
@@ -322,51 +296,27 @@ class CommitDaemon:
                 break
             del applied[old_id]
 
-    # -- group commit (write_batch > 1) -------------------------------------
-
-    def _apply_rounds(self, assembler: TransactionAssembler, blocking_id: str | None) -> int:
-        """Apply complete transactions in groups of ``write_batch``.
-
-        Same eligibility and strict-order rules as the one-at-a-time
-        loop: transactions past a blocking incomplete one defer, and a
-        deferral inside a group truncates it — nothing after the stuck
-        transaction may jump the queue, because a later version of the
-        same object could otherwise land before an earlier one.
-        """
-        eligible: list[AssembledTransaction] = []
-        for txn in assembler.complete():
-            if blocking_id is not None and txn.txn_id > blocking_id:
-                self.stats.transactions_deferred += 1
-                continue
-            eligible.append(txn)
-        applied = 0
-        for start in range(0, len(eligible), self.write_batch):
-            group = eligible[start : start + self.write_batch]
-            done = self._apply_group(group)
-            applied += len(done)
-            for txn in done:
-                assembler.forget(txn.txn_id)
-            if len(done) < len(group):
-                self.stats.transactions_deferred += 1
-                break  # strict order: nothing after may jump the queue
-        return applied
-
     def _apply_group(
         self, txns: list[AssembledTransaction]
     ) -> list[AssembledTransaction]:
-        """Steps 2(b)-(d) for a whole group of transactions at once.
+        """Steps 2(b)-(d) for one round: a group of ≤ ``write_batch``
+        transactions, a single transaction at width 1.
 
-        The S3 side (COPY temp→real, overflow promotion) stays
-        per-transaction and in order — COPY is last-writer-wins, so
-        same-object transactions must copy oldest-first. The batched
-        part is everything idempotent-by-merge: the group's provenance
-        items go out as one batched put per shard site (set-merge on
-        every backend, so ordering inside a batch is immaterial), and
-        the group's WAL messages are deleted in ≤10-handle
-        DeleteMessageBatch calls. The §4.3 replay argument is unchanged:
-        a crash anywhere in here leaves messages undeleted, the replay
-        re-COPYs and re-merges, and ``_applied_txns`` (marked only after
-        the whole group lands) counts the duplicates.
+        The S3 side (COPY temp→real, overflow promotion) is
+        per-transaction and in order at every width — COPY is
+        last-writer-wins, so same-object transactions must copy
+        oldest-first. Everything idempotent-by-merge is shared by the
+        group: its provenance items go out in one routed put (set-merge
+        on every backend, so ordering inside a group is immaterial) and
+        its WAL messages are deleted together. The daemon's width picks
+        only the request shape — PutAttributes/UpdateItem per item and
+        DeleteMessage per handle at 1 (the paper's protocol, request for
+        request), per-site BatchPutAttributes/BatchWriteItem and
+        ≤10-handle DeleteMessageBatch above it, even for a trailing
+        group of one. The §4.3 replay argument is made once: a crash
+        anywhere in here leaves messages undeleted, the replay re-COPYs
+        and re-merges, and ``_applied_txns`` (marked only after the
+        whole group lands) counts the duplicates.
 
         Returns the transactions actually applied; a transaction whose
         temp object is not yet visible truncates the group there.
@@ -403,24 +353,30 @@ class CommitDaemon:
         if not ready:
             return []
 
-        # 2(c), group-committed: one routed batch for every item in the
-        # round — per-site BatchPutAttributes / BatchWriteItem calls.
-        items: list[tuple[str, list[tuple[str, str]]]] = []
-        for txn in ready:
-            items.extend(txn.items())
-        put_provenance_items(self.account, self.routing, items)
+        # 2(c): store the group's provenance items, each on its shard's
+        # store (the same routed put as the A2 client path).
+        batched = self.write_batch > 1
+        items = [item for txn in ready for item in txn.items()]
+        put_provenance_items(self.account, self.routing, items, batched)
         faults.check("daemon.apply.after_put_attributes")
 
-        # 2(d): delete the group's WAL messages in batch calls. The
-        # batch API reports superseded handles as per-entry failures —
-        # the same stale handles the single path tolerates one
-        # ReceiptHandleInvalid at a time.
+        # 2(d): delete the group's WAL messages. A handle superseded by
+        # a later receive (an earlier crashed run) is harmless either
+        # way: the batch API reports it as a per-entry failure, the
+        # single call raises ReceiptHandleInvalid.
         handles = [handle for txn in ready for handle in txn.handles]
-        for chunk_start in range(0, len(handles), SQS_MAX_BATCH_ENTRIES):
-            self.account.sqs.delete_message_batch(
-                self.queue_url,
-                handles[chunk_start : chunk_start + SQS_MAX_BATCH_ENTRIES],
-            )
+        if batched:
+            for chunk_start in range(0, len(handles), SQS_MAX_BATCH_ENTRIES):
+                self.account.sqs.delete_message_batch(
+                    self.queue_url,
+                    handles[chunk_start : chunk_start + SQS_MAX_BATCH_ENTRIES],
+                )
+        else:
+            for handle in handles:
+                try:
+                    self.account.sqs.delete_message(self.queue_url, handle)
+                except ReceiptHandleInvalid:
+                    pass
         faults.check("daemon.apply.after_delete_messages")
         # ...and the temporary object(s).
         for txn in ready:

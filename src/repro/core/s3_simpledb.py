@@ -82,8 +82,9 @@ class S3SimpleDB(ProvenanceCloudStore):
         super().__init__(account, faults, retry, shards=shards, router=router)
         self.consistency_retries = 0
         self.orphans_removed = 0
-        #: Group-commit buffer for step 3. ``write_batch=1`` (default)
-        #: bypasses it entirely — byte-identical to the paper's path.
+        #: Group-commit buffer for step 3. At ``write_batch=1`` (default)
+        #: every put is a batch of one, flushed before it returns as
+        #: single-item requests — byte-identical to the paper's path.
         self.coalescer = WriteCoalescer(account, self.routing, write_batch)
 
     def _do_provision(self) -> None:
@@ -130,8 +131,9 @@ class S3SimpleDB(ProvenanceCloudStore):
         """PutAttributes in batches of ≤100 attributes (§4.2 step 3).
 
         Each item routes to its owning shard domain; batches never span
-        shards because an item lives wholly on one shard. With
-        ``write_batch>1`` the put is buffered and lands in the pre-data
+        shards because an item lives wholly on one shard. At width 1
+        the coalescer lands the put before returning; with
+        ``write_batch>1`` it is buffered and lands in the pre-data
         flush as part of a per-shard BatchPutAttributes/BatchWriteItem.
         """
         self.coalescer.put(payload.item_name, payload.attributes)

@@ -246,12 +246,3 @@ class TransactionAssembler:
 
     def __len__(self) -> int:
         return len(self._txns)
-
-
-def epoch_of(txn_id: str) -> str:
-    """The client-incarnation prefix of a transaction id.
-
-    Ids look like ``client-0.e00002-000017``; everything before the last
-    ``-`` identifies the incarnation that logged the transaction.
-    """
-    return txn_id.rsplit("-", 1)[0]

@@ -112,12 +112,6 @@ class InvalidNextToken(AWSError):
     code = "InvalidNextToken"
 
 
-class QueryTimeout(AWSError):
-    """A SimpleDB query exceeded the service's processing budget."""
-
-    code = "RequestTimeout"
-
-
 class NoSuchTable(AWSError):
     """A DynamoDB-style request named a table that does not exist."""
 

@@ -77,7 +77,9 @@ class ClientFleet:
         ``REPRO_DDB_INDEXES`` environment spec) — shared by the whole
         fleet, like the shard layout itself. ``write_batch`` sets every
         client's write-coalescer/group-commit width (default 1, or the
-        ``REPRO_WRITE_BATCH`` environment override). ``read_cache``
+        ``REPRO_WRITE_BATCH`` environment override): the same write
+        path at every width — 1 sends single-item requests, above it
+        the batch APIs. ``read_cache``
         enables the account-wide ElastiCache-style read-cache tier
         (``"on"``/spec/``REPRO_READ_CACHE`` override; default off) —
         one authority shared by all clients, so any client's write

@@ -37,10 +37,6 @@ def _is_activity(ref: ObjectRef) -> bool:
     return ref.name.startswith("proc/")
 
 
-def _is_channel(ref: ObjectRef) -> bool:
-    return ref.name.startswith("pipe/")
-
-
 def to_prov_json(bundles: Iterable[ProvenanceBundle]) -> dict:
     """Convert bundles to a PROV-JSON-shaped document.
 

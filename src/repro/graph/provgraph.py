@@ -124,9 +124,6 @@ class ProvenanceGraph:
             counts[node.name] = max(counts.get(node.name, 0), node.version)
         return counts
 
-    def edge_count(self) -> int:
-        return self._graph.number_of_edges()
-
     def __len__(self) -> int:
         return self._graph.number_of_nodes()
 

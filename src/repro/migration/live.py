@@ -71,7 +71,6 @@ from repro.migration.handle import RouterHandle, Site, WritePlan
 from repro.passlib.records import ObjectRef
 from repro.passlib.serializer import SdbItemPayload
 from repro.sharding import RebalanceReport, ShardRouter, item_attribute_pairs
-from repro.units import SDB_MAX_ATTRS_PER_CALL
 
 # Phase names, in protocol order.
 PENDING = "pending"
@@ -159,6 +158,10 @@ def parse_migration_spec(text: str) -> dict:
         if not sep or not value:
             raise ValueError(f"bad migration spec part {part!r} in {text!r}")
         if key == "shards":
+            if not value.isdigit() or int(value) < 1:
+                raise ValueError(
+                    f"bad shard count {value!r} in {text!r} (expected an integer >= 1)"
+                )
             kwargs["shards"] = int(value)
         elif key == "placement":
             kwargs["placement"] = value
@@ -266,7 +269,6 @@ class LiveMigration:
         verify_sample: int = 4,
         receive_batch: int = 10,
         visibility_timeout: float = 60.0,
-        put_batch: int = SDB_MAX_ATTRS_PER_CALL,
         max_drain_rounds: int = 400,
     ):
         self.account = account
@@ -277,7 +279,6 @@ class LiveMigration:
         self.verify_sample = verify_sample
         self.receive_batch = receive_batch
         self.visibility_timeout = visibility_timeout
-        self.put_batch = put_batch
         self.max_drain_rounds = max_drain_rounds
         self.phase = PENDING
         self.report = MigrationReport()
@@ -330,7 +331,7 @@ class LiveMigration:
                 keys.add(site.key)
         return tuple(sites)
 
-    # -- write-path callbacks (from core.base.put_provenance_item) ---------
+    # -- write-path callbacks (from core.base.put_provenance_items) --------
 
     def capture_write(self, item_name: str, attributes: list[tuple[str, str]]) -> None:
         """Log one copy-phase write to the migration WAL for catch-up."""
@@ -359,7 +360,7 @@ class LiveMigration:
         """Write-through invalidation for the migration's own writes.
 
         WAL replays, repair copies, and scrub deletes bypass the
-        :func:`~repro.core.base.put_provenance_item` choke point (they
+        :func:`~repro.core.base.put_provenance_items` choke point (they
         talk to backends directly), so they notify the read-cache
         authority themselves; invalidations are unmetered, so the
         migration's scoped overhead accounting is unperturbed. Cutovers
@@ -449,12 +450,6 @@ class LiveMigration:
     def _backends(self):
         return self.account.provenance_backends()
 
-    def _put_batches(self, backend, domain: str, item_name: str, pairs) -> None:
-        for start in range(0, len(pairs), self.put_batch):
-            backend.put_provenance_item(
-                domain, item_name, pairs[start : start + self.put_batch]
-            )
-
     def _copy_next_shard(self) -> None:
         source_domain = self._pending_copies.pop(0)
         source_kind = self.source.backend_for(source_domain)
@@ -472,11 +467,8 @@ class LiveMigration:
                     if (target_domain, target_kind) == (source_domain, source_kind):
                         self.report.items_kept += 1
                         continue
-                    self._put_batches(
-                        backends[target_kind],
-                        target_domain,
-                        item_name,
-                        item_attribute_pairs(attrs),
+                    backends[target_kind].put_provenance_item(
+                        target_domain, item_name, item_attribute_pairs(attrs)
                     )
                     self.report.items_moved += 1
                     self._count_write(target_kind)
@@ -559,8 +551,8 @@ class LiveMigration:
                     if pairs:
                         target_domain = self.target.domain_for_item(item_name)
                         target_kind = self.target.backend_for(target_domain)
-                        self._put_batches(
-                            backends[target_kind], target_domain, item_name, pairs
+                        backends[target_kind].put_provenance_item(
+                            target_domain, item_name, pairs
                         )
                         self.report.replayed_records += 1
                         self._count_write(target_kind)
@@ -637,11 +629,8 @@ class LiveMigration:
                         # Replica lag hid this item (or some values)
                         # from the copy scan; repair before destroying
                         # the only complete copy.
-                        self._put_batches(
-                            target_backend,
-                            target_domain,
-                            item_name,
-                            item_attribute_pairs(attrs),
+                        target_backend.put_provenance_item(
+                            target_domain, item_name, item_attribute_pairs(attrs)
                         )
                         self.report.repair_copies += 1
                         self._count_write(target_kind)

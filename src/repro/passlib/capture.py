@@ -179,10 +179,6 @@ class PassSystem:
                     freed += 1
         return freed
 
-    @property
-    def pending_flushes(self) -> int:
-        return len(self._flush_queue)
-
     # -- internals ------------------------------------------------------------------------
 
     def _describe(self, obj: PassObject) -> None:

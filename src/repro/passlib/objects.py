@@ -64,10 +64,6 @@ class PassObject:
         """Reference to the current version."""
         return ObjectRef(self.name, self.version)
 
-    @property
-    def is_transient(self) -> bool:
-        return self.kind in Kind.TRANSIENT
-
     # -- record accumulation ---------------------------------------------
 
     def add(self, attribute: str, value: "str | ObjectRef") -> ProvenanceRecord:

@@ -24,7 +24,7 @@ the unit of work the three architectures' ``store`` protocols consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.blob import Blob
 
@@ -225,9 +225,3 @@ def consistency_token(data_md5: str, nonce: str) -> str:
     import hashlib
 
     return hashlib.md5(f"{data_md5}|{nonce}".encode("utf-8")).hexdigest()
-
-
-def iter_records(bundles: Iterable[ProvenanceBundle]) -> Iterator[ProvenanceRecord]:
-    """All records across bundles, in bundle order."""
-    for bundle in bundles:
-        yield from bundle

@@ -106,10 +106,6 @@ class SdbItemPayload:
     attributes: tuple[tuple[str, str], ...]
     overflow: tuple[OverflowObject, ...]
 
-    @property
-    def attribute_count(self) -> int:
-        return len(self.attributes)
-
 
 def overflow_key(subject: ObjectRef, index: int) -> str:
     """Deterministic S3 key for the ``index``-th spilled value of a version."""

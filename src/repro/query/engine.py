@@ -99,13 +99,21 @@ REF_BATCH = 20
 CONCURRENCY_ENV = "REPRO_QUERY_CONCURRENCY"
 
 def default_concurrency() -> int:
-    """Worker-pool width when the caller does not pass one (env override)."""
-    raw = os.environ.get(CONCURRENCY_ENV, "")
+    """Worker-pool width when the caller does not pass one (env override).
+
+    Unset or empty means 1. Anything else must be an integer >= 1: a
+    typo in a CI matrix must not quietly run the sequential suite.
+    """
+    raw = os.environ.get(CONCURRENCY_ENV, "").strip()
+    if not raw:
+        return 1
     try:
         value = int(raw)
     except ValueError:
-        return 1
-    return max(1, value)
+        value = 0
+    if value < 1:
+        raise ValueError(f"{CONCURRENCY_ENV} must be an integer >= 1, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)

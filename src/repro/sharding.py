@@ -64,7 +64,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.passlib.records import ObjectRef
-from repro.units import SDB_MAX_ATTRS_PER_CALL
 
 #: The paper's single provenance domain (§4.2) — what ``shards=1`` uses.
 DEFAULT_BASE_DOMAIN = "pass-prov"
@@ -245,9 +244,6 @@ class ShardRouter:
             index = 0  # wrap around the ring
         return self._ring_domains[index]
 
-    def domain_for_ref(self, ref: ObjectRef) -> str:
-        return self.domain_for(ref.path)
-
     def domain_for_item(self, item_name: str) -> str:
         """Route a SimpleDB item name (``name_vNNNN``) to its shard."""
         return self.domain_for(ObjectRef.from_item_name(item_name).path)
@@ -382,7 +378,6 @@ def rebalance(
     cloud,
     source: ShardRouter,
     target: ShardRouter,
-    put_batch: int = SDB_MAX_ATTRS_PER_CALL,
 ) -> RebalanceReport:
     """Move every provenance item from ``source``'s layout to ``target``'s.
 
@@ -445,10 +440,7 @@ def rebalance(
                 continue
             pairs = item_attribute_pairs(attrs)
             target_backend = _backend_for(backends, target, target_domain)
-            for start in range(0, len(pairs), put_batch):
-                target_backend.put_provenance_item(
-                    target_domain, item_name, pairs[start : start + put_batch]
-                )
+            target_backend.put_provenance_item(target_domain, item_name, pairs)
             source_backend.delete_item(source_domain, item_name)
             report.items_moved += 1
             if target_kind != source_kind:

@@ -74,9 +74,12 @@ class Simulation:
         none — default the ``REPRO_DDB_INDEXES`` environment spec), so
         Q2/Q3 phases on those shards are index Queries instead of
         Scans. ``write_batch`` sets the client coalescer's and commit
-        daemon's group-commit width (default 1 — the paper's
-        one-request-per-item path — or the ``REPRO_WRITE_BATCH``
-        environment override). ``read_cache`` enables the
+        daemon's group-commit width (default 1, or the
+        ``REPRO_WRITE_BATCH`` environment override): one write path at
+        every width, and the width picks the request shape — 1 is a
+        batch of one sent as single-item requests, the paper's
+        one-request-per-item protocol; above it the batch APIs.
+        ``read_cache`` enables the
         ElastiCache-style read-cache tier fronting the provenance
         backends (``"on"``, a spec like ``"capacity=65536"``, or the
         ``REPRO_READ_CACHE`` environment override — default off,
@@ -225,10 +228,6 @@ class Simulation:
             concurrency=self.concurrency,
             planner=self.planner,
         )
-
-    def scan_engine(self) -> S3ScanEngine:
-        """An S3-scan engine (for apples-to-apples comparisons)."""
-        return S3ScanEngine(self.account)
 
     # -- layout migration -------------------------------------------------------
 

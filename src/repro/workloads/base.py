@@ -103,10 +103,6 @@ class WorkloadResult:
     events: list[FlushEvent]
 
     @property
-    def object_count(self) -> int:
-        return len(self.events)
-
-    @property
     def raw_bytes(self) -> int:
         return sum(event.data.size for event in self.events)
 
@@ -198,16 +194,6 @@ class TraceStats:
         wal = build_wal_bundle(event, txn_id="stats")
         self.n_wal_messages += len(wal.messages)
         self.wal_prov_bytes += sum(len(m.encode()) for m in wal.messages)
-
-    @property
-    def prov_records_per_object(self) -> float:
-        return self.n_records / self.n_objects if self.n_objects else 0.0
-
-    @property
-    def bundles_per_object(self) -> float:
-        if not self.n_objects:
-            return 0.0
-        return self.n_sdb_items / self.n_objects
 
 
 def collect_stats(events: Iterable[FlushEvent]) -> TraceStats:

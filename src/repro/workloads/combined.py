@@ -85,8 +85,3 @@ def paper_dataset(seed: int = 0, scale: float = PAPER_SCALE) -> Iterator[FlushEv
     workload = CombinedWorkload()
     rng = random.Random(f"paper:{seed}")
     return workload.iter_events(rng, scale)
-
-
-def small_dataset(seed: int = 0, scale: float = 0.08) -> base.WorkloadResult:
-    """A materialised miniature of the combined dataset (tests, examples)."""
-    return CombinedWorkload().generate(seed=seed, scale=scale)

@@ -356,10 +356,6 @@ class TraceReplayWorkload(base.Workload):
     def from_text(cls, text: str) -> "TraceReplayWorkload":
         return cls(load_trace(text))
 
-    @classmethod
-    def from_path(cls, path) -> "TraceReplayWorkload":
-        return cls(read_trace(path))
-
     def iter_events(self, rng: random.Random, scale: float = 1.0) -> Iterator[FlushEvent]:
         if scale != 1.0:
             raise ValueError(f"a trace replays only at scale 1.0, got {scale}")

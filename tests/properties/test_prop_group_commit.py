@@ -2,10 +2,11 @@
 
 Two invariants the batched path must not buy its savings with:
 
-* **Meter identity at batch=1** — ``write_batch=1`` is not "a batch of
-  one": it must take the legacy single-request path everywhere, so a
-  run is *byte-identical* on the meter to a run that never heard of
-  batching. This is the knob's backward-compatibility contract.
+* **Meter identity at batch=1** — ``write_batch=1`` is a batch of one
+  that issues the single-item requests (PutAttributes / UpdateItem /
+  DeleteMessage), so a run is *byte-identical* on the meter to a run
+  that never heard of batching. This is the knob's
+  backward-compatibility contract.
 * **Crash atomicity survives coalescing** — the client coalescer defers
   provenance puts, but always flushes before the authoritative data
   PUT (A2) or rides inside the WAL transaction (A3). A crash loses at
@@ -38,7 +39,7 @@ def test_batch_one_is_meter_identical(architecture, seed, n_files):
     request by request, byte by byte, on every service."""
 
     def run(**kwargs):
-        # The property compares the *legacy* default against an explicit
+        # The property compares the default against an explicit
         # width of 1, so a suite-wide REPRO_WRITE_BATCH (the CI
         # write-batch=8 pass) must not redefine what "default" means.
         with mock.patch.dict(os.environ):

@@ -242,9 +242,11 @@ class TestKnobs:
     def test_env_default_parses(self, monkeypatch):
         monkeypatch.setenv("REPRO_QUERY_CONCURRENCY", "6")
         assert default_concurrency() == 6
-        monkeypatch.setenv("REPRO_QUERY_CONCURRENCY", "not-a-number")
-        assert default_concurrency() == 1
-        monkeypatch.setenv("REPRO_QUERY_CONCURRENCY", "-2")
+        for malformed in ("not-a-number", "-2", "0"):
+            monkeypatch.setenv("REPRO_QUERY_CONCURRENCY", malformed)
+            with pytest.raises(ValueError, match="REPRO_QUERY_CONCURRENCY.*>= 1"):
+                default_concurrency()
+        monkeypatch.setenv("REPRO_QUERY_CONCURRENCY", "")
         assert default_concurrency() == 1
         monkeypatch.delenv("REPRO_QUERY_CONCURRENCY")
         assert default_concurrency() == 1

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.aws.faults import FaultPlan
-from repro.core.base import DATA_BUCKET
-from repro.errors import ClientCrash
+from repro.core.base import DATA_BUCKET, TEMP_PREFIX
+from repro.errors import ClientCrash, NoSuchKey
+from repro.blob import BytesBlob
+from repro.passlib.capture import PassSystem
 from repro.units import SECONDS_PER_DAY
 from tests.conftest import make_architecture, provenance_oracle_item, tiny_trace
 
@@ -89,6 +91,66 @@ class TestCommitDaemonIdempotency:
         a3.commit_daemon.drain()
         delta = strong_account.meter.snapshot() - before
         assert delta.request_count("s3", "COPY") == 0  # nothing to redo
+
+
+class TestDeferredCounting:
+    @pytest.mark.parametrize("write_batch", [1, 8])
+    def test_deferral_ends_the_phase_before_the_blocked_tail(
+        self, strong_account, monkeypatch, write_batch
+    ):
+        """Five logged transactions: the first cannot COPY yet (replica
+        lag), the fourth is committed but missing a record, the fifth is
+        complete behind it. A transaction is counted as deferred when
+        the apply loop reaches it; the deferral of the first ends the
+        phase, so neither the second and third nor the blocked fifth is
+        reached. Counting the blocked tail up front would report 2."""
+        account = strong_account
+        store = make_architecture(
+            "s3+simpledb+sqs", account, commit_threshold=100,
+            write_batch=write_batch,
+        )
+        pas = PassSystem(workload="deferral")
+        for index in range(5):
+            with pas.process(f"tool{index}") as proc:
+                proc.write(f"out/f{index}.dat", BytesBlob(b"payload %d" % index))
+                store.store(proc.close(f"out/f{index}.dat"))
+        temps = account.s3.authoritative_keys(DATA_BUCKET)
+        temps = sorted(key for key in temps if key.startswith(TEMP_PREFIX))
+        lagging, fourth_txn = temps[0], temps[3][len(TEMP_PREFIX):].split("/")[0]
+
+        # Lock the whole queue, then hand everything back except one
+        # provenance record of the fourth transaction.
+        received = []
+        while batch := account.sqs.receive_message(store.queue_url, 10, 10_000.0):
+            received.extend(batch)
+        hidden = next(
+            message for message in received
+            if '"t":"prov"' in message.body and fourth_txn in message.body
+        )
+        for message in received:
+            if message is not hidden:
+                account.sqs.change_message_visibility(
+                    store.queue_url, message.receipt_handle, 0.0
+                )
+
+        real_copy = account.s3.copy
+
+        def lagging_copy(bucket, source, destination, metadata=None):
+            if source == lagging:
+                raise NoSuchKey(source)
+            return real_copy(bucket, source, destination, metadata=metadata)
+
+        monkeypatch.setattr(account.s3, "copy", lagging_copy)
+        daemon = store.commit_daemon
+        assert daemon.commit_phase() == 0
+        assert daemon.stats.transactions_deferred == 1
+        assert daemon.stats.transactions_applied == 0
+
+        # Without the lag the phase reaches the blocked tail: three
+        # apply, the fifth is counted.
+        monkeypatch.setattr(account.s3, "copy", real_copy)
+        assert daemon.commit_phase() == 3
+        assert daemon.stats.transactions_deferred == 2
 
 
 class TestCleanerDaemon:

@@ -61,6 +61,16 @@ class TestResolveWriteBatch:
         with pytest.raises(ValueError):
             resolve_write_batch(0)
 
+    def test_empty_environment_is_one(self, monkeypatch):
+        monkeypatch.setenv(WRITE_BATCH_ENV, "")
+        assert resolve_write_batch() == 1
+
+    @pytest.mark.parametrize("malformed", ["abc", "0", "-3", "2.5"])
+    def test_malformed_environment_names_the_variable(self, monkeypatch, malformed):
+        monkeypatch.setenv(WRITE_BATCH_ENV, malformed)
+        with pytest.raises(ValueError, match=f"{WRITE_BATCH_ENV}.*>= 1.*{malformed}"):
+            resolve_write_batch()
+
 
 def sdb_router(shards=1, placement="sdb"):
     """These suites count SimpleDB requests and read SimpleDB oracles,
@@ -77,13 +87,35 @@ def coalescer(account, batch, shards=1, placement="sdb"):
 
 
 class TestWriteCoalescer:
-    def test_batch_one_writes_through(self, strong_account):
+    def test_batch_one_lands_each_put_before_returning(self, strong_account):
+        """Width 1 is a batch of one: it fills and flushes inside every
+        ``put``, as one PutAttributes. ``flushes``/``coalesced_items``
+        count *batched* flushes, so they stay 0 (the perf harness
+        derives ``coalesce.items_per_flush`` from them)."""
         c = coalescer(strong_account, 1)
-        c.put("item_v0001", [("type", "file")])
-        assert c.pending == 0
-        assert c.flushes == 0  # legacy path, not a batched flush
         sdb = strong_account.simpledb
-        assert sdb.authoritative_item("pass-prov", "item_v0001") is not None
+        before = strong_account.meter.snapshot()
+        for i in range(3):
+            c.put(f"item{i}_v0001", [("type", "file")])
+            assert c.pending == 0
+            assert sdb.authoritative_item("pass-prov", f"item{i}_v0001") is not None
+        assert (c.flushes, c.coalesced_items) == (0, 0)
+        assert c.flush() == 0  # nothing was ever left behind
+        delta = strong_account.meter.snapshot() - before
+        assert delta.request_count(billing.SDB, "PutAttributes") == 3
+        assert delta.request_count(billing.SDB, "BatchPutAttributes") == 0
+
+    def test_request_shape_follows_the_width_not_the_group(self, strong_account):
+        """A trailing one-item flush at width 8 is a one-entry
+        BatchPutAttributes, not a PutAttributes."""
+        c = coalescer(strong_account, 8)
+        before = strong_account.meter.snapshot()
+        c.put("lonely_v0001", [("type", "file")])
+        assert c.close() == 1
+        delta = strong_account.meter.snapshot() - before
+        assert delta.request_count(billing.SDB, "BatchPutAttributes") == 1
+        assert delta.request_count(billing.SDB, "PutAttributes") == 0
+        assert (c.flushes, c.coalesced_items) == (1, 1)
 
     def test_flush_on_size(self, strong_account):
         c = coalescer(strong_account, 3)

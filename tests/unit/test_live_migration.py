@@ -273,6 +273,10 @@ def test_parse_migration_spec():
     for bad in ("", "shards", "shards=", "bogus=1", "online=maybe"):
         with pytest.raises(ValueError):
             parse_migration_spec(bad)
+    for bad in ("shards=0", "shards=abc", "shards=-4,placement=mixed"):
+        with pytest.raises(ValueError, match="shard count.*>= 1") as excinfo:
+            parse_migration_spec(bad)
+        assert repr(bad) in str(excinfo.value)  # the spec text is named
 
 
 def test_demo_cli_migrate_flag(capsys):
