@@ -3,6 +3,10 @@
 #
 #   make test         tier-1 suite (what CI runs, fixed hypothesis profile)
 #   make test-fast    same suite, fewer hypothesis examples
+#   make test-variants  `make test` once per CI knob-variant row
+#                     (TEST_VARIANTS below mirrors the eight `include:`
+#                     rows of .github/workflows/ci.yml) — the passes
+#                     that otherwise exist only in CI; ~1 min per row
 #   make bench-smoke  quick benchmark pass at a reduced live scale
 #                     (BENCH_SMOKE_FILES picks the set — CI runs the same)
 #   make bench        full benchmark suite (regenerates benchmarks/results/)
@@ -148,6 +152,19 @@ BENCH_SMOKE_FILES = bench_sharding_scaleout.py bench_concurrent_gather.py \
 	bench_group_commit.py bench_read_cache.py bench_workload_matrix.py \
 	bench_planner.py
 
+# The CI knob-variant passes, one row each: the `include:` rows of the
+# tests matrix in .github/workflows/ci.yml (keep the two in sync). A row
+# is its REPRO_* assignments joined by ';' and single-quoted.
+TEST_VARIANTS = \
+	'REPRO_QUERY_CONCURRENCY=4' \
+	'REPRO_QUERY_CONCURRENCY=4;REPRO_BACKEND_PLACEMENT=mixed' \
+	'REPRO_QUERY_CONCURRENCY=4;REPRO_BACKEND_PLACEMENT=ddb;REPRO_DDB_INDEXES=name,input' \
+	'REPRO_QUERY_CONCURRENCY=4;REPRO_BACKEND_PLACEMENT=mixed;REPRO_DDB_INDEXES=name,input' \
+	'REPRO_WRITE_BATCH=8' \
+	'REPRO_QUERY_CONCURRENCY=4;REPRO_SANITIZE=1' \
+	'REPRO_QUERY_CONCURRENCY=4;REPRO_READ_CACHE=1' \
+	'REPRO_QUERY_CONCURRENCY=4;REPRO_BACKEND_PLACEMENT=ddb;REPRO_DDB_INDEXES=name/nonce+*,type/nonce,name,input;REPRO_QUERY_PLANNER=cost'
+
 # The live-migration suites alone (fleet writing while a layout
 # migration runs) — what the CI live-migration job executes.
 MIGRATION_TEST_FILES = tests/unit/test_migration_handle.py \
@@ -159,13 +176,19 @@ SECONDS ?= 5
 SEED ?= 1
 CYCLES ?= 3
 
-.PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check bench-perf profile lint lint-prov loc
+.PHONY: test test-fast test-variants test-migration bench bench-smoke bench-matrix bench-check bench-perf profile lint lint-prov loc
 
 test:
 	HYPOTHESIS_PROFILE=ci $(PYTEST) -x -q
 
 test-fast:
 	HYPOTHESIS_PROFILE=dev $(PYTEST) -x -q
+
+test-variants:
+	@set -ef; for row in $(TEST_VARIANTS); do \
+		echo "== make test under $$row"; \
+		env $$(echo "$$row" | tr ';' ' ') $(MAKE) --no-print-directory test; \
+	done
 
 test-migration:
 	HYPOTHESIS_PROFILE=ci $(PYTEST) -x -q $(MIGRATION_TEST_FILES)

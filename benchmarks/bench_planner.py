@@ -46,10 +46,7 @@ def run_row(spec, mode):
     rng = spec.rep_rng(SEED, 0)
     timed = list(spec.workload.iter_timed_events(rng, spec.scale))
     sim = planner_cell(mode).build_simulation(seed=SEED * 1000)
-    if spec.workload.timed:
-        sim.store_timed_events(timed)
-    else:
-        sim.store_events([event for _, event in timed])
+    sim.store_timed_events(timed)
     engine = sim.query_engine()
     before = sim.usage()
     q2 = engine.q2_outputs_of(spec.program)

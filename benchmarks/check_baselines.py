@@ -140,10 +140,7 @@ def measure_planner() -> dict[str, int]:
             placement=cell.placement, ddb_indexes=cell.ddb_indexes,
             planner=planner,
         )
-        if spec.workload.timed:
-            sim.store_timed_events(timed, collect=False)
-        else:
-            sim.store_events([event for _, event in timed], collect=False)
+        sim.store_timed_events(timed, collect=False)
         engine = sim.query_engine()
         before = sim.account.meter.snapshot()
         q2 = engine.q2_outputs_of(spec.program)

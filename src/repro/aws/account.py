@@ -70,18 +70,14 @@ class AWSAccount:
         ddb_indexes: str | tuple | None = None,
         read_cache: str | bool | int | None = None,
     ):
-        """``ddb_indexes`` declares the global secondary indexes the
-        DynamoDB-style provenance backend provisions on every shard
-        table (a spec string like ``"name,input"``, ready
-        :class:`~repro.aws.dynamo.IndexSpec` objects, or ``None`` for
-        the ``REPRO_DDB_INDEXES`` environment default — no indexes when
-        that is unset). ``read_cache`` enables the ElastiCache-style
-        provenance read-cache tier (:mod:`repro.aws.elasticache`):
-        ``"on"``/``True`` for the defaults, a capacity/option spec like
-        ``"capacity=65536,staleness=2.5"``, ``None`` for the
-        ``REPRO_READ_CACHE`` environment default, or ``""``/``"off"``/
-        ``False`` for no cache — the default, byte-identical on the
-        meter to a build without the cache tier."""
+        """``ddb_indexes`` and ``read_cache`` are the two deployment
+        knobs (documented on :class:`repro.sim.Cloud`) that the account
+        itself holds. Beyond the spec strings described there,
+        ``ddb_indexes`` accepts ready :class:`~repro.aws.dynamo.IndexSpec`
+        objects (grammar: :func:`repro.aws.backend.parse_index_specs`)
+        and ``read_cache`` accepts ``True``/``False`` or an option spec
+        like ``"capacity=65536,staleness=2.5"``
+        (:mod:`repro.aws.elasticache`)."""
         self.consistency = consistency or ConsistencyConfig.strong()
         self.clock = SimClock()
         self.meter = Meter(self.clock)

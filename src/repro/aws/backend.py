@@ -50,11 +50,11 @@ Backend *kinds* are the short names placement maps use: ``"sdb"`` and
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Protocol
 
 from repro.aws.dynamo import DynamoDBService, IndexSpec
+from repro.aws.faults import call_with_retries
 from repro.aws.sdb_query import (
     BoolOp,
     BracketPredicate,
@@ -67,7 +67,8 @@ from repro.aws.sdb_query import (
     run_query,
 )
 from repro.aws.simpledb import Attribute, SimpleDBService
-from repro.errors import ProvisionedThroughputExceeded, ServiceUnavailable
+from repro.errors import ProvisionedThroughputExceeded
+from repro.knobs import env_default
 from repro.units import (
     DDB_MAX_BATCH_WRITE_ITEMS,
     SDB_MAX_ATTRS_PER_CALL,
@@ -136,7 +137,7 @@ def parse_index_specs(
     (True, 40, 20)
     """
     if spec is None:
-        spec = os.environ.get(INDEX_ENV, "").strip()
+        spec = env_default(INDEX_ENV)
     if not isinstance(spec, str):
         return tuple(spec)
     text = spec.strip()
@@ -303,20 +304,6 @@ def _referenced_attributes(node: Node) -> frozenset[str]:
     return frozenset()
 
 
-def _retry_unavailable(fn, *args, attempts: int = 4, **kwargs):
-    """Re-issue a request through transient 503s (SDK behaviour: the
-    error is raised before state mutates, so immediate retry is safe).
-    Mirrors ``repro.core.base.call_with_retries`` — kept local so the
-    AWS layer does not depend on the architecture layer."""
-    for attempt in range(attempts):
-        try:
-            return fn(*args, **kwargs)
-        except ServiceUnavailable:
-            if attempt == attempts - 1:
-                raise
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 def _paged(fetch, token_attr: str = "next_token"):
     """Every page of one continuation-token read, lazily: ``fetch(token)``
     issues one request (``None`` = from the start) and the page's
@@ -469,7 +456,7 @@ class SimpleDBBackend:
         """PutAttributes in batches of ≤100 (§4.2 step 3 / §4.3 2(c))."""
         attrs = [Attribute(name, value) for name, value in attributes]
         for start in range(0, len(attrs), SDB_MAX_ATTRS_PER_CALL):
-            _retry_unavailable(
+            call_with_retries(
                 self.service.put_attributes,
                 store,
                 item_name,
@@ -496,7 +483,7 @@ class SimpleDBBackend:
                     (item_name, attrs[start : start + SDB_MAX_ATTRS_PER_CALL])
                 )
         for start in range(0, len(entries), SDB_MAX_BATCH_PUT_ITEMS):
-            _retry_unavailable(
+            call_with_retries(
                 self.service.batch_put_attributes,
                 store,
                 entries[start : start + SDB_MAX_BATCH_PUT_ITEMS],
@@ -566,7 +553,7 @@ class SimpleDBBackend:
     def site_statistics(self, store: str) -> dict:
         """One metered DomainMetadata call — item/byte counts plus
         per-attribute distinct-value aggregates."""
-        return _retry_unavailable(self.service.domain_metadata, store)
+        return call_with_retries(self.service.domain_metadata, store)
 
     def plan_first_fit(self, store, compiled, wanted) -> AccessPath:
         """SimpleDB's first fit is its only fit."""
@@ -641,11 +628,11 @@ class DynamoBackend:
     def _with_backoff(self, fn, *args, **kwargs):
         for _ in range(self.max_backoffs):
             try:
-                return _retry_unavailable(fn, *args, **kwargs)
+                return call_with_retries(fn, *args, **kwargs)
             except ProvisionedThroughputExceeded:
                 self.throttled_requests += 1
                 self.service.clock.advance(self.backoff_seconds)
-        return _retry_unavailable(fn, *args, **kwargs)  # last try surfaces it
+        return call_with_retries(fn, *args, **kwargs)  # last try surfaces it
 
     def provision(self, store: str) -> None:
         """Create the shard table and its declared GSIs (idempotent).
@@ -688,7 +675,7 @@ class DynamoBackend:
             backoffs = 0
             while chunk:
                 try:
-                    chunk = _retry_unavailable(
+                    chunk = call_with_retries(
                         self.service.batch_write_item, store, chunk
                     )
                 except ProvisionedThroughputExceeded:

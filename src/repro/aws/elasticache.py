@@ -45,13 +45,13 @@ counting :attr:`evictions` and returning the node memory to the meter.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Iterable
 
 from repro.aws.billing import ELASTICACHE, Meter
 from repro.clock import SimClock
 from repro.concurrency import new_lock, synchronized
+from repro.knobs import env_default
 
 #: Environment variable giving the default read-cache spec.
 READ_CACHE_ENV = "REPRO_READ_CACHE"
@@ -81,7 +81,7 @@ def resolve_read_cache(read_cache=None) -> str:
     ''
     """
     if read_cache is None:
-        read_cache = os.environ.get(READ_CACHE_ENV, "")
+        read_cache = env_default(READ_CACHE_ENV)
     if read_cache is True:
         return "on"
     if read_cache is False:

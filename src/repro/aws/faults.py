@@ -16,7 +16,9 @@ tests sweep "crash anywhere in the protocol".
 
 :class:`RequestFaults` injects *service-side* transient failures
 (``ServiceUnavailable``) so retry loops and the idempotency arguments of
-§4.3 can be exercised.
+§4.3 can be exercised; :func:`call_with_retries` is the one retry loop
+that rides them out — the backend adapters and the architecture
+protocols both issue their requests through it.
 """
 
 from __future__ import annotations
@@ -136,3 +138,21 @@ class RequestFaults:
         armed = {f"{s}.{o}": n for (s, o), n in self._armed.items() if n}
         armed.update({f"{s}.*": n for s, n in self._any.items() if n})
         return f"RequestFaults(armed={armed}, injected={self.failures_injected})"
+
+
+def call_with_retries(fn, *args, attempts: int = 4, **kwargs):
+    """Issue a service request, riding out transient 503s.
+
+    AWS SDK behaviour: ``ServiceUnavailable`` is raised *before* the
+    service mutates state, so immediately re-issuing the request is
+    always safe. Bounded attempts — a persistently failing service
+    surfaces the error to the caller (whose crash the WAL architecture
+    then absorbs).
+    """
+    for attempt in range(attempts):
+        try:
+            return fn(*args, **kwargs)
+        except ServiceUnavailable:
+            if attempt == attempts - 1:
+                raise
+    raise AssertionError("unreachable")  # pragma: no cover

@@ -34,6 +34,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
+from repro.core import ARCHITECTURES
 from repro.passlib.records import ObjectRef
 from repro.sim import Simulation
 from repro.workloads import (
@@ -90,21 +91,21 @@ class MatrixCell:
     concurrency: int = 1
     planner: str = "off"
 
+    def __post_init__(self):
+        # Every repetition probes Q1 and Q4, which only the SimpleDB
+        # engine answers — the A1 scan engine has neither.
+        supported = sorted(set(ARCHITECTURES) - {"s3"})
+        if self.architecture not in supported:
+            raise ValueError(
+                f"a matrix cell's architecture must be one of {supported}, "
+                f"got {self.architecture!r}"
+            )
+
     def build_simulation(self, seed: int) -> Simulation:
-        kwargs = {}
-        if self.architecture != "s3":
-            kwargs["write_batch"] = self.write_batch
-        return Simulation(
-            architecture=self.architecture,
-            seed=seed,
-            shards=self.shards,
-            placement=self.placement,
-            ddb_indexes=self.ddb_indexes,
-            read_cache=self.read_cache,
-            concurrency=self.concurrency,
-            planner=self.planner,
-            **kwargs,
-        )
+        """A simulation with this cell's fields as its knobs."""
+        knobs = asdict(self)
+        del knobs["key"]
+        return Simulation(seed=seed, **knobs)
 
 
 def default_workloads(scale: float = 1.0) -> list[WorkloadSpec]:
@@ -277,10 +278,7 @@ def _run_rep(
 
     sim = cell.build_simulation(seed=seed * 1000 + rep)
     clock_start = sim.account.clock.now
-    if spec.workload.timed:
-        sim.store_timed_events(timed)
-    else:
-        sim.store_events(events)
+    sim.store_timed_events(timed)
     loaded = sim.usage()
     metrics: dict = {
         "events": len(events),
@@ -326,37 +324,33 @@ def _run_rep(
         if hits + misses:
             metrics["probe_hit_rate"] = hits / (hits + misses)
 
-    if hasattr(engine, "q4_time_range"):
-        before_q4 = sim.usage()
-        q4 = engine.q4_time_range(*Q4_VERSION_RANGE)
-        metrics.update(
-            {
-                "q4_ops": q4.operations,
-                "q4_latency": q4.latency,
-                "q4_results": q4.result_count,
-                "q4_read_units": q4.usage.read_units(),
-                "q4_usd": sim.account.prices.cost(sim.usage() - before_q4).total,
-            }
-        )
-        predicted = [
-            m.predicted_cost
-            for m in (q2, q3, q4)
-            if m.predicted_cost is not None
-        ]
-        if predicted:
-            # Honesty pair: the planner's own estimate next to what the
-            # meter actually charged for the same (planned) phases.
-            metrics["query_predicted_usd"] = sum(predicted)
-            metrics["query_metered_usd"] = metrics["query_usd"] + metrics["q4_usd"]
+    before_q4 = sim.usage()
+    q4 = engine.q4_time_range(*Q4_VERSION_RANGE)
+    metrics.update(
+        {
+            "q4_ops": q4.operations,
+            "q4_latency": q4.latency,
+            "q4_results": q4.result_count,
+            "q4_read_units": q4.usage.read_units(),
+            "q4_usd": sim.account.prices.cost(sim.usage() - before_q4).total,
+        }
+    )
+    predicted = [
+        m.predicted_cost
+        for m in (q2, q3, q4)
+        if m.predicted_cost is not None
+    ]
+    if predicted:
+        # Honesty pair: the planner's own estimate next to what the
+        # meter actually charged for the same (planned) phases.
+        metrics["query_predicted_usd"] = sum(predicted)
+        metrics["query_metered_usd"] = metrics["query_usd"] + metrics["q4_usd"]
 
     if check_replay:
         text = dump_trace(events, workload=spec.workload.name, delays=delays)
         replay = TraceReplayWorkload(load_trace(text))
         resim = cell.build_simulation(seed=seed * 1000 + rep)
-        if replay.timed:
-            resim.store_timed_events(replay.iter_timed_events(random.Random(0)))
-        else:
-            resim.store_events(replay.iter_events(random.Random(0)))
+        resim.store_timed_events(replay.iter_timed_events(random.Random(0)))
         metrics["replay_ok"] = resim.usage() == loaded
     return metrics
 

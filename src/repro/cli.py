@@ -23,6 +23,8 @@ from repro.analysis.cost import render_cost_table
 from repro.analysis.query_model import analytic_query_table, render_table3
 from repro.analysis.report import TextTable, check_mark
 from repro.analysis.storage_model import render_table2
+from repro.core import ARCHITECTURES
+from repro.knobs import env_default
 from repro.units import fmt_bytes, fmt_count
 from repro.workloads import CombinedWorkload, collect_stats
 
@@ -82,11 +84,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from repro.graph.diagrams import render_ascii, render_dot
     from repro.sim import Simulation
 
-    architectures = (
-        [args.architecture]
-        if args.architecture
-        else ["s3", "s3+simpledb", "s3+simpledb+sqs"]
-    )
+    architectures = [args.architecture] if args.architecture else list(ARCHITECTURES)
     for index, name in enumerate(architectures, start=1):
         store = Simulation(architecture=name).store
         print(render_ascii(store))
@@ -230,11 +228,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 f"evictions {cache.evictions}, "
                 f"{cache.stored_nbytes()}B cached)"
             )
-    import os
-
     from repro.migration import MIGRATION_ENV, parse_migration_spec
 
-    migrate_spec = args.migrate or os.environ.get(MIGRATION_ENV, "").strip()
+    migrate_spec = args.migrate or env_default(MIGRATION_ENV)
     if migrate_spec and sim.architecture == "s3":
         print("note: --migrate has no effect on the s3 architecture "
               "(provenance lives in object metadata, not a shard layout)")
@@ -368,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
 
     figures = commands.add_parser("figures", help="Figures 1-3")
-    figures.add_argument("--architecture", choices=["s3", "s3+simpledb",
-                                                    "s3+simpledb+sqs"])
+    figures.add_argument("--architecture", choices=list(ARCHITECTURES))
     figures.add_argument("--dot", action="store_true", help="include DOT output")
     figures.set_defaults(handler=cmd_figures)
 
@@ -379,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     advise.set_defaults(handler=cmd_advise)
 
     demo = commands.add_parser("demo", help="end-to-end tour")
-    demo.add_argument("--architecture", choices=["s3", "s3+simpledb",
-                                                 "s3+simpledb+sqs"])
+    demo.add_argument("--architecture", choices=list(ARCHITECTURES))
     demo.add_argument(
         "--shards", type=_shard_count, default=1,
         help="split the provenance domain across N stores "

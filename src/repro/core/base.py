@@ -128,24 +128,6 @@ class _InconsistentRead(Exception):
     """Internal: data/provenance mismatch detected; retry may fix it."""
 
 
-def call_with_retries(fn, *args, attempts: int = 4, **kwargs):
-    """Issue a service request, riding out transient 503s.
-
-    AWS SDK behaviour: ``ServiceUnavailable`` is raised *before* the
-    service mutates state, so immediately re-issuing the request is
-    always safe. Bounded attempts — a persistently failing service
-    surfaces the error to the caller (whose crash the WAL architecture
-    then absorbs).
-    """
-    for attempt in range(attempts):
-        try:
-            return fn(*args, **kwargs)
-        except ServiceUnavailable:
-            if attempt == attempts - 1:
-                raise
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 @dataclass(frozen=True)
 class Component:
     """A box in the architecture diagram (Figures 1–3)."""
@@ -178,7 +160,7 @@ class ProvenanceCloudStore:
         #: Shared routing-epoch indirection over the provenance shard
         #: layout. ``shards=1`` (the default) is the paper's single
         #: :data:`PROV_DOMAIN` deployment; passing an existing
-        #: :class:`RouterHandle` (what :class:`~repro.fleet.ClientFleet`
+        #: :class:`RouterHandle` (what :meth:`repro.sim.Cloud.new_store`
         #: does) makes every consumer observe the same epoch — and the
         #: same live migration — simultaneously.
         self.routing = as_handle(router) if router is not None else fresh_handle(shards)

@@ -32,11 +32,11 @@ The knob: pass ``write_batch=`` to :class:`~repro.sim.Simulation` /
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
 
 from repro.aws.account import AWSAccount
 from repro.core.base import put_provenance_items
+from repro.knobs import env_default, positive_int
 from repro.migration.handle import RouterHandle
 from repro.sharding import ShardRouter
 
@@ -53,17 +53,9 @@ def resolve_write_batch(write_batch: int | None = None) -> int:
     >>> resolve_write_batch()  # with REPRO_WRITE_BATCH unset
     1
     """
-    knob = "write batch"
     if write_batch is None:
-        knob = WRITE_BATCH_ENV
-        write_batch = os.environ.get(WRITE_BATCH_ENV, "").strip() or 1
-    try:
-        batch = int(write_batch)
-    except ValueError:
-        batch = 0
-    if batch < 1:
-        raise ValueError(f"{knob} must be an integer >= 1, got {write_batch!r}")
-    return batch
+        return positive_int(env_default(WRITE_BATCH_ENV) or 1, WRITE_BATCH_ENV)
+    return positive_int(write_batch, "write batch")
 
 
 class WriteCoalescer:

@@ -40,11 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.aws.account import AWSAccount
-from repro.aws.faults import NO_FAULTS, FaultPlan
+from repro.aws.faults import NO_FAULTS, FaultPlan, call_with_retries
 from repro.core.base import (
     DATA_BUCKET,
     TEMP_PREFIX,
-    call_with_retries,
     data_key,
     put_provenance_items,
 )
@@ -59,6 +58,17 @@ from repro.units import (
     SQS_MAX_BATCH_ENTRIES,
     SQS_RETENTION_SECONDS,
 )
+
+#: Messages asked for per ReceiveMessage — the SQS maximum.
+RECEIVE_BATCH = 10
+#: Bound on a commit phase's receive rounds and on :meth:`drain`'s
+#: phases: a daemon that cannot make progress returns, it does not spin.
+MAX_ROUNDS = 50
+#: Consecutive empty receives that end a commit phase (doubled while a
+#: committed transaction is still missing pieces — sampling hides them).
+EMPTY_ROUNDS_TO_STOP = 4
+#: How long received WAL records stay locked to this daemon (seconds).
+VISIBILITY_TIMEOUT = 120.0
 
 
 @dataclass
@@ -100,10 +110,6 @@ class CommitDaemon:
         account: AWSAccount,
         queue_url: str,
         threshold: int = 10,
-        receive_batch: int = 10,
-        max_rounds: int = 50,
-        empty_rounds_to_stop: int = 4,
-        visibility_timeout: float = 120.0,
         faults: FaultPlan = NO_FAULTS,
         router: ShardRouter | RouterHandle | None = None,
         write_batch: int | None = None,
@@ -123,10 +129,6 @@ class CommitDaemon:
         #: one-domain layout.
         self.routing = as_handle(router) if router is not None else fresh_handle()
         self.threshold = threshold
-        self.receive_batch = receive_batch
-        self.max_rounds = max_rounds
-        self.empty_rounds_to_stop = empty_rounds_to_stop
-        self.visibility_timeout = visibility_timeout
         self.faults = faults
         #: Group-commit width: how many complete transactions one apply
         #: round holds. At ``1`` (the default, or ``REPRO_WRITE_BATCH``)
@@ -156,7 +158,7 @@ class CommitDaemon:
     def drain(self) -> int:
         """Commit until the queue is (apparently) empty. Returns applies."""
         total = 0
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             applied = self.commit_phase()
             total += applied
             if applied == 0:
@@ -174,12 +176,12 @@ class CommitDaemon:
         # 2(a): receive as many messages as possible; keep going while
         # committed transactions are missing pieces (sampling can hide
         # messages from any single receive).
-        while rounds < self.max_rounds:
+        while rounds < MAX_ROUNDS:
             rounds += 1
             batch = self.account.sqs.receive_message(
                 self.queue_url,
-                max_messages=self.receive_batch,
-                visibility_timeout=self.visibility_timeout,
+                max_messages=RECEIVE_BATCH,
+                visibility_timeout=VISIBILITY_TIMEOUT,
             )
             self.stats.messages_received += len(batch)
             for message in batch:
@@ -190,10 +192,10 @@ class CommitDaemon:
             empty_rounds += 1
             if assembler.pending_commits():
                 self.stats.incomplete_rounds += 1
-                if empty_rounds >= self.empty_rounds_to_stop * 2:
+                if empty_rounds >= EMPTY_ROUNDS_TO_STOP * 2:
                     break  # pieces are locked elsewhere; retry next run
                 continue
-            if empty_rounds >= self.empty_rounds_to_stop:
+            if empty_rounds >= EMPTY_ROUNDS_TO_STOP:
                 break
 
         # Apply strictly in transaction order. A WAL must replay in

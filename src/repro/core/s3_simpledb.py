@@ -34,9 +34,8 @@ Protocol on file close (§4.2):
 from __future__ import annotations
 
 from repro.aws.account import AWSAccount
-from repro.aws.faults import NO_FAULTS, FaultPlan
+from repro.aws.faults import NO_FAULTS, FaultPlan, call_with_retries
 from repro.core.base import (
-    call_with_retries,
     Component,
     DATA_BUCKET,
     Flow,
@@ -63,6 +62,10 @@ from repro.passlib.serializer import (
     parse_nonce,
     to_simpledb_items,
 )
+
+#: Consecutive missing versions that end :meth:`S3SimpleDB.version_history`'s
+#: probe — one miss may be a replica that has not seen the newest item.
+VERSION_PROBE_MAX_GAP = 2
 
 
 class S3SimpleDB(ProvenanceCloudStore):
@@ -216,15 +219,15 @@ class S3SimpleDB(ProvenanceCloudStore):
     def _decode_item(self, item_name: str, attrs) -> ProvenanceBundle:
         return bundle_from_item(item_name, attrs, self._fetch_overflow)
 
-    def version_history(self, name: str, max_gap: int = 2) -> list[ProvenanceBundle]:
+    def version_history(self, name: str) -> list[ProvenanceBundle]:
         """Every stored version's provenance, oldest first.
 
         This is what the SimpleDB architectures add over A1: superseded
         versions keep their provenance items even though S3 holds only
         the current bytes, so the full revision chain of an object can
         be reconstructed. Versions are probed sequentially (they are
-        allocated densely); ``max_gap`` consecutive misses end the probe,
-        tolerating replicas that have not seen the newest item yet.
+        allocated densely); :data:`VERSION_PROBE_MAX_GAP` consecutive
+        misses end the probe.
 
         When the owning shard is DynamoDB-placed and declares a fresh
         composite ``(name, nonce)`` range index with an ``ALL``
@@ -241,7 +244,7 @@ class S3SimpleDB(ProvenanceCloudStore):
         history: list[ProvenanceBundle] = []
         version = 1
         misses = 0
-        while misses < max_gap:
+        while misses < VERSION_PROBE_MAX_GAP:
             subject = ObjectRef(name, version)
             attrs = self._get_provenance_attrs(name, subject.item_name)
             if attrs:

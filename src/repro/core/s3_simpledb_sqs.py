@@ -33,13 +33,12 @@ import itertools
 _EPOCHS = itertools.count(1)
 
 from repro.aws.account import AWSAccount
-from repro.aws.faults import NO_FAULTS, FaultPlan
+from repro.aws.faults import NO_FAULTS, FaultPlan, call_with_retries
 from repro.core.base import (
     Component,
     DATA_BUCKET,
     Flow,
     RetryPolicy,
-    call_with_retries,
 )
 from repro.core.daemons import CleanerDaemon, CommitDaemon
 from repro.core.s3_simpledb import S3SimpleDB

@@ -35,9 +35,8 @@ Engineering notes faithful to the paper's discussion:
 from __future__ import annotations
 
 from repro.aws.account import AWSAccount
-from repro.aws.faults import NO_FAULTS, FaultPlan
+from repro.aws.faults import NO_FAULTS, FaultPlan, call_with_retries
 from repro.core.base import (
-    call_with_retries,
     Component,
     DATA_BUCKET,
     Flow,

@@ -40,9 +40,10 @@ observes.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
+
+from repro.knobs import env_default
 
 #: Environment variable that switches the sanitizer on.
 SANITIZE_ENV = "REPRO_SANITIZE"
@@ -54,7 +55,7 @@ LOCK_RANKS = {"service": 10, "meter": 20, "leaf": 30}
 
 def enabled() -> bool:
     """True when ``REPRO_SANITIZE`` asks for the sanitizer."""
-    return os.environ.get(SANITIZE_ENV, "") not in ("", "0")
+    return env_default(SANITIZE_ENV) not in ("", "0")
 
 
 @dataclass(frozen=True)

@@ -19,24 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.aws.account import AWSAccount, ConsistencyConfig
+from repro.aws.account import ConsistencyConfig
 from repro.aws.faults import FaultPlan
-from repro.core.base import RetryPolicy
-from repro.core.s3_simpledb import S3SimpleDB
-from repro.core.s3_simpledb_sqs import S3SimpleDBSQS
-from repro.core.s3_standalone import S3Standalone
 from repro.errors import ClientCrash
-from repro.migration.handle import RouterHandle, fresh_handle
-from repro.migration.live import LiveMigration, MigrationReport, begin_live_migration
+from repro.migration.live import MigrationReport
 from repro.passlib.records import FlushEvent
-from repro.query.engine import S3ScanEngine, SimpleDBEngine
 from repro.sharding import ShardRouter
-
-_FACTORIES = {
-    "s3": S3Standalone,
-    "s3+simpledb": S3SimpleDB,
-    "s3+simpledb+sqs": S3SimpleDBSQS,
-}
+from repro.sim import Cloud
+from repro.workloads.trace import TraceDocument
 
 
 @dataclass
@@ -54,8 +44,9 @@ class FleetClient:
         return len(self.pending)
 
 
-class ClientFleet:
-    """N clients, one cloud, interleaved stores, crash/restart support."""
+class ClientFleet(Cloud):
+    """A :class:`~repro.sim.Cloud` with N clients: interleaved stores,
+    crash/restart support."""
 
     def __init__(
         self,
@@ -72,49 +63,21 @@ class ClientFleet:
         planner: str | None = None,
         record_trace: bool = False,
     ):
-        """``ddb_indexes`` declares GSIs on DynamoDB-placed provenance
-        shards (spec string like ``"name,input"``; default the
-        ``REPRO_DDB_INDEXES`` environment spec) — shared by the whole
-        fleet, like the shard layout itself. ``write_batch`` sets every
-        client's write-coalescer/group-commit width (default 1, or the
-        ``REPRO_WRITE_BATCH`` environment override): the same write
-        path at every width — 1 sends single-item requests, above it
-        the batch APIs. ``read_cache``
-        enables the account-wide ElastiCache-style read-cache tier
-        (``"on"``/spec/``REPRO_READ_CACHE`` override; default off) —
-        one authority shared by all clients, so any client's write
-        invalidates what another client cached. ``record_trace`` makes
+        """The knobs are :class:`~repro.sim.Cloud`'s, shared by the
+        whole fleet like the shard layout itself. ``record_trace`` makes
         the round-robin drain record its op log — ``(client, event)`` in
         exact store order — in :attr:`trace`, ready for
         :func:`repro.workloads.trace.dump_trace` and byte-identical
         replay via :meth:`replay_trace`."""
-        if architecture not in _FACTORIES:
-            raise ValueError(f"unknown architecture {architecture!r}")
-        self.architecture = architecture
-        self.account = AWSAccount(
-            seed=seed,
-            consistency=consistency or ConsistencyConfig.strong(),
-            ddb_indexes=ddb_indexes,
-            read_cache=read_cache,
+        super().__init__(
+            architecture, seed, consistency, shards=shards, placement=placement,
+            concurrency=concurrency, ddb_indexes=ddb_indexes,
+            write_batch=write_batch, read_cache=read_cache, planner=planner,
         )
         #: One seeded stream drives every fleet-level random choice —
         #: never the module-level ``random`` state, which other tests
         #: (or pytest-xdist workers) would perturb. Same seed, same run.
         self._rng = random.Random(f"fleet:{seed}")
-        #: All clients share one *routing handle* over the shard layout
-        #: (and backend placement) of the provenance domain — so a live
-        #: migration redirects every client's store, every commit
-        #: daemon, and every shared query engine simultaneously, epoch
-        #: by epoch.
-        self.routing = fresh_handle(shards, placement=placement)
-        #: Worker-pool width for shared query engines (None → sequential
-        #: or the ``REPRO_QUERY_CONCURRENCY`` environment override).
-        self.concurrency = concurrency
-        #: Access-path planning mode for shared query engines (None →
-        #: the ``REPRO_QUERY_PLANNER`` environment spec, default off).
-        self.planner = planner
-        #: Write-coalescer / daemon group-commit width per client.
-        self.write_batch = write_batch
         #: When ``record_trace``: the fleet's op log — ``(client_name,
         #: event)`` in the exact order the round-robin drain stored
         #: them. Only *successful* stores are recorded (a crashed
@@ -128,22 +91,15 @@ class ClientFleet:
 
     # -- client lifecycle ----------------------------------------------------
 
-    def _spawn(self, name: str, faults: FaultPlan | None = None) -> FleetClient:
-        retry = RetryPolicy(
-            attempts=12, wait=lambda: self.account.clock.advance(0.5)
-        )
-        kwargs = {"router": self.routing}
-        if self.architecture != "s3":
-            kwargs["write_batch"] = self.write_batch
-        if self.architecture == "s3+simpledb+sqs":
-            kwargs["client_id"] = name
-        store = _FACTORIES[self.architecture](
-            self.account, faults=faults or FaultPlan(), retry=retry, **kwargs
-        )
-        store.provision()
-        client = FleetClient(name=name, store=store)
+    def _spawn(self, name: str) -> FleetClient:
+        # Each A3 client logs to its own WAL queue, named after it.
+        kwargs = {"client_id": name} if self.architecture == "s3+simpledb+sqs" else {}
+        client = FleetClient(name, self.new_store(faults=FaultPlan(), **kwargs))
         self.clients[name] = client
         return client
+
+    def stores(self) -> list:
+        return [client.store for client in self.clients.values()]
 
     def crash_client(self, name: str) -> None:
         """The host dies: in-flight work is lost; backlog survives only
@@ -232,8 +188,6 @@ class ClientFleet:
     def trace_document(self):
         """The recorded op log as a serialisable
         :class:`~repro.workloads.trace.TraceDocument` (JSONL-ready)."""
-        from repro.workloads.trace import TraceDocument  # late: keep fleet import-light
-
         return TraceDocument(
             workload=f"fleet:{self.architecture}",
             events=[event for _, event in self.trace],
@@ -274,68 +228,34 @@ class ClientFleet:
 
     # -- live layout migration ---------------------------------------------------
 
-    def start_migration(
-        self,
-        shards: int | None = None,
-        placement: str | dict[int, str] | None = None,
-        router: ShardRouter | None = None,
-        **knobs,
-    ) -> LiveMigration:
-        """Begin an online migration of the fleet's shared shard layout."""
-        if self.architecture == "s3":
-            raise ValueError("the s3 architecture has no provenance shards to migrate")
-        return begin_live_migration(
-            self.account, self.routing, shards, placement, router, **knobs
-        )
-
     def run_live_migration(
         self,
         shards: int | None = None,
         placement: str | dict[int, str] | None = None,
         router: ShardRouter | None = None,
         batch: int = 5,
-        steps_per_round: int = 1,
-        **knobs,
     ) -> MigrationReport:
         """The live-migration scenario: migrate *while* the fleet writes.
 
         Interleaves the fleet's round-robin store protocol with
         migration steps: every round, each client stores up to
-        ``batch`` of its backlog, then the migration advances
-        ``steps_per_round`` units (a shard copy, a WAL drain round, a
-        per-shard cutover). Whichever finishes first, the other is
-        driven to completion — the fleet keeps writing straight through
-        every phase transition, which is the whole point. Returns the
+        ``batch`` of its backlog, then the migration advances one
+        step (a shard copy, a WAL drain round, a per-shard cutover).
+        Whichever finishes first, the other is driven to completion —
+        the fleet keeps writing straight through every phase
+        transition, which is the whole point. Returns the
         :class:`MigrationReport`; client backlogs are fully drained and
         the cloud settled on return.
         """
-        migration = self.start_migration(shards, placement, router, **knobs)
+        migration = self.start_migration(shards, placement, router)
         migrating = True
         while True:
             stored = self._store_round(batch)
-            if migrating:
-                for _ in range(steps_per_round):
-                    migrating = migration.step()
-                    if not migrating:
-                        break
+            migrating = migrating and migration.step()
             if not stored and not migrating:
                 break
         self.settle()
         return migration.report
-
-    def settle(self) -> None:
-        """Drain every client's daemon and let replication converge."""
-        for _ in range(10):
-            busy = False
-            for client in self.clients.values():
-                if isinstance(client.store, S3SimpleDBSQS):
-                    client.store.restart_commit_daemon().drain()
-                    if self.account.sqs.exact_message_count(client.store.queue_url):
-                        busy = True
-            self.account.quiesce()
-            if not busy:
-                return
-            self.account.clock.advance(150.0)
 
     # -- shared queries ---------------------------------------------------------------
 
@@ -343,16 +263,6 @@ class ClientFleet:
     def router(self) -> ShardRouter:
         """The settled shard layout (the source during a live migration)."""
         return self.routing.current
-
-    def query_engine(self):
-        if self.architecture == "s3":
-            return S3ScanEngine(self.account)
-        return SimpleDBEngine(
-            self.account,
-            router=self.routing,
-            concurrency=self.concurrency,
-            planner=self.planner,
-        )
 
     def read(self, name: str):
         """Read through any client (they share the cloud)."""

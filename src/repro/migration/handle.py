@@ -192,12 +192,7 @@ class RouterHandle:
         return f"RouterHandle(epoch={self.epoch}, {self._current!r}{migrating})"
 
 
-def fresh_handle(
-    shards: int = 1,
-    *,
-    base_domain: str | None = None,
-    placement=None,
-) -> RouterHandle:
+def fresh_handle(shards: int = 1, *, placement=None) -> RouterHandle:
     """A new :class:`RouterHandle` over a freshly built layout.
 
     This is how consumers obtain routing when no shared handle was
@@ -206,11 +201,9 @@ def fresh_handle(
     :class:`~repro.sharding.ShardRouter` themselves (provlint PL005
     keeps router construction inside ``repro.sharding`` /
     ``repro.migration``, so layout policy — placement defaults, domain
-    naming — stays in one place). ``base_domain=None`` uses the paper's
-    single-domain default.
+    naming — stays in one place).
     """
-    kwargs = {} if base_domain is None else {"base_domain": base_domain}
-    return RouterHandle(ShardRouter(shards, placement=placement, **kwargs))
+    return RouterHandle(ShardRouter(shards, placement=placement))
 
 
 def as_handle(router) -> RouterHandle:

@@ -20,8 +20,8 @@ lost or duplicated. The protocol, phase by phase (driven by
    served from the source). From here the WAL backlog is bounded: no
    new records accumulate.
 3. **catch-up** — replay the WAL records accumulated during the copy
-   against the target layout until the lag (queue depth) drains below
-   ``lag_bound``. Replays are set-merge puts: replaying an old write
+   against the target layout until the lag (queue depth) drains to
+   :data:`LAG_BOUND`. Replays are set-merge puts: replaying an old write
    after a newer double-write of the same item cannot lose values.
 4. **cutover** — after a final drain to zero lag, flip reads to the
    target **per shard**: each flip issues metered verification reads
@@ -90,6 +90,17 @@ MIGRATION_ENV = "REPRO_MIGRATION"
 #: merge records across crashed runs).
 _MIGRATION_IDS = itertools.count(1)
 
+#: WAL depth at which catch-up hands over to cutover: drain it all.
+LAG_BOUND = 0
+#: Copied items per target store re-read (metered) at that shard's flip.
+VERIFY_SAMPLE = 4
+#: Messages asked for per WAL ReceiveMessage — the SQS maximum.
+RECEIVE_BATCH = 10
+#: How long a received WAL record stays locked to the drain (seconds).
+VISIBILITY_TIMEOUT = 60.0
+#: Receive rounds one drain may spend before the migration gives up.
+MAX_DRAIN_ROUNDS = 400
+
 
 class MigrationError(RuntimeError):
     """The migration cannot proceed safely (an invariant failed)."""
@@ -123,16 +134,13 @@ def begin_live_migration(
     shards: int | None = None,
     placement=None,
     router: ShardRouter | None = None,
-    **knobs,
 ) -> LiveMigration:
     """Resolve the target and start a migration on the shared handle —
-    the single bootstrap ``Simulation.start_migration`` and
-    ``ClientFleet.start_migration`` both delegate to."""
+    the bootstrap behind :meth:`repro.sim.Cloud.start_migration`."""
     migration = LiveMigration(
         account,
         routing,
         resolve_target_router(routing.current, shards, placement, router),
-        **knobs,
     )
     migration.start()
     return migration
@@ -260,26 +268,11 @@ class LiveMigration:
     holding migration state themselves.
     """
 
-    def __init__(
-        self,
-        account,
-        routing: RouterHandle,
-        target: ShardRouter,
-        lag_bound: int = 0,
-        verify_sample: int = 4,
-        receive_batch: int = 10,
-        visibility_timeout: float = 60.0,
-        max_drain_rounds: int = 400,
-    ):
+    def __init__(self, account, routing: RouterHandle, target: ShardRouter):
         self.account = account
         self.routing = routing
         self.source = routing.current
         self.target = target
-        self.lag_bound = lag_bound
-        self.verify_sample = verify_sample
-        self.receive_batch = receive_batch
-        self.visibility_timeout = visibility_timeout
-        self.max_drain_rounds = max_drain_rounds
         self.phase = PENDING
         self.report = MigrationReport()
         self.migration_id = next(_MIGRATION_IDS)
@@ -413,8 +406,8 @@ class LiveMigration:
             self._advance(CATCH_UP)
             return True
         if self.phase == CATCH_UP:
-            self._drain_wal(self.lag_bound)
-            if self.wal_lag() <= self.lag_bound:
+            self._drain_wal(LAG_BOUND)
+            if self.wal_lag() <= LAG_BOUND:
                 self._pending_cutovers = list(self.target.domains)
                 self._advance(CUTOVER)
             return True
@@ -478,7 +471,7 @@ class LiveMigration:
                         self.report.moves_by_domain.get(target_domain, 0) + 1
                     )
                     sample = self._verify_names.setdefault(target_domain, [])
-                    if len(sample) < self.verify_sample:
+                    if len(sample) < VERIFY_SAMPLE:
                         sample.append(item_name)
             except (NoSuchDomain, NoSuchTable):
                 # A re-run after a crashed drop phase: the store was
@@ -507,22 +500,22 @@ class LiveMigration:
         with self.account.meter.scoped() as scope:
             while self.wal_lag() > target_lag:
                 rounds += 1
-                if rounds > self.max_drain_rounds:
+                if rounds > MAX_DRAIN_ROUNDS:
                     raise MigrationError(
                         f"WAL did not drain to {target_lag} in "
-                        f"{self.max_drain_rounds} rounds"
+                        f"{MAX_DRAIN_ROUNDS} rounds"
                     )
                 batch = self.account.sqs.receive_message(
                     self._wal_url,
-                    max_messages=self.receive_batch,
-                    visibility_timeout=self.visibility_timeout,
+                    max_messages=RECEIVE_BATCH,
+                    visibility_timeout=VISIBILITY_TIMEOUT,
                 )
                 if not batch:
                     stuck_rounds += 1
                     if stuck_rounds >= 4:
                         # Sampling (or a crashed drain's locks) is hiding
                         # messages; let the visibility timeout lapse.
-                        self.account.clock.advance(self.visibility_timeout + 1.0)
+                        self.account.clock.advance(VISIBILITY_TIMEOUT + 1.0)
                         stuck_rounds = 0
                     continue
                 stuck_rounds = 0

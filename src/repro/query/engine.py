@@ -59,7 +59,6 @@ parallel.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -69,13 +68,9 @@ from repro.aws.account import AWSAccount
 from repro.aws.billing import ELASTICACHE, Usage
 from repro.aws.sdb_query import CompiledQuery, parse_query, quote_literal
 from repro.concurrency import new_lock
-from repro.core.base import (
-    DATA_BUCKET,
-    PROV_DOMAIN,
-    fetch_overflow,
-    read_provenance_item,
-)
+from repro.core.base import DATA_BUCKET, fetch_overflow, read_provenance_item
 from repro.errors import NoSuchKey
+from repro.knobs import env_default, positive_int
 from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
 from repro.passlib.serializer import (
     bundle_from_item,
@@ -83,7 +78,7 @@ from repro.passlib.serializer import (
     parse_nonce,
 )
 from repro.migration.handle import RouterHandle, Site, as_handle, fresh_handle
-from repro.query.latency import DEFAULT_LATENCY_MODEL, QueryLatencyModel, makespan
+from repro.query.latency import DEFAULT_LATENCY_MODEL, makespan
 from repro.query.planner import QueryPlanner, resolve_planner
 from repro.sharding import ShardRouter
 
@@ -104,16 +99,7 @@ def default_concurrency() -> int:
     Unset or empty means 1. Anything else must be an integer >= 1: a
     typo in a CI matrix must not quietly run the sequential suite.
     """
-    raw = os.environ.get(CONCURRENCY_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{CONCURRENCY_ENV} must be an integer >= 1, got {raw!r}")
-    return value
+    return positive_int(env_default(CONCURRENCY_ENV) or 1, CONCURRENCY_ENV)
 
 
 @dataclass(frozen=True)
@@ -178,17 +164,15 @@ class QueryMeasurement:
 class _Metered:
     """Shared meter-delta bookkeeping."""
 
-    def __init__(
-        self,
-        account: AWSAccount,
-        bucket: str,
-        latency_model: QueryLatencyModel = DEFAULT_LATENCY_MODEL,
-    ):
+    #: Where the architectures keep data objects and spilled values.
+    bucket = DATA_BUCKET
+    #: Per-request round-trip model behind ``latency``.
+    latency_model = DEFAULT_LATENCY_MODEL
+
+    def __init__(self, account: AWSAccount):
         self.account = account
-        self.bucket = bucket
-        self.latency_model = latency_model
         #: Resolves a spilled value's ``@s3:`` pointer (a metered GET).
-        self._fetch_overflow = partial(fetch_overflow, account, bucket=bucket)
+        self._fetch_overflow = partial(fetch_overflow, account)
 
     def _measure(self, refs: set[ObjectRef], before: Usage) -> QueryMeasurement:
         spent = self.account.meter.snapshot() - before
@@ -215,13 +199,8 @@ class S3ScanEngine(_Metered):
     repository, which is so inefficient as to be impractical." (§4.1)
     """
 
-    def __init__(
-        self,
-        account: AWSAccount,
-        bucket: str = DATA_BUCKET,
-        latency_model: QueryLatencyModel = DEFAULT_LATENCY_MODEL,
-    ):
-        super().__init__(account, bucket, latency_model)
+    def __init__(self, account: AWSAccount):
+        super().__init__(account)
         #: Objects the last scan skipped because their ``nonce`` metadata
         #: would not parse — a malformed item must not abort the scan.
         self.skipped_items = 0
@@ -325,26 +304,19 @@ class SimpleDBEngine(_Metered):
     def __init__(
         self,
         account: AWSAccount,
-        domain: str = PROV_DOMAIN,
-        bucket: str = DATA_BUCKET,
         ref_batch: int = REF_BATCH,
         select_mode: bool = False,
         router: ShardRouter | RouterHandle | None = None,
         concurrency: int | None = None,
-        latency_model: QueryLatencyModel = DEFAULT_LATENCY_MODEL,
         planner: str | None = None,
     ):
-        super().__init__(account, bucket, latency_model)
-        #: Shared routing indirection: passing a store's handle (what
-        #: ``Simulation.query_engine`` does) makes every scatter phase
+        super().__init__(account)
+        #: Shared routing indirection: passing the cloud's handle (what
+        #: ``Cloud.query_engine`` does) makes every scatter phase
         #: observe live-migration cutovers at the moment it dispatches —
         #: during a migration, phases cover the union of source stores
         #: and cut-over target stores.
-        self.routing = (
-            as_handle(router)
-            if router is not None
-            else fresh_handle(base_domain=domain)
-        )
+        self.routing = as_handle(router) if router is not None else fresh_handle()
         #: Backend adapters by kind; each shard's stream reads through
         #: the adapter its placement names.
         self.backends = account.provenance_backends()

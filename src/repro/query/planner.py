@@ -49,7 +49,6 @@ indexes, and the statistics snapshot.
 from __future__ import annotations
 
 import math
-import os
 
 from repro.aws.backend import SCAN_PATH, AccessPath
 from repro.aws.billing import GB, SDB_BOX_USAGE_HOURS, PriceBook
@@ -57,6 +56,7 @@ from repro.aws.dynamo import SCAN_MAX_PAGE
 from repro.aws.sdb_query import CompiledQuery
 from repro.concurrency import new_lock
 from repro.aws.simpledb import QUERY_MAX_PAGE, SCAN_HOURS_PER_ITEM
+from repro.knobs import env_default
 from repro.units import DDB_INDEX_ENTRY_OVERHEAD, DDB_PAGE_BYTES, DDB_RCU_BYTES
 
 #: Environment knob: ``off`` / ``first-fit`` / ``cost``.
@@ -90,7 +90,7 @@ SDB_MATCH_BYTES = 48
 def resolve_planner(mode: str | None = None) -> str:
     """Normalise a planner mode (``None`` → environment → ``"off"``)."""
     if mode is None:
-        mode = os.environ.get(PLANNER_ENV, "").strip() or "off"
+        mode = env_default(PLANNER_ENV) or "off"
     mode = mode.lower()
     if mode in ("", "none"):
         mode = "off"

@@ -27,9 +27,8 @@ paper's SimpleDB (``"sdb"``) or the DynamoDB-style service (``"ddb"``,
 paper's deployment). The router stays pure routing: it answers *which
 store and which backend kind*, while the actual service adapters come
 from :meth:`repro.aws.account.AWSAccount.provenance_backends` (any
-helper here accepts the account, a ready backend mapping, or — for
-all-SimpleDB layouts only — the bare SimpleDB service, which older call
-sites pass). The ``REPRO_BACKEND_PLACEMENT`` environment variable
+helper here accepts the account or a ready backend mapping). The
+``REPRO_BACKEND_PLACEMENT`` environment variable
 supplies the default placement spec, which is how CI runs the whole
 suite under a mixed SDB/DDB layout.
 
@@ -59,10 +58,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro.knobs import env_default
 from repro.passlib.records import ObjectRef
 
 #: The paper's single provenance domain (§4.2) — what ``shards=1`` uses.
@@ -101,8 +100,7 @@ def parse_placement(
     ('sdb', 'ddb', 'sdb')
     """
     if spec is None:
-        env = os.environ.get(PLACEMENT_ENV, "").strip()
-        spec = env or SDB_KIND
+        spec = env_default(PLACEMENT_ENV) or SDB_KIND
     if isinstance(spec, str):
         text = spec.strip().lower()
         if text in _KINDS:
@@ -143,22 +141,15 @@ def parse_placement(
 def _resolve_backends(cloud) -> Mapping[str, object]:
     """Coerce ``cloud`` into a kind → backend-adapter mapping.
 
-    Accepts a ready mapping, an :class:`~repro.aws.account.AWSAccount`
-    (every backend), or a bare SimpleDB service (all-SimpleDB layouts
-    only — the pre-placement call convention, kept working so existing
-    operational scripts do not break).
+    Accepts a ready mapping or an :class:`~repro.aws.account.AWSAccount`
+    (every backend).
     """
     if isinstance(cloud, Mapping):
         return cloud
     if hasattr(cloud, "provenance_backends"):
         return cloud.provenance_backends()
-    if hasattr(cloud, "create_domain"):  # a bare SimpleDBService
-        from repro.aws.backend import SimpleDBBackend
-
-        return {SDB_KIND: SimpleDBBackend(cloud)}
     raise TypeError(
-        f"expected an AWSAccount, backend mapping, or SimpleDB service; "
-        f"got {type(cloud).__name__}"
+        f"expected an AWSAccount or a backend mapping; got {type(cloud).__name__}"
     )
 
 
@@ -170,7 +161,7 @@ def _backend_for(backends: Mapping[str, object], router: "ShardRouter", domain: 
         raise KeyError(
             f"placement puts {domain!r} on backend {kind!r}, but only "
             f"{sorted(backends)} are available — pass the AWSAccount "
-            f"(or its provenance_backends()) instead of a bare service"
+            f"(or its provenance_backends())"
         ) from None
 
 #: Virtual nodes per shard on the hash ring. More vnodes → better
@@ -303,8 +294,7 @@ class ShardRouter:
     def provision(self, cloud) -> None:
         """Create every shard's store on its placed backend (idempotent).
 
-        ``cloud`` may be the AWSAccount, a backend mapping, or — for
-        all-SimpleDB placements — the bare SimpleDB service.
+        ``cloud`` may be the AWSAccount or a backend mapping.
         """
         backends = _resolve_backends(cloud)
         for domain in self.domains:
@@ -395,8 +385,7 @@ def rebalance(
     keeps its domain name but moves from SimpleDB to the DynamoDB-style
     table (or back) is copied between services, counted on
     ``RebalanceReport.cross_backend_moves``. ``cloud`` is the
-    AWSAccount (or a backend mapping); the bare SimpleDB service is
-    still accepted for all-SimpleDB layouts.
+    AWSAccount (or a backend mapping).
 
     Shrinking (some source stores absent from the target layout, by
     name *or* by backend) additionally drops each orphaned source store

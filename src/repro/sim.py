@@ -8,11 +8,25 @@ quickstart uses::
     result = sim.store.read("blast/out/run0/q0000.blast")
     outputs = sim.query_engine().q2_outputs_of("blast")
 
-It owns the :class:`~repro.aws.account.AWSAccount` (clock, meter,
-services), constructs the requested architecture with a clock-advancing
-retry policy, streams workload events through the store protocol
-(pumping the A3 commit daemon as it goes), and hands out the matching
-query engine.
+One cloud
+---------
+
+The paper's deployment is one cloud shared by *N* clients (§2.5), so
+the deployment is declared once, in :class:`Cloud`: the
+:class:`~repro.aws.account.AWSAccount` (clock, meter, services), the
+architecture name, the routing handle every consumer shares, the seven
+knobs, and the four things done *to* a deployment — build a client
+store (:meth:`Cloud.new_store`), hand out the matching query engine
+(:meth:`Cloud.query_engine`), start a live layout migration
+(:meth:`Cloud.start_migration`) and let daemons and replication
+converge (:meth:`Cloud.settle`). The two drivers differ only in client
+count and scheduling: :class:`Simulation` is that cloud with one store
+and a pump-every-N event loop; :class:`~repro.fleet.ClientFleet` is
+that cloud with N stores and a round-robin scheduler.
+
+There is one event loop, too: an untimed stream is a timed stream whose
+inter-arrival delays are all zero, so :meth:`Simulation.store_events`
+is :meth:`Simulation.store_timed_events` over ``(0.0, event)`` pairs.
 """
 
 from __future__ import annotations
@@ -22,10 +36,10 @@ from typing import Iterable
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.faults import FaultPlan, NO_FAULTS
-from repro.core.base import ProvenanceCloudStore, ReadResult, RetryPolicy
-from repro.core.s3_simpledb import S3SimpleDB
+from repro.core import make_architecture
+from repro.core.base import ProvenanceCloudStore, ReadResult
 from repro.core.s3_simpledb_sqs import S3SimpleDBSQS
-from repro.core.s3_standalone import S3Standalone
+from repro.migration.handle import as_handle, fresh_handle
 from repro.migration.live import (
     LiveMigration,
     begin_live_migration,
@@ -33,65 +47,70 @@ from repro.migration.live import (
 )
 from repro.passlib.records import FlushEvent
 from repro.query.engine import S3ScanEngine, SimpleDBEngine
-from repro.migration.handle import fresh_handle
 from repro.sharding import RebalanceReport, ShardRouter, rebalance
 from repro.workloads.base import TraceStats, Workload
 
-_FACTORIES = {
-    "s3": S3Standalone,
-    "s3+simpledb": S3SimpleDB,
-    "s3+simpledb+sqs": S3SimpleDBSQS,
-}
+#: Daemon-drain rounds :meth:`Cloud.settle` spends before giving up on a
+#: WAL that will not empty (a crashed client's abandoned records stay
+#: until SQS retention reaps them).
+SETTLE_ROUNDS = 10
 
 
-class Simulation:
-    """A wired-up provenance-aware cloud."""
+class Cloud:
+    """One provenance-aware deployment, shared by every client of it."""
 
     def __init__(
         self,
-        architecture: str = "s3+simpledb+sqs",
-        seed: int = 0,
-        consistency: ConsistencyConfig | None = None,
-        faults: FaultPlan = NO_FAULTS,
-        retry_attempts: int = 10,
-        pump_every: int = 25,
-        shards: int = 1,
-        placement: str | dict[int, str] | None = None,
-        concurrency: int | None = None,
-        ddb_indexes: str | tuple | None = None,
-        write_batch: int | None = None,
-        read_cache: str | bool | int | None = None,
-        planner: str | None = None,
-        **architecture_kwargs,
+        architecture: str,
+        seed: int,
+        consistency: ConsistencyConfig | None,
+        *,
+        shards: int,
+        placement: str | dict[int, str] | None,
+        concurrency: int | None,
+        ddb_indexes: str | tuple | None,
+        write_batch: int | None,
+        read_cache: str | bool | int | None,
+        planner: str | None,
+        router=None,
     ):
-        """``shards``/``placement`` pick the provenance layout: N stores
+        """The seven knobs — every one optional, every default
+        byte-identical on the meter to the paper's deployment, and each
+        ``None`` falling back to its ``REPRO_*`` environment spec:
+
+        ``shards``/``placement`` pick the provenance layout: N stores
         routed by consistent hash, each placed on the backend the
         placement spec names (``"sdb"``, ``"ddb"``, ``"mixed"``,
         ``"0:sdb,1:ddb"``, or a ``{index: kind}`` map — default
-        all-SimpleDB, or the ``REPRO_BACKEND_PLACEMENT`` environment
-        spec). ``ddb_indexes`` declares global secondary indexes on
-        DynamoDB-placed shards (``"name,input"``, ``"auto"``, ``""`` for
-        none — default the ``REPRO_DDB_INDEXES`` environment spec), so
+        all-SimpleDB, or ``REPRO_BACKEND_PLACEMENT``); a ready
+        ``router`` (a :class:`~repro.sharding.ShardRouter` or a shared
+        :class:`~repro.migration.RouterHandle`) replaces both.
+        ``concurrency`` is the scatter-gather worker-pool width of the
+        query engines handed out (default sequential, or
+        ``REPRO_QUERY_CONCURRENCY``). ``ddb_indexes`` declares global
+        secondary indexes on DynamoDB-placed shards (``"name,input"``,
+        ``"auto"``, ``""`` for none — default ``REPRO_DDB_INDEXES``), so
         Q2/Q3 phases on those shards are index Queries instead of
-        Scans. ``write_batch`` sets the client coalescer's and commit
-        daemon's group-commit width (default 1, or the
-        ``REPRO_WRITE_BATCH`` environment override): one write path at
-        every width, and the width picks the request shape — 1 is a
-        batch of one sent as single-item requests, the paper's
-        one-request-per-item protocol; above it the batch APIs.
-        ``read_cache`` enables the
-        ElastiCache-style read-cache tier fronting the provenance
-        backends (``"on"``, a spec like ``"capacity=65536"``, or the
-        ``REPRO_READ_CACHE`` environment override — default off,
-        byte-identical on the meter). ``planner`` picks the query
-        engines' access-path planning mode (``"off"``/``"first-fit"``/
-        ``"cost"``, default the ``REPRO_QUERY_PLANNER`` environment
-        spec or off — off is byte-identical on the meter)."""
-        if architecture not in _FACTORIES:
-            raise ValueError(
-                f"unknown architecture {architecture!r}; "
-                f"expected one of {sorted(_FACTORIES)}"
-            )
+        Scans. ``write_batch`` is every client coalescer's and commit
+        daemon's group-commit width (default 1, or
+        ``REPRO_WRITE_BATCH``): one write path at every width, and the
+        width picks the request shape — 1 is a batch of one sent as
+        single-item requests, the paper's one-request-per-item
+        protocol; above it the batch APIs. ``read_cache`` enables the
+        account-wide ElastiCache-style read-cache tier fronting the
+        provenance backends (``"on"``, a spec like
+        ``"capacity=65536"``, default off or ``REPRO_READ_CACHE``) —
+        one authority per cloud, so any client's write invalidates what
+        another client cached. ``planner`` is the query engines'
+        access-path planning mode (``"off"``/``"first-fit"``/``"cost"``,
+        default off or ``REPRO_QUERY_PLANNER``).
+        """
+        if architecture == "s3" and write_batch is not None:
+            raise ValueError("the s3 architecture has no provenance write path to batch")
+        if router is None:
+            router = fresh_handle(shards, placement=placement)
+        elif shards != 1 or placement is not None:
+            raise ValueError("pass shards=N/placement=... or router=..., not both")
         self.architecture = architecture
         self.seed = seed
         self.account = AWSAccount(
@@ -100,48 +119,137 @@ class Simulation:
             ddb_indexes=ddb_indexes,
             read_cache=read_cache,
         )
-        retry = RetryPolicy(
-            attempts=retry_attempts,
-            wait=lambda: self.account.clock.advance(0.5),
-        )
-        if architecture_kwargs.get("router") is None:
-            architecture_kwargs["router"] = fresh_handle(shards, placement=placement)
-        elif shards != 1 or placement is not None:
-            raise ValueError("pass shards=N/placement=... or router=..., not both")
-        if architecture != "s3":
-            architecture_kwargs.setdefault("write_batch", write_batch)
-        elif write_batch is not None:
-            raise ValueError("the s3 architecture has no provenance write path to batch")
-        self.store: ProvenanceCloudStore = _FACTORIES[architecture](
-            self.account, faults=faults, retry=retry, **architecture_kwargs
-        )
-        self.store.provision()
-        #: Scatter-gather worker-pool width for query engines handed out
-        #: by :meth:`query_engine` (None → sequential, or the
-        #: ``REPRO_QUERY_CONCURRENCY`` environment override).
+        #: The one *routing handle* over the shard layout (and backend
+        #: placement) of the provenance domain — shared by every store,
+        #: commit daemon and query engine of this cloud, so a live
+        #: migration redirects all of them simultaneously, epoch by epoch.
+        self.routing = as_handle(router)
         self.concurrency = concurrency
-        #: Access-path planning mode for query engines handed out by
-        #: :meth:`query_engine` (None → the ``REPRO_QUERY_PLANNER``
-        #: environment spec, default off).
         self.planner = planner
+        self.write_batch = write_batch
+
+    # -- the deployment's parts --------------------------------------------
+
+    def new_store(self, **store_kwargs) -> ProvenanceCloudStore:
+        """One more client of this cloud: a provisioned store of the
+        cloud's architecture on the shared routing handle."""
+        if self.architecture != "s3":
+            store_kwargs["write_batch"] = self.write_batch
+        return make_architecture(
+            self.architecture, self.account, router=self.routing, **store_kwargs
+        )
+
+    def stores(self) -> list[ProvenanceCloudStore]:
+        """Every live client store (what :meth:`settle` drains)."""
+        raise NotImplementedError
+
+    def query_engine(self):
+        """The Table 3 query engine matching this architecture.
+
+        SimpleDB engines share the cloud's routing handle, so queries
+        scatter-gather across exactly the domains the stores wrote —
+        dispatched on a worker pool of ``self.concurrency`` streams
+        (1 = the sequential paper behaviour).
+        """
+        if self.architecture == "s3":
+            return S3ScanEngine(self.account)
+        return SimpleDBEngine(
+            self.account,
+            router=self.routing,
+            concurrency=self.concurrency,
+            planner=self.planner,
+        )
+
+    def start_migration(
+        self,
+        shards: int | None = None,
+        placement: str | dict[int, str] | None = None,
+        router: ShardRouter | None = None,
+    ) -> LiveMigration:
+        """Begin an online migration to a new shard layout/placement.
+
+        Returns the started :class:`LiveMigration`; drive it with
+        ``step()`` between batches of live traffic (or ``run()`` to
+        completion). Every consumer sharing the routing handle —
+        stores, commit daemons, query engines from :meth:`query_engine`
+        — observes the double-write window and per-shard cutovers as
+        they happen.
+        """
+        if self.architecture == "s3":
+            raise ValueError("the s3 architecture has no provenance shards to migrate")
+        return begin_live_migration(
+            self.account, self.routing, shards, placement, router
+        )
+
+    def settle(self) -> None:
+        """Run daemons and let eventual consistency fully converge.
+
+        Under an adversarial consistency window a commit daemon can
+        legitimately *defer* transactions (the temp object has not
+        reached any sampled replica yet) — their messages stay locked
+        until the visibility timeout. Settling models the passage of
+        real time: drain every client's daemon, quiesce replication,
+        let timeouts lapse, and go again until every WAL is empty (or
+        :data:`SETTLE_ROUNDS` have passed).
+        """
+        wal_stores = [s for s in self.stores() if isinstance(s, S3SimpleDBSQS)]
+        for _ in range(SETTLE_ROUNDS):
+            for store in wal_stores:
+                store.pump()
+            self.account.quiesce()
+            if not any(
+                self.account.sqs.exact_message_count(store.queue_url)
+                for store in wal_stores
+            ):
+                return
+            self.account.clock.advance(150.0)  # past the visibility timeout
+
+
+class Simulation(Cloud):
+    """A :class:`Cloud` with one client: one store, one event loop."""
+
+    def __init__(
+        self,
+        architecture: str = "s3+simpledb+sqs",
+        seed: int = 0,
+        consistency: ConsistencyConfig | None = None,
+        faults: FaultPlan = NO_FAULTS,
+        pump_every: int = 25,
+        shards: int = 1,
+        placement: str | dict[int, str] | None = None,
+        concurrency: int | None = None,
+        ddb_indexes: str | tuple | None = None,
+        write_batch: int | None = None,
+        read_cache: str | bool | int | None = None,
+        planner: str | None = None,
+        router=None,
+        **architecture_kwargs,
+    ):
+        """The knobs are :class:`Cloud`'s. ``faults`` arms the client's
+        protocol crash points, ``pump_every`` is how many stores pass
+        between drains of the A3 commit daemon, and
+        ``architecture_kwargs`` go to the store's constructor
+        (``commit_threshold``, ``daemon_faults``, …)."""
+        super().__init__(
+            architecture, seed, consistency, shards=shards, placement=placement,
+            concurrency=concurrency, ddb_indexes=ddb_indexes,
+            write_batch=write_batch, read_cache=read_cache, planner=planner,
+            router=router,
+        )
+        self.store = self.new_store(faults=faults, **architecture_kwargs)
         self._pump_every = pump_every
         self.events_stored = 0
         self.stats = TraceStats()
 
+    def stores(self) -> list[ProvenanceCloudStore]:
+        return [self.store]
+
     # -- storing ------------------------------------------------------------
 
     def store_events(self, events: Iterable[FlushEvent], collect: bool = True) -> int:
-        """Stream flush events through the architecture's store protocol."""
-        count = 0
-        for event in events:
-            self.store.store(event)
-            if collect:
-                self.stats.add_event(event)
-            count += 1
-            if count % self._pump_every == 0:
-                self.pump()
-        self.settle()
-        return count
+        """Stream flush events through the architecture's store protocol
+        (a timed stream whose delays are all zero)."""
+        return self.store_timed_events(((0.0, event) for event in events), collect)
 
     def store_timed_events(
         self,
@@ -150,9 +258,9 @@ class Simulation:
     ) -> int:
         """Store ``(inter_arrival_seconds, event)`` pairs, advancing the
         simulated clock by each delay first — the rate-enveloped capture
-        path bursty workloads (``workload.timed``) drive. A zero delay
-        takes exactly the :meth:`store_events` store path, so untimed
-        streams stay byte-identical on the meter either way.
+        path of bursty workloads; a zero delay leaves the clock alone.
+        The commit daemon is pumped every ``pump_every`` stores and the
+        cloud settled at the end.
         """
         count = 0
         for delay, event in timed_events:
@@ -167,38 +275,12 @@ class Simulation:
         self.settle()
         return count
 
-    def settle(self, max_rounds: int = 12) -> None:
-        """Run daemons and let eventual consistency fully converge.
-
-        Under an adversarial consistency window the commit daemon can
-        legitimately *defer* transactions (the temp object has not
-        reached any sampled replica yet) — their messages stay locked
-        until the visibility timeout. Settling models the passage of
-        real time: quiesce replication, let timeouts lapse, re-run the
-        daemon, until the WAL is empty.
-        """
-        self.pump()
-        self.account.quiesce()
-        if not isinstance(self.store, S3SimpleDBSQS):
-            return
-        for _ in range(max_rounds):
-            if self.account.sqs.exact_visible_count(self.store.queue_url) == 0:
-                remaining = self.account.sqs.exact_message_count(self.store.queue_url)
-                if remaining == 0:
-                    return
-            self.account.clock.advance(150.0)  # past the visibility timeout
-            self.pump()
-            self.account.quiesce()
-
     def run_workload(
         self, workload: Workload, scale: float = 1.0, seed: int | None = None
     ) -> int:
         """Generate and store a workload trace; returns events stored."""
         rng = random.Random(f"{workload.name}:{self.seed if seed is None else seed}")
-        if workload.timed:
-            stored = self.store_timed_events(workload.iter_timed_events(rng, scale))
-        else:
-            stored = self.store_events(workload.iter_events(rng, scale))
+        stored = self.store_timed_events(workload.iter_timed_events(rng, scale))
         self.events_stored += stored
         return stored
 
@@ -207,51 +289,12 @@ class Simulation:
         if isinstance(self.store, S3SimpleDBSQS):
             self.store.pump()
 
-    # -- reading / querying ---------------------------------------------------
+    # -- reading ------------------------------------------------------------
 
     def read(self, name: str, version: int | None = None) -> ReadResult:
         return self.store.read(name, version)
 
-    def query_engine(self):
-        """The Table 3 query engine matching this architecture.
-
-        SimpleDB engines share the store's shard router, so queries
-        scatter-gather across exactly the domains the store wrote —
-        dispatched on a worker pool of ``self.concurrency`` streams
-        (1 = the sequential paper behaviour).
-        """
-        if self.architecture == "s3":
-            return S3ScanEngine(self.account)
-        return SimpleDBEngine(
-            self.account,
-            router=self.store.routing,
-            concurrency=self.concurrency,
-            planner=self.planner,
-        )
-
-    # -- layout migration -------------------------------------------------------
-
-    def start_migration(
-        self,
-        shards: int | None = None,
-        placement: str | dict[int, str] | None = None,
-        router: ShardRouter | None = None,
-        **knobs,
-    ) -> LiveMigration:
-        """Begin an online migration to a new shard layout/placement.
-
-        Returns the started :class:`LiveMigration`; drive it with
-        ``step()`` between batches of live traffic (or ``run()`` to
-        completion). Every consumer sharing the store's routing handle
-        — stores, the commit daemon, query engines from
-        :meth:`query_engine` — observes the double-write window and
-        per-shard cutovers as they happen.
-        """
-        if self.architecture == "s3":
-            raise ValueError("the s3 architecture has no provenance shards to migrate")
-        return begin_live_migration(
-            self.account, self.store.routing, shards, placement, router, **knobs
-        )
+    # -- layout migration ---------------------------------------------------
 
     def migrate(
         self,
@@ -259,7 +302,6 @@ class Simulation:
         placement: str | dict[int, str] | None = None,
         router: ShardRouter | None = None,
         online: bool = True,
-        **knobs,
     ) -> RebalanceReport:
         """Reshape the provenance layout; returns the migration report.
 
@@ -271,14 +313,12 @@ class Simulation:
         only in a write-quiet window.
         """
         if online:
-            return self.start_migration(shards, placement, router, **knobs).run()
+            return self.start_migration(shards, placement, router).run()
         if self.architecture == "s3":
             raise ValueError("the s3 architecture has no provenance shards to migrate")
-        target = resolve_target_router(
-            self.store.routing.current, shards, placement, router
-        )
-        report = rebalance(self.account, self.store.routing.current, target)
-        self.store.routing.swap(target)
+        target = resolve_target_router(self.routing.current, shards, placement, router)
+        report = rebalance(self.account, self.routing.current, target)
+        self.routing.swap(target)
         return report
 
     # -- accounting ------------------------------------------------------------

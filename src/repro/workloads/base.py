@@ -35,8 +35,9 @@ class Workload:
     name: str = "workload"
 
     #: True for workloads whose events carry inter-arrival delays
-    #: (see :meth:`iter_timed_events`); :meth:`Simulation.run_workload`
-    #: advances the simulated clock between stores for these.
+    #: (see :meth:`iter_timed_events`). Read only by trace capture, to
+    #: decide whether a dump records delays — the simulation stores
+    #: every workload through the one timed event loop.
     timed: bool = False
 
     @property
@@ -67,8 +68,8 @@ class Workload:
 
         The default stream arrives back-to-back (delay 0.0 — the
         paper's batch model). Bursty workloads override this with a
-        rate envelope; set ``timed = True`` so the simulation takes the
-        clock-advancing store path.
+        rate envelope, and set ``timed = True`` so a captured trace
+        records the delays.
         """
         for event in self.iter_events(rng, scale):
             yield 0.0, event

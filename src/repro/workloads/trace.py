@@ -347,9 +347,9 @@ class TraceReplayWorkload(base.Workload):
     def __init__(self, document: TraceDocument):
         self.document = document
         self.name = f"replay:{document.workload}"
-        # A capture that recorded inter-arrival delays replays through
-        # the clock-advancing store path, reproducing the original
-        # run's burst profile (and byte_seconds) exactly.
+        # A capture that recorded inter-arrival delays replays them,
+        # reproducing the original run's burst profile (and
+        # byte_seconds) exactly — and a re-capture records them again.
         self.timed = any(d is not None for d in document.delays)
 
     @classmethod

@@ -38,10 +38,9 @@ def _sanitizer_gate():
         violation.render() for violation in grown
     )
 from repro.blob import BytesBlob
-from repro.core.base import RetryPolicy
-from repro.core.s3_simpledb import S3SimpleDB
-from repro.core.s3_simpledb_sqs import S3SimpleDBSQS
-from repro.core.s3_standalone import S3Standalone
+# ``make_architecture`` is the library's one builder (a provisioned store
+# with the clock-advancing retry policy); tests import it from here.
+from repro.core import ARCHITECTURES, make_architecture
 from repro.passlib.capture import PassSystem
 
 
@@ -77,22 +76,7 @@ def provenance_oracle_item(account: AWSAccount, item_name: str):
     return backend.authoritative_item(domain, item_name)
 
 
-def make_architecture(name: str, account: AWSAccount, **kwargs):
-    factories = {
-        "s3": S3Standalone,
-        "s3+simpledb": S3SimpleDB,
-        "s3+simpledb+sqs": S3SimpleDBSQS,
-    }
-    retry = kwargs.pop(
-        "retry",
-        RetryPolicy(attempts=12, wait=lambda: account.clock.advance(0.5)),
-    )
-    store = factories[name](account, retry=retry, **kwargs)
-    store.provision()
-    return store
-
-
-@pytest.fixture(params=["s3", "s3+simpledb", "s3+simpledb+sqs"])
+@pytest.fixture(params=list(ARCHITECTURES))
 def any_architecture(request, strong_account):
     """Each architecture over a strongly consistent cloud."""
     return make_architecture(request.param, strong_account)

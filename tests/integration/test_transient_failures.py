@@ -8,7 +8,7 @@ contract real AWS SDK retries rely on.
 
 import pytest
 
-from repro.core.base import call_with_retries
+from repro.aws.faults import call_with_retries
 from repro.errors import ServiceUnavailable
 from tests.conftest import make_architecture, tiny_trace
 

@@ -89,12 +89,12 @@ def run_cell(traces, key, shards, placement, mode):
         shards=shards,
         placement=placement,
         ddb_indexes=DDB_INDEXES,
+        # predicted_cost models live backend execution, not cache hits:
+        # compare it against metered spend with the cache off.
+        read_cache="off",
         planner=mode,
     )
-    if spec.workload.timed:
-        sim.store_timed_events(timed)
-    else:
-        sim.store_events([event for _, event in timed])
+    sim.store_timed_events(timed)
     engine = sim.query_engine()
     before = sim.usage()
     measurements = (

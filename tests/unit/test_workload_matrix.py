@@ -208,6 +208,22 @@ def test_timed_trace_replays_with_identical_meter_and_clock():
     assert resim.account.clock.now == original.account.clock.now
 
 
+@pytest.mark.parametrize("architecture", ["s3", "s3+simpledb", "s3+simpledb+sqs"])
+def test_untimed_stream_is_a_zero_delay_timed_stream(architecture):
+    """One event loop: ``store_events`` and ``store_timed_events`` over
+    zero delays leave the same meter, clock and ``TraceStats``."""
+    events = CombinedWorkload().generate(seed=3, scale=0.02).events[:30]
+    untimed = Simulation(architecture=architecture, seed=6, pump_every=7)
+    timed = Simulation(architecture=architecture, seed=6, pump_every=7)
+
+    assert untimed.store_events(events) == 30
+    assert timed.store_timed_events((0.0, event) for event in events) == 30
+
+    assert timed.usage() == untimed.usage()
+    assert timed.account.clock.now == untimed.account.clock.now
+    assert timed.stats == untimed.stats
+
+
 # -- salted seeding (the name-collision fix) ---------------------------------
 
 
