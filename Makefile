@@ -44,12 +44,13 @@
 #                     legitimately grows src/repro raises the constant in
 #                     the same diff (the baselines.json convention)
 #   make lint-prov    provlint — the project's AST invariant checker
-#                     (lock discipline, metering/billing coverage,
-#                     determinism, ':v' wire-format ownership, router
-#                     handles); stdlib-only, no install needed
+#                     (metering/billing coverage, determinism, ':v'
+#                     wire-format ownership, router handles);
+#                     stdlib-only, no install needed
 #
 # Knobs the suite honours (also exercised by the CI matrix):
-#   REPRO_QUERY_CONCURRENCY=N    scatter-gather worker-pool width
+#   REPRO_QUERY_CONCURRENCY=N    modeled scatter-gather wave width (execution
+#                                is sequential; N prices the wave's makespan)
 #   REPRO_BACKEND_PLACEMENT=...  default shard backend placement:
 #                                sdb | ddb | mixed | "0:sdb,1:ddb"
 #                                (mixed = even shards on SimpleDB, odd on
@@ -129,12 +130,12 @@
 #                                first-fit and the prediction error bound;
 #                                the planner/* bench-gate keys freeze both
 #                                regimes.
-#   REPRO_SANITIZE=1             opt-in runtime sanitizer: new_lock() hands
-#                                out order-recording lock shims that check
-#                                the documented service -> meter -> leaf
-#                                partial order per thread, and the Meter
-#                                flags spend landing inside a query with no
-#                                active Meter.scoped context (leaks from
+#   REPRO_SANITIZE=1             opt-in runtime sanitizer: at the end of every
+#                                sharded query the engine audits that its
+#                                per-stream and memo Meter.scoped contexts
+#                                sum to the query's own scope, per (service,
+#                                op) request count and per-service bytes out
+#                                (spend outside them would be missing from
 #                                per-shard accounting). Violations are
 #                                recorded, not raised; the test conftest
 #                                fails the test that grew the registry. Off
@@ -154,7 +155,9 @@ BENCH_SMOKE_FILES = bench_sharding_scaleout.py bench_concurrent_gather.py \
 
 # The CI knob-variant passes, one row each: the `include:` rows of the
 # tests matrix in .github/workflows/ci.yml (keep the two in sync). A row
-# is its REPRO_* assignments joined by ';' and single-quoted.
+# is its REPRO_* assignments joined by ';' and single-quoted. The
+# CONCURRENCY=4 rows change wave width and modeled latency only
+# (execution is sequential); the SANITIZE=1 row exercises the spend check.
 TEST_VARIANTS = \
 	'REPRO_QUERY_CONCURRENCY=4' \
 	'REPRO_QUERY_CONCURRENCY=4;REPRO_BACKEND_PLACEMENT=mixed' \

@@ -35,15 +35,12 @@ Provisioned per-table throughput is enforced as admission control
 
 from __future__ import annotations
 
-import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.clock import SimClock
-from repro.concurrency import new_lock, synchronized
-from repro.devtools import sanitize
 from repro.units import GB, SECONDS_PER_MONTH
 
 # Service identifiers used as meter keys.
@@ -241,17 +238,16 @@ class MeterScope:
     """A scoped accumulation of metered activity — one shard's spend.
 
     Created by :meth:`Meter.scoped`. While the scope is active, every
-    request/transfer/box-usage record made *by the entering thread* is
-    credited to the scope as well as to the meter's global totals. This
-    is how the sharded query engine attributes spend to individual shard
-    request streams even when many streams run concurrently: snapshot
-    deltas would interleave across threads, but a scope only ever sees
-    its own thread's records, so per-shard scopes sum exactly to the
-    query's global meter delta.
+    request/transfer/box-usage record is credited to the scope as well
+    as to the meter's global totals, in O(records made inside it). This
+    is how the query engine measures a whole query (one enclosing
+    scope) and attributes its spend to individual shard request streams
+    (one nested scope each): the stream scopes sum exactly to the query
+    scope, which equals the global meter delta over the block.
 
-    Storage levels (byte-seconds) are deliberately not scoped — queries
-    do not change stored state, and a per-thread view of an integrated
-    global level would be meaningless.
+    Storage (levels and byte-seconds) is deliberately not scoped — it is
+    account-wide state integrated against the clock, not something a
+    block of requests spends.
     """
 
     __slots__ = (
@@ -264,21 +260,26 @@ class MeterScope:
     )
 
     def __init__(self) -> None:
-        self._requests: Counter[tuple[str, str]] = Counter()
-        self._bytes_in: Counter[str] = Counter()
-        self._bytes_out: Counter[str] = Counter()
+        # defaultdicts, not Counters: a query opens a scope per stream,
+        # and a Counter() takes four times as long to construct.
+        self._requests: defaultdict[tuple[str, str], int] = defaultdict(int)
+        self._bytes_in: defaultdict[str, int] = defaultdict(int)
+        self._bytes_out: defaultdict[str, int] = defaultdict(int)
         self._box_usage_hours = 0.0
-        self._read_units: Counter[str] = Counter()
-        self._write_units: Counter[str] = Counter()
+        self._read_units: defaultdict[str, float] = defaultdict(int)
+        self._write_units: defaultdict[str, float] = defaultdict(int)
 
     def usage(self) -> Usage:
         """The scope's accumulated activity as an immutable snapshot."""
+        return self._usage(())
+
+    def _usage(self, stored_bytes: tuple[tuple[str, int], ...]) -> Usage:
         return Usage(
             requests=tuple(sorted(self._requests.items())),
             bytes_in=tuple(sorted(self._bytes_in.items())),
             bytes_out=tuple(sorted(self._bytes_out.items())),
             byte_seconds=(),
-            stored_bytes=(),
+            stored_bytes=stored_bytes,
             box_usage_hours=self._box_usage_hours,
             read_capacity_units=tuple(sorted(self._read_units.items())),
             write_capacity_units=tuple(sorted(self._write_units.items())),
@@ -301,10 +302,8 @@ class Meter:
     by the elapsed simulated time, giving exact GB-month figures for any
     billing window.
 
-    The meter is thread-safe: all mutation and snapshotting is
-    serialised behind one lock, so concurrent scatter-gather workers can
-    never lose or double-count a record. :meth:`scoped` additionally
-    opens a per-thread accounting scope (see :class:`MeterScope`).
+    :meth:`scoped` additionally opens an accounting scope over a block
+    of requests (see :class:`MeterScope`).
     """
 
     def __init__(self, clock: SimClock):
@@ -318,127 +317,79 @@ class Meter:
         self._byte_seconds: dict[str, float] = {}
         self._last_update: dict[str, float] = {}
         self._box_usage_hours = 0.0
-        self._lock = new_lock("meter", name="meter")
-        #: Decided once, as ``new_lock`` picks the lock shim: a meter
-        #: built with the sanitizer off stays inert for its lifetime.
-        self._sanitized = sanitize.enabled()
-        self._scope_local = threading.local()
+        #: Open scopes, outermost first.
+        self._scopes: list[MeterScope] = []
 
     # -- scoped accounting -----------------------------------------------
 
-    def _scope_stack(self) -> list[MeterScope]:
-        stack = getattr(self._scope_local, "stack", None)
-        if stack is None:
-            stack = self._scope_local.stack = []
-        return stack
-
     @contextmanager
     def scoped(self) -> Iterator[MeterScope]:
-        """Attribute this thread's records to a fresh scope while active.
+        """Attribute the records made inside the block to a fresh scope.
 
         Scopes nest: an inner scope's records are also credited to the
-        enclosing one. Records made by *other* threads are never seen —
-        each concurrent worker opens its own scope.
+        enclosing one. A block that raises still pops its scope.
         """
         scope = MeterScope()
-        stack = self._scope_stack()
-        stack.append(scope)
+        self._scopes.append(scope)
         try:
             yield scope
         finally:
-            stack.pop()
+            self._scopes.pop()
 
-    @contextmanager
-    def expect_scope(self) -> Iterator[None]:
-        """Declare that this thread's records should be scope-attributed.
+    def spent(self, scope: MeterScope) -> Usage:
+        """What ``snapshot() - before`` reads for the block ``scope``
+        covered — its activity plus the current stored levels — without
+        copying and diffing the account-wide counters.
 
-        The sharded query engine brackets each measured query (and each
-        per-shard stream task) with this marker. Under ``REPRO_SANITIZE=1``
-        (read once, when the meter is built) any record landing on a
-        marked thread with *no* active :meth:`scoped` context is reported
-        as an unattributed-spend leak — spend that would silently vanish
-        from ``per_shard`` totals.
-        With the sanitizer off this is an inert no-op: no state is
-        touched and the meter is byte-identical to the unsanitized
-        build.
+        ``byte_seconds`` is empty: storage accrual is not spend of the
+        block (the snapshot diff agrees whenever the clock did not move
+        inside it, which only a throttled DynamoDB read's backoff does).
         """
-        if not self._sanitized:
-            yield
-            return
-        local = self._scope_local
-        local.expect = getattr(local, "expect", 0) + 1
-        try:
-            yield
-        finally:
-            local.expect -= 1
-
-    def _flag_unattributed(self, what: str) -> None:
-        """Record an unattributed-spend leak (sanitizer only; see
-        :meth:`expect_scope`). Called with the meter lock held; the
-        expectation marker and scope stack are both thread-local."""
-        if not self._sanitized:
-            return
-        if getattr(self._scope_local, "expect", 0) and not self._scope_stack():
-            sanitize.record(
-                "unattributed-spend",
-                f"{what} recorded during a query with no active Meter.scoped "
-                "context — this spend is missing from per-shard accounting",
-            )
+        return scope._usage(tuple(sorted(self._stored.items())))
 
     # -- recording -------------------------------------------------------
 
-    @synchronized
     def record_request(self, service: str, op: str, count: int = 1) -> None:
-        self._flag_unattributed(f"request {service}/{op}")
         self._requests[(service, op)] += count
         box_hours = 0.0
         if service == SDB:
             box_hours = SDB_BOX_USAGE_HOURS.get(op, 1.0e-5) * count
             self._box_usage_hours += box_hours
-        for scope in self._scope_stack():
+        for scope in self._scopes:
             scope._requests[(service, op)] += count
             scope._box_usage_hours += box_hours
 
-    @synchronized
     def record_transfer_in(self, service: str, nbytes: int) -> None:
         if nbytes:
-            self._flag_unattributed(f"transfer-in {service}")
             self._bytes_in[service] += nbytes
-            for scope in self._scope_stack():
+            for scope in self._scopes:
                 scope._bytes_in[service] += nbytes
 
-    @synchronized
     def record_transfer_out(self, service: str, nbytes: int) -> None:
         if nbytes:
-            self._flag_unattributed(f"transfer-out {service}")
             self._bytes_out[service] += nbytes
-            for scope in self._scope_stack():
+            for scope in self._scopes:
                 scope._bytes_out[service] += nbytes
 
-    @synchronized
     def record_capacity(
         self, service: str, read_units: float = 0.0, write_units: float = 0.0
     ) -> None:
         """Record consumed capacity units (DynamoDB-style metering)."""
-        if read_units or write_units:
-            self._flag_unattributed(f"capacity {service}")
         if read_units:
             self._read_units[service] += read_units
+            for scope in self._scopes:
+                scope._read_units[service] += read_units
         if write_units:
             self._write_units[service] += write_units
-        for scope in self._scope_stack():
-            scope._read_units[service] += read_units
-            scope._write_units[service] += write_units
+            for scope in self._scopes:
+                scope._write_units[service] += write_units
 
-    @synchronized
     def record_box_usage(self, hours: float) -> None:
         """Add explicit SimpleDB machine time (e.g. for expensive scans)."""
-        self._flag_unattributed("box-usage")
         self._box_usage_hours += hours
-        for scope in self._scope_stack():
+        for scope in self._scopes:
             scope._box_usage_hours += hours
 
-    @synchronized
     def adjust_stored(self, service: str, delta_bytes: int) -> None:
         """Change a service's stored-byte level, integrating time first."""
         self._integrate(service)
@@ -460,7 +411,6 @@ class Meter:
 
     # -- reading ----------------------------------------------------------
 
-    @synchronized
     def snapshot(self) -> Usage:
         for service in list(self._stored):
             self._integrate(service)
@@ -475,7 +425,6 @@ class Meter:
             write_capacity_units=tuple(sorted(self._write_units.items())),
         )
 
-    @synchronized
     def stored_bytes(self, service: str) -> int:
         """Current stored-byte level for a service."""
         return self._stored[service]

@@ -76,7 +76,6 @@ from repro.aws import billing
 from repro.aws.consistency import DelayModel, ReplicaSet, STRONG
 from repro.aws.faults import RequestFaults
 from repro.clock import SimClock
-from repro.concurrency import new_lock, synchronized
 
 #: Item attribute state: name -> tuple of distinct values (sorted) — the
 #: same shape SimpleDB items use, so serialisers work on either backend.
@@ -440,7 +439,6 @@ class DynamoDBService:
         self._default_read_capacity = read_capacity
         self._default_write_capacity = write_capacity
         self._tables: dict[str, _Table] = {}
-        self._lock = new_lock()
 
     @property
     def clock(self) -> SimClock:
@@ -449,7 +447,6 @@ class DynamoDBService:
 
     # -- table management ---------------------------------------------------
 
-    @synchronized
     def create_table(
         self,
         name: str,
@@ -471,7 +468,6 @@ class DynamoDBService:
             write_capacity=write_capacity or self._default_write_capacity,
         )
 
-    @synchronized
     def delete_table(self, name: str) -> None:
         self._request("DeleteTable")
         removed = self._tables.pop(name, None)
@@ -483,7 +479,6 @@ class DynamoDBService:
         if index_freed:
             self._meter.adjust_stored(billing.DDB_GSI, -index_freed)
 
-    @synchronized
     def list_tables(self) -> list[str]:
         self._request("ListTables")
         return sorted(self._tables)
@@ -496,7 +491,6 @@ class DynamoDBService:
 
     # -- secondary indexes --------------------------------------------------
 
-    @synchronized
     def create_index(self, table_name: str, spec: IndexSpec) -> float:
         """Create a GSI, backfilling it from the base table.
 
@@ -543,7 +537,6 @@ class DynamoDBService:
             self._meter.adjust_stored(billing.DDB_GSI, stored)
         return backfill_units
 
-    @synchronized
     def delete_index(self, table_name: str, index_name: str) -> None:
         """Drop a GSI and free its projected storage (idempotent)."""
         table = self._table(table_name)
@@ -555,7 +548,6 @@ class DynamoDBService:
         if index.entry_bytes:
             self._meter.adjust_stored(billing.DDB_GSI, -index.entry_bytes)
 
-    @synchronized
     def list_indexes(self, table_name: str) -> list[IndexSpec]:
         """The table's index declarations, in creation order. Unmetered:
         clients cache table schemas (DescribeTable) between requests."""
@@ -564,14 +556,12 @@ class DynamoDBService:
             return []
         return [index.spec for index in table.indexes.values()]
 
-    @synchronized
     def index_lag_seconds(self, table_name: str, index_name: str) -> float:
         """Replication lag of an index: how long its oldest still
         propagating entry has been in flight (0.0 when converged).
         Unmetered observability, the CloudWatch-metric analogue."""
         return self._index(table_name, index_name).replicas.lag_seconds()
 
-    @synchronized
     def index_pending_writes(self, table_name: str, index_name: str) -> int:
         """Scheduled-but-unapplied index entry installs (lag backlog)."""
         return self._index(table_name, index_name).replicas.pending_installs
@@ -704,7 +694,6 @@ class DynamoDBService:
 
     # -- writes -------------------------------------------------------------
 
-    @synchronized
     def update_item(
         self, table_name: str, key: str, adds: list[tuple[str, str]]
     ) -> None:
@@ -750,7 +739,6 @@ class DynamoDBService:
                 index.replicas.write(entry_key, projected)
                 _stat_entry_written(index, entry_key, delta, is_new)
 
-    @synchronized
     def batch_write_item(
         self, table_name: str, puts: list[tuple[str, list[tuple[str, str]]]]
     ) -> list[tuple[str, list[tuple[str, str]]]]:
@@ -843,7 +831,6 @@ class DynamoDBService:
                 self._meter.adjust_stored(billing.DDB_GSI, admitted_index_stored)
         return unprocessed
 
-    @synchronized
     def delete_item(self, table_name: str, key: str) -> None:
         """Delete an item. Idempotent: deleting an absent item succeeds
         (and still consumes the minimum write unit, as DynamoDB does).
@@ -879,7 +866,6 @@ class DynamoDBService:
 
     # -- reads --------------------------------------------------------------
 
-    @synchronized
     def get_item(
         self, table_name: str, key: str, consistent: bool = False
     ) -> ItemState:
@@ -899,7 +885,6 @@ class DynamoDBService:
         self._meter.record_transfer_out(billing.DDB, _attr_size(state))
         return dict(state)
 
-    @synchronized
     def scan(
         self,
         table_name: str,
@@ -942,7 +927,6 @@ class DynamoDBService:
         last_key = page[-1][0] if page and next(rows, None) is not None else None
         return ScanResult(items=tuple(page), last_evaluated_key=last_key)
 
-    @synchronized
     def query_index(
         self,
         table_name: str,
@@ -1061,7 +1045,6 @@ class DynamoDBService:
         last = entry_key if next(matches, None) is not None else None
         return IndexQueryResult(entries=tuple(entries), last_evaluated_key=last)
 
-    @synchronized
     def scan_index(
         self,
         table_name: str,
@@ -1092,7 +1075,6 @@ class DynamoDBService:
         matches = index.replicas.ordered_snapshot().between(exclusive_start_key)
         return self._serve_index_page(table, index, matches, limit, "Scan")
 
-    @synchronized
     def index_distinct_item_count(self, table_name: str, index_name: str) -> int:
         """Distinct items with at least one entry in the index's
         *converged* view. Unmetered (DescribeTable-style schema/size
@@ -1103,7 +1085,6 @@ class DynamoDBService:
         entry_keys = index.replicas.authoritative_keys()
         return len({key.rpartition(INDEX_KEY_SEP)[2] for key in entry_keys})
 
-    @synchronized
     def describe_table(self, table_name: str) -> dict:
         """Table and per-index statistics — what the query planner's
         cost model consumes.
@@ -1140,7 +1121,6 @@ class DynamoDBService:
 
     # -- oracle helpers (tests/migration verification) ----------------------
 
-    @synchronized
     def authoritative_item(self, table_name: str, key: str) -> ItemState | None:
         state = self._tables.get(table_name)
         if state is None:
@@ -1148,17 +1128,14 @@ class DynamoDBService:
         found = state.authority.get(key)
         return dict(found) if found is not None else None
 
-    @synchronized
     def authoritative_item_names(self, table_name: str) -> list[str]:
         table = self._tables.get(table_name)
         return table.replicas.authoritative_keys() if table is not None else []
 
-    @synchronized
     def item_count(self, table_name: str) -> int:
         table = self._tables.get(table_name)
         return len(table.authority) if table is not None else 0
 
-    @synchronized
     def authoritative_index_entries(
         self, table_name: str, index_name: str
     ) -> dict[tuple[str, str], ItemState]:
@@ -1173,7 +1150,6 @@ class DynamoDBService:
             entries[(value, item_name)] = dict(projected)
         return entries
 
-    @synchronized
     def index_converged(self, table_name: str, index_name: str) -> bool:
         """True when every index replica matches the converged view."""
         return self._index(table_name, index_name).replicas.is_converged()

@@ -50,7 +50,6 @@ from typing import Iterable
 
 from repro.aws.billing import ELASTICACHE, Meter
 from repro.clock import SimClock
-from repro.concurrency import new_lock, synchronized
 from repro.knobs import env_default
 
 #: Environment variable giving the default read-cache spec.
@@ -142,9 +141,8 @@ class ReadCacheAuthority:
     by ``build_read_cache`` when the knob is on). Holds item entries
     (point reads) and memoised ancestry-closure results (whole scatter
     phases) in one bounded LRU ring; every mutation and every coherence
-    decision — drop, fence check, age check — happens under the
-    authority's lock, so concurrent readers and writers always observe
-    one total order of invalidations.
+    decision — drop, fence check, age check — happens here, so readers
+    and writers always observe one total order of invalidations.
     """
 
     def __init__(
@@ -164,7 +162,6 @@ class ReadCacheAuthority:
         self._meter = meter
         self.capacity = capacity
         self.staleness_bound = staleness_bound
-        self._lock = new_lock(name="elasticache")
         #: key -> (value, nbytes, cached_at, generation-at-fill). Item
         #: keys are ("item", name); memo keys are ("memo",) + caller key.
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -184,7 +181,6 @@ class ReadCacheAuthority:
 
     # -- fences ----------------------------------------------------------
 
-    @synchronized
     def fence(self) -> int:
         """The current invalidation generation. Capture *before* the
         backend read whose result a fill will carry; piggybacks on the
@@ -193,20 +189,17 @@ class ReadCacheAuthority:
 
     @property
     def generation(self) -> int:
-        """Unlocked fence peek for observability (tests, benchmarks)."""
+        """Fence peek for observability (tests, benchmarks)."""
         return self._generation
 
-    @synchronized
     def entry_count(self) -> int:
         return len(self._entries)
 
-    @synchronized
     def stored_nbytes(self) -> int:
         return self._stored
 
     # -- item entries (point reads) --------------------------------------
 
-    @synchronized
     def get_item(self, item_name: str):
         """Consult the cache for one provenance item.
 
@@ -217,7 +210,6 @@ class ReadCacheAuthority:
         value = self._get(("item", item_name))
         return (True, value) if value is not None else (False, None)
 
-    @synchronized
     def put_item(self, item_name: str, attrs, fence: int) -> bool:
         """Fill one item entry, fenced against concurrent invalidation.
 
@@ -236,7 +228,6 @@ class ReadCacheAuthority:
             pin_generation=False,
         )
 
-    @synchronized
     def invalidate(self, item_name: str) -> None:
         """Write-through invalidation for one item (every put/delete
         path calls this). Drops the cached entry and advances the
@@ -245,7 +236,6 @@ class ReadCacheAuthority:
         self._generation += 1
         self.invalidations += 1
 
-    @synchronized
     def invalidate_many(self, item_names: Iterable[str]) -> None:
         """Batched write-through invalidation (the group-commit path)."""
         count = 0
@@ -258,7 +248,6 @@ class ReadCacheAuthority:
 
     # -- memoised ancestry closures --------------------------------------
 
-    @synchronized
     def memo_get(self, key: tuple):
         """Consult a memoised scatter-phase result.
 
@@ -274,7 +263,6 @@ class ReadCacheAuthority:
             return True, value, self._generation
         return False, None, self._generation
 
-    @synchronized
     def memo_put(self, key: tuple, fence: int, value, nbytes: int) -> bool:
         """Store a scatter-phase result pinned to its version fence —
         the *next* invalidation anywhere supersedes it (a closure can
@@ -282,7 +270,7 @@ class ReadCacheAuthority:
         all of them)."""
         return self._put(("memo",) + key, value, nbytes, fence, pin_generation=True)
 
-    # -- internals (lock held) -------------------------------------------
+    # -- internals --------------------------------------------------------
 
     def _get(self, key: tuple):
         self._meter.record_request(ELASTICACHE, "Get")

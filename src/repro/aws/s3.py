@@ -31,7 +31,6 @@ from repro.aws.consistency import DelayModel, ReplicaSet, STRONG
 from repro.aws.faults import RequestFaults
 from repro.blob import Blob, as_blob
 from repro.clock import SimClock
-from repro.concurrency import new_lock, synchronized
 
 
 def metadata_size(metadata: dict[str, str]) -> int:
@@ -119,13 +118,9 @@ class S3Service:
         self._delays = delays
         self._n_replicas = n_replicas
         self._buckets: dict[str, ReplicaSet[S3ObjectRecord]] = {}
-        # Serialises the public API for concurrent query workers (the
-        # overflow-GET path); see repro.concurrency for the locking model.
-        self._lock = new_lock()
 
     # -- bucket management -------------------------------------------------
 
-    @synchronized
     def create_bucket(self, name: str) -> None:
         self._request("PUT")
         if name in self._buckets:
@@ -134,7 +129,6 @@ class S3Service:
             f"s3/{name}", self._clock, self._rng, self._n_replicas, self._delays
         )
 
-    @synchronized
     def list_buckets(self) -> list[str]:
         self._request("GET")
         return sorted(self._buckets)
@@ -147,7 +141,6 @@ class S3Service:
 
     # -- object operations ---------------------------------------------------
 
-    @synchronized
     def put(
         self,
         bucket: str,
@@ -189,7 +182,6 @@ class S3Service:
         store.write(key, record)
         return record.etag
 
-    @synchronized
     def get(
         self,
         bucket: str,
@@ -220,7 +212,6 @@ class S3Service:
             range=(start, end),
         )
 
-    @synchronized
     def head(self, bucket: str, key: str) -> S3HeadResult:
         """Retrieve only an object's metadata (how A1 reads provenance)."""
         self._request("HEAD")
@@ -237,7 +228,6 @@ class S3Service:
             last_modified=record.last_modified,
         )
 
-    @synchronized
     def copy(
         self,
         bucket: str,
@@ -274,7 +264,6 @@ class S3Service:
         target_bucket.write(dst_key, record)
         return record.etag
 
-    @synchronized
     def delete(self, bucket: str, key: str) -> None:
         """Delete an object. Idempotent: deleting a missing key succeeds."""
         self._request("DELETE")
@@ -284,7 +273,6 @@ class S3Service:
             self._meter.adjust_stored(billing.S3, -previous.stored_size)
             store.delete(key)
 
-    @synchronized
     def list_keys(
         self,
         bucket: str,
@@ -313,16 +301,13 @@ class S3Service:
 
     # -- test/oracle helpers -------------------------------------------------
 
-    @synchronized
     def exists_authoritative(self, bucket: str, key: str) -> bool:
         """Oracle check bypassing eventual consistency (tests only)."""
         return self._bucket(bucket).contains_authoritative(key)
 
-    @synchronized
     def authoritative_keys(self, bucket: str) -> list[str]:
         return self._bucket(bucket).authoritative_keys()
 
-    @synchronized
     def authoritative_record(self, bucket: str, key: str) -> S3ObjectRecord | None:
         return self._bucket(bucket).read_authoritative(key)
 

@@ -62,7 +62,6 @@ from repro.aws.sdb_query import (
     run_query,
 )
 from repro.clock import SimClock
-from repro.concurrency import new_lock, synchronized
 
 #: Items an attribute map: name -> tuple of distinct values (sorted).
 ItemState = dict[str, tuple[str, ...]]
@@ -167,14 +166,9 @@ class SimpleDBService:
         # per-attribute counts from them.
         self._stat_bytes: dict[str, int] = {}
         self._postings: dict[str, dict[str, dict[str, str | set[str]]]] = {}
-        # Serialises the public API: concurrent scatter-gather workers
-        # observe each request as atomic, exactly as the single-threaded
-        # simulation always has (see repro.concurrency).
-        self._lock = new_lock()
 
     # -- domain management --------------------------------------------------
 
-    @synchronized
     def create_domain(self, name: str) -> None:
         """Create a domain. Idempotent, as in real SimpleDB."""
         self._request("CreateDomain")
@@ -186,7 +180,6 @@ class SimpleDBService:
             self._stat_bytes[name] = 0
             self._postings[name] = {}
 
-    @synchronized
     def delete_domain(self, name: str) -> None:
         self._request("DeleteDomain")
         self._domains.pop(name, None)
@@ -197,7 +190,6 @@ class SimpleDBService:
             freed = sum(_attr_size(state) for state in removed.values())
             self._meter.adjust_stored(billing.SDB, -freed)
 
-    @synchronized
     def list_domains(self) -> list[str]:
         self._request("ListDomains")
         return sorted(self._domains)
@@ -208,7 +200,6 @@ class SimpleDBService:
             raise errors.NoSuchDomain(name)
         return domain
 
-    @synchronized
     def domain_metadata(self, name: str) -> dict:
         """Domain statistics — the DomainMetadata call real SimpleDB
         offered, and what the query planner's cost model consumes.
@@ -238,8 +229,7 @@ class SimpleDBService:
         """Make ``new_state`` the item's authoritative state (empty =
         the item is gone): bill the stored-byte delta, fold the old→new
         diff into the domain's statistics and postings, and replicate.
-        The one place an item changes; called with the service lock
-        held, from every write path."""
+        The one place an item changes; called from every write path."""
         authority = self._authority[domain]
         old_state = authority.get(item_name, {})
         delta = _attr_size(new_state) - _attr_size(old_state)
@@ -278,7 +268,6 @@ class SimpleDBService:
 
     # -- writes ---------------------------------------------------------------
 
-    @synchronized
     def put_attributes(
         self,
         domain: str,
@@ -302,7 +291,6 @@ class SimpleDBService:
         )
         self._commit_item(domain, item_name, state)
 
-    @synchronized
     def batch_put_attributes(
         self,
         domain: str,
@@ -388,7 +376,6 @@ class SimpleDBService:
             )
         return state
 
-    @synchronized
     def delete_attributes(
         self,
         domain: str,
@@ -426,7 +413,6 @@ class SimpleDBService:
 
     # -- reads -----------------------------------------------------------------
 
-    @synchronized
     def get_attributes(
         self,
         domain: str,
@@ -443,7 +429,6 @@ class SimpleDBService:
         self._meter.record_transfer_out(billing.SDB, _attr_size(state))
         return dict(state)
 
-    @synchronized
     def query(
         self,
         domain: str,
@@ -462,7 +447,6 @@ class SimpleDBService:
         )
         return QueryResult(item_names=names, next_token=token)
 
-    @synchronized
     def query_with_attributes(
         self,
         domain: str,
@@ -487,7 +471,6 @@ class SimpleDBService:
         self._meter.record_transfer_out(billing.SDB, out_bytes)
         return QueryWithAttributesResult(items=tuple(projected), next_token=token)
 
-    @synchronized
     def select(
         self,
         statement: str | SelectStatement,
@@ -518,16 +501,13 @@ class SimpleDBService:
 
     # -- oracle helpers (tests/recovery scans) ----------------------------------
 
-    @synchronized
     def authoritative_item(self, domain: str, item_name: str) -> ItemState | None:
         state = self._authority.get(domain, {}).get(item_name)
         return dict(state) if state is not None else None
 
-    @synchronized
     def authoritative_item_names(self, domain: str) -> list[str]:
         return sorted(self._authority.get(domain, {}))
 
-    @synchronized
     def item_count(self, domain: str) -> int:
         """Authoritative number of items (used by the analysis module)."""
         return len(self._authority.get(domain, {}))

@@ -31,7 +31,6 @@ from repro import errors, units
 from repro.aws import billing
 from repro.aws.faults import RequestFaults
 from repro.clock import SimClock
-from repro.concurrency import new_lock, synchronized
 
 DEFAULT_VISIBILITY_TIMEOUT = 30.0
 DEFAULT_HOST_COUNT = 8
@@ -95,10 +94,6 @@ class SQSService:
         self._host_count = host_count
         self._sample_fraction = sample_fraction
         self._retention = retention_seconds
-        # Coarse service lock (repro/concurrency.py): queue state and
-        # the shared meter must mutate atomically once the commit daemon
-        # and a concurrent scatter-gather fleet share one endpoint.
-        self._lock = new_lock()
         self._queues: dict[str, _Queue] = {}
         self._message_ids = itertools.count(1)
         self._receipt_serials = itertools.count(1)
@@ -106,7 +101,6 @@ class SQSService:
 
     # -- queue management ---------------------------------------------------
 
-    @synchronized
     def create_queue(
         self, name: str, visibility_timeout: float = DEFAULT_VISIBILITY_TIMEOUT
     ) -> str:
@@ -128,7 +122,6 @@ class SQSService:
         )
         return url
 
-    @synchronized
     def delete_queue(self, url: str) -> None:
         self._request("DeleteQueue")
         queue = self._queues.pop(url, None)
@@ -138,7 +131,6 @@ class SQSService:
             )
             self._meter.adjust_stored(billing.SQS, -freed)
 
-    @synchronized
     def list_queues(self) -> list[str]:
         self._request("ListQueues")
         return sorted(self._queues)
@@ -152,7 +144,6 @@ class SQSService:
 
     # -- messaging -------------------------------------------------------------
 
-    @synchronized
     def send_message(self, url: str, body: str) -> str:
         """Enqueue a message (≤ 8 KB, Unicode text) on a random host."""
         self._request("SendMessage")
@@ -179,7 +170,6 @@ class SQSService:
         self._meter.adjust_stored(billing.SQS, len(encoded))
         return message.message_id
 
-    @synchronized
     def send_message_batch(self, url: str, bodies: list[str]) -> list[str]:
         """Enqueue up to 10 messages in one metered round trip.
 
@@ -220,7 +210,6 @@ class SQSService:
         self._meter.adjust_stored(billing.SQS, total)
         return message_ids
 
-    @synchronized
     def receive_message(
         self,
         url: str,
@@ -275,7 +264,6 @@ class SQSService:
         )
         return delivered
 
-    @synchronized
     def delete_message(self, url: str, receipt_handle: str) -> None:
         """Delete a message by receipt handle.
 
@@ -287,7 +275,6 @@ class SQSService:
         queue = self._queue(url)
         self._delete_by_handle(queue, receipt_handle)
 
-    @synchronized
     def delete_message_batch(self, url: str, receipt_handles: list[str]) -> list[str]:
         """Delete up to 10 messages in one metered round trip.
 
@@ -327,7 +314,6 @@ class SQSService:
             return
         # Unknown message id: already deleted; SQS treats this as success.
 
-    @synchronized
     def change_message_visibility(
         self, url: str, receipt_handle: str, visibility_timeout: float
     ) -> None:
@@ -357,7 +343,6 @@ class SQSService:
             return
         # Already deleted: treated as success, like DeleteMessage.
 
-    @synchronized
     def approximate_number_of_messages(self, url: str) -> int:
         """GetQueueAttributes:ApproximateNumberOfMessages.
 
@@ -381,13 +366,11 @@ class SQSService:
 
     # -- oracle helpers (tests only) ----------------------------------------------
 
-    @synchronized
     def exact_message_count(self, url: str) -> int:
         """True total (visible + in-flight) message count; test oracle."""
         queue = self._queue(url)
         return sum(len(host) for host in queue.hosts)
 
-    @synchronized
     def exact_visible_count(self, url: str) -> int:
         queue = self._queue(url)
         now = self._clock.now

@@ -199,7 +199,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if sim.architecture != "s3":
         engine = sim.query_engine()
         outputs = engine.q2_outputs_of("analyze")
-        # The engine resolves the effective pool width (argument or the
+        # The engine resolves the effective wave width (argument or the
         # REPRO_QUERY_CONCURRENCY environment default).
         mode = (
             f"concurrency={engine.concurrency}"
@@ -383,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--concurrency", type=_worker_count, default=None,
-        help="scatter-gather worker-pool width for queries (default 1 = "
-        "sequential; N>1 dispatches per-shard streams in parallel)",
+        help="modeled scatter-gather wave width for queries (default 1 = "
+        "sequential; N>1 prices N per-shard streams overlapping)",
     )
     demo.add_argument(
         "--backend", default=None, metavar="PLACEMENT",

@@ -15,8 +15,6 @@ import heapq
 import itertools
 from typing import Callable, Iterator
 
-from repro.concurrency import new_lock, synchronized
-
 
 class SimClock:
     """A manually advanced monotonic clock with an event queue.
@@ -25,29 +23,18 @@ class SimClock:
     :meth:`advance` or :meth:`advance_to` is called. Callbacks scheduled
     with :meth:`call_at` fire, in timestamp order, as the clock sweeps
     past their deadline.
-
-    The event heap is lock-guarded so concurrent query workers (which
-    may schedule replica propagation through service writes) cannot
-    corrupt it; :attr:`now` stays lock-free — a float load is atomic in
-    CPython, and keeping reads lock-free means billing integration never
-    holds the meter lock while waiting on the clock lock.
     """
 
     def __init__(self, epoch: float = 0.0):
         self._now = float(epoch)
         self._events: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
-        # Leaf in the documented lock order: nothing may be acquired
-        # while the event-heap lock is held (callbacks fired by
-        # advance_to mutate replica dicts directly, lock-free).
-        self._lock = new_lock("leaf", name="simclock")
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
 
-    @synchronized
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run when the clock reaches ``when``.
 
@@ -68,7 +55,6 @@ class SimClock:
             raise ValueError(f"cannot move time backwards (dt={dt})")
         self.advance_to(self._now + dt)
 
-    @synchronized
     def advance_to(self, when: float) -> None:
         """Move the clock forward to absolute time ``when``."""
         if when < self._now:
@@ -84,7 +70,6 @@ class SimClock:
             callback()
         self._now = when
 
-    @synchronized
     def run_until_idle(self, horizon: float | None = None) -> None:
         """Fire every scheduled event, advancing time as needed.
 

@@ -1,19 +1,18 @@
-"""Project-specific developer tooling: static checks + runtime sanitizers.
+"""Project-specific developer tooling: static checks + a runtime sanitizer.
 
-Two halves, one purpose — the invariants this codebase leans on (lock
-ordering, metering coverage, simulated determinism, serializer and
-router-handle discipline) are enforced by machines instead of reviewer
-memory:
+Two halves, one purpose — the invariants this codebase leans on
+(metering coverage, simulated determinism, serializer and router-handle
+discipline, exact per-shard spend attribution) are enforced by machines
+instead of reviewer memory:
 
 * :mod:`repro.devtools.provlint` — an AST-based static analysis pass
-  (``python -m repro.devtools.provlint src/``) with five checkers,
-  PL001..PL005. Run by ``make lint-prov`` and the CI ``lint-prov`` job.
+  (``python -m repro.devtools.provlint src/``) with four checkers,
+  PL002..PL005. Run by ``make lint-prov`` and the CI ``lint-prov`` job.
 * :mod:`repro.devtools.sanitize` — the opt-in runtime sanitizer
-  (``REPRO_SANITIZE=1``): :func:`repro.concurrency.new_lock` hands out
-  order-recording lock shims that assert the documented lock partial
-  order per thread, and the :class:`~repro.aws.billing.Meter` flags
-  spend recorded during a query with no active ``Meter.scoped``
-  context. With the variable unset both are inert and the meter is
+  (``REPRO_SANITIZE=1``): at the end of every sharded query the engine
+  audits that the query's own meter scope equals the sum of its
+  per-stream and memo scopes, recording any request or byte spent
+  outside them. With the variable unset it is inert and the meter is
   byte-identical to the unsanitized build.
 
 Neither module imports the simulation layers above it, so the tooling

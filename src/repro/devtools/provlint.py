@@ -5,15 +5,10 @@ Usage::
     python -m repro.devtools.provlint src/            # or src tests benchmarks
     python -m repro.devtools.provlint --json src/     # machine-readable
 
-Five checkers enforce the disciplines the codebase documents but Python
-cannot express (exit status 1 when any fires):
+Four checkers enforce the disciplines the codebase documents but Python
+cannot express (exit status 1 when any fires; there is no PL001 — the
+numbering is kept stable):
 
-* **PL001 lock discipline** — a class with ``@synchronized`` methods
-  must create ``self._lock`` via :func:`repro.concurrency.new_lock` in
-  ``__init__``; every public mutator method of a *service class* in
-  ``repro.aws`` (a class assigning ``self._meter`` in ``__init__``)
-  must be ``@synchronized``; raw ``threading.Lock()``/``RLock()``
-  constructions are confined to ``repro/concurrency.py``.
 * **PL002 metering/billing coverage** — every service key a ``Meter``
   call records must have a matching ``PriceBook.cost`` line and every
   price line must belong to a metered key (no "metered but unpriced"
@@ -24,9 +19,9 @@ cannot express (exit status 1 when any fires):
   line outright. Keys chosen at runtime are collected from conditional
   expressions and from ``billing_key`` bindings (the repo's convention
   for a dynamically selected service key — assignments and parameter
-  defaults both count). ``self._meter`` may only be touched from
-  synchronized service methods, private helpers running under the
-  caller's lock, or ``Meter.scoped`` contexts.
+  defaults both count). ``self._meter`` may only be touched inside a
+  *service class* (one whose ``__init__`` assigns it — the services are
+  what records spend) or a ``Meter.scoped`` block.
 * **PL003 determinism** — no wall-clock (``time.time()``,
   ``datetime.now()``, …) and no module-level ``random.*`` draws in
   library code; simulation time comes from ``SimClock`` and randomness
@@ -42,17 +37,16 @@ cannot express (exit status 1 when any fires):
   :func:`repro.migration.handle.fresh_handle` / ``as_handle`` and hold
   a ``RouterHandle``.
 
-Scope: PL001's service-mutator check, PL002, PL003, and PL005 apply to
-library code (paths under a ``repro`` package that are not tests or
-benchmarks); PL001's raw-lock check and PL004 apply to every scanned
-file — hand-rolled key parsing in a test corrupts oracles just as
-surely. Directory walks skip any directory containing a
+Scope: PL002, PL003, and PL005 apply to library code (paths under a
+``repro`` package that are not tests or benchmarks); PL004 applies to
+every scanned file — hand-rolled key parsing in a test corrupts oracles
+just as surely. Directory walks skip any directory containing a
 ``.provlint-ignore`` marker file (the known-bad lint fixtures live in
 one); explicitly named files are always checked.
 
 The allowlist below is deliberately tiny and every entry carries its
 justification inline. Extend it only for code that *is* the mechanism a
-rule protects (a new lock factory, a new wire codec) — never to mute a
+rule protects (a new wire codec) — never to mute a
 violation in consumer code; fix the consumer instead.
 """
 
@@ -94,25 +88,11 @@ WALL_CLOCK_CALLS = {
     "date": frozenset({"today"}),
 }
 
-#: Decorators that exempt a public service method from the
-#: ``@synchronized`` requirement: read-only descriptors and
-#: class/static methods hold no per-instance mutable state. A
-#: ``@x.setter`` is *not* exempt — setters mutate.
-EXEMPT_DECORATORS = frozenset({"property", "cached_property", "classmethod", "staticmethod"})
-
 # --------------------------------------------------------------------------
 # The allowlist. Keep it tiny; every entry is a mechanism, not a consumer.
 # --------------------------------------------------------------------------
 
 ALLOWLIST: dict[str, dict[str, str]] = {
-    "PL001": {
-        # The one factory allowed to mint raw locks — everything else
-        # calls new_lock() so the sanitizer can interpose.
-        "repro/concurrency.py": "new_lock() is the project's only lock factory",
-        # The sanitizer shim wraps the raw RLock it instruments; routing
-        # it through new_lock() would recurse.
-        "repro/devtools/sanitize.py": "OrderedLock wraps the raw lock it instruments",
-    },
     "PL004": {
         # ObjectRef.encode()/decode() *are* the ':v' wire format; the
         # serializer builds on them. Everyone else must call them.
@@ -158,17 +138,6 @@ def is_library(path: Path) -> bool:
     return "repro" in parts and "tests" not in parts and "benchmarks" not in parts
 
 
-def _decorator_names(node: ast.FunctionDef) -> set[str]:
-    names = set()
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name):
-            names.add(target.id)
-        elif isinstance(target, ast.Attribute):
-            names.add(target.attr)
-    return names
-
-
 def _self_attr(node: ast.AST, attr: str) -> bool:
     return (
         isinstance(node, ast.Attribute)
@@ -193,25 +162,8 @@ def _init_of(cls: ast.ClassDef) -> ast.FunctionDef | None:
     return None
 
 
-def _creates_lock_via_new_lock(init: ast.FunctionDef) -> bool:
-    for node in ast.walk(init):
-        if not isinstance(node, ast.Assign):
-            continue
-        if not any(_self_attr(t, "_lock") for t in node.targets):
-            continue
-        value = node.value
-        if isinstance(value, ast.Call):
-            func = value.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name == "new_lock":
-                return True
-    return False
-
-
 class _ModuleImports:
-    """Which bare names in a module refer to stdlib clock/random/thread modules."""
+    """Which bare names in a module refer to stdlib clock/random modules."""
 
     def __init__(self, tree: ast.Module):
         self.modules: dict[str, str] = {}   # local name -> module name
@@ -242,8 +194,9 @@ class FileChecker(ast.NodeVisitor):
         self.imports = _ModuleImports(tree)
         self.findings: list[Finding] = []
         self.repo = repo_data
-        self._class_stack: list[ast.ClassDef] = []
-        self._function_stack: list[ast.FunctionDef] = []
+        #: Per enclosing class: is it a service class (its ``__init__``
+        #: assigns ``self._meter``)?
+        self._service_class_stack: list[bool] = []
         self._with_scoped_depth = 0
 
     def flag(self, rule: str, node: ast.AST, message: str, hint: str) -> None:
@@ -267,13 +220,14 @@ class FileChecker(ast.NodeVisitor):
     # -- structure tracking ------------------------------------------------
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node)
-        self._check_pl001_class(node)
+        init = _init_of(node)
+        self._service_class_stack.append(
+            init is not None and _assigns_self_attr(init, "_meter")
+        )
         self.generic_visit(node)
-        self._class_stack.pop()
+        self._service_class_stack.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._function_stack.append(node)
         # A parameter default is a billing_key binding too (the keyed op
         # inside sees only the bare parameter name).
         positional = node.args.posonlyargs + node.args.args
@@ -287,7 +241,6 @@ class FileChecker(ast.NodeVisitor):
             if arg.arg == "billing_key" or arg.arg.endswith("_billing_key"):
                 self._record_metered_keys(default, node)
         self.generic_visit(node)
-        self._function_stack.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
@@ -304,78 +257,12 @@ class FileChecker(ast.NodeVisitor):
         if scoped:
             self._with_scoped_depth -= 1
 
-    # -- PL001: lock discipline --------------------------------------------
-
-    def _check_pl001_class(self, cls: ast.ClassDef) -> None:
-        init = _init_of(cls)
-        methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
-        synchronized = [m for m in methods if "synchronized" in _decorator_names(m)]
-        if synchronized and (init is None or not _creates_lock_via_new_lock(init)):
-            self.flag(
-                "PL001",
-                cls,
-                f"class {cls.name} has @synchronized methods but __init__ does "
-                "not create self._lock via new_lock()",
-                "add `self._lock = new_lock()` to __init__ before any "
-                "synchronized method can run",
-            )
-        if not self.library or "repro/aws/" not in self.path.as_posix():
-            return
-        is_service = init is not None and _assigns_self_attr(init, "_meter")
-        if not is_service:
-            return
-        for method in methods:
-            if method.name.startswith("_"):
-                continue
-            decorators = _decorator_names(method)
-            if "synchronized" in decorators:
-                continue
-            if decorators & EXEMPT_DECORATORS and "setter" not in decorators:
-                continue
-            self.flag(
-                "PL001",
-                method,
-                f"public method {cls.name}.{method.name} of a metered service "
-                "class is not @synchronized",
-                "decorate it with @synchronized (service state and the meter "
-                "must mutate atomically), or rename it _private if it is a "
-                "helper that only runs under a synchronized caller's lock",
-            )
-
     def visit_Call(self, node: ast.Call) -> None:
-        self._check_raw_lock(node)
         self._check_pl003(node)
         self._check_pl004_split(node)
         self._check_pl005_construction(node)
         self._collect_meter_keys(node)
         self.generic_visit(node)
-
-    def _check_raw_lock(self, node: ast.Call) -> None:
-        func = node.func
-        lock_names = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
-        if isinstance(func, ast.Attribute) and func.attr in lock_names:
-            if (
-                isinstance(func.value, ast.Name)
-                and self.imports.modules.get(func.value.id) == "threading"
-            ):
-                self.flag(
-                    "PL001",
-                    node,
-                    f"raw threading.{func.attr}() construction outside "
-                    "repro.concurrency",
-                    "use repro.concurrency.new_lock(order=...) so the "
-                    "REPRO_SANITIZE lock-order shim can interpose",
-                )
-        elif isinstance(func, ast.Name):
-            origin = self.imports.from_names.get(func.id, "")
-            if origin in {f"threading.{name}" for name in lock_names}:
-                self.flag(
-                    "PL001",
-                    node,
-                    f"raw {origin}() construction outside repro.concurrency",
-                    "use repro.concurrency.new_lock(order=...) so the "
-                    "REPRO_SANITIZE lock-order shim can interpose",
-                )
 
     # -- PL002: metering/billing coverage ----------------------------------
 
@@ -453,24 +340,16 @@ class FileChecker(ast.NodeVisitor):
     def _check_pl002_meter_touch(self, node: ast.Attribute) -> None:
         if not self.library or not _self_attr(node, "_meter"):
             return
-        if not self._function_stack:
-            return
-        fn = self._function_stack[-1]
-        if fn.name == "__init__" or fn.name.startswith("_"):
-            # __init__ wires the reference; private helpers run under
-            # the public caller's (synchronized) lock — PL001 enforces
-            # that every public path into them is decorated.
-            return
-        if "synchronized" in _decorator_names(fn):
-            return
-        if self._with_scoped_depth:
-            return
+        if self._with_scoped_depth or any(self._service_class_stack):
+            return  # recording spend is a service class's job
         self.flag(
             "PL002",
             node,
-            f"self._meter touched in unsynchronized public method {fn.name}",
-            "decorate the method with @synchronized or record inside a "
-            "Meter.scoped context",
+            "self._meter touched outside a service class and outside any "
+            "Meter.scoped block",
+            "record through the service that owns the meter reference "
+            "(its __init__ assigns self._meter), or inside a "
+            "`with meter.scoped()` block",
         )
 
     # -- PL003: determinism -------------------------------------------------

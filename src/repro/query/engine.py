@@ -19,9 +19,11 @@ expression, SELECT where-clause)* pairs, two spellings of one predicate
 — plus a row decoder, and owns site enumeration, compile-once-per-query,
 planning, paging, wave dispatch, merging and memoisation.
 
-Each engine method returns a :class:`QueryMeasurement` whose operation
-and byte counts come from meter deltas — the queries are charged exactly
-what the simulated AWS services metered.
+Each engine method runs inside one :meth:`~repro.aws.billing.Meter.scoped`
+block and returns a :class:`QueryMeasurement` whose operation and byte
+counts are read from that scope — the queries are charged exactly what
+the simulated AWS services metered, in time proportional to the query's
+own requests.
 
 Sharded domains (scatter-gather): when the provenance store is split
 across N domains by a :class:`~repro.sharding.ShardRouter`, the engine
@@ -39,36 +41,32 @@ enumerate items straight off the scan pages. Result sets are identical
 across placements; the metered cost is each backend's honest price, and
 ``QueryMeasurement.per_shard`` / ``per_backend`` keep the exact split.
 
-Concurrent dispatch (``concurrency=N``): each scatter phase builds one
-*wave* of per-shard request streams and hands it to a bounded worker
-pool. Per-stream spend is captured with **scoped meter contexts**
-(:meth:`~repro.aws.billing.Meter.scoped`) — a thread-local accounting
-scope per stream, so concurrent streams can never interleave into each
-other's totals and ``QueryMeasurement.per_shard`` still sums exactly to
-the query's global meter delta. The measurement's ``latency`` is the
-modeled **critical path** — per wave, the makespan of the streams on
-the pool (``repro.query.latency``) — while ``sequential_latency`` keeps
-the one-request-at-a-time sum a single-threaded client would pay. With
-``concurrency=1`` (the default) the dispatcher runs every stream inline
-in submission order and the engine is byte-identical to the historical
-sequential engine: same refs, same operation counts, same ``per_shard``
-triples. Caveat: there is still no cross-shard snapshot; each shard
-answers at its own replica time, whether streams run in series or in
-parallel.
+Waves and ``concurrency=N``: each scatter phase builds one *wave* of
+per-shard request streams. The streams execute one after another, in
+submission order, whatever the width — a wave is a single list, so a
+seeded run issues one reproducible request sequence. Per-stream spend
+is captured with a **nested meter scope** per stream, so
+``QueryMeasurement.per_shard`` sums exactly to the query's own scope.
+``concurrency`` is the width of the *modeled* dispatch: the
+measurement's ``latency`` is the **critical path** — per wave, the
+makespan of the streams list-scheduled onto ``concurrency`` workers
+(``repro.query.latency``) — while ``sequential_latency`` keeps the
+one-request-at-a-time sum. Refs, operation counts and ``per_shard``
+triples are the same at every width. Caveat: there is no cross-shard
+snapshot; each shard answers at its own replica time.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, TypeVar
 
 from repro.aws.account import AWSAccount
-from repro.aws.billing import ELASTICACHE, Usage
+from repro.aws.billing import ELASTICACHE, MeterScope, Usage
 from repro.aws.sdb_query import CompiledQuery, parse_query, quote_literal
-from repro.concurrency import new_lock
 from repro.core.base import DATA_BUCKET, fetch_overflow, read_provenance_item
+from repro.devtools import sanitize
 from repro.errors import NoSuchKey
 from repro.knobs import env_default, positive_int
 from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
@@ -88,13 +86,12 @@ T = TypeVar("T")
 #: SimpleDB's query-expression size limits).
 REF_BATCH = 20
 
-#: Environment knob CI uses to run the whole suite with a concurrent
-#: dispatcher (thread-safety regression net); engines constructed with
-#: an explicit ``concurrency=`` ignore it.
+#: Environment knob CI uses to run the whole suite at a wider modeled
+#: wave; engines constructed with an explicit ``concurrency=`` ignore it.
 CONCURRENCY_ENV = "REPRO_QUERY_CONCURRENCY"
 
 def default_concurrency() -> int:
-    """Worker-pool width when the caller does not pass one (env override).
+    """Wave width when the caller does not pass one (env override).
 
     Unset or empty means 1. Anything else must be an integer >= 1: a
     typo in a CI matrix must not quietly run the sequential suite.
@@ -115,8 +112,8 @@ class QueryMeasurement:
     cost of a placement decision is auditable per query.
 
     ``latency`` is the modeled wall-clock of the query as dispatched:
-    for a concurrent engine, the sum over scatter phases of each wave's
-    critical path on the worker pool; for a sequential engine it equals
+    the sum over scatter phases of each wave's critical path at the
+    engine's ``concurrency``; at width 1 it equals
     ``sequential_latency``, the plain sum of per-request round trips
     (see ``repro.query.latency``).
 
@@ -131,6 +128,14 @@ class QueryMeasurement:
     rather than one shard). ``usage`` remains the union — the meter
     truth the bill is priced from. With the cache off every ``cache_*``
     field is zero and the backend counts are the historical totals.
+
+    ``usage`` is read from the query's own meter scope
+    (:meth:`~repro.aws.billing.Meter.spent`): every integer field
+    equals the ``Meter.snapshot()`` delta around the call, and
+    ``box_usage_hours`` is the exact sum of the query's own records
+    (e.g. ``0.0006857000000000004``) where subtracting two large
+    running totals gives it to ~1e-12 relative
+    (``0.0006857000000001084``).
     """
 
     refs: tuple[ObjectRef, ...]
@@ -162,7 +167,7 @@ class QueryMeasurement:
 
 
 class _Metered:
-    """Shared meter-delta bookkeeping."""
+    """Shared query-scope bookkeeping."""
 
     #: Where the architectures keep data objects and spilled values.
     bucket = DATA_BUCKET
@@ -174,20 +179,14 @@ class _Metered:
         #: Resolves a spilled value's ``@s3:`` pointer (a metered GET).
         self._fetch_overflow = partial(fetch_overflow, account)
 
-    def _measure(self, refs: set[ObjectRef], before: Usage) -> QueryMeasurement:
-        spent = self.account.meter.snapshot() - before
-        cache_ops = spent.request_count(ELASTICACHE)
-        cache_bytes = spent.transfer_out(ELASTICACHE)
-        seconds = self.latency_model.stream_seconds(spent)
-        return QueryMeasurement(
-            refs=tuple(sorted(refs)),
-            operations=spent.request_count() - cache_ops,
-            bytes_out=spent.transfer_out() - cache_bytes,
-            usage=spent,
-            latency=seconds,
-            sequential_latency=seconds,
-            cache_operations=cache_ops,
-            cache_bytes_out=cache_bytes,
+    def _spent(self, scope: MeterScope) -> tuple[Usage, int, int]:
+        """What the query that ran inside ``scope`` spent, and the
+        read-cache tier's share of its requests and bytes out."""
+        usage = self.account.meter.spent(scope)
+        return (
+            usage,
+            usage.request_count(ELASTICACHE),
+            usage.transfer_out(ELASTICACHE),
         )
 
 
@@ -245,18 +244,31 @@ class S3ScanEngine(_Metered):
 
     # -- the three queries ------------------------------------------------------
 
+    def _measure(self, refs: set[ObjectRef], scope: MeterScope) -> QueryMeasurement:
+        usage, cache_ops, cache_bytes = self._spent(scope)
+        seconds = self.latency_model.stream_seconds(usage)
+        return QueryMeasurement(
+            refs=tuple(sorted(refs)),
+            operations=scope.request_count() - cache_ops,
+            bytes_out=scope.transfer_out() - cache_bytes,
+            usage=usage,
+            latency=seconds,
+            sequential_latency=seconds,
+            cache_operations=cache_ops,
+            cache_bytes_out=cache_bytes,
+        )
+
     def q1_all(self) -> QueryMeasurement:
         """Provenance of every object version (HEAD + overflow GETs)."""
-        before = self.account.meter.snapshot()
-        refs = {bundle.subject for bundle in self.scan_bundles()}
-        return self._measure(refs, before)
+        with self.account.meter.scoped() as scope:
+            refs = {bundle.subject for bundle in self.scan_bundles()}
+        return self._measure(refs, scope)
 
     def q2_outputs_of(self, program: str) -> QueryMeasurement:
         """Files that are outputs of ``program`` — via a full scan."""
-        before = self.account.meter.snapshot()
-        bundles = self.scan_bundles()
-        refs = _direct_outputs(bundles, program)
-        return self._measure(refs, before)
+        with self.account.meter.scoped() as scope:
+            refs = _direct_outputs(self.scan_bundles(), program)
+        return self._measure(refs, scope)
 
     def q3_descendants_of(self, program: str) -> QueryMeasurement:
         """Transitive descendants of files derived from ``program``.
@@ -265,11 +277,11 @@ class S3ScanEngine(_Metered):
         the paper notes the second phase "can, of course, be executed
         from a cache".
         """
-        before = self.account.meter.snapshot()
-        bundles = self.scan_bundles()
-        seeds = _direct_outputs(bundles, program)
-        refs = _descendant_closure(bundles, seeds)
-        return self._measure(refs, before)
+        with self.account.meter.scoped() as scope:
+            bundles = self.scan_bundles()
+            seeds = _direct_outputs(bundles, program)
+            refs = _descendant_closure(bundles, seeds)
+        return self._measure(refs, scope)
 
 
 class SimpleDBEngine(_Metered):
@@ -285,20 +297,14 @@ class SimpleDBEngine(_Metered):
     client-side. The default router is the paper's single domain, under
     which every request sequence is identical to the unsharded engine.
 
-    ``concurrency`` bounds the worker pool that dispatches each scatter
-    wave's per-shard request streams. ``1`` (default, or via the
-    ``REPRO_QUERY_CONCURRENCY`` environment variable) runs streams
-    inline, byte-identical to the historical sequential engine; ``N>1``
-    runs up to N streams in parallel threads against the (lock-guarded)
-    simulated services, and the measurement's ``latency`` becomes the
-    modeled critical path instead of the sequential sum. The gather
-    merges results in deterministic submission order, so against strong
-    consistency (or converged replicas) concurrent results are identical
-    to sequential and reproducible for a fixed seed. Against
-    *unconverged* eventually consistent replicas no such promise exists
-    in either mode: replica choice is random, and thread scheduling
-    additionally reorders the shared RNG's draws — query after
-    ``settle()``/``quiesce()`` when exact reproducibility matters.
+    ``concurrency`` is the width at which each scatter wave's per-shard
+    request streams are *modeled* to overlap (default 1, or the
+    ``REPRO_QUERY_CONCURRENCY`` environment variable). Streams always
+    execute sequentially in submission order, so results, spend and —
+    for a fixed seed, replica choice included — the request sequence
+    are the same at every width; only the measurement's ``latency``
+    changes, from the sequential sum to the wave's list-scheduled
+    critical path on ``concurrency`` workers.
     """
 
     def __init__(
@@ -355,7 +361,11 @@ class SimpleDBEngine(_Metered):
         #: Accumulated planner prediction for the in-flight query, or
         #: None for query classes the planner does not cover (Q1).
         self._predicted: float | None = None
-        self._predicted_lock = new_lock(name="planner-predicted")
+        #: Under ``REPRO_SANITIZE=1``, the sum of the in-flight query's
+        #: stream and memo scopes, audited against the query's own scope
+        #: when it ends; None (nothing accumulated) otherwise.
+        self._attributed: Usage | None = None
+        self._audited = sanitize.enabled()
 
     @property
     def router(self) -> ShardRouter:
@@ -364,8 +374,8 @@ class SimpleDBEngine(_Metered):
 
     # -- scatter-gather dispatch ----------------------------------------------
 
-    def _begin(self, planned: bool = False) -> Usage:
-        """Start a measured query: reset accounting, snapshot the meter.
+    def _begin(self, planned: bool = False) -> None:
+        """Start a measured query: reset its per-query accounting.
 
         ``planned`` arms the prediction accumulator — only the scatter
         query classes the planner covers (Q2/Q3/Q4) set it, so Q1's
@@ -378,7 +388,7 @@ class SimpleDBEngine(_Metered):
         self._latency = 0.0
         self._sequential_latency = 0.0
         self._predicted = 0.0 if planned and self.planner is not None else None
-        return self.account.meter.snapshot()
+        self._attributed = Usage.empty() if self._audited else None
 
     def _query_sites(self) -> list[tuple[str, Site]]:
         """(label, site) pairs a scatter phase must cover.
@@ -406,52 +416,22 @@ class SimpleDBEngine(_Metered):
         return site.domain
 
     def _run_wave(self, tasks: list[tuple[str, Callable[[], T]]]) -> list[T]:
-        """Dispatch one scatter wave of per-shard request streams.
+        """Run one scatter wave of per-shard request streams.
 
-        Each task is one shard-directed stream; its spend is captured in
-        a scoped meter context (including any S3 overflow GETs issued
-        while decoding that shard's items), so per-shard spend sums to
-        the query total even when streams interleave on the pool.
-        Results return in submission order — the gather is deterministic
-        regardless of completion order. The wave's modeled makespan on
-        the bounded pool accrues to the query's critical-path latency;
-        the plain sum accrues to its sequential latency.
+        Each task is one shard-directed stream, run to completion in
+        submission order; its spend is captured in a meter scope nested
+        in the query's (including any S3 overflow GETs issued while
+        decoding that shard's items), so per-shard spend sums to the
+        query total. The wave's modeled makespan at ``concurrency``
+        accrues to the query's critical-path latency; the plain sum
+        accrues to its sequential latency.
         """
-        if not tasks:
-            return []
-        if self.concurrency == 1 or len(tasks) == 1:
-            # Inline: nothing could overlap anyway (identical results,
-            # accounting, and makespan), and Q1's single-lookup wave
-            # skips thread spawn entirely.
-            outcomes = []
-            for _, fn in tasks:
-                with self.account.meter.expect_scope():
-                    with self.account.meter.scoped() as scope:
-                        result = fn()
-                outcomes.append((result, scope))
-        else:
-
-            def run(fn: Callable[[], T]):
-                # The expect_scope marker brackets the whole stream on
-                # this worker thread: under REPRO_SANITIZE=1 any spend a
-                # future code path records outside the scope below is
-                # reported as an unattributed-spend leak.
-                with self.account.meter.expect_scope():
-                    with self.account.meter.scoped() as scope:
-                        return fn(), scope
-
-            # A pool per wave: workers never outlive the dispatch, so
-            # handing engines out freely (Simulation.query_engine() makes
-            # a fresh one per call) cannot accumulate idle threads.
-            with ThreadPoolExecutor(
-                max_workers=min(self.concurrency, len(tasks)),
-                thread_name_prefix="scatter",
-            ) as executor:
-                futures = [executor.submit(run, fn) for _, fn in tasks]
-                outcomes = [future.result() for future in futures]
+        meter = self.account.meter
         durations: list[float] = []
         results: list[T] = []
-        for (domain, _), (result, scope) in zip(tasks, outcomes):
+        for domain, fn in tasks:
+            with meter.scoped() as scope:
+                results.append(fn())
             usage = scope.usage()
             cache_ops = usage.request_count(ELASTICACHE)
             cache_bytes = usage.transfer_out(ELASTICACHE)
@@ -468,8 +448,9 @@ class SimpleDBEngine(_Metered):
                     held + cache_ops,
                     held_bytes + cache_bytes,
                 )
+            if self._attributed is not None:
+                self._attributed += usage
             durations.append(self.latency_model.stream_seconds(usage))
-            results.append(result)
         self._latency += makespan(durations, self.concurrency)
         self._sequential_latency += sum(durations)
         return results
@@ -511,7 +492,7 @@ class SimpleDBEngine(_Metered):
         wrong answers); the fill is fenced on the authority's
         invalidation generation, captured by the consult itself — any
         provenance write between consult and fill refuses the
-        memoisation. Memo spend is scoped (sanitizer discipline) and
+        memoisation. Memo spend is scoped and
         credited to the ``"elasticache"`` label on the cache split,
         since a memo hit stands in for the whole phase, not any one
         shard's stream.
@@ -532,9 +513,8 @@ class SimpleDBEngine(_Metered):
                 path, predicted = self.planner.choose(
                     backend, site.domain, compiled, {Attr.TYPE}
                 )
-                with self._predicted_lock:
-                    if self._predicted is not None:
-                        self._predicted += predicted
+                if self._predicted is not None:
+                    self._predicted += predicted
             return [
                 decode(name, attrs)
                 for name, attrs in backend.query_pages(
@@ -574,12 +554,20 @@ class SimpleDBEngine(_Metered):
         if ops or nbytes:
             held, held_bytes = self._cache_spend.get("elasticache", (0, 0))
             self._cache_spend["elasticache"] = (held + ops, held_bytes + nbytes)
-            seconds = self.latency_model.stream_seconds(scope.usage())
+            usage = scope.usage()
+            if self._attributed is not None:
+                self._attributed += usage
+            seconds = self.latency_model.stream_seconds(usage)
             self._latency += seconds
             self._sequential_latency += seconds
 
-    def _measure_sharded(self, refs: set[ObjectRef], before: Usage) -> QueryMeasurement:
-        measurement = self._measure(refs, before)
+    def _measure_sharded(
+        self, refs: set[ObjectRef], scope: MeterScope
+    ) -> QueryMeasurement:
+        """The measurement of the query that just ran inside ``scope``."""
+        usage, cache_ops, cache_bytes = self._spent(scope)
+        if self._attributed is not None:
+            sanitize.audit_spend(usage, self._attributed)
         per_shard = tuple(
             (domain, ops, nbytes)
             for domain, (ops, nbytes) in sorted(self._shard_spend.items())
@@ -589,19 +577,24 @@ class SimpleDBEngine(_Metered):
             kind = self._site_kinds.get(domain) or self.router.backend_for(domain)
             total_ops, total_bytes = by_backend.get(kind, (0, 0))
             by_backend[kind] = (total_ops + ops, total_bytes + nbytes)
-        return replace(
-            measurement,
+        return QueryMeasurement(
+            refs=tuple(sorted(refs)),
+            operations=scope.request_count() - cache_ops,
+            bytes_out=scope.transfer_out() - cache_bytes,
+            usage=usage,
             per_shard=per_shard,
             per_backend=tuple(
                 (kind, ops, nbytes)
                 for kind, (ops, nbytes) in sorted(by_backend.items())
             ),
+            latency=self._latency,
+            sequential_latency=self._sequential_latency,
+            cache_operations=cache_ops,
+            cache_bytes_out=cache_bytes,
             per_shard_cache=tuple(
                 (domain, ops, nbytes)
                 for domain, (ops, nbytes) in sorted(self._cache_spend.items())
             ),
-            latency=self._latency,
-            sequential_latency=self._sequential_latency,
             predicted_cost=self._predicted,
         )
 
@@ -616,7 +609,7 @@ class SimpleDBEngine(_Metered):
         shard cuts over, then the target). With the read-cache tier on,
         the point read consults the authority first.
         """
-        before = self._begin()
+        self._begin()
         site = self.routing.read_site(ref.path)
 
         def lookup() -> list[ObjectRef]:
@@ -626,9 +619,9 @@ class SimpleDBEngine(_Metered):
             bundle = bundle_from_item(ref.item_name, attrs, self._fetch_overflow)
             return [bundle.subject]
 
-        with self.account.meter.expect_scope():
+        with self.account.meter.scoped() as scope:
             refs = self._gather([(self._label(site), lookup)])
-        return self._measure_sharded(refs, before)
+        return self._measure_sharded(refs, scope)
 
     def q1_all(self) -> QueryMeasurement:
         """Q1 over every item, via each shard's natural full read (§5's
@@ -638,10 +631,9 @@ class SimpleDBEngine(_Metered):
         names and issue one GetAttributes per item (plus a GET per
         spilled value); DynamoDB-style shards page a Scan whose items
         already carry their attributes. The N per-shard streams are
-        independent — one wave, dispatched concurrently when
-        ``concurrency > 1``.
+        independent — one wave.
         """
-        before = self._begin()
+        self._begin()
 
         def scan_shard(site: Site) -> list[ObjectRef]:
             items = self.backends[site.kind].enumerate_items(site.domain)
@@ -651,14 +643,14 @@ class SimpleDBEngine(_Metered):
                 if attrs
             ]
 
-        with self.account.meter.expect_scope():
+        with self.account.meter.scoped() as scope:
             refs = self._gather(
                 [
                     (label, partial(scan_shard, site))
                     for label, site in self._query_sites()
                 ]
             )
-        return self._measure_sharded(refs, before)
+        return self._measure_sharded(refs, scope)
 
     # -- Q2 -------------------------------------------------------------------------
 
@@ -704,8 +696,8 @@ class SimpleDBEngine(_Metered):
     def q2_outputs_of(self, program: str) -> QueryMeasurement:
         """Files that are outputs of ``program`` — two indexed phases (§5),
         each phase scattered across every shard."""
-        before = self._begin(planned=True)
-        with self.account.meter.expect_scope():
+        self._begin(planned=True)
+        with self.account.meter.scoped() as scope:
             instances = self._program_instances(program)
             refs: set[ObjectRef] = set()
             if instances:
@@ -714,7 +706,7 @@ class SimpleDBEngine(_Metered):
                     for ref, kind in self._objects_with_inputs(instances)
                     if kind == "file"
                 }
-        return self._measure_sharded(refs, before)
+        return self._measure_sharded(refs, scope)
 
     # -- Q3 ------------------------------------------------------------------------------
 
@@ -732,8 +724,8 @@ class SimpleDBEngine(_Metered):
         depends on the last), so the modeled critical path is the sum of
         per-round wave makespans.
         """
-        before = self._begin(planned=True)
-        with self.account.meter.expect_scope():
+        self._begin(planned=True)
+        with self.account.meter.scoped() as scope:
             instances = self._program_instances(program)
             results = {
                 ref
@@ -752,7 +744,7 @@ class SimpleDBEngine(_Metered):
                     frontier.add(ref)
                     if kind == "file":
                         results.add(ref)
-        return self._measure_sharded(results, before)
+        return self._measure_sharded(results, scope)
 
     # -- Q4 ------------------------------------------------------------------------------
 
@@ -771,10 +763,10 @@ class SimpleDBEngine(_Metered):
         ``type = 'file'`` partition and the no-index path scans the
         table. Memoised like the other scatter phases.
         """
-        before = self._begin(planned=True)
+        self._begin(planned=True)
         lo, hi = ObjectRef.nonce_of(lo_version), ObjectRef.nonce_of(hi_version)
         lo_literal, hi_literal = quote_literal(lo), quote_literal(hi)
-        with self.account.meter.expect_scope():
+        with self.account.meter.scoped() as scope:
             refs = self._scatter(
                 ("range", lo, hi),
                 [
@@ -786,7 +778,7 @@ class SimpleDBEngine(_Metered):
                 ],
                 _decode_ref,
             )
-        return self._measure_sharded(set(refs), before)
+        return self._measure_sharded(set(refs), scope)
 
 
 # ---------------------------------------------------------------------------

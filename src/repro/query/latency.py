@@ -5,8 +5,9 @@ request is one HTTP exchange, so a query that issues R requests
 one-at-a-time pays ~R round trips ("SimpleDB ... has to retrieve each
 item ... then lookup further ancestors"). The sharded engine's
 scatter-gather changes the *shape* of that cost — per-shard request
-streams are independent, so a concurrent dispatcher pays the **critical
-path** (the slowest shard stream per phase) instead of the sum.
+streams are independent, so a client dispatching them ``concurrency``
+at a time pays the **critical path** (the slowest shard stream per
+phase) instead of the sum.
 
 This module turns metered activity into modeled seconds:
 
@@ -14,15 +15,15 @@ This module turns metered activity into modeled seconds:
   scope — a fixed 2009-flavoured round trip per operation class plus
   transfer time at a modeled downlink bandwidth;
 * :func:`makespan` schedules a wave of task durations onto a bounded
-  worker pool (list scheduling in submission order, the dispatcher's
-  actual policy) and returns the wall-clock the wave would take —
-  ``workers=1`` degenerates to the sequential sum, ``workers >= tasks``
-  to the max.
+  set of workers (list scheduling in submission order) and returns the
+  wall-clock the wave would take — ``workers=1`` degenerates to the
+  sequential sum, ``workers >= tasks`` to the max.
 
-The numbers are a *model* (the simulation's services answer instantly);
+The numbers are a *model* (the simulation's services answer instantly,
+and the engine always executes a wave's streams one after another);
 their value is relative: the same model prices the sequential and the
-concurrent dispatch of the same request streams, which is exactly the
-comparison ``benchmarks/bench_concurrent_gather.py`` plots.
+``concurrency``-wide dispatch of the same request streams, which is
+exactly the comparison ``benchmarks/bench_concurrent_gather.py`` plots.
 """
 
 from __future__ import annotations
@@ -89,12 +90,14 @@ DEFAULT_LATENCY_MODEL = QueryLatencyModel()
 
 
 def makespan(durations: Sequence[float], workers: int) -> float:
-    """Wall-clock for one wave of tasks on a bounded worker pool.
+    """Modeled wall-clock for one wave of tasks at width ``workers``.
 
     List scheduling: tasks start in submission order, each on the worker
-    that frees up first — the same policy a ``ThreadPoolExecutor`` with
-    a FIFO queue follows, so the modeled makespan matches the dispatch
-    the engine actually performs.
+    that frees up first — what a FIFO pool of ``workers`` threads would
+    do with the wave. This is the only place the engine's
+    ``concurrency`` acts: the wave itself executes sequentially in
+    submission order, and this prices the overlap a client that wide
+    would get.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

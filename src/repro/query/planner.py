@@ -54,7 +54,6 @@ from repro.aws.backend import SCAN_PATH, AccessPath
 from repro.aws.billing import GB, SDB_BOX_USAGE_HOURS, PriceBook
 from repro.aws.dynamo import SCAN_MAX_PAGE
 from repro.aws.sdb_query import CompiledQuery
-from repro.concurrency import new_lock
 from repro.aws.simpledb import QUERY_MAX_PAGE, SCAN_HOURS_PER_ITEM
 from repro.knobs import env_default
 from repro.units import DDB_INDEX_ENTRY_OVERHEAD, DDB_PAGE_BYTES, DDB_RCU_BYTES
@@ -155,10 +154,9 @@ def _range_slice(
 class QueryPlanner:
     """Per-engine access-path chooser and cost predictor.
 
-    Thread-safe: scatter phases call :meth:`choose` concurrently from
-    worker threads (one call per shard stream, inside that stream's
-    meter scope, so the statistics consult is billed to the right
-    shard).
+    Scatter phases call :meth:`choose` once per shard stream, inside
+    that stream's meter scope, so the statistics consult is billed to
+    the right shard.
     """
 
     def __init__(self, prices: PriceBook, mode: str = "cost"):
@@ -166,7 +164,6 @@ class QueryPlanner:
         self.mode = resolve_planner(mode)
         if self.mode == "off":
             raise ValueError("QueryPlanner is never constructed in 'off' mode")
-        self._lock = new_lock(name="planner-stats")
         self._stats: dict[tuple[str, str], dict] = {}
 
     # -- statistics -------------------------------------------------------
@@ -175,13 +172,10 @@ class QueryPlanner:
         """Cached statistics for one store, plus the predicted USD of
         the consult when this call actually issued one."""
         key = (backend.kind, store)
-        with self._lock:
-            cached = self._stats.get(key)
+        cached = self._stats.get(key)
         if cached is not None:
             return cached, 0.0
-        stats = backend.site_statistics(store)
-        with self._lock:
-            self._stats[key] = stats
+        stats = self._stats[key] = backend.site_statistics(store)
         if backend.kind == "sdb":
             price = (
                 SDB_BOX_USAGE_HOURS["DomainMetadata"]

@@ -85,9 +85,13 @@ class Cloud:
         all-SimpleDB, or ``REPRO_BACKEND_PLACEMENT``); a ready
         ``router`` (a :class:`~repro.sharding.ShardRouter` or a shared
         :class:`~repro.migration.RouterHandle`) replaces both.
-        ``concurrency`` is the scatter-gather worker-pool width of the
-        query engines handed out (default sequential, or
-        ``REPRO_QUERY_CONCURRENCY``). ``ddb_indexes`` declares global
+        ``concurrency`` is the wave width of the query engines handed
+        out — how many of a scatter wave's per-shard request streams the
+        *modeled* list schedule overlaps when it prices the query's
+        ``latency`` (default 1, or ``REPRO_QUERY_CONCURRENCY``);
+        execution is sequential in submission order at every width, so
+        results, spend and the request sequence do not depend on it.
+        ``ddb_indexes`` declares global
         secondary indexes on DynamoDB-placed shards (``"name,input"``,
         ``"auto"``, ``""`` for none — default ``REPRO_DDB_INDEXES``), so
         Q2/Q3 phases on those shards are index Queries instead of
@@ -147,9 +151,8 @@ class Cloud:
         """The Table 3 query engine matching this architecture.
 
         SimpleDB engines share the cloud's routing handle, so queries
-        scatter-gather across exactly the domains the stores wrote —
-        dispatched on a worker pool of ``self.concurrency`` streams
-        (1 = the sequential paper behaviour).
+        scatter-gather across exactly the domains the stores wrote,
+        their waves modeled ``self.concurrency`` streams wide.
         """
         if self.architecture == "s3":
             return S3ScanEngine(self.account)

@@ -5,14 +5,13 @@ disabled spelling, zero ``elasticache`` spend, no bill lines) and an
 access-path change only when on: identical result sets, repeated Q2/Q3
 collapsing to zero backend reads, per-tier spend splits that sum
 exactly, and — the staleness contract — no served entry ever older than
-the declared bound, even with writers invalidating concurrently under a
-threaded dispatcher.
+the declared bound, even with a writer's invalidations interleaved
+between the readers' queries.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 
 from hypothesis import given, settings, strategies as st
 
@@ -188,60 +187,54 @@ def test_staleness_bound_honoured_across_ageing_and_writes():
     assert cache.max_served_age <= cache.staleness_bound
 
 
-def test_threaded_readers_never_outrun_writers_past_the_bound():
-    """Concurrent readers and writers on one account (threaded dispatch,
-    sanitizer-compatible): the authority's one lock totally orders
-    fills against invalidations, so no reader is ever served an entry
-    older than the staleness bound, and post-run queries agree with an
-    uncached control."""
-    base = random_workload(random.Random(23), 5)
-    sim = loaded(base, 2, "on", concurrency=4)
-    cache = sim.account.read_cache
-    errors: list[BaseException] = []
-
-    def writer():
-        try:
-            for round_index in range(6):
-                pas = PassSystem(workload=f"threaded-{round_index}")
-                pas.stage_input(f"in/t{round_index}.dat", b"x")
-                with pas.process("blast", argv=f"-r {round_index}") as proc:
-                    proc.read(f"in/t{round_index}.dat")
-                    proc.write(f"out/t{round_index}.dat", b"y")
-                    proc.close(f"out/t{round_index}.dat")
-                sim.store_events(pas.drain_flushes(), collect=False)
-        except BaseException as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    def reader():
-        try:
-            engine = sim.query_engine()
-            for _ in range(6):
-                engine.q2_outputs_of("blast")
-                engine.q3_descendants_of("blast")
-        except BaseException as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=writer)] + [
-        threading.Thread(target=reader) for _ in range(2)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert not errors, errors
-    assert cache.invalidations > 0
-    assert cache.max_served_age <= cache.staleness_bound
-
-    control = loaded(base, 2, "off")
-    # Control replays the same base workload plus the writer's rounds.
+def writer_rounds():
+    """Six small blast rounds — the events a concurrent writer stores."""
     for round_index in range(6):
-        pas = PassSystem(workload=f"threaded-{round_index}")
+        pas = PassSystem(workload=f"interleaved-{round_index}")
         pas.stage_input(f"in/t{round_index}.dat", b"x")
         with pas.process("blast", argv=f"-r {round_index}") as proc:
             proc.read(f"in/t{round_index}.dat")
             proc.write(f"out/t{round_index}.dat", b"y")
             proc.close(f"out/t{round_index}.dat")
-        control.store_events(pas.drain_flushes(), collect=False)
+        yield from pas.drain_flushes()
+
+
+def test_interleaved_readers_never_outrun_writers_past_the_bound():
+    """One writer and two readers on one account, their steps merged by
+    a seeded schedule (each actor's own order kept): the authority
+    totally orders fills against invalidations, so no reader is ever
+    served an entry older than the staleness bound, and post-run
+    queries agree with an uncached control."""
+    base = random_workload(random.Random(23), 5)
+    sim = loaded(base, 2, "on", concurrency=4)
+    cache = sim.account.read_cache
+
+    def writer():  # one step = one stored flush event
+        for event in writer_rounds():
+            sim.store_events([event], collect=False)
+            yield
+
+    def reader():  # one step = one query
+        engine = sim.query_engine()
+        for _ in range(6):
+            engine.q2_outputs_of("blast")
+            yield
+            engine.q3_descendants_of("blast")
+            yield
+
+    actors = [writer(), reader(), reader()]
+    schedule = random.Random(23)
+    finished = object()
+    while actors:
+        actor = schedule.choice(actors)
+        if next(actor, finished) is finished:
+            actors.remove(actor)
+    assert cache.invalidations > 0
+    assert cache.hits > 0
+    assert cache.max_served_age <= cache.staleness_bound
+
+    control = loaded(base, 2, "off")
+    control.store_events(list(writer_rounds()), collect=False)
     sim.account.quiesce()
     control.account.quiesce()
     subject = base[-1].subject

