@@ -40,7 +40,12 @@ from specs import BY_NAME, Q4_RANGES
 
 from repro.sim import Simulation
 
-PHASES = ("ingest", "queries", "migrate")
+#: phase -> (plural, singular) of the operation it counts.
+PHASES = {
+    "ingest": ("events", "event"),
+    "queries": ("queries", "query"),
+    "migrate": ("items", "item"),
+}
 TOP = 30
 
 
@@ -113,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         run_cycle(spec, args.seed, args.phase, profiler) for _ in range(args.cycles)
     )
     stats = pstats.Stats(profiler)
-    unit = {"ingest": "events", "queries": "queries", "migrate": "items"}[args.phase]
+    units, unit = PHASES[args.phase]
     dumps = sum(
         calls
         for (path, _, name), (_, calls, *_) in stats.stats.items()
@@ -121,8 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"{spec.name} seed={args.seed} phase={args.phase}: profiled {args.cycles} cycles, "
-        f"{operations} {unit}, {stats.total_tt:.2f} s under the profiler; "
-        f"json.dumps {dumps} calls = {dumps / max(operations, 1):.1f} per {unit[:-1]}"
+        f"{operations} {units}, {stats.total_tt:.2f} s under the profiler; "
+        f"json.dumps {dumps} calls = {dumps / max(operations, 1):.1f} per {unit}"
     )
     stats.strip_dirs()
     for order in ("tottime", "cumulative"):

@@ -93,9 +93,14 @@ class ReplicaSet(Generic[V]):
     """An eventually consistent, replicated key-value space.
 
     Values are opaque to the replica set; services store object records,
-    item attribute maps, or queue entries. ``V`` must be treated as
-    immutable by callers — updates replace the whole value, mirroring how
-    S3 PUT replaces whole objects and SimpleDB replicates item state.
+    item attribute maps, or queue entries. ``V`` is immutable — updates
+    replace the whole value, mirroring how S3 PUT replaces whole objects
+    and SimpleDB replicates item state — and the stored types enforce it
+    (``S3ObjectRecord`` is frozen, :class:`~repro.aws.item.ItemState`
+    raises from every in-place method), so the authoritative view and
+    every replica share one object per write, and anything fixed when
+    the write committed (an item's billed byte size) is carried on the
+    value instead of being measured again by each read.
 
     The authoritative keys are also kept as a sorted list, updated in
     place by every write, so ordered readers (DynamoDB Scan / Query
@@ -273,6 +278,13 @@ class ReplicaSet(Generic[V]):
 
     def authoritative_items(self) -> Iterator[tuple[str, V]]:
         return self._live.between()
+
+    def stored_values(self) -> Iterator[V]:
+        """Every value held anywhere: the authoritative view's, then each
+        replica's own — lagging ones included. Oracle use only."""
+        yield from self._authority.values()  # type: ignore[misc]
+        for replica in self._replicas:
+            yield from (v for _, v in replica.values() if v is not _TOMBSTONE)  # type: ignore[misc]
 
     # -- convergence ------------------------------------------------------
 

@@ -61,7 +61,15 @@ equals the authoritative state and the maintained order is read in
 place, otherwise the drawn replica is sorted once for the request. A
 strongly consistent ``Scan`` reads the authoritative order and draws
 nothing. None of this changes what is billed: a ``Scan`` still pays
-read units for every item it crosses.
+read units for every item it crosses — but the bytes it pays for are
+read, not measured. Every stored item and index entry projection is an
+:class:`~repro.aws.item.ItemState` whose attribute byte size was fixed
+when its write committed (:func:`_merged` adds only the values a write
+actually adds; :func:`_project` measures a projection once, and an
+``ALL`` projection *is* the item's state), so a page adds one integer
+per value it serves plus its key's bytes, which are still encoded per
+row. Whichever replica serves a read, the size is that of the state it
+returns — a lagging replica bills the old state's bytes.
 """
 
 from __future__ import annotations
@@ -75,11 +83,8 @@ from repro import errors, units
 from repro.aws import billing
 from repro.aws.consistency import DelayModel, ReplicaSet, STRONG
 from repro.aws.faults import RequestFaults
+from repro.aws.item import ABSENT, Attrs, ItemState, _attr_size, size_audit
 from repro.clock import SimClock
-
-#: Item attribute state: name -> tuple of distinct values (sorted) — the
-#: same shape SimpleDB items use, so serialisers work on either backend.
-ItemState = dict[str, tuple[str, ...]]
 
 #: Maximum items returned per Scan page (modeled; real DynamoDB pages by
 #: 1 MB of data — 250 keeps parity with the SimpleDB page size so the
@@ -87,16 +92,8 @@ ItemState = dict[str, tuple[str, ...]]
 SCAN_MAX_PAGE = 250
 
 
-def _attr_size(state: ItemState) -> int:
-    return sum(
-        len(name.encode()) + len(value.encode())
-        for name, values in state.items()
-        for value in values
-    )
-
-
 def _item_size(key: str, state: ItemState) -> int:
-    return len(key.encode()) + _attr_size(state)
+    return len(key.encode()) + state.nbytes
 
 
 def _write_units_for(nbytes: int) -> float:
@@ -232,20 +229,19 @@ def _range_matches(value: str, condition: tuple[str, ...]) -> bool:
 
 
 def _project(state: ItemState, spec: IndexSpec) -> ItemState:
+    """What ``spec``'s entries carry of ``state``, sized once for all of
+    them (an ``ALL`` projection is the item's own state and size)."""
     if spec.project_all:
-        return dict(state)
+        return state
     projected = spec.projected_attributes
-    return {name: values for name, values in state.items() if name in projected}
+    attrs = {name: values for name, values in state.items() if name in projected}
+    return ItemState(attrs, _attr_size(attrs))
 
 
 def _entry_size(entry_key: str, projected: ItemState) -> int:
     """Stored size of one index entry (key bytes + projection + the
     per-entry index overhead DynamoDB bills)."""
-    return (
-        units.DDB_INDEX_ENTRY_OVERHEAD
-        + len(entry_key.encode())
-        + _attr_size(projected)
-    )
+    return units.DDB_INDEX_ENTRY_OVERHEAD + len(entry_key.encode()) + projected.nbytes
 
 
 def _read_units_for(nbytes: int, consistent: bool) -> float:
@@ -259,7 +255,7 @@ def _read_units_for(nbytes: int, consistent: bool) -> float:
 class ScanResult:
     """One page of a table scan."""
 
-    items: tuple[tuple[str, ItemState], ...]
+    items: tuple[tuple[str, Attrs], ...]
     last_evaluated_key: str | None
 
     @property
@@ -278,7 +274,7 @@ class IndexQueryResult:
     pagination token (the last entry's index key position).
     """
 
-    entries: tuple[tuple[str, ItemState], ...]
+    entries: tuple[tuple[str, Attrs], ...]
     last_evaluated_key: str | None
 
 
@@ -329,49 +325,29 @@ def _bump(histogram: dict[str, int], key: str, delta: int) -> None:
         histogram.pop(key, None)
 
 
-def _stat_entry_written(index: _Index, entry_key: str, size_delta: int,
-                        is_new: bool) -> None:
-    """Fold one committed index-entry write into the index statistics."""
+def _stat_entry(index: _Index, entry_key: str, size_delta: int, count_delta: int) -> None:
+    """Fold one committed index-entry write or delete into the index
+    statistics: the entry's byte change, and +1 / 0 / -1 live entries
+    (a new entry, a rewritten one, a deleted one)."""
     index.entry_bytes += size_delta
+    index.entry_count += count_delta
     parts = entry_key.split(INDEX_KEY_SEP)
     _bump(index.key_bytes, parts[0], size_delta)
+    _bump(index.key_counts, parts[0], count_delta)
     if len(parts) == 3:  # composite: [hash, range, item]
         _bump(index.range_bytes, parts[1], size_delta)
-    if is_new:
-        index.entry_count += 1
-        index.key_counts[parts[0]] = index.key_counts.get(parts[0], 0) + 1
-        if len(parts) == 3:
-            index.range_counts[parts[1]] = index.range_counts.get(parts[1], 0) + 1
-
-
-def _stat_entry_deleted(index: _Index, entry_key: str, size: int) -> None:
-    """Fold one committed index-entry delete into the index statistics."""
-    index.entry_bytes -= size
-    index.entry_count -= 1
-    parts = entry_key.split(INDEX_KEY_SEP)
-    _bump(index.key_bytes, parts[0], -size)
-    remaining = index.key_counts.get(parts[0], 0) - 1
-    if remaining > 0:
-        index.key_counts[parts[0]] = remaining
-    else:
-        index.key_counts.pop(parts[0], None)
-    if len(parts) == 3:
-        _bump(index.range_bytes, parts[1], -size)
-        left = index.range_counts.get(parts[1], 0) - 1
-        if left > 0:
-            index.range_counts[parts[1]] = left
-        else:
-            index.range_counts.pop(parts[1], None)
+        _bump(index.range_counts, parts[1], count_delta)
 
 
 @dataclass
 class _Table:
     """One table: replicated state plus provisioned-throughput ledger.
 
-    Stored item states are immutable by contract: ``authority`` and the
-    replica set hold the *same* object (as do index entries projected
-    from it), every write installs a fresh one (:func:`_merged` copies
-    before it edits), and every read hands out ``dict(state)``.
+    Stored item states are immutable (:class:`~repro.aws.item.ItemState`):
+    ``authority`` and the replica set hold the *same* object (as do
+    ``ALL``-projection index entries), every write installs a fresh one
+    (:func:`_merged` edits a copy), and every read hands out a plain
+    ``dict`` copy.
     """
 
     replicas: ReplicaSet
@@ -396,24 +372,29 @@ def _merged(
     """ADD ``adds`` into a copy of ``existing``'s string sets (``None`` =
     absent item): ``(state, old_size, new_size)``, refusing an empty
     update or one that would outgrow the item-size limit. The one
-    set-merge UpdateItem and every BatchWriteItem entry share."""
+    set-merge UpdateItem and every BatchWriteItem entry share. The new
+    state's size is the old one plus the bytes of each value that was
+    not already in its set — nothing already stored is measured again."""
     if not adds:
         raise errors.ItemSizeLimitExceeded("an item write requires attributes")
-    state: ItemState = dict(existing) if existing is not None else {}
+    attrs: Attrs = dict(existing or ())
+    nbytes = existing.nbytes if existing is not None else 0
+    for name, value in adds:
+        values = attrs.get(name, ())
+        if value not in values:
+            attrs[name] = tuple(sorted((*values, value)))
+            nbytes += len(name.encode()) + len(value.encode())
     # Stored-byte accounting: an absent item occupies nothing (its key
     # bytes only start counting once the item exists).
-    old_size = _item_size(key, state) if existing is not None else 0
-    for name, value in adds:
-        merged = set(state.get(name, ()))
-        merged.add(value)
-        state[name] = tuple(sorted(merged))
-    new_size = _item_size(key, state)
+    key_size = len(key.encode())
+    old_size = key_size + existing.nbytes if existing is not None else 0
+    new_size = key_size + nbytes
     if new_size > units.DDB_MAX_ITEM_SIZE:
         raise errors.ItemSizeLimitExceeded(
             f"item {key!r} would be {new_size} bytes "
             f"(limit {units.DDB_MAX_ITEM_SIZE})"
         )
-    return state, old_size, new_size
+    return ItemState(attrs, nbytes), old_size, new_size
 
 
 class DynamoDBService:
@@ -530,7 +511,7 @@ class DynamoDBService:
                 backfill_units += _write_units_for(size)
                 stored += size
                 index.replicas.write(entry_key, projected)
-                _stat_entry_written(index, entry_key, size, True)
+                _stat_entry(index, entry_key, size, 1)
         if backfill_units:
             self._meter.record_capacity(billing.DDB_GSI, write_units=backfill_units)
         if stored:
@@ -586,13 +567,16 @@ class DynamoDBService:
         — a replayed idempotent put amplifies nothing, like real GSIs
         (no index write when key and projection are unchanged).
         """
-        writes: list[tuple[_Index, str, ItemState, int, bool]] = []
+        writes: list[tuple[_Index, str, ItemState, int, int]] = []
         shared_units = 0.0
         index_charges: list[tuple[_Index, float, float]] = []
         for index in table.indexes.values():
+            positions = _entry_positions(index.spec, key, new_state)
+            if not positions:
+                continue  # sparse: nothing to project, nothing to size
             projected = _project(new_state, index.spec)
             units = 0.0
-            for entry_key in _entry_positions(index.spec, key, new_state):
+            for entry_key in positions:
                 old = index.replicas.read_authoritative(entry_key)
                 if old == projected:
                     continue
@@ -600,7 +584,7 @@ class DynamoDBService:
                 new_size = _entry_size(entry_key, projected)
                 units += _write_units_for(max(old_size, new_size))
                 writes.append(
-                    (index, entry_key, projected, new_size - old_size, old is None)
+                    (index, entry_key, projected, new_size - old_size, int(old is None))
                 )
             if not units:
                 continue
@@ -735,9 +719,9 @@ class DynamoDBService:
             stored_delta = sum(delta for _, _, _, delta, _ in index_writes)
             if stored_delta:
                 self._meter.adjust_stored(billing.DDB_GSI, stored_delta)
-            for index, entry_key, projected, delta, is_new in index_writes:
+            for index, entry_key, projected, delta, added in index_writes:
                 index.replicas.write(entry_key, projected)
-                _stat_entry_written(index, entry_key, delta, is_new)
+                _stat_entry(index, entry_key, delta, added)
 
     def batch_write_item(
         self, table_name: str, puts: list[tuple[str, list[tuple[str, str]]]]
@@ -812,9 +796,9 @@ class DynamoDBService:
                 admitted_index_stored += sum(
                     delta for _, _, _, delta, _ in index_writes
                 )
-                for index, entry_key, projected, delta, is_new in index_writes:
+                for index, entry_key, projected, delta, added in index_writes:
                     index.replicas.write(entry_key, projected)
-                    _stat_entry_written(index, entry_key, delta, is_new)
+                    _stat_entry(index, entry_key, delta, added)
         if len(unprocessed) == len(puts):
             raise errors.ProvisionedThroughputExceeded(
                 f"write capacity {table.write_capacity} units/s exhausted "
@@ -852,7 +836,7 @@ class DynamoDBService:
         if state is None:
             return
         del table.authority[key]
-        self._meter.adjust_stored(billing.DDB, -_attr_size(state) - len(key.encode()))
+        self._meter.adjust_stored(billing.DDB, -old_size)
         table.total_bytes -= old_size
         table.replicas.delete(key)
         if index_deletes:
@@ -862,28 +846,28 @@ class DynamoDBService:
             )
             for index, entry_key, size in index_deletes:
                 index.replicas.delete(entry_key)
-                _stat_entry_deleted(index, entry_key, size)
+                _stat_entry(index, entry_key, -size, -1)
 
     # -- reads --------------------------------------------------------------
 
     def get_item(
         self, table_name: str, key: str, consistent: bool = False
-    ) -> ItemState:
+    ) -> Attrs:
         """Fetch one item; ``consistent=True`` reads the authoritative
         state at double the read-unit cost, ``False`` reads a replica
         (may be stale or empty) at half cost."""
         table = self._table(table_name)
         if consistent:
-            state = table.authority.get(key) or {}
+            state = table.authority.get(key, ABSENT)
         else:
-            state = table.replicas.read(key) or {}
+            state = table.replicas.read(key) or ABSENT
         read_units = _read_units_for(_item_size(key, state), consistent)
         self._check_faults("GetItem")
         self._admit(table, read_units, 0.0)
         self._meter.record_request(billing.DDB, "GetItem")
         self._meter.record_capacity(billing.DDB, read_units=read_units)
-        self._meter.record_transfer_out(billing.DDB, _attr_size(state))
-        return dict(state)
+        self._meter.record_transfer_out(billing.DDB, state.nbytes)
+        return {**state}
 
     def scan(
         self,
@@ -909,11 +893,11 @@ class DynamoDBService:
             exclusive_start_key
         )
         page_limit = min(limit, SCAN_MAX_PAGE)
-        page: list[tuple[str, ItemState]] = []
+        page: list[tuple[str, Attrs]] = []
         scanned_bytes = 0
         for key, state in rows:
-            page.append((key, dict(state)))
-            scanned_bytes += _item_size(key, state)
+            page.append((key, {**state}))
+            scanned_bytes += len(key.encode()) + state.nbytes
             if len(page) >= page_limit or scanned_bytes >= units.DDB_PAGE_BYTES:
                 break
         base = float(max(1, math.ceil(scanned_bytes / units.DDB_RCU_BYTES)))
@@ -962,11 +946,7 @@ class DynamoDBService:
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         table = self._table(table_name)
-        index = table.indexes.get(index_name)
-        if index is None:
-            raise errors.NoSuchIndex(
-                f"table {table_name!r} has no index {index_name!r}"
-            )
+        index = self._index(table_name, index_name)
         if range_condition is not None:
             if index.spec.range_attribute is None:
                 raise ValueError(
@@ -1021,15 +1001,15 @@ class DynamoDBService:
         :data:`~repro.aws.billing.DDB_GSI_RANGE`).
         """
         page_limit = min(limit, SCAN_MAX_PAGE)
-        entries: list[tuple[str, ItemState]] = []
+        entries: list[tuple[str, Attrs]] = []
         page_bytes = 0
         transfer = 0
         entry_key = None
         for entry_key, projected in matches:
             item_name = entry_key.rpartition(INDEX_KEY_SEP)[2]
-            entries.append((item_name, dict(projected)))
+            entries.append((item_name, {**projected}))
             page_bytes += _entry_size(entry_key, projected)
-            transfer += len(item_name.encode()) + _attr_size(projected)
+            transfer += len(item_name.encode()) + projected.nbytes
             if len(entries) >= page_limit or page_bytes >= units.DDB_PAGE_BYTES:
                 break
         base = float(max(1, math.ceil(page_bytes / units.DDB_RCU_BYTES)))
@@ -1067,11 +1047,7 @@ class DynamoDBService:
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         table = self._table(table_name)
-        index = table.indexes.get(index_name)
-        if index is None:
-            raise errors.NoSuchIndex(
-                f"table {table_name!r} has no index {index_name!r}"
-            )
+        index = self._index(table_name, index_name)
         matches = index.replicas.ordered_snapshot().between(exclusive_start_key)
         return self._serve_index_page(table, index, matches, limit, "Scan")
 
@@ -1121,7 +1097,7 @@ class DynamoDBService:
 
     # -- oracle helpers (tests/migration verification) ----------------------
 
-    def authoritative_item(self, table_name: str, key: str) -> ItemState | None:
+    def authoritative_item(self, table_name: str, key: str) -> Attrs | None:
         state = self._tables.get(table_name)
         if state is None:
             return None
@@ -1138,13 +1114,13 @@ class DynamoDBService:
 
     def authoritative_index_entries(
         self, table_name: str, index_name: str
-    ) -> dict[tuple[str, str], ItemState]:
+    ) -> dict[tuple[str, str], Attrs]:
         """The index's converged view: (key position, item name) →
         projected attributes — the key position is the hash value for a
         simple index, ``hash\\x00range`` for a composite one. Oracle
         read bypassing index replication."""
         index = self._index(table_name, index_name)
-        entries: dict[tuple[str, str], ItemState] = {}
+        entries: dict[tuple[str, str], Attrs] = {}
         for entry_key, projected in index.replicas.authoritative_items():
             value, _, item_name = entry_key.rpartition(INDEX_KEY_SEP)
             entries[(value, item_name)] = dict(projected)
@@ -1153,6 +1129,24 @@ class DynamoDBService:
     def index_converged(self, table_name: str, index_name: str) -> bool:
         """True when every index replica matches the converged view."""
         return self._index(table_name, index_name).replicas.is_converged()
+
+    def size_audit(self) -> list[str]:
+        """Stored item and entry-projection sizes, ``total_bytes``, each
+        index's ``entry_bytes`` and the meter's two stored levels, each
+        against a from-scratch measurement
+        (:func:`repro.aws.item.size_audit`); ``[]`` when all agree."""
+        spaces = []
+        for name, table in self._tables.items():
+            spaces.append((
+                f"ddb/{name}", billing.DDB, table.replicas, table.total_bytes,
+                lambda key: _item_size(key, ABSENT),
+            ))
+            spaces += [
+                (f"ddb/{name}/{index.spec.name}", billing.DDB_GSI, index.replicas,
+                 index.entry_bytes, lambda key: _entry_size(key, ABSENT))
+                for index in table.indexes.values()
+            ]
+        return size_audit(self._meter, (billing.DDB, billing.DDB_GSI), spaces)
 
     # -- internals ----------------------------------------------------------
 

@@ -127,7 +127,10 @@ def build_read_cache(spec, clock: SimClock, meter: Meter):
 
 
 def attrs_nbytes(attrs) -> int:
-    """Node-memory estimate for one cached item's attribute map."""
+    """Node-memory estimate for one cached item's attribute map: each
+    name once, however many values it holds — how a cache node lays an
+    entry out, and on purpose not the backends' billed size
+    (:func:`repro.aws.item._attr_size` counts the name per value)."""
     return sum(
         len(name.encode()) + sum(len(value.encode()) for value in values)
         for name, values in attrs.items()

@@ -40,10 +40,14 @@ def metadata_size(metadata: dict[str, str]) -> int:
 
 @dataclass(frozen=True)
 class S3ObjectRecord:
-    """Immutable stored representation of one S3 object version."""
+    """Immutable stored representation of one S3 object version.
+    ``metadata_bytes`` is :func:`metadata_size` of the metadata, taken
+    once at PUT/COPY (where the 2 KB check computes it anyway) and read
+    by every GET, HEAD and storage delta afterwards."""
 
     blob: Blob
     metadata: tuple[tuple[str, str], ...]
+    metadata_bytes: int
     etag: str
     last_modified: float
 
@@ -53,7 +57,7 @@ class S3ObjectRecord:
 
     @property
     def stored_size(self) -> int:
-        return self.blob.size + metadata_size(self.metadata_dict)
+        return self.blob.size + self.metadata_bytes
 
 
 @dataclass(frozen=True)
@@ -169,13 +173,22 @@ class S3Service:
                 f"the {units.S3_MAX_METADATA_SIZE} byte limit"
             )
         store = self._bucket(bucket)
+        self._meter.record_transfer_in(billing.S3, blob.size + md_size)
+        return self._install(store, key, blob, metadata, md_size)
+
+    def _install(
+        self, store: ReplicaSet[S3ObjectRecord], key: str, blob: Blob,
+        metadata: dict[str, str], md_size: int,
+    ) -> str:
+        """Make (blob, metadata) the object at ``key`` — what PUT and
+        COPY share: one record, sized once, and the storage delta."""
         record = S3ObjectRecord(
             blob=blob,
             metadata=tuple(sorted(metadata.items())),
+            metadata_bytes=md_size,
             etag=blob.md5(),
             last_modified=self._clock.now,
         )
-        self._meter.record_transfer_in(billing.S3, blob.size + md_size)
         previous = store.read_authoritative(key)
         delta = record.stored_size - (previous.stored_size if previous else 0)
         self._meter.adjust_stored(billing.S3, delta)
@@ -201,7 +214,7 @@ class S3Service:
                     f"outside object of {record.blob.size} bytes"
                 )
         self._meter.record_transfer_out(
-            billing.S3, (end - start) + metadata_size(record.metadata_dict)
+            billing.S3, (end - start) + record.metadata_bytes
         )
         return S3GetResult(
             bucket=bucket,
@@ -216,9 +229,7 @@ class S3Service:
         """Retrieve only an object's metadata (how A1 reads provenance)."""
         self._request("HEAD")
         record = self._read_replica(bucket, key)
-        self._meter.record_transfer_out(
-            billing.S3, metadata_size(record.metadata_dict)
-        )
+        self._meter.record_transfer_out(billing.S3, record.metadata_bytes)
         return S3HeadResult(
             bucket=bucket,
             key=key,
@@ -252,17 +263,7 @@ class S3Service:
                 f"{dst_bucket or bucket}/{dst_key}: {md_size} bytes of metadata"
             )
         target_bucket = self._bucket(dst_bucket or bucket)
-        record = S3ObjectRecord(
-            blob=source.blob,
-            metadata=tuple(sorted(new_metadata.items())),
-            etag=source.blob.md5(),
-            last_modified=self._clock.now,
-        )
-        previous = target_bucket.read_authoritative(dst_key)
-        delta = record.stored_size - (previous.stored_size if previous else 0)
-        self._meter.adjust_stored(billing.S3, delta)
-        target_bucket.write(dst_key, record)
-        return record.etag
+        return self._install(target_bucket, dst_key, source.blob, new_metadata, md_size)
 
     def delete(self, bucket: str, key: str) -> None:
         """Delete an object. Idempotent: deleting a missing key succeeds."""

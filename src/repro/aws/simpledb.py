@@ -54,6 +54,7 @@ from repro import errors, units
 from repro.aws import billing
 from repro.aws.consistency import DelayModel, ReplicaSet, STRONG
 from repro.aws.faults import RequestFaults
+from repro.aws.item import ABSENT, Attrs, ItemState, _attr_size, size_audit
 from repro.aws.sdb_query import (
     CompiledQuery,
     SelectStatement,
@@ -62,9 +63,6 @@ from repro.aws.sdb_query import (
     run_query,
 )
 from repro.clock import SimClock
-
-#: Items an attribute map: name -> tuple of distinct values (sorted).
-ItemState = dict[str, tuple[str, ...]]
 
 #: Maximum items returned per Query/QueryWithAttributes page (2009 limit).
 QUERY_MAX_PAGE = 250
@@ -98,7 +96,7 @@ class QueryResult:
 class QueryWithAttributesResult:
     """A page of items with their attributes (QueryWithAttributes/Select)."""
 
-    items: tuple[tuple[str, dict[str, tuple[str, ...]]], ...]
+    items: tuple[tuple[str, Attrs], ...]
     next_token: str | None
 
     @property
@@ -110,20 +108,23 @@ class QueryWithAttributesResult:
 class SelectResult:
     """Result of a Select statement (items or a count)."""
 
-    items: tuple[tuple[str, dict[str, tuple[str, ...]]], ...]
+    items: tuple[tuple[str, Attrs], ...]
     next_token: str | None
     count: int | None = None
 
 
-def _attr_size(state: ItemState) -> int:
-    return sum(
-        len(name.encode()) + len(value.encode())
-        for name, values in state.items()
-        for value in values
-    )
+def _served(state: ItemState, wanted: Collection[str] | None) -> tuple[Attrs, int]:
+    """What a read hands out of one stored ``state`` and the bytes it
+    bills — the one place that is decided: the whole value (``wanted``
+    is None) is a copy at its stored size, a projection onto ``wanted``
+    is a new value and is measured."""
+    if wanted is None:
+        return {**state}, state.nbytes
+    attrs = {name: values for name, values in state.items() if name in wanted}
+    return attrs, _attr_size(attrs)
 
 
-def _attr_count(state: ItemState) -> int:
+def _attr_count(state: Attrs) -> int:
     return sum(len(values) for values in state.values())
 
 
@@ -155,7 +156,8 @@ class SimpleDBService:
         self._n_replicas = n_replicas
         self._domains: dict[str, ReplicaSet[ItemState]] = {}
         # Authoritative attribute state used for read-modify-write; the
-        # ReplicaSet holds copies for eventually consistent reads.
+        # ReplicaSet holds the same (immutable, sized-at-commit) objects
+        # for eventually consistent reads.
         self._authority: dict[str, dict[str, ItemState]] = {}
         # Per domain: total attribute bytes, and the attribute index —
         # attribute name → value → the items holding it (see _holders).
@@ -183,12 +185,10 @@ class SimpleDBService:
     def delete_domain(self, name: str) -> None:
         self._request("DeleteDomain")
         self._domains.pop(name, None)
-        self._stat_bytes.pop(name, None)
         self._postings.pop(name, None)
-        removed = self._authority.pop(name, None)
-        if removed:
-            freed = sum(_attr_size(state) for state in removed.values())
-            self._meter.adjust_stored(billing.SDB, -freed)
+        if self._authority.pop(name, None):
+            self._meter.adjust_stored(billing.SDB, -self._stat_bytes[name])
+        self._stat_bytes.pop(name, None)
 
     def list_domains(self) -> list[str]:
         self._request("ListDomains")
@@ -231,8 +231,8 @@ class SimpleDBService:
         diff into the domain's statistics and postings, and replicate.
         The one place an item changes; called from every write path."""
         authority = self._authority[domain]
-        old_state = authority.get(item_name, {})
-        delta = _attr_size(new_state) - _attr_size(old_state)
+        old_state = authority.get(item_name, ABSENT)
+        delta = new_state.nbytes - old_state.nbytes
         self._meter.adjust_stored(billing.SDB, delta)
         self._stat_bytes[domain] += delta
         postings = self._postings[domain]
@@ -261,7 +261,7 @@ class SimpleDBService:
         store = self._domains[domain]
         if new_state:
             authority[item_name] = new_state
-            store.write(item_name, dict(new_state))
+            store.write(item_name, new_state)
         else:
             authority.pop(item_name, None)
             store.delete(item_name)
@@ -281,14 +281,11 @@ class SimpleDBService:
         §2.2 documents and §4.3 exploits.
         """
         self._request("PutAttributes")
-        attrs = self._validated_attrs("PutAttributes", attributes)
+        attrs, transfer = self._validated_attrs("PutAttributes", attributes)
         self._domain(domain)
-        old_state = self._authority[domain].get(item_name, {})
+        old_state = self._authority[domain].get(item_name, ABSENT)
         state = self._merged_state(old_state, attrs, item_name)
-        self._meter.record_transfer_in(
-            billing.SDB,
-            sum(len(a.name.encode()) + len(a.value.encode()) for a in attrs),
-        )
+        self._meter.record_transfer_in(billing.SDB, transfer)
         self._commit_item(domain, item_name, state)
 
     def batch_put_attributes(
@@ -320,14 +317,10 @@ class SimpleDBService:
         staged: dict[str, ItemState] = {}
         transfer = 0
         for item_name, attributes in items:
-            attrs = self._validated_attrs("BatchPutAttributes", attributes)
-            base = staged.get(item_name)
-            if base is None:
-                base = dict(authority.get(item_name, {}))
+            attrs, sent = self._validated_attrs("BatchPutAttributes", attributes)
+            base = staged.get(item_name) or authority.get(item_name, ABSENT)
             staged[item_name] = self._merged_state(base, attrs, item_name)
-            transfer += sum(
-                len(a.name.encode()) + len(a.value.encode()) for a in attrs
-            )
+            transfer += sent
         self._meter.record_transfer_in(billing.SDB, transfer)
         for item_name, state in staged.items():
             self._commit_item(domain, item_name, state)
@@ -335,8 +328,9 @@ class SimpleDBService:
     @staticmethod
     def _validated_attrs(
         op: str, attributes: list[Attribute | tuple[str, str]]
-    ) -> list[Attribute]:
-        """Normalise one item's attribute list, enforcing the per-call caps."""
+    ) -> tuple[list[Attribute], int]:
+        """Normalise one item's attribute list, enforcing the per-call
+        caps: the attributes and their transfer-in bytes."""
         attrs = [a if isinstance(a, Attribute) else Attribute(*a) for a in attributes]
         if not attrs:
             raise errors.AttributeValueTooLong(f"{op} requires attributes")
@@ -345,36 +339,45 @@ class SimpleDBService:
                 f"{len(attrs)} attributes in one call (limit "
                 f"{units.SDB_MAX_ATTRS_PER_CALL})"
             )
+        transfer = 0
         for attr in attrs:
-            if len(attr.name.encode()) > units.SDB_MAX_NAME_SIZE:
+            name_size, value_size = len(attr.name.encode()), len(attr.value.encode())
+            if name_size > units.SDB_MAX_NAME_SIZE:
                 raise errors.AttributeValueTooLong(f"attribute name {attr.name[:40]!r}")
-            if len(attr.value.encode()) > units.SDB_MAX_VALUE_SIZE:
+            if value_size > units.SDB_MAX_VALUE_SIZE:
                 raise errors.AttributeValueTooLong(
-                    f"value for {attr.name!r} is {len(attr.value.encode())} bytes "
+                    f"value for {attr.name!r} is {value_size} bytes "
                     f"(limit {units.SDB_MAX_VALUE_SIZE})"
                 )
-        return attrs
+            transfer += name_size + value_size
+        return attrs, transfer
 
     @staticmethod
     def _merged_state(
         state: ItemState, attrs: list[Attribute], item_name: str
     ) -> ItemState:
-        """Apply a put's set-merge semantics, enforcing the per-item cap."""
-        state = dict(state)
+        """Apply a put's set-merge semantics to a copy of ``state``,
+        enforcing the per-item cap. The new state's size is the old one
+        plus each value actually added, less what a ``replace`` drops."""
+        merged: Attrs = dict(state)
+        nbytes = state.nbytes
         replaced: set[str] = set()
         for attr in attrs:
-            existing = () if attr.replace and attr.name not in replaced else state.get(attr.name, ())
-            if attr.replace:
+            existing = merged.get(attr.name, ())
+            if attr.replace and attr.name not in replaced:
                 replaced.add(attr.name)
-            merged = set(existing)
-            merged.add(attr.value)
-            state[attr.name] = tuple(sorted(merged))
-        if _attr_count(state) > units.SDB_MAX_ATTRS_PER_ITEM:
+                nbytes -= _attr_size({attr.name: existing})
+                existing = ()
+            if attr.value not in existing:
+                existing = tuple(sorted((*existing, attr.value)))
+                nbytes += len(attr.name.encode()) + len(attr.value.encode())
+            merged[attr.name] = existing
+        if _attr_count(merged) > units.SDB_MAX_ATTRS_PER_ITEM:
             raise errors.NumberItemAttributesExceeded(
-                f"item {item_name!r} would hold {_attr_count(state)} attributes "
+                f"item {item_name!r} would hold {_attr_count(merged)} attributes "
                 f"(limit {units.SDB_MAX_ATTRS_PER_ITEM})"
             )
-        return state
+        return ItemState(merged, nbytes)
 
     def delete_attributes(
         self,
@@ -392,9 +395,9 @@ class SimpleDBService:
         if state is None:
             return
         if attributes is None:
-            self._commit_item(domain, item_name, {})
+            self._commit_item(domain, item_name, ABSENT)
             return
-        new_state: ItemState = dict(state)
+        new_state: Attrs = dict(state)
         for attr in attributes:
             if isinstance(attr, str):
                 new_state.pop(attr, None)
@@ -409,7 +412,7 @@ class SimpleDBService:
                 new_state[attr.name] = remaining
             else:
                 new_state.pop(attr.name, None)
-        self._commit_item(domain, item_name, new_state)
+        self._commit_item(domain, item_name, ItemState(new_state, _attr_size(new_state)))
 
     # -- reads -----------------------------------------------------------------
 
@@ -418,16 +421,14 @@ class SimpleDBService:
         domain: str,
         item_name: str,
         attribute_names: list[str] | None = None,
-    ) -> dict[str, tuple[str, ...]]:
+    ) -> Attrs:
         """Fetch an item's attributes from a replica (may be stale/empty)."""
         self._request("GetAttributes")
-        store = self._domain(domain)
-        state = store.read(item_name) or {}
-        if attribute_names is not None:
-            wanted = set(attribute_names)
-            state = {k: v for k, v in state.items() if k in wanted}
-        self._meter.record_transfer_out(billing.SDB, _attr_size(state))
-        return dict(state)
+        state = self._domain(domain).read(item_name) or ABSENT
+        wanted = None if attribute_names is None else set(attribute_names)
+        attrs, nbytes = _served(state, wanted)
+        self._meter.record_transfer_out(billing.SDB, nbytes)
+        return attrs
 
     def query(
         self,
@@ -461,15 +462,7 @@ class SimpleDBService:
         matched = self._execute(domain, compiled, next_token)
         page, token = self._paginate(matched, min(max_items, QUERY_MAX_PAGE), compiled)
         wanted = None if attribute_names is None else set(attribute_names)
-        projected: list[tuple[str, dict[str, tuple[str, ...]]]] = []
-        out_bytes = 0
-        for name, attrs in page:
-            if wanted is not None:
-                attrs = {k: v for k, v in attrs.items() if k in wanted}
-            projected.append((name, dict(attrs)))
-            out_bytes += len(name.encode()) + _attr_size(attrs)
-        self._meter.record_transfer_out(billing.SDB, out_bytes)
-        return QueryWithAttributesResult(items=tuple(projected), next_token=token)
+        return QueryWithAttributesResult(self._serve_page(page, wanted), token)
 
     def select(
         self,
@@ -486,22 +479,30 @@ class SimpleDBService:
         page, token = self._paginate(
             matched, min(limit, SELECT_MAX_PAGE), parsed.query
         )
-        projected: list[tuple[str, dict[str, tuple[str, ...]]]] = []
+        wanted: Collection[str] | None = set(parsed.projection)
+        if parsed.projection == ("*",):
+            wanted = None
+        elif parsed.projection == ("itemName()",):
+            wanted = ()
+        return SelectResult(self._serve_page(page, wanted), token)
+
+    def _serve_page(
+        self, page: list[tuple[str, ItemState]], wanted: Collection[str] | None
+    ) -> tuple[tuple[str, Attrs], ...]:
+        """Hand out one page of rows, billing transfer-out for each
+        row's name and the attributes it carries."""
+        items: list[tuple[str, Attrs]] = []
         out_bytes = 0
-        for name, attrs in page:
-            if parsed.projection == ("itemName()",):
-                attrs = {}
-            elif parsed.projection != ("*",):
-                wanted = set(parsed.projection)
-                attrs = {k: v for k, v in attrs.items() if k in wanted}
-            projected.append((name, dict(attrs)))
-            out_bytes += len(name.encode()) + _attr_size(attrs)
+        for name, state in page:
+            attrs, nbytes = _served(state, wanted)
+            items.append((name, attrs))
+            out_bytes += len(name.encode()) + nbytes
         self._meter.record_transfer_out(billing.SDB, out_bytes)
-        return SelectResult(items=tuple(projected), next_token=token)
+        return tuple(items)
 
     # -- oracle helpers (tests/recovery scans) ----------------------------------
 
-    def authoritative_item(self, domain: str, item_name: str) -> ItemState | None:
+    def authoritative_item(self, domain: str, item_name: str) -> Attrs | None:
         state = self._authority.get(domain, {}).get(item_name)
         return dict(state) if state is not None else None
 
@@ -511,6 +512,16 @@ class SimpleDBService:
     def item_count(self, domain: str) -> int:
         """Authoritative number of items (used by the analysis module)."""
         return len(self._authority.get(domain, {}))
+
+    def size_audit(self) -> list[str]:
+        """Stored item sizes, domain byte statistics and the meter's
+        stored level, each against a from-scratch measurement
+        (:func:`repro.aws.item.size_audit`); ``[]`` when all agree."""
+        spaces = [
+            (f"sdb/{name}", billing.SDB, store, self._stat_bytes[name], lambda key: 0)
+            for name, store in self._domains.items()
+        ]
+        return size_audit(self._meter, (billing.SDB,), spaces)
 
     # -- internals ----------------------------------------------------------------
 

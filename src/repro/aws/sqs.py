@@ -40,10 +40,12 @@ DEFAULT_SAMPLE_FRACTION = 0.75
 
 @dataclass
 class _StoredMessage:
-    """Internal queue entry (mutable: visibility changes on receive)."""
+    """Internal queue entry (mutable: visibility changes on receive);
+    ``nbytes`` is the body's UTF-8 size, fixed at send."""
 
     message_id: str
     body: str
+    nbytes: int
     enqueued_at: float
     host: int
     visible_at: float = 0.0
@@ -126,9 +128,7 @@ class SQSService:
         self._request("DeleteQueue")
         queue = self._queues.pop(url, None)
         if queue is not None:
-            freed = sum(
-                len(m.body.encode()) for host in queue.hosts for m in host.values()
-            )
+            freed = sum(m.nbytes for host in queue.hosts for m in host.values())
             self._meter.adjust_stored(billing.SQS, -freed)
 
     def list_queues(self) -> list[str]:
@@ -147,28 +147,7 @@ class SQSService:
     def send_message(self, url: str, body: str) -> str:
         """Enqueue a message (≤ 8 KB, Unicode text) on a random host."""
         self._request("SendMessage")
-        if not isinstance(body, str):
-            raise errors.InvalidMessageContents(
-                f"SQS bodies are Unicode text, got {type(body).__name__}"
-            )
-        encoded = body.encode("utf-8")
-        if len(encoded) > units.SQS_MAX_MESSAGE_SIZE:
-            raise errors.MessageTooLong(
-                f"{len(encoded)} bytes exceeds the "
-                f"{units.SQS_MAX_MESSAGE_SIZE} byte message limit"
-            )
-        queue = self._queue(url)
-        message = _StoredMessage(
-            message_id=f"msg-{next(self._message_ids):08d}",
-            body=body,
-            enqueued_at=self._clock.now,
-            host=self._rng.randrange(len(queue.hosts)),
-            visible_at=self._clock.now,
-        )
-        queue.hosts[message.host][message.message_id] = message
-        self._meter.record_transfer_in(billing.SQS, len(encoded))
-        self._meter.adjust_stored(billing.SQS, len(encoded))
-        return message.message_id
+        return self._enqueue(url, [body])[0]
 
     def send_message_batch(self, url: str, bodies: list[str]) -> list[str]:
         """Enqueue up to 10 messages in one metered round trip.
@@ -180,32 +159,39 @@ class SQSService:
         """
         self._request("SendMessageBatch")
         self._check_batch_entries("SendMessageBatch", bodies)
-        encoded_bodies = []
+        return self._enqueue(url, bodies)
+
+    def _enqueue(self, url: str, bodies: list[str]) -> list[str]:
+        """Validate every body, then land each on its own random host,
+        sized once: the UTF-8 length the 8 KB check takes is the
+        ``nbytes`` every later billing site reads."""
+        sizes = []
         for body in bodies:
             if not isinstance(body, str):
                 raise errors.InvalidMessageContents(
                     f"SQS bodies are Unicode text, got {type(body).__name__}"
                 )
-            encoded = body.encode("utf-8")
-            if len(encoded) > units.SQS_MAX_MESSAGE_SIZE:
+            nbytes = len(body.encode("utf-8"))
+            if nbytes > units.SQS_MAX_MESSAGE_SIZE:
                 raise errors.MessageTooLong(
-                    f"{len(encoded)} bytes exceeds the "
+                    f"{nbytes} bytes exceeds the "
                     f"{units.SQS_MAX_MESSAGE_SIZE} byte message limit"
                 )
-            encoded_bodies.append(encoded)
+            sizes.append(nbytes)
         queue = self._queue(url)
         message_ids = []
-        for body in bodies:
+        for body, nbytes in zip(bodies, sizes):
             message = _StoredMessage(
                 message_id=f"msg-{next(self._message_ids):08d}",
                 body=body,
+                nbytes=nbytes,
                 enqueued_at=self._clock.now,
                 host=self._rng.randrange(len(queue.hosts)),
                 visible_at=self._clock.now,
             )
             queue.hosts[message.host][message.message_id] = message
             message_ids.append(message.message_id)
-        total = sum(len(encoded) for encoded in encoded_bodies)
+        total = sum(sizes)
         self._meter.record_transfer_in(billing.SQS, total)
         self._meter.adjust_stored(billing.SQS, total)
         return message_ids
@@ -234,6 +220,7 @@ class SQSService:
         )
         now = self._clock.now
         delivered: list[ReceivedMessage] = []
+        delivered_bytes = 0
         for host_index in self._sample_hosts(len(queue.hosts)):
             # Random within-host order too: a deterministic scan plus the
             # 10-message cap would permanently starve late entries.
@@ -248,6 +235,7 @@ class SQSService:
                 message.receive_count += 1
                 message.receipt_serial = next(self._receipt_serials)
                 handle = f"{message.message_id}#{message.receipt_serial}"
+                delivered_bytes += message.nbytes
                 delivered.append(
                     ReceivedMessage(
                         message_id=message.message_id,
@@ -259,9 +247,7 @@ class SQSService:
                 )
             if len(delivered) >= max_messages:
                 break
-        self._meter.record_transfer_out(
-            billing.SQS, sum(len(m.body.encode()) for m in delivered)
-        )
+        self._meter.record_transfer_out(billing.SQS, delivered_bytes)
         return delivered
 
     def delete_message(self, url: str, receipt_handle: str) -> None:
@@ -310,7 +296,7 @@ class SQSService:
                     f"{receipt_handle}: superseded by a newer receive"
                 )
             del host[message_id]
-            self._meter.adjust_stored(billing.SQS, -len(message.body.encode()))
+            self._meter.adjust_stored(billing.SQS, -message.nbytes)
             return
         # Unknown message id: already deleted; SQS treats this as success.
 
@@ -412,7 +398,7 @@ class SQSService:
                 if message.enqueued_at >= cutoff:
                     break
                 del host[message_id]
-                self._meter.adjust_stored(billing.SQS, -len(message.body.encode()))
+                self._meter.adjust_stored(billing.SQS, -message.nbytes)
                 self.messages_expired += 1
 
     def _request(self, op: str) -> None:

@@ -28,12 +28,10 @@ from repro.aws.dynamo import (
     IndexQueryResult,
     IndexSpec,
     ScanResult,
-    _attr_size,
-    _entry_size,
-    _item_size,
     _range_matches,
     index_entry_key,
 )
+from repro.aws.item import _attr_size
 from repro.clock import SimClock
 
 TABLE = "t"
@@ -43,6 +41,20 @@ EVENTUAL = ConsistencyConfig.eventual(window=2.0, immediate_fraction=0.4)
 
 
 # -- the oracle: the page code the ordered snapshot replaced -----------------
+# It measures every item and entry it serves from scratch, as the service
+# did before stored values carried their size (``ItemState.nbytes``).
+
+def _item_size(key, state):
+    return len(key.encode()) + _attr_size(state)
+
+
+def _entry_size(entry_key, projected):
+    return (
+        units.DDB_INDEX_ENTRY_OVERHEAD
+        + len(entry_key.encode())
+        + _attr_size(projected)
+    )
+
 
 def reference_items_snapshot(replicas):
     """(key, value) pairs visible on one randomly chosen replica."""
