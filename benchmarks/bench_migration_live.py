@@ -36,8 +36,7 @@ from repro.sim import Simulation
 
 from conftest import save_result
 
-#: (name, source layout, target layout) per scenario; index specs are
-#: pinned so the comparison is immune to the REPRO_DDB_INDEXES env.
+#: (name, source layout, target layout) per scenario.
 SCENARIOS = (
     ("grow-sdb-2to6", dict(shards=2, placement="sdb"), dict(shards=6, placement="sdb")),
     ("replace-2to4-mixed", dict(shards=2, placement="sdb"), dict(shards=4, placement="mixed")),

@@ -38,8 +38,7 @@ from repro.sim import Simulation
 from conftest import save_result
 
 SHARD_COUNTS = (1, 4, 16)
-#: name → Simulation knobs. Index specs are pinned per configuration so
-#: the comparison is immune to the REPRO_DDB_INDEXES environment.
+#: name → Simulation knobs (placement and index specs per configuration).
 CONFIGS = {
     "sdb": dict(placement="sdb", ddb_indexes=""),
     "ddb-scan": dict(placement="ddb", ddb_indexes=""),

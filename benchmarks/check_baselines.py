@@ -69,9 +69,7 @@ def measure() -> dict[str, int]:
     workload = CombinedWorkload()
     events = list(workload.iter_events(random.Random(f"bench-gate:{SEED}"), SCALE))
     totals: dict[str, int] = {}
-    # Placements and index specs pinned explicitly: the gate freezes
-    # each regime's totals and must inherit neither
-    # REPRO_BACKEND_PLACEMENT nor REPRO_DDB_INDEXES. The all-SimpleDB
+    # Placements and index specs pinned per regime. The all-SimpleDB
     # keys keep their historical names so any drift in the paper
     # baseline stays byte-obvious in a diff.
     regimes = (
@@ -167,23 +165,11 @@ def measure_planner() -> dict[str, int]:
     totals: dict[str, int] = {}
     for workload_key in ("deep-lineage", "time-range"):
         rows = {mode: run(workload_key, mode) for mode in ("off", "first-fit", "cost")}
-        # An unset knob (None → environment → off) must meter exactly
-        # like the explicit "off" — the sentinel that keeps the default
-        # path byte-identical no matter how the knob is plumbed. The
-        # environment is cleared for the probe so a CI matrix pass with
-        # REPRO_QUERY_PLANNER exported gates the same totals.
-        import os
-
-        from repro.query.planner import PLANNER_ENV
-
-        saved = os.environ.pop(PLANNER_ENV, None)
-        try:
-            rows_default = run(workload_key, None)
-        finally:
-            if saved is not None:
-                os.environ[PLANNER_ENV] = saved
+        # An unset knob (None → off) must meter exactly like the
+        # explicit "off" — the sentinel that keeps the default path
+        # byte-identical no matter how the knob is plumbed.
         totals[f"planner/{workload_key}/off_env_identity"] = int(
-            rows_default == rows["off"]
+            run(workload_key, None) == rows["off"]
         )
         for mode, row in rows.items():
             for metric, value in row.items():
@@ -250,8 +236,7 @@ def measure_group_commit(events) -> dict[str, int]:
 def measure_read_cache(events) -> dict[str, int]:
     """Read-cache tier totals with the knob pinned both ways.
 
-    The mode is passed explicitly (``off``/``on``) so these keys
-    inherit nothing from ``REPRO_READ_CACHE``. The ``off`` rows are the
+    The mode is passed explicitly (``off``/``on``). The ``off`` rows are the
     byte-identity sentinel — zero cache operations, backend totals
     equal on first and repeated runs. The ``on`` rows freeze the
     headline collapse: the repeated Q2/Q3 answers entirely from the

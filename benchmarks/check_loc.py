@@ -16,8 +16,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-#: Highest allowed total for ``src/repro`` (the total as of PR 24).
-CEILING = 11219
+#: Highest allowed total for ``src/repro`` (the current total).
+CEILING = 11174
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}

@@ -36,9 +36,9 @@ Two implementations:
   honestly. Throttled requests back off by advancing the simulated
   clock.
 
-Index declarations come from :func:`parse_index_specs` (the
-``REPRO_DDB_INDEXES`` environment variable, a ``Simulation``/
-``ClientFleet`` argument, or ``repro demo --ddb-indexes``): a
+Index declarations come from :func:`parse_index_specs` (a
+``Simulation``/``ClientFleet`` argument, or ``repro demo
+--ddb-indexes``): a
 comma-separated list of key attributes, each optionally followed by
 ``+included`` projection attributes — ``"name,input"`` declares the two
 provenance GSIs (program lookups key on ``name``, cross-reference
@@ -68,7 +68,6 @@ from repro.aws.sdb_query import (
 )
 from repro.aws.simpledb import Attribute, SimpleDBService
 from repro.errors import ProvisionedThroughputExceeded
-from repro.knobs import env_default
 from repro.units import (
     DDB_MAX_BATCH_WRITE_ITEMS,
     SDB_MAX_ATTRS_PER_CALL,
@@ -79,10 +78,6 @@ from repro.units import (
 SDB_KIND = "sdb"
 DDB_KIND = "ddb"
 BACKEND_KINDS = (SDB_KIND, DDB_KIND)
-
-#: Environment variable holding the default GSI spec for DynamoDB-placed
-#: shards (CI sets it to enable indexes for a whole suite pass).
-INDEX_ENV = "REPRO_DDB_INDEXES"
 
 #: What the ``"auto"`` spec enables: the two indexes the provenance
 #: query workload wants — Q2 phase 1 keys on ``name``, Q2 phase 2 and
@@ -105,9 +100,8 @@ def parse_index_specs(
 
     Accepted specs:
 
-    * ``None`` — the ``REPRO_DDB_INDEXES`` environment spec, or no
-      indexes when unset (the PR-3 scan-only behaviour);
-    * ``""`` / ``"none"`` / ``"off"`` — no indexes;
+    * ``None`` / ``""`` / ``"none"`` / ``"off"`` — no indexes (the
+      scan-only default);
     * ``"auto"`` / ``"default"`` / ``"on"`` — the provenance defaults
       (:data:`DEFAULT_DDB_INDEXES`);
     * ``"name,input"`` — one index per key attribute, projecting
@@ -137,7 +131,7 @@ def parse_index_specs(
     (True, 40, 20)
     """
     if spec is None:
-        spec = env_default(INDEX_ENV)
+        return ()
     if not isinstance(spec, str):
         return tuple(spec)
     text = spec.strip()
@@ -582,7 +576,7 @@ class DynamoBackend:
     consistent regardless (GSIs offer nothing stronger).
 
     ``index_specs`` (a spec string or ready :class:`IndexSpec` tuple;
-    default: the ``REPRO_DDB_INDEXES`` environment spec) declares the
+    default none) declares the
     GSIs :meth:`provision` creates on every shard table; query phases
     whose predicate an index can serve then use it instead of scanning,
     unless the index's replication lag exceeds

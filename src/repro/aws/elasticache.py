@@ -34,9 +34,9 @@ key (``Get``/``Put`` requests, transfer in/out, stored bytes as node
 memory) with matching ``elasticache.*`` price lines. Invalidations
 piggyback on the write path's existing round trips — the authority
 observes the write stream in-process — so a disabled *or* enabled cache
-leaves the write path's request meter untouched; the ``--read-cache`` /
-``REPRO_READ_CACHE`` knob off (the default) constructs no authority at
-all and is byte-identical on the whole meter.
+leaves the write path's request meter untouched; the ``read_cache`` /
+``--read-cache`` knob off (the default) constructs no authority at all
+and is byte-identical on the whole meter.
 
 Capacity is bounded: fills evict least-recently-used entries (memoised
 closures and item entries share one LRU ring) until the new entry fits,
@@ -50,10 +50,6 @@ from typing import Iterable
 
 from repro.aws.billing import ELASTICACHE, Meter
 from repro.clock import SimClock
-from repro.knobs import env_default
-
-#: Environment variable giving the default read-cache spec.
-READ_CACHE_ENV = "REPRO_READ_CACHE"
 
 #: Default node capacity in bytes — small enough that capacity/eviction
 #: behaviour is exercisable in tests, large enough to hold the working
@@ -68,7 +64,7 @@ CACHE_STALENESS_BOUND = 5.0
 
 
 def resolve_read_cache(read_cache=None) -> str:
-    """Normalise the read-cache knob: argument, else environment, else off.
+    """Normalise the read-cache knob (``None`` is off).
 
     Returns the normalised spec text (``""`` = disabled).
 
@@ -76,14 +72,12 @@ def resolve_read_cache(read_cache=None) -> str:
     'on'
     >>> resolve_read_cache(False)
     ''
-    >>> resolve_read_cache()  # with REPRO_READ_CACHE unset
+    >>> resolve_read_cache()
     ''
     """
-    if read_cache is None:
-        read_cache = env_default(READ_CACHE_ENV)
     if read_cache is True:
         return "on"
-    if read_cache is False:
+    if read_cache is None or read_cache is False:
         return ""
     text = str(read_cache).strip().lower()
     if text in ("", "0", "off", "none", "false"):

@@ -24,7 +24,7 @@ from repro.analysis.query_model import analytic_query_table, render_table3
 from repro.analysis.report import TextTable, check_mark
 from repro.analysis.storage_model import render_table2
 from repro.core import ARCHITECTURES
-from repro.knobs import env_default
+from repro.knobs import positive_int
 from repro.units import fmt_bytes, fmt_count
 from repro.workloads import CombinedWorkload, collect_stats
 
@@ -146,10 +146,14 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.migration import parse_migration_spec
     from repro.passlib.capture import PassSystem
     from repro.sim import Simulation
 
     try:
+        # Every flag is checked before anything runs: a malformed spec
+        # prints nothing on stdout.
+        migration = parse_migration_spec(args.migrate) if args.migrate else None
         sim = Simulation(architecture=args.architecture or "s3+simpledb+sqs",
                          seed=args.seed, shards=args.shards,
                          placement=args.backend,
@@ -158,7 +162,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
                          write_batch=args.write_batch,
                          read_cache=args.read_cache,
                          planner=args.planner)
-    except ValueError as exc:  # e.g. a malformed --backend/--ddb-indexes spec
+    except ValueError as exc:  # e.g. a malformed --backend/--migrate spec
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.shards > 1:
@@ -199,8 +203,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if sim.architecture != "s3":
         engine = sim.query_engine()
         outputs = engine.q2_outputs_of("analyze")
-        # The engine resolves the effective wave width (argument or the
-        # REPRO_QUERY_CONCURRENCY environment default).
         mode = (
             f"concurrency={engine.concurrency}"
             if engine.concurrency > 1
@@ -228,20 +230,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 f"evictions {cache.evictions}, "
                 f"{cache.stored_nbytes()}B cached)"
             )
-    from repro.migration import MIGRATION_ENV, parse_migration_spec
-
-    migrate_spec = args.migrate or env_default(MIGRATION_ENV)
-    if migrate_spec and sim.architecture == "s3":
+    if migration is not None and sim.architecture == "s3":
         print("note: --migrate has no effect on the s3 architecture "
               "(provenance lives in object metadata, not a shard layout)")
-    elif migrate_spec:
-        try:
-            knobs = parse_migration_spec(migrate_spec)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        online = knobs.pop("online", True)
-        report = sim.migrate(online=online, **knobs)
+    elif migration is not None:
+        online = migration.pop("online", True)
+        report = sim.migrate(online=online, **migration)
         mode = "online" if online else "offline"
         print(
             f"{mode} migration -> shards={sim.store.router.shards} "
@@ -327,10 +321,10 @@ def _positive_int(noun: str):
     """An argparse type validating an int >= 1, naming ``noun`` on error."""
 
     def parse(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{noun} must be >= 1, got {value}")
-        return value
+        try:
+            return positive_int(text, noun)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -391,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard backend placement: 'sdb' (SimpleDB, the paper's "
         "store), 'ddb' (the DynamoDB-style store), 'mixed' (even shards "
         "on sdb, odd on ddb), or explicit '0:sdb,1:ddb' pairs; default "
-        "is the REPRO_BACKEND_PLACEMENT environment spec or all-sdb",
+        "all-sdb",
     )
     demo.add_argument(
         "--ddb-indexes", default=None, metavar="SPEC",
@@ -400,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'+included' projection attributes (e.g. 'name,input' or "
         "'input+type+name'); 'auto' enables the provenance defaults "
         "(name,input — what serves Q2/Q3 by index Query instead of "
-        "Scan), '' disables; default is the REPRO_DDB_INDEXES "
-        "environment spec or no indexes",
+        "Scan), '' disables; default no indexes",
     )
     demo.add_argument(
         "--write-batch", type=_batch_width, default=None, metavar="N",
@@ -409,16 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
         "client coalescer flushes N items per batched put "
         "(BatchPutAttributes / BatchWriteItem) and the A3 commit daemon "
         "applies N transactions per round with batched WAL deletes; "
-        "default 1 (the paper's one-request-per-item path) or the "
-        "REPRO_WRITE_BATCH environment override",
+        "default 1 (the paper's one-request-per-item path)",
     )
     demo.add_argument(
         "--read-cache", nargs="?", const="on", default=None, metavar="SPEC",
         help="front provenance reads with the ElastiCache-style cache "
         "tier: bare flag or 'on' for the defaults, a byte count for a "
-        "custom capacity, or 'capacity=N,staleness=SECONDS'; default is "
-        "the REPRO_READ_CACHE environment spec or off (byte-identical "
-        "meter)",
+        "custom capacity, or 'capacity=N,staleness=SECONDS'; default "
+        "off (byte-identical meter)",
     )
     demo.add_argument(
         "--planner", default=None, metavar="MODE",
@@ -427,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "backend's native choice, byte-identical meter), 'first-fit' "
         "(same paths, but each query carries a predicted cost), or "
         "'cost' (the cheapest path per the PriceBook cost model and "
-        "live table statistics); default is the REPRO_QUERY_PLANNER "
-        "environment spec or off",
+        "live table statistics)",
     )
     demo.add_argument(
         "--migrate", default=None, metavar="SPEC",
@@ -437,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(same grammar as --backend), online=true|false (default true: "
         "the live copy/double-write/catch-up/cutover protocol; false = "
         "offline quiet-window rebalance). E.g. 'shards=8,placement=mixed'. "
-        "Default is the REPRO_MIGRATION environment spec or no migration",
+        "Default no migration",
     )
     demo.set_defaults(handler=cmd_demo)
 

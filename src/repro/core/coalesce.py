@@ -25,9 +25,8 @@ one-request-per-item protocol — the invariant the meter-identity
 property and the metered baselines enforce.
 
 The knob: pass ``write_batch=`` to :class:`~repro.sim.Simulation` /
-:class:`~repro.fleet.ClientFleet` / the stores, use ``repro demo
---write-batch N``, or set :data:`WRITE_BATCH_ENV` for a whole suite run
-(CI exercises ``REPRO_WRITE_BATCH=8``).
+:class:`~repro.fleet.ClientFleet` / the stores, or use ``repro demo
+--write-batch N``.
 """
 
 from __future__ import annotations
@@ -36,26 +35,21 @@ from typing import Iterable
 
 from repro.aws.account import AWSAccount
 from repro.core.base import put_provenance_items
-from repro.knobs import env_default, positive_int
+from repro.knobs import positive_int
 from repro.migration.handle import RouterHandle
 from repro.sharding import ShardRouter
 
-#: Environment variable giving the default coalescer batch size.
-WRITE_BATCH_ENV = "REPRO_WRITE_BATCH"
-
 
 def resolve_write_batch(write_batch: int | None = None) -> int:
-    """Normalise the write-batch knob: argument, else environment, else 1
-    (unset or empty); a malformed value raises, naming the knob.
+    """Normalise the write-batch knob: ``None`` is the paper's width 1;
+    anything but an integer >= 1 raises, naming the knob.
 
     >>> resolve_write_batch(8)
     8
-    >>> resolve_write_batch()  # with REPRO_WRITE_BATCH unset
+    >>> resolve_write_batch()
     1
     """
-    if write_batch is None:
-        return positive_int(env_default(WRITE_BATCH_ENV) or 1, WRITE_BATCH_ENV)
-    return positive_int(write_batch, "write batch")
+    return positive_int(1 if write_batch is None else write_batch, "write batch")
 
 
 class WriteCoalescer:

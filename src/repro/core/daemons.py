@@ -131,8 +131,8 @@ class CommitDaemon:
         self.threshold = threshold
         self.faults = faults
         #: Group-commit width: how many complete transactions one apply
-        #: round holds. At ``1`` (the default, or ``REPRO_WRITE_BATCH``)
-        #: a round is one transaction applied with single-item requests
+        #: round holds. At ``1`` (the default) a round is one
+        #: transaction applied with single-item requests
         #: — the paper's protocol, byte-identical on the meter; above it
         #: the round's puts and message deletes use the batch APIs.
         self.write_batch = resolve_write_batch(write_batch)

@@ -45,7 +45,6 @@ from repro.errors import ClientCrash, ReadCorrectnessViolation
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import FlushEvent, ObjectRef
 from repro.query.ancestry import AncestryWalker
-from repro.migration.handle import fresh_handle
 
 #: The paper's Table 1, as (atomicity, consistency, causal, query).
 PAPER_TABLE1 = {
@@ -102,16 +101,7 @@ def _build(
         seed=seed,
         consistency=consistency or ConsistencyConfig.eventual(window=2.0),
     )
-    # Table 1 characterises the *paper's* architectures, whose
-    # provenance store is SimpleDB — the placement stays pinned whatever
-    # REPRO_BACKEND_PLACEMENT says (backend tradeoffs are measured by
-    # the multibackend benchmark, not re-litigated here).
-    store = make_architecture(
-        architecture,
-        account,
-        faults=faults or FaultPlan(),
-        router=fresh_handle(placement="sdb"),
-    )
+    store = make_architecture(architecture, account, faults=faults or FaultPlan())
     return account, store
 
 

@@ -9,10 +9,10 @@ instead of reviewer memory:
   (``python -m repro.devtools.provlint src/``) with four checkers,
   PL002..PL005. Run by ``make lint-prov`` and the CI ``lint-prov`` job.
 * :mod:`repro.devtools.sanitize` — the opt-in runtime sanitizer
-  (``REPRO_SANITIZE=1``): at the end of every sharded query the engine
-  audits that the query's own meter scope equals the sum of its
+  (``sanitize.ACTIVE = True``): at the end of every sharded query the
+  engine audits that the query's own meter scope equals the sum of its
   per-stream and memo scopes, recording any request or byte spent
-  outside them. With the variable unset it is inert and the meter is
+  outside them. Off (the default) it is inert and the meter is
   byte-identical to the unsanitized build.
 
 Neither module imports the simulation layers above it, so the tooling
@@ -20,17 +20,13 @@ can never perturb what it checks.
 """
 
 from repro.devtools.sanitize import (
-    SANITIZE_ENV,
     Violation,
-    enabled,
     reset,
     violations,
 )
 
 __all__ = [
-    "SANITIZE_ENV",
     "Violation",
-    "enabled",
     "reset",
     "violations",
 ]

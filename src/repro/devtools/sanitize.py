@@ -1,7 +1,7 @@
 """Opt-in runtime sanitizer: query spend attribution auditing.
 
-Enabled by setting ``REPRO_SANITIZE=1`` (any value other than empty or
-``"0"``).
+Enabled by setting :data:`ACTIVE` to ``True`` before building the query
+engines it should watch (the engine reads it once, at construction).
 
 **Meter attribution.** The sharded query engine measures a query inside
 one ``Meter.scoped`` block and attributes its spend to shards with one
@@ -17,8 +17,8 @@ they differ is recorded as an ``unattributed-spend`` violation.
 Violations are **recorded, not raised**: the suite runs to completion
 and the test harness (``tests/conftest.py``) fails any test whose run
 grew the registry, which localises the offending query. With
-``REPRO_SANITIZE`` unset nothing here runs and the meter never learns
-the sanitizer exists (``tests/unit/test_sanitize.py`` pins that it is
+:data:`ACTIVE` off nothing here runs and the meter never learns the
+sanitizer exists (``tests/unit/test_sanitize.py`` pins that it is
 byte-identical either way).
 
 This module deliberately imports nothing from the simulation, so the
@@ -29,15 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.knobs import env_default
-
-#: Environment variable that switches the sanitizer on.
-SANITIZE_ENV = "REPRO_SANITIZE"
-
-
-def enabled() -> bool:
-    """True when ``REPRO_SANITIZE`` asks for the sanitizer."""
-    return env_default(SANITIZE_ENV) not in ("", "0")
+#: Whether query engines built from now on audit their spend. Off by
+#: default; tests switch it on around the engines they check.
+ACTIVE = False
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,28 @@
-"""The one place the ``REPRO_*`` environment knobs are read.
+"""The "integer >= 1" rule the integer knobs share.
 
-Each knob's ``*_ENV`` name, grammar and resolver live in the module
-that owns the feature; only the read of ``os.environ`` — and the
-"integer >= 1" rule two of the knobs share — lives here, so every knob
-treats unset, empty and whitespace-only alike: as "use the default".
+A knob is set in one place — its constructor argument or its ``repro
+demo`` flag — and the integer ones (``concurrency``, ``write_batch``,
+the CLI's counts) validate what they are given here, so a malformed
+value fails where it is passed instead of deep inside a query.
 """
 
 from __future__ import annotations
 
-import os
-
-
-def env_default(name: str) -> str:
-    """The stripped value of environment variable ``name`` ('' if unset)."""
-    return os.environ.get(name, "").strip()
-
 
 def positive_int(value, knob: str) -> int:
-    """``value`` as an integer >= 1, or a ``ValueError`` naming ``knob``
-    — a typo in a CI matrix must not quietly run the default suite."""
-    try:
-        number = int(value)
-    except ValueError:
+    """``value`` as an integer >= 1, or a ``ValueError`` naming ``knob``.
+
+    Accepts an ``int``, an integral ``float`` or a decimal string (a CLI
+    flag); a ``bool`` or a fractional float is rejected rather than
+    truncated.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         number = 0
+    else:
+        try:
+            number = int(value)
+        except (TypeError, ValueError):
+            number = 0
     if number < 1:
         raise ValueError(f"{knob} must be an integer >= 1, got {value!r}")
     return number

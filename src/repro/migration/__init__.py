@@ -20,7 +20,6 @@ _LIVE_EXPORTS = (
     "LiveMigration",
     "MigrationError",
     "MigrationReport",
-    "MIGRATION_ENV",
     "PHASES",
     "parse_migration_spec",
 )

@@ -82,10 +82,6 @@ DROP = "drop"
 DONE = "done"
 PHASES = (PENDING, COPY, DOUBLE_WRITE, CATCH_UP, CUTOVER, DROP, DONE)
 
-#: Environment variable holding a default migration spec for the demo
-#: (same grammar as ``repro demo --migrate``; see :func:`parse_migration_spec`).
-MIGRATION_ENV = "REPRO_MIGRATION"
-
 #: Distinguishes migration incarnations (their WAL queues must never
 #: merge records across crashed runs).
 _MIGRATION_IDS = itertools.count(1)
@@ -119,7 +115,7 @@ def resolve_target_router(
     :meth:`~repro.sharding.ShardRouter.resized` — which tiles the
     current placement pattern when none is given, so a shards-only
     migration never resets the deployment's backend choice to the
-    environment default.
+    all-SimpleDB default.
     """
     if router is not None:
         if shards is not None or placement is not None:

@@ -68,7 +68,7 @@ from repro.aws.sdb_query import CompiledQuery, parse_query, quote_literal
 from repro.core.base import DATA_BUCKET, fetch_overflow, read_provenance_item
 from repro.devtools import sanitize
 from repro.errors import NoSuchKey
-from repro.knobs import env_default, positive_int
+from repro.knobs import positive_int
 from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
 from repro.passlib.serializer import (
     bundle_from_item,
@@ -85,18 +85,6 @@ T = TypeVar("T")
 #: Cross-reference values packed into one bracket predicate (bounded by
 #: SimpleDB's query-expression size limits).
 REF_BATCH = 20
-
-#: Environment knob CI uses to run the whole suite at a wider modeled
-#: wave; engines constructed with an explicit ``concurrency=`` ignore it.
-CONCURRENCY_ENV = "REPRO_QUERY_CONCURRENCY"
-
-def default_concurrency() -> int:
-    """Wave width when the caller does not pass one (env override).
-
-    Unset or empty means 1. Anything else must be an integer >= 1: a
-    typo in a CI matrix must not quietly run the sequential suite.
-    """
-    return positive_int(env_default(CONCURRENCY_ENV) or 1, CONCURRENCY_ENV)
 
 
 @dataclass(frozen=True)
@@ -298,8 +286,8 @@ class SimpleDBEngine(_Metered):
     which every request sequence is identical to the unsharded engine.
 
     ``concurrency`` is the width at which each scatter wave's per-shard
-    request streams are *modeled* to overlap (default 1, or the
-    ``REPRO_QUERY_CONCURRENCY`` environment variable). Streams always
+    request streams are *modeled* to overlap (default 1; anything but an
+    integer >= 1 raises here, naming the knob). Streams always
     execute sequentially in submission order, so results, spend and —
     for a fixed seed, replica choice included — the request sequence
     are the same at every width; only the measurement's ``latency``
@@ -331,11 +319,9 @@ class SimpleDBEngine(_Metered):
         self.domain = self.routing.current.domains[0]
         self.ref_batch = ref_batch
         self.select_mode = select_mode
-        if concurrency is None:
-            concurrency = default_concurrency()
-        if concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-        self.concurrency = concurrency
+        self.concurrency = positive_int(
+            1 if concurrency is None else concurrency, "concurrency"
+        )
         #: The account's read-cache authority, or None when the tier is
         #: off. Point reads (Q1) consult it per item; the Q2/Q3 scatter
         #: phases memoise whole closure results through it, keyed by the
@@ -345,8 +331,7 @@ class SimpleDBEngine(_Metered):
         #: sequences byte-identical to the historical engine),
         #: ``"first-fit"`` (execute the default path but predict its
         #: cost), or ``"cost"`` (execute the cheapest estimated path).
-        #: ``None`` resolves the ``REPRO_QUERY_PLANNER`` environment
-        #: knob.
+        #: ``None`` means off.
         self.planner_mode = resolve_planner(planner)
         self.planner = (
             QueryPlanner(account.prices, self.planner_mode)
@@ -361,11 +346,11 @@ class SimpleDBEngine(_Metered):
         #: Accumulated planner prediction for the in-flight query, or
         #: None for query classes the planner does not cover (Q1).
         self._predicted: float | None = None
-        #: Under ``REPRO_SANITIZE=1``, the sum of the in-flight query's
-        #: stream and memo scopes, audited against the query's own scope
-        #: when it ends; None (nothing accumulated) otherwise.
+        #: Under the sanitizer, the sum of the in-flight query's stream
+        #: and memo scopes, audited against the query's own scope when
+        #: it ends; None (nothing accumulated) otherwise.
         self._attributed: Usage | None = None
-        self._audited = sanitize.enabled()
+        self._audited = sanitize.ACTIVE
 
     @property
     def router(self) -> ShardRouter:

@@ -14,8 +14,7 @@ maintained table statistics (DescribeTable / DomainMetadata — item
 counts, mean item sizes, exact per-index key histograms; never
 sampled), and picks the cheapest.
 
-Three modes, selected per engine (``planner=``) or via the
-``REPRO_QUERY_PLANNER`` environment variable:
+Three modes, selected per engine (``planner=``):
 
 * ``"off"`` (default) — no planner object exists; every request
   sequence is byte-identical to the historical engine (the baselines
@@ -55,11 +54,7 @@ from repro.aws.billing import GB, SDB_BOX_USAGE_HOURS, PriceBook
 from repro.aws.dynamo import SCAN_MAX_PAGE
 from repro.aws.sdb_query import CompiledQuery
 from repro.aws.simpledb import QUERY_MAX_PAGE, SCAN_HOURS_PER_ITEM
-from repro.knobs import env_default
 from repro.units import DDB_INDEX_ENTRY_OVERHEAD, DDB_PAGE_BYTES, DDB_RCU_BYTES
-
-#: Environment knob: ``off`` / ``first-fit`` / ``cost``.
-PLANNER_ENV = "REPRO_QUERY_PLANNER"
 
 PLANNER_MODES = ("off", "first-fit", "cost")
 
@@ -87,11 +82,10 @@ SDB_MATCH_BYTES = 48
 
 
 def resolve_planner(mode: str | None = None) -> str:
-    """Normalise a planner mode (``None`` → environment → ``"off"``)."""
-    if mode is None:
-        mode = env_default(PLANNER_ENV) or "off"
-    mode = mode.lower()
-    if mode in ("", "none"):
+    """Normalise a planner mode (``None``, ``""`` and ``"none"`` are
+    ``"off"``)."""
+    mode = (mode or "off").lower()
+    if mode == "none":
         mode = "off"
     if mode not in PLANNER_MODES:
         raise ValueError(
@@ -317,7 +311,6 @@ class QueryPlanner:
 
 __all__ = [
     "HYSTERESIS",
-    "PLANNER_ENV",
     "PLANNER_MODES",
     "PREDICTION_ERROR_BOUND",
     "QueryPlanner",

@@ -27,10 +27,7 @@ paper's SimpleDB (``"sdb"``) or the DynamoDB-style service (``"ddb"``,
 paper's deployment). The router stays pure routing: it answers *which
 store and which backend kind*, while the actual service adapters come
 from :meth:`repro.aws.account.AWSAccount.provenance_backends` (any
-helper here accepts the account or a ready backend mapping). The
-``REPRO_BACKEND_PLACEMENT`` environment variable
-supplies the default placement spec, which is how CI runs the whole
-suite under a mixed SDB/DDB layout.
+helper here accepts the account or a ready backend mapping).
 
 Consistency caveats (documented here, tested in
 ``tests/properties/test_prop_sharding.py``):
@@ -61,15 +58,10 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.knobs import env_default
 from repro.passlib.records import ObjectRef
 
 #: The paper's single provenance domain (§4.2) — what ``shards=1`` uses.
 DEFAULT_BASE_DOMAIN = "pass-prov"
-
-#: Environment variable holding the default placement spec (CI sets it
-#: to ``mixed`` for the heterogeneous-placement suite pass).
-PLACEMENT_ENV = "REPRO_BACKEND_PLACEMENT"
 
 #: Backend kinds a placement may name (must match the adapter kinds in
 #: ``repro.aws.backend``; kept literal here so routing stays AWS-free).
@@ -85,8 +77,7 @@ def parse_placement(
 
     Accepted specs:
 
-    * ``None`` — the ``REPRO_BACKEND_PLACEMENT`` environment spec, or
-      all-SimpleDB when unset (the paper's deployment);
+    * ``None`` — all-SimpleDB (the paper's deployment);
     * ``"sdb"`` / ``"ddb"`` — every shard on that backend;
     * ``"mixed"`` — even shard indices on SimpleDB, odd on the DynamoDB
       style store (shard 0 — and thus ``shards=1`` — stays SimpleDB);
@@ -100,7 +91,7 @@ def parse_placement(
     ('sdb', 'ddb', 'sdb')
     """
     if spec is None:
-        spec = env_default(PLACEMENT_ENV) or SDB_KIND
+        return (SDB_KIND,) * shards
     if isinstance(spec, str):
         text = spec.strip().lower()
         if text in _KINDS:
@@ -254,9 +245,8 @@ class ShardRouter:
         not given, the *current placement pattern is tiled* across the
         new shard count — a uniform layout stays uniform, an alternating
         one stays alternating — rather than falling back to the
-        ``REPRO_BACKEND_PLACEMENT`` environment default, so a
-        shards-only migration can never silently flip the deployment's
-        backend choice.
+        all-SimpleDB default, so a shards-only migration can never
+        silently flip the deployment's backend choice.
         """
         shards = self.shards if shards is None else shards
         if placement is None:

@@ -74,40 +74,41 @@ class Cloud:
         planner: str | None,
         router=None,
     ):
-        """The seven knobs — every one optional, every default
-        byte-identical on the meter to the paper's deployment, and each
-        ``None`` falling back to its ``REPRO_*`` environment spec:
+        """The seven knobs — the only documentation of them, set here or
+        by their ``repro demo`` flag and nowhere else. Every one is
+        optional, and ``None`` (or the default) is the paper's
+        deployment, byte-identical on the meter:
 
         ``shards``/``placement`` pick the provenance layout: N stores
         routed by consistent hash, each placed on the backend the
         placement spec names (``"sdb"``, ``"ddb"``, ``"mixed"``,
         ``"0:sdb,1:ddb"``, or a ``{index: kind}`` map — default
-        all-SimpleDB, or ``REPRO_BACKEND_PLACEMENT``); a ready
+        all-SimpleDB); a ready
         ``router`` (a :class:`~repro.sharding.ShardRouter` or a shared
         :class:`~repro.migration.RouterHandle`) replaces both.
         ``concurrency`` is the wave width of the query engines handed
         out — how many of a scatter wave's per-shard request streams the
         *modeled* list schedule overlaps when it prices the query's
-        ``latency`` (default 1, or ``REPRO_QUERY_CONCURRENCY``);
+        ``latency`` (an integer >= 1, default 1);
         execution is sequential in submission order at every width, so
         results, spend and the request sequence do not depend on it.
         ``ddb_indexes`` declares global
         secondary indexes on DynamoDB-placed shards (``"name,input"``,
-        ``"auto"``, ``""`` for none — default ``REPRO_DDB_INDEXES``), so
+        ``"auto"``, ``""`` for none — default none), so
         Q2/Q3 phases on those shards are index Queries instead of
         Scans. ``write_batch`` is every client coalescer's and commit
-        daemon's group-commit width (default 1, or
-        ``REPRO_WRITE_BATCH``): one write path at every width, and the
+        daemon's group-commit width (an integer >= 1, default 1): one
+        write path at every width, and the
         width picks the request shape — 1 is a batch of one sent as
         single-item requests, the paper's one-request-per-item
         protocol; above it the batch APIs. ``read_cache`` enables the
         account-wide ElastiCache-style read-cache tier fronting the
         provenance backends (``"on"``, a spec like
-        ``"capacity=65536"``, default off or ``REPRO_READ_CACHE``) —
+        ``"capacity=65536"``, default off) —
         one authority per cloud, so any client's write invalidates what
         another client cached. ``planner`` is the query engines'
         access-path planning mode (``"off"``/``"first-fit"``/``"cost"``,
-        default off or ``REPRO_QUERY_PLANNER``).
+        default off).
         """
         if architecture == "s3" and write_batch is not None:
             raise ValueError("the s3 architecture has no provenance write path to batch")

@@ -24,13 +24,10 @@ from repro.devtools import sanitize
 
 @pytest.fixture(autouse=True)
 def _sanitizer_gate():
-    """Under REPRO_SANITIZE=1, fail the test whose run grew the
-    sanitizer's violation registry — the sanitizer records instead of
-    raising, so this is what localises an offending interleaving.
-    Inert (no setup cost, no assertion) when the sanitizer is off."""
-    if not sanitize.enabled():
-        yield
-        return
+    """Fail the test whose run grew the sanitizer's violation registry
+    (tests switch ``sanitize.ACTIVE`` on; the sanitizer records instead
+    of raising, so this is what localises an offending query). A test
+    that plants violations on purpose resets the registry itself."""
     before = len(sanitize.violations())
     yield
     grown = sanitize.violations()[before:]
@@ -61,12 +58,9 @@ def eventual_account() -> AWSAccount:
 
 def provenance_oracle_item(account: AWSAccount, item_name: str):
     """Authoritative read of one provenance item through the *placed*
-    backend of the default (environment-driven) single-shard layout.
-
-    Atomicity/idempotency tests that oracle the provenance store should
-    hold on every backend, so under ``REPRO_BACKEND_PLACEMENT=ddb``
-    they must look at the DynamoDB-style table the store actually wrote
-    — not assume SimpleDB.
+    backend of the default single-shard layout — the read every
+    atomicity/idempotency oracle shares, so none of them hard-codes the
+    SimpleDB service.
     """
     from repro.sharding import ShardRouter
 

@@ -35,8 +35,7 @@ class TestPaperScenarioOrphanProvenance:
         with pytest.raises(ClientCrash):
             store.store(event)
 
-        # The damage: provenance without data (on whichever backend the
-        # environment placed the provenance store).
+        # The damage: provenance without data.
         assert provenance_oracle_item(account, event.subject.item_name)
         assert not account.s3.exists_authoritative(DATA_BUCKET, event.subject.name)
 

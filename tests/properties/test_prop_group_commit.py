@@ -14,14 +14,10 @@ Two invariants the batched path must not buy its savings with:
   exact no-crash state.
 """
 
-import os
-from unittest import mock
-
 from hypothesis import given, settings, strategies as st
 
 from repro.aws.faults import FaultPlan
 from repro.core.base import DATA_BUCKET
-from repro.core.coalesce import WRITE_BATCH_ENV
 from repro.errors import ClientCrash
 from repro.sim import Simulation
 from tests.conftest import provenance_oracle_item
@@ -39,15 +35,9 @@ def test_batch_one_is_meter_identical(architecture, seed, n_files):
     request by request, byte by byte, on every service."""
 
     def run(**kwargs):
-        # The property compares the default against an explicit
-        # width of 1, so a suite-wide REPRO_WRITE_BATCH (the CI
-        # write-batch=8 pass) must not redefine what "default" means.
-        with mock.patch.dict(os.environ):
-            os.environ.pop(WRITE_BATCH_ENV, None)
-            sim = Simulation(architecture=architecture, seed=seed, **kwargs)
-            pas_events = make_events(n_files, 500)
-            sim.store_events(pas_events, collect=False)
-            return sim.usage()
+        sim = Simulation(architecture=architecture, seed=seed, **kwargs)
+        sim.store_events(make_events(n_files, 500), collect=False)
+        return sim.usage()
 
     default_usage = run()
     explicit_usage = run(write_batch=1)

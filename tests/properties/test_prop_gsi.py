@@ -24,8 +24,7 @@ from repro.sim import Simulation
 from tests.properties.test_prop_backend import random_workload
 
 #: (name, placement, ddb_indexes) — the three DynamoDB access regimes
-#: plus the SimpleDB baseline. Index specs are pinned explicitly so the
-#: comparison holds whatever REPRO_DDB_INDEXES says.
+#: plus the SimpleDB baseline.
 CONFIGS = (
     ("sdb", "sdb", ""),
     ("ddb-scan", "ddb", ""),

@@ -81,8 +81,7 @@ def test_crash_anywhere_is_atomic(crash_call, env_bytes, seed):
     settle(account, store)
 
     data = account.s3.exists_authoritative(DATA_BUCKET, victim.subject.name)
-    # Atomicity must hold on whichever backend the environment placed
-    # the provenance store on (SimpleDB or the DynamoDB-style table).
+    # Atomicity: data and provenance are both present or both absent.
     item = provenance_oracle_item(account, victim.subject.item_name)
     assert data == (item is not None)
     # The baseline transaction must have survived regardless.

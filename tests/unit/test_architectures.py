@@ -15,10 +15,7 @@ from tests.conftest import make_architecture, tiny_trace
 def make_sdb_store(account, **kwargs):
     """An A2 store pinned to the paper's SimpleDB placement and
     single-request write path: this suite asserts §4.2 wire semantics
-    (PutAttributes batching, items visible in the SimpleDB domain),
-    which must hold whatever backend or group-commit width the
-    REPRO_BACKEND_PLACEMENT / REPRO_WRITE_BATCH environment selects
-    for the generic runs."""
+    (PutAttributes batching, items visible in the SimpleDB domain)."""
     kwargs.setdefault("write_batch", 1)
     return make_architecture(
         "s3+simpledb", account,

@@ -88,7 +88,28 @@ class TestDemo:
         with pytest.raises(SystemExit):
             main(["demo", "--help"])
         out = capsys.readouterr().out
-        assert "--ddb-indexes" in out and "REPRO_DDB_INDEXES" in out
+        assert "--ddb-indexes" in out and "REPRO_" not in out
+
+    @pytest.mark.parametrize("spec", ["shards=abc", "shards=0", "bogus"])
+    def test_demo_rejects_malformed_migrate_before_running(self, capsys, spec):
+        """The spec is parsed before the demo stores anything: nothing
+        reaches stdout, only the error."""
+        assert main(["demo", "--migrate", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flag", ["--shards", "--concurrency", "--write-batch"]
+    )
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5"])
+    def test_demo_integer_flags_name_the_knob(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["demo", flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer >= 1" in captured.err
 
 
 class TestAdvise:

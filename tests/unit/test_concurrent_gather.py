@@ -21,7 +21,7 @@ import pytest
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.passlib.capture import PassSystem
-from repro.query.engine import SimpleDBEngine, default_concurrency, parse_nonce
+from repro.query.engine import SimpleDBEngine, parse_nonce
 from repro.query.latency import DEFAULT_LATENCY_MODEL, makespan
 from repro.sim import Simulation
 
@@ -228,17 +228,23 @@ class TestKnobs:
         with pytest.raises(ValueError):
             SimpleDBEngine(strong_account, concurrency=0)
 
-    def test_env_default_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUERY_CONCURRENCY", "6")
-        assert default_concurrency() == 6
-        for malformed in ("not-a-number", "-2", "0"):
-            monkeypatch.setenv("REPRO_QUERY_CONCURRENCY", malformed)
-            with pytest.raises(ValueError, match="REPRO_QUERY_CONCURRENCY.*>= 1"):
-                default_concurrency()
-        monkeypatch.setenv("REPRO_QUERY_CONCURRENCY", "")
-        assert default_concurrency() == 1
-        monkeypatch.delenv("REPRO_QUERY_CONCURRENCY")
-        assert default_concurrency() == 1
+    def test_none_is_width_one(self, strong_account):
+        assert SimpleDBEngine(strong_account).concurrency == 1
+        assert SimpleDBEngine(strong_account, concurrency=6).concurrency == 6
+
+    @pytest.mark.parametrize("malformed", ["abc", 0, -2, 2.5, True])
+    def test_malformed_argument_names_the_knob(self, strong_account, malformed):
+        with pytest.raises(ValueError, match="concurrency must be an integer >= 1"):
+            SimpleDBEngine(strong_account, concurrency=malformed)
+
+    def test_fractional_width_fails_before_any_query(self, trace):
+        """A fractional width used to build fine and then raise a
+        ``TypeError`` inside ``makespan`` on the first scatter query."""
+        sim = Simulation(architecture="s3+simpledb", seed=7, shards=4,
+                         concurrency=2.5)
+        sim.store_events(trace, collect=False)
+        with pytest.raises(ValueError, match=r"concurrency.*2\.5"):
+            sim.query_engine()
 
     def test_simulation_passes_concurrency_through(self, trace):
         sim = Simulation(architecture="s3+simpledb", seed=7, shards=2,

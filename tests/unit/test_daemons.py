@@ -77,8 +77,7 @@ class TestCommitDaemonIdempotency:
             store.commit_daemon.drain()
         strong_account.clock.advance(200.0)
         store.restart_commit_daemon().drain()
-        # Replay stored provenance again without error (idempotency §4.3)
-        # — on whichever backend the environment placed the store.
+        # Replay stored provenance again without error (idempotency §4.3).
         item = provenance_oracle_item(strong_account, trace[-1].subject.item_name)
         assert item is not None
         result = store.read(trace[-1].subject.name)

@@ -61,11 +61,9 @@ class TestIndexSpecs:
         ready = (IndexSpec("i", "k"),)
         assert parse_index_specs(ready) == ready
 
-    def test_parse_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DDB_INDEXES", "name")
-        assert [s.key_attribute for s in parse_index_specs()] == ["name"]
-        monkeypatch.delenv("REPRO_DDB_INDEXES")
+    def test_parse_none_is_no_indexes(self):
         assert parse_index_specs() == ()
+        assert parse_index_specs(None) == ()
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):

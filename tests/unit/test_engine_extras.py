@@ -23,7 +23,7 @@ def blast_trace(n=4):
 
 class TestSelectModeEngine:
     # SELECT is a SimpleDB wire language; the store and the engines stay
-    # pinned to the sdb placement whatever the environment selects.
+    # pinned to the sdb placement.
     @pytest.fixture
     def sdb_router(self):
         from repro.sharding import ShardRouter

@@ -18,7 +18,7 @@ import pytest
 from repro.aws import billing
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.core.base import DATA_BUCKET, TEMP_PREFIX
-from repro.core.coalesce import WRITE_BATCH_ENV, WriteCoalescer, resolve_write_batch
+from repro.core.coalesce import WriteCoalescer, resolve_write_batch
 from repro.core.daemons import CleanerDaemon, CommitDaemon
 from repro.core.s3_simpledb import S3SimpleDB
 from repro.core.s3_simpledb_sqs import S3SimpleDBSQS
@@ -26,6 +26,7 @@ from repro.core.wal import AssembledTransaction
 from repro.migration.handle import RouterHandle
 from repro.passlib.capture import PassSystem
 from repro.sharding import ShardRouter
+from repro.sim import Simulation
 from repro.units import SQS_RETENTION_SECONDS
 
 
@@ -45,38 +46,30 @@ def make_events(n_files: int, prefix: str = "out"):
 
 
 class TestResolveWriteBatch:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(WRITE_BATCH_ENV, "4")
+    def test_explicit_wins(self):
         assert resolve_write_batch(8) == 8
+        assert resolve_write_batch(4.0) == 4
 
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.setenv(WRITE_BATCH_ENV, "8")
-        assert resolve_write_batch() == 8
-
-    def test_unset_is_one(self, monkeypatch):
-        monkeypatch.delenv(WRITE_BATCH_ENV, raising=False)
+    def test_none_is_one(self):
         assert resolve_write_batch() == 1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resolve_write_batch(0)
 
-    def test_empty_environment_is_one(self, monkeypatch):
-        monkeypatch.setenv(WRITE_BATCH_ENV, "")
-        assert resolve_write_batch() == 1
+    @pytest.mark.parametrize("malformed", ["abc", 0, -2, 2.5, True, ""])
+    def test_malformed_argument_names_the_knob(self, malformed):
+        with pytest.raises(ValueError, match="write batch must be an integer >= 1"):
+            resolve_write_batch(malformed)
 
-    @pytest.mark.parametrize("malformed", ["abc", "0", "-3", "2.5"])
-    def test_malformed_environment_names_the_variable(self, monkeypatch, malformed):
-        monkeypatch.setenv(WRITE_BATCH_ENV, malformed)
-        with pytest.raises(ValueError, match=f"{WRITE_BATCH_ENV}.*>= 1.*{malformed}"):
-            resolve_write_batch()
+    def test_fractional_width_is_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match=r"write batch.*2\.5"):
+            Simulation("s3+simpledb", write_batch=2.5)
 
 
 def sdb_router(shards=1, placement="sdb"):
-    """These suites count SimpleDB requests and read SimpleDB oracles,
-    so the layout pins the sdb placement whatever the environment's
-    ``REPRO_BACKEND_PLACEMENT`` selects (the mixed-placement test passes
-    its placement explicitly)."""
+    """A handle over an explicit layout (the mixed-placement test passes
+    its placement)."""
     return RouterHandle(ShardRouter(shards, placement=placement))
 
 

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.cli import main
-from repro.migration import MIGRATION_ENV, parse_migration_spec
+from repro.migration import parse_migration_spec
 from repro.migration.live import DONE, PHASES
 from repro.sharding import ShardRouter, authoritative_snapshot
 from repro.sim import Simulation
@@ -117,8 +117,6 @@ def test_migration_billing_lines_are_itemised():
 
 def test_backend_flip_backfills_target_indexes():
     events = _events(0.3)
-    # Source pinned to the paper's SimpleDB placement so the flip is a
-    # real cross-backend move under every REPRO_BACKEND_PLACEMENT env.
     sim = Simulation(
         architecture="s3+simpledb", seed=14, shards=2, placement="sdb",
         ddb_indexes="name,input",
@@ -216,8 +214,8 @@ def test_failed_start_leaves_the_handle_clean():
 def test_shards_only_migration_preserves_placement():
     """Regression: a shards-only migrate() must tile the deployment's
     current placement pattern across the new count — never reset to the
-    REPRO_BACKEND_PLACEMENT environment default (which would turn a
-    grow into a silent full backend flip)."""
+    all-SimpleDB default (which would turn a grow into a silent full
+    backend flip)."""
     sim = Simulation(architecture="s3+simpledb", seed=19, shards=2, placement="ddb")
     sim.store_events(_events(0.1), collect=False)
     report = sim.migrate(shards=4, online=True)
@@ -290,9 +288,8 @@ def test_demo_cli_migrate_flag(capsys):
     assert "Q2 after migration" in out
 
 
-def test_demo_cli_migrate_env(capsys, monkeypatch):
-    monkeypatch.setenv(MIGRATION_ENV, "shards=3,online=false")
-    code = main(["demo"])
+def test_demo_cli_migrate_offline(capsys):
+    code = main(["demo", "--migrate", "shards=3,online=false"])
     out = capsys.readouterr().out
     assert code == 0
     assert "offline migration -> shards=3" in out

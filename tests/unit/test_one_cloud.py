@@ -70,7 +70,7 @@ def test_unknown_architecture_is_rejected_once():
 def test_s3_has_no_write_path_to_batch(build):
     with pytest.raises(ValueError, match="no provenance write path to batch"):
         build(write_batch=8)
-    # None — "whatever REPRO_WRITE_BATCH says" — stays fine on s3.
+    # None — the default width — stays fine on s3.
     assert build(write_batch=None).query_engine().q1_all().result_count == 0
 
 
@@ -86,24 +86,28 @@ def test_the_drivers_inherit_the_wiring():
         assert getattr(ClientFleet, name) is shared
 
 
-def test_whitespace_only_environment_means_the_default(monkeypatch):
-    """One reader, one rule: unset, empty and blank are all "default" —
-    the sanitizer and the cache used to read their variable unstripped."""
-    from repro.aws.backend import INDEX_ENV, parse_index_specs
-    from repro.aws.elasticache import READ_CACHE_ENV, resolve_read_cache
-    from repro.core.coalesce import WRITE_BATCH_ENV, resolve_write_batch
+def test_the_environment_sets_no_knob(monkeypatch):
+    """A knob is set by its argument or its demo flag, nowhere else: the
+    variables that used to supply defaults change nothing, even set."""
     from repro.devtools import sanitize
-    from repro.query.engine import CONCURRENCY_ENV, default_concurrency
-    from repro.query.planner import PLANNER_ENV, resolve_planner
-    from repro.sharding import PLACEMENT_ENV, parse_placement
 
-    for name in (INDEX_ENV, READ_CACHE_ENV, WRITE_BATCH_ENV, sanitize.SANITIZE_ENV,
-                 CONCURRENCY_ENV, PLANNER_ENV, PLACEMENT_ENV):
-        monkeypatch.setenv(name, "  ")
-    assert not sanitize.enabled()
-    assert resolve_read_cache() == ""
-    assert resolve_write_batch() == 1
-    assert default_concurrency() == 1
-    assert resolve_planner() == "off"
-    assert parse_index_specs() == ()
-    assert parse_placement(None, 2) == ("sdb", "sdb")
+    for name, value in {
+        "REPRO_BACKEND_PLACEMENT": "ddb", "REPRO_DDB_INDEXES": "name",
+        "REPRO_QUERY_CONCURRENCY": "4", "REPRO_WRITE_BATCH": "8",
+        "REPRO_READ_CACHE": "1", "REPRO_QUERY_PLANNER": "cost",
+        "REPRO_SANITIZE": "1",
+    }.items():
+        monkeypatch.setenv(name, value)
+    sim = Simulation("s3+simpledb+sqs", seed=3)
+    engine = sim.query_engine()
+    assert (
+        engine.concurrency,
+        engine.planner_mode,
+        engine.cache,
+        engine._audited,
+        sim.routing.current.placement,
+        sim.store.coalescer.batch_size,
+        sim.store.commit_daemon.write_batch,
+        sim.account.provenance_backends()["ddb"].index_specs,
+    ) == (1, "off", None, False, ("sdb",), 1, 1, ())
+    assert not sanitize.ACTIVE

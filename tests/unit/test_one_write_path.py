@@ -24,7 +24,7 @@ def crash_and_restart_run():
     """A small seeded A3 run at ``write_batch=1`` over an eventually
     consistent cloud, whose commit daemon crashes at its 9th fault point
     (mid-apply of its second transaction) and is restarted with no
-    memory. Every knob is pinned, so no ``REPRO_*`` variable moves it."""
+    memory. Every knob is pinned."""
     events = CombinedWorkload().generate(seed=7, scale=0.02).events[:14]
     plans = {
         "client": FaultPlan(),

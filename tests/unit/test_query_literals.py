@@ -6,8 +6,7 @@ was deleted and a query's spend became a read of its own meter scope
 (two account-wide snapshots and a ``Usage`` diff until then); the one
 sequential executor has to reproduce them — result sets, backend spend,
 its per-shard and per-backend split, both modeled latencies and the
-planner's prediction alike. Every knob is pinned, so no ``REPRO_*``
-variable moves them.
+planner's prediction alike. Every knob is pinned.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ What the tentpole adds below the engines, pinned piece by piece:
   per-range-value entry counts *and exact byte totals*) are maintained
   incrementally through puts and deletes — the planner's cost model
   never samples;
-* **planner plumbing** — mode resolution (explicit > environment >
-  off) and validation;
+* **planner plumbing** — mode resolution (``None`` is off) and
+  validation;
 * **version_history** — with a fresh composite ``(name, nonce)`` ALL
   index, the revision chain is one paged range Query: identical bundle
   list, strictly fewer metered read operations than the per-version
@@ -29,7 +29,7 @@ from repro.aws import billing
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.backend import parse_index_specs
 from repro.passlib.capture import PassSystem
-from repro.query.planner import PLANNER_ENV, resolve_planner
+from repro.query.planner import resolve_planner
 from repro.sim import Simulation
 
 
@@ -149,13 +149,11 @@ class TestIncrementalStatistics:
 
 
 class TestPlannerResolution:
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(PLANNER_ENV, "cost")
+    def test_explicit_modes(self):
         assert resolve_planner("first-fit") == "first-fit"
-        assert resolve_planner(None) == "cost"
+        assert resolve_planner("COST") == "cost"
 
-    def test_default_and_disabled_spellings(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_ENV, raising=False)
+    def test_default_and_disabled_spellings(self):
         assert resolve_planner(None) == "off"
         assert resolve_planner("") == "off"
         assert resolve_planner("none") == "off"

@@ -3,8 +3,7 @@
 Covers the authority in isolation — LRU capacity and eviction order,
 hit/miss/fill metering on the ``elasticache`` key, fenced fills, the
 staleness age-out, item-vs-memo invalidation semantics — plus the knob
-plumbing (spec grammar, environment default, account/sim/fleet/CLI
-wiring) and the price-book lines the meter keys must match.
+plumbing (spec grammar, account/sim/fleet/CLI wiring) and the price-book lines the meter keys must match.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.aws.billing import ELASTICACHE, Meter, PriceBook
 from repro.aws.elasticache import (
     CACHE_STALENESS_BOUND,
     DEFAULT_CAPACITY,
-    READ_CACHE_ENV,
     ReadCacheAuthority,
     attrs_nbytes,
     build_read_cache,
@@ -49,20 +47,12 @@ def attrs_of(size: int, key: str = "k"):
 
 
 class TestSpecResolution:
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(READ_CACHE_ENV, "on")
-        assert resolve_read_cache("off") == ""
+    def test_argument_is_normalised(self):
+        assert resolve_read_cache(" ON ") == "on"
         assert resolve_read_cache("4096") == "4096"
 
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.setenv(READ_CACHE_ENV, "1")
-        assert resolve_read_cache() == "1"
-        monkeypatch.delenv(READ_CACHE_ENV)
-        assert resolve_read_cache() == ""
-
-    @pytest.mark.parametrize("spec", ["", "0", "off", "none", "false", False, None])
-    def test_disabled_spellings(self, spec, monkeypatch):
-        monkeypatch.delenv(READ_CACHE_ENV, raising=False)
+    @pytest.mark.parametrize("spec", ["", "  ", "0", "off", "none", "false", False, None])
+    def test_disabled_spellings(self, spec):
         assert resolve_read_cache(spec) == ""
 
     def test_boolean_true_means_defaults(self, clock, meter):
@@ -71,8 +61,7 @@ class TestSpecResolution:
         assert cache.capacity == DEFAULT_CAPACITY
         assert cache.staleness_bound == CACHE_STALENESS_BOUND
 
-    def test_off_builds_nothing(self, clock, meter, monkeypatch):
-        monkeypatch.delenv(READ_CACHE_ENV, raising=False)
+    def test_off_builds_nothing(self, clock, meter):
         assert build_read_cache(None, clock, meter) is None
         assert build_read_cache("off", clock, meter) is None
 
@@ -257,19 +246,19 @@ class TestMetering:
 
 
 class TestWiring:
-    def test_account_default_is_off_and_byte_identical(self, monkeypatch):
-        monkeypatch.delenv(READ_CACHE_ENV, raising=False)
+    def test_account_default_is_off_and_byte_identical(self):
         account = AWSAccount(seed=1, consistency=ConsistencyConfig.strong())
         assert account.read_cache is None
 
-    def test_account_env_default(self, monkeypatch):
-        monkeypatch.setenv(READ_CACHE_ENV, "capacity=2048,staleness=1.5")
-        account = AWSAccount(seed=1, consistency=ConsistencyConfig.strong())
+    def test_account_option_spec(self):
+        account = AWSAccount(
+            seed=1, consistency=ConsistencyConfig.strong(),
+            read_cache="capacity=2048,staleness=1.5",
+        )
         assert account.read_cache.capacity == 2048
         assert account.read_cache.staleness_bound == 1.5
 
-    def test_simulation_and_fleet_pass_the_knob_through(self, monkeypatch):
-        monkeypatch.delenv(READ_CACHE_ENV, raising=False)
+    def test_simulation_and_fleet_pass_the_knob_through(self):
         from repro.fleet import ClientFleet
         from repro.sim import Simulation
 

@@ -1,6 +1,6 @@
-"""The REPRO_SANITIZE runtime sanitizer: spend a query records outside
-its stream and memo scopes is detected when it is on, and the build is
-byte-identical when it is off."""
+"""The runtime sanitizer (``sanitize.ACTIVE``): spend a query records
+outside its stream and memo scopes is detected when it is on, and the
+build is byte-identical when it is off."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.workloads import CombinedWorkload
 
 @pytest.fixture
 def sanitized(monkeypatch):
-    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setattr(sanitize, "ACTIVE", True)
     sanitize.reset()
     yield
     sanitize.reset()
@@ -23,7 +23,7 @@ def sanitized(monkeypatch):
 
 @pytest.fixture
 def unsanitized(monkeypatch):
-    monkeypatch.delenv(sanitize.SANITIZE_ENV, raising=False)
+    monkeypatch.setattr(sanitize, "ACTIVE", False)
     sanitize.reset()
     yield
     sanitize.reset()
@@ -147,18 +147,18 @@ def test_sanitizer_off_records_nothing_for_the_same_leak(unsanitized, monkeypatc
 def test_the_sanitizer_is_decided_when_the_engine_is_built(sanitized, monkeypatch):
     """The flag is read once at construction: an engine built with the
     sanitizer on keeps auditing, one built with it off stays inert even
-    if the variable is set later."""
+    if the flag is switched on later."""
     sim = loaded_sim()
     built_on = sim.query_engine()
-    monkeypatch.delenv(sanitize.SANITIZE_ENV)
+    monkeypatch.setattr(sanitize, "ACTIVE", False)
     built_off = sim.query_engine()
-    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setattr(sanitize, "ACTIVE", True)
 
     _leak_between_waves(built_off, monkeypatch)
     built_off.q2_outputs_of("blast")
     assert sanitize.violations() == ()
 
-    monkeypatch.delenv(sanitize.SANITIZE_ENV)
+    monkeypatch.setattr(sanitize, "ACTIVE", False)
     _leak_between_waves(built_on, monkeypatch)
     built_on.q2_outputs_of("blast")
     assert {v.kind for v in sanitize.violations()} == {"unattributed-spend"}
@@ -193,7 +193,7 @@ def test_sanitizer_off_is_byte_identical_on_the_meter(unsanitized, monkeypatch):
     clock_off = SimClock()
     meter_off = Meter(clock_off)
     scope_off = _exercise(meter_off, clock_off)
-    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setattr(sanitize, "ACTIVE", True)
     clock_on = SimClock()
     meter_on = Meter(clock_on)
     scope_on = _exercise(meter_on, clock_on)
@@ -214,15 +214,12 @@ def test_sanitizer_on_leaves_a_whole_run_byte_identical(unsanitized, monkeypatch
         return sim.usage(), measured
 
     off = run()
-    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setattr(sanitize, "ACTIVE", True)
     assert run() == off
     assert sanitize.violations() == ()
 
 
-def test_enabled_parses_the_env(monkeypatch):
-    monkeypatch.delenv(sanitize.SANITIZE_ENV, raising=False)
-    assert not sanitize.enabled()
-    monkeypatch.setenv(sanitize.SANITIZE_ENV, "0")
-    assert not sanitize.enabled()
-    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
-    assert sanitize.enabled()
+
+def test_the_sanitizer_is_off_by_default():
+    assert sanitize.ACTIVE is False
+    assert loaded_sim().query_engine()._audited is False

@@ -91,9 +91,8 @@ class TestWideReferenceDisjunctions:
 class TestPaginationAcrossShards:
     def loaded_service(self, shards: int = 3, items_per_shard_hint: int = 40):
         account = AWSAccount(seed=5, consistency=ConsistencyConfig.strong())
-        # These tests pin SimpleDB's pagination-token wire semantics, so
-        # the layout stays all-SimpleDB whatever REPRO_BACKEND_PLACEMENT
-        # says (writes below go straight to the SimpleDB service).
+        # These tests pin SimpleDB's pagination-token wire semantics
+        # (writes below go straight to the SimpleDB service).
         router = ShardRouter(shards, placement="sdb")
         router.provision(account)
         for index in range(shards * items_per_shard_hint):

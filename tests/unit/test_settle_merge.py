@@ -5,8 +5,7 @@ drain for up to 10 rounds; ``Simulation.settle`` pumped the existing
 daemon for up to 12 and checked the queue on the other side of
 ``quiesce()``. The literals below were recorded on the commit *before*
 the two became ``Cloud.settle`` (this file passes unchanged on it): the
-shared loop has to reproduce both runs on the meter. Every knob is
-pinned, so no ``REPRO_*`` variable moves them.
+shared loop has to reproduce both runs on the meter.
 """
 
 from __future__ import annotations

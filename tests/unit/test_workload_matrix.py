@@ -7,7 +7,7 @@ Three regression families for the PR-9 workloads:
   advances the simulated clock;
 * **determinism** — same seed ⇒ byte-identical trace text and meter for
   every new workload, at query concurrency 1 and 4, and with the
-  ``REPRO_READ_CACHE`` / ``REPRO_WRITE_BATCH`` environment knobs on
+  ``read_cache`` / ``write_batch`` knobs on
   (the global RNG is scrambled between runs to catch module-state
   leaks, the pytest-xdist hazard);
 * **salted seeding** — ``Workload.generate`` seeds by name *plus* a
@@ -169,23 +169,14 @@ def test_same_seed_byte_identical_meter(key, concurrency):
     assert usage_a == usage_b
 
 
-@pytest.mark.parametrize(
-    "variable,value", [("REPRO_READ_CACHE", "1"), ("REPRO_WRITE_BATCH", "8")]
-)
-def test_env_knobs_stay_deterministic(monkeypatch, variable, value):
-    monkeypatch.setenv(variable, value)
-    usage_a = run_usage("zipfian")
+@pytest.mark.parametrize("knob", [{"read_cache": "on"}, {"write_batch": 8}])
+def test_knobs_stay_deterministic(knob):
+    usage_a = run_usage("zipfian", **knob)
     random.seed("adversarial interleaving")
     random.random()
-    usage_b = run_usage("zipfian")
+    usage_b = run_usage("zipfian", **knob)
     assert usage_a == usage_b
-
-
-def test_read_cache_env_knob_is_live(monkeypatch):
-    """The knob test above must actually exercise the cache tier."""
-    monkeypatch.setenv("REPRO_READ_CACHE", "1")
-    sim = Simulation(architecture="s3+simpledb", seed=5, shards=2)
-    assert sim.account.read_cache is not None
+    assert usage_a != run_usage("zipfian")  # the knob is live
 
 
 def test_timed_trace_replays_with_identical_meter_and_clock():
