@@ -69,6 +69,8 @@ BENCH_SMOKE_FILES = bench_sharding_scaleout.py bench_concurrent_gather.py \
 MIGRATION_TEST_FILES = tests/unit/test_migration_handle.py \
 	tests/unit/test_live_migration.py tests/unit/test_index_capacity.py \
 	tests/properties/test_prop_migration.py \
+	tests/properties/test_prop_sharding.py \
+	tests/properties/test_prop_backend.py tests/properties/test_prop_gsi.py \
 	tests/integration/test_fleet_live_migration.py
 
 SECONDS ?= 5

@@ -99,7 +99,7 @@ def run_cycle(spec, seed: int, phase: str, profiler: cProfile.Profile | None) ->
             ingest(plan.burst, 1.0)
         query_round(round_plan)
     with during("migrate"):
-        report = sim.migrate(shards=spec.migrate_to, online=True)
+        report = sim.migrate(shards=spec.migrate_to)
     return report.items_moved if phase == "migrate" else done
 
 

@@ -26,7 +26,7 @@ from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.blob import Blob, BytesBlob, SyntheticBlob, as_blob
 from repro.clock import SimClock
 from repro.migration import RouterHandle
-from repro.sharding import ShardRouter, rebalance
+from repro.sharding import ShardRouter
 
 __all__ = [
     "AWSAccount",
@@ -38,6 +38,5 @@ __all__ = [
     "SimClock",
     "RouterHandle",
     "ShardRouter",
-    "rebalance",
     "__version__",
 ]

@@ -4,7 +4,7 @@ Extracted from the SimpleDB-only store path so the shard router can
 place each provenance shard on a *named backend* — the paper's single
 SimpleDB domain (§4.2) or the DynamoDB-style service
 (:mod:`repro.aws.dynamo`). Every writer (the A2 client path, the A3
-commit daemon), the rebalancer, and all three query classes go through
+commit daemon), layout migration, and all three query classes go through
 this protocol, so adding a backend never forks the store protocol
 logic.
 

@@ -1036,7 +1036,7 @@ class DynamoDBService:
 
         Real DynamoDB supports scanning a GSI; with an ``ALL``
         projection (:attr:`IndexSpec.project_all`) that makes the index
-        a *migration read path*: a rebalance streams full items off the
+        a *migration read path*: a layout migration streams full items off the
         index's entry space instead of the base table, paying read
         units (on the :data:`~repro.aws.billing.DDB_GSI` key, against
         the index's own capacity when provisioned) sized by the entries

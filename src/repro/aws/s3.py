@@ -282,6 +282,8 @@ class S3Service:
         max_keys: int = 1000,
     ) -> S3ListResult:
         """List keys (one replica's view) in lexicographic order."""
+        if max_keys < 1:
+            raise ValueError(f"max_keys must be >= 1, got {max_keys}")
         self._request("LIST")
         store = self._bucket(bucket)
         visible = [

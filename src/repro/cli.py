@@ -234,24 +234,21 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print("note: --migrate has no effect on the s3 architecture "
               "(provenance lives in object metadata, not a shard layout)")
     elif migration is not None:
-        online = migration.pop("online", True)
-        report = sim.migrate(online=online, **migration)
-        mode = "online" if online else "offline"
+        report = sim.migrate(**migration)
         print(
-            f"{mode} migration -> shards={sim.store.router.shards} "
+            f"online migration -> shards={sim.store.router.shards} "
             f"(epoch {sim.store.routing.epoch}): "
             f"{report.items_moved} copied, {report.items_kept} kept"
         )
-        if online:
-            print(
-                f"  double-writes {report.double_writes}, WAL replays "
-                f"{report.replayed_records}, cutover epochs "
-                f"{report.cutover_epochs}, verification reads "
-                f"{report.verification_reads}"
-            )
-            for label, amount in report.cost_lines(sim.account.prices):
-                if amount:
-                    print(f"  {label}  ${amount:.6f}")
+        print(
+            f"  double-writes {report.double_writes}, WAL replays "
+            f"{report.replayed_records}, cutover epochs "
+            f"{report.cutover_epochs}, verification reads "
+            f"{report.verification_reads}"
+        )
+        for label, amount in report.cost_lines(sim.account.prices):
+            if amount:
+                print(f"  {label}  ${amount:.6f}")
         followup = sim.query_engine().q2_outputs_of("analyze")
         print(
             f"Q2 after migration: {followup.result_count} file(s), "
@@ -422,11 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--migrate", default=None, metavar="SPEC",
-        help="after the demo workload, migrate the provenance layout: "
+        help="after the demo workload, migrate the provenance layout with "
+        "the live copy/double-write/catch-up/cutover protocol: "
         "comma-separated key=value pairs — shards=N, placement=PLACEMENT "
-        "(same grammar as --backend), online=true|false (default true: "
-        "the live copy/double-write/catch-up/cutover protocol; false = "
-        "offline quiet-window rebalance). E.g. 'shards=8,placement=mixed'. "
+        "(same grammar as --backend). E.g. 'shards=8,placement=mixed'. "
         "Default no migration",
     )
     demo.set_defaults(handler=cmd_demo)

@@ -50,6 +50,7 @@ from repro.core.base import (
 from repro.core.coalesce import resolve_write_batch
 from repro.core.wal import AssembledTransaction, TransactionAssembler
 from repro.errors import NoSuchKey, ReceiptHandleInvalid
+from repro.knobs import positive_int
 from repro.migration.handle import RouterHandle, as_handle, fresh_handle
 from repro.passlib.records import ObjectRef
 from repro.sharding import ShardRouter
@@ -462,7 +463,7 @@ class CleanerDaemon:
         self.max_age = max_age_seconds
         #: LIST page size (``max_keys``) — tests shrink it to force
         #: multi-page scans.
-        self.page_size = page_size
+        self.page_size = positive_int(page_size, "cleaner page size")
         self.stats = CleanerStats()
 
     def run_once(self) -> list[str]:

@@ -473,8 +473,8 @@ class FileChecker(ast.NodeVisitor):
                 "PL005",
                 node,
                 "write to a .router attribute outside the routing layer",
-                "route layout changes through RouterHandle.swap()/the "
-                "LiveMigration state machine instead of swapping routers",
+                "route layout changes through the LiveMigration state "
+                "machine instead of swapping routers",
             )
 
 

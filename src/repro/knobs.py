@@ -2,7 +2,8 @@
 
 A knob is set in one place — its constructor argument or its ``repro
 demo`` flag — and the integer ones (``concurrency``, ``write_batch``,
-the CLI's counts) validate what they are given here, so a malformed
+the CLI's counts, the cleaner's page size) validate what they are
+given here, so a malformed
 value fails where it is passed instead of deep inside a query.
 """
 

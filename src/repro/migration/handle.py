@@ -27,8 +27,9 @@ answers three questions per request:
   the extra reads during the window are honest migration overhead.
 
 ``epoch`` counts layout changes: every per-shard cutover bumps it, as
-does an offline swap — consumers that cache anything derived from the
-layout can invalidate on epoch change.
+does the migration's final collapse to the target layout — consumers
+that cache anything derived from the layout can invalidate on epoch
+change.
 
 The handle itself knows no migration mechanics; it delegates to the
 active :class:`~repro.migration.live.LiveMigration` when one is
@@ -87,7 +88,7 @@ class RouterHandle:
     def __init__(self, router: ShardRouter):
         self._current = router
         #: Bumped on every layout change: each per-shard cutover of a
-        #: live migration, and every offline swap.
+        #: live migration, and its final collapse to the target.
         self.epoch = 0
         self._migration = None
 
@@ -121,7 +122,7 @@ class RouterHandle:
 
         This is itself a layout change — query sites shrink from the
         source∪cut-over union to the target alone — so it bumps the
-        epoch like every cutover and offline swap does.
+        epoch like every cutover does.
         """
         self._current = target
         self._migration = None
@@ -136,13 +137,6 @@ class RouterHandle:
         over live only in the target until the re-run completes.
         """
         self._migration = None
-
-    def swap(self, target: ShardRouter) -> None:
-        """Offline layout change (after a quiet-window rebalance)."""
-        if self._migration is not None:
-            raise RuntimeError("cannot swap layouts during a live migration")
-        self._current = target
-        self.bump_epoch()
 
     # -- routing ----------------------------------------------------------
 

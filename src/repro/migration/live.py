@@ -1,11 +1,15 @@
 """Online shard migration: copy → double-write → catch-up → cutover → drop.
 
-The offline :func:`repro.sharding.rebalance` is documented as safe only
-in a write-quiet window: it reads through replicas and *moves* items,
-so a concurrent writer can race it into losing updates. This module is
-the production path — a migration that runs **under live traffic**, the
-layout changing while clients keep writing, with no recorded provenance
-lost or duplicated. The protocol, phase by phase (driven by
+This module is the one way a provenance layout changes. The migration
+runs **under live traffic** — the layout changing while clients keep
+writing, with no recorded provenance lost or duplicated — and a write-
+quiet window is just the case with no traffic. There the protocol costs
+at most a few requests more than copying each moved item and deleting
+it from its source (four verification reads per target shard plus the
+WAL queue's create and delete), and about half as much where a source
+store leaves the layout, because the drop phase drops such a store
+whole instead of deleting it item by item. The protocol, phase by phase
+(driven by
 :meth:`LiveMigration.step` so callers can interleave work):
 
 1. **copy** — bulk scan-copy every source shard's items to their
@@ -54,15 +58,15 @@ postdate a delete of its item, so catch-up replays only the captured
 values still present in the source's authoritative state (dropped
 records are counted on ``MigrationReport.skipped_replays``) — a
 recovered orphan stays recovered. A replica-lagged copy *scan* can
-still transiently resurrect an item deleted mid-copy, the same replica
-caveat the offline path documents; the next recovery scan re-deletes
-it — an extra copy for a while, never a lost item.
+still transiently resurrect an item deleted mid-copy; the next recovery
+scan re-deletes it — an extra copy for a while, never a lost item.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from repro.aws.billing import DDB_GSI, Usage
 from repro.core.wal import parse_record, prov_records
@@ -70,7 +74,7 @@ from repro.errors import NoSuchDomain, NoSuchTable
 from repro.migration.handle import RouterHandle, Site, WritePlan
 from repro.passlib.records import ObjectRef
 from repro.passlib.serializer import SdbItemPayload
-from repro.sharding import RebalanceReport, ShardRouter, item_attribute_pairs
+from repro.sharding import ShardRouter
 
 # Phase names, in protocol order.
 PENDING = "pending"
@@ -102,26 +106,18 @@ class MigrationError(RuntimeError):
     """The migration cannot proceed safely (an invariant failed)."""
 
 
-def resolve_target_router(
-    current: ShardRouter,
-    shards: int | None = None,
-    placement=None,
-    router: ShardRouter | None = None,
-) -> ShardRouter:
-    """The one way a migration target layout is specified.
+def item_attribute_pairs(attrs: Mapping[str, Sequence[str]]) -> list[tuple[str, str]]:
+    """Flatten an item's attribute map to sorted (name, value) pairs.
 
-    Either a ready ``router``, or ``shards=``/``placement=`` knobs
-    resolved against the current layout via
-    :meth:`~repro.sharding.ShardRouter.resized` — which tiles the
-    current placement pattern when none is given, so a shards-only
-    migration never resets the deployment's backend choice to the
-    all-SimpleDB default.
+    The canonical serialisation order migration writes batch in — the
+    bulk copy and the drop-phase repair must produce identical put
+    sequences for the same item.
     """
-    if router is not None:
-        if shards is not None or placement is not None:
-            raise ValueError("pass shards=/placement= or router=, not both")
-        return router
-    return current.resized(shards, placement)
+    return [
+        (attribute, value)
+        for attribute in sorted(attrs)
+        for value in attrs[attribute]
+    ]
 
 
 def begin_live_migration(
@@ -132,12 +128,20 @@ def begin_live_migration(
     router: ShardRouter | None = None,
 ) -> LiveMigration:
     """Resolve the target and start a migration on the shared handle —
-    the bootstrap behind :meth:`repro.sim.Cloud.start_migration`."""
-    migration = LiveMigration(
-        account,
-        routing,
-        resolve_target_router(routing.current, shards, placement, router),
-    )
+    the bootstrap behind :meth:`repro.sim.Cloud.start_migration`.
+
+    The target is either a ready ``router``, or ``shards=``/
+    ``placement=`` knobs resolved against the current layout via
+    :meth:`~repro.sharding.ShardRouter.resized` — which tiles the
+    current placement pattern when none is given, so a shards-only
+    migration never resets the deployment's backend choice to the
+    all-SimpleDB default.
+    """
+    if router is None:
+        router = routing.current.resized(shards, placement)
+    elif shards is not None or placement is not None:
+        raise ValueError("pass shards=/placement= or router=, not both")
+    migration = LiveMigration(account, routing, router)
     migration.start()
     return migration
 
@@ -145,9 +149,9 @@ def begin_live_migration(
 def parse_migration_spec(text: str) -> dict:
     """Parse a ``repro demo --migrate`` spec into migrate() kwargs.
 
-    Grammar: comma-separated ``key=value`` pairs — ``shards=8``,
+    Grammar: comma-separated ``key=value`` pairs — ``shards=8`` and
     ``placement=mixed`` (any :func:`repro.sharding.parse_placement`
-    string), ``online=false`` (default true, the point of this module).
+    string).
 
     >>> parse_migration_spec("shards=8,placement=mixed")
     {'shards': 8, 'placement': 'mixed'}
@@ -169,11 +173,6 @@ def parse_migration_spec(text: str) -> dict:
             kwargs["shards"] = int(value)
         elif key == "placement":
             kwargs["placement"] = value
-        elif key == "online":
-            lowered = value.lower()
-            if lowered not in ("true", "false", "1", "0", "yes", "no"):
-                raise ValueError(f"bad online flag {value!r} in {text!r}")
-            kwargs["online"] = lowered in ("true", "1", "yes")
         else:
             raise ValueError(f"unknown migration knob {key!r} in {text!r}")
     if not kwargs:
@@ -182,18 +181,37 @@ def parse_migration_spec(text: str) -> dict:
 
 
 @dataclass
-class MigrationReport(RebalanceReport):
-    """What an online migration did — the offline report plus the
-    live-window accounting.
+class MigrationReport:
+    """What a layout migration did (counters for tests and operators).
 
-    The inherited counters keep their meanings (``items_moved`` counts
-    bulk-copied items — online they are *copied*, with the source scrub
-    deferred to the drop phase). Each ``*_usage`` field is the exact
-    metered spend of one protocol category, captured in scoped meter
-    contexts so concurrent client traffic is never misattributed;
-    :meth:`cost_lines` prices them as distinct ``migration.*`` billing
-    lines.
+    ``items_moved`` counts bulk-copied items: they are *copied*, with
+    the source scrub deferred to the drop phase. Each ``*_usage`` field
+    is the exact metered spend of one protocol category, captured in
+    scoped meter contexts so concurrent client traffic is never
+    misattributed; :meth:`cost_lines` prices them as distinct
+    ``migration.*`` billing lines.
     """
+
+    items_scanned: int = 0
+    items_moved: int = 0
+    items_kept: int = 0
+    #: Moves whose source and target shard live on *different* backend
+    #: kinds (SimpleDB ↔ the DynamoDB-style store).
+    cross_backend_moves: int = 0
+    moves_by_domain: dict[str, int] = field(default_factory=dict)
+    #: Source stores absent from the target layout (by name or by
+    #: backend), dropped whole in the drop phase — so ``list_domains``
+    #: and skew reporting see only the target layout.
+    domains_deleted: list[str] = field(default_factory=list)
+    #: Items the copy read off a covering (ALL-projection) GSI instead
+    #: of scanning the base table — available only for DynamoDB-placed
+    #: source shards that declare such an index (0 otherwise).
+    index_streamed_items: int = 0
+    #: Write units spent creating/backfilling/maintaining global
+    #: secondary indexes on DynamoDB-placed destination shards — the
+    #: metered price of making the target layout index-queryable (0.0
+    #: when no target shard declares indexes).
+    index_write_units: float = 0.0
 
     #: Client writes mirrored synchronously to the target layout during
     #: the double-write window (the write amplification clients pay).

@@ -1,4 +1,4 @@
-"""Sharded provenance domains: consistent-hash routing + rebalancing.
+"""Sharded provenance domains: consistent-hash routing and placement.
 
 The paper's §6 discussion concedes that one SimpleDB domain bounds both
 provenance capacity and query throughput. :class:`ShardRouter` lifts
@@ -10,8 +10,8 @@ file name) so that:
   ``version_history`` stay single-shard no matter how large N grows;
 * growing N → N' (N ≥ 2) moves only the ``~(N'-N)/N'`` of the keyspace
   claimed by the new shards — never a key between two surviving shards
-  (the consistent-hashing property :func:`rebalance` exploits). The one
-  exception is leaving the N=1 layout, which uses the original
+  (the consistent-hashing property a layout migration exploits). The
+  one exception is leaving the N=1 layout, which uses the original
   single-domain name: every item migrates off ``pass-prov``;
 * with ``shards=1`` the router degenerates to the single paper domain
   (:data:`DEFAULT_BASE_DOMAIN`) and every store/query code path is
@@ -35,27 +35,21 @@ Consistency caveats (documented here, tested in
 * cross-shard queries (Q2/Q3 scatter-gather) offer no snapshot
   isolation: each shard is read at its own replica time, exactly like
   issuing the N queries by hand against N separate domains;
-* :func:`rebalance` here is the **offline** path: it copies through the
-  public read APIs (replica state) and moves items in place, so it is
-  correct only in a write-quiet window — but in that window it is the
-  cheapest possible migration (one write per moved item, no mirroring,
-  no WAL). Under live traffic use the **online** protocol in
-  :mod:`repro.migration` instead: every routing consumer goes through a
-  shared :class:`~repro.migration.RouterHandle` (the routing-epoch
+* this module never moves an item. A layout changes one way, under
+  live writers or not: the protocol in :mod:`repro.migration`. Every
+  routing consumer goes through a shared
+  :class:`~repro.migration.RouterHandle` (the routing-epoch
   indirection), and :class:`~repro.migration.LiveMigration` reshapes
   the layout in phases — bulk copy with WAL capture, a double-write
   window, WAL catch-up replay, per-shard cutover (one epoch bump each),
-  and verified drop — at the metered cost of the double-writes, replays
-  and verification reads its :class:`~repro.migration.MigrationReport`
-  itemises. Rule of thumb: offline when you can quiesce, online when
-  you cannot.
+  and verified drop — itemising its metered spend on a
+  :class:`~repro.migration.MigrationReport`.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.passlib.records import ObjectRef
@@ -308,146 +302,12 @@ class ShardRouter:
         )
 
 
-def item_attribute_pairs(attrs: Mapping[str, Sequence[str]]) -> list[tuple[str, str]]:
-    """Flatten an item's attribute map to sorted (name, value) pairs.
-
-    The canonical serialisation order every migration write batches in —
-    offline rebalance, the online bulk copy, and the drop-phase repair
-    must all produce identical put sequences for the same item.
-    """
-    return [
-        (attribute, value)
-        for attribute in sorted(attrs)
-        for value in attrs[attribute]
-    ]
-
-
-@dataclass
-class RebalanceReport:
-    """What a shard rebalance did (counters for tests and operators).
-
-    ``domains_deleted`` lists source domains that no longer belong to
-    the target layout and were emptied by the migration — a shrink
-    N→N' leaves them behind otherwise, and ``list_domains``/skew
-    reporting would keep counting the orphans.
-    """
-
-    items_scanned: int = 0
-    items_moved: int = 0
-    items_kept: int = 0
-    #: Moves whose source and target shard live on *different* backend
-    #: kinds (SimpleDB ↔ the DynamoDB-style store).
-    cross_backend_moves: int = 0
-    moves_by_domain: dict[str, int] = field(default_factory=dict)
-    domains_deleted: list[str] = field(default_factory=list)
-    #: Items the migration read off a covering (ALL-projection) GSI
-    #: instead of scanning the base table — the index-aware migration
-    #: read path, available only for DynamoDB-placed source shards that
-    #: declare such an index (0 otherwise, including every historical
-    #: layout).
-    index_streamed_items: int = 0
-    #: Write units spent creating/backfilling/maintaining global
-    #: secondary indexes on DynamoDB-placed destination shards during
-    #: the migration — the metered price of making the target layout
-    #: index-queryable. 0.0 when no target shard declares indexes (or
-    #: when ``cloud`` exposes no billing meter to measure against).
-    index_write_units: float = 0.0
-
-
-def rebalance(
-    cloud,
-    source: ShardRouter,
-    target: ShardRouter,
-) -> RebalanceReport:
-    """Move every provenance item from ``source``'s layout to ``target``'s.
-
-    Walks each source store through its backend's migration read stream
-    (the full scan, or a covering ALL-projection GSI on DynamoDB-placed
-    shards — see ``migration_pages`` and
-    ``RebalanceReport.index_streamed_items``), re-puts items whose
-    owning shard — or owning *backend* — changed, and deletes them from
-    the old store. Values are copied verbatim (multi-valued attributes
-    included), so the union of all bundles is preserved exactly — the
-    round-trip invariant the property suite checks. Both backends merge
-    writes as sets, so a re-run after a crash is idempotent.
-
-    Heterogeneous layouts migrate *across backends*: an item whose shard
-    keeps its domain name but moves from SimpleDB to the DynamoDB-style
-    table (or back) is copied between services, counted on
-    ``RebalanceReport.cross_backend_moves``. ``cloud`` is the
-    AWSAccount (or a backend mapping).
-
-    Shrinking (some source stores absent from the target layout, by
-    name *or* by backend) additionally drops each orphaned source store
-    once the migration has verifiably emptied it, so store listings and
-    skew reporting see only the target layout; the deletions are listed
-    on ``RebalanceReport.domains_deleted``. A store that still holds
-    items (e.g. replica lag hid them from the migration scan) is left
-    in place for a re-run rather than destroyed.
-
-    Consistency caveat: reads go through replicas on either backend;
-    rebalance during a write-quiet window (or quiesce the simulated
-    cloud first). For migrations that must run under live writers, use
-    :class:`repro.migration.LiveMigration` (``Simulation.migrate(...,
-    online=True)``), which pays for a double-write window and WAL
-    catch-up instead of requiring quiescence.
-    """
-    backends = _resolve_backends(cloud)
-    report = RebalanceReport()
-    # Index-backfill accounting: destination provisioning creates any
-    # declared GSIs and every migrated put maintains them; the meter
-    # delta over the whole migration is the index cost of the move.
-    meter = getattr(cloud, "meter", None)
-    if meter is not None:
-        from repro.aws.billing import DDB_GSI
-
-        index_units_before = meter.snapshot().write_units(DDB_GSI)
-    target.provision(backends)
-    target_sites = set(target.placement_by_domain().items())
-    for source_domain in source.domains:
-        source_kind = source.backend_for(source_domain)
-        source_backend = _backend_for(backends, source, source_domain)
-        via_index, pages = source_backend.migration_pages(source_domain)
-        for item_name, attrs in pages:
-            report.items_scanned += 1
-            if via_index:
-                report.index_streamed_items += 1
-            target_domain = target.domain_for_item(item_name)
-            target_kind = target.backend_for(target_domain)
-            if target_domain == source_domain and target_kind == source_kind:
-                report.items_kept += 1
-                continue
-            pairs = item_attribute_pairs(attrs)
-            target_backend = _backend_for(backends, target, target_domain)
-            target_backend.put_provenance_item(target_domain, item_name, pairs)
-            source_backend.delete_item(source_domain, item_name)
-            report.items_moved += 1
-            if target_kind != source_kind:
-                report.cross_backend_moves += 1
-            report.moves_by_domain[target_domain] = (
-                report.moves_by_domain.get(target_domain, 0) + 1
-            )
-    for source_domain in source.domains:
-        source_kind = source.backend_for(source_domain)
-        if (source_domain, source_kind) in target_sites:
-            continue
-        source_backend = _backend_for(backends, source, source_domain)
-        if source_backend.item_count(source_domain) == 0:
-            source_backend.drop(source_domain)
-            report.domains_deleted.append(source_domain)
-    if meter is not None:
-        report.index_write_units = (
-            meter.snapshot().write_units(DDB_GSI) - index_units_before
-        )
-    return report
-
-
 def authoritative_snapshot(cloud, router: ShardRouter) -> dict[str, dict]:
     """Every item under ``router``'s layout, read from backend oracles.
 
     Item name → attribute map, across all shards and both backend
     kinds — the migration-verification view the property suite diffs
-    before/after a rebalance.
+    before/after a migration.
     """
     backends = _resolve_backends(cloud)
     snapshot: dict[str, dict] = {}

@@ -40,14 +40,10 @@ from repro.core import make_architecture
 from repro.core.base import ProvenanceCloudStore, ReadResult
 from repro.core.s3_simpledb_sqs import S3SimpleDBSQS
 from repro.migration.handle import as_handle, fresh_handle
-from repro.migration.live import (
-    LiveMigration,
-    begin_live_migration,
-    resolve_target_router,
-)
+from repro.migration.live import LiveMigration, MigrationReport, begin_live_migration
 from repro.passlib.records import FlushEvent
 from repro.query.engine import S3ScanEngine, SimpleDBEngine
-from repro.sharding import RebalanceReport, ShardRouter, rebalance
+from repro.sharding import ShardRouter
 from repro.workloads.base import TraceStats, Workload
 
 #: Daemon-drain rounds :meth:`Cloud.settle` spends before giving up on a
@@ -306,24 +302,21 @@ class Simulation(Cloud):
         placement: str | dict[int, str] | None = None,
         router: ShardRouter | None = None,
         online: bool = True,
-    ) -> RebalanceReport:
+    ) -> MigrationReport:
         """Reshape the provenance layout; returns the migration report.
 
-        ``online=True`` (default) runs the live protocol — safe under
-        concurrent writers, at the metered cost of double-writes,
-        WAL catch-up, and cutover verification. ``online=False`` runs
-        the offline :func:`~repro.sharding.rebalance` (cheaper: one
-        write per moved item) and swaps the layout atomically — correct
-        only in a write-quiet window.
+        Runs the live protocol of :meth:`start_migration` to completion
+        — the one way a layout changes — with no client writes
+        interleaved: the quiet-window case :mod:`repro.migration.live`
+        prices. ``online`` is accepted for existing callers; only
+        ``True`` is valid.
         """
-        if online:
-            return self.start_migration(shards, placement, router).run()
-        if self.architecture == "s3":
-            raise ValueError("the s3 architecture has no provenance shards to migrate")
-        target = resolve_target_router(self.routing.current, shards, placement, router)
-        report = rebalance(self.account, self.routing.current, target)
-        self.routing.swap(target)
-        return report
+        if not online:
+            raise ValueError(
+                "the offline migration path was removed; every layout "
+                "change runs the live protocol (omit online=)"
+            )
+        return self.start_migration(shards, placement, router).run()
 
     # -- accounting ------------------------------------------------------------
 

@@ -50,7 +50,7 @@ def test_size_audit_is_empty_after_one_cycle(name):
     assert sim.account.simpledb.size_audit() == []
     assert sim.account.dynamodb.size_audit() == []
 
-    sim.migrate(shards=spec.migrate_to, online=True)
+    sim.migrate(shards=spec.migrate_to)
     assert sim.account.simpledb.size_audit() == []
     assert sim.account.dynamodb.size_audit() == []
     stored = sim.usage()

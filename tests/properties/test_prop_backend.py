@@ -12,10 +12,10 @@ Three invariants, hammered over randomly generated provenance workloads:
 * **placement is invisible to results** — Q1/Q2/Q3 return identical
   result sets whether shards live on SimpleDB, the DynamoDB-style
   store, or a mix; only the metered cost differs;
-* **cross-backend rebalance round-trips** — migrating a populated
-  layout to different shard counts *and* different backends preserves
-  every item verbatim and empties (then drops) every source store that
-  left the layout.
+* **cross-backend migration round-trips** — migrating a populated
+  layout (``Simulation.migrate``) to different shard counts *and*
+  different backends preserves every item verbatim and drops every
+  source store that left the layout.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.aws.sdb_query import quote_literal
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import Attr, ObjectRef
 from repro.query.engine import REF_BATCH, SimpleDBEngine
-from repro.sharding import ShardRouter, authoritative_snapshot, rebalance
+from repro.sharding import ShardRouter, authoritative_snapshot
 from repro.sim import Simulation
 
 
@@ -206,7 +206,7 @@ def test_cross_backend_rebalance_round_trip(
 
     before = authoritative_snapshot(sim.account, source)
     sim.account.quiesce()
-    report = rebalance(sim.account, source, target)
+    report = sim.migrate(router=target)
     after = authoritative_snapshot(sim.account, target)
 
     # Every item preserved verbatim, landed on its target (store, kind).
@@ -247,7 +247,7 @@ def test_full_backend_flip_migrates_every_item():
     target = ShardRouter(3, placement="ddb")
     before = authoritative_snapshot(sim.account, source)
     sim.account.quiesce()
-    report = rebalance(sim.account, source, target)
+    report = sim.migrate(router=target)
 
     assert report.cross_backend_moves == report.items_moved == len(before)
     assert report.items_kept == 0
@@ -255,7 +255,7 @@ def test_full_backend_flip_migrates_every_item():
     assert sim.account.simpledb.list_domains() == []  # all dropped
     assert set(sim.account.dynamodb.list_tables()) == set(target.domains)
     # And back again, through the other adapter's write path.
-    back = rebalance(sim.account, target, ShardRouter(3, placement="sdb"))
+    back = sim.migrate(router=ShardRouter(3, placement="sdb"))
     assert back.cross_backend_moves == len(before)
     assert authoritative_snapshot(
         sim.account, ShardRouter(3, placement="sdb")
@@ -269,8 +269,9 @@ def test_queries_work_after_cross_backend_migration():
     sim = loaded_simulation(events, shards=2, placement="sdb")
     sim.account.quiesce()
     target = ShardRouter(4, placement="mixed")
-    rebalance(sim.account, sim.store.router, target)
-    migrated = SimpleDBEngine(sim.account, router=target)
+    sim.migrate(router=target)
+    assert sim.store.router is target
+    migrated = sim.query_engine()
     control = loaded_simulation(events, shards=1, placement="sdb").query_engine()
     for program in ("blast", "align"):
         assert set(migrated.q2_outputs_of(program).refs) == set(

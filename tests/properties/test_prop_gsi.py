@@ -6,9 +6,9 @@ provenance workloads, Q1/Q2/Q3 result sets are identical whether shards
 live on SimpleDB, on DynamoDB tables answered by Scan, or on DynamoDB
 tables answered by GSI Query — only the metered cost may differ, and the
 per-shard/per-backend spend split must still sum exactly to each query's
-total. Rebalancing into (and out of) indexed DynamoDB layouts preserves
+total. Migrating into (and out of) indexed DynamoDB layouts preserves
 every item, recreates the indexes on destination tables, reports the
-metered backfill, and keeps the drop-emptied-source accounting exact.
+metered backfill, and keeps the dropped-source accounting exact.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aws import billing
 from repro.query.engine import SimpleDBEngine
-from repro.sharding import ShardRouter, authoritative_snapshot, rebalance
+from repro.sharding import ShardRouter, authoritative_snapshot
 from repro.sim import Simulation
 from tests.properties.test_prop_backend import random_workload
 
@@ -140,7 +140,7 @@ def test_rebalance_preserves_items_and_recreates_indexes(
 
     before = authoritative_snapshot(account, source)
     account.quiesce()
-    report = rebalance(account, source, target)
+    report = sim.migrate(router=target)
     assert authoritative_snapshot(account, target) == before
     assert report.items_scanned == len(before)
 
@@ -167,7 +167,8 @@ def test_rebalance_preserves_items_and_recreates_indexes(
         assert report.index_write_units > 0
 
     # Queries through the migrated layout are GSI-served and correct.
-    migrated = SimpleDBEngine(account, router=target)
+    assert sim.store.router is target
+    migrated = sim.query_engine()
     control = loaded(events, 1, "sdb", "").query_engine()
     assert set(migrated.q2_outputs_of("blast").refs) == set(
         control.q2_outputs_of("blast").refs
@@ -186,7 +187,7 @@ def test_full_flip_round_trip_with_indexes_zeroes_the_ledger():
     before = authoritative_snapshot(account, source)
     account.quiesce()
 
-    outbound = rebalance(account, source, onto_ddb)
+    outbound = sim.migrate(router=onto_ddb)
     assert outbound.cross_backend_moves == len(before)
     assert outbound.index_write_units > 0
     assert account.simpledb.list_domains() == []
@@ -195,7 +196,7 @@ def test_full_flip_round_trip_with_indexes_zeroes_the_ledger():
             "gsi-name", "gsi-input",
         }
 
-    back = rebalance(account, onto_ddb, ShardRouter(3, placement="sdb"))
+    back = sim.migrate(router=ShardRouter(3, placement="sdb"))
     assert back.cross_backend_moves == len(before)
     assert authoritative_snapshot(
         account, ShardRouter(3, placement="sdb")
@@ -214,24 +215,25 @@ def test_rebalance_backfills_preexisting_unindexed_tables():
     events = random_workload(random.Random(34), 5)
     scan_sim = loaded(events, 2, "ddb", "")
     account = scan_sim.account
-    # Same cloud, new adapter policy: declare indexes, then rebalance
-    # the existing layout onto itself grown by one shard.
-    backends = dict(account.provenance_backends())
+    # Same cloud, new adapter policy: replace the account's DynamoDB
+    # adapter with one declaring indexes, then migrate the existing
+    # layout onto itself grown by one shard.
     from repro.aws.backend import DynamoBackend
 
+    backends = account.provenance_backends()
     backends["ddb"] = DynamoBackend(account.dynamodb, index_specs="name,input")
     source = scan_sim.store.router
     target = ShardRouter(3, placement="ddb")
-    before = authoritative_snapshot(backends, source)
+    before = authoritative_snapshot(account, source)
     account.quiesce()
-    report = rebalance(backends, source, target)
+    report = scan_sim.migrate(router=target)
     # Backfill units were consumed by provisioning the indexes over the
-    # surviving populated tables (the meter is unavailable through a
-    # bare mapping, so the report field stays 0.0 — the adapter records
-    # what provision() spent instead).
+    # surviving populated tables: the adapter records what provision()
+    # spent, and the migration report measures it on the meter.
     assert backends["ddb"].index_backfill_units > 0
+    assert report.index_write_units > 0
     assert report.items_scanned == len(before)
-    assert authoritative_snapshot(backends, target) == before
+    assert authoritative_snapshot(account, target) == before
     for domain in target.domains:
         assert {s.name for s in account.dynamodb.list_indexes(domain)} == {
             "gsi-name", "gsi-input",

@@ -5,8 +5,9 @@ Two invariants, hammered over randomly generated provenance workloads:
 * **scatter-gather equivalence** — for any shard count N, Q1/Q2/Q3
   against the N-way sharded domain return exactly the result sets of the
   unsharded (N=1) baseline; only the operation counts differ;
-* **rebalance round-trip** — re-sharding a populated deployment from N
-  to N' moves items between domains but preserves every item (name and
+* **migration round-trip** — re-sharding a populated deployment from N
+  to N' (``Simulation.migrate``, the live protocol in a quiet window)
+  moves items between domains but preserves every item (name and
   attribute values) exactly, and lands each item on the domain the new
   router routes it to.
 """
@@ -18,7 +19,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.passlib.capture import PassSystem
-from repro.sharding import ShardRouter, authoritative_snapshot, rebalance
+from repro.sharding import ShardRouter, authoritative_snapshot
 from repro.sim import Simulation
 
 
@@ -99,7 +100,7 @@ def test_rebalance_round_trip_preserves_every_bundle(seed, n_stages, n_before, n
 
     before = authoritative_snapshot(sim.account, source)
     sim.account.quiesce()
-    report = rebalance(sim.account, source, target)
+    report = sim.migrate(router=target)
     after = authoritative_snapshot(sim.account, target)
 
     assert after == before  # every item survives, values verbatim
@@ -111,12 +112,11 @@ def test_rebalance_round_trip_preserves_every_bundle(seed, n_stages, n_before, n
         owning_backend = backends[target.backend_for(owner)]
         assert item_name in owning_backend.authoritative_item_names(owner)
 
-    # The rebalanced layout answers queries identically to a fresh load.
-    from repro.query.engine import SimpleDBEngine
-
-    rebalanced_engine = SimpleDBEngine(sim.account, router=target)
+    # The migrated layout answers queries identically to a fresh load.
+    assert sim.store.router is target
+    migrated_engine = sim.query_engine()
     control = loaded_simulation(events, shards=1).query_engine()
-    assert set(rebalanced_engine.q3_descendants_of("blast").refs) == set(
+    assert set(migrated_engine.q3_descendants_of("blast").refs) == set(
         control.q3_descendants_of("blast").refs
     )
 
@@ -156,7 +156,7 @@ def test_rebalance_shrink_deletes_orphaned_source_domains():
     source = sim.store.router
     target = ShardRouter(2)
     sim.account.quiesce()
-    report = rebalance(sim.account, source, target)
+    report = sim.migrate(router=target)
     orphans = set(source.domains) - set(target.domains)
     assert sorted(report.domains_deleted) == sorted(orphans)
     remaining = all_store_names(sim.account)
@@ -169,19 +169,21 @@ def test_rebalance_shrink_deletes_orphaned_source_domains():
 def test_rebalance_shrink_to_single_domain_restores_paper_layout():
     events = random_workload(random.Random(9), 5)
     sim = loaded_simulation(events, shards=3)
+    source = sim.store.router
     sim.account.quiesce()
-    report = rebalance(sim.account, sim.store.router, ShardRouter(1))
-    assert sorted(report.domains_deleted) == sorted(sim.store.router.domains)
+    report = sim.migrate(router=ShardRouter(1))
+    assert sorted(report.domains_deleted) == sorted(source.domains)
     assert all_store_names(sim.account) == {"pass-prov"}
 
 
 def test_rebalance_grow_deletes_nothing_between_surviving_shards():
     events = random_workload(random.Random(11), 5)
     sim = loaded_simulation(events, shards=2)
+    source = sim.store.router
     sim.account.quiesce()
-    report = rebalance(sim.account, sim.store.router, ShardRouter(4))
+    report = sim.migrate(router=ShardRouter(4))
     assert report.domains_deleted == []
-    assert set(sim.store.router.domains) <= all_store_names(sim.account)
+    assert set(source.domains) <= all_store_names(sim.account)
 
 
 @settings(max_examples=30, deadline=None)

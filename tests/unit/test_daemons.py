@@ -4,6 +4,7 @@ import pytest
 
 from repro.aws.faults import FaultPlan
 from repro.core.base import DATA_BUCKET, TEMP_PREFIX
+from repro.core.daemons import CleanerDaemon
 from repro.errors import ClientCrash, NoSuchKey
 from repro.blob import BytesBlob
 from repro.passlib.capture import PassSystem
@@ -188,3 +189,11 @@ class TestCleanerDaemon:
         strong_account.clock.advance(5 * SECONDS_PER_DAY)
         store.cleaner_daemon.run_once()
         assert store.cleaner_daemon.stats.objects_removed == 1
+
+    def test_page_size_below_one_rejected_at_construction(self, strong_account):
+        """A zero-key LIST page is truncated with no marker, so a cleaner
+        paging by it would re-list from the start forever."""
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="cleaner page size"):
+                CleanerDaemon(strong_account, page_size=bad)
+        assert CleanerDaemon(strong_account, page_size=1).page_size == 1

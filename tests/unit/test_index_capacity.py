@@ -8,7 +8,7 @@ Two ROADMAP gaps closed here:
   default) preserving the shared-window behaviour byte-for-byte;
 * migration reads always Scanned the base table; a covering
   (ALL-projection) GSI can now stream full items instead, counted on
-  ``RebalanceReport.index_streamed_items``.
+  ``MigrationReport.index_streamed_items``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.aws import billing
 from repro.aws.backend import DynamoBackend, parse_index_specs
 from repro.aws.dynamo import IndexSpec
 from repro.errors import ProvisionedThroughputExceeded
-from repro.sharding import ShardRouter, authoritative_snapshot, rebalance
+from repro.sharding import ShardRouter, authoritative_snapshot
 from repro.sim import Simulation
 
 
@@ -143,7 +143,7 @@ def test_migration_streams_from_covering_index():
     before = sim.account.meter.snapshot()
     snapshot_before = authoritative_snapshot(sim.account, sim.store.router)
     target = ShardRouter(3, placement="ddb")
-    report = rebalance(sim.account, sim.store.router, target)
+    report = sim.migrate(router=target)
     spent = sim.account.meter.snapshot() - before
     # Every scanned item came off the index: zero base-table Scans.
     assert report.index_streamed_items == report.items_scanned > 0

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.aws import billing
 from repro.cli import main
 from repro.migration import parse_migration_spec
 from repro.migration.live import DONE, PHASES
@@ -122,7 +123,7 @@ def test_backend_flip_backfills_target_indexes():
         ddb_indexes="name,input",
     )
     sim.store_events(events, collect=False)
-    report = sim.migrate(placement="ddb", online=True)
+    report = sim.migrate(placement="ddb")
     assert report.cross_backend_moves == report.items_moved > 0
     assert report.index_write_units > 0  # GSI backfill is migration overhead
     assert sorted(report.domains_deleted) == ["pass-prov-00", "pass-prov-01"]
@@ -130,17 +131,41 @@ def test_backend_flip_backfills_target_indexes():
     assert all(kind == "ddb" for kind, _, _ in q2.per_backend)
 
 
-def test_offline_migrate_swaps_layout_atomically():
-    events = _events(0.3)
-    sim = Simulation(architecture="s3+simpledb", seed=15, shards=1)
-    sim.store_events(events, collect=False)
-    before = sim.query_engine().q2_outputs_of("blast")
-    report = sim.migrate(shards=4, online=False)
-    assert not hasattr(report, "double_writes")  # the plain offline report
-    assert sim.store.routing.epoch == 1
-    assert sim.store.router.shards == 4
-    after = sim.query_engine().q2_outputs_of("blast")
-    assert set(after.refs) == set(before.refs)
+@pytest.mark.parametrize(
+    "source, target, scrubs",
+    [
+        (dict(shards=4), dict(shards=2), False),
+        (dict(shards=2), dict(placement="ddb"), False),
+        (dict(shards=2), dict(shards=4), True),
+    ],
+    ids=["shrink-4to2", "flip-sdb-to-ddb", "grow-2to4"],
+)
+def test_quiet_window_deletes_only_what_surviving_stores_shed(source, target, scrubs):
+    """Why a quiet-window migration needs no cheaper special case: a
+    departing source store is dropped whole, so the only per-item
+    deletes on the meter are the scrub of items leaving a *surviving*
+    store. A drop phase that regressed to deleting departing stores
+    item by item fails the delete count here."""
+    sim = Simulation(architecture="s3+simpledb", seed=24, placement="sdb", **source)
+    sim.store_events(_events(0.3), collect=False)
+    source_router = sim.store.router
+    before = sim.usage()
+    report = sim.migrate(**target)
+    spent = sim.usage() - before
+    assert report.items_moved > 0
+    deletes = spent.request_count(billing.SDB, "DeleteAttributes") + spent.request_count(
+        billing.DDB, "DeleteItem"
+    )
+    assert deletes == report.scrub_deletes
+    assert (report.scrub_deletes > 0) is scrubs
+    target_sites = set(sim.store.router.placement_by_domain().items())
+    departing = [
+        domain
+        for domain, kind in source_router.placement_by_domain().items()
+        if (domain, kind) not in target_sites
+    ]
+    assert sorted(report.domains_deleted) == sorted(departing)
+    assert bool(departing) is not scrubs
 
 
 def test_replay_does_not_resurrect_deleted_orphans():
@@ -218,7 +243,7 @@ def test_shards_only_migration_preserves_placement():
     backend flip)."""
     sim = Simulation(architecture="s3+simpledb", seed=19, shards=2, placement="ddb")
     sim.store_events(_events(0.1), collect=False)
-    report = sim.migrate(shards=4, online=True)
+    report = sim.migrate(shards=4)
     assert sim.store.router.placement == ("ddb", "ddb", "ddb", "ddb")
     assert report.cross_backend_moves == 0
     alternating = ShardRouter(2, placement="mixed")
@@ -236,6 +261,11 @@ def test_migrate_rejects_s3_architecture_and_conflicting_knobs():
     sim2 = Simulation(architecture="s3+simpledb", seed=16)
     with pytest.raises(ValueError):
         sim2.migrate(shards=2, router=ShardRouter(2))
+    # The offline path is gone: asking for it fails before anything runs.
+    with pytest.raises(ValueError, match="offline migration path was removed"):
+        sim2.migrate(shards=2, online=False)
+    assert sim2.store.routing.epoch == 0
+    assert sim2.store.routing.migration is None
 
 
 def test_crashed_migration_rerun_converges():
@@ -249,7 +279,7 @@ def test_crashed_migration_rerun_converges():
     # Writes keep landing while no migration runs (source layout).
     for event in events[len(events) // 2 :]:
         sim.store.store(event)
-    report = sim.migrate(shards=4, online=True)
+    report = sim.migrate(shards=4)
     assert report.items_scanned > 0
     sim.settle()
     control = Simulation(architecture="s3+simpledb", seed=17, shards=4)
@@ -264,13 +294,12 @@ def test_parse_migration_spec():
         "shards": 8,
         "placement": "mixed",
     }
-    assert parse_migration_spec("shards=2,online=false") == {
-        "shards": 2,
-        "online": False,
-    }
     for bad in ("", "shards", "shards=", "bogus=1", "online=maybe"):
         with pytest.raises(ValueError):
             parse_migration_spec(bad)
+    # There is one layout-change protocol, so no mode knob to parse.
+    with pytest.raises(ValueError, match="unknown migration knob 'online'"):
+        parse_migration_spec("shards=2,online=false")
     for bad in ("shards=0", "shards=abc", "shards=-4,placement=mixed"):
         with pytest.raises(ValueError, match="shard count.*>= 1") as excinfo:
             parse_migration_spec(bad)
@@ -288,17 +317,15 @@ def test_demo_cli_migrate_flag(capsys):
     assert "Q2 after migration" in out
 
 
-def test_demo_cli_migrate_offline(capsys):
-    code = main(["demo", "--migrate", "shards=3,online=false"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "offline migration -> shards=3" in out
-
-
 def test_demo_cli_migrate_bad_spec(capsys):
     code = main(["demo", "--migrate", "bogus"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    code = main(["demo", "--migrate", "shards=3,online=false"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown migration knob 'online'" in captured.err
 
 
 def test_fleet_live_migration_scenario():

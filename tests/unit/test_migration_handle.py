@@ -52,21 +52,11 @@ def test_handle_is_transparent_without_migration():
     assert [s.domain for s in handle.query_sites()] == list(router.domains)
 
 
-def test_swap_bumps_epoch_and_requires_no_migration():
-    handle = RouterHandle(ShardRouter(1))
-    target = ShardRouter(4)
-    handle.swap(target)
-    assert handle.current is target
-    assert handle.epoch == 1
-
-
 def test_single_migration_at_a_time():
     sim = Simulation(architecture="s3+simpledb", seed=1, shards=1)
     migration = sim.start_migration(shards=2)
     with pytest.raises(RuntimeError):
         sim.start_migration(shards=3)
-    with pytest.raises(RuntimeError):
-        sim.store.routing.swap(ShardRouter(3))
     migration.run()
     assert sim.store.routing.migration is None
 

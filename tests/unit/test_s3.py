@@ -166,6 +166,18 @@ class TestList:
             s3.put("b", key, b"x")
         assert list(s3.list_keys("b").keys) == ["a", "m", "z"]
 
+    def test_page_size_below_one_rejected_unmetered(self, s3, strong_account):
+        """A page of fewer than one key cannot carry a continuation
+        marker, so it would claim truncation with nowhere to resume."""
+        for key in ("a", "m", "z"):
+            s3.put("b", key, b"x")
+        before = strong_account.meter.snapshot()
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_keys must be >= 1"):
+                s3.list_keys("b", max_keys=bad)
+        spent = strong_account.meter.snapshot() - before
+        assert spent.request_count(billing.S3, "LIST") == 0
+
 
 class TestStorageAccounting:
     def test_put_overwrite_delete_balance(self, strong_account):

@@ -160,7 +160,7 @@ def migration_usage() -> dict:
     )
     sim.store_events(CombinedWorkload().generate(seed=7, scale=0.2).events, collect=False)
     sim.settle()
-    usage = sim.migrate(shards=8, online=True).overhead_usage()
+    usage = sim.migrate(shards=8).overhead_usage()
     return {
         "requests": usage.requests,
         "bytes_in": usage.bytes_in,
