@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Collection, Generic, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Generic, Iterator, Mapping, Sequence, TypeVar
 
 from repro.clock import SimClock
 
@@ -103,8 +103,10 @@ class ReplicaSet(Generic[V]):
     value instead of being measured again by each read.
 
     The authoritative keys are also kept as a sorted list, updated in
-    place by every write, so ordered readers (DynamoDB Scan / Query
-    paging) seek instead of sorting: see :meth:`ordered_snapshot`.
+    place by every write, so paged readers — S3 LIST, SimpleDB Query /
+    QueryWithAttributes / Select, DynamoDB Scan / Query — seek to their
+    token instead of sorting the keyspace on every page: see
+    :meth:`ordered_snapshot`.
     """
 
     def __init__(
@@ -226,28 +228,23 @@ class ReplicaSet(Generic[V]):
     def contains_authoritative(self, key: str) -> bool:
         return key in self._authority
 
-    def keys_snapshot(self) -> list[str]:
-        """Sorted keys visible on one randomly chosen replica.
-
-        This is the view a LIST or a SimpleDB query runs against: recent
-        inserts may be missing and recent deletes may still show.
-        """
-        replica = self._pick_replica()
-        return sorted(k for k, (_, v) in replica.items() if v is not _TOMBSTONE)
-
     def ordered_snapshot(self, authoritative: bool = False) -> OrderedSnapshot[V]:
         """The keyspace visible on one randomly chosen replica, in key
-        order — the view a DynamoDB Scan or index Query pages through.
+        order — the one view every ranged or paged read runs against: an
+        S3 LIST, a SimpleDB Query / QueryWithAttributes / Select, a
+        DynamoDB Scan or index Query. Recent inserts may be missing from
+        it and recent deletes may still show.
 
         With no install pending every replica equals the authoritative
         view, and the maintained sorted keys are handed out as a live
-        view (the :meth:`visible_items` rule): consume it before the
-        next write. Inside an eventual window the same kind of object
-        is built once from the drawn replica, tombstones dropped, so a
-        reader never knows which it got. The replica draw is made
-        either way — the RNG stream does not depend on the replication
-        state. ``authoritative=True`` is the strongly consistent read:
-        the live view, and no draw.
+        view instead of a copy: consume it before the next write. Inside
+        an eventual window the same kind of object is built once from
+        the drawn replica, tombstones dropped, so a reader never knows
+        which it got, and ``len(keys)`` is always the drawn replica's
+        item count. The replica draw is made either way — the RNG
+        stream does not depend on the replication state.
+        ``authoritative=True`` is the strongly consistent read: the live
+        view, and no draw.
         """
         if authoritative:
             return self._live
@@ -256,22 +253,6 @@ class ReplicaSet(Generic[V]):
             return self._live
         values = {k: v for k, (_, v) in replica.items() if v is not _TOMBSTONE}
         return OrderedSnapshot(sorted(values), values)  # type: ignore[arg-type]
-
-    def visible_items(self) -> Collection[tuple[str, V]]:
-        """(key, value) pairs visible on one randomly chosen replica, in
-        no particular order — for readers that impose their own (a
-        SimpleDB query sorts its matches, far fewer than the replica).
-
-        With no install pending every replica equals the authoritative
-        view, which is then handed out as a live view instead of a
-        tombstone-filtered copy: consume it before the next write. The
-        replica draw is made either way, so the RNG stream does not
-        depend on the replication state.
-        """
-        replica = self._pick_replica()
-        if not self.pending_installs:
-            return self._authority.items()  # type: ignore[return-value]
-        return [(k, v) for k, (_, v) in replica.items() if v is not _TOMBSTONE]
 
     def authoritative_keys(self) -> list[str]:
         return list(self._ordered_keys)

@@ -23,7 +23,9 @@ the A2/A3 read protocols must retry through.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import takewhile
 
 from repro import errors, units
 from repro.aws import billing
@@ -281,18 +283,22 @@ class S3Service:
         marker: str | None = None,
         max_keys: int = 1000,
     ) -> S3ListResult:
-        """List keys (one replica's view) in lexicographic order."""
+        """List keys (one replica's view) in lexicographic order.
+
+        The page seeks: it bisects the replica's ordered keys to the
+        first one at or after ``prefix`` and past ``marker``, and reads
+        on until a key leaves the prefix or one key past ``max_keys``.
+        """
         if max_keys < 1:
             raise ValueError(f"max_keys must be >= 1, got {max_keys}")
         self._request("LIST")
-        store = self._bucket(bucket)
-        visible = [
-            k
-            for k in store.keys_snapshot()
-            if k.startswith(prefix) and (marker is None or k > marker)
-        ]
-        page = tuple(visible[:max_keys])
-        truncated = len(visible) > max_keys
+        keys = self._bucket(bucket).ordered_snapshot().keys
+        past_marker = 0 if marker is None else bisect_right(keys, marker)
+        start = max(bisect_left(keys, prefix), past_marker)
+        window = keys[start : start + max_keys + 1]
+        listed = list(takewhile(lambda key: key.startswith(prefix), window))
+        page = tuple(listed[:max_keys])
+        truncated = len(listed) > max_keys
         self._meter.record_transfer_out(
             billing.S3, sum(len(k.encode()) for k in page)
         )

@@ -537,6 +537,8 @@ def parse_select(statement: str) -> SelectStatement:
             limit = int(limit_token.text)
         except ValueError:
             raise InvalidQueryExpression(f"bad LIMIT {limit_token.text!r}") from None
+        if limit < 1:
+            raise InvalidQueryExpression(f"LIMIT must be >= 1, got {limit}")
     if not stream.exhausted:
         raise InvalidQueryExpression(
             f"trailing tokens after {stream.peek().text!r} in {statement!r}"
@@ -664,7 +666,8 @@ def _parse_simple_condition(stream: _TokenStream) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Execution helper shared by the SimpleDB service
+# Whole-result evaluation (a client-side DynamoDB Scan filter; the
+# reference the SimpleDB service's paged reads are tested against)
 # ---------------------------------------------------------------------------
 
 def run_query(

@@ -40,6 +40,16 @@ scanned, stale reads and all. Two planes, on purpose: the **metered**
 box-usage stays the 2009 broad-scan model (``SCAN_HOURS_PER_ITEM`` ×
 visible items, whichever path ran), because that is what the service
 billed; only the **host** cost of simulating it is index-bound.
+
+Paging. An unsorted query returns rows in item-name order, which is the
+order the drawn replica's keys are kept in
+(:meth:`~repro.aws.consistency.ReplicaSet.ordered_snapshot`), so its
+``next_token`` is a seek: a page walks the keys (or the sorted
+candidates) from the token and stops one match past its size. It costs
+the rows it returns plus the non-matches it crosses, and a full walk of
+a domain is linear in the domain, not quadratic. A query with a sort
+clause is ordered by a value, not by name, so it still collects and
+sorts its matches on every page.
 """
 
 from __future__ import annotations
@@ -48,7 +58,8 @@ import json
 import operator
 import random
 from dataclasses import dataclass
-from typing import Collection
+from itertools import islice
+from typing import Collection, Iterator
 
 from repro import errors, units
 from repro.aws import billing
@@ -60,7 +71,6 @@ from repro.aws.sdb_query import (
     SelectStatement,
     parse_query,
     parse_select,
-    run_query,
 )
 from repro.clock import SimClock
 
@@ -438,10 +448,7 @@ class SimpleDBService:
         next_token: str | None = None,
     ) -> QueryResult:
         """Return names of items matching a bracket-language expression."""
-        self._request("Query")
-        compiled = parse_query(expression)
-        matched = self._execute(domain, compiled, next_token)
-        page, token = self._paginate(matched, min(max_items, QUERY_MAX_PAGE), compiled)
+        page, token = self._query_page("Query", domain, expression, max_items, next_token)
         names = tuple(name for name, _ in page)
         self._meter.record_transfer_out(
             billing.SDB, sum(len(n.encode()) for n in names)
@@ -457,12 +464,24 @@ class SimpleDBService:
         next_token: str | None = None,
     ) -> QueryWithAttributesResult:
         """Return matching items together with (a subset of) attributes."""
-        self._request("QueryWithAttributes")
-        compiled = parse_query(expression)
-        matched = self._execute(domain, compiled, next_token)
-        page, token = self._paginate(matched, min(max_items, QUERY_MAX_PAGE), compiled)
+        page, token = self._query_page(
+            "QueryWithAttributes", domain, expression, max_items, next_token
+        )
         wanted = None if attribute_names is None else set(attribute_names)
         return QueryWithAttributesResult(self._serve_page(page, wanted), token)
+
+    def _query_page(
+        self, op: str, domain: str, expression: str | None, max_items: int,
+        next_token: str | None,
+    ) -> tuple[list[tuple[str, ItemState]], str | None]:
+        """One Query / QueryWithAttributes page of rows and its next
+        token. The page size is checked before the request is billed."""
+        if max_items < 1:
+            raise ValueError(f"max_items must be >= 1, got {max_items}")
+        self._request(op)
+        compiled = parse_query(expression)
+        matched = self._execute(domain, compiled, next_token)
+        return self._paginate(matched, min(max_items, QUERY_MAX_PAGE), compiled)
 
     def select(
         self,
@@ -474,11 +493,10 @@ class SimpleDBService:
         parsed = parse_select(statement) if isinstance(statement, str) else statement
         matched = self._execute(parsed.domain, parsed.query, next_token)
         if parsed.is_count:
-            return SelectResult(items=(), next_token=None, count=len(matched))
-        limit = parsed.limit if parsed.limit is not None else SELECT_MAX_PAGE
-        page, token = self._paginate(
-            matched, min(limit, SELECT_MAX_PAGE), parsed.query
-        )
+            return SelectResult(items=(), next_token=None, count=sum(1 for _ in matched))
+        # parse_select rejects LIMIT < 1, so a falsy limit is an absent one.
+        limit = min(parsed.limit or SELECT_MAX_PAGE, SELECT_MAX_PAGE)
+        page, token = self._paginate(matched, limit, parsed.query)
         wanted: Collection[str] | None = set(parsed.projection)
         if parsed.projection == ("*",):
             wanted = None
@@ -530,39 +548,47 @@ class SimpleDBService:
         domain: str,
         query: CompiledQuery,
         next_token: str | None,
-    ) -> list[tuple[str, ItemState]]:
-        """Every row the query matches from ``next_token`` on, in the
-        query's order.
+    ) -> Iterator[tuple[str, ItemState]]:
+        """The rows the query matches from ``next_token`` on, in the
+        query's order, produced lazily: the predicate runs on an item
+        only when the consumer pulls that far.
 
-        Each request draws one replica and bills box usage on the number
-        of items visible there — SimpleDB charged more machine time for
-        broader queries, and that 2009 model holds whichever path then
-        finds the rows. When the drawn replica equals the authoritative
-        state (nothing pending) and the predicate pins an attribute, the
-        rows come from that attribute's postings and the predicate runs
-        over those candidates only; otherwise over the whole replica.
+        Each request draws one replica (its ordered snapshot) and bills
+        box usage on the number of items visible there — SimpleDB
+        charged more machine time for broader queries, and that 2009
+        model holds whichever path then finds the rows. When the drawn
+        replica equals the authoritative state (nothing pending) and the
+        predicate pins an attribute, the rows are that attribute's
+        postings candidates, sorted by name; otherwise the snapshot's
+        items in key order. An unsorted query's token names the last
+        item served, so either source starts just past it. A sort
+        clause orders rows by a value instead: its matches are sorted
+        and then filtered past the token, since key order cannot seek
+        them.
         """
         store = self._domain(domain)
-        rows = store.visible_items()
-        self._meter.record_box_usage(len(rows) * SCAN_HOURS_PER_ITEM)
-        if not store.pending_installs:
-            names = self._candidates(domain, query)
-            if names is not None:
-                authority = self._authority[domain]
-                rows = [(name, authority[name]) for name in names]
-        matched = run_query(rows, query)
-        if next_token is not None:
-            last = self._token_key(query, next_token)
-            beyond = operator.lt if query.sort_descending else operator.gt
-            matched = [
-                (n, a) for n, a in matched if beyond(query.sort_key(n, a), last)
-            ]
-        return matched
+        view = store.ordered_snapshot()
+        self._meter.record_box_usage(len(view.keys) * SCAN_HOURS_PER_ITEM)
+        last = None if next_token is None else self._token_key(query, next_token)
+        seek = last[0] if last and query.sort_attribute is None else None
+        names = None if store.pending_installs else self._candidates(domain, query, seek)
+        rows = view.between(seek) if names is None else ((n, view.values[n]) for n in names)
+        matches = query.matches
+        matched = (row for row in rows if matches(row[1]))
+        if query.sort_attribute is None:
+            return matched
+        key = query.sort_key
+        ordered = sorted(matched, key=lambda row: key(*row), reverse=query.sort_descending)
+        beyond = operator.lt if query.sort_descending else operator.gt
+        return (row for row in ordered if last is None or beyond(key(*row), last))
 
-    def _candidates(self, domain: str, query: CompiledQuery) -> set[str] | None:
-        """Names of every item that can match, read off the postings of
-        the pinned attribute with the fewest; ``None`` when the
-        predicate pins no attribute (only a scan will do)."""
+    def _candidates(
+        self, domain: str, query: CompiledQuery, after: str | None
+    ) -> list[str] | None:
+        """Names of every item past ``after`` that can match, in order,
+        read off the postings of the pinned attribute with the fewest;
+        ``None`` when the predicate pins no attribute (only a scan will
+        do)."""
         pinned = query.pinned
         if not pinned:
             return None
@@ -573,7 +599,7 @@ class SimpleDBService:
             return [_holders(by_value[v]) for v in pinned[attr] if v in by_value]
 
         fewest = min(map(held, pinned), key=lambda found: sum(map(len, found)))
-        return set().union(*fewest)
+        return sorted(n for n in set().union(*fewest) if after is None or n > after)
 
     # A next_token names the last row served by its key in the query's
     # own ordering: ``after:<name>`` for an unsorted query (rows are in
@@ -600,13 +626,15 @@ class SimpleDBService:
 
     @staticmethod
     def _paginate(
-        matched: list[tuple[str, ItemState]], max_items: int, query: CompiledQuery
+        matched: Iterator[tuple[str, ItemState]], max_items: int, query: CompiledQuery
     ) -> tuple[list[tuple[str, ItemState]], str | None]:
-        if max_items < 1:
-            raise ValueError(f"max_items must be >= 1, got {max_items}")
-        page = matched[:max_items]
-        if len(matched) <= max_items:
+        """The first ``max_items`` rows and the token that resumes past
+        them, or ``None`` when no row follows: one row beyond the page
+        is pulled to tell which, and no more."""
+        page = list(islice(matched, max_items + 1))
+        if len(page) <= max_items:
             return page, None
+        del page[max_items:]
         if query.sort_attribute is None:
             return page, f"after:{page[-1][0]}"
         return page, "after-key:" + json.dumps(query.sort_key(*page[-1]))

@@ -68,10 +68,10 @@ class TestEventualMode:
         clock, replicas = make_set(window=5.0)
         for i in range(10):
             replicas.write(f"k{i}", i)
-        visible = replicas.keys_snapshot()
+        visible = replicas.ordered_snapshot().keys
         assert set(visible) <= {f"k{i}" for i in range(10)}
         clock.run_until_idle()
-        assert replicas.keys_snapshot() == sorted(f"k{i}" for i in range(10))
+        assert list(replicas.ordered_snapshot().keys) == sorted(f"k{i}" for i in range(10))
 
     def test_tombstone_propagates(self):
         clock, replicas = make_set(window=3.0)

@@ -2,23 +2,27 @@
 
 The service answers a query from its postings when the drawn replica
 provably equals the authoritative state and the predicate pins an
-attribute, and scans the replica otherwise. Both must return exactly
-what the pre-index service did: ``run_query`` over the visible items
-with the *interpretive* matcher, which lives on here as the oracle
-(``reference_matches``) for the compiled closures too.
+attribute, and scans the replica otherwise; either way a page resumes
+at its token. Both must return exactly what the pre-index service did:
+filter and sort the visible items, with the *interpretive* matcher,
+which lives on here as the oracle (``reference_matches``) for the
+compiled closures too, then drop every row up to the token.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repro.aws import simpledb as simpledb_module
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.sdb_query import (
     BoolOp,
     BracketPredicate,
     Comparison,
+    CompiledQuery,
     MatchAll,
     Not,
     Null,
@@ -82,10 +86,31 @@ def reference_rows(items, query):
     return [(name, dict(attrs)) for name, attrs in matched]
 
 
+def count_matcher_calls(monkeypatch) -> Counter:
+    """Count, under ``"items"``, every item a compiled query's matcher is
+    run on, whichever code runs it."""
+    calls: Counter = Counter()
+
+    def matches(query):
+        predicate = query.predicate.matches
+
+        def counted(attrs):
+            calls["items"] += 1
+            return predicate(attrs)
+
+        return counted
+
+    # A property is a data descriptor, so it also shadows the matcher a
+    # memoised (shared) CompiledQuery has already cached on itself.
+    monkeypatch.setattr(CompiledQuery, "matches", property(matches))
+    return calls
+
+
 # -- generators --------------------------------------------------------------
 
 # Item values and query literals share one small pool, so predicates hit.
-_pool = st.sampled_from(["a", "b", "ab", "abc", "0", "a0", "b:0", "c_"])
+POOL = ["a", "b", "ab", "abc", "0", "a0", "b:0", "c_"]
+_pool = st.sampled_from(POOL)
 _names = st.sampled_from([f"item-{i}" for i in range(7)])
 _sorts = st.sampled_from(["", " asc", " desc"])
 
@@ -110,6 +135,20 @@ def bracket_queries(draw):
     if draw(st.booleans()):
         expression += f" sort '{draw(_attrs)}'{draw(_sorts)}"
     return expression
+
+
+@st.composite
+def broad_pinned_queries(draw):
+    """A predicate pinned to every pool value of one attribute — each
+    item holding it is a candidate, so its postings walk spans pages —
+    optionally narrowed by a random bracket and sorted."""
+    attribute = draw(_attrs)
+    expression = "[" + " or ".join(f"'{attribute}' = '{v}'" for v in POOL) + "]"
+    if draw(st.booleans()):
+        expression += f" intersection not {draw(bracket_expressions(values=_pool))}"
+    if draw(st.booleans()):
+        expression += f" sort '{draw(_attrs)}'{draw(_sorts)}"
+    return draw(st.sampled_from(["query", "query-with-attributes"])), expression
 
 
 @st.composite
@@ -192,37 +231,56 @@ def authoritative(sdb):
     ]
 
 
-def ask(sdb, language, text, page_size, walk=True):
-    """One query through the service API — every page when ``walk`` —
-    as (name, attrs) rows; Query pages carry names only, so attrs are
-    then filled in as ``None``."""
-    rows, token = [], None
-    while True:
-        if language == "select":
-            page = sdb.select(f"{text} limit {page_size}", next_token=token)
-            rows += page.items
-        elif language == "query":
-            page = sdb.query(DOMAIN, text, max_items=page_size, next_token=token)
-            rows += [(name, None) for name in page.item_names]
-        else:
-            page = sdb.query_with_attributes(
-                DOMAIN, text, max_items=page_size, next_token=token
-            )
-            rows += page.items
-        token = page.next_token
-        if token is None or not walk:
-            return rows
+def request(sdb, language, text, page_size, token=None):
+    """One page through the service API: (name, attrs) rows and the
+    next token. Query pages carry names only, so attrs are then
+    ``None``."""
+    if language == "select":
+        page = sdb.select(f"{text} limit {page_size}", next_token=token)
+        return list(page.items), page.next_token
+    if language == "query":
+        page = sdb.query(DOMAIN, text, max_items=page_size, next_token=token)
+        return [(name, None) for name in page.item_names], page.next_token
+    page = sdb.query_with_attributes(
+        DOMAIN, text, max_items=page_size, next_token=token
+    )
+    return list(page.items), page.next_token
+
+
+def ask(sdb, language, text, page_size):
+    """Every page of one query, concatenated."""
+    rows, token = request(sdb, language, text, page_size)
+    while token is not None:
+        page, resumed = request(sdb, language, text, page_size, token)
+        assert resumed != token, "a page that resumes where it began never ends"
+        rows, token = rows + page, resumed
+    return rows
 
 
 def compiled(language, text):
     return parse_select(text).query if language == "select" else parse_query(text)
 
 
-def expected(items, language, text, limit=None):
-    rows = reference_rows(items, compiled(language, text))[:limit]
-    if language == "query":
-        return [(name, None) for name, _ in rows]
-    return rows
+def as_served(language, rows):
+    return [(name, None) for name, _ in rows] if language == "query" else rows
+
+
+def expected(items, language, text):
+    return as_served(language, reference_rows(items, compiled(language, text)))
+
+
+def rows_past(rows, query, last):
+    """The reference rows a page resumed after sort key ``last`` may serve."""
+    if last is None:
+        return rows
+    beyond = operator.lt if query.sort_descending else operator.gt
+    return [row for row in rows if beyond(query.sort_key(*row), last)]
+
+
+def size_for_three_pages(rows) -> int:
+    """A page size that splits ``rows`` into at least three pages, when
+    there are at least three rows."""
+    return max(1, len(rows) // 3)
 
 
 _queries = st.one_of(
@@ -239,16 +297,25 @@ EVENTUAL = ConsistencyConfig.eventual(window=2.0, immediate_fraction=0.4)
 @given(
     mutations=st.lists(_mutations, min_size=1, max_size=12),
     queries=st.lists(_queries, min_size=1, max_size=4),
+    broad=broad_pinned_queries(),
     page_size=st.integers(1, 4),
 )
-def test_strong_model_pages_equal_the_reference_scan(mutations, queries, page_size):
+def test_strong_model_pages_equal_the_reference_scan(mutations, queries, broad, page_size):
     """No install is ever pending: every pinned predicate takes the
-    postings path, and every page walk — sorted ones resume on the sort
-    key — is the reference's rows, each exactly once, in order."""
+    postings path, an unpinned one the scan, and every page walk —
+    unsorted ones seek past the last name served, sorted ones resume on
+    the sort key — is the reference's rows, each exactly once, in order,
+    at a random page size and at one that crosses three pages."""
     sdb = account_with(ConsistencyConfig.strong(), mutations).simpledb
     items = authoritative(sdb)
-    for language, text in queries:
-        assert ask(sdb, language, text, page_size) == expected(items, language, text)
+    for language, text in [broad, *queries]:
+        want = expected(items, language, text)
+        if len(want) >= 3:
+            query = compiled(language, text)
+            path = "postings" if query.pinned else "scan"
+            event(f"3+ pages: {path}, sorted = {query.sort_attribute is not None}")
+        for size in (page_size, size_for_three_pages(want)):
+            assert ask(sdb, language, text, size) == want
     if queries[0][0] == "select":
         counted = sdb.select(queries[0][1].replace("*", "count(*)", 1))
         assert counted.count == len(expected(items, *queries[0]))
@@ -258,66 +325,75 @@ def test_strong_model_pages_equal_the_reference_scan(mutations, queries, page_si
 @given(
     mutations=st.lists(_mutations, min_size=1, max_size=12),
     queries=st.lists(_queries, min_size=1, max_size=4),
+    broad=broad_pinned_queries(),
 )
-def test_eventual_window_scans_the_drawn_replica_then_converges(mutations, queries):
+def test_eventual_window_scans_the_drawn_replica_then_converges(mutations, queries, broad):
     """Inside the window the postings (which describe the authority)
-    must stay out of it: a request returns the reference over the
-    replica it drew, missing fresh writes exactly as it always could. A
-    twin service fed the same seed and calls makes the same draw through
-    ``visible_items``. After quiesce the index path takes over and the
-    answer is the authoritative one."""
+    must stay out of it: each page is the reference over the replica its
+    request drew, past the last row the previous page served, missing
+    fresh writes exactly as it always could. A twin service fed the same
+    seed and calls makes the same draw through ``ordered_snapshot``.
+    After quiesce the index path takes over and the answer is the
+    authoritative one."""
     account = account_with(EVENTUAL, mutations)
     sdb, twin = account.simpledb, account_with(EVENTUAL, mutations).simpledb
     event(f"installs pending: {sdb._domain(DOMAIN).pending_installs > 0}")
-    for language, text in queries:
-        drawn = list(twin._domain(DOMAIN).visible_items())
-        got = ask(sdb, language, text, 250, walk=False)
-        assert got == expected(drawn, language, text, limit=250)
+    for language, text in [broad, *queries]:
+        query, token, last = compiled(language, text), None, None
+        while True:
+            drawn = list(twin._domain(DOMAIN).ordered_snapshot().between())
+            rest = rows_past(reference_rows(drawn, query), query, last)
+            got, token = request(sdb, language, text, 2, token)
+            assert got == as_served(language, rest[:2])
+            assert (token is None) == (len(rest) <= 2)
+            if token is None:
+                break
+            last = query.sort_key(*rest[1])
     account.quiesce()
     items = authoritative(sdb)
-    for language, text in queries:
-        assert ask(sdb, language, text, 3) == expected(items, language, text)
+    for language, text in [broad, *queries]:
+        want = expected(items, language, text)
+        for size in (3, size_for_three_pages(want)):
+            assert ask(sdb, language, text, size) == want
 
 
 def test_which_path_ran(monkeypatch):
-    """The scan is skipped exactly when it may be: rows handed to the
-    matcher are the candidates under a converged replica, the whole
-    replica inside a window or for a predicate that pins nothing — and
-    box usage is billed on the visible item count either way."""
-    examined = []
-    real = simpledb_module.run_query
-
-    def spy(rows, query):
-        rows = list(rows)
-        examined.append(len(rows))
-        return real(rows, query)
-
-    monkeypatch.setattr(simpledb_module, "run_query", spy)
+    """The scan is skipped exactly when it may be: items the matcher runs
+    on are the candidates under a converged replica, the whole replica
+    inside a window or for a predicate that pins nothing — and box usage
+    is billed on the visible item count either way."""
+    calls = count_matcher_calls(monkeypatch)
     account = account_with(EVENTUAL, seed=3)
     sdb = account.simpledb
     for i in range(40):
         sdb.put_attributes(DOMAIN, f"i{i:02d}", [("type", "file"), ("k", f"{i % 4}")])
     account.quiesce()
 
-    def box_usage_of(expression):
-        before = account.meter.snapshot()
+    def ask_one_page(expression):
+        """Names, box usage and items examined by one (whole) page."""
+        before, examined = account.meter.snapshot(), calls["items"]
         names = sdb.query(DOMAIN, expression).item_names
-        return names, (account.meter.snapshot() - before).box_usage_hours
+        spent = account.meter.snapshot() - before
+        return names, spent.box_usage_hours, calls["items"] - examined
 
-    pinned, pinned_usage = box_usage_of("['k' = '1']")
-    narrowest, _ = box_usage_of("['type' = 'file'] intersection ['k' = '1' or 'k' = '2']")
-    unpinned, unpinned_usage = box_usage_of("not ['k' != '1']")
-    assert examined == [10, 20, 40]
-    assert pinned == unpinned and len(narrowest) == 20
+    pinned, pinned_usage, examined = ask_one_page("['k' = '1']")
+    assert examined == 10
+    narrowest, _, examined = ask_one_page(
+        "['type' = 'file'] intersection ['k' = '1' or 'k' = '2']"
+    )
+    assert examined == 20 and len(narrowest) == 20
+    unpinned, unpinned_usage, examined = ask_one_page("not ['k' != '1']")
+    assert examined == 40
+    assert pinned == unpinned
     assert pinned_usage == unpinned_usage
 
     sdb.put_attributes(DOMAIN, "fresh", [("k", "1")])
     assert sdb._domain(DOMAIN).pending_installs > 0
-    sdb.query(DOMAIN, "['k' = '1']")
-    assert examined[-1] in (40, 41)  # the drawn replica, fresh item or not
+    _, _, examined = ask_one_page("['k' = '1']")
+    assert examined in (40, 41)  # the drawn replica, fresh item or not
     account.quiesce()
-    assert "fresh" in sdb.query(DOMAIN, "['k' = '1']").item_names
-    assert examined[-1] == 11
+    names, _, examined = ask_one_page("['k' = '1']")
+    assert "fresh" in names and examined == 11
 
 
 def test_one_replica_draw_per_request_on_both_paths():

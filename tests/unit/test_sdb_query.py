@@ -180,6 +180,8 @@ class TestSelect:
             "select * where a = 'b'",
             "select * from d where a like '%suffix'",
             "select * from d limit many",
+            "select * from d limit 0",
+            "select * from d limit -1",
         ],
     )
     def test_malformed_rejected(self, bad):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import errors
+from repro.aws import billing
 from repro.aws.simpledb import Attribute
 from repro.units import KB
 
@@ -158,6 +159,21 @@ class TestQuery:
         assert page3.next_token is None
         total = len(page1.item_names) + len(page2.item_names) + len(page3.item_names)
         assert total == 600
+
+    @pytest.mark.parametrize("api", ["query", "query_with_attributes"])
+    def test_page_size_below_one_rejected_unmetered(self, populated, strong_account, api):
+        before = strong_account.meter.snapshot()
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_items must be >= 1"):
+                getattr(populated, api)("d", None, max_items=bad)
+        spent = strong_account.meter.snapshot() - before
+        assert spent.request_count(billing.SDB) == 0
+        assert spent.box_usage_hours == 0
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_select_limit_below_one_is_a_malformed_statement(self, populated, limit):
+        with pytest.raises(errors.InvalidQueryExpression, match="LIMIT"):
+            populated.select(f"select * from d limit {limit}")
 
     def test_bad_next_token(self, populated):
         with pytest.raises(errors.InvalidNextToken):
