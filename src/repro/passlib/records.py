@@ -4,8 +4,16 @@ A PASS provenance record is an attribute of one **object version**: the
 paper's example is version 2 of object ``foo`` carrying records
 ``(input, bar:2)`` and ``(type, file)`` (§4.2). We model that as
 :class:`ProvenanceRecord` rows whose subject is an :class:`ObjectRef`
-(name + version) and whose value is either a plain string or another
-``ObjectRef`` (a cross-reference, i.e. a provenance-graph edge).
+and whose value is either a plain string or another ``ObjectRef`` (a
+cross-reference, i.e. a provenance-graph edge).
+
+An ``ObjectRef`` is an immutable ``(name, version)`` tuple, not a
+dataclass: it is the element of every query's result set, frontier and
+memo, so its ordering, hashing and equality are the tuple's own (C)
+methods. It therefore equals the bare tuple of its fields —
+``ObjectRef("a", 1) == ("a", 1)`` — so code holding refs beside other
+tuples dispatches on ``ObjectRef``, not on ``tuple``. Records and
+bundles stay dataclasses.
 
 Encodings follow the paper's conventions:
 
@@ -13,7 +21,9 @@ Encodings follow the paper's conventions:
   we zero-pad so lexicographic order in SimpleDB matches version order);
 * a version's SimpleDB item name is ``name_vNNNN`` (the paper's
   ``foo_2``);
-* versions start at 1 for the first flushed state of an object.
+* versions are ``int`` and start at 1 for the first flushed state of an
+  object; decoding accepts ASCII digits only, so every ref has exactly
+  one spelling on the wire.
 
 :class:`ProvenanceBundle` groups the records describing one object
 version; :class:`FlushEvent` pairs a bundle with the object's data (for
@@ -24,7 +34,7 @@ the unit of work the three architectures' ``store`` protocols consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.blob import Blob
 
@@ -51,16 +61,40 @@ class Attr:
     REF_VALUED = frozenset({INPUT, VERSION_OF})
 
 
-@dataclass(frozen=True, order=True)
-class ObjectRef:
-    """A (name, version) reference to one object version."""
-
+class _RefFields(NamedTuple):
     name: str
     version: int
 
-    def __post_init__(self) -> None:
-        if self.version < 1:
-            raise ValueError(f"versions start at 1, got {self.version} for {self.name!r}")
+
+class ObjectRef(_RefFields):
+    """A (name, version) reference to one object version.
+
+    An immutable ``(name, version)`` tuple: every query result is a set
+    of refs, sorted before it is reported, so ordering (lexicographic by
+    name, then version), hashing (``hash((name, version))``) and
+    equality run in C rather than in generated Python methods. The
+    price is one equality rule: a ref equals the bare tuple of its
+    fields, ``ObjectRef("a", 1) == ("a", 1)``. Code that keeps refs
+    beside other tuples tells them apart with ``isinstance(x,
+    ObjectRef)``, never ``isinstance(x, tuple)``.
+
+    A version is an ``int`` (not a ``bool``, not a ``float``) and at
+    least 1; anything else raises ``ValueError`` at construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, version: int) -> "ObjectRef":
+        if type(version) is not int:
+            raise ValueError(f"a version is an int, got {version!r} for {name!r}")
+        if version < 1:
+            raise ValueError(f"versions start at 1, got {version} for {name!r}")
+        return tuple.__new__(cls, (name, version))  # one Python call fewer than super()
+
+    @classmethod
+    def _make(cls, fields) -> "ObjectRef":
+        """The namedtuple builder (``_replace`` uses it), checked too."""
+        return cls(*fields)
 
     @staticmethod
     def nonce_of(version: int) -> str:
@@ -94,10 +128,7 @@ class ObjectRef:
         >>> ObjectRef.decode("bar:v0002")
         ObjectRef(name='bar', version=2)
         """
-        name, _, version_text = text.rpartition(":v")
-        if not name or not version_text.isdigit():
-            raise ValueError(f"not an encoded ObjectRef: {text!r}")
-        return cls(name=name, version=int(version_text))
+        return cls._parse(text, ":v", "an encoded ObjectRef")
 
     @classmethod
     def from_item_name(cls, item_name: str) -> "ObjectRef":
@@ -106,10 +137,17 @@ class ObjectRef:
         >>> ObjectRef.from_item_name("foo_v0002")
         ObjectRef(name='foo', version=2)
         """
-        name, _, version_text = item_name.rpartition("_v")
-        if not name or not version_text.isdigit():
-            raise ValueError(f"not an item name: {item_name!r}")
-        return cls(name=name, version=int(version_text))
+        return cls._parse(item_name, "_v", "an item name")
+
+    @classmethod
+    def _parse(cls, text: str, separator: str, what: str) -> "ObjectRef":
+        """``name<separator>digits`` -> ref. The digits are ASCII only:
+        ``str.isdigit`` alone also takes ``٣`` or ``²``, which would give
+        one ref a second spelling (or crash ``int``)."""
+        name, _, version_text = text.rpartition(separator)
+        if not name or not (version_text.isascii() and version_text.isdigit()):
+            raise ValueError(f"not {what}: {text!r}")
+        return cls(name, int(version_text))
 
 
 @dataclass(frozen=True)

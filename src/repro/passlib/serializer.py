@@ -56,8 +56,9 @@ POINTER_PREFIX = "@s3:"
 #: Key namespace for spilled values inside the data bucket.
 OVERFLOW_PREFIX = ".pass/overflow/"
 
-#: Valid S3 nonce metadata: optional ``v`` prefix then digits (``v0007``).
-_NONCE_RE = re.compile(r"v?(\d+)\Z")
+#: Valid S3 nonce metadata: optional ``v`` prefix then ASCII digits
+#: (``v0007``; not ``v٣``, a second spelling of version 3).
+_NONCE_RE = re.compile(r"v?(\d+)\Z", re.ASCII)
 
 
 def parse_nonce(nonce: str) -> int | None:

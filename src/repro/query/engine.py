@@ -783,10 +783,10 @@ def _decode_ref_and_kind(item_name: str, attrs: dict) -> tuple[ObjectRef, str]:
 def _memo_nbytes(value) -> int:
     """Node-memory estimate (UTF-8 bytes) for a memoised scatter-phase
     result — a set of :class:`ObjectRef` (phase 1) or ``(ref, kind)``
-    pairs (matches)."""
+    pairs (matches). A ref is itself a tuple, so dispatch on the ref."""
     total = 0
     for element in value:
-        ref, kind = element if isinstance(element, tuple) else (element, "")
+        ref, kind = (element, "") if isinstance(element, ObjectRef) else element
         total += len(ref.encode().encode()) + len(kind.encode())
     return total
 

@@ -158,15 +158,9 @@ def _fail(message: str, line: int | None = None) -> TraceFormatError:
 
 
 def _decode_ref(obj, line: int) -> ObjectRef:
-    if (
-        not isinstance(obj, list)
-        or len(obj) != 2
-        or not isinstance(obj[0], str)
-        or not isinstance(obj[1], int)
-        or isinstance(obj[1], bool)
-    ):
+    if not isinstance(obj, list) or len(obj) != 2 or not isinstance(obj[0], str):
         raise _fail(f"not an object reference: {obj!r}", line)
-    try:
+    try:  # ObjectRef rejects a version that is not an int >= 1
         return ObjectRef(name=obj[0], version=obj[1])
     except ValueError as exc:
         raise _fail(str(exc), line) from exc

@@ -261,6 +261,8 @@ class TestNonceParsing:
             ("v0001", 1), ("v0042", 42), ("7", 7), (" v0003 ", 3),
             ("", None), ("v", None), ("vv1", None), ("abc", None),
             ("v12x", None), ("v-1", None), ("1.5", None),
+            # Non-ASCII digits would be a second spelling of a version.
+            ("v٣", None), ("v０００２", None), ("٣", None), ("v²", None),
         ],
     )
     def test_parse_nonce(self, raw, expected):

@@ -4,6 +4,7 @@ Covers the authority in isolation — LRU capacity and eviction order,
 hit/miss/fill metering on the ``elasticache`` key, fenced fills, the
 staleness age-out, item-vs-memo invalidation semantics — plus the knob
 plumbing (spec grammar, account/sim/fleet/CLI wiring) and the price-book lines the meter keys must match.
+Last, the node memory the query engine's scatter memos occupy.
 """
 
 from __future__ import annotations
@@ -279,3 +280,41 @@ class TestWiring:
             parser.parse_args(["demo", "--read-cache", "capacity=512"]).read_cache
             == "capacity=512"
         )
+
+
+class TestMemoNodeMemory:
+    """What the engine's scatter memos weigh in node memory (metered as
+    ElastiCache storage): UTF-8 bytes of each ref's wire encoding, plus
+    the type for a ``(ref, kind)`` match. Literals recorded when refs
+    were still dataclasses, before they became tuples themselves."""
+
+    @pytest.fixture
+    def sim(self):
+        from repro.sim import Simulation
+        from repro.workloads import CombinedWorkload
+
+        sim = Simulation(
+            "s3+simpledb", seed=5, consistency=ConsistencyConfig.strong(),
+            shards=2, read_cache="on", planner="off",
+        )
+        sim.store_events(CombinedWorkload().generate(seed=7, scale=0.3).events, collect=False)
+        sim.settle()
+        return sim
+
+    def test_phase_sets_and_match_sets(self, sim):
+        from repro.query.engine import _memo_nbytes
+
+        engine = sim.query_engine()
+        instances = engine._program_instances("blast")
+        matches = engine._objects_with_inputs(instances)
+        assert (len(instances), _memo_nbytes(instances)) == (7, 147)
+        assert (len(matches), _memo_nbytes(matches)) == (7, 252)
+
+    def test_stored_bytes_after_a_cached_q2(self, sim):
+        engine = sim.query_engine()
+        first = engine.q2_outputs_of("blast")
+        assert (engine.cache.entry_count(), engine.cache.stored_nbytes()) == (2, 147 + 252)
+        assert sim.account.meter.stored_bytes(ELASTICACHE) == 399
+        again = engine.q2_outputs_of("blast")
+        assert again.refs == first.refs and again.operations == 0
+        assert engine.cache.stored_nbytes() == 399

@@ -1,6 +1,11 @@
 """Unit tests for provenance records, references, and bundles."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.blob import BytesBlob
 from repro.passlib.records import (
@@ -11,6 +16,9 @@ from repro.passlib.records import (
     ProvenanceRecord,
     consistency_token,
 )
+
+#: Object names, separators included: the codecs split at the last one.
+names = st.text(alphabet=st.sampled_from("ab/_:v.٣0"), min_size=1, max_size=8)
 
 
 class TestObjectRef:
@@ -42,6 +50,77 @@ class TestObjectRef:
     def test_ordering_is_lexicographic_name_then_version(self):
         assert ObjectRef("a", 2) < ObjectRef("b", 1)
         assert ObjectRef("a", 1) < ObjectRef("a", 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(names, st.integers(1, 10**6)), max_size=30))
+    def test_value_type_matches_its_field_tuple(self, pairs):
+        refs = [ObjectRef(name, version) for name, version in pairs]
+        assert sorted(refs) == sorted(refs, key=lambda r: (r.name, r.version))
+        assert [tuple(r) for r in sorted(refs)] == sorted(pairs)
+        for ref, (name, version) in zip(refs, pairs):
+            assert (ref.name, ref.version, ref.path) == (name, version, name)
+            assert hash(ref) == hash((name, version))
+            assert ObjectRef.decode(ref.encode()) == ref
+            assert ObjectRef.from_item_name(ref.item_name) == ref
+            assert ObjectRef(name=name, version=version) == ref
+        assert len(set(refs)) == len(set(pairs))
+
+    def test_repr_literal(self):
+        assert repr(ObjectRef("bar", 2)) == "ObjectRef(name='bar', version=2)"
+        assert repr(ObjectRef.decode("bar:v0002")) == "ObjectRef(name='bar', version=2)"
+
+    def test_immutable(self):
+        ref = ObjectRef("bar", 2)
+        with pytest.raises(AttributeError):
+            ref.name = "baz"
+        with pytest.raises(AttributeError):
+            ref.version = 3
+        with pytest.raises(AttributeError):
+            ref.extra = 1
+
+    def test_equals_the_bare_field_tuple(self):
+        """Intended: a ref is a ``(name, version)`` tuple, so it equals one."""
+        assert ObjectRef("a", 1) == ("a", 1)
+        assert ("a", 1) in {ObjectRef("a", 1)}
+        assert ObjectRef("a", 1) != ("a", 2)
+
+    def test_pickle_deepcopy_and_dataclass_helpers_round_trip(self):
+        subject, parent = ObjectRef("foo", 2), ObjectRef("bar", 1)
+        bundle = ProvenanceBundle(
+            subject=subject, kind="file",
+            records=(ProvenanceRecord(subject, Attr.INPUT, parent),),
+        )
+        event = FlushEvent(bundle=bundle, data=BytesBlob(b"x"))
+        for copied in (pickle.loads(pickle.dumps(subject)), copy.deepcopy(subject)):
+            assert copied == subject and type(copied) is ObjectRef
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert copy.deepcopy(event) == event
+        as_dict = dataclasses.asdict(event)
+        assert as_dict["bundle"]["subject"] == subject
+        assert type(as_dict["bundle"]["subject"]) is ObjectRef
+        assert type(as_dict["bundle"]["records"][0]["value"]) is ObjectRef
+        assert dataclasses.replace(event) == event
+
+    @pytest.mark.parametrize("version", [2.5, 2.0, True, False, "2", None])
+    def test_version_must_be_an_int(self, version):
+        with pytest.raises(ValueError, match="a version is an int"):
+            ObjectRef("a", version)
+        with pytest.raises(ValueError, match="a version is an int"):
+            ObjectRef("a", 1)._replace(version=version)
+        with pytest.raises(ValueError, match="a version is an int"):
+            ObjectRef._make(("a", version))
+
+    @pytest.mark.parametrize(
+        "text", ["a:v٣", "a:v０００２", "a:v²", "a:v", ":v0001", "a:v 1", "a:v+1"]
+    )
+    def test_decode_accepts_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match="not an encoded ObjectRef"):
+            ObjectRef.decode(text)
+
+    @pytest.mark.parametrize("item_name", ["foo_v０００２", "foo_v٣", "foo_v²", "foo_v"])
+    def test_from_item_name_accepts_ascii_digits_only(self, item_name):
+        with pytest.raises(ValueError, match="not an item name"):
+            ObjectRef.from_item_name(item_name)
 
 
 class TestProvenanceRecord:
