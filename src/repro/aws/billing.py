@@ -35,10 +35,8 @@ Provisioned per-table throughput is enforced as admission control
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.clock import SimClock
 from repro.units import GB, SECONDS_PER_MONTH
@@ -182,53 +180,31 @@ class Usage:
         operand's levels, like :meth:`__sub__` does; the scoped usages
         migration accounting accumulates carry none anyway.
         """
-
-        def add_counts(a, b):
-            counter = Counter(dict(a))
-            counter.update(dict(b))
-            return tuple(sorted((k, v) for k, v in counter.items() if v))
-
-        return Usage(
-            requests=add_counts(self.requests, other.requests),
-            bytes_in=add_counts(self.bytes_in, other.bytes_in),
-            bytes_out=add_counts(self.bytes_out, other.bytes_out),
-            byte_seconds=add_counts(self.byte_seconds, other.byte_seconds),
-            stored_bytes=self.stored_bytes,
-            box_usage_hours=self.box_usage_hours + other.box_usage_hours,
-            read_capacity_units=add_counts(
-                self.read_capacity_units, other.read_capacity_units
-            ),
-            write_capacity_units=add_counts(
-                self.write_capacity_units, other.write_capacity_units
-            ),
-        )
+        return self._combined(other, 1)
 
     def __sub__(self, other: "Usage") -> "Usage":
-        def diff_counts(a, b):
-            counter = Counter(dict(a))
-            counter.subtract(dict(b))
-            return tuple(sorted((k, v) for k, v in counter.items() if v))
+        """The activity between two snapshots. Every counted field keeps
+        its sign, so ``(a - b) + b == a``."""
+        return self._combined(other, -1)
+
+    def _combined(self, other: "Usage", sign: int) -> "Usage":
+        def counts(a, b):
+            total = dict(a)
+            for key, value in b:
+                total[key] = total.get(key, 0) + sign * value
+            return tuple(sorted((k, v) for k, v in total.items() if v))
 
         return Usage(
-            requests=diff_counts(self.requests, other.requests),
-            bytes_in=diff_counts(self.bytes_in, other.bytes_in),
-            bytes_out=diff_counts(self.bytes_out, other.bytes_out),
-            byte_seconds=tuple(
-                sorted(
-                    (k, v)
-                    for k, v in (
-                        Counter(dict(self.byte_seconds))
-                        - Counter(dict(other.byte_seconds))
-                    ).items()
-                    if v
-                )
-            ),
+            requests=counts(self.requests, other.requests),
+            bytes_in=counts(self.bytes_in, other.bytes_in),
+            bytes_out=counts(self.bytes_out, other.bytes_out),
+            byte_seconds=counts(self.byte_seconds, other.byte_seconds),
             stored_bytes=self.stored_bytes,
-            box_usage_hours=self.box_usage_hours - other.box_usage_hours,
-            read_capacity_units=diff_counts(
+            box_usage_hours=self.box_usage_hours + sign * other.box_usage_hours,
+            read_capacity_units=counts(
                 self.read_capacity_units, other.read_capacity_units
             ),
-            write_capacity_units=diff_counts(
+            write_capacity_units=counts(
                 self.write_capacity_units, other.write_capacity_units
             ),
         )
@@ -237,7 +213,9 @@ class Usage:
 class MeterScope:
     """A scoped accumulation of metered activity — one shard's spend.
 
-    Created by :meth:`Meter.scoped`. While the scope is active, every
+    A context manager, returned by :meth:`Meter.scoped`: entering it
+    pushes it on the meter's stack of open scopes and exiting pops it,
+    also when the block raises. While it is open, every
     request/transfer/box-usage record is credited to the scope as well
     as to the meter's global totals, in O(records made inside it). This
     is how the query engine measures a whole query (one enclosing
@@ -245,12 +223,19 @@ class MeterScope:
     (one nested scope each): the stream scopes sum exactly to the query
     scope, which equals the global meter delta over the block.
 
+    The tallies are plain dicts (a query opens a scope per stream, so
+    opening one must be cheap). They stay readable after the block
+    exits: directly through :meth:`request_count`, :meth:`transfer_out`
+    and :attr:`requests` (what the latency model prices), or as one
+    immutable :class:`Usage` through :meth:`usage`.
+
     Storage (levels and byte-seconds) is deliberately not scoped — it is
     account-wide state integrated against the clock, not something a
     block of requests spends.
     """
 
     __slots__ = (
+        "_stack",
         "_requests",
         "_bytes_in",
         "_bytes_out",
@@ -259,15 +244,21 @@ class MeterScope:
         "_write_units",
     )
 
-    def __init__(self) -> None:
-        # defaultdicts, not Counters: a query opens a scope per stream,
-        # and a Counter() takes four times as long to construct.
-        self._requests: defaultdict[tuple[str, str], int] = defaultdict(int)
-        self._bytes_in: defaultdict[str, int] = defaultdict(int)
-        self._bytes_out: defaultdict[str, int] = defaultdict(int)
+    def __init__(self, stack: list["MeterScope"]) -> None:
+        self._stack = stack
+        self._requests: dict[tuple[str, str], int] = {}
+        self._bytes_in: dict[str, int] = {}
+        self._bytes_out: dict[str, int] = {}
         self._box_usage_hours = 0.0
-        self._read_units: defaultdict[str, float] = defaultdict(int)
-        self._write_units: defaultdict[str, float] = defaultdict(int)
+        self._read_units: dict[str, float] = {}
+        self._write_units: dict[str, float] = {}
+
+    def __enter__(self) -> "MeterScope":
+        self._stack.append(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stack.pop()
 
     def usage(self) -> Usage:
         """The scope's accumulated activity as an immutable snapshot."""
@@ -275,7 +266,7 @@ class MeterScope:
 
     def _usage(self, stored_bytes: tuple[tuple[str, int], ...]) -> Usage:
         return Usage(
-            requests=tuple(sorted(self._requests.items())),
+            requests=self.requests,
             bytes_in=tuple(sorted(self._bytes_in.items())),
             bytes_out=tuple(sorted(self._bytes_out.items())),
             byte_seconds=(),
@@ -285,13 +276,22 @@ class MeterScope:
             write_capacity_units=tuple(sorted(self._write_units.items())),
         )
 
-    # Convenience accessors mirroring Usage (hot path for per-shard triples).
+    # Accessors mirroring Usage's, read without building one.
 
-    def request_count(self) -> int:
-        return sum(self._requests.values())
+    @property
+    def requests(self) -> tuple[tuple[tuple[str, str], int], ...]:
+        """Request counts in ``(service, op)`` order, as ``Usage.requests``."""
+        return tuple(sorted(self._requests.items()))
 
-    def transfer_out(self) -> int:
-        return sum(self._bytes_out.values())
+    def request_count(self, service: str | None = None) -> int:
+        if service is None:
+            return sum(self._requests.values())
+        return sum(n for (svc, _), n in self._requests.items() if svc == service)
+
+    def transfer_out(self, service: str | None = None) -> int:
+        if service is None:
+            return sum(self._bytes_out.values())
+        return self._bytes_out.get(service, 0)
 
 
 class Meter:
@@ -322,19 +322,15 @@ class Meter:
 
     # -- scoped accounting -----------------------------------------------
 
-    @contextmanager
-    def scoped(self) -> Iterator[MeterScope]:
-        """Attribute the records made inside the block to a fresh scope.
+    def scoped(self) -> MeterScope:
+        """A fresh scope, to use as ``with meter.scoped() as scope:``.
 
-        Scopes nest: an inner scope's records are also credited to the
-        enclosing one. A block that raises still pops its scope.
+        The records made inside the block are credited to it. Scopes
+        nest: an inner scope's records are also credited to the
+        enclosing one. A block that raises still pops its scope, and
+        the scope stays readable after the block.
         """
-        scope = MeterScope()
-        self._scopes.append(scope)
-        try:
-            yield scope
-        finally:
-            self._scopes.pop()
+        return MeterScope(self._scopes)
 
     def spent(self, scope: MeterScope) -> Usage:
         """What ``snapshot() - before`` reads for the block ``scope``
@@ -350,26 +346,27 @@ class Meter:
     # -- recording -------------------------------------------------------
 
     def record_request(self, service: str, op: str, count: int = 1) -> None:
-        self._requests[(service, op)] += count
+        key = (service, op)
+        self._requests[key] += count
         box_hours = 0.0
         if service == SDB:
             box_hours = SDB_BOX_USAGE_HOURS.get(op, 1.0e-5) * count
             self._box_usage_hours += box_hours
         for scope in self._scopes:
-            scope._requests[(service, op)] += count
+            scope._requests[key] = scope._requests.get(key, 0) + count
             scope._box_usage_hours += box_hours
 
     def record_transfer_in(self, service: str, nbytes: int) -> None:
         if nbytes:
             self._bytes_in[service] += nbytes
             for scope in self._scopes:
-                scope._bytes_in[service] += nbytes
+                scope._bytes_in[service] = scope._bytes_in.get(service, 0) + nbytes
 
     def record_transfer_out(self, service: str, nbytes: int) -> None:
         if nbytes:
             self._bytes_out[service] += nbytes
             for scope in self._scopes:
-                scope._bytes_out[service] += nbytes
+                scope._bytes_out[service] = scope._bytes_out.get(service, 0) + nbytes
 
     def record_capacity(
         self, service: str, read_units: float = 0.0, write_units: float = 0.0
@@ -378,11 +375,11 @@ class Meter:
         if read_units:
             self._read_units[service] += read_units
             for scope in self._scopes:
-                scope._read_units[service] += read_units
+                scope._read_units[service] = scope._read_units.get(service, 0) + read_units
         if write_units:
             self._write_units[service] += write_units
             for scope in self._scopes:
-                scope._write_units[service] += write_units
+                scope._write_units[service] = scope._write_units.get(service, 0) + write_units
 
     def record_box_usage(self, hours: float) -> None:
         """Add explicit SimpleDB machine time (e.g. for expensive scans)."""

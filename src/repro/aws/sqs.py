@@ -70,6 +70,9 @@ class _Queue:
     name: str
     visibility_timeout: float
     hosts: list[dict[str, _StoredMessage]] = field(default_factory=list)
+    #: A lower bound on the enqueue time of every message held: the
+    #: expiry walk runs only once it falls behind the retention cutoff.
+    earliest: float = float("inf")
 
 
 class SQSService:
@@ -191,6 +194,7 @@ class SQSService:
             )
             queue.hosts[message.host][message.message_id] = message
             message_ids.append(message.message_id)
+        queue.earliest = min(queue.earliest, self._clock.now)
         total = sum(sizes)
         self._meter.record_transfer_in(billing.SQS, total)
         self._meter.adjust_stored(billing.SQS, total)
@@ -390,16 +394,22 @@ class SQSService:
         if self._retention <= 0:
             return
         cutoff = self._clock.now - self._retention
+        if queue.earliest >= cutoff:
+            return  # nothing held is old enough to expire
         # A host dict is in enqueue order and the clock never runs
-        # backwards, so the expired messages are a prefix of each host.
+        # backwards, so the expired messages are a prefix of each host
+        # and the first survivor is the host's earliest.
+        earliest = float("inf")
         for host in queue.hosts:
             while host:
                 message_id, message = next(iter(host.items()))
                 if message.enqueued_at >= cutoff:
+                    earliest = min(earliest, message.enqueued_at)
                     break
                 del host[message_id]
                 self._meter.adjust_stored(billing.SQS, -message.nbytes)
                 self.messages_expired += 1
+        queue.earliest = earliest
 
     def _request(self, op: str) -> None:
         self._faults.before_request(billing.SQS, op)

@@ -169,12 +169,12 @@ class _Metered:
 
     def _spent(self, scope: MeterScope) -> tuple[Usage, int, int]:
         """What the query that ran inside ``scope`` spent, and the
-        read-cache tier's share of its requests and bytes out."""
-        usage = self.account.meter.spent(scope)
+        read-cache tier's share of its requests and bytes out (read off
+        the scope: the one ``Usage`` a query builds is its own)."""
         return (
-            usage,
-            usage.request_count(ELASTICACHE),
-            usage.transfer_out(ELASTICACHE),
+            self.account.meter.spent(scope),
+            scope.request_count(ELASTICACHE),
+            scope.transfer_out(ELASTICACHE),
         )
 
 
@@ -407,9 +407,12 @@ class SimpleDBEngine(_Metered):
         submission order; its spend is captured in a meter scope nested
         in the query's (including any S3 overflow GETs issued while
         decoding that shard's items), so per-shard spend sums to the
-        query total. The wave's modeled makespan at ``concurrency``
-        accrues to the query's critical-path latency; the plain sum
-        accrues to its sequential latency.
+        query total. The stream's split and modeled duration are read
+        straight off its scope, with no per-stream ``Usage`` snapshot
+        (only the sanitizer's running sum takes one). The wave's
+        modeled makespan at ``concurrency`` accrues to the query's
+        critical-path latency; the plain sum accrues to its sequential
+        latency.
         """
         meter = self.account.meter
         durations: list[float] = []
@@ -417,9 +420,8 @@ class SimpleDBEngine(_Metered):
         for domain, fn in tasks:
             with meter.scoped() as scope:
                 results.append(fn())
-            usage = scope.usage()
-            cache_ops = usage.request_count(ELASTICACHE)
-            cache_bytes = usage.transfer_out(ELASTICACHE)
+            cache_ops = scope.request_count(ELASTICACHE)
+            cache_bytes = scope.transfer_out(ELASTICACHE)
             ops, nbytes = self._shard_spend.get(domain, (0, 0))
             self._shard_spend[domain] = (
                 ops + scope.request_count() - cache_ops,
@@ -434,8 +436,8 @@ class SimpleDBEngine(_Metered):
                     held_bytes + cache_bytes,
                 )
             if self._attributed is not None:
-                self._attributed += usage
-            durations.append(self.latency_model.stream_seconds(usage))
+                self._attributed += scope.usage()
+            durations.append(self.latency_model.stream_seconds(scope))
         self._latency += makespan(durations, self.concurrency)
         self._sequential_latency += sum(durations)
         return results
@@ -526,7 +528,7 @@ class SimpleDBEngine(_Metered):
             self._credit_cache_scope(scope)
         return value
 
-    def _credit_cache_scope(self, scope) -> None:
+    def _credit_cache_scope(self, scope: MeterScope) -> None:
         """Accrue one scoped memo consult/fill to the cache split.
 
         Its modeled round trips accrue to both latency totals (a memo
@@ -539,10 +541,9 @@ class SimpleDBEngine(_Metered):
         if ops or nbytes:
             held, held_bytes = self._cache_spend.get("elasticache", (0, 0))
             self._cache_spend["elasticache"] = (held + ops, held_bytes + nbytes)
-            usage = scope.usage()
             if self._attributed is not None:
-                self._attributed += usage
-            seconds = self.latency_model.stream_seconds(usage)
+                self._attributed += scope.usage()
+            seconds = self.latency_model.stream_seconds(scope)
             self._latency += seconds
             self._sequential_latency += seconds
 

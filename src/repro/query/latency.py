@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.aws import billing
-from repro.aws.billing import Usage
+from repro.aws.billing import MeterScope, Usage
 
 #: Modeled round-trip seconds per (service, operation), ~2009 WAN numbers:
 #: SimpleDB answers from an index in tens of milliseconds; S3 metadata
@@ -76,8 +76,11 @@ class QueryLatencyModel:
     default_rtt: float = 0.025
     bandwidth_bytes_per_s: float = 8 * 1024 * 1024  # ~64 Mbit/s downlink
 
-    def stream_seconds(self, usage: Usage) -> float:
-        """Modeled wall-clock for one sequential request stream."""
+    def stream_seconds(self, usage: Usage | MeterScope) -> float:
+        """Modeled wall-clock for one sequential request stream, priced
+        from its :class:`Usage` or straight off its meter scope (both
+        list requests in ``(service, op)`` order, so the float sum is
+        the same either way)."""
         seconds = 0.0
         for (service, op), count in usage.requests:
             seconds += self.rtt.get((service, op), self.default_rtt) * count

@@ -1,6 +1,7 @@
 """Unit tests for metering and the Jan-2009 price book."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.aws import billing
 from repro.aws.account import AWSAccount, ConsistencyConfig
@@ -73,6 +74,35 @@ class TestMeter:
         delta = meter.snapshot() - before
         assert delta.request_count(billing.S3, "PUT") == 3
         assert delta.transfer_out() == 100
+
+
+def _counted(keys, values):
+    return st.dictionaries(keys, values).map(lambda d: tuple(sorted(d.items())))
+
+
+_SERVICES = st.sampled_from([billing.S3, billing.SDB, billing.SQS, billing.DDB])
+_COUNTS = st.integers(1, 10**9)
+#: Integral floats: their sums and differences are exact, so the
+#: round trip can be asserted with ``==``.
+_AMOUNTS = _COUNTS.map(float)
+_USAGES = st.builds(
+    billing.Usage,
+    requests=_counted(st.tuples(_SERVICES, st.sampled_from(["GET", "PUT", "Query"])), _COUNTS),
+    bytes_in=_counted(_SERVICES, _COUNTS),
+    bytes_out=_counted(_SERVICES, _COUNTS),
+    byte_seconds=_counted(_SERVICES, _AMOUNTS),
+    stored_bytes=st.just(()),
+    box_usage_hours=_AMOUNTS,
+    read_capacity_units=_counted(_SERVICES, _AMOUNTS),
+    write_capacity_units=_counted(_SERVICES, _AMOUNTS),
+)
+
+
+@given(_USAGES, _USAGES)
+def test_usage_difference_keeps_its_sign_on_every_counted_field(a, b):
+    """``byte_seconds`` used to drop negative differences (a Counter
+    minus a Counter) while every other field kept them."""
+    assert (a - b) + b == a
 
 
 class TestPriceBook:

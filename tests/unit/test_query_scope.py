@@ -13,6 +13,11 @@ two account-wide snapshots and a ``Usage`` diff would have read.
   query correctly.
 * **No zero entries** — a read-only query leaves no zero-valued key in
   any scope's ``Usage`` (the snapshot diff never had any).
+* **Scope contract** — a scope is a plain context manager: nested
+  scopes are both credited in record order, a scope stays readable
+  after it closes, a raising block pops it; read directly it prices and
+  counts exactly as its ``Usage`` would, and a query builds one
+  ``Usage`` — its own.
 """
 
 from __future__ import annotations
@@ -24,10 +29,15 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.aws import billing
 from repro.aws.account import ConsistencyConfig
 from repro.aws.billing import ELASTICACHE, Meter, MeterScope, Usage
+from repro.clock import SimClock
+from repro.devtools import sanitize
 from repro.errors import ServiceUnavailable
+from repro.query.latency import DEFAULT_LATENCY_MODEL
 from repro.sim import Simulation
 from repro.workloads import CombinedWorkload
 
@@ -283,3 +293,111 @@ def test_every_wave_width_runs_the_same_requests():
         if concurrency > 1:
             assert all(m.latency < m.sequential_latency for m in measured)
     assert all(run == runs[0] for run in runs[1:])
+
+
+# -- the scope contract ------------------------------------------------------------
+
+
+def test_nested_scopes_are_both_credited_in_record_order():
+    meter = Meter(SimClock())
+    with meter.scoped() as outer:
+        meter.record_capacity(billing.DDB, read_units=0.1)
+        meter.record_request(billing.SDB, "Query")
+        with meter.scoped() as inner:
+            meter.record_capacity(billing.DDB, read_units=0.2)
+            meter.record_capacity(billing.DDB, read_units=0.3)
+            meter.record_request(billing.SDB, "GetAttributes", count=2)
+    # Left to right: 0.1 + 0.2 + 0.3 != 0.1 + (0.2 + 0.3) in floats.
+    assert outer.usage().read_capacity_units == ((billing.DDB, 0.1 + 0.2 + 0.3),)
+    assert inner.usage().read_capacity_units == ((billing.DDB, 0.2 + 0.3),)
+    query, get = (billing.SDB_BOX_USAGE_HOURS[op] for op in ("Query", "GetAttributes"))
+    assert outer.usage().box_usage_hours == 0.0 + query + get * 2
+    assert inner.usage().box_usage_hours == 0.0 + get * 2
+    assert (outer.request_count(), inner.request_count()) == (3, 2)
+
+
+def test_a_scope_stays_readable_after_its_enclosing_scope_closes():
+    meter = Meter(SimClock())
+    with meter.scoped():
+        with meter.scoped() as inner:
+            meter.record_request(billing.S3, "GET")
+            meter.record_transfer_out(billing.S3, 40)
+    meter.record_request(billing.S3, "GET")  # no scope is open any more
+    assert meter._scopes == []
+    assert inner.requests == (((billing.S3, "GET"), 1),)
+    assert (inner.request_count(), inner.transfer_out()) == (1, 40)
+    assert inner.usage().bytes_out == ((billing.S3, 40),)
+
+
+def test_a_raising_block_pops_its_scope_and_reraises():
+    meter = Meter(SimClock())
+    with pytest.raises(KeyError):
+        with meter.scoped() as outer:
+            with meter.scoped() as inner:
+                meter.record_request(billing.SQS, "SendMessage")
+                raise KeyError("boom")
+    assert meter._scopes == []
+    meter.record_request(billing.SQS, "SendMessage")
+    assert outer.request_count() == inner.request_count() == 1
+
+
+_SERVICES = st.sampled_from([billing.S3, billing.SDB, billing.DDB, ELASTICACHE])
+_RECORDS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("request"), _SERVICES,
+            st.sampled_from(["GET", "Query", "GetAttributes", "Get", "Scan"]),
+            st.integers(1, 5),
+        ),
+        st.tuples(st.just("in"), _SERVICES, st.integers(0, 10**6)),
+        st.tuples(st.just("out"), _SERVICES, st.integers(0, 10**6)),
+        st.tuples(
+            st.just("capacity"), _SERVICES,
+            st.floats(0, 50, allow_nan=False), st.floats(0, 50, allow_nan=False),
+        ),
+        st.tuples(st.just("box"), st.floats(0, 1, allow_nan=False)),
+    ),
+    max_size=30,
+)
+
+
+@given(_RECORDS)
+def test_a_scope_read_directly_agrees_with_its_usage(records):
+    meter = Meter(SimClock())
+    with meter.scoped() as scope:
+        for kind, *args in records:
+            record = {
+                "request": meter.record_request,
+                "in": meter.record_transfer_in,
+                "out": meter.record_transfer_out,
+                "capacity": meter.record_capacity,
+                "box": meter.record_box_usage,
+            }[kind]
+            record(*args)
+    usage = scope.usage()
+    seconds = DEFAULT_LATENCY_MODEL.stream_seconds(scope)
+    assert seconds.hex() == DEFAULT_LATENCY_MODEL.stream_seconds(usage).hex()
+    assert scope.requests == usage.requests
+    for service in (None, billing.S3, billing.SDB, billing.DDB, ELASTICACHE):
+        assert scope.request_count(service) == usage.request_count(service)
+        assert scope.transfer_out(service) == usage.transfer_out(service)
+
+
+@pytest.mark.parametrize("name", ("q1", "q2"))
+def test_a_query_builds_exactly_one_usage(monkeypatch, name):
+    """The structural claim behind the cheap measurement: stream scopes
+    are read directly, so the only ``Usage`` a query builds is the one
+    its measurement carries (the sanitizer, off here, sums more)."""
+    monkeypatch.setattr(sanitize, "ACTIVE", False)
+    engine = loaded().query_engine()
+    built: list[Usage] = []
+    init = Usage.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Usage, "__init__", counting_init)
+    measurement = issue(engine, name)
+    assert measurement.refs
+    assert len(built) == 1 and built[0] is measurement.usage

@@ -1,8 +1,14 @@
 """Unit tests for the SQS simulator."""
 
+import random
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro import errors
+from repro.aws import billing
+from repro.aws.sqs import SQSService
+from repro.clock import SimClock
 from repro.units import KB, SECONDS_PER_DAY
 
 
@@ -243,3 +249,70 @@ class TestInterleavedClients:
         # so each body is claimed exactly once.
         claimed = [body for mine in per_receiver for body in mine]
         assert sorted(claimed) == sorted(f"m{i}" for i in range(total))
+
+
+class _WalkEveryRequest(SQSService):
+    """The reference: the expiry walk on every request, whatever the
+    queue's earliest-enqueue bound says."""
+
+    def _expire_old_messages(self, queue):
+        queue.earliest = -float("inf")
+        super()._expire_old_messages(queue)
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(1, 3)),
+        st.tuples(st.just("receive"), st.integers(1, 10)),
+        st.tuples(st.just("delete"), st.integers(0, 50)),
+        st.tuples(st.just("advance"), st.integers(0, 60)),
+    ),
+    max_size=60,
+)
+
+
+def _deploy(cls):
+    clock = SimClock()
+    meter = billing.Meter(clock)
+    sqs = cls(clock, random.Random(7), meter, host_count=3, retention_seconds=100.0)
+    return clock, meter, sqs, sqs.create_queue("q")
+
+
+def _request(world, step, n, handles):
+    """Issue one request; return the receipt handles it delivered (or
+    failed to delete) and the queue's accounting right after it."""
+    _, meter, sqs, url = world
+    handled = []
+    if step == "send":
+        sqs.send_message_batch(url, [f"m{n}-{i}" * (i + 1) for i in range(n)])
+    elif step == "receive":
+        handled = [m.receipt_handle for m in sqs.receive_message(url, max_messages=n)]
+    elif handles:  # a superseded handle fails its entry, not the call
+        handled = sqs.delete_message_batch(url, [handles[n % len(handles)]])
+    return handled, (
+        sqs.messages_expired,
+        meter.stored_bytes(billing.SQS),
+        sqs.exact_message_count(url),
+    )
+
+
+@given(_STEPS)
+# Survivors of a walk enqueued at different times on different hosts:
+# the bound must be the earliest of them, not the last host's.
+@example([("send", 2), ("advance", 10), ("send", 1), ("advance", 50), ("send", 3),
+          ("advance", 50), ("receive", 1), ("advance", 10), ("send", 1)])
+def test_bounded_expiry_matches_a_walk_on_every_request(steps):
+    """Sends, receives and deletes interleaved with clock steps past a
+    100 s retention: after every request the expired count, the metered
+    stored bytes and the message count equal the reference's."""
+    fast, reference = _deploy(SQSService), _deploy(_WalkEveryRequest)
+    handles: list[str] = []
+    for step, n in steps:
+        if step == "advance":
+            fast[0].advance(n)
+            reference[0].advance(n)
+            continue
+        observed = _request(fast, step, n, handles)
+        assert observed == _request(reference, step, n, handles)
+        if step == "receive":
+            handles.extend(observed[0])
