@@ -361,16 +361,6 @@ class SQSService:
         queue = self._queue(url)
         return sum(len(host) for host in queue.hosts)
 
-    def exact_visible_count(self, url: str) -> int:
-        queue = self._queue(url)
-        now = self._clock.now
-        return sum(
-            1
-            for host in queue.hosts
-            for message in host.values()
-            if message.visible_at <= now
-        )
-
     # -- internals -------------------------------------------------------------------
 
     @staticmethod

@@ -92,9 +92,11 @@ class MatrixCell:
     planner: str = "off"
 
     def __post_init__(self):
-        # Every repetition probes Q1 and Q4, which only the SimpleDB
+        # Every repetition probes Q1 and Q4, which only the indexed
         # engine answers — the A1 scan engine has neither.
-        supported = sorted(set(ARCHITECTURES) - {"s3"})
+        supported = sorted(
+            name for name, store in ARCHITECTURES.items() if store.has_provenance_domain
+        )
         if self.architecture not in supported:
             raise ValueError(
                 f"a matrix cell's architecture must be one of {supported}, "

@@ -165,8 +165,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
     except ValueError as exc:  # e.g. a malformed --backend/--migrate spec
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # A1 keeps provenance in object metadata: no domain to shard, place,
+    # query by index or migrate.
+    has_domain = sim.store_class.has_provenance_domain
     if args.shards > 1:
-        if sim.architecture == "s3":
+        if not has_domain:
             print("note: --shards has no effect on the s3 architecture "
                   "(provenance lives in object metadata, not SimpleDB)")
         else:
@@ -175,7 +178,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 f"{', '.join(sim.store.router.domains)}"
             )
     router = sim.store.router
-    if sim.architecture != "s3" and router.uses_backend("ddb"):
+    if has_domain and router.uses_backend("ddb"):
         placed = ", ".join(
             f"{domain}->{kind}" for domain, kind in router.placement_by_domain().items()
         )
@@ -200,7 +203,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"read back {result.subject.encode()} consistent={result.consistent}")
     for record in result.bundle.records:
         print(f"  {record}")
-    if sim.architecture != "s3":
+    if has_domain:
         engine = sim.query_engine()
         outputs = engine.q2_outputs_of("analyze")
         mode = (
@@ -230,7 +233,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 f"evictions {cache.evictions}, "
                 f"{cache.stored_nbytes()}B cached)"
             )
-    if migration is not None and sim.architecture == "s3":
+    if migration is not None and not has_domain:
         print("note: --migrate has no effect on the s3 architecture "
               "(provenance lives in object metadata, not a shard layout)")
     elif migration is not None:

@@ -9,10 +9,10 @@
   per-client SQS write-ahead log, commit daemon, and cleaner daemon
   (all properties hold).
 
-:data:`ARCHITECTURES` names them once and :func:`make_architecture`
-builds one by name — the registry and the builder every driver
-(:mod:`repro.sim`, :mod:`repro.fleet`, the property checkers, the test
-fixtures) goes through. :mod:`repro.core.properties` turns Table 1 into
+:data:`ARCHITECTURES` names them once, :func:`architecture_class` looks
+one up by name and :func:`make_architecture` builds one — the registry
+and the builder every driver (:mod:`repro.sim`, :mod:`repro.fleet`, the
+property checkers, the test fixtures) goes through. :mod:`repro.core.properties` turns Table 1 into
 executable checks.
 """
 
@@ -33,6 +33,15 @@ ARCHITECTURES = {
 RETRY_ATTEMPTS = 12
 
 
+def architecture_class(name: str) -> type[ProvenanceCloudStore]:
+    """The store class with paper name ``name``."""
+    if name not in ARCHITECTURES:
+        raise ValueError(
+            f"unknown architecture {name!r}; expected one of {sorted(ARCHITECTURES)}"
+        )
+    return ARCHITECTURES[name]
+
+
 def make_architecture(name, account, **kwargs) -> ProvenanceCloudStore:
     """Build and provision the architecture with paper name ``name``.
 
@@ -41,15 +50,12 @@ def make_architecture(name, account, **kwargs) -> ProvenanceCloudStore:
     :class:`RetryPolicy` whose wait advances the account's simulated
     clock — a client sleeping between retries while replicas converge.
     """
-    if name not in ARCHITECTURES:
-        raise ValueError(
-            f"unknown architecture {name!r}; expected one of {sorted(ARCHITECTURES)}"
-        )
+    store_class = architecture_class(name)
     kwargs.setdefault(
         "retry",
         RetryPolicy(RETRY_ATTEMPTS, wait=lambda: account.clock.advance(0.5)),
     )
-    store = ARCHITECTURES[name](account, **kwargs)
+    store = store_class(account, **kwargs)
     store.provision()
     return store
 
@@ -69,5 +75,6 @@ __all__ = [
     "PropertyReport",
     "evaluate_architecture",
     "ARCHITECTURES",
+    "architecture_class",
     "make_architecture",
 ]

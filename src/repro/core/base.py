@@ -150,11 +150,19 @@ class ProvenanceCloudStore:
 
     #: Paper name, e.g. ``"s3+simpledb"``.
     name: str = "abstract"
+    #: Whether provenance lives in a domain of its own. A1 keeps it in
+    #: object metadata instead, so it has no provenance domain to shard,
+    #: batch writes into, migrate, or query by index — the one difference
+    #: every driver reads here instead of testing the architecture name.
+    has_provenance_domain: bool = True
 
     def __init__(self, account: AWSAccount, faults: FaultPlan = NO_FAULTS,
                  retry: RetryPolicy | None = None, shards: int = 1,
-                 router: ShardRouter | RouterHandle | None = None):
+                 router: ShardRouter | RouterHandle | None = None,
+                 client_id: str = "client-0"):
         self.account = account
+        #: The client host this store runs on (A3 names its WAL queue after it).
+        self.client_id = client_id
         self.faults = faults
         self.retry = retry or RetryPolicy()
         #: Shared routing-epoch indirection over the provenance shard
@@ -221,6 +229,16 @@ class ProvenanceCloudStore:
             self.store(event)
             count += 1
         return count
+
+    def pump(self) -> int:
+        """Apply what the store has logged but not yet committed; returns
+        applies. Only A3 logs ahead of its writes, so by default there is
+        nothing to apply."""
+        return 0
+
+    def wal_backlog(self) -> int:
+        """Messages still on the store's write-ahead log (0 without one)."""
+        return 0
 
     # -- the read protocol ------------------------------------------------------
 

@@ -254,8 +254,7 @@ def check_consistency(architecture: str, seed: int = 0) -> tuple[bool, str]:
     unresolved = 0
     for event in events:
         store.store(event)
-        if isinstance(store, S3SimpleDBSQS):
-            store.pump()  # reads see only committed state
+        store.pump()  # reads see only committed state
         try:
             result = store.read(event.subject.name)
         except ReadCorrectnessViolation:
@@ -320,21 +319,17 @@ def check_efficient_query(architecture: str, seed: int = 0) -> tuple[bool, str]:
         architecture, seed, consistency=ConsistencyConfig.strong()
     )
     store.store_trace(trace)
-    if isinstance(store, S3SimpleDBSQS):
-        store.pump()
+    store.pump()
     account.quiesce()
     n_objects = len(trace)
 
     # Imported here, not at module top: repro.core.__init__ pulls this
     # module in, so a top-level engine import would make the whole
     # repro.core package unimportable from within repro.query.
-    from repro.query.engine import S3ScanEngine, SimpleDBEngine
+    from repro.query.engine import query_engine_for
 
-    if architecture == "s3":
-        engine = S3ScanEngine(account)
-    else:
-        # Same pinned router as the store (_build): query where it wrote.
-        engine = SimpleDBEngine(account, router=store.router)
+    # Same pinned router as the store (_build): query where it wrote.
+    engine = query_engine_for(type(store), account, router=store.router)
     measurement = engine.q2_outputs_of("blast")
 
     # Correctness first: an efficient wrong answer is worthless.

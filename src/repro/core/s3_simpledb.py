@@ -81,8 +81,11 @@ class S3SimpleDB(ProvenanceCloudStore):
         shards: int = 1,
         router=None,
         write_batch: int | None = None,
+        client_id: str = "client-0",
     ):
-        super().__init__(account, faults, retry, shards=shards, router=router)
+        super().__init__(
+            account, faults, retry, shards=shards, router=router, client_id=client_id
+        )
         self.consistency_retries = 0
         self.orphans_removed = 0
         #: Group-commit buffer for step 3. At ``write_batch=1`` (default)

@@ -66,9 +66,8 @@ class S3SimpleDBSQS(S3SimpleDB):
     ):
         super().__init__(
             account, faults, retry, shards=shards, router=router,
-            write_batch=write_batch,
+            write_batch=write_batch, client_id=client_id,
         )
-        self.client_id = client_id
         self.epoch = next(_EPOCHS)
         self.queue_url: str | None = None
         self._txn_counter = itertools.count(1)
@@ -118,12 +117,12 @@ class S3SimpleDBSQS(S3SimpleDB):
         )
         return self._commit_daemon
 
-    def pump(self, force: bool = True) -> int:
+    def pump(self) -> int:
         """Run the commit daemon until the WAL drains; returns applies."""
-        daemon = self.commit_daemon
-        if force:
-            return daemon.drain()
-        return daemon.run_once()
+        return self.commit_daemon.drain()
+
+    def wal_backlog(self) -> int:
+        return self.account.sqs.exact_message_count(self.queue_url)
 
     # -- store protocol: the log phase (§4.3 step 1) ---------------------------
 

@@ -59,6 +59,7 @@ class S3Standalone(ProvenanceCloudStore):
     """Provenance as S3 object metadata — one atomic PUT per close."""
 
     name = "s3"
+    has_provenance_domain = False
 
     def __init__(
         self,
@@ -67,10 +68,17 @@ class S3Standalone(ProvenanceCloudStore):
         retry: RetryPolicy | None = None,
         shards: int = 1,
         router=None,
+        write_batch: int | None = None,
+        client_id: str = "client-0",
     ):
-        # A1 keeps no SimpleDB domain; the router is accepted (so the
-        # fleet can construct every architecture uniformly) but unused.
-        super().__init__(account, faults, retry, shards=shards, router=router)
+        # A1 keeps no provenance domain; the router and the default
+        # width are accepted (so every driver constructs every
+        # architecture uniformly) but unused.
+        if write_batch is not None:
+            raise ValueError("the s3 architecture has no provenance write path to batch")
+        super().__init__(
+            account, faults, retry, shards=shards, router=router, client_id=client_id
+        )
         self.overflow_objects_written = 0
 
     def _do_provision(self) -> None:

@@ -92,9 +92,9 @@ class ClientFleet(Cloud):
     # -- client lifecycle ----------------------------------------------------
 
     def _spawn(self, name: str) -> FleetClient:
-        # Each A3 client logs to its own WAL queue, named after it.
-        kwargs = {"client_id": name} if self.architecture == "s3+simpledb+sqs" else {}
-        client = FleetClient(name, self.new_store(faults=FaultPlan(), **kwargs))
+        # Each store runs as its client (an A3 client logs to its own
+        # WAL queue, named after it).
+        client = FleetClient(name, self.new_store(faults=FaultPlan(), client_id=name))
         self.clients[name] = client
         return client
 

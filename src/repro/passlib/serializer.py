@@ -21,8 +21,9 @@ Three wire formats, one source of truth:
   additionally carry the ``md5`` consistency record (MD5 of data ‖ nonce)
   and the ``nonce`` itself.
 
-* **wire JSON** — compact dict encoding used by the A3 write-ahead log
-  (SQS messages are 8 KB Unicode strings).
+* **wire JSON** — the canonical compact JSON (:func:`wire_dumps`) the A3
+  write-ahead log writes its message bodies in (SQS messages are 8 KB
+  Unicode strings; :mod:`repro.core.wal` builds the bodies).
 
 Spilled values use deterministic keys derived from the subject and record
 index, so replaying a store protocol (A3's idempotent commit daemon)
@@ -321,48 +322,10 @@ def bundle_from_item(
 
 
 # ---------------------------------------------------------------------------
-# Wire JSON (A3 write-ahead log)
+# Canonical JSON (SQS message bodies)
 # ---------------------------------------------------------------------------
-
-def record_to_wire(record: ProvenanceRecord) -> dict[str, str]:
-    """Compact JSON-able encoding of one record."""
-    return {
-        "s": record.subject.encode(),
-        "a": record.attribute,
-        "v": record.encoded_value(),
-    }
-
-
-def record_from_wire(data: dict[str, str]) -> ProvenanceRecord:
-    subject = ObjectRef.decode(data["s"])
-    attribute = data["a"]
-    value: str | ObjectRef = data["v"]
-    if attribute in Attr.REF_VALUED:
-        value = ObjectRef.decode(data["v"])
-    return ProvenanceRecord(subject, attribute, value)
-
-
-def bundle_to_wire(bundle: ProvenanceBundle) -> dict:
-    return {
-        "subject": bundle.subject.encode(),
-        "kind": bundle.kind,
-        "records": [record_to_wire(r) for r in bundle.records],
-    }
-
-
-def bundle_from_wire(data: dict) -> ProvenanceBundle:
-    subject = ObjectRef.decode(data["subject"])
-    return ProvenanceBundle(
-        subject=subject,
-        kind=data["kind"],
-        records=tuple(record_from_wire(r) for r in data["records"]),
-    )
-
 
 def wire_dumps(payload: dict | list | tuple) -> str:
     """Canonical compact JSON used for SQS bodies (8 KB budget); ASCII."""
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
-
-def wire_loads(text: str) -> dict:
-    return json.loads(text)

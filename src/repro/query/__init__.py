@@ -9,9 +9,10 @@ The paper's Table 3 compares three queries on two backends:
   indexed SimpleDB items, so queries are selective; ancestry (Q3) still
   requires client-side iteration because SimpleDB has no recursion.
 
-Both engines measure themselves through the account meter, so the
-operation/byte counts they report are exactly what the simulated
-services billed.
+:func:`~repro.query.engine.query_engine_for` picks between them by the
+store class's ``has_provenance_domain``. Both engines measure
+themselves through the account meter, so the operation/byte counts
+they report are exactly what the simulated services billed.
 """
 
 from repro.query.ancestry import AncestryWalker
@@ -19,6 +20,7 @@ from repro.query.engine import (
     QueryMeasurement,
     S3ScanEngine,
     SimpleDBEngine,
+    query_engine_for,
 )
 
 __all__ = [
@@ -26,4 +28,5 @@ __all__ = [
     "S3ScanEngine",
     "SimpleDBEngine",
     "AncestryWalker",
+    "query_engine_for",
 ]

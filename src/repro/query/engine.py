@@ -65,7 +65,12 @@ from typing import Callable, Iterable, TypeVar
 from repro.aws.account import AWSAccount
 from repro.aws.billing import ELASTICACHE, MeterScope, Usage
 from repro.aws.sdb_query import CompiledQuery, parse_query, quote_literal
-from repro.core.base import DATA_BUCKET, fetch_overflow, read_provenance_item
+from repro.core.base import (
+    DATA_BUCKET,
+    ProvenanceCloudStore,
+    fetch_overflow,
+    read_provenance_item,
+)
 from repro.devtools import sanitize
 from repro.errors import NoSuchKey
 from repro.knobs import positive_int
@@ -76,6 +81,7 @@ from repro.passlib.serializer import (
     parse_nonce,
 )
 from repro.migration.handle import RouterHandle, Site, as_handle, fresh_handle
+from repro.query.ancestry import AncestryWalker
 from repro.query.latency import DEFAULT_LATENCY_MODEL, makespan
 from repro.query.planner import QueryPlanner, resolve_planner
 from repro.sharding import ShardRouter
@@ -255,7 +261,7 @@ class S3ScanEngine(_Metered):
     def q2_outputs_of(self, program: str) -> QueryMeasurement:
         """Files that are outputs of ``program`` — via a full scan."""
         with self.account.meter.scoped() as scope:
-            refs = _direct_outputs(self.scan_bundles(), program)
+            refs = AncestryWalker(self.scan_bundles()).outputs_of(program)
         return self._measure(refs, scope)
 
     def q3_descendants_of(self, program: str) -> QueryMeasurement:
@@ -266,9 +272,8 @@ class S3ScanEngine(_Metered):
         from a cache".
         """
         with self.account.meter.scoped() as scope:
-            bundles = self.scan_bundles()
-            seeds = _direct_outputs(bundles, program)
-            refs = _descendant_closure(bundles, seeds)
+            walker = AncestryWalker(self.scan_bundles())
+            refs = walker.descendants_of_outputs(program)
         return self._measure(refs, scope)
 
 
@@ -314,9 +319,6 @@ class SimpleDBEngine(_Metered):
         #: Backend adapters by kind; each shard's stream reads through
         #: the adapter its placement names.
         self.backends = account.provenance_backends()
-        #: Retained for single-shard callers (and select rendering when
-        #: N=1); with ``shards > 1`` queries name per-shard domains.
-        self.domain = self.routing.current.domains[0]
         self.ref_batch = ref_batch
         self.select_mode = select_mode
         self.concurrency = positive_int(
@@ -767,8 +769,26 @@ class SimpleDBEngine(_Metered):
         return self._measure_sharded(set(refs), scope)
 
 
+def query_engine_for(
+    architecture: type[ProvenanceCloudStore],
+    account: AWSAccount,
+    router: ShardRouter | RouterHandle | None = None,
+    concurrency: int | None = None,
+    planner: str | None = None,
+) -> S3ScanEngine | SimpleDBEngine:
+    """The Table 3 engine for a store class — the one place the choice
+    is made. An architecture without a provenance domain (A1) is
+    answered by scanning object metadata; the others by the indexed
+    engine on ``router``, with its ``concurrency`` and ``planner``."""
+    if not architecture.has_provenance_domain:
+        return S3ScanEngine(account)
+    return SimpleDBEngine(
+        account, router=router, concurrency=concurrency, planner=planner
+    )
+
+
 # ---------------------------------------------------------------------------
-# Shared closure helpers (also used by the scan engine)
+# Row decoders and memo sizing
 # ---------------------------------------------------------------------------
 
 def _decode_ref(item_name: str, attrs: dict) -> ObjectRef:
@@ -790,41 +810,3 @@ def _memo_nbytes(value) -> int:
         ref, kind = (element, "") if isinstance(element, ObjectRef) else element
         total += len(ref.encode().encode()) + len(kind.encode())
     return total
-
-def _direct_outputs(bundles: list[ProvenanceBundle], program: str) -> set[ObjectRef]:
-    """Files whose inputs include a process instance of ``program``."""
-    instances = {
-        bundle.subject
-        for bundle in bundles
-        if bundle.kind == "process" and program in bundle.attribute_values(Attr.NAME)
-    }
-    return {
-        bundle.subject
-        for bundle in bundles
-        if bundle.kind == "file" and any(ref in instances for ref in bundle.inputs())
-    }
-
-
-def _descendant_closure(
-    bundles: list[ProvenanceBundle], seeds: set[ObjectRef]
-) -> set[ObjectRef]:
-    """Transitive descendants of ``seeds`` (files only), via input edges."""
-    children: dict[ObjectRef, set[ObjectRef]] = {}
-    kind_of: dict[ObjectRef, str] = {}
-    for bundle in bundles:
-        kind_of[bundle.subject] = bundle.kind
-        for parent in bundle.inputs():
-            children.setdefault(parent, set()).add(bundle.subject)
-    visited = set(seeds)
-    results = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        node = frontier.pop()
-        for child in children.get(node, ()):
-            if child in visited:
-                continue
-            visited.add(child)
-            frontier.append(child)
-            if kind_of.get(child) == "file":
-                results.add(child)
-    return results

@@ -176,7 +176,6 @@ class ShardRouter:
     def __init__(
         self,
         shards: int = 1,
-        base_domain: str = DEFAULT_BASE_DOMAIN,
         vnodes: int = DEFAULT_VNODES,
         placement: str | Mapping[int, str] | Sequence[str] | None = None,
     ):
@@ -185,7 +184,6 @@ class ShardRouter:
         if vnodes < 1:
             raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         self.shards = shards
-        self.base_domain = base_domain
         self.vnodes = vnodes
         #: Backend kind per shard index ("sdb"/"ddb"); placement does
         #: not influence routing, only which service hosts each store.
@@ -194,12 +192,12 @@ class ShardRouter:
             # The unsharded paper deployment: one domain, original name,
             # and no ring — domain_for short-circuits, so building one
             # would be pure waste on the common default path.
-            self.domains: tuple[str, ...] = (base_domain,)
+            self.domains: tuple[str, ...] = (DEFAULT_BASE_DOMAIN,)
             self._ring_points: list[int] = []
             self._ring_domains: list[str] = []
             return
         self.domains = tuple(
-            f"{base_domain}-{index:02d}" for index in range(shards)
+            f"{DEFAULT_BASE_DOMAIN}-{index:02d}" for index in range(shards)
         )
         ring: list[tuple[int, str]] = []
         for domain in self.domains:
@@ -235,7 +233,7 @@ class ShardRouter:
     ) -> "ShardRouter":
         """A router for a changed layout, inheriting what isn't overridden.
 
-        Base domain and vnodes always carry over. When ``placement`` is
+        Vnodes always carry over. When ``placement`` is
         not given, the *current placement pattern is tiled* across the
         new shard count — a uniform layout stays uniform, an alternating
         one stays alternating — rather than falling back to the
@@ -247,12 +245,7 @@ class ShardRouter:
             placement = tuple(
                 self.placement[index % self.shards] for index in range(shards)
             )
-        return ShardRouter(
-            shards,
-            base_domain=self.base_domain,
-            vnodes=self.vnodes,
-            placement=placement,
-        )
+        return ShardRouter(shards, vnodes=self.vnodes, placement=placement)
 
     # -- placement ----------------------------------------------------------
 
@@ -297,8 +290,7 @@ class ShardRouter:
         if any(kind != SDB_KIND for kind in self.placement):
             placement = f", placement={'/'.join(self.placement)}"
         return (
-            f"ShardRouter(shards={self.shards}, "
-            f"base_domain={self.base_domain!r}{placement})"
+            f"ShardRouter(shards={self.shards}{placement})"
         )
 
 

@@ -36,13 +36,12 @@ from typing import Iterable
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.faults import FaultPlan, NO_FAULTS
-from repro.core import make_architecture
+from repro.core import architecture_class, make_architecture
 from repro.core.base import ProvenanceCloudStore, ReadResult
-from repro.core.s3_simpledb_sqs import S3SimpleDBSQS
 from repro.migration.handle import as_handle, fresh_handle
 from repro.migration.live import LiveMigration, MigrationReport, begin_live_migration
 from repro.passlib.records import FlushEvent
-from repro.query.engine import S3ScanEngine, SimpleDBEngine
+from repro.query.engine import query_engine_for
 from repro.sharding import ShardRouter
 from repro.workloads.base import TraceStats, Workload
 
@@ -106,8 +105,9 @@ class Cloud:
         access-path planning mode (``"off"``/``"first-fit"``/``"cost"``,
         default off).
         """
-        if architecture == "s3" and write_batch is not None:
-            raise ValueError("the s3 architecture has no provenance write path to batch")
+        #: The architecture's store class; what a driver needs to know
+        #: about the architecture, it reads off this class.
+        self.store_class = architecture_class(architecture)
         if router is None:
             router = fresh_handle(shards, placement=placement)
         elif shards != 1 or placement is not None:
@@ -134,10 +134,9 @@ class Cloud:
     def new_store(self, **store_kwargs) -> ProvenanceCloudStore:
         """One more client of this cloud: a provisioned store of the
         cloud's architecture on the shared routing handle."""
-        if self.architecture != "s3":
-            store_kwargs["write_batch"] = self.write_batch
         return make_architecture(
-            self.architecture, self.account, router=self.routing, **store_kwargs
+            self.architecture, self.account, router=self.routing,
+            write_batch=self.write_batch, **store_kwargs,
         )
 
     def stores(self) -> list[ProvenanceCloudStore]:
@@ -147,17 +146,13 @@ class Cloud:
     def query_engine(self):
         """The Table 3 query engine matching this architecture.
 
-        SimpleDB engines share the cloud's routing handle, so queries
+        Indexed engines share the cloud's routing handle, so queries
         scatter-gather across exactly the domains the stores wrote,
         their waves modeled ``self.concurrency`` streams wide.
         """
-        if self.architecture == "s3":
-            return S3ScanEngine(self.account)
-        return SimpleDBEngine(
-            self.account,
-            router=self.routing,
-            concurrency=self.concurrency,
-            planner=self.planner,
+        return query_engine_for(
+            self.store_class, self.account, router=self.routing,
+            concurrency=self.concurrency, planner=self.planner,
         )
 
     def start_migration(
@@ -175,8 +170,10 @@ class Cloud:
         — observes the double-write window and per-shard cutovers as
         they happen.
         """
-        if self.architecture == "s3":
-            raise ValueError("the s3 architecture has no provenance shards to migrate")
+        if not self.store_class.has_provenance_domain:
+            raise ValueError(
+                f"the {self.architecture} architecture has no provenance shards to migrate"
+            )
         return begin_live_migration(
             self.account, self.routing, shards, placement, router
         )
@@ -192,15 +189,12 @@ class Cloud:
         let timeouts lapse, and go again until every WAL is empty (or
         :data:`SETTLE_ROUNDS` have passed).
         """
-        wal_stores = [s for s in self.stores() if isinstance(s, S3SimpleDBSQS)]
+        stores = self.stores()
         for _ in range(SETTLE_ROUNDS):
-            for store in wal_stores:
+            for store in stores:
                 store.pump()
             self.account.quiesce()
-            if not any(
-                self.account.sqs.exact_message_count(store.queue_url)
-                for store in wal_stores
-            ):
+            if not any(store.wal_backlog() for store in stores):
                 return
             self.account.clock.advance(150.0)  # past the visibility timeout
 
@@ -285,9 +279,8 @@ class Simulation(Cloud):
         return stored
 
     def pump(self) -> None:
-        """Drain the A3 commit daemon (no-op for the other architectures)."""
-        if isinstance(self.store, S3SimpleDBSQS):
-            self.store.pump()
+        """Drain the store's commit daemon (no-op without a WAL)."""
+        self.store.pump()
 
     # -- reading ------------------------------------------------------------
 

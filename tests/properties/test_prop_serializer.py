@@ -101,17 +101,6 @@ def test_simpledb_items_roundtrip(event):
         assert record_set(decoded) == record_set(bundle)
 
 
-@settings(max_examples=80, deadline=None)
-@given(event=flush_events())
-def test_wire_roundtrip(event):
-    for bundle in event.all_bundles():
-        wire = serializer.wire_dumps(serializer.bundle_to_wire(bundle))
-        decoded = serializer.bundle_from_wire(serializer.wire_loads(wire))
-        assert record_set(decoded) == record_set(bundle)
-        assert decoded.subject == bundle.subject
-        assert decoded.kind == bundle.kind
-
-
 @settings(max_examples=60, deadline=None)
 @given(ref=refs)
 def test_objectref_encodings_invertible(ref):

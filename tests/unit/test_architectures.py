@@ -4,7 +4,6 @@ import pytest
 
 from repro.aws.faults import FaultPlan
 from repro.core.base import DATA_BUCKET, PROV_DOMAIN
-from repro.core.s3_simpledb_sqs import S3SimpleDBSQS
 from repro.errors import ClientCrash, ReadCorrectnessViolation
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import Attr
@@ -35,8 +34,7 @@ class TestCommonBehaviour:
     def test_store_then_read_roundtrip(self, any_architecture, trace):
         store = any_architecture
         store.store_trace(trace)
-        if isinstance(store, S3SimpleDBSQS):
-            store.pump()
+        store.pump()
         result = store.read("data/out.csv")
         assert result.consistent
         assert result.data.read() == b"sum\n3\n"
@@ -59,8 +57,7 @@ class TestCommonBehaviour:
                 proc.write("doc", f"round {round_number}".encode())
                 proc.close("doc")
         store.store_trace(pas.drain_flushes())
-        if isinstance(store, S3SimpleDBSQS):
-            store.pump()
+        store.pump()
         result = store.read("doc")
         assert result.subject.version == 2
         assert result.data.read() == b"round 2"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.wal import prov_records
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import Attr
 from repro.passlib import serializer
@@ -116,26 +117,9 @@ class TestSimpleDBItems:
 
 
 class TestWireFormat:
-    def test_record_roundtrip(self):
-        event = event_with_env()
-        for record in event.all_records():
-            wire = serializer.record_to_wire(record)
-            assert serializer.record_from_wire(wire) == record
-
-    def test_bundle_roundtrip(self):
-        event = event_with_env(n_inputs=2)
-        for bundle in event.all_bundles():
-            decoded = serializer.bundle_from_wire(
-                serializer.wire_loads(
-                    serializer.wire_dumps(serializer.bundle_to_wire(bundle))
-                )
-            )
-            assert records_of(decoded) == records_of(bundle)
-            assert decoded.subject == bundle.subject
-
     def test_wire_json_is_compact_and_stable(self):
-        event = event_with_env()
-        payload = serializer.bundle_to_wire(event.bundle)
-        text = serializer.wire_dumps(payload)
-        assert " " not in text.split('"argv"')[0]
-        assert serializer.wire_dumps(payload) == text
+        payload = serializer.to_simpledb_items(event_with_env())[0]
+        (text,) = prov_records("txn-1", payload)
+        assert text.startswith('{"attrs":[["')
+        assert text.endswith(f'"item":"{payload.item_name}","t":"prov","txn":"txn-1"}}')
+        assert prov_records("txn-1", payload) == [text]
