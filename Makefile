@@ -1,7 +1,8 @@
 # Developer entry points — no tox, no extra deps beyond pytest/hypothesis
 # (pytest-benchmark needed only for the bench targets; ruff only for lint).
 #
-#   make test         tier-1 suite (what CI runs, fixed hypothesis profile)
+#   make test         tier-1 suite (what CI runs, fixed hypothesis profile;
+#                     prints the 10 slowest tests)
 #   make test-fast    same suite, fewer hypothesis examples
 #   make test-migration  the live-migration suites alone
 #   make bench-smoke  quick benchmark pass at a reduced live scale
@@ -28,9 +29,10 @@
 #                     cProfile of one phase of a perf-harness workload
 #                     (benchmarks/profile_phase.py): same plan and call
 #                     order as the harness, one warm cycle, then CYCLES
-#                     profiled; json.dumps calls per operation, then top
-#                     30 by tottime and by cumulative. The profile every
-#                     perf PR starts from (ROADMAP aim 1)
+#                     profiled; json.dumps and bundle_from_item calls
+#                     per operation, then top 30 by tottime and by
+#                     cumulative. The profile every perf PR starts
+#                     from (ROADMAP aim 1)
 #   make lint         ruff check over src/tests/benchmarks/examples
 #                     (config: ruff.toml)
 #   make loc          logical line count of src/repro, per module and total
@@ -80,7 +82,7 @@ CYCLES ?= 3
 .PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check bench-perf profile lint lint-prov loc
 
 test:
-	HYPOTHESIS_PROFILE=ci $(PYTEST) -x -q
+	HYPOTHESIS_PROFILE=ci $(PYTEST) -x -q --durations=10
 
 test-fast:
 	HYPOTHESIS_PROFILE=dev $(PYTEST) -x -q

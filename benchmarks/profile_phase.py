@@ -17,10 +17,10 @@ the chosen phase only:
 ``migrate``  the closing online re-shard.
 
 Prints how many operations the profiled calls covered and how many
-``json.dumps`` calls each cost (the serialisation count CHANGES.md
-quotes), then the top 30 functions by ``tottime`` and by
-``cumulative``. Profiled seconds are 2–3× the harness's: read shares
-and call counts, not rates.
+``json.dumps`` and ``bundle_from_item`` calls each cost (the
+serialisation and decode counts CHANGES.md quotes), then the top 30
+functions by ``tottime`` and by ``cumulative``. Profiled seconds are
+2–3× the harness's: read shares and call counts, not rates.
 """
 
 from __future__ import annotations
@@ -103,6 +103,15 @@ def run_cycle(spec, seed: int, phase: str, profiler: cProfile.Profile | None) ->
     return report.items_moved if phase == "migrate" else done
 
 
+def _calls(stats: pstats.Stats, function: str, where: str) -> int:
+    """Calls of ``function`` defined in the file or package ``where``."""
+    return sum(
+        calls
+        for (path, _, name), (_, calls, *_) in stats.stats.items()
+        if name == function and where in (Path(path).name, Path(path).parent.name)
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(BY_NAME))
@@ -119,15 +128,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     stats = pstats.Stats(profiler)
     units, unit = PHASES[args.phase]
-    dumps = sum(
-        calls
-        for (path, _, name), (_, calls, *_) in stats.stats.items()
-        if name == "dumps" and Path(path).parent.name == "json"
-    )
+    per_op = max(operations, 1)
+    dumps = _calls(stats, "dumps", "json")
+    decodes = _calls(stats, "bundle_from_item", "serializer.py")
     print(
         f"{spec.name} seed={args.seed} phase={args.phase}: profiled {args.cycles} cycles, "
         f"{operations} {units}, {stats.total_tt:.2f} s under the profiler; "
-        f"json.dumps {dumps} calls = {dumps / max(operations, 1):.1f} per {unit}"
+        f"json.dumps {dumps} calls = {dumps / per_op:.1f} per {unit}; "
+        f"bundle_from_item {decodes} calls = {decodes / per_op:.2f} per {unit}"
     )
     stats.strip_dirs()
     for order in ("tottime", "cumulative"):

@@ -207,12 +207,6 @@ class ProvenanceBundle:
             if record.attribute == attribute
         ]
 
-    def total_size(self) -> int:
-        """Total encoded bytes (attribute names + values)."""
-        return sum(
-            len(r.attribute.encode()) + r.value_size for r in self.records
-        )
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -247,9 +241,6 @@ class FlushEvent:
     def all_bundles(self) -> tuple[ProvenanceBundle, ...]:
         """Ancestor bundles first, then the file's own bundle."""
         return (*self.ancestors, self.bundle)
-
-    def all_records(self) -> list[ProvenanceRecord]:
-        return [record for bundle in self.all_bundles() for record in bundle]
 
 
 def consistency_token(data_md5: str, nonce: str) -> str:

@@ -159,27 +159,26 @@ def to_s3_metadata(
     emit("", event.subject, event.bundle.records)
     metadata["nonce"] = event.nonce
 
-    # Second pass: the 2 KB ceiling applies to the *total* metadata; keep
-    # spilling the largest values until the payload fits.
-    def total_size() -> int:
-        return sum(len(k.encode()) + len(v.encode()) for k, v in metadata.items())
-
-    while total_size() > metadata_limit:
-        key, value = max(
-            (
-                (k, v)
-                for k, v in metadata.items()
-                if not v.startswith(POINTER_PREFIX) and k != "nonce"
-            ),
-            key=lambda kv: len(kv[1].encode()),
-            default=(None, None),
-        )
-        if key is None:
-            break  # nothing spillable left; let S3 reject the PUT
-        pointer_key = overflow_key(event.subject, spill_index)
-        spill_index += 1
-        overflow.append(OverflowObject(key=pointer_key, value=value))
-        metadata[key] = POINTER_PREFIX + pointer_key
+    # Second pass: the 2 KB ceiling applies to the *total* metadata; spill
+    # the largest remaining values (the first in key order on a tie) until
+    # the payload fits or nothing spillable is left (S3 then rejects the
+    # PUT), keeping a running byte total instead of re-encoding it.
+    size = sum(len(k.encode()) + len(v.encode()) for k, v in metadata.items())
+    if size > metadata_limit:
+        spillable = [
+            (len(v.encode()), k)
+            for k, v in metadata.items()
+            if not v.startswith(POINTER_PREFIX) and k != "nonce"
+        ]
+        spillable.sort(key=lambda candidate: candidate[0], reverse=True)
+        for nbytes, key in spillable:
+            pointer_key = overflow_key(event.subject, spill_index)
+            spill_index += 1
+            overflow.append(OverflowObject(key=pointer_key, value=metadata[key]))
+            metadata[key] = POINTER_PREFIX + pointer_key
+            size += len(metadata[key].encode()) - nbytes
+            if size <= metadata_limit:
+                break
 
     return S3MetadataPayload(metadata=metadata, overflow=tuple(overflow))
 
@@ -295,6 +294,18 @@ def _bundle_to_item(
         attributes=tuple(attributes),
         overflow=tuple(overflow),
     )
+
+
+def overflow_keys(attributes: dict[str, tuple[str, ...]]) -> list[str]:
+    """The S3 keys one item's ``@s3:`` pointers name, in the order
+    :func:`bundle_from_item` fetches them (sorted attribute, then value
+    order): the GETs a reader that needs no records still issues."""
+    return [
+        value[len(POINTER_PREFIX):]
+        for attribute in sorted(attributes)
+        for value in attributes[attribute]
+        if value.startswith(POINTER_PREFIX)
+    ]
 
 
 def bundle_from_item(

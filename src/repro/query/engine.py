@@ -76,8 +76,8 @@ from repro.errors import NoSuchKey
 from repro.knobs import positive_int
 from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
 from repro.passlib.serializer import (
-    bundle_from_item,
     bundles_from_s3_metadata,
+    overflow_keys,
     parse_nonce,
 )
 from repro.migration.handle import RouterHandle, Site, as_handle, fresh_handle
@@ -588,6 +588,14 @@ class SimpleDBEngine(_Metered):
 
     # -- Q1 -------------------------------------------------------------------
 
+    def _item_ref(self, item_name: str, attrs: dict[str, tuple[str, ...]]) -> ObjectRef:
+        """One read item's ref, after GETting its spilled values in decode
+        order (§5 charges Q1 one S3 GET per ``@s3:`` pointer)."""
+        subject = ObjectRef.from_item_name(item_name)
+        for key in overflow_keys(attrs):
+            self._fetch_overflow(key)
+        return subject
+
     def q1(self, ref: ObjectRef) -> QueryMeasurement:
         """Provenance of one object version: a single indexed lookup.
 
@@ -595,17 +603,16 @@ class SimpleDBEngine(_Metered):
         independent of how many shards the domain is split into (during
         a live migration, the source shard until the owning target
         shard cuts over, then the target). With the read-cache tier on,
-        the point read consults the authority first.
+        the point read consults the authority first. Fetches the item
+        and each of its spilled values; returns the item's ref without
+        decoding its records.
         """
         self._begin()
         site = self.routing.read_site(ref.path)
 
         def lookup() -> list[ObjectRef]:
             attrs = read_provenance_item(self.account, site, ref.item_name)
-            if not attrs:
-                return []
-            bundle = bundle_from_item(ref.item_name, attrs, self._fetch_overflow)
-            return [bundle.subject]
+            return [self._item_ref(ref.item_name, attrs)] if attrs else []
 
         with self.account.meter.scoped() as scope:
             refs = self._gather([(self._label(site), lookup)])
@@ -619,17 +626,15 @@ class SimpleDBEngine(_Metered):
         names and issue one GetAttributes per item (plus a GET per
         spilled value); DynamoDB-style shards page a Scan whose items
         already carry their attributes. The N per-shard streams are
-        independent — one wave.
+        independent — one wave. Every item and spilled value is
+        fetched; records are not decoded, since the measurement returns
+        refs only.
         """
         self._begin()
 
         def scan_shard(site: Site) -> list[ObjectRef]:
             items = self.backends[site.kind].enumerate_items(site.domain)
-            return [
-                bundle_from_item(item_name, attrs, self._fetch_overflow).subject
-                for item_name, attrs in items
-                if attrs
-            ]
+            return [self._item_ref(item_name, attrs) for item_name, attrs in items if attrs]
 
         with self.account.meter.scoped() as scope:
             refs = self._gather(

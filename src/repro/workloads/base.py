@@ -194,7 +194,7 @@ class TraceStats:
 
         wal = build_wal_bundle(event, txn_id="stats")
         self.n_wal_messages += len(wal.messages)
-        self.wal_prov_bytes += sum(len(m.encode()) for m in wal.messages)
+        self.wal_prov_bytes += sum(len(m) for m in wal.messages)  # wire_dumps is ASCII
 
 
 def collect_stats(events: Iterable[FlushEvent]) -> TraceStats:

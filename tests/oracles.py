@@ -1,0 +1,81 @@
+"""From-scratch references the optimised code paths are checked against.
+
+Each reference is the straightforward version of a function the library
+implements faster: it re-derives everything on every step, so it is
+slow but obviously right. Tests compare the library's output with the
+reference's, byte for byte.
+"""
+
+from __future__ import annotations
+
+from repro.passlib.records import FlushEvent, ProvenanceRecord
+from repro.passlib.serializer import (
+    POINTER_PREFIX,
+    SPILL_THRESHOLD,
+    OverflowObject,
+    S3MetadataPayload,
+    overflow_key,
+)
+from repro.units import S3_MAX_METADATA_SIZE
+
+
+def reference_s3_metadata(
+    event: FlushEvent,
+    spill_threshold: int = SPILL_THRESHOLD,
+    metadata_limit: int = S3_MAX_METADATA_SIZE,
+) -> S3MetadataPayload:
+    """``to_s3_metadata`` with its size pass spelled out: while the
+    re-encoded total is over the limit, spill the largest value left
+    (``max`` picks the first in key order on a tie), and stop when
+    nothing spillable is left."""
+    metadata: dict[str, str] = {}
+    overflow: list[OverflowObject] = []
+    spill_index = 0
+
+    def emit(prefix: str, records: tuple[ProvenanceRecord, ...]) -> None:
+        nonlocal spill_index
+        counters: dict[str, int] = {}
+        for record in records:
+            occurrence = counters.get(record.attribute, 0)
+            counters[record.attribute] = occurrence + 1
+            key = f"{prefix}{record.attribute}"
+            if occurrence:
+                key = f"{key}.{occurrence}"
+            value = record.encoded_value()
+            if len(value.encode()) > spill_threshold:
+                pointer_key = overflow_key(event.subject, spill_index)
+                spill_index += 1
+                overflow.append(OverflowObject(key=pointer_key, value=value))
+                value = POINTER_PREFIX + pointer_key
+            metadata[key] = value
+
+    for j, ancestor in enumerate(event.ancestors):
+        prefix = f"a{j}."
+        metadata[f"{prefix}subject"] = ancestor.subject.encode()
+        metadata[f"{prefix}kind"] = ancestor.kind
+        emit(prefix, ancestor.records)
+    emit("", event.bundle.records)
+    metadata["nonce"] = event.nonce
+
+    def total_size() -> int:
+        return sum(len(k.encode()) + len(v.encode()) for k, v in metadata.items())
+
+    while total_size() > metadata_limit:
+        key, value = max(
+            (
+                (k, v)
+                for k, v in metadata.items()
+                if not v.startswith(POINTER_PREFIX) and k != "nonce"
+            ),
+            key=lambda kv: len(kv[1].encode()),
+            default=(None, None),
+        )
+        if key is None:
+            break  # nothing spillable left; let S3 reject the PUT
+        pointer_key = overflow_key(event.subject, spill_index)
+        spill_index += 1
+        overflow.append(OverflowObject(key=pointer_key, value=value))
+        metadata[key] = POINTER_PREFIX + pointer_key
+
+    return S3MetadataPayload(metadata=metadata, overflow=tuple(overflow))
+

@@ -11,7 +11,8 @@ from repro.passlib.records import (
     ProvenanceBundle,
     ProvenanceRecord,
 )
-from repro.units import S3_MAX_METADATA_SIZE
+from repro.units import KB, S3_MAX_METADATA_SIZE
+from tests.oracles import reference_s3_metadata
 
 names = st.text(
     alphabet="abcdefghij/._-", min_size=1, max_size=24
@@ -62,6 +63,39 @@ def flush_events(draw):
     )
 
 
+# Up to 3 KB, with a two-byte character so byte and character lengths
+# differ (the size pass ranks and totals encoded bytes).
+sized_values = st.tuples(st.integers(0, 3 * KB), st.sampled_from("xé")).map(
+    lambda spec: spec[1] * (spec[0] // len(spec[1].encode()))
+)
+
+
+@st.composite
+def wide_events(draw):
+    """Bundles of 0-150 records: enough keys that the size pass spills
+    many values, or finds nothing spillable left."""
+    subject = draw(refs)
+    records = tuple(
+        ProvenanceRecord(subject, draw(attributes), draw(sized_values))
+        for _ in range(draw(st.integers(0, 150)))
+    )
+    ancestors = []
+    for index in range(draw(st.integers(0, 2))):
+        ancestor = ObjectRef(f"proc/a{index}", 1)
+        ancestors.append(
+            ProvenanceBundle(
+                subject=ancestor,
+                kind="process",
+                records=(ProvenanceRecord(ancestor, Attr.ENV, draw(sized_values)),),
+            )
+        )
+    return FlushEvent(
+        bundle=ProvenanceBundle(subject=subject, kind="file", records=records),
+        data=BytesBlob(b"d"),
+        ancestors=tuple(ancestors),
+    )
+
+
 def record_set(bundle):
     return sorted(str(r) for r in bundle.records)
 
@@ -80,6 +114,15 @@ def test_s3_metadata_roundtrip(event):
     for decoded, original in zip(ancestors, event.ancestors):
         assert record_set(decoded) == record_set(original)
         assert decoded.subject == original.subject
+
+
+@settings(max_examples=60, deadline=None)
+@given(event=wide_events())
+def test_s3_metadata_matches_reference(event):
+    payload = serializer.to_s3_metadata(event)
+    reference = reference_s3_metadata(event)
+    assert list(payload.metadata.items()) == list(reference.metadata.items())
+    assert payload.overflow == reference.overflow
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,11 +1,22 @@
 """Unit tests for the Q1/Q2/Q3 query engines, validated against oracles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.blob import BytesBlob
 from repro.graph.provgraph import ProvenanceGraph
+from repro.passlib import serializer
 from repro.passlib.capture import PassSystem
+from repro.passlib.records import (
+    Attr,
+    FlushEvent,
+    ObjectRef,
+    ProvenanceBundle,
+    ProvenanceRecord,
+)
 from repro.query.ancestry import AncestryWalker
 from repro.query.engine import S3ScanEngine, SimpleDBEngine
+from repro.sharding import ShardRouter
 from tests.conftest import make_architecture
 
 
@@ -264,3 +275,99 @@ class TestGraphOracleAgreement:
         graph = ProvenanceGraph.from_events(trace6)
         assert walker.outputs_of("blast") == graph.outputs_of("blast")
         assert walker.descendants_of_outputs("blast") == graph.descendants_of_outputs("blast")
+
+
+def spilling_event(name: str, k: int) -> FlushEvent:
+    """A file version whose own item spills ``k`` values (> 1 KB each),
+    spread over two attributes so the fetch order is not one list's."""
+    subject = ObjectRef(name, 1)
+    records = [ProvenanceRecord(subject, Attr.TYPE, "file")]
+    for index in range(k):
+        attribute = "note" if index % 2 else Attr.ARGV
+        records.append(ProvenanceRecord(subject, attribute, f"{index}" * 1500))
+    bundle = ProvenanceBundle(subject=subject, kind="file", records=tuple(records))
+    return FlushEvent(bundle=bundle, data=BytesBlob(name.encode()))
+
+
+POINT_READ = {"sdb": ("simpledb", "GetAttributes"), "ddb": ("dynamodb", "GetItem")}
+
+
+class TestQ1Spend:
+    """§5 prices Q1 at one point read per item plus one S3 GET per
+    spilled value — and nothing else."""
+
+    K = 3
+
+    @pytest.fixture(params=sorted(POINT_READ))
+    def placement(self, request):
+        return request.param
+
+    @pytest.fixture
+    def loaded(self, strong_account, trace6, placement):
+        router = ShardRouter(1, placement=placement)
+        store = make_architecture("s3+simpledb", strong_account, router=router)
+        events = [*trace6, spilling_event("big/other", 2), spilling_event("big/doc", self.K)]
+        store.store_trace(events)
+        return SimpleDBEngine(strong_account, router=router), events
+
+    def test_q1_point_read_plus_one_get_per_pointer(self, loaded, placement):
+        engine, events = loaded
+        measurement = engine.q1(events[-1].subject)
+        assert measurement.refs == (events[-1].subject,)
+        service, op = POINT_READ[placement]
+        assert measurement.usage.request_count(service, op) == 1
+        assert measurement.usage.request_count("s3", "GET") == self.K
+        assert measurement.operations == 1 + self.K
+
+    def test_q1_all_gets_every_pointer_once(self, loaded):
+        engine, events = loaded
+        pointers = sum(
+            len(item.overflow)
+            for event in events
+            for item in serializer.to_simpledb_items(event)
+        )
+        assert pointers == 2 + self.K
+        measurement = engine.q1_all()
+        assert measurement.usage.request_count("s3", "GET") == pointers
+        assert measurement.usage.request_count("s3") == pointers
+
+    def test_q1_decodes_no_bundle(self, loaded, monkeypatch):
+        engine, events = loaded
+        built = []
+        post_init = ProvenanceBundle.__post_init__
+
+        def counting(bundle):
+            built.append(bundle.subject)
+            post_init(bundle)
+
+        monkeypatch.setattr(ProvenanceBundle, "__post_init__", counting)
+        assert engine.q1(events[-1].subject).result_count == 1
+        assert engine.q1_all().result_count >= len(events)
+        assert built == []
+
+
+_PLAIN = ObjectRef("x", 1).encode()  # a valid value for every attribute
+item_values = st.lists(
+    st.one_of(st.just(_PLAIN), st.integers(0, 999).map(lambda n: f"@s3:k/{n:03d}")),
+    min_size=1,
+    max_size=3,
+)
+item_attributes = st.dictionaries(
+    st.sampled_from(
+        [Attr.TYPE, Attr.INPUT, Attr.NAME, Attr.ENV, Attr.ARGV, Attr.MD5, Attr.NONCE, "z"]
+    ),
+    item_values.map(tuple),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(attrs=item_attributes)
+def test_overflow_keys_is_bundle_from_item_fetch_order(attrs):
+    fetched = []
+
+    def fetch(key):
+        fetched.append(key)
+        return _PLAIN
+
+    serializer.bundle_from_item("doc_v0001", attrs, fetch)
+    assert serializer.overflow_keys(attrs) == fetched

@@ -7,6 +7,7 @@ from repro.passlib.capture import PassSystem
 from repro.passlib.records import Attr
 from repro.passlib import serializer
 from repro.units import KB, S3_MAX_METADATA_SIZE
+from tests.oracles import reference_s3_metadata
 
 
 def event_with_env(env_bytes: int = 0, n_inputs: int = 1):
@@ -54,6 +55,16 @@ class TestS3Metadata:
         event = event_with_env(n_inputs=30)
         payload = serializer.to_s3_metadata(event)
         assert payload.metadata_size <= S3_MAX_METADATA_SIZE
+
+    def test_nothing_spillable_left_matches_reference(self):
+        # Keys and pointers alone exceed 2 KB: the size pass spills every
+        # value, gives up, and leaves the rejection to S3's PUT.
+        event = event_with_env(env_bytes=1500, n_inputs=120)
+        payload = serializer.to_s3_metadata(event)
+        assert payload.metadata_size > S3_MAX_METADATA_SIZE
+        reference = reference_s3_metadata(event)
+        assert list(payload.metadata.items()) == list(reference.metadata.items())
+        assert payload.overflow == reference.overflow
 
     def test_repeated_attributes_keyed_distinctly(self):
         event = event_with_env(n_inputs=3)
