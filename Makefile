@@ -25,9 +25,10 @@
 #                     stdout line is the JSON result. Exit code = the
 #                     harness's own checks (result sets vs the oracle,
 #                     sim plane identical across cycles) — no timing gate
-#   make profile W=<workload> PHASE=ingest|queries|migrate [SEED=1] [CYCLES=3]
+#   make profile W=<workload> PHASE=setup|ingest|queries|migrate [SEED=1] [CYCLES=3]
 #                     cProfile of one phase of a perf-harness workload
-#                     (benchmarks/profile_phase.py): same plan and call
+#                     (benchmarks/profile_phase.py; setup = build_plan +
+#                     Simulation(...), what setup_s times): same plan and call
 #                     order as the harness, one warm cycle, then CYCLES
 #                     profiled; json.dumps and bundle_from_item calls
 #                     per operation, then top 30 by tottime and by

@@ -17,7 +17,7 @@ import tokenize
 from pathlib import Path
 
 #: Highest allowed total for ``src/repro`` (the current total).
-CEILING = 11026
+CEILING = 11028
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}

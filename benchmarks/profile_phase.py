@@ -10,6 +10,10 @@ calls as ``harness.run_cycle``), runs one whole cycle unprofiled to warm
 the process up, then runs ``--cycles`` more with the profiler on inside
 the chosen phase only:
 
+``setup``    the harness's set-up, ``harness.build_plan`` and
+             ``Simulation(...)`` (timed as ``setup_s``); counts the
+             events the plan materialised, which are the events the
+             cycle's ingest then stores;
 ``ingest``   every ``Simulation.run_workload`` of the cycle (bulk load
              and the write burst between query rounds);
 ``queries``  every query round (Q2/Q3 per program, the Q4 windows,
@@ -42,6 +46,7 @@ from repro.sim import Simulation
 
 #: phase -> (plural, singular) of the operation it counts.
 PHASES = {
+    "setup": ("events", "event"),
     "ingest": ("events", "event"),
     "queries": ("queries", "query"),
     "migrate": ("items", "item"),
@@ -61,19 +66,21 @@ def _profiling(profiler: cProfile.Profile):
 def run_cycle(spec, seed: int, phase: str, profiler: cProfile.Profile | None) -> int:
     """One cycle in ``harness.run_cycle``'s order, ``profiler`` on inside
     ``phase`` only; returns the operations the phase performed (events
-    stored, queries answered, or items moved)."""
-    plan = harness.build_plan(spec, seed)
-    sim = Simulation(spec.architecture, seed=0, **spec.knobs())
+    materialised or stored, queries answered, or items moved)."""
     done = 0
 
     def during(name: str):
         return _profiling(profiler) if profiler and name == phase else nullcontext()
 
+    with during("setup"):
+        plan = harness.build_plan(spec, seed)
+        sim = Simulation(spec.architecture, seed=0, **spec.knobs())
+
     def ingest(workload, scale: float) -> None:
         nonlocal done
         with during("ingest"):
             stored = sim.run_workload(workload, scale, seed=seed)
-        done += stored if phase == "ingest" else 0
+        done += stored if phase in ("setup", "ingest") else 0
 
     def query_round(round_plan) -> None:
         nonlocal done

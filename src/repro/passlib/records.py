@@ -33,6 +33,7 @@ the unit of work the three architectures' ``store`` protocols consume.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -251,6 +252,4 @@ def consistency_token(data_md5: str, nonce: str) -> str:
     behaviour is equivalent for the consistency check's purposes
     (it changes iff the data digest or the nonce changes).
     """
-    import hashlib
-
     return hashlib.md5(f"{data_md5}|{nonce}".encode("utf-8")).hexdigest()

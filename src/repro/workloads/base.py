@@ -12,6 +12,7 @@ traces can be measured without holding 31k events in memory.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -221,6 +222,12 @@ _ENV_BASE = (
 )
 
 
+#: Byte -> environment character: ``"abcdefghijklmnop/:._-"`` repeated
+#: over all 256 byte values (256 = 12 * 21 + 4, so the first four
+#: characters come up 13/256 of the time, the rest 12/256).
+_ENV_CHARS = bytes(b"abcdefghijklmnop/:._-"[i % 21] for i in range(256))
+
+
 def synth_env(rng: random.Random, target_bytes: int) -> str:
     """A realistic environment string of roughly ``target_bytes`` bytes.
 
@@ -228,14 +235,26 @@ def synth_env(rng: random.Random, target_bytes: int) -> str:
     process provenance "regularly" exceeds the 2 KB S3 metadata limit,
     so workloads draw environment sizes spanning the 1 KB spill
     threshold.
+
+    Contract: every value character consumes exactly two 32-bit
+    Mersenne-Twister words of ``rng`` — what ``rng.choices`` spends per
+    character (one ``random()``) — drawn as one ``getrandbits(64 * n)``
+    per value and mapped through :data:`_ENV_CHARS` in C. So ``rng``
+    leaves this call in the same state ``rng.choices`` would, and every
+    later draw (sizes, seeds, nonces) is unchanged. Only the characters
+    differ from a ``choices`` draw, and the map is slightly biased (the
+    low byte of each 64-bit chunk, modulo 21). Nothing metered reads the
+    characters: all 21 are one-byte UTF-8 that JSON never escapes, so
+    byte sizes depend on the length alone.
     """
     parts = list(_ENV_BASE)
     size = sum(len(p) + 1 for p in parts)
     counter = 0
     while size < target_bytes:
         name = f"LD_PRELOAD_{counter}" if counter % 7 == 0 else f"APP_VAR_{counter}"
-        value = "".join(rng.choices("abcdefghijklmnop/:._-", k=rng.randint(24, 96)))
-        entry = f"{name}={value}"
+        n = rng.randint(24, 96)
+        value = rng.getrandbits(64 * n).to_bytes(8 * n, "little")[::8].translate(_ENV_CHARS)
+        entry = f"{name}={value.decode('ascii')}"
         parts.append(entry)
         size += len(entry) + 1
         counter += 1
@@ -245,8 +264,6 @@ def synth_env(rng: random.Random, target_bytes: int) -> str:
 def lognormal_size(rng: random.Random, median: int, sigma: float = 0.7,
                    floor: int = 64, ceiling: int = 64 * 1024 * 1024) -> int:
     """A file size drawn from a lognormal around ``median`` bytes."""
-    import math
-
     value = int(rng.lognormvariate(math.log(median), sigma))
     return max(floor, min(ceiling, value))
 

@@ -1,5 +1,6 @@
 """Unit tests for the workload generators."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,9 +12,12 @@ from repro.workloads import (
     CombinedWorkload,
     LinuxCompileWorkload,
     ProvenanceChallengeWorkload,
+    ZipfianFleetWorkload,
+    base,
     collect_stats,
 )
 from repro.units import KB, SDB_MAX_ATTRS_PER_ITEM
+from tests.oracles import reference_synth_env
 
 
 def generate(workload, scale=0.2, seed="test"):
@@ -129,3 +133,41 @@ class TestStatistics:
         large = collect_stats(generate(CombinedWorkload(), scale=0.3, seed="s"))
         assert large.n_objects > small.n_objects
         assert large.raw_bytes > small.raw_bytes
+
+
+class TestSynthEnvDifferential:
+    """The one-call ``synth_env`` against the per-character reference:
+    same trace once each environment is read as its length (the only
+    thing metering reads of it), same §5 statistics."""
+
+    WORKLOADS = [CombinedWorkload(), ZipfianFleetWorkload(n_ops=400)]
+
+    @staticmethod
+    def shape(events):
+        def record(r):
+            return (r.subject, r.attribute, len(r.value) if r.attribute == Attr.ENV else r.value)
+
+        return [
+            ([(b.subject, b.kind, [record(r) for r in b.records]) for b in e.all_bundles()], e.data)
+            for e in events
+        ]
+
+    def traces(self, monkeypatch, workload):
+        fast = generate(workload, scale=0.05)
+        monkeypatch.setattr(base, "synth_env", reference_synth_env)
+        return fast, generate(workload, scale=0.05)
+
+    @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
+    def test_same_trace_but_env_characters(self, monkeypatch, workload):
+        fast, reference = self.traces(monkeypatch, workload)
+        envs = [r.value for e in fast for b in e.all_bundles() for r in b.records
+                if r.attribute == Attr.ENV]
+        assert any(len(env) > KB for env in envs) and any(len(env) < KB for env in envs)
+        assert self.shape(fast) == self.shape(reference)
+
+    @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
+    def test_same_stats(self, monkeypatch, workload):
+        fast, reference = self.traces(monkeypatch, workload)
+        assert dataclasses.asdict(collect_stats(fast)) == dataclasses.asdict(
+            collect_stats(reference)
+        )
