@@ -1,8 +1,8 @@
 """Shared benchmark fixtures and result capture.
 
 Every table/figure benchmark writes its rendered output to
-``benchmarks/results/<name>.txt`` as well as stdout, so EXPERIMENTS.md
-can quote the regenerated artifacts verbatim.
+``benchmarks/results/<name>.txt`` as well as stdout, so a run leaves the
+regenerated tables on disk to read or diff against the paper.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ bytes and operation counts each architecture adds over a provenance-free
   N_provrecs>1KB`` (temp PUT + COPY per object; send + receive per WAL
   message).
 
-Known paper inconsistencies handled here (see EXPERIMENTS.md): the
+Known paper inconsistencies handled here: the
 printed Table 2 cell for A2 (167.8 MB) conflicts with the §5 prose
 (177.9 MB), and the printed A3 operation count (231,287) is not exactly
 reproduced by the paper's own formula; we implement the formulas and
@@ -118,8 +118,9 @@ def paper_formula_a3_ops(stats: TraceStats) -> int:
     *protocol* of §4.3 additionally sends a begin record, a data pointer
     record, and a commit record per transaction (and receives each of
     them once), which the formula omits; ``storage_table`` reports the
-    protocol-true count, this function the paper's. EXPERIMENTS.md
-    discusses the gap.
+    protocol-true count, this function the paper's.
+    ``benchmarks/bench_table2_storage.py`` prints the two side by side
+    with the paper's printed 231,287.
     """
     chunk_ops = -(-stats.s3_prov_bytes // (8 * 1024))  # ceil division
     return (

@@ -51,7 +51,7 @@ Backend *kinds* are the short names placement maps use: ``"sdb"`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from repro.aws.dynamo import DynamoDBService, IndexSpec
 from repro.aws.faults import call_with_retries
@@ -268,10 +268,11 @@ class AccessPath:
     ``values`` with ``range_condition`` restricting the partition
     slice). Each backend lists the paths sound for a predicate through
     ``candidate_paths`` (native default first, then every usable index
-    in declaration order — the first ``"gsi"`` entry is what
-    ``plan_first_fit`` returns and ``query_pages(path=None)`` runs);
-    the planner prices them and hands the winner back through
-    ``query_pages(..., path=...)``.
+    in declaration order). :func:`first_fit` is the one rule that picks
+    from that list: its first ``"gsi"`` entry, else the native default.
+    ``plan_first_fit``, ``query_pages(path=None)`` and the planner's
+    baseline all apply it; the cost planner prices every candidate and
+    hands the winner back through ``query_pages(..., path=...)``.
     """
 
     kind: str
@@ -284,6 +285,15 @@ class AccessPath:
 #: comparisons are cheap identity checks).
 SDB_PATH = AccessPath("sdb")
 SCAN_PATH = AccessPath("scan")
+
+
+def first_fit(paths: Iterable[AccessPath]) -> AccessPath:
+    """The first-fit rule: the first ``"gsi"`` path of an enumeration,
+    else the native default it leads with. Stops reading ``paths`` at
+    the first hit."""
+    paths = iter(paths)
+    native = next(paths)
+    return next((path for path in paths if path.kind == "gsi"), native)
 
 
 def _referenced_attributes(node: Node) -> frozenset[str]:
@@ -551,7 +561,7 @@ class SimpleDBBackend:
 
     def plan_first_fit(self, store, compiled, wanted) -> AccessPath:
         """SimpleDB's first fit is its only fit."""
-        return SDB_PATH
+        return first_fit(self.candidate_paths(store, compiled, wanted))
 
     def candidate_paths(self, store, compiled, wanted) -> list[AccessPath]:
         """The one access path this backend has: server-side Select."""
@@ -657,37 +667,26 @@ class DynamoBackend:
         Write units price the bytes either way — what the batch saves is
         the per-request charge. The service admits each entry against
         the provisioned window independently and hands back the rest as
-        ``UnprocessedItems``; this loop retries exactly that remainder
-        after the standard backoff, mirroring :meth:`_with_backoff`'s
-        accounting (each retry round counts one throttle event and
-        advances the simulated clock).
+        ``UnprocessedItems``; each chunk retries exactly that remainder
+        through :meth:`_with_backoff`, with its own budget of
+        :attr:`max_backoffs` backoffs. A wholly throttled call applied
+        and metered nothing, so it retries the whole remainder.
         """
         pending = [(name, list(attrs)) for name, attrs in items]
-        while pending:
-            chunk = pending[:DDB_MAX_BATCH_WRITE_ITEMS]
-            rest = pending[DDB_MAX_BATCH_WRITE_ITEMS:]
-            backoffs = 0
-            while chunk:
-                try:
-                    chunk = call_with_retries(
-                        self.service.batch_write_item, store, chunk
-                    )
-                except ProvisionedThroughputExceeded:
-                    # Every entry throttled: nothing applied, nothing
-                    # metered — retry the whole chunk (or surface it).
-                    if backoffs >= self.max_backoffs:
-                        raise
-                if not chunk:
-                    break
-                if backoffs >= self.max_backoffs:
-                    raise ProvisionedThroughputExceeded(
-                        f"BatchWriteItem left {len(chunk)} unprocessed entries "
-                        f"after {self.max_backoffs} backoffs"
-                    )
-                backoffs += 1
-                self.throttled_requests += 1
-                self.service.clock.advance(self.backoff_seconds)
-            pending = rest
+        for start in range(0, len(pending), DDB_MAX_BATCH_WRITE_ITEMS):
+            chunk = pending[start : start + DDB_MAX_BATCH_WRITE_ITEMS]
+            self._with_backoff(self._write_chunk, store, chunk)
+
+    def _write_chunk(self, store: str, chunk: list) -> None:
+        """One BatchWriteItem of ``chunk``. What comes back unprocessed
+        replaces ``chunk``'s contents and raises the throttle
+        :meth:`_with_backoff` rides out (or surfaces, on its last try)."""
+        chunk[:] = self.service.batch_write_item(store, chunk)
+        if chunk:
+            raise ProvisionedThroughputExceeded(
+                f"BatchWriteItem left {len(chunk)} unprocessed entries "
+                f"after {self.max_backoffs} backoffs"
+            )
 
     def delete_item(self, store: str, item_name: str) -> None:
         self._with_backoff(self.service.delete_item, store, item_name)
@@ -714,13 +713,41 @@ class DynamoBackend:
         ):
             yield from page.items
 
-    def _stale(self, store: str, spec: IndexSpec) -> bool:
-        """Whether the index lags its base table past the staleness bound."""
-        return (
-            self.index_staleness_bound is not None
-            and self.service.index_lag_seconds(store, spec.name)
-            > self.index_staleness_bound
-        )
+    def _fresh_indexes(
+        self, store: str, candidates: Iterable[IndexSpec], count: bool = False
+    ) -> Iterator[IndexSpec]:
+        """The one freshness walk: each of ``candidates`` — indexes of
+        ``store`` that pass every other test of their reader — whose
+        replication lag is inside the staleness bound, lazily, in order.
+        Query phases (first fit and pinned paths alike),
+        ``composite_index`` and ``migration_pages`` all pick their index
+        here.
+
+        Staleness is judged last, so an index counts as stale only when
+        it would otherwise have served. With ``count``, a walk read to
+        its end past a stale candidate is one stale fallback; a reader
+        that stops at a fresh index never reaches that count, and
+        planning (``count=False``) moves no counter.
+        """
+        stale = False
+        for spec in candidates:
+            if (
+                self.index_staleness_bound is not None
+                and self.service.index_lag_seconds(store, spec.name)
+                > self.index_staleness_bound
+            ):
+                stale = True
+                continue
+            yield spec
+        if stale and count:
+            self.stale_index_fallbacks += 1
+
+    def _fresh_index(
+        self, store: str, candidates: Iterable[IndexSpec]
+    ) -> IndexSpec | None:
+        """The first index :meth:`_fresh_indexes` yields, or None — a
+        counted stale fallback when a stale candidate was passed over."""
+        return next(self._fresh_indexes(store, candidates, count=True), None)
 
     def query_pages(
         self,
@@ -748,32 +775,29 @@ class DynamoBackend:
         projection trims only what the caller sees, not what the scan
         cost — DynamoDB's filter-expression accounting.
 
-        ``path=None`` executes the first fit of :meth:`_usable_indexes`;
-        a table with no indexes at all scans without counting a
-        *fallback* — there was never an index to fall back from.
-        ``path`` pins a planner-chosen :class:`AccessPath` instead. A
-        pinned index path is re-checked against the staleness bound at
-        execution time (plans are made from statistics that may have
-        aged); a stale index falls back to the Scan path, counted like
-        any other stale fallback.
+        ``path=None`` executes the :func:`first_fit` of
+        :meth:`_access_paths`; a table with no indexes at all scans
+        without counting a *fallback* — there was never an index to fall
+        back from. ``path`` pins a planner-chosen :class:`AccessPath`
+        instead. A pinned index path is re-checked against the staleness
+        bound at execution time (plans are made from statistics that may
+        have aged); a stale index falls back to the Scan path, counted
+        like any other stale fallback.
         """
         if compiled is None:
             compiled = parse_query(expression)
         wanted = None if attribute_names is None else set(attribute_names)
-        stale = False
         if path is None:
-            for path in self._usable_indexes(store, compiled, wanted):
-                if path is not None:
-                    break
-                stale = True
-        elif path.index is not None and self._stale(store, path.index):
-            path, stale = None, True
-        if path is None:  # nothing usable: the Scan path
-            path = SCAN_PATH
-            if stale or self.service.list_indexes(store):
-                self.scan_fallbacks += 1
-            if stale:
-                self.stale_index_fallbacks += 1
+            path = first_fit(self._access_paths(store, compiled, wanted, count=True))
+            fell_back = path is SCAN_PATH
+        else:
+            fell_back = (
+                path.index is not None and self._fresh_index(store, [path.index]) is None
+            )
+            if fell_back:
+                path = SCAN_PATH
+        if fell_back and self.service.list_indexes(store):
+            self.scan_fallbacks += 1
         if path.index is not None:
             self.gsi_queries += 1
             matches = self._index_items(
@@ -791,52 +815,50 @@ class DynamoBackend:
                 k: v for k, v in attrs.items() if wanted is None or k in wanted
             }
 
-    def _usable_indexes(
-        self, store: str, compiled: CompiledQuery, wanted: set[str] | None
-    ) -> Iterator[AccessPath | None]:
-        """Every sound index path for a compiled predicate, lazily, in
-        index declaration order — the one eligibility rule first fit,
-        the fallback counters and the cost planner all read.
+    def _access_paths(
+        self,
+        store: str,
+        compiled: CompiledQuery,
+        wanted: set[str] | None,
+        count: bool = False,
+    ) -> Iterator[AccessPath]:
+        """Every sound access path for a compiled predicate, lazily: Scan
+        first, then the index paths in index declaration order — the one
+        enumeration first fit, the cost planner and execution all read.
 
         An index is usable when the predicate pins its key attribute to
         an equality value set (the superset guarantee of
         :func:`equality_candidates`), its projection covers every
         attribute the predicate references plus the caller's requested
         projection (an ``ALL``-projection index covers anything,
-        including full-item reads), and its replication lag is inside
-        the staleness bound. A *composite* index is additionally usable
-        only when the predicate constrains its range attribute (the
-        index is sparse on that attribute, so an unconstrained predicate
-        could match items the index has no entries for).
+        including full-item reads), and it is fresh
+        (:meth:`_fresh_indexes`, which ``count`` is handed to). A
+        *composite* index is additionally usable only when the predicate
+        constrains its range attribute (the index is sparse on that
+        attribute, so an unconstrained predicate could match items the
+        index has no entries for).
 
         Each usable index yields its hash-equality ``"gsi"`` path; a
         composite one then yields the ``"gsi-range"`` twin over the
         predicate's slice (strictly fewer entries served — the cost
-        planner's improvement, never the first fit). An index that is
-        eligible but stale yields ``None`` instead, so the executing
-        caller can tell a staleness fallback from "no index fits";
-        counter-neutral itself.
+        planner's improvement, never the first fit).
         """
-        specs = self.service.list_indexes(store)
-        if not specs:
-            return
+        yield SCAN_PATH
         candidates = compiled.pinned
         ranges = _range_candidates(compiled.predicate)
         referenced = _referenced_attributes(compiled.predicate)
-        for spec in specs:
-            values = candidates.get(spec.key_attribute)
-            if not values:
-                continue
-            if spec.range_attribute is not None and spec.range_attribute not in ranges:
-                continue
-            if not spec.covers(referenced):
-                continue
-            if not spec.project_all and (wanted is None or not spec.covers(wanted)):
-                continue
-            if self._stale(store, spec):
-                yield None
-                continue
-            ordered = tuple(sorted(set(values)))
+
+        def usable(spec: IndexSpec) -> bool:
+            return (
+                bool(candidates.get(spec.key_attribute))
+                and (spec.range_attribute is None or spec.range_attribute in ranges)
+                and spec.covers(referenced)
+                and (spec.project_all or (wanted is not None and spec.covers(wanted)))
+            )
+
+        specs = filter(usable, self.service.list_indexes(store))
+        for spec in self._fresh_indexes(store, specs, count):
+            ordered = tuple(sorted(set(candidates[spec.key_attribute])))
             yield AccessPath("gsi", spec, ordered)
             if spec.range_attribute is not None:
                 yield AccessPath(
@@ -852,15 +874,14 @@ class DynamoBackend:
         """What ``path=None`` would execute, without touching the
         fallback counters (the planner's baseline mode predicts this
         path's cost but execution still does its own accounting)."""
-        usable = filter(None, self._usable_indexes(store, compiled, wanted))
-        return next(usable, SCAN_PATH)
+        return first_fit(self._access_paths(store, compiled, wanted))
 
     def candidate_paths(
         self, store: str, compiled: CompiledQuery, wanted: set[str] | None
     ) -> list[AccessPath]:
         """Every sound access path for a compiled predicate, Scan first;
-        the first ``"gsi"`` entry (if any) is the first fit."""
-        return [SCAN_PATH, *filter(None, self._usable_indexes(store, compiled, wanted))]
+        :func:`first_fit` of the list is what ``path=None`` runs."""
+        return list(self._access_paths(store, compiled, wanted))
 
     def _index_items(self, request, store: str, *args, keep=None, **kwargs):
         """Paged index read, deduplicated to one yield per item (the
@@ -891,40 +912,31 @@ class DynamoBackend:
         """Stream a migration read off a covering GSI when one exists.
 
         Eligible indexes project ``ALL`` (entries carry the full item),
-        are inside the staleness bound, and — because GSIs are sparse —
-        demonstrably cover every item (the DescribeTable-style distinct
-        entry count equals the table's item count). Pages then cost
-        :data:`~repro.aws.billing.DDB_GSI` read units sized by compact
-        index entries instead of base-table Scan units, and an index
-        with its own ``rcu`` keeps the migration's read pressure off
-        the base table's admission window entirely. Falls back to the
-        base-table Scan otherwise — byte-identical to the pre-index
+        demonstrably cover every item — GSIs are sparse, so the
+        DescribeTable-style distinct entry count must equal the table's
+        item count — and are fresh (:meth:`_fresh_indexes`: a stale
+        index counts a fallback only when it covers the table). Pages
+        then cost :data:`~repro.aws.billing.DDB_GSI` read units sized by
+        compact index entries instead of base-table Scan units, and an
+        index with its own ``rcu`` keeps the migration's read pressure
+        off the base table's admission window entirely. Falls back to
+        the base-table Scan otherwise — byte-identical to the pre-index
         migration read path.
         """
-        spec = self._migration_index(store)
+        items = self.service.item_count(store)
+        spec = self._fresh_index(
+            store,
+            (
+                spec
+                for spec in self.service.list_indexes(store)
+                if spec.project_all
+                and self.service.index_distinct_item_count(store, spec.name) == items
+            ),
+        )
         if spec is None:
             return False, self._scan_all(store)
         self.migration_index_streams += 1
         return True, self._index_items(self.service.scan_index, store, spec.name)
-
-    def _migration_index(self, store: str) -> IndexSpec | None:
-        stale = False
-        for spec in self.service.list_indexes(store):
-            if not spec.project_all:
-                continue
-            if self._stale(store, spec):
-                stale = True
-                continue
-            if self.service.index_distinct_item_count(
-                store, spec.name
-            ) != self.service.item_count(store):
-                continue  # sparse: some item lacks the key attribute
-            return spec
-        if stale:
-            # Counted only when the staleness actually forced a
-            # base-table scan (same semantics as the query planner).
-            self.stale_index_fallbacks += 1
-        return None
 
     def site_statistics(self, store: str) -> dict:
         """One metered DescribeTable call — table and per-index stats
@@ -944,21 +956,16 @@ class DynamoBackend:
         per-version GetItem loop with one range Query. ``project_all``
         demands an ``ALL`` projection (full bundles must be decodable
         straight off the entries)."""
-        stale = False
-        for spec in self.service.list_indexes(store):
-            if spec.key_attribute != hash_attribute:
-                continue
-            if spec.range_attribute != range_attribute:
-                continue
-            if project_all and not spec.project_all:
-                continue
-            if self._stale(store, spec):
-                stale = True
-                continue
-            return spec
-        if stale:
-            self.stale_index_fallbacks += 1
-        return None
+        return self._fresh_index(
+            store,
+            (
+                spec
+                for spec in self.service.list_indexes(store)
+                if spec.key_attribute == hash_attribute
+                and spec.range_attribute == range_attribute
+                and (spec.project_all or not project_all)
+            ),
+        )
 
     def index_range_entries(
         self,

@@ -366,35 +366,34 @@ class _Table:
     window_write_units: float = 0.0
 
 
-def _merged(
-    key: str, existing: ItemState | None, adds: list[tuple[str, str]]
-) -> tuple[ItemState, int, int]:
-    """ADD ``adds`` into a copy of ``existing``'s string sets (``None`` =
-    absent item): ``(state, old_size, new_size)``, refusing an empty
-    update or one that would outgrow the item-size limit. The one
-    set-merge UpdateItem and every BatchWriteItem entry share. The new
-    state's size is the old one plus the bytes of each value that was
-    not already in its set — nothing already stored is measured again."""
+def _merged(key: str, existing: ItemState, adds: list[tuple[str, str]]) -> ItemState:
+    """ADD ``adds`` into a copy of ``existing``'s string sets (``ABSENT``
+    = absent item), refusing an empty update or one that would outgrow
+    the item-size limit. The one set-merge UpdateItem and every
+    BatchWriteItem entry share. The new state's size is the old one plus
+    the bytes of each value that was not already in its set — nothing
+    already stored is measured again."""
     if not adds:
         raise errors.ItemSizeLimitExceeded("an item write requires attributes")
-    attrs: Attrs = dict(existing or ())
-    nbytes = existing.nbytes if existing is not None else 0
+    attrs: Attrs = dict(existing)
+    nbytes = existing.nbytes
     for name, value in adds:
         values = attrs.get(name, ())
         if value not in values:
             attrs[name] = tuple(sorted((*values, value)))
             nbytes += len(name.encode()) + len(value.encode())
-    # Stored-byte accounting: an absent item occupies nothing (its key
-    # bytes only start counting once the item exists).
-    key_size = len(key.encode())
-    old_size = key_size + existing.nbytes if existing is not None else 0
-    new_size = key_size + nbytes
-    if new_size > units.DDB_MAX_ITEM_SIZE:
+    state = ItemState(attrs, nbytes)
+    if _item_size(key, state) > units.DDB_MAX_ITEM_SIZE:
         raise errors.ItemSizeLimitExceeded(
-            f"item {key!r} would be {new_size} bytes "
+            f"item {key!r} would be {_item_size(key, state)} bytes "
             f"(limit {units.DDB_MAX_ITEM_SIZE})"
         )
-    return ItemState(attrs, nbytes), old_size, new_size
+    return state
+
+
+def _adds_size(adds: list[tuple[str, str]]) -> int:
+    """Transfer-in bytes of one item's ADD list."""
+    return sum(len(name.encode()) + len(value.encode()) for name, value in adds)
 
 
 class DynamoDBService:
@@ -555,67 +554,49 @@ class DynamoDBService:
             )
         return index
 
-    def _index_put_plan(self, table: _Table, key: str, new_state: ItemState):
-        """Index maintenance a base write triggers.
+    def _index_plan(self, table: _Table, key: str, old: ItemState, state: ItemState):
+        """Index maintenance one item change triggers.
 
-        Returns ``(writes, shared_units, index_charges)``:
-        ``shared_units`` are the index write units charged against the
-        base table's admission window (indexes without their own
-        ``wcu``); ``index_charges`` lists ``(index, write_units)``
-        for indexes that provision their own capacity. Only entries
-        whose projected state actually changes are written and charged
-        — a replayed idempotent put amplifies nothing, like real GSIs
-        (no index write when key and projection are unchanged).
+        Returns ``(changes, shared_units, index_charges)``. Each change
+        is ``(index, entry key, projection or None to delete, byte
+        delta, live-entry delta)``. The positions come from ``state``,
+        or from ``old`` when ``state`` is empty (a delete): an UpdateItem
+        only ADDs values, so its new positions include the old ones.
+        Only entries whose projection actually changes are written and
+        charged — a replayed idempotent put amplifies nothing, like real
+        GSIs — each at the write units of the larger of its old and new
+        size. ``shared_units`` are the units charged against the base
+        table's admission window (indexes without their own ``wcu``);
+        ``index_charges`` lists ``(index, 0.0, write_units)`` for
+        indexes that provision their own capacity.
         """
-        writes: list[tuple[_Index, str, ItemState, int, int]] = []
+        changes: list[tuple[_Index, str, ItemState | None, int, int]] = []
         shared_units = 0.0
         index_charges: list[tuple[_Index, float, float]] = []
         for index in table.indexes.values():
-            positions = _entry_positions(index.spec, key, new_state)
+            positions = _entry_positions(index.spec, key, state or old)
             if not positions:
                 continue  # sparse: nothing to project, nothing to size
-            projected = _project(new_state, index.spec)
+            projected = _project(state, index.spec) if state else None
             units = 0.0
             for entry_key in positions:
-                old = index.replicas.read_authoritative(entry_key)
-                if old == projected:
+                stored = index.replicas.read_authoritative(entry_key)
+                if stored == projected:
                     continue
-                old_size = _entry_size(entry_key, old) if old is not None else 0
-                new_size = _entry_size(entry_key, projected)
+                old_size = _entry_size(entry_key, stored) if stored is not None else 0
+                new_size = _entry_size(entry_key, projected) if projected is not None else 0
                 units += _write_units_for(max(old_size, new_size))
-                writes.append(
-                    (index, entry_key, projected, new_size - old_size, int(old is None))
-                )
+                changes.append((
+                    index, entry_key, projected, new_size - old_size,
+                    (stored is None) - (projected is None),
+                ))
             if not units:
                 continue
             if index.spec.wcu is not None:
                 index_charges.append((index, 0.0, units))
             else:
                 shared_units += units
-        return writes, shared_units, index_charges
-
-    def _index_delete_plan(self, table: _Table, key: str, old_state: ItemState):
-        """Index maintenance a base delete triggers (same split as
-        :meth:`_index_put_plan`)."""
-        deletes: list[tuple[_Index, str, int]] = []
-        shared_units = 0.0
-        index_charges: list[tuple[_Index, float, float]] = []
-        for index in table.indexes.values():
-            units = 0.0
-            for entry_key in _entry_positions(index.spec, key, old_state):
-                old = index.replicas.read_authoritative(entry_key)
-                if old is None:
-                    continue
-                size = _entry_size(entry_key, old)
-                units += _write_units_for(size)
-                deletes.append((index, entry_key, size))
-            if not units:
-                continue
-            if index.spec.wcu is not None:
-                index_charges.append((index, 0.0, units))
-            else:
-                shared_units += units
-        return deletes, shared_units, index_charges
+        return changes, shared_units, index_charges
 
     # -- provisioned-throughput admission control ---------------------------
 
@@ -678,6 +659,57 @@ class DynamoDBService:
 
     # -- writes -------------------------------------------------------------
 
+    def _commit_item(
+        self, table: _Table, key: str, state: ItemState, transfer: int = 0
+    ) -> None:
+        """Make ``state`` the item's authoritative state (empty = the item
+        is gone). The one place an item changes; every write path calls
+        it, after its fault check.
+
+        The item consumes the write units of the larger of its size
+        before and after, plus the index write units of every GSI entry
+        the change touches (:meth:`_index_plan`). Admission comes first
+        and is all-or-nothing, so a throttled change raises having
+        changed and metered nothing. Then the capacity and ``transfer``
+        bytes in are metered, the stored-byte deltas billed, and the
+        state and its index entries installed on their replica sets —
+        each index on its own schedule, the asynchronous maintenance
+        real GSIs perform. Deleting an absent item still consumes the
+        minimum write unit and changes nothing else.
+        """
+        old = table.authority.get(key, ABSENT)
+        old_size = _item_size(key, old) if old else 0
+        new_size = _item_size(key, state) if state else 0
+        write_units = _write_units_for(max(old_size, new_size))
+        changes, shared_units, index_charges = self._index_plan(table, key, old, state)
+        self._admit(table, 0.0, write_units + shared_units, index_charges)
+        self._meter.record_capacity(billing.DDB, write_units=write_units)
+        self._meter.record_capacity(
+            billing.DDB_GSI,
+            write_units=shared_units + sum(units for _, _, units in index_charges),
+        )
+        self._meter.record_transfer_in(billing.DDB, transfer)
+        if not (old or state):
+            return
+        self._meter.adjust_stored(billing.DDB, new_size - old_size)
+        table.total_bytes += new_size - old_size
+        if state:
+            table.authority[key] = state
+            table.replicas.write(key, state)
+        else:
+            del table.authority[key]
+            table.replicas.delete(key)
+        index_stored = 0
+        for index, entry_key, projected, size_delta, count_delta in changes:
+            if projected is None:
+                index.replicas.delete(entry_key)
+            else:
+                index.replicas.write(entry_key, projected)
+            _stat_entry(index, entry_key, size_delta, count_delta)
+            index_stored += size_delta
+        if index_stored:
+            self._meter.adjust_stored(billing.DDB_GSI, index_stored)
+
     def update_item(
         self, table_name: str, key: str, adds: list[tuple[str, str]]
     ) -> None:
@@ -691,37 +723,13 @@ class DynamoDBService:
         amplification of having indexes, metered on the distinct
         :data:`~repro.aws.billing.DDB_GSI` key and charged against the
         same provisioned-throughput window (an underprovisioned index
-        back-pressures its base table). Index entries propagate through
-        the index's own replica schedule — the asynchronous maintenance
-        real GSIs perform.
+        back-pressures its base table).
         """
         table = self._table(table_name)
-        state, old_size, new_size = _merged(key, table.authority.get(key), adds)
-        write_units = _write_units_for(max(old_size, new_size))
-        index_writes, shared_units, index_charges = self._index_put_plan(
-            table, key, state
-        )
-        index_units = shared_units + sum(units for _, _, units in index_charges)
+        state = _merged(key, table.authority.get(key, ABSENT), adds)
         self._check_faults("UpdateItem")
-        self._admit(table, 0.0, write_units + shared_units, index_charges)
+        self._commit_item(table, key, state, _adds_size(adds))
         self._meter.record_request(billing.DDB, "UpdateItem")
-        self._meter.record_capacity(billing.DDB, write_units=write_units)
-        self._meter.record_transfer_in(
-            billing.DDB,
-            sum(len(n.encode()) + len(v.encode()) for n, v in adds),
-        )
-        self._meter.adjust_stored(billing.DDB, new_size - old_size)
-        table.total_bytes += new_size - old_size
-        table.authority[key] = state
-        table.replicas.write(key, state)
-        if index_writes:
-            self._meter.record_capacity(billing.DDB_GSI, write_units=index_units)
-            stored_delta = sum(delta for _, _, _, delta, _ in index_writes)
-            if stored_delta:
-                self._meter.adjust_stored(billing.DDB_GSI, stored_delta)
-            for index, entry_key, projected, delta, added in index_writes:
-                index.replicas.write(entry_key, projected)
-                _stat_entry(index, entry_key, delta, added)
 
     def batch_write_item(
         self, table_name: str, puts: list[tuple[str, list[tuple[str, str]]]]
@@ -751,68 +759,32 @@ class DynamoDBService:
         table = self._table(table_name)
         # Stage the whole request before anything commits or meters
         # (mirrors update_item, which sizes the merged item before the
-        # fault/admission/metering sequence). An entry repeating a key
-        # merges onto the previous entry's staged state.
-        staged: list[tuple[ItemState | None, ItemState, int, int]] = []
+        # fault check). An entry repeating a key merges onto the
+        # previous entry's staged state.
+        staged: list[tuple[ItemState, ItemState]] = []
         latest: dict[str, ItemState] = {}
         for key, adds in puts:
-            base = latest[key] if key in latest else table.authority.get(key)
-            state, old_size, new_size = _merged(key, base, adds)
-            latest[key] = state
-            staged.append((base, state, old_size, new_size))
+            base = latest[key] if key in latest else table.authority.get(key, ABSENT)
+            latest[key] = _merged(key, base, adds)
+            staged.append((base, latest[key]))
         self._check_faults("BatchWriteItem")
         unprocessed: list[tuple[str, list[tuple[str, str]]]] = []
-        admitted_units = 0.0
-        admitted_transfer = 0
-        admitted_index_units = 0.0
-        admitted_index_stored = 0
-        for (key, adds), (base, state, old_size, new_size) in zip(puts, staged):
-            existing = table.authority.get(key)
+        for (key, adds), (base, state) in zip(puts, staged):
+            existing = table.authority.get(key, ABSENT)
             if existing is not base:
                 # An earlier entry for this key was left unprocessed, so
                 # its adds must not ride along: merge onto what committed.
-                state, old_size, new_size = _merged(key, existing, adds)
-            write_units = _write_units_for(max(old_size, new_size))
-            index_writes, shared_units, index_charges = self._index_put_plan(
-                table, key, state
-            )
+                state = _merged(key, existing, adds)
             try:
-                self._admit(table, 0.0, write_units + shared_units, index_charges)
+                self._commit_item(table, key, state, _adds_size(adds))
             except errors.ProvisionedThroughputExceeded:
                 unprocessed.append((key, adds))
-                continue
-            admitted_units += write_units
-            admitted_transfer += sum(
-                len(n.encode()) + len(v.encode()) for n, v in adds
-            )
-            self._meter.adjust_stored(billing.DDB, new_size - old_size)
-            table.total_bytes += new_size - old_size
-            table.authority[key] = state
-            table.replicas.write(key, state)
-            if index_writes:
-                admitted_index_units += shared_units + sum(
-                    charge for _, _, charge in index_charges
-                )
-                admitted_index_stored += sum(
-                    delta for _, _, _, delta, _ in index_writes
-                )
-                for index, entry_key, projected, delta, added in index_writes:
-                    index.replicas.write(entry_key, projected)
-                    _stat_entry(index, entry_key, delta, added)
         if len(unprocessed) == len(puts):
             raise errors.ProvisionedThroughputExceeded(
                 f"write capacity {table.write_capacity} units/s exhausted "
                 f"for every entry in the batch"
             )
         self._meter.record_request(billing.DDB, "BatchWriteItem")
-        self._meter.record_capacity(billing.DDB, write_units=admitted_units)
-        self._meter.record_transfer_in(billing.DDB, admitted_transfer)
-        if admitted_index_units:
-            self._meter.record_capacity(
-                billing.DDB_GSI, write_units=admitted_index_units
-            )
-            if admitted_index_stored:
-                self._meter.adjust_stored(billing.DDB_GSI, admitted_index_stored)
         return unprocessed
 
     def delete_item(self, table_name: str, key: str) -> None:
@@ -821,32 +793,9 @@ class DynamoDBService:
         Every GSI entry the item held is deleted too, each costing index
         write units sized by the entry it removes."""
         table = self._table(table_name)
-        state = table.authority.get(key)
-        old_size = _item_size(key, state) if state is not None else 0
-        write_units = _write_units_for(old_size)
-        index_deletes, shared_units, index_charges = (
-            self._index_delete_plan(table, key, state) if state is not None
-            else ([], 0.0, [])
-        )
-        index_units = shared_units + sum(units for _, _, units in index_charges)
         self._check_faults("DeleteItem")
-        self._admit(table, 0.0, write_units + shared_units, index_charges)
+        self._commit_item(table, key, ABSENT)
         self._meter.record_request(billing.DDB, "DeleteItem")
-        self._meter.record_capacity(billing.DDB, write_units=write_units)
-        if state is None:
-            return
-        del table.authority[key]
-        self._meter.adjust_stored(billing.DDB, -old_size)
-        table.total_bytes -= old_size
-        table.replicas.delete(key)
-        if index_deletes:
-            self._meter.record_capacity(billing.DDB_GSI, write_units=index_units)
-            self._meter.adjust_stored(
-                billing.DDB_GSI, -sum(size for _, _, size in index_deletes)
-            )
-            for index, entry_key, size in index_deletes:
-                index.replicas.delete(entry_key)
-                _stat_entry(index, entry_key, -size, -1)
 
     # -- reads --------------------------------------------------------------
 

@@ -4,10 +4,10 @@ The paper's three figures are dataflow diagrams of the architectures.
 Rather than shipping static pictures, this module renders the diagrams
 *from the live architecture objects* — each
 :class:`~repro.core.base.ProvenanceCloudStore` exposes ``components()``
-and ``flows()``, and the renderer lays them out as ASCII (for terminals
-and EXPERIMENTS.md) or Graphviz DOT (for papers). Because the diagram is
-derived from the same objects the protocols run on, it cannot drift from
-the implementation.
+and ``flows()``, and the renderer lays them out as ASCII (for
+terminals: ``python -m repro figures``) or Graphviz DOT (for papers).
+Because the diagram is derived from the same objects the protocols run
+on, it cannot drift from the implementation.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ Three wire formats, one source of truth:
   own S3 object and replaced by a ``@s3:`` pointer — the paper counts
   24,952 such records. If the remaining metadata still exceeds the 2 KB
   limit, the largest values are spilled until it fits (the paper
-  acknowledges the limit problem without fully specifying this case; see
-  EXPERIMENTS.md).
+  acknowledges the limit problem without specifying this case, so this
+  second pass is the implementation's own rule; ``reference_s3_metadata``
+  in ``tests/oracles.py`` spells it out from scratch).
 
 * **SimpleDB items** (architectures A2/A3, §4.2–4.3) — one item per
   object version, item name ``name_vNNNN``, one attribute-value pair per

@@ -1,14 +1,17 @@
 """Cost-based access-path planning for the scatter query phases.
 
-Until now every Q2/Q3 phase paid whatever access path its backend
-happened to pick: SimpleDB always answers with its server-side
-Query/Select (there is nothing else), and the DynamoDB-style adapter
-chooses GSI-vs-Scan by *first fit* over the declared indexes
-(:meth:`~repro.aws.backend.DynamoBackend.plan_first_fit`) — nobody consults
-the price book, even though every operation is already metered to the
-cent. This module closes that loop: it enumerates the candidate access
-paths a phase could run (DDB Scan, GSI equality Query, composite GSI
-hash+range Query, SimpleDB Select), prices each one from
+Without a planner every Q2/Q3 phase runs its backend's *first fit*.
+Each backend enumerates the access paths sound for a predicate
+(``candidate_paths``: the native default first — SimpleDB's server-side
+Query/Select, its only path, or a DynamoDB Scan — then every fresh
+usable index in declaration order), and one function,
+:func:`~repro.aws.backend.first_fit`, picks the first ``"gsi"`` path of
+that enumeration, else the native default. ``query_pages(path=None)``,
+``plan_first_fit`` and :meth:`QueryPlanner.choose` all apply that one
+rule. First fit consults no price book, even though every operation is
+already metered to the cent. This module closes that loop: it prices
+each candidate access path (DDB Scan, GSI equality Query, composite GSI
+hash+range Query, SimpleDB Select) from
 :class:`~repro.aws.billing.PriceBook` rates plus cheap incrementally
 maintained table statistics (DescribeTable / DomainMetadata — item
 counts, mean item sizes, exact per-index key histograms; never
@@ -19,10 +22,11 @@ Three modes, selected per engine (``planner=``):
 * ``"off"`` (default) — no planner object exists; every request
   sequence is byte-identical to the historical engine (the baselines
   gate pins this).
-* ``"first-fit"`` — the baseline: executes exactly the path ``off``
-  would, but *predicts* its cost first, so ``predicted_cost`` lands on
-  the measurement and the honesty property has a baseline to compare
-  against.
+* ``"first-fit"`` — the baseline: reads the same candidates as
+  ``"cost"`` but never deviates from their first fit, so it executes
+  the path ``off`` would, and *predicts* its cost first, so
+  ``predicted_cost`` lands on the measurement and the honesty property
+  has a baseline to compare against.
 * ``"cost"`` — picks the cheapest estimated path, with hysteresis:
   it deviates from the first-fit choice only when a candidate's
   estimate undercuts it by at least :data:`HYSTERESIS` — estimates are
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import math
 
-from repro.aws.backend import SCAN_PATH, AccessPath
+from repro.aws.backend import SCAN_PATH, AccessPath, first_fit
 from repro.aws.billing import GB, SDB_BOX_USAGE_HOURS, PriceBook
 from repro.aws.dynamo import SCAN_MAX_PAGE
 from repro.aws.sdb_query import CompiledQuery
@@ -287,25 +291,23 @@ class QueryPlanner:
         ``query_pages(..., path=path)`` and accumulates the prediction
         onto the measurement.
 
-        The backend enumerates its sound paths once per call, native
-        default first (SimpleDB's only path; Scan on DynamoDB) with the
-        first ``"gsi"`` entry being the first fit — baseline mode asks
-        for that one path alone.
+        Both modes read the backend's ``candidate_paths`` (native
+        default first: SimpleDB's only path, Scan on DynamoDB) and start
+        from its :func:`~repro.aws.backend.first_fit`; ``"first-fit"``
+        never deviates from it.
         """
         stats, consult = self._site_stats(backend, store)
-        if self.mode == "first-fit":
-            paths = [backend.plan_first_fit(store, compiled, wanted)]
-        else:
-            paths = backend.candidate_paths(store, compiled, wanted)
-        first_fit = next((path for path in paths if path.kind == "gsi"), paths[0])
-        first_fit_cost = self._estimate(stats, first_fit, compiled)
-        best, best_cost = first_fit, first_fit_cost
-        for path in paths:
-            if path is first_fit:
-                continue
-            cost = self._estimate(stats, path, compiled)
-            if cost < HYSTERESIS * first_fit_cost and cost < best_cost:
-                best, best_cost = path, cost
+        paths = backend.candidate_paths(store, compiled, wanted)
+        baseline = first_fit(paths)
+        baseline_cost = self._estimate(stats, baseline, compiled)
+        best, best_cost = baseline, baseline_cost
+        if self.mode == "cost":
+            for path in paths:
+                if path is baseline:
+                    continue
+                cost = self._estimate(stats, path, compiled)
+                if cost < HYSTERESIS * baseline_cost and cost < best_cost:
+                    best, best_cost = path, cost
         return best, best_cost + consult
 
 

@@ -17,8 +17,9 @@ provenance (S3 fmt)    121.8 MB      ≈9–10% of raw
 records >1 KB          24,952        ≈0.8 / object
 =====================  ============  =========================
 
-The measured values for the calibrated trace are recorded in
-EXPERIMENTS.md; benchmarks at paper scale use the streaming API
+``benchmarks/bench_table2_storage.py`` measures the calibrated trace
+against these figures (and asserts the object count and raw bytes);
+benchmarks at paper scale use the streaming API
 (:meth:`CombinedWorkload.iter_events`) plus
 :func:`repro.workloads.base.collect_stats` so the full trace never
 resides in memory.
@@ -36,8 +37,9 @@ from repro.workloads.linux_compile import LinuxCompileWorkload
 from repro.workloads.provchallenge import ProvenanceChallengeWorkload
 
 #: Scale factor at which the combined trace matches the paper's dataset
-#: size (calibrated by benchmarks/bench_table2_storage.py; see
-#: EXPERIMENTS.md for the measured statistics at this scale). At 33.0
+#: size (calibrated by benchmarks/bench_table2_storage.py, which writes
+#: the measured statistics at this scale to
+#: benchmarks/results/table2_storage_analytic.txt). At 33.0
 #: the combined trace measures ≈31,150 objects and ≈1.28 GB raw data
 #: against the paper's 31,180 objects and 1.27 GB.
 PAPER_SCALE = 33.0

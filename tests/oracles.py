@@ -9,8 +9,34 @@ contract it is checked on.
 
 from __future__ import annotations
 
+import json
+import math
 import random
 
+from repro import units
+from repro.aws import billing
+from repro.aws.backend import _range_candidates, _referenced_attributes
+from repro.aws.consistency import _TOMBSTONE
+from repro.aws.dynamo import (
+    INDEX_KEY_SEP,
+    SCAN_MAX_PAGE,
+    IndexQueryResult,
+    ScanResult,
+    _range_matches,
+)
+from repro.aws.item import _attr_size
+from repro.aws.s3 import S3ListResult
+from repro.aws.sdb_query import (
+    BoolOp,
+    BracketPredicate,
+    Comparison,
+    MatchAll,
+    Not,
+    Null,
+    equality_candidates,
+)
+from repro.core.base import temp_key
+from repro.core.wal import MESSAGE_BUDGET
 from repro.passlib.records import FlushEvent, ProvenanceRecord
 from repro.passlib.serializer import (
     POINTER_PREFIX,
@@ -18,6 +44,7 @@ from repro.passlib.serializer import (
     OverflowObject,
     S3MetadataPayload,
     overflow_key,
+    to_simpledb_items,
 )
 from repro.units import S3_MAX_METADATA_SIZE
 from repro.workloads.base import _ENV_BASE
@@ -101,3 +128,333 @@ def reference_synth_env(rng: random.Random, target_bytes: int) -> str:
         size += len(entry) + 1
         counter += 1
     return "\n".join(parts)
+
+
+# -- WAL records: the greedy splitter build_wal_bundle replaced ----------------
+
+
+def reference_dumps(payload) -> str:
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+
+def reference_prov_chunks(txn_id, payload) -> list[dict]:
+    """Greedy split: measure every attribute, cut before the one that
+    would push the record past the budget."""
+    def record(attrs):
+        return {"t": "prov", "txn": txn_id, "item": payload.item_name, "attrs": attrs}
+
+    chunks, current, current_size = [], [], 0
+    base_overhead = len(reference_dumps(record([])).encode())
+    for name, value in payload.attributes:
+        entry_size = len(reference_dumps([name, value]).encode()) + 1
+        if current and base_overhead + current_size + entry_size > MESSAGE_BUDGET:
+            chunks.append(record(current))
+            current, current_size = [], 0
+        current.append([name, value])
+        current_size += entry_size
+    if current:
+        chunks.append(record(current))
+    return chunks
+
+
+def reference_wal_bundle(event, txn_id) -> tuple[list[str], list[str]]:
+    """(message bodies, temp-put keys) as every record dict was built
+    first and dumped at the end."""
+    temp_data_key = temp_key(txn_id, event.subject.name)
+    temp_keys = [temp_data_key]
+    records = [
+        {
+            "t": "data",
+            "txn": txn_id,
+            "subject": event.subject.encode(),
+            "temp": temp_data_key,
+            "nonce": event.nonce,
+            "md5": event.data.md5(),
+            "size": event.data.size,
+        }
+    ]
+    for payload in to_simpledb_items(event):
+        for overflow in payload.overflow:
+            body = {"t": "ovfl", "txn": txn_id, "key": overflow.key, "value": overflow.value}
+            if len(reference_dumps(body).encode()) > MESSAGE_BUDGET:
+                staged = temp_key(txn_id, overflow.key)
+                temp_keys.append(staged)
+                body = {"t": "ovfl_ptr", "txn": txn_id, "key": overflow.key, "temp": staged}
+            records.append(body)
+        records.extend(reference_prov_chunks(txn_id, payload))
+    records.append({"t": "commit", "txn": txn_id})
+    begin = {"t": "begin", "txn": txn_id, "n": len(records)}
+    return [reference_dumps(r) for r in [begin, *records]], temp_keys
+
+
+# -- DynamoDB pages: sort the drawn replica whole, then filter -----------------
+# These measure every item and entry they serve from scratch, as the
+# service did before stored values carried their size (ItemState.nbytes).
+
+
+def reference_item_size(key, state):
+    return len(key.encode()) + _attr_size(state)
+
+
+def reference_entry_size(entry_key, projected):
+    return (
+        units.DDB_INDEX_ENTRY_OVERHEAD
+        + len(entry_key.encode())
+        + _attr_size(projected)
+    )
+
+
+def reference_items_snapshot(replicas):
+    """(key, value) pairs visible on one randomly chosen replica."""
+    replica = replicas._pick_replica()
+    for key in sorted(replica):
+        version_value = replica[key]
+        if version_value[1] is not _TOMBSTONE:
+            yield key, version_value[1]
+
+
+def reference_scan(
+    ddb, table_name, exclusive_start_key=None, limit=SCAN_MAX_PAGE, consistent=False
+):
+    table = ddb._table(table_name)
+    if consistent:
+        snapshot = [
+            (key, dict(table.authority[key])) for key in sorted(table.authority)
+        ]
+    else:
+        snapshot = [(k, dict(v)) for k, v in reference_items_snapshot(table.replicas)]
+    if exclusive_start_key is not None:
+        snapshot = [(k, v) for k, v in snapshot if k > exclusive_start_key]
+    page = []
+    scanned_bytes = 0
+    for key, state in snapshot:
+        page.append((key, state))
+        scanned_bytes += reference_item_size(key, state)
+        if len(page) >= min(limit, SCAN_MAX_PAGE):
+            break
+        if scanned_bytes >= units.DDB_PAGE_BYTES:
+            break
+    base = float(max(1, math.ceil(scanned_bytes / units.DDB_RCU_BYTES)))
+    read_units = base if consistent else base / 2.0
+    ddb._check_faults("Scan")
+    ddb._admit(table, read_units, 0.0)
+    ddb._meter.record_request(billing.DDB, "Scan")
+    ddb._meter.record_capacity(billing.DDB, read_units=read_units)
+    ddb._meter.record_transfer_out(
+        billing.DDB, sum(len(k.encode()) + _attr_size(v) for k, v in page)
+    )
+    last_key = page[-1][0] if len(snapshot) > len(page) and page else None
+    return ScanResult(
+        items=tuple((k, dict(v)) for k, v in page), last_evaluated_key=last_key
+    )
+
+
+def reference_query_index(
+    ddb, table_name, index_name, key_values,
+    exclusive_start_key=None, limit=SCAN_MAX_PAGE, range_condition=None,
+):
+    table = ddb._table(table_name)
+    index = table.indexes[index_name]
+    wanted = set(key_values)
+    matches = []
+    for entry_key, projected in reference_items_snapshot(index.replicas):
+        value, _, rest = entry_key.partition(INDEX_KEY_SEP)
+        if value not in wanted:
+            continue
+        if range_condition is not None:
+            range_value = rest.rpartition(INDEX_KEY_SEP)[0]
+            if not _range_matches(range_value, range_condition):
+                continue
+        if exclusive_start_key is not None and entry_key <= exclusive_start_key:
+            continue
+        item_name = rest.rpartition(INDEX_KEY_SEP)[2]
+        matches.append((entry_key, item_name, projected))
+    billing_key = (
+        billing.DDB_GSI_RANGE if range_condition is not None else billing.DDB_GSI
+    )
+    return _reference_index_page(ddb, table, index, matches, limit, "Query", billing_key)
+
+
+def reference_scan_index(
+    ddb, table_name, index_name, exclusive_start_key=None, limit=SCAN_MAX_PAGE
+):
+    table = ddb._table(table_name)
+    index = table.indexes[index_name]
+    matches = [
+        (entry_key, entry_key.rpartition(INDEX_KEY_SEP)[2], projected)
+        for entry_key, projected in reference_items_snapshot(index.replicas)
+        if exclusive_start_key is None or entry_key > exclusive_start_key
+    ]
+    return _reference_index_page(ddb, table, index, matches, limit, "Scan")
+
+
+def _reference_index_page(
+    ddb, table, index, matches, limit, op, billing_key=billing.DDB_GSI
+):
+    page = []
+    page_bytes = 0
+    for entry_key, item_name, projected in matches:
+        page.append((entry_key, item_name, dict(projected)))
+        page_bytes += reference_entry_size(entry_key, projected)
+        if len(page) >= min(limit, SCAN_MAX_PAGE):
+            break
+        if page_bytes >= units.DDB_PAGE_BYTES:
+            break
+    base = float(max(1, math.ceil(page_bytes / units.DDB_RCU_BYTES)))
+    read_units = base / 2.0
+    ddb._check_faults(op)
+    if index.spec.rcu is not None:
+        ddb._admit(table, 0.0, 0.0, [(index, read_units, 0.0)])
+    else:
+        ddb._admit(table, read_units, 0.0)
+    ddb._meter.record_request(billing_key, op)
+    ddb._meter.record_capacity(billing_key, read_units=read_units)
+    ddb._meter.record_transfer_out(
+        billing_key,
+        sum(
+            len(item_name.encode()) + _attr_size(projected)
+            for _, item_name, projected in page
+        ),
+    )
+    last = page[-1][0] if page and len(matches) > len(page) else None
+    return IndexQueryResult(
+        entries=tuple((item_name, projected) for _, item_name, projected in page),
+        last_evaluated_key=last,
+    )
+
+
+# -- S3 LIST: the drawn replica's keys sorted whole ----------------------------
+
+
+def reference_list(s3, bucket, prefix, marker, max_keys) -> S3ListResult:
+    """The LIST the seek replaced: the drawn replica's keys sorted
+    whole, filtered linearly, cut at the page — metered the same way."""
+    s3._request("LIST")
+    visible = [
+        key
+        for key, _ in reference_items_snapshot(s3._bucket(bucket))
+        if key.startswith(prefix) and (marker is None or key > marker)
+    ]
+    page = tuple(visible[:max_keys])
+    s3._meter.record_transfer_out(billing.S3, sum(len(k.encode()) for k in page))
+    truncated = len(visible) > max_keys
+    return S3ListResult(page, truncated, page[-1] if truncated else None)
+
+
+# -- SimpleDB queries: the interpreter the compiled matchers replaced ----------
+
+
+_REFERENCE_OPS = {
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "starts-with": lambda a, b: a.startswith(b),
+    "does-not-start-with": lambda a, b: not a.startswith(b),
+}
+
+
+def reference_matches(node, attrs) -> bool:
+    if isinstance(node, Comparison):
+        values = attrs.get(node.attribute)
+        if not values:
+            return False
+        quantify = all if node.every else any
+        return quantify(_REFERENCE_OPS[node.op](v, node.value) for v in values)
+    if isinstance(node, BracketPredicate):
+        return any(
+            all(
+                any(_REFERENCE_OPS[c.op](value, c.value) for c in group)
+                for group in node.conjunctions
+            )
+            for value in attrs.get(node.attribute) or ()
+        )
+    if isinstance(node, Null):
+        present = bool(attrs.get(node.attribute))
+        return present if node.negated else not present
+    if isinstance(node, Not):
+        return not reference_matches(node.operand, attrs)
+    if isinstance(node, BoolOp):
+        left = reference_matches(node.left, attrs)
+        right = reference_matches(node.right, attrs)
+        return (left and right) if node.op == "and" else (left or right)
+    assert isinstance(node, MatchAll)
+    return True
+
+
+def reference_rows(items, query):
+    """What the pre-index service returned for ``query`` over ``items``."""
+    matched = [(n, a) for n, a in items if reference_matches(query.predicate, a)]
+    matched.sort(key=lambda pair: query.sort_key(*pair))
+    if query.sort_descending:
+        matched.reverse()
+    return [(name, dict(attrs)) for name, attrs in matched]
+
+
+# -- DynamoDB index picks: plain loops over the declarations -------------------
+
+
+def reference_index_plan(specs, lags, bound, compiled, wanted):
+    """The first-fit index pick of a ``path=None`` query, as the loop
+    that preceded the access-path enumerator spelled it: ``(first-fit
+    spec or None, (gsi, scan, stale) counter deltas of one path=None
+    execution)``."""
+    if not specs:
+        return None, (0, 0, 0)
+    candidates = equality_candidates(compiled.predicate)
+    ranges = _range_candidates(compiled.predicate)
+    referenced = _referenced_attributes(compiled.predicate)
+    stale = False
+    for spec in specs:
+        if not candidates.get(spec.key_attribute):
+            continue
+        if spec.range_attribute is not None and spec.range_attribute not in ranges:
+            continue
+        if not spec.covers(referenced):
+            continue
+        if not spec.project_all and (wanted is None or not spec.covers(wanted)):
+            continue
+        if lags[spec.name] > bound:
+            stale = True
+            continue
+        return spec, (1, 0, 0)
+    return None, (0, 1, int(stale))
+
+
+def reference_composite_pick(specs, lags, bound, hash_attribute, range_attribute):
+    """``DynamoBackend.composite_index`` as a plain loop over the
+    declarations: ``(the first fresh ALL-projection (hash, range) index
+    or None, stale_index_fallbacks delta)``. The delta is 1 only when
+    no fresh index matched and at least one matching index was stale."""
+    stale = False
+    for spec in specs:
+        if (spec.key_attribute, spec.range_attribute) != (hash_attribute, range_attribute):
+            continue
+        if not spec.project_all:
+            continue
+        if lags[spec.name] > bound:
+            stale = True
+            continue
+        return spec, 0
+    return None, int(stale)
+
+
+def reference_migration_pick(specs, lags, bound, distinct_items, item_count):
+    """``DynamoBackend.migration_pages``' index choice as a plain loop:
+    ``(the first fresh ALL-projection index holding an entry for every
+    item, or None; stale_index_fallbacks delta; migration_index_streams
+    delta)``. ``distinct_items`` maps an index name to the items it has
+    entries for. A stale index counts as a fallback only when it would
+    otherwise have served: one that is also sparse could not have, so
+    it counts nothing."""
+    stale = False
+    for spec in specs:
+        if not spec.project_all or distinct_items[spec.name] != item_count:
+            continue
+        if lags[spec.name] > bound:
+            stale = True
+            continue
+        return spec, 0, 1
+    return None, int(stale), 0

@@ -26,7 +26,11 @@ Below the grid, one hypothesis property pins the access-path enumerator
 itself over random predicates × index declarations × per-index lag:
 ``plan_first_fit``, ``candidate_paths`` and a ``path=None`` execution
 all read the same enumeration, and the fallback counters move exactly
-as the pre-enumerator first-fit code moved them.
+as the pre-enumerator first-fit code moved them. The same draws pin the
+other two readers of the declarations against their references in
+``tests/oracles.py``: ``composite_index`` (``version_history``'s pick)
+and ``migration_pages`` (over a second table whose items can leave an
+index sparse).
 """
 
 from __future__ import annotations
@@ -35,17 +39,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
-from repro.aws.backend import (
-    SCAN_PATH,
-    DynamoBackend,
-    _range_candidates,
-    _referenced_attributes,
-)
+from repro.aws.backend import SCAN_PATH, DynamoBackend
 from repro.aws.dynamo import IndexSpec
-from repro.aws.sdb_query import equality_candidates, parse_query
+from repro.aws.sdb_query import parse_query
 from repro.bench.matrix import Q4_VERSION_RANGE, default_workloads
 from repro.query.planner import PREDICTION_ERROR_BOUND
 from repro.sim import Simulation
+from tests.oracles import (
+    reference_composite_pick,
+    reference_index_plan,
+    reference_migration_pick,
+)
 
 #: Composite hash+range GSIs on DynamoDB-placed shards — the spec the
 #: matrix planner cells declare, so the cost mode has a range path to
@@ -197,42 +201,19 @@ index_declarations = st.lists(
 )
 
 
-def parent_index_plan(specs, lags, bound, compiled, wanted):
-    """The parent commit's ``_first_fit`` + ``_index_plan``, restated as
-    the oracle: ``(first-fit spec or None, (gsi, scan, stale) counter
-    deltas of one path=None execution)``."""
-    if not specs:
-        return None, (0, 0, 0)
-    candidates = equality_candidates(compiled.predicate)
-    ranges = _range_candidates(compiled.predicate)
-    referenced = _referenced_attributes(compiled.predicate)
-    stale = False
-    for spec in specs:
-        if not candidates.get(spec.key_attribute):
-            continue
-        if spec.range_attribute is not None and spec.range_attribute not in ranges:
-            continue
-        if not spec.covers(referenced):
-            continue
-        if not spec.project_all and (wanted is None or not spec.covers(wanted)):
-            continue
-        if lags[spec.name] > bound:
-            stale = True
-            continue
-        return spec, (1, 0, 0)
-    return None, (0, 1, int(stale))
-
-
 @settings(max_examples=300, deadline=None)
-@example(expression="['a' = 'x']", declarations=(), wanted=None, lag_draws=[0.0] * 4)
+@example(
+    expression="['a' = 'x']", declarations=(), wanted=None, lag_draws=[0.0] * 4, items=[]
+)
 @given(
     expression=predicates,
     declarations=index_declarations,
     wanted=st.none() | st.sets(st.sampled_from(ATTRS), max_size=1),
     lag_draws=st.lists(st.sampled_from((0.0, 0.4, 9.0)), min_size=4, max_size=4),
+    items=st.lists(st.sets(st.sampled_from(ATTRS), min_size=1), max_size=3),
 )
 def test_one_enumeration_serves_first_fit_candidates_and_execution(
-    expression, declarations, wanted, lag_draws
+    expression, declarations, wanted, lag_draws, items
 ):
     bound = 0.5
     account = AWSAccount(seed=3, consistency=ConsistencyConfig.strong())
@@ -267,10 +248,48 @@ def test_one_enumeration_serves_first_fit_candidates_and_execution(
                 "gsi", path.index, path.values
             )
 
-    expected_spec, expected_counters = parent_index_plan(
+    expected_spec, expected_counters = reference_index_plan(
         specs, lags, bound, compiled, wanted
     )
     assert first_fit.index == expected_spec
     attribute_names = None if wanted is None else sorted(wanted)
     assert list(backend.query_pages("t", expression, "", False, attribute_names)) == []
     assert counters() == expected_counters
+
+    # The other two readers of the declarations: version_history's
+    # composite (hash, nonce) pick and migration's ALL-projection pick.
+    for attribute in ATTRS:
+        before = backend.stale_index_fallbacks
+        expected_spec, expected_stale = reference_composite_pick(
+            specs, lags, bound, attribute, "n"
+        )
+        assert backend.composite_index("t", attribute, "n") == expected_spec
+        assert backend.stale_index_fallbacks - before == expected_stale
+
+    # A second table holding items, so an index can be sparse.
+    backend.provision("u")
+    for number, attributes in enumerate(items):
+        adds = [(attr, "3" if attr == "n" else "x") for attr in sorted(attributes)]
+        account.dynamodb.update_item("u", f"i{number}", adds)
+    distinct = {
+        spec.name: account.dynamodb.index_distinct_item_count("u", spec.name)
+        for spec in specs
+    }
+    expected_spec, expected_stale, expected_streams = reference_migration_pick(
+        specs, lags, bound, distinct, len(items)
+    )
+    scanned = []
+    scan_index = account.dynamodb.scan_index
+
+    def spy(store, index_name, **kwargs):
+        scanned.append(index_name)
+        return scan_index(store, index_name, **kwargs)
+
+    account.dynamodb.scan_index = spy
+    stale_before = backend.stale_index_fallbacks
+    via_index, pages = backend.migration_pages("u")
+    assert sorted(name for name, _ in pages) == [f"i{n}" for n in range(len(items))]
+    assert via_index == (expected_spec is not None)
+    assert set(scanned) == ({expected_spec.name} if via_index else set())
+    assert backend.stale_index_fallbacks - stale_before == expected_stale
+    assert backend.migration_index_streams == expected_streams

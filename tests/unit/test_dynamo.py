@@ -217,6 +217,47 @@ class TestProvisionedThroughput:
         assert account.dynamodb.item_count("tiny") == 6
 
 
+class TestBatchBackoffBudget:
+    """``put_provenance_items`` rides out throttles through the same
+    backoff as single requests: each 25-entry chunk gets its own budget
+    of ``max_backoffs`` backoffs, each counted once."""
+
+    @staticmethod
+    def adapter(account, write_capacity, max_backoffs):
+        account.dynamodb.create_table("tiny", read_capacity=50, write_capacity=write_capacity)
+        adapter = DynamoBackend(account.dynamodb)
+        adapter.max_backoffs = max_backoffs
+        return adapter
+
+    def test_a_chunk_never_admitted_surfaces_the_service_throttle(self, account):
+        adapter = self.adapter(account, write_capacity=1, max_backoffs=3)
+        with pytest.raises(errors.ProvisionedThroughputExceeded, match="every entry"):
+            adapter.put_provenance_items("tiny", [("wide", [("v", "x" * 1500)])])
+        assert adapter.throttled_requests == 3
+        assert account.clock.now == 3 * adapter.backoff_seconds
+
+    def test_a_chunk_left_unprocessed_on_its_last_try_says_so(self, account):
+        adapter = self.adapter(account, write_capacity=2, max_backoffs=0)
+        items = [("a", [("v", "x")]), ("wide", [("v", "x" * 2500)])]
+        with pytest.raises(
+            errors.ProvisionedThroughputExceeded,
+            match="BatchWriteItem left 1 unprocessed entries after 0 backoffs",
+        ):
+            adapter.put_provenance_items("tiny", items)
+        assert adapter.throttled_requests == 0
+        assert account.dynamodb.item_count("tiny") == 1
+
+    def test_every_chunk_has_its_own_budget(self, account):
+        """Each chunk needs four backoffs (a quarter second each) to
+        reach the next window: eight in all, four allowed per chunk."""
+        adapter = self.adapter(account, write_capacity=25, max_backoffs=4)
+        account.dynamodb.update_item("tiny", "first", [("v", "x")])
+        items = [(f"item-{i:02d}", [("v", "x")]) for i in range(50)]
+        adapter.put_provenance_items("tiny", items)
+        assert adapter.throttled_requests == 8
+        assert account.dynamodb.item_count("tiny") == 51
+
+
 class TestBackendAdapterReads:
     def test_query_pages_filters_like_simpledb(self, account):
         """The same bracket predicate yields the same matches on either

@@ -4,175 +4,42 @@
 (``ordered_snapshot`` / ``OrderedSnapshot.between``). Every page must be
 exactly what the pre-seek service served: a replica drawn, sorted whole,
 filtered linearly past the start key and cut at the page budget. That
-code lives on here as the oracle (``reference_*``): it runs against a
-*twin* service fed the same seed and calls, so results, the whole meter
-and the RNG stream are compared request by request.
+code lives on in ``tests/oracles.py`` (``reference_*``): it runs against
+a *twin* service fed the same seed and calls, so results, the whole
+meter and the RNG stream are compared request by request.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repro import units
 from repro.aws import billing
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.consistency import DelayModel, OrderedSnapshot, ReplicaSet
-from repro.aws.consistency import _TOMBSTONE
 from repro.aws.dynamo import (
     INDEX_KEY_SEP,
     SCAN_MAX_PAGE,
-    IndexQueryResult,
     IndexSpec,
     ScanResult,
-    _range_matches,
     index_entry_key,
 )
-from repro.aws.item import _attr_size
 from repro.clock import SimClock
+from tests.oracles import (
+    reference_entry_size,
+    reference_item_size,
+    reference_items_snapshot,
+    reference_query_index,
+    reference_scan,
+    reference_scan_index,
+)
 
 TABLE = "t"
 SIMPLE = IndexSpec("gsi-k", "k", include=("t",))
 COMPOSITE = IndexSpec("gsi-k-r", "k", range_attribute="r", project_all=True)
 EVENTUAL = ConsistencyConfig.eventual(window=2.0, immediate_fraction=0.4)
-
-
-# -- the oracle: the page code the ordered snapshot replaced -----------------
-# It measures every item and entry it serves from scratch, as the service
-# did before stored values carried their size (``ItemState.nbytes``).
-
-def _item_size(key, state):
-    return len(key.encode()) + _attr_size(state)
-
-
-def _entry_size(entry_key, projected):
-    return (
-        units.DDB_INDEX_ENTRY_OVERHEAD
-        + len(entry_key.encode())
-        + _attr_size(projected)
-    )
-
-
-def reference_items_snapshot(replicas):
-    """(key, value) pairs visible on one randomly chosen replica."""
-    replica = replicas._pick_replica()
-    for key in sorted(replica):
-        version_value = replica[key]
-        if version_value[1] is not _TOMBSTONE:
-            yield key, version_value[1]
-
-
-def reference_scan(
-    ddb, table_name, exclusive_start_key=None, limit=SCAN_MAX_PAGE, consistent=False
-):
-    table = ddb._table(table_name)
-    if consistent:
-        snapshot = [
-            (key, dict(table.authority[key])) for key in sorted(table.authority)
-        ]
-    else:
-        snapshot = [(k, dict(v)) for k, v in reference_items_snapshot(table.replicas)]
-    if exclusive_start_key is not None:
-        snapshot = [(k, v) for k, v in snapshot if k > exclusive_start_key]
-    page = []
-    scanned_bytes = 0
-    for key, state in snapshot:
-        page.append((key, state))
-        scanned_bytes += _item_size(key, state)
-        if len(page) >= min(limit, SCAN_MAX_PAGE):
-            break
-        if scanned_bytes >= units.DDB_PAGE_BYTES:
-            break
-    base = float(max(1, math.ceil(scanned_bytes / units.DDB_RCU_BYTES)))
-    read_units = base if consistent else base / 2.0
-    ddb._check_faults("Scan")
-    ddb._admit(table, read_units, 0.0)
-    ddb._meter.record_request(billing.DDB, "Scan")
-    ddb._meter.record_capacity(billing.DDB, read_units=read_units)
-    ddb._meter.record_transfer_out(
-        billing.DDB, sum(len(k.encode()) + _attr_size(v) for k, v in page)
-    )
-    last_key = page[-1][0] if len(snapshot) > len(page) and page else None
-    return ScanResult(
-        items=tuple((k, dict(v)) for k, v in page), last_evaluated_key=last_key
-    )
-
-
-def reference_query_index(
-    ddb, table_name, index_name, key_values,
-    exclusive_start_key=None, limit=SCAN_MAX_PAGE, range_condition=None,
-):
-    table = ddb._table(table_name)
-    index = table.indexes[index_name]
-    wanted = set(key_values)
-    matches = []
-    for entry_key, projected in reference_items_snapshot(index.replicas):
-        value, _, rest = entry_key.partition(INDEX_KEY_SEP)
-        if value not in wanted:
-            continue
-        if range_condition is not None:
-            range_value = rest.rpartition(INDEX_KEY_SEP)[0]
-            if not _range_matches(range_value, range_condition):
-                continue
-        if exclusive_start_key is not None and entry_key <= exclusive_start_key:
-            continue
-        item_name = rest.rpartition(INDEX_KEY_SEP)[2]
-        matches.append((entry_key, item_name, projected))
-    billing_key = (
-        billing.DDB_GSI_RANGE if range_condition is not None else billing.DDB_GSI
-    )
-    return _reference_index_page(ddb, table, index, matches, limit, "Query", billing_key)
-
-
-def reference_scan_index(
-    ddb, table_name, index_name, exclusive_start_key=None, limit=SCAN_MAX_PAGE
-):
-    table = ddb._table(table_name)
-    index = table.indexes[index_name]
-    matches = [
-        (entry_key, entry_key.rpartition(INDEX_KEY_SEP)[2], projected)
-        for entry_key, projected in reference_items_snapshot(index.replicas)
-        if exclusive_start_key is None or entry_key > exclusive_start_key
-    ]
-    return _reference_index_page(ddb, table, index, matches, limit, "Scan")
-
-
-def _reference_index_page(
-    ddb, table, index, matches, limit, op, billing_key=billing.DDB_GSI
-):
-    page = []
-    page_bytes = 0
-    for entry_key, item_name, projected in matches:
-        page.append((entry_key, item_name, dict(projected)))
-        page_bytes += _entry_size(entry_key, projected)
-        if len(page) >= min(limit, SCAN_MAX_PAGE):
-            break
-        if page_bytes >= units.DDB_PAGE_BYTES:
-            break
-    base = float(max(1, math.ceil(page_bytes / units.DDB_RCU_BYTES)))
-    read_units = base / 2.0
-    ddb._check_faults(op)
-    if index.spec.rcu is not None:
-        ddb._admit(table, 0.0, 0.0, [(index, read_units, 0.0)])
-    else:
-        ddb._admit(table, read_units, 0.0)
-    ddb._meter.record_request(billing_key, op)
-    ddb._meter.record_capacity(billing_key, read_units=read_units)
-    ddb._meter.record_transfer_out(
-        billing_key,
-        sum(
-            len(item_name.encode()) + _attr_size(projected)
-            for _, item_name, projected in page
-        ),
-    )
-    last = page[-1][0] if page and len(matches) > len(page) else None
-    return IndexQueryResult(
-        entries=tuple((item_name, projected) for _, item_name, projected in page),
-        last_evaluated_key=last,
-    )
 
 
 REFERENCE = {
@@ -537,12 +404,12 @@ def recount(ddb, table_name) -> dict:
     table = ddb._table(table_name)
     described = {
         "item_count": len(table.authority),
-        "table_bytes": sum(_item_size(k, v) for k, v in table.authority.items()),
+        "table_bytes": sum(reference_item_size(k, v) for k, v in table.authority.items()),
         "indexes": {},
     }
     for name, index in table.indexes.items():
         entries = [
-            (key.split(INDEX_KEY_SEP), _entry_size(key, projected))
+            (key.split(INDEX_KEY_SEP), reference_entry_size(key, projected))
             for key, projected in index.replicas._authority.items()
         ]
         composite = index.spec.range_attribute is not None

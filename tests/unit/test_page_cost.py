@@ -19,12 +19,10 @@ from collections import Counter
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repro.aws import billing
 from repro.aws.account import AWSAccount, ConsistencyConfig
-from repro.aws.s3 import S3ListResult
 from repro.aws.sdb_query import run_query
+from tests.oracles import reference_list
 
-from test_ordered_snapshot import reference_items_snapshot
 from test_sdb_index import DOMAIN, ask, compiled, count_matcher_calls
 
 BUCKET = "b"
@@ -152,21 +150,6 @@ def test_listing_four_times_the_keys_costs_four_times_as_much(prefix):
     assert list_cost(4 * N, prefix)[1] <= 4.4 * list_cost(N, prefix)[1]
 
 
-def reference_list(s3, prefix, marker, max_keys) -> S3ListResult:
-    """The LIST the seek replaced: the drawn replica's keys sorted
-    whole, filtered linearly, cut at the page — metered the same way."""
-    s3._request("LIST")
-    visible = [
-        key
-        for key, _ in reference_items_snapshot(s3._bucket(BUCKET))
-        if key.startswith(prefix) and (marker is None or key > marker)
-    ]
-    page = tuple(visible[:max_keys])
-    s3._meter.record_transfer_out(billing.S3, sum(len(k.encode()) for k in page))
-    truncated = len(visible) > max_keys
-    return S3ListResult(page, truncated, page[-1] if truncated else None)
-
-
 # Keys that prefix one another; prefixes and markers that fall before,
 # inside, between and past them.
 _keys = st.sampled_from(["a", "a/", "a/b", "a/c", "ab", "b", "b/a", "c"])
@@ -204,7 +187,7 @@ def test_every_list_page_equals_the_reference(consistency, steps):
         if step[0] == "list":
             event(f"installs pending = {s3._bucket(BUCKET).pending_installs > 0}")
             got = s3.list_keys(BUCKET, *step[1:])
-            assert got == reference_list(twin.s3, *step[1:])
+            assert got == reference_list(twin.s3, BUCKET, *step[1:])
             assert account.meter.snapshot() == twin.meter.snapshot()
             assert s3._rng.getstate() == twin.s3._rng.getstate()
             continue

@@ -5,8 +5,8 @@ provably equals the authoritative state and the predicate pins an
 attribute, and scans the replica otherwise; either way a page resumes
 at its token. Both must return exactly what the pre-index service did:
 filter and sort the visible items, with the *interpretive* matcher,
-which lives on here as the oracle (``reference_matches``) for the
-compiled closures too, then drop every row up to the token.
+which lives on in ``tests/oracles.py`` (``reference_matches``) as the
+oracle for the compiled closures too, then drop every row up to the token.
 """
 
 from __future__ import annotations
@@ -18,73 +18,13 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
-from repro.aws.sdb_query import (
-    BoolOp,
-    BracketPredicate,
-    Comparison,
-    CompiledQuery,
-    MatchAll,
-    Not,
-    Null,
-    parse_query,
-    parse_select,
-)
+from repro.aws.sdb_query import CompiledQuery, parse_query, parse_select
 from repro.aws.simpledb import Attribute
+from tests.oracles import reference_matches, reference_rows
 
 from test_sdb_query_fuzz import _attrs, bracket_expressions
 
 DOMAIN = "d"
-
-# -- the oracle: the interpreter the compiled matchers replaced -------------
-
-_REFERENCE_OPS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "starts-with": lambda a, b: a.startswith(b),
-    "does-not-start-with": lambda a, b: not a.startswith(b),
-}
-
-
-def reference_matches(node, attrs) -> bool:
-    if isinstance(node, Comparison):
-        values = attrs.get(node.attribute)
-        if not values:
-            return False
-        quantify = all if node.every else any
-        return quantify(_REFERENCE_OPS[node.op](v, node.value) for v in values)
-    if isinstance(node, BracketPredicate):
-        return any(
-            all(
-                any(_REFERENCE_OPS[c.op](value, c.value) for c in group)
-                for group in node.conjunctions
-            )
-            for value in attrs.get(node.attribute) or ()
-        )
-    if isinstance(node, Null):
-        present = bool(attrs.get(node.attribute))
-        return present if node.negated else not present
-    if isinstance(node, Not):
-        return not reference_matches(node.operand, attrs)
-    if isinstance(node, BoolOp):
-        left = reference_matches(node.left, attrs)
-        right = reference_matches(node.right, attrs)
-        return (left and right) if node.op == "and" else (left or right)
-    assert isinstance(node, MatchAll)
-    return True
-
-
-def reference_rows(items, query):
-    """What the pre-index service returned for ``query`` over ``items``."""
-    matched = [(n, a) for n, a in items if reference_matches(query.predicate, a)]
-    matched.sort(key=lambda pair: query.sort_key(*pair))
-    if query.sort_descending:
-        matched.reverse()
-    return [(name, dict(attrs)) for name, attrs in matched]
-
 
 def count_matcher_calls(monkeypatch) -> Counter:
     """Count, under ``"items"``, every item a compiled query's matcher is

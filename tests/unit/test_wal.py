@@ -17,8 +17,9 @@ from repro.core.wal import (
 )
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import FlushEvent, ObjectRef, ProvenanceBundle, ProvenanceRecord
-from repro.passlib.serializer import SdbItemPayload, to_simpledb_items
+from repro.passlib.serializer import SdbItemPayload
 from repro.units import KB
+from tests.oracles import reference_dumps, reference_prov_chunks, reference_wal_bundle
 
 
 def make_event(env_bytes=0, data=b"content"):
@@ -99,63 +100,6 @@ class TestBuildWalBundle:
             assert len(message.encode()) <= MESSAGE_BUDGET + 256
 
 
-# -- the pre-PR-15 algorithm, kept here as the byte-for-byte oracle --------
-
-
-def _reference_dumps(payload) -> str:
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
-
-
-def _reference_chunks(txn_id, payload) -> list[dict]:
-    """Greedy split: measure every attribute, cut before the one that
-    would push the record past the budget."""
-    def record(attrs):
-        return {"t": "prov", "txn": txn_id, "item": payload.item_name, "attrs": attrs}
-
-    chunks, current, current_size = [], [], 0
-    base_overhead = len(_reference_dumps(record([])).encode())
-    for name, value in payload.attributes:
-        entry_size = len(_reference_dumps([name, value]).encode()) + 1
-        if current and base_overhead + current_size + entry_size > MESSAGE_BUDGET:
-            chunks.append(record(current))
-            current, current_size = [], 0
-        current.append([name, value])
-        current_size += entry_size
-    if current:
-        chunks.append(record(current))
-    return chunks
-
-
-def _reference_bundle(event, txn_id) -> tuple[list[str], list[str]]:
-    """(message bodies, temp-put keys) as every record dict was built
-    first and dumped at the end."""
-    temp_data_key = temp_key(txn_id, event.subject.name)
-    temp_keys = [temp_data_key]
-    records = [
-        {
-            "t": "data",
-            "txn": txn_id,
-            "subject": event.subject.encode(),
-            "temp": temp_data_key,
-            "nonce": event.nonce,
-            "md5": event.data.md5(),
-            "size": event.data.size,
-        }
-    ]
-    for payload in to_simpledb_items(event):
-        for overflow in payload.overflow:
-            body = {"t": "ovfl", "txn": txn_id, "key": overflow.key, "value": overflow.value}
-            if len(_reference_dumps(body).encode()) > MESSAGE_BUDGET:
-                staged = temp_key(txn_id, overflow.key)
-                temp_keys.append(staged)
-                body = {"t": "ovfl_ptr", "txn": txn_id, "key": overflow.key, "temp": staged}
-            records.append(body)
-        records.extend(_reference_chunks(txn_id, payload))
-    records.append({"t": "commit", "txn": txn_id})
-    begin = {"t": "begin", "txn": txn_id, "n": len(records)}
-    return [_reference_dumps(r) for r in [begin, *records]], temp_keys
-
-
 #: One- to four-byte UTF-8, and characters JSON has to escape.
 _UNITS = st.sampled_from(["a", " ", '"', "\\", "\n", "é", "日", "😀"])
 #: Value sizes in UTF-8 bytes: mostly just under the 1 KB spill
@@ -207,7 +151,7 @@ class TestDumpOnceMatchesTheGreedySplitter:
     @given(event=_events(), txn_id=st.sampled_from(["stats", "client-0.e00002-000017"]))
     def test_bundle_is_byte_identical_to_the_reference(self, event, txn_id):
         bundle = build_wal_bundle(event, txn_id)
-        messages, temp_keys = _reference_bundle(event, txn_id)
+        messages, temp_keys = reference_wal_bundle(event, txn_id)
         assert list(bundle.messages) == messages
         assert [key for key, _ in bundle.temp_puts] == temp_keys
 
@@ -217,7 +161,7 @@ class TestDumpOnceMatchesTheGreedySplitter:
 
     def _assert_matches_reference(self, payload) -> list[str]:
         bodies = prov_records("txn-1", payload)
-        assert bodies == [_reference_dumps(c) for c in _reference_chunks("txn-1", payload)]
+        assert bodies == [reference_dumps(c) for c in reference_prov_chunks("txn-1", payload)]
         return bodies
 
     def test_empty_item_logs_no_prov_record(self):
