@@ -17,7 +17,7 @@ import tokenize
 from pathlib import Path
 
 #: Highest allowed total for ``src/repro`` (the current total).
-CEILING = 10945
+CEILING = 10954
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}

@@ -21,8 +21,9 @@ the chosen phase only:
 ``migrate``  the closing online re-shard.
 
 Prints how many operations the profiled calls covered and how many
-``json.dumps`` and ``bundle_from_item`` calls each cost (the
-serialisation and decode counts CHANGES.md quotes), then the top 30
+``json.dumps``, ``bundle_from_item`` and ring-hash (``_hash_point``,
+an MD5 in ``repro.sharding``) calls each cost (the serialisation,
+decode and routing counts CHANGES.md quotes), then the top 30
 functions by ``tottime`` and by ``cumulative``. Profiled seconds are
 2–3× the harness's: read shares and call counts, not rates.
 """
@@ -138,11 +139,13 @@ def main(argv: list[str] | None = None) -> int:
     per_op = max(operations, 1)
     dumps = _calls(stats, "dumps", "json")
     decodes = _calls(stats, "bundle_from_item", "serializer.py")
+    hashes = _calls(stats, "_hash_point", "sharding.py")
     print(
         f"{spec.name} seed={args.seed} phase={args.phase}: profiled {args.cycles} cycles, "
         f"{operations} {units}, {stats.total_tt:.2f} s under the profiler; "
         f"json.dumps {dumps} calls = {dumps / per_op:.1f} per {unit}; "
-        f"bundle_from_item {decodes} calls = {decodes / per_op:.2f} per {unit}"
+        f"bundle_from_item {decodes} calls = {decodes / per_op:.2f} per {unit}; "
+        f"_hash_point {hashes} calls = {hashes / per_op:.3g} per {unit}"
     )
     stats.strip_dirs()
     for order in ("tottime", "cumulative"):

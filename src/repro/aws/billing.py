@@ -293,6 +293,18 @@ class MeterScope:
             return sum(self._bytes_out.values())
         return self._bytes_out.get(service, 0)
 
+    def totals(self) -> tuple[int, int, int, int]:
+        """``(requests, bytes out, cache-tier requests, cache-tier bytes
+        out)`` in one pass over the scope — what a query measurement
+        splits into backend and :data:`ELASTICACHE` spend."""
+        requests = cache_requests = 0
+        for (service, _), count in self._requests.items():
+            requests += count
+            if service == ELASTICACHE:
+                cache_requests += count
+        out = self._bytes_out
+        return requests, sum(out.values()), cache_requests, out.get(ELASTICACHE, 0)
+
 
 class Meter:
     """Accumulates requests, transfer bytes, and storage byte-seconds.

@@ -26,6 +26,15 @@ answers three questions per request:
   identical values (set-merge writes), so the union is always correct;
   the extra reads during the window are honest migration overhead.
 
+Outside a migration the answers are interned: the handle builds one
+:class:`Site`, one single-site :class:`WritePlan` and one
+:meth:`~RouterHandle.query_sites` tuple per settled layout, and hands
+the same objects out on every call (routing a path is a memoised
+:meth:`~repro.sharding.ShardRouter.domain_for` lookup). They are
+rebuilt only when the settled layout changes, in
+:meth:`~RouterHandle.finish_migration`. Mid-migration answers come
+from the migration and are built per call.
+
 ``epoch`` counts layout changes: every per-shard cutover bumps it, as
 does the migration's final collapse to the target layout — consumers
 that cache anything derived from the layout can invalidate on epoch
@@ -86,7 +95,7 @@ class RouterHandle:
     """Shared, epoch-versioned routing indirection (see module doc)."""
 
     def __init__(self, router: ShardRouter):
-        self._current = router
+        self._settle(router)
         #: Bumped on every layout change: each per-shard cutover of a
         #: live migration, and its final collapse to the target.
         self.epoch = 0
@@ -114,6 +123,15 @@ class RouterHandle:
             raise RuntimeError("a migration is already in progress")
         self._migration = migration
 
+    def _settle(self, router: ShardRouter) -> None:
+        """Make ``router`` the settled layout, with its interned answers:
+        one :class:`Site` and one single-site :class:`WritePlan` per
+        domain, and the :meth:`query_sites` tuple."""
+        self._current = router
+        self._sites = {domain: Site(router, domain) for domain in router.domains}
+        self._plans = {domain: WritePlan((site,)) for domain, site in self._sites.items()}
+        self._all_sites = tuple(self._sites.values())
+
     def bump_epoch(self) -> None:
         self.epoch += 1
 
@@ -124,7 +142,7 @@ class RouterHandle:
         source∪cut-over union to the target alone — so it bumps the
         epoch like every cutover does.
         """
-        self._current = target
+        self._settle(target)
         self._migration = None
         self.bump_epoch()
 
@@ -145,15 +163,14 @@ class RouterHandle:
         migration = self._migration
         if migration is not None:
             return migration.read_site(path)
-        return Site(self._current, self._current.domain_for(path))
+        return self._sites[self._current.domain_for(path)]
 
     def write_plan(self, item_name: str) -> WritePlan:
         """Where a provenance item write must land (see :class:`WritePlan`)."""
         migration = self._migration
         if migration is not None:
             return migration.write_plan(item_name)
-        router = self._current
-        return WritePlan(sites=(Site(router, router.domain_for_item(item_name)),))
+        return self._plans[self._current.domain_for_item(item_name)]
 
     def delete_sites(self, item_name: str) -> tuple[Site, ...]:
         """Every store a delete of ``item_name`` must reach.
@@ -165,16 +182,14 @@ class RouterHandle:
         migration = self._migration
         if migration is not None:
             return migration.delete_sites(item_name)
-        router = self._current
-        return (Site(router, router.domain_for_item(item_name)),)
+        return self._plans[self._current.domain_for_item(item_name)].sites
 
     def query_sites(self) -> tuple[Site, ...]:
         """Every store a scatter query must cover (physical dedup)."""
         migration = self._migration
         if migration is not None:
             return migration.query_sites()
-        router = self._current
-        return tuple(Site(router, domain) for domain in router.domains)
+        return self._all_sites
 
     # -- provisioning / introspection -------------------------------------
 

@@ -23,7 +23,10 @@ Each engine method runs inside one :meth:`~repro.aws.billing.Meter.scoped`
 block and returns a :class:`QueryMeasurement` whose operation and byte
 counts are read from that scope — the queries are charged exactly what
 the simulated AWS services metered, in time proportional to the query's
-own requests.
+own requests. Each scope (the query's, and each stream's) is read in
+one pass, :meth:`~repro.aws.billing.MeterScope.totals`, which splits
+backend from read-cache spend; the measurement is an immutable
+``NamedTuple`` carrying the query's one ``Usage``.
 
 Sharded domains (scatter-gather): when the provenance store is split
 across N domains by a :class:`~repro.sharding.ShardRouter`, the engine
@@ -58,12 +61,11 @@ snapshot; each shard answers at its own replica time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from repro.aws.account import AWSAccount
-from repro.aws.billing import ELASTICACHE, MeterScope, Usage
+from repro.aws.billing import MeterScope, Usage
 from repro.aws.sdb_query import CompiledQuery, parse_query, quote_literal
 from repro.core.base import (
     DATA_BUCKET,
@@ -93,9 +95,12 @@ T = TypeVar("T")
 REF_BATCH = 20
 
 
-@dataclass(frozen=True)
-class QueryMeasurement:
+class QueryMeasurement(NamedTuple):
     """A query's result set plus what it cost to compute.
+
+    An immutable named tuple (one is built per query, and a tuple is
+    several times cheaper to build than a frozen dataclass); fields are
+    read by name.
 
     ``per_shard`` breaks the spend down as ``(domain, operations,
     bytes_out)`` triples, one per shard domain touched — populated by the
@@ -161,7 +166,8 @@ class QueryMeasurement:
 
 
 class _Metered:
-    """Shared query-scope bookkeeping."""
+    """What both engines share: the account, the data bucket and the
+    latency model."""
 
     #: Where the architectures keep data objects and spilled values.
     bucket = DATA_BUCKET
@@ -172,16 +178,6 @@ class _Metered:
         self.account = account
         #: Resolves a spilled value's ``@s3:`` pointer (a metered GET).
         self._fetch_overflow = partial(fetch_overflow, account)
-
-    def _spent(self, scope: MeterScope) -> tuple[Usage, int, int]:
-        """What the query that ran inside ``scope`` spent, and the
-        read-cache tier's share of its requests and bytes out (read off
-        the scope: the one ``Usage`` a query builds is its own)."""
-        return (
-            self.account.meter.spent(scope),
-            scope.request_count(ELASTICACHE),
-            scope.transfer_out(ELASTICACHE),
-        )
 
 
 class S3ScanEngine(_Metered):
@@ -239,12 +235,13 @@ class S3ScanEngine(_Metered):
     # -- the three queries ------------------------------------------------------
 
     def _measure(self, refs: set[ObjectRef], scope: MeterScope) -> QueryMeasurement:
-        usage, cache_ops, cache_bytes = self._spent(scope)
+        usage = self.account.meter.spent(scope)
+        requests, out_bytes, cache_ops, cache_bytes = scope.totals()
         seconds = self.latency_model.stream_seconds(usage)
         return QueryMeasurement(
             refs=tuple(sorted(refs)),
-            operations=scope.request_count() - cache_ops,
-            bytes_out=scope.transfer_out() - cache_bytes,
+            operations=requests - cache_ops,
+            bytes_out=out_bytes - cache_bytes,
             usage=usage,
             latency=seconds,
             sequential_latency=seconds,
@@ -422,12 +419,11 @@ class SimpleDBEngine(_Metered):
         for domain, fn in tasks:
             with meter.scoped() as scope:
                 results.append(fn())
-            cache_ops = scope.request_count(ELASTICACHE)
-            cache_bytes = scope.transfer_out(ELASTICACHE)
+            requests, out_bytes, cache_ops, cache_bytes = scope.totals()
             ops, nbytes = self._shard_spend.get(domain, (0, 0))
             self._shard_spend[domain] = (
-                ops + scope.request_count() - cache_ops,
-                nbytes + scope.transfer_out() - cache_bytes,
+                ops + requests - cache_ops,
+                nbytes + out_bytes - cache_bytes,
             )
             if cache_ops or cache_bytes:
                 # Cache consults a shard stream issued (Q1 point reads)
@@ -553,7 +549,8 @@ class SimpleDBEngine(_Metered):
         self, refs: set[ObjectRef], scope: MeterScope
     ) -> QueryMeasurement:
         """The measurement of the query that just ran inside ``scope``."""
-        usage, cache_ops, cache_bytes = self._spent(scope)
+        usage = self.account.meter.spent(scope)
+        requests, out_bytes, cache_ops, cache_bytes = scope.totals()
         if self._attributed is not None:
             sanitize.audit_spend(usage, self._attributed)
         per_shard = tuple(
@@ -567,8 +564,8 @@ class SimpleDBEngine(_Metered):
             by_backend[kind] = (total_ops + ops, total_bytes + nbytes)
         return QueryMeasurement(
             refs=tuple(sorted(refs)),
-            operations=scope.request_count() - cache_ops,
-            bytes_out=scope.transfer_out() - cache_bytes,
+            operations=requests - cache_ops,
+            bytes_out=out_bytes - cache_bytes,
             usage=usage,
             per_shard=per_shard,
             per_backend=tuple(

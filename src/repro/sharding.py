@@ -166,6 +166,13 @@ def _hash_point(text: str) -> int:
 class ShardRouter:
     """Routes object paths to one of N provenance domains.
 
+    The ring is fixed once ``__init__`` returns, so :meth:`domain_for`
+    memoises its answers: a path is hashed the first time it is routed
+    and looked up after that. The memo is never invalidated and costs
+    one dict entry per distinct path routed (a layout change builds a
+    new router, with an empty memo). :meth:`backend_for` reads a
+    ``{domain: kind}`` map built here too.
+
     >>> router = ShardRouter(shards=1)
     >>> router.domains
     ('pass-prov',)
@@ -188,17 +195,21 @@ class ShardRouter:
         #: Backend kind per shard index ("sdb"/"ddb"); placement does
         #: not influence routing, only which service hosts each store.
         self.placement = parse_placement(placement, shards)
+        # The unsharded paper deployment keeps the original domain name.
+        self.domains: tuple[str, ...] = (
+            (DEFAULT_BASE_DOMAIN,)
+            if shards == 1
+            else tuple(f"{DEFAULT_BASE_DOMAIN}-{index:02d}" for index in range(shards))
+        )
+        self._kinds = dict(zip(self.domains, self.placement))
+        #: Path → owning domain, filled as paths are routed.
+        self._routes: dict[str, str] = {}
         if shards == 1:
-            # The unsharded paper deployment: one domain, original name,
-            # and no ring — domain_for short-circuits, so building one
-            # would be pure waste on the common default path.
-            self.domains: tuple[str, ...] = (DEFAULT_BASE_DOMAIN,)
+            # No ring: domain_for short-circuits, so building one would
+            # be pure waste on the common default path.
             self._ring_points: list[int] = []
             self._ring_domains: list[str] = []
             return
-        self.domains = tuple(
-            f"{DEFAULT_BASE_DOMAIN}-{index:02d}" for index in range(shards)
-        )
         ring: list[tuple[int, str]] = []
         for domain in self.domains:
             for vnode in range(vnodes):
@@ -213,10 +224,13 @@ class ShardRouter:
         """The shard domain owning ``path`` (all versions of it)."""
         if self.shards == 1:
             return self.domains[0]
-        index = bisect.bisect_right(self._ring_points, _hash_point(path))
-        if index == len(self._ring_points):
-            index = 0  # wrap around the ring
-        return self._ring_domains[index]
+        domain = self._routes.get(path)
+        if domain is None:
+            index = bisect.bisect_right(self._ring_points, _hash_point(path))
+            if index == len(self._ring_points):
+                index = 0  # wrap around the ring
+            domain = self._routes[path] = self._ring_domains[index]
+        return domain
 
     def domain_for_item(self, item_name: str) -> str:
         """Route a SimpleDB item name (``name_vNNNN``) to its shard."""
@@ -252,16 +266,16 @@ class ShardRouter:
     def backend_for(self, domain: str) -> str:
         """The backend kind ("sdb"/"ddb") hosting a shard's store."""
         try:
-            return self.placement[self.domains.index(domain)]
-        except ValueError:
+            return self._kinds[domain]
+        except KeyError:
             raise ValueError(f"{domain!r} is not one of this router's domains") from None
 
     def backend_for_path(self, path: str) -> str:
-        return self.placement[self.shard_index(path)]
+        return self._kinds[self.domain_for(path)]
 
     def placement_by_domain(self) -> dict[str, str]:
         """Domain → backend kind (what operators read in reports)."""
-        return dict(zip(self.domains, self.placement))
+        return dict(self._kinds)
 
     def uses_backend(self, kind: str) -> bool:
         return kind in self.placement

@@ -9,6 +9,9 @@ contract it is checked on.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import hashlib
 import json
 import math
 import random
@@ -458,3 +461,36 @@ def reference_migration_pick(specs, lags, bound, distinct_items, item_count):
             continue
         return spec, 0, 1
     return None, int(stale), 0
+
+
+def reference_domains(shards: int) -> list[str]:
+    """The store names of an ``shards``-way layout: the paper's single
+    domain unsharded, numbered domains otherwise."""
+    if shards == 1:
+        return ["pass-prov"]
+    return [f"pass-prov-{index:02d}" for index in range(shards)]
+
+
+def _reference_point(text: str) -> int:
+    return int.from_bytes(hashlib.md5(text.encode("utf-8")).digest()[:8], "big")
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_ring(shards: int, vnodes: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    ring = sorted(
+        (_reference_point(f"{domain}#{vnode}"), domain)
+        for domain in reference_domains(shards)
+        for vnode in range(vnodes)
+    )
+    return tuple(position for position, _ in ring), tuple(domain for _, domain in ring)
+
+
+def reference_domain_for(path: str, shards: int, vnodes: int = 384) -> str:
+    """``ShardRouter.domain_for`` without its memo or short-cuts: hash
+    every vnode of every domain onto a sorted ring (MD5 of the UTF-8
+    text, first 8 bytes big-endian; the ring is built once per layout
+    shape) and take the first point strictly past the hash of ``path``,
+    wrapping to the start."""
+    positions, domains = _reference_ring(shards, vnodes)
+    index = bisect.bisect_right(positions, _reference_point(path))
+    return domains[index % len(domains)]

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.passlib.capture import PassSystem
 from repro.sharding import ShardRouter, authoritative_snapshot
 from repro.sim import Simulation
+from tests.oracles import reference_domain_for, reference_domains
 
 
 def all_store_names(account) -> set[str]:
@@ -186,20 +188,40 @@ def test_rebalance_grow_deletes_nothing_between_surviving_shards():
     assert set(source.domains) <= all_store_names(sim.account)
 
 
+_PATHS = st.text(
+    alphabet="abcdefgh/._-0123456789", min_size=1, max_size=40
+).filter(lambda p: p.strip())
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    path=st.text(
-        alphabet="abcdefgh/._-0123456789", min_size=1, max_size=40
-    ).filter(lambda p: p.strip()),
+    path=_PATHS,
+    others=st.lists(_PATHS, max_size=3),
     shards=st.integers(min_value=1, max_value=32),
+    resize_to=st.integers(min_value=1, max_value=32),
+    placement=st.sampled_from(["sdb", "ddb", "mixed"]),
 )
-def test_routing_is_deterministic_and_total(path, shards):
-    router = ShardRouter(shards)
+def test_routing_is_deterministic_and_total(path, others, shards, resize_to, placement):
+    router = ShardRouter(shards, placement=placement)
     again = ShardRouter(shards)
     domain = router.domain_for(path)
     assert domain in router.domains
     assert again.domain_for(path) == domain  # stable across instances
     assert router.shard_index(path) == router.domains.index(domain)
+    # Warm answers (memoised, asked repeatedly and interleaved) and a
+    # resized router's answers equal a ring built from scratch.
+    paths = [path, *others]
+    expected = {p: reference_domain_for(p, shards) for p in paths}
+    for p in paths + paths[::-1] + paths:
+        assert router.domain_for(p) == expected[p]
+    resized = router.resized(resize_to)
+    for p in paths:
+        assert resized.domain_for(p) == reference_domain_for(p, resize_to)
+    kinds = dict(zip(reference_domains(shards), router.placement))
+    assert {d: router.backend_for(d) for d in router.domains} == kinds
+    with pytest.raises(ValueError) as raised:
+        router.backend_for("pass-prov-99")
+    assert str(raised.value) == "'pass-prov-99' is not one of this router's domains"
 
 
 @settings(max_examples=20, deadline=None)

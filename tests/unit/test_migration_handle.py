@@ -50,6 +50,81 @@ def test_handle_is_transparent_without_migration():
             router.domain_for(path)
         ]
     assert [s.domain for s in handle.query_sites()] == list(router.domains)
+    # The settled layout's answers are interned: one Site and one
+    # WritePlan per domain, one query_sites() tuple.
+    paths = [f"probe/{index:04d}.dat" for index in range(40)]
+    first, second = [p for p in paths if router.domain_for(p) == router.domains[0]][:2]
+    assert handle.read_site(first) is handle.read_site(second)
+    assert handle.write_plan(f"{first}_v0001") is handle.write_plan(f"{second}_v0002")
+    assert handle.query_sites() is handle.query_sites()
+
+
+#: ``(read store, write stores, capture)`` per probe path at each step of
+#: a 2 → 3 shard migration to the "mixed" placement (pass-prov-01 flips
+#: from sdb to ddb), recorded before the handle interned its answers.
+_STAY = ("pass-prov-00", "sdb", (("pass-prov-00", "sdb"),), False)
+MID_MIGRATION = {
+    "copy": [
+        _STAY,
+        ("pass-prov-01", "sdb", (("pass-prov-01", "sdb"),), True),
+        ("pass-prov-01", "sdb", (("pass-prov-01", "sdb"),), True),
+    ],
+    "double-write": [
+        _STAY,
+        ("pass-prov-01", "sdb", (("pass-prov-01", "sdb"), ("pass-prov-02", "sdb")), False),
+        ("pass-prov-01", "sdb", (("pass-prov-01", "sdb"), ("pass-prov-01", "ddb")), False),
+    ],
+    "two shards cut over": [
+        _STAY,
+        ("pass-prov-01", "sdb", (("pass-prov-01", "sdb"), ("pass-prov-02", "sdb")), False),
+        ("pass-prov-01", "ddb", (("pass-prov-01", "ddb"),), False),
+    ],
+}
+MID_QUERY_SITES = {
+    "copy": [("pass-prov-00", "sdb"), ("pass-prov-01", "sdb")],
+    "double-write": [("pass-prov-00", "sdb"), ("pass-prov-01", "sdb")],
+    "two shards cut over": [
+        ("pass-prov-00", "sdb"), ("pass-prov-01", "sdb"), ("pass-prov-01", "ddb"),
+    ],
+}
+
+
+def test_routing_answers_across_a_backend_flip_migration():
+    sim = Simulation(architecture="s3+simpledb", seed=2, shards=2)
+    handle = sim.store.routing
+    paths = ["probe/0000.dat", "probe/0003.dat", "probe/0005.dat"]
+
+    def answers(step: str) -> None:
+        rows = []
+        for path in paths:
+            plan = handle.write_plan(f"{path}_v0001")
+            read = handle.read_site(path)
+            rows.append((*read.key, tuple(s.key for s in plan.sites), plan.capture))
+        assert rows == MID_MIGRATION[step], step
+        assert [s.key for s in handle.query_sites()] == MID_QUERY_SITES[step], step
+
+    migration = sim.start_migration(shards=3, placement="mixed")
+    target = migration.target
+    answers("copy")
+    _until(migration, DOUBLE_WRITE)
+    answers("double-write")
+    _until(migration, CUTOVER)
+    migration.step()
+    migration.step()
+    answers("two shards cut over")
+    migration.run()
+    # Settled on the target: every answer names the target router and
+    # the target's kinds, and is interned again.
+    for path in paths:
+        site = handle.read_site(path)
+        assert site.router is target and site is handle.read_site(path)
+        assert site.kind == target.backend_for_path(path)
+        plan = handle.write_plan(f"{path}_v0001")
+        assert plan.sites == (site,) and not plan.capture
+    sites = handle.query_sites()
+    assert sites is handle.query_sites()
+    assert all(s.router is target for s in sites)
+    assert [s.kind for s in sites] == list(target.placement) == ["sdb", "ddb", "sdb"]
 
 
 def test_single_migration_at_a_time():

@@ -401,3 +401,61 @@ def test_a_query_builds_exactly_one_usage(monkeypatch, name):
     measurement = issue(engine, name)
     assert measurement.refs
     assert len(built) == 1 and built[0] is measurement.usage
+
+
+#: The fields and defaults ``QueryMeasurement`` had as a frozen
+#: dataclass; the tuple keeps them.
+MEASUREMENT_FIELDS = (
+    "refs", "operations", "bytes_out", "usage", "per_shard", "per_backend",
+    "latency", "sequential_latency", "cache_operations", "cache_bytes_out",
+    "per_shard_cache", "predicted_cost",
+)
+MEASUREMENT_DEFAULTS = {
+    "per_shard": (), "per_backend": (), "latency": 0.0,
+    "sequential_latency": 0.0, "cache_operations": 0, "cache_bytes_out": 0,
+    "per_shard_cache": (), "predicted_cost": None,
+}
+
+
+def _counting(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to log each call; returns the log."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_warm_q1_reuses_its_routing_answers(monkeypatch):
+    """The work a warm ``q1`` does besides its read: no ring hash, no new
+    ``Site``, one ``Usage`` (its measurement's) — and a warm write plan
+    is handed out, not rebuilt. The measurement is an immutable tuple
+    with the dataclass's fields and defaults."""
+    from repro import sharding
+    from repro.migration.handle import Site, WritePlan
+    from repro.query.engine import QueryMeasurement
+
+    monkeypatch.setattr(sanitize, "ACTIVE", False)
+    engine = loaded().query_engine()
+    routing = engine.routing
+    item_name = SUBJECT.item_name
+    engine.q1(SUBJECT)
+    routing.write_plan(item_name)
+    hashed = _counting(monkeypatch, sharding, "_hash_point")
+    sites = _counting(monkeypatch, Site, "__init__")
+    plans = _counting(monkeypatch, WritePlan, "__init__")
+    usages = _counting(monkeypatch, Usage, "__init__")
+    measurement = engine.q1(SUBJECT)
+    assert measurement.refs == (SUBJECT,)
+    assert (len(hashed), len(sites), len(usages)) == (0, 0, 1)
+    assert routing.write_plan(item_name) is routing.write_plan(item_name)
+    assert plans == [] and hashed == []
+
+    assert QueryMeasurement._fields == MEASUREMENT_FIELDS
+    assert QueryMeasurement._field_defaults == MEASUREMENT_DEFAULTS
+    with pytest.raises(AttributeError):
+        measurement.operations = 0
