@@ -12,8 +12,15 @@
 :data:`ARCHITECTURES` names them once, :func:`architecture_class` looks
 one up by name and :func:`make_architecture` builds one — the registry
 and the builder every driver (:mod:`repro.sim`, :mod:`repro.fleet`, the
-property checkers, the test fixtures) goes through. :mod:`repro.core.properties` turns Table 1 into
-executable checks.
+test fixtures) goes through. Each store class also answers
+``stored_provenance()``, the unmetered oracle of which object versions'
+provenance the cloud durably holds.
+
+:mod:`repro.core.properties` turns Table 1 into executable checks. It
+is a driver like any other: it builds every world as a
+:class:`~repro.sim.Simulation` and judges it through that oracle, so it
+is imported from there, not from this package (``repro.sim`` imports
+this package).
 """
 
 from repro.core.base import ProvenanceCloudStore, ReadResult, RetryPolicy
@@ -60,9 +67,6 @@ def make_architecture(name, account, **kwargs) -> ProvenanceCloudStore:
     return store
 
 
-# After the builder: the property checkers construct their worlds with it.
-from repro.core.properties import PropertyReport, evaluate_architecture
-
 __all__ = [
     "ProvenanceCloudStore",
     "ReadResult",
@@ -72,8 +76,6 @@ __all__ = [
     "S3SimpleDBSQS",
     "CommitDaemon",
     "CleanerDaemon",
-    "PropertyReport",
-    "evaluate_architecture",
     "ARCHITECTURES",
     "architecture_class",
     "make_architecture",

@@ -15,9 +15,9 @@ This module re-derives that table *experimentally*:
 
 * **atomicity** — crash the client at every fault point of the store
   protocol; after each crash run the architecture's designed recovery
-  (for A3, a fresh commit daemon; for A1/A2, nothing automatic exists)
-  and require that data and provenance either both became visible or
-  neither did;
+  (for A3, the commit daemon drains the WAL; for A1/A2, nothing
+  automatic exists) and require that data and provenance either both
+  became visible or neither did;
 * **consistency** — under an adversarial eventual-consistency window,
   rewrite an object repeatedly and read it back immediately; require
   that every read the architecture *returns* pairs data with matching
@@ -28,6 +28,15 @@ This module re-derives that table *experimentally*:
 * **efficient query** — store a repository of n objects and require that
   the architecture's Q2 costs grow sublinearly (far fewer operations
   than objects), which indexed SimpleDB achieves and the S3 scan cannot.
+
+Every world is a :class:`~repro.sim.Simulation`, the one cloud wiring,
+and every verdict reads the same two oracles, whatever the layout or
+backend: the data object's authoritative S3 record, and the store's
+:meth:`~repro.core.base.ProvenanceCloudStore.stored_provenance` — the
+object versions whose provenance the cloud durably holds (A2/A3: the
+authoritative items of every shard on both backends; A1: the subjects
+in its data objects' authoritative metadata). Nothing here tests which
+architecture it is judging.
 """
 
 from __future__ import annotations
@@ -37,14 +46,12 @@ from dataclasses import dataclass, field
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.faults import FaultPlan
 from repro.blob import BytesBlob
-from repro.core import make_architecture
-from repro.core.base import DATA_BUCKET, PROV_DOMAIN, ProvenanceCloudStore
-from repro.core.s3_simpledb import S3SimpleDB
-from repro.core.s3_simpledb_sqs import S3SimpleDBSQS
+from repro.core.base import DATA_BUCKET
 from repro.errors import ClientCrash, ReadCorrectnessViolation
 from repro.passlib.capture import PassSystem
-from repro.passlib.records import FlushEvent, ObjectRef
+from repro.passlib.records import FlushEvent
 from repro.query.ancestry import AncestryWalker
+from repro.sim import Simulation
 
 #: The paper's Table 1, as (atomicity, consistency, causal, query).
 PAPER_TABLE1 = {
@@ -88,22 +95,8 @@ class PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# World construction helpers
+# Traces and recovery
 # ---------------------------------------------------------------------------
-
-def _build(
-    architecture: str,
-    seed: int,
-    faults: FaultPlan | None = None,
-    consistency: ConsistencyConfig | None = None,
-) -> tuple[AWSAccount, ProvenanceCloudStore]:
-    account = AWSAccount(
-        seed=seed,
-        consistency=consistency or ConsistencyConfig.eventual(window=2.0),
-    )
-    store = make_architecture(architecture, account, faults=faults or FaultPlan())
-    return account, store
-
 
 def _chain_trace(n_links: int = 3, prefix: str = "chain") -> list[FlushEvent]:
     """A dependency chain: input → stage1 → … → stageN (one file each)."""
@@ -154,23 +147,26 @@ def _blast_trace(n_queries: int = 8) -> list[FlushEvent]:
     return pas.drain_flushes()
 
 
-def _recover(store: ProvenanceCloudStore, account: AWSAccount) -> None:
+def _recover(sim: Simulation) -> None:
     """Run the architecture's *designed* crash recovery, then quiesce.
 
-    A3 restarts its commit daemon (fresh in-memory state, like a reboot)
-    and drains the WAL. A1/A2 have no automatic recovery — that absence
-    is precisely what the atomicity check exposes for A2. The clock
-    jumps past the SQS visibility timeout so in-flight receives expire.
+    The clock jumps past the SQS visibility timeout so in-flight
+    receives expire, and the store applies what it logged: A3's commit
+    daemon drains the WAL; A1/A2 have no automatic recovery — that
+    absence is precisely what the atomicity check exposes for A2.
     """
-    if isinstance(store, S3SimpleDBSQS):
-        account.clock.advance(300.0)
-        store.restart_commit_daemon().drain()
-    account.quiesce()
+    sim.account.clock.advance(300.0)
+    sim.store.pump()
+    sim.account.quiesce()
 
 
 # ---------------------------------------------------------------------------
 # Property checks
 # ---------------------------------------------------------------------------
+
+#: The adversarial replica lag the crash checks run under.
+CRASH_CONSISTENCY = ConsistencyConfig.eventual(window=2.0)
+
 
 def check_atomicity(architecture: str, seed: int = 0) -> tuple[bool, str]:
     """Crash the store protocol at every fault point; judge the aftermath."""
@@ -180,10 +176,12 @@ def check_atomicity(architecture: str, seed: int = 0) -> tuple[bool, str]:
 
     # Dry run to size the crash surface of one store() call.
     dry_plan = FaultPlan()
-    account, store = _build(architecture, seed, faults=dry_plan)
-    store.store_trace(baseline)
+    sim = Simulation(
+        architecture, seed=seed, consistency=CRASH_CONSISTENCY, faults=dry_plan
+    )
+    sim.store.store_trace(baseline)
     calls_before = len(dry_plan.log)
-    store.store(victim_trace[-1])
+    sim.store.store(victim_trace[-1])
     crash_surface = len(dry_plan.log) - calls_before
     if crash_surface == 0:
         return False, "store protocol exposes no fault points"
@@ -191,20 +189,21 @@ def check_atomicity(architecture: str, seed: int = 0) -> tuple[bool, str]:
     violations: list[str] = []
     for crash_call in range(1, crash_surface + 1):
         plan = FaultPlan()
-        account, store = _build(architecture, seed + crash_call, faults=plan)
-        store.store_trace(baseline)
-        for event in victim_trace[:-1]:
-            store.store(event)
+        sim = Simulation(
+            architecture, seed=seed + crash_call, consistency=CRASH_CONSISTENCY,
+            faults=plan,
+        )
+        sim.store.store_trace(baseline + victim_trace[:-1])
         plan.crash_at_call(len(plan.log) + crash_call)
         crashed_at = "no-crash"
         try:
-            store.store(victim)
+            sim.store.store(victim)
         except ClientCrash as crash:
             crashed_at = crash.point
         plan.disarm()
-        _recover(store, account)
-        data_stored = _data_visible(account, victim)
-        prov_stored = _provenance_visible(account, store, victim)
+        _recover(sim)
+        data_stored = _data_visible(sim.account, victim)
+        prov_stored = victim.subject in sim.store.stored_provenance()
         if data_stored != prov_stored:
             violations.append(
                 f"crash at {crashed_at!r}: data={data_stored} prov={prov_stored}"
@@ -223,32 +222,13 @@ def _data_visible(account: AWSAccount, event: FlushEvent) -> bool:
     return record.metadata_dict.get("nonce") == event.nonce
 
 
-def _provenance_visible(
-    account: AWSAccount, store: ProvenanceCloudStore, event: FlushEvent
-) -> bool:
-    if isinstance(store, S3SimpleDB):  # covers A2 and A3
-        item = account.simpledb.authoritative_item(
-            PROV_DOMAIN, event.subject.item_name
-        )
-        return item is not None
-    # A1: provenance is only reachable through the object's metadata.
-    record = account.s3.authoritative_record(DATA_BUCKET, event.subject.name)
-    if record is None:
-        return False
-    metadata = record.metadata_dict
-    return metadata.get("nonce") == event.nonce and any(
-        key not in ("nonce",) for key in metadata
-    )
-
-
 def check_consistency(architecture: str, seed: int = 0) -> tuple[bool, str]:
     """Adversarial EC: reads must never return a mismatched pair."""
     events, md5_by_version = _rewrite_trace(versions=5)
-    account, store = _build(
-        architecture,
-        seed,
+    store = Simulation(
+        architecture, seed=seed,
         consistency=ConsistencyConfig.eventual(window=4.0, immediate_fraction=0.3),
-    )
+    ).store
     mismatches = 0
     retries = 0
     unresolved = 0
@@ -280,57 +260,26 @@ def check_causal_ordering(architecture: str, seed: int = 0) -> tuple[bool, str]:
     )
     violations = []
     for crash_after in range(len(trace)):
-        plan = FaultPlan()
-        account, store = _build(architecture, seed + crash_after, faults=plan)
-        store.provision()
-        for index, event in enumerate(trace):
-            if index == crash_after:
-                # The client host dies between two closes.
-                break
-            store.store(event)
-        _recover(store, account)
-        visible = _visible_provenance(account, store, trace)
-        if not oracle.is_causally_closed(visible):
+        sim = Simulation(
+            architecture, seed=seed + crash_after, consistency=CRASH_CONSISTENCY
+        )
+        # The client host dies between two closes.
+        sim.store.store_trace(trace[:crash_after])
+        _recover(sim)
+        if not oracle.is_causally_closed(sim.store.stored_provenance()):
             violations.append(f"crash before event {crash_after}")
     detail = f"{len(trace)} crash boundaries, {len(violations)} closure violations"
     return not violations, detail
 
 
-def _visible_provenance(
-    account: AWSAccount, store: ProvenanceCloudStore, trace: list[FlushEvent]
-) -> set[ObjectRef]:
-    if isinstance(store, S3SimpleDB):
-        names = account.simpledb.authoritative_item_names(PROV_DOMAIN)
-        return {ObjectRef.from_item_name(name) for name in names}
-    visible: set[ObjectRef] = set()
-    for event in trace:
-        record = account.s3.authoritative_record(DATA_BUCKET, event.subject.name)
-        if record is None or record.metadata_dict.get("nonce") != event.nonce:
-            continue
-        visible.add(event.subject)
-        visible.update(ancestor.subject for ancestor in event.ancestors)
-    return visible
-
-
 def check_efficient_query(architecture: str, seed: int = 0) -> tuple[bool, str]:
     """Q2 must cost far fewer operations than the repository has objects."""
     trace = _blast_trace(n_queries=10)
-    account, store = _build(
-        architecture, seed, consistency=ConsistencyConfig.strong()
-    )
-    store.store_trace(trace)
-    store.pump()
-    account.quiesce()
+    sim = Simulation(architecture, seed=seed, consistency=ConsistencyConfig.strong())
+    sim.store.store_trace(trace)
+    sim.settle()
     n_objects = len(trace)
-
-    # Imported here, not at module top: repro.core.__init__ pulls this
-    # module in, so a top-level engine import would make the whole
-    # repro.core package unimportable from within repro.query.
-    from repro.query.engine import query_engine_for
-
-    # Same pinned router as the store (_build): query where it wrote.
-    engine = query_engine_for(type(store), account, router=store.router)
-    measurement = engine.q2_outputs_of("blast")
+    measurement = sim.query_engine().q2_outputs_of("blast")
 
     # Correctness first: an efficient wrong answer is worthless.
     oracle = AncestryWalker(
@@ -352,7 +301,7 @@ def check_efficient_query(architecture: str, seed: int = 0) -> tuple[bool, str]:
 
 def evaluate_architecture(architecture: str, seed: int = 0) -> PropertyReport:
     """Measure one Table 1 row (an unknown name raises ``ValueError``
-    from the first world :func:`~repro.core.make_architecture` builds)."""
+    from the first :class:`~repro.sim.Simulation` it builds)."""
     atomicity, atomicity_detail = check_atomicity(architecture, seed)
     consistency, consistency_detail = check_consistency(architecture, seed)
     causal, causal_detail = check_causal_ordering(architecture, seed)

@@ -62,6 +62,7 @@ from repro.passlib.serializer import (
     parse_nonce,
     to_simpledb_items,
 )
+from repro.sharding import authoritative_snapshot
 
 #: Consecutive missing versions that end :meth:`S3SimpleDB.version_history`'s
 #: probe — one miss may be a replica that has not seen the newest item.
@@ -291,6 +292,14 @@ class S3SimpleDB(ProvenanceCloudStore):
                 continue
             history.append(self._decode_item(item_name, attrs))
         return history
+
+    def stored_provenance(self) -> set[ObjectRef]:
+        """Every provenance item of the settled layout, on every shard of
+        either backend."""
+        return {
+            ObjectRef.from_item_name(item_name)
+            for item_name in authoritative_snapshot(self.account, self.routing.current)
+        }
 
     # -- recovery (the §4.2 "inelegant solution") --------------------------------------
 

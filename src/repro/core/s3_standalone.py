@@ -22,7 +22,10 @@ Engineering notes faithful to the paper's discussion:
   inside the 2 KB metadata limit (the paper measures 24,952 of these);
   we write the overflow objects *before* the main PUT so a reader can
   never observe a dangling pointer — a crash in between leaves only
-  unreferenced garbage, preserving read correctness;
+  unreferenced garbage, preserving read correctness. A bundle whose keys
+  alone are over the limit (the ``ld`` of the paper's kernel build, with
+  60-120 inputs) moves whole into one such object, leaving the nonce and
+  a pointer;
 * transient ancestors (process provenance) piggyback on the metadata of
   the first output file that references them, which is why process
   provenance "regularly exceeds" the metadata limit;
@@ -40,6 +43,7 @@ from repro.core.base import (
     Component,
     DATA_BUCKET,
     Flow,
+    PASS_PREFIX,
     ProvenanceCloudStore,
     ReadResult,
     RetryPolicy,
@@ -136,7 +140,7 @@ class S3Standalone(ProvenanceCloudStore):
         subject, (bundle, _ancestors) = self._decode(name, head.metadata)
         return ReadResult(subject=subject, data=None, bundle=bundle, consistent=True)
 
-    def _decode(self, name: str, metadata: dict[str, str]):
+    def _decode(self, name: str, metadata: dict[str, str], fetch_overflow=None):
         """(subject, (own bundle, piggybacked ancestor bundles))."""
         nonce = metadata.get("nonce", "v0001")
         version = parse_nonce(nonce)
@@ -144,8 +148,28 @@ class S3Standalone(ProvenanceCloudStore):
             raise ReadCorrectnessViolation(f"{name}: malformed nonce {nonce!r}")
         subject = ObjectRef(name, version)
         return subject, bundles_from_s3_metadata(
-            subject, metadata, self._fetch_overflow
+            subject, metadata, fetch_overflow or self._fetch_overflow
         )
+
+    def stored_provenance(self) -> set[ObjectRef]:
+        """Each data object's version (its ``nonce``) and the ancestors
+        piggybacked on it, decoded from authoritative metadata and
+        overflow objects."""
+        s3 = self.account.s3
+        records = {
+            key: s3.authoritative_record(DATA_BUCKET, key)
+            for key in s3.authoritative_keys(DATA_BUCKET)
+        }
+
+        def fetch(key: str) -> str:
+            return records[key].blob.read().decode("utf-8")
+
+        stored = set()
+        for key, record in records.items():
+            if not key.startswith(PASS_PREFIX):
+                _, (own, ancestors) = self._decode(key, record.metadata_dict, fetch)
+                stored.update(bundle.subject for bundle in (own, *ancestors))
+        return stored
 
     def read_with_ancestors(self, name: str):
         """Read the full metadata payload including piggybacked ancestors."""

@@ -10,10 +10,13 @@ Three wire formats, one source of truth:
   ancestor's identity. Any record value over **1 KB** is spilled to its
   own S3 object and replaced by a ``@s3:`` pointer — the paper counts
   24,952 such records. If the remaining metadata still exceeds the 2 KB
-  limit, the largest values are spilled until it fits (the paper
-  acknowledges the limit problem without specifying this case, so this
-  second pass is the implementation's own rule; ``reference_s3_metadata``
-  in ``tests/oracles.py`` spells it out from scratch).
+  limit, the largest values are spilled until it fits; if the keys and
+  pointers alone are still over it, the whole bundle moves into one
+  overflow object and the metadata keeps only the nonce and a
+  :data:`BUNDLE_KEY` pointer (the paper acknowledges the limit problem
+  without specifying these cases, so both passes are the
+  implementation's own rules; ``reference_s3_metadata`` in
+  ``tests/oracles.py`` spells them out from scratch).
 
 * **SimpleDB items** (architectures A2/A3, §4.2–4.3) — one item per
   object version, item name ``name_vNNNN``, one attribute-value pair per
@@ -57,6 +60,9 @@ POINTER_PREFIX = "@s3:"
 
 #: Key namespace for spilled values inside the data bucket.
 OVERFLOW_PREFIX = ".pass/overflow/"
+
+#: The S3 metadata key pointing at a whole bundle moved to overflow.
+BUNDLE_KEY = "bundle"
 
 #: Valid S3 nonce metadata: optional ``v`` prefix then ASCII digits
 #: (``v0007``; not ``v٣``, a second spelling of version 3).
@@ -129,7 +135,10 @@ def to_s3_metadata(
     The file's own records use bare keys; each transient-ancestor bundle
     ``j`` is namespaced ``a{j}.``. Values above ``spill_threshold`` are
     replaced by pointers; if the encoded metadata still exceeds
-    ``metadata_limit``, the largest remaining values are spilled too.
+    ``metadata_limit``, the largest remaining values are spilled too;
+    and if even that leaves it over, that first pass's metadata moves
+    whole into one overflow object, leaving ``nonce`` and the
+    :data:`BUNDLE_KEY` pointer.
     """
     metadata: dict[str, str] = {}
     overflow: list[OverflowObject] = []
@@ -166,6 +175,7 @@ def to_s3_metadata(
     # PUT), keeping a running byte total instead of re-encoding it.
     size = sum(len(k.encode()) + len(v.encode()) for k, v in metadata.items())
     if size > metadata_limit:
+        first_pass_spills = len(overflow)
         spillable = [
             (len(v.encode()), k)
             for k, v in metadata.items()
@@ -180,6 +190,16 @@ def to_s3_metadata(
             size += len(metadata[key].encode()) - nbytes
             if size <= metadata_limit:
                 break
+        else:
+            # Keys and pointers alone are over the limit: undo this pass
+            # and move the bundle into one object written, like every
+            # spill, before the PUT that points at it.
+            undone = {POINTER_PREFIX + o.key: o.value for o in overflow[first_pass_spills:]}
+            del overflow[first_pass_spills:]
+            bundle = {k: undone.get(v, v) for k, v in metadata.items() if k != "nonce"}
+            pointer_key = overflow_key(event.subject, first_pass_spills)
+            overflow.append(OverflowObject(key=pointer_key, value=wire_dumps(bundle)))
+            metadata = {BUNDLE_KEY: POINTER_PREFIX + pointer_key, "nonce": event.nonce}
 
     return S3MetadataPayload(metadata=metadata, overflow=tuple(overflow))
 
@@ -192,8 +212,11 @@ def bundles_from_s3_metadata(
     """Decode S3 metadata back into (own bundle, ancestor bundles).
 
     ``fetch_overflow`` resolves ``@s3:`` pointers (issuing the GETs the
-    query analysis charges for).
+    query analysis charges for), a :data:`BUNDLE_KEY` pointer first.
     """
+    pointer = metadata.get(BUNDLE_KEY, "")
+    if pointer.startswith(POINTER_PREFIX):
+        metadata = json.loads(fetch_overflow(pointer[len(POINTER_PREFIX):]))
     groups: dict[str, dict[str, str]] = {}
     own: dict[str, str] = {}
     for key, value in metadata.items():

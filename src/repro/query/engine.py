@@ -69,7 +69,7 @@ from repro.aws.billing import MeterScope, Usage
 from repro.aws.sdb_query import CompiledQuery, parse_query, quote_literal
 from repro.core.base import (
     DATA_BUCKET,
-    ProvenanceCloudStore,
+    PASS_PREFIX,
     fetch_overflow,
     read_provenance_item,
 )
@@ -201,7 +201,7 @@ class S3ScanEngine(_Metered):
         marker: str | None = None
         while True:
             page = self.account.s3.list_keys(self.bucket, marker=marker)
-            keys.extend(k for k in page.keys if not k.startswith(".pass/"))
+            keys.extend(k for k in page.keys if not k.startswith(PASS_PREFIX))
             if not page.is_truncated:
                 break
             marker = page.next_marker
@@ -769,24 +769,6 @@ class SimpleDBEngine(_Metered):
                 _decode_ref,
             )
         return self._measure_sharded(set(refs), scope)
-
-
-def query_engine_for(
-    architecture: type[ProvenanceCloudStore],
-    account: AWSAccount,
-    router: ShardRouter | RouterHandle | None = None,
-    concurrency: int | None = None,
-    planner: str | None = None,
-) -> S3ScanEngine | SimpleDBEngine:
-    """The Table 3 engine for a store class — the one place the choice
-    is made. An architecture without a provenance domain (A1) is
-    answered by scanning object metadata; the others by the indexed
-    engine on ``router``, with its ``concurrency`` and ``planner``."""
-    if not architecture.has_provenance_domain:
-        return S3ScanEngine(account)
-    return SimpleDBEngine(
-        account, router=router, concurrency=concurrency, planner=planner
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from repro.core.base import ProvenanceCloudStore, ReadResult
 from repro.migration.handle import as_handle, fresh_handle
 from repro.migration.live import LiveMigration, MigrationReport, begin_live_migration
 from repro.passlib.records import FlushEvent
-from repro.query.engine import query_engine_for
+from repro.query.engine import S3ScanEngine, SimpleDBEngine
 from repro.sharding import ShardRouter
 from repro.workloads.base import TraceStats, Workload
 
@@ -143,15 +143,20 @@ class Cloud:
         """Every live client store (what :meth:`settle` drains)."""
         raise NotImplementedError
 
-    def query_engine(self):
-        """The Table 3 query engine matching this architecture.
+    def query_engine(self) -> S3ScanEngine | SimpleDBEngine:
+        """The Table 3 query engine matching this architecture — the one
+        place the choice is made.
 
-        Indexed engines share the cloud's routing handle, so queries
-        scatter-gather across exactly the domains the stores wrote,
-        their waves modeled ``self.concurrency`` streams wide.
+        An architecture without a provenance domain (A1) is answered by
+        scanning object metadata. The indexed engine shares the cloud's
+        routing handle, so queries scatter-gather across exactly the
+        domains the stores wrote, their waves modeled
+        ``self.concurrency`` streams wide, planned by ``self.planner``.
         """
-        return query_engine_for(
-            self.store_class, self.account, router=self.routing,
+        if not self.store_class.has_provenance_domain:
+            return S3ScanEngine(self.account)
+        return SimpleDBEngine(
+            self.account, router=self.routing,
             concurrency=self.concurrency, planner=self.planner,
         )
 

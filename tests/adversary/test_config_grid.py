@@ -10,7 +10,8 @@ and contains each knob-variant configuration CI used to re-run the whole
 suite under (:data:`FORMER_CI_ROWS`).
 
 Every cell, with the spend sanitizer on, is a differential against one
-default-configuration reference run of the same seeded workload:
+default-configuration reference run of the same seeded workload
+(``reference_deployment`` in ``tests/oracles.py``):
 
 1. store the workload under eventual consistency while a live
    migration to a different layout is stepped between event batches,
@@ -26,29 +27,33 @@ default-configuration reference run of the same seeded workload:
 4. Q2–Q4 repeated, then a write burst, then Q2–Q4 again — both rounds
    equal the reference's;
 5. on A3, one more client crashes at the cell's fault point; after
-   settling, its object's data and provenance are both present or both
-   absent (present exactly when the crash came after the commit
-   record), and together the A3 cells hit every client fault point.
+   settling, its object's data and provenance (the store's
+   ``stored_provenance()`` oracle) are both present or both absent
+   (present exactly when the crash came after the commit record), and
+   together the A3 cells hit every client fault point.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import NamedTuple
 
 import pytest
 
-from repro.aws.account import ConsistencyConfig
 from repro.aws.faults import FaultPlan
 from repro.core.base import DATA_BUCKET
 from repro.devtools import sanitize
 from repro.errors import ClientCrash
 from repro.migration import parse_migration_spec
 from repro.passlib.capture import PassSystem
-from repro.sharding import authoritative_snapshot
 from repro.sim import Simulation
-from repro.workloads import CombinedWorkload
+from tests.oracles import (
+    GRID_CONSISTENCY,
+    GRID_EVENTS,
+    GRID_SEED,
+    observe_deployment,
+    reference_deployment,
+)
 
 ARCHITECTURES = {"A2": "s3+simpledb", "A3": "s3+simpledb+sqs"}
 COMPOSITE = "name/nonce+*,type/nonce,name,input"
@@ -129,106 +134,28 @@ def axis_values(cell: Cell) -> dict:
     return {axis: values[axis] for axis in AXES}
 
 
-SEED = 5
-CONSISTENCY = ConsistencyConfig.eventual(window=2.0, immediate_fraction=0.4)
-EVENTS = CombinedWorkload().generate(seed=3, scale=0.02).events
-PROGRAM = "blast"
-#: Versions 2..3: few enough that a composite ``type/nonce`` range slice
-#: is the cost planner's pick, and its upper bound holds data.
-Q4_RANGE = (2, 3)
 #: Events stored per migration step.
 STEP_BATCH = 4
 
 
-def burst_events():
-    """New outputs of :data:`PROGRAM`, each written twice (v1 and v2), so
-    the burst changes Q2, Q3 and Q4 alike."""
-    pas = PassSystem(workload="burst")
-    pas.stage_input("burst/in.dat", b"burst input")
-    for round_ in range(2):
-        for i in range(3):
-            with pas.process(PROGRAM, argv=f"-burst {round_}.{i}") as proc:
-                proc.read("burst/in.dat")
-                proc.write(f"burst/out{i}.dat", f"{round_}.{i}".encode())
-                proc.close(f"burst/out{i}.dat")
-    return pas.drain_flushes()
-
-
-def latest_refs(events) -> list:
-    latest = {}
-    for ref in sorted(event.subject for event in events):
-        latest[ref.name] = ref
-    return list(latest.values())
-
-
-def scatter_round(engine) -> tuple:
-    return (
-        engine.q2_outputs_of(PROGRAM),
-        engine.q3_descendants_of(PROGRAM),
-        engine.q4_time_range(*Q4_RANGE),
+def run(cell: Cell) -> tuple[Simulation, dict, list]:
+    """Steps 1, 2 and 4 on ``cell``; returns the simulation, its
+    observations and every query measurement taken."""
+    sim = Simulation(
+        ARCHITECTURES[cell.arch], seed=GRID_SEED, consistency=GRID_CONSISTENCY,
+        **cell.knobs(),
     )
-
-
-def observe(sim, engine, measured: list) -> dict:
-    """Step 2's observations, every query measurement kept for step 3."""
-    point = [engine.q1(ref) for ref in latest_refs(EVENTS)]
-    everything = engine.q1_all()
-    scatter = scatter_round(engine)
-    measured.extend([*point, everything, *scatter])
-    reads = {}
-    for ref in latest_refs(EVENTS):
-        result = sim.read(ref.name)
-        reads[ref.name] = (
-            result.subject,
-            result.data.md5() if result.data is not None else None,
-            result.bundle,
-            result.consistent,
-        )
-    return {
-        "q1": [m.refs for m in point],
-        "q1_all": everything.refs,
-        "scatter": [m.refs for m in scatter],
-        "reads": reads,
-        "snapshot": authoritative_snapshot(sim.account, sim.routing.current),
-    }
-
-
-def run(cell: Cell | None) -> tuple[Simulation, dict, list]:
-    """Steps 1, 2 and 4 on ``cell`` (``None``: the default deployment,
-    no migration); returns the simulation, its observations and every
-    query measurement taken."""
-    if cell is None:
-        sim = Simulation(seed=SEED, consistency=CONSISTENCY)
-        sim.store_events(EVENTS, collect=False)
-    else:
-        sim = Simulation(
-            ARCHITECTURES[cell.arch], seed=SEED, consistency=CONSISTENCY,
-            **cell.knobs(),
-        )
-        half = len(EVENTS) // 2
-        sim.store_events(EVENTS[:half], collect=False)
-        migration = sim.start_migration(**parse_migration_spec(cell.migrate))
-        rest = iter(EVENTS[half:])
-        while migration.step():
-            for event in itertools.islice(rest, STEP_BATCH):
-                sim.store.store(event)
-            sim.pump()
-        sim.store_events(rest, collect=False)
-    engine = sim.query_engine()
+    half = len(GRID_EVENTS) // 2
+    sim.store_events(GRID_EVENTS[:half], collect=False)
+    migration = sim.start_migration(**parse_migration_spec(cell.migrate))
+    rest = iter(GRID_EVENTS[half:])
+    while migration.step():
+        for event in itertools.islice(rest, STEP_BATCH):
+            sim.store.store(event)
+        sim.pump()
+    sim.store_events(rest, collect=False)
     measured: list = []
-    seen = observe(sim, engine, measured)
-    repeated = scatter_round(engine)
-    sim.store_events(burst_events(), collect=False)
-    after_burst = scatter_round(engine)
-    measured.extend([*repeated, *after_burst])
-    seen["repeated"] = [m.refs for m in repeated]
-    seen["after_burst"] = [m.refs for m in after_burst]
-    return sim, seen, measured
-
-
-@lru_cache(maxsize=None)
-def reference() -> dict:
-    return run(None)[1]
+    return sim, observe_deployment(sim, measured), measured
 
 
 def crash_one_client(sim: Simulation, point: str) -> bool:
@@ -247,9 +174,7 @@ def crash_one_client(sim: Simulation, point: str) -> bool:
     client.restart_commit_daemon().drain()
     sim.settle()
     data = sim.account.s3.exists_authoritative(DATA_BUCKET, victim.subject.name)
-    provenance = victim.subject.item_name in authoritative_snapshot(
-        sim.account, sim.routing.current
-    )
+    provenance = victim.subject in client.stored_provenance()
     assert data == provenance, f"crash at {point}: data={data}, provenance={provenance}"
     return data
 
@@ -260,7 +185,7 @@ def crash_one_client(sim: Simulation, point: str) -> bool:
 def test_cell_matches_the_default_deployment(cell, monkeypatch):
     monkeypatch.setattr(sanitize, "ACTIVE", True)
     sim, seen, measured = run(cell)
-    expected = reference()
+    expected = reference_deployment()
     for key in ("q1", "q1_all", "scatter", "reads", "snapshot", "repeated", "after_burst"):
         assert seen[key] == expected[key], key
     assert seen["after_burst"] != seen["scatter"]  # the burst is visible
@@ -311,7 +236,7 @@ def test_the_cells_contain_every_former_ci_row():
 
 def test_the_a3_cells_crash_at_every_client_fault_point():
     plan = FaultPlan()
-    sim = Simulation(seed=SEED, faults=plan)
-    sim.store_events(EVENTS[:1], collect=False)
+    sim = Simulation(seed=GRID_SEED, faults=plan)
+    sim.store_events(GRID_EVENTS[:1], collect=False)
     assert {cell.crash for cell in CELLS if cell.arch == "A3"} == set(plan.points_seen)
     assert all(cell.crash is None for cell in CELLS if cell.arch == "A2")

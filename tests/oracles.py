@@ -18,6 +18,7 @@ import random
 
 from repro import units
 from repro.aws import billing
+from repro.aws.account import ConsistencyConfig
 from repro.aws.backend import _range_candidates, _referenced_attributes
 from repro.aws.consistency import _TOMBSTONE
 from repro.aws.dynamo import (
@@ -40,6 +41,7 @@ from repro.aws.sdb_query import (
 )
 from repro.core.base import temp_key
 from repro.core.wal import MESSAGE_BUDGET
+from repro.passlib.capture import PassSystem
 from repro.passlib.records import FlushEvent, ProvenanceRecord
 from repro.passlib.serializer import (
     POINTER_PREFIX,
@@ -49,7 +51,10 @@ from repro.passlib.serializer import (
     overflow_key,
     to_simpledb_items,
 )
+from repro.sharding import authoritative_snapshot
+from repro.sim import Simulation
 from repro.units import S3_MAX_METADATA_SIZE
+from repro.workloads import CombinedWorkload
 from repro.workloads.base import _ENV_BASE
 
 
@@ -60,8 +65,11 @@ def reference_s3_metadata(
 ) -> S3MetadataPayload:
     """``to_s3_metadata`` with its size pass spelled out: while the
     re-encoded total is over the limit, spill the largest value left
-    (``max`` picks the first in key order on a tie), and stop when
-    nothing spillable is left."""
+    (``max`` picks the first in key order on a tie). If nothing
+    spillable is left and it is still over, start again from the
+    metadata before the size pass and put all of it but the nonce, as
+    canonical JSON, into one overflow object that a ``bundle`` key
+    points at."""
     metadata: dict[str, str] = {}
     overflow: list[OverflowObject] = []
     spill_index = 0
@@ -94,6 +102,7 @@ def reference_s3_metadata(
     def total_size() -> int:
         return sum(len(k.encode()) + len(v.encode()) for k, v in metadata.items())
 
+    before_size_pass = (dict(metadata), list(overflow))
     while total_size() > metadata_limit:
         key, value = max(
             (
@@ -105,7 +114,12 @@ def reference_s3_metadata(
             default=(None, None),
         )
         if key is None:
-            break  # nothing spillable left; let S3 reject the PUT
+            metadata, overflow = before_size_pass
+            body = {k: v for k, v in metadata.items() if k != "nonce"}
+            pointer_key = overflow_key(event.subject, len(overflow))
+            overflow.append(OverflowObject(key=pointer_key, value=reference_dumps(body)))
+            metadata = {"bundle": POINTER_PREFIX + pointer_key, "nonce": event.nonce}
+            break
         pointer_key = overflow_key(event.subject, spill_index)
         spill_index += 1
         overflow.append(OverflowObject(key=pointer_key, value=value))
@@ -494,3 +508,91 @@ def reference_domain_for(path: str, shards: int, vnodes: int = 384) -> str:
     positions, domains = _reference_ring(shards, vnodes)
     index = bisect.bisect_right(positions, _reference_point(path))
     return domains[index % len(domains)]
+
+
+# -- the default deployment: what every configuration-grid cell must answer ----
+
+GRID_SEED = 5
+#: Replica lag every grid deployment stores its workload under.
+GRID_CONSISTENCY = ConsistencyConfig.eventual(window=2.0, immediate_fraction=0.4)
+GRID_EVENTS = CombinedWorkload().generate(seed=3, scale=0.02).events
+GRID_PROGRAM = "blast"
+#: Versions 2..3: few enough that a composite ``type/nonce`` range slice
+#: is the cost planner's pick, and its upper bound holds data.
+GRID_Q4_RANGE = (2, 3)
+
+
+def burst_events():
+    """New outputs of :data:`GRID_PROGRAM`, each written twice (v1 and
+    v2), so the burst changes Q2, Q3 and Q4 alike."""
+    pas = PassSystem(workload="burst")
+    pas.stage_input("burst/in.dat", b"burst input")
+    for round_ in range(2):
+        for i in range(3):
+            with pas.process(GRID_PROGRAM, argv=f"-burst {round_}.{i}") as proc:
+                proc.read("burst/in.dat")
+                proc.write(f"burst/out{i}.dat", f"{round_}.{i}".encode())
+                proc.close(f"burst/out{i}.dat")
+    return pas.drain_flushes()
+
+
+def latest_refs(events) -> list:
+    latest = {}
+    for ref in sorted(event.subject for event in events):
+        latest[ref.name] = ref
+    return list(latest.values())
+
+
+def scatter_round(engine) -> tuple:
+    return (
+        engine.q2_outputs_of(GRID_PROGRAM),
+        engine.q3_descendants_of(GRID_PROGRAM),
+        engine.q4_time_range(*GRID_Q4_RANGE),
+    )
+
+
+def observe_deployment(sim, measured: list) -> dict:
+    """What a deployment that has stored :data:`GRID_EVENTS` answers:
+    Q1 of every latest version, ``q1_all``, Q2-Q4, ``store.read`` of
+    every object and the authoritative item snapshot; then Q2-Q4
+    repeated, a write burst, and Q2-Q4 again. Every query measurement
+    taken is appended to ``measured``."""
+    engine = sim.query_engine()
+    point = [engine.q1(ref) for ref in latest_refs(GRID_EVENTS)]
+    everything = engine.q1_all()
+    scatter = scatter_round(engine)
+    measured.extend([*point, everything, *scatter])
+    reads = {}
+    for ref in latest_refs(GRID_EVENTS):
+        result = sim.read(ref.name)
+        reads[ref.name] = (
+            result.subject,
+            result.data.md5() if result.data is not None else None,
+            result.bundle,
+            result.consistent,
+        )
+    seen = {
+        "q1": [m.refs for m in point],
+        "q1_all": everything.refs,
+        "scatter": [m.refs for m in scatter],
+        "reads": reads,
+        "snapshot": authoritative_snapshot(sim.account, sim.routing.current),
+    }
+    repeated = scatter_round(engine)
+    sim.store_events(burst_events(), collect=False)
+    after_burst = scatter_round(engine)
+    measured.extend([*repeated, *after_burst])
+    seen["repeated"] = [m.refs for m in repeated]
+    seen["after_burst"] = [m.refs for m in after_burst]
+    return seen
+
+
+@functools.lru_cache(maxsize=None)
+def reference_deployment() -> dict:
+    """The paper's default deployment (A3, one SimpleDB domain, every
+    knob at its default, no migration) storing :data:`GRID_EVENTS`:
+    its :func:`observe_deployment` answers, what every grid cell must
+    equal."""
+    sim = Simulation(seed=GRID_SEED, consistency=GRID_CONSISTENCY)
+    sim.store_events(GRID_EVENTS, collect=False)
+    return observe_deployment(sim, [])

@@ -58,13 +58,22 @@ class TestS3Metadata:
 
     def test_nothing_spillable_left_matches_reference(self):
         # Keys and pointers alone exceed 2 KB: the size pass spills every
-        # value, gives up, and leaves the rejection to S3's PUT.
+        # value, is undone, and the bundle moves whole into one object.
         event = event_with_env(env_bytes=1500, n_inputs=120)
         payload = serializer.to_s3_metadata(event)
-        assert payload.metadata_size > S3_MAX_METADATA_SIZE
+        assert list(payload.metadata) == [serializer.BUNDLE_KEY, "nonce"]
+        assert payload.metadata_size <= S3_MAX_METADATA_SIZE
         reference = reference_s3_metadata(event)
         assert list(payload.metadata.items()) == list(reference.metadata.items())
         assert payload.overflow == reference.overflow
+        store = {o.key: o.value for o in payload.overflow}
+        own, ancestors = serializer.bundles_from_s3_metadata(
+            event.subject, payload.metadata, store.__getitem__
+        )
+        assert records_of(own) == records_of(event.bundle)
+        assert [records_of(a) for a in ancestors] == [
+            records_of(a) for a in event.ancestors
+        ]
 
     def test_repeated_attributes_keyed_distinctly(self):
         event = event_with_env(n_inputs=3)
