@@ -10,7 +10,7 @@ the per-architecture evaluation cost.
 import pytest
 
 from repro.analysis.report import TextTable, check_mark
-from repro.core.properties import PAPER_TABLE1, evaluate_architecture
+from repro.properties import PAPER_TABLE1, evaluate_architecture
 
 from conftest import save_result
 

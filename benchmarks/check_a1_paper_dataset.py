@@ -3,12 +3,11 @@ through ``Simulation("s3")``, then check that ``linux/vmlinux`` — whose
 ``ld`` bundle is too wide for S3's 2 KB metadata limit — reads back
 exactly as it was stored.
 
-    PYTHONPATH=src python benchmarks/check_a1_paper_dataset.py [--scale 33]
+    PYTHONPATH=src python benchmarks/check_a1_paper_dataset.py
 
 Exit status 1 when the provenance read back differs from the trace's.
 """
 
-import argparse
 import sys
 import time
 
@@ -22,11 +21,7 @@ def records_of(bundle) -> list[str]:
     return sorted(str(record) for record in bundle.records)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", type=float, default=PAPER_SCALE)
-    args = parser.parse_args(argv)
-
+def main() -> int:
     last = {}
 
     def remember(events):
@@ -37,7 +32,7 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     sim = Simulation("s3")
-    stored = sim.store_events(remember(paper_dataset(scale=args.scale)), collect=False)
+    stored = sim.store_events(remember(paper_dataset()), collect=False)
     expected = last[PROBE]
     head = sim.store.head_provenance(PROBE)
     own, ancestors = sim.store.read_with_ancestors(PROBE)
@@ -49,7 +44,7 @@ def main(argv=None) -> int:
     )
     widest = max(len(bundle) for bundle in expected.all_bundles())
     print(
-        f"{stored} events at {args.scale:g}x in {time.perf_counter() - started:.1f} s; "
+        f"{stored} events at {PAPER_SCALE:g}x in {time.perf_counter() - started:.1f} s; "
         f"{PROBE} {expected.subject.version} ({widest}-record bundle) "
         f"{'round-trips' if ok else 'DIFFERS'}"
     )

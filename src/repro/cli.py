@@ -35,7 +35,7 @@ def _generate_stats(scale: float, seed: int):
 
 
 def cmd_properties(args: argparse.Namespace) -> int:
-    from repro.core.properties import evaluate_all
+    from repro.properties import evaluate_all
 
     table = TextTable(
         ["architecture", "atomicity", "consistency", "causal ordering",

@@ -16,11 +16,9 @@ test fixtures) goes through. Each store class also answers
 ``stored_provenance()``, the unmetered oracle of which object versions'
 provenance the cloud durably holds.
 
-:mod:`repro.core.properties` turns Table 1 into executable checks. It
-is a driver like any other: it builds every world as a
-:class:`~repro.sim.Simulation` and judges it through that oracle, so it
-is imported from there, not from this package (``repro.sim`` imports
-this package).
+:mod:`repro.properties` turns Table 1 into executable checks: a driver
+like any other, it builds every world as a :class:`~repro.sim.Simulation`
+and judges it through that oracle.
 """
 
 from repro.core.base import ProvenanceCloudStore, ReadResult, RetryPolicy

@@ -243,6 +243,10 @@ class ProvenanceCloudStore:
         """Messages still on the store's write-ahead log (0 without one)."""
         return 0
 
+    def restart(self) -> None:
+        """Model a host reboot: drop the store's in-memory state. Only
+        A3's commit daemon keeps any, so by default there is none."""
+
     # -- the read protocol ------------------------------------------------------
 
     def read(self, name: str, version: int | None = None) -> ReadResult:

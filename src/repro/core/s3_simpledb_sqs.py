@@ -121,6 +121,9 @@ class S3SimpleDBSQS(S3SimpleDB):
         """Run the commit daemon until the WAL drains; returns applies."""
         return self.commit_daemon.drain()
 
+    def restart(self) -> None:
+        self.restart_commit_daemon()
+
     def wal_backlog(self) -> int:
         return self.account.sqs.exact_message_count(self.queue_url)
 

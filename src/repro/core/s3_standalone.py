@@ -154,7 +154,9 @@ class S3Standalone(ProvenanceCloudStore):
     def stored_provenance(self) -> set[ObjectRef]:
         """Each data object's version (its ``nonce``) and the ancestors
         piggybacked on it, decoded from authoritative metadata and
-        overflow objects."""
+        overflow objects. An object whose nonce or bundle object is
+        malformed holds no provenance a reader could decode, so it is
+        skipped, as a repository scan skips it."""
         s3 = self.account.s3
         records = {
             key: s3.authoritative_record(DATA_BUCKET, key)
@@ -166,9 +168,13 @@ class S3Standalone(ProvenanceCloudStore):
 
         stored = set()
         for key, record in records.items():
-            if not key.startswith(PASS_PREFIX):
+            if key.startswith(PASS_PREFIX):
+                continue
+            try:
                 _, (own, ancestors) = self._decode(key, record.metadata_dict, fetch)
-                stored.update(bundle.subject for bundle in (own, *ancestors))
+            except ReadCorrectnessViolation:
+                continue
+            stored.update(bundle.subject for bundle in (own, *ancestors))
         return stored
 
     def read_with_ancestors(self, name: str):

@@ -41,6 +41,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.errors import ReadCorrectnessViolation
 from repro.units import KB, S3_MAX_METADATA_SIZE
 from repro.passlib.records import (
     Attr,
@@ -213,10 +214,20 @@ def bundles_from_s3_metadata(
 
     ``fetch_overflow`` resolves ``@s3:`` pointers (issuing the GETs the
     query analysis charges for), a :data:`BUNDLE_KEY` pointer first.
+    Metadata is user text, so a bundle object that is not a JSON object
+    of strings raises :class:`ReadCorrectnessViolation`, as a malformed
+    nonce does.
     """
     pointer = metadata.get(BUNDLE_KEY, "")
     if pointer.startswith(POINTER_PREFIX):
-        metadata = json.loads(fetch_overflow(pointer[len(POINTER_PREFIX):]))
+        try:
+            metadata = json.loads(fetch_overflow(pointer[len(POINTER_PREFIX):]))
+        except ValueError:
+            metadata = None
+        if not isinstance(metadata, dict) or not all(
+            isinstance(value, str) for value in metadata.values()
+        ):
+            raise ReadCorrectnessViolation(f"{subject.name}: malformed bundle object")
     groups: dict[str, dict[str, str]] = {}
     own: dict[str, str] = {}
     for key, value in metadata.items():

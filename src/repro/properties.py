@@ -151,11 +151,13 @@ def _recover(sim: Simulation) -> None:
     """Run the architecture's *designed* crash recovery, then quiesce.
 
     The clock jumps past the SQS visibility timeout so in-flight
-    receives expire, and the store applies what it logged: A3's commit
-    daemon drains the WAL; A1/A2 have no automatic recovery — that
+    receives expire, the host reboots (``restart()``: A3's commit daemon
+    comes back with no memory), and the store applies what it logged:
+    A3's daemon drains the WAL; A1/A2 have no automatic recovery — that
     absence is precisely what the atomicity check exposes for A2.
     """
     sim.account.clock.advance(300.0)
+    sim.store.restart()
     sim.store.pump()
     sim.account.quiesce()
 

@@ -74,7 +74,7 @@ from repro.core.base import (
     read_provenance_item,
 )
 from repro.devtools import sanitize
-from repro.errors import NoSuchKey
+from repro.errors import NoSuchKey, ReadCorrectnessViolation
 from repro.knobs import positive_int
 from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
 from repro.passlib.serializer import (
@@ -191,7 +191,8 @@ class S3ScanEngine(_Metered):
     def __init__(self, account: AWSAccount):
         super().__init__(account)
         #: Objects the last scan skipped because their ``nonce`` metadata
-        #: would not parse — a malformed item must not abort the scan.
+        #: or bundle object would not parse — a malformed item must not
+        #: abort the scan.
         self.skipped_items = 0
 
     # -- scanning -----------------------------------------------------------
@@ -210,8 +211,9 @@ class S3ScanEngine(_Metered):
     def scan_bundles(self) -> list[ProvenanceBundle]:
         """HEAD every object; decode its own + piggybacked bundles.
 
-        Objects whose ``nonce`` metadata is malformed are skipped and
-        counted on :attr:`skipped_items` instead of aborting the scan.
+        Objects whose ``nonce`` metadata or bundle object is malformed
+        are skipped and counted on :attr:`skipped_items` instead of
+        aborting the scan.
         """
         bundles: list[ProvenanceBundle] = []
         self.skipped_items = 0
@@ -221,13 +223,15 @@ class S3ScanEngine(_Metered):
             except NoSuchKey:
                 continue  # replica lag on a brand-new object
             version = parse_nonce(head.metadata.get("nonce", "v0001"))
-            if version is None:
+            try:
+                if version is None:
+                    raise ReadCorrectnessViolation(f"{key}: malformed nonce")
+                own, ancestors = bundles_from_s3_metadata(
+                    ObjectRef(key, version), head.metadata, self._fetch_overflow
+                )
+            except ReadCorrectnessViolation:
                 self.skipped_items += 1
                 continue
-            subject = ObjectRef(key, version)
-            own, ancestors = bundles_from_s3_metadata(
-                subject, head.metadata, self._fetch_overflow
-            )
             bundles.append(own)
             bundles.extend(ancestors)
         return bundles

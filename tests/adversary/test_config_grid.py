@@ -171,7 +171,8 @@ def crash_one_client(sim: Simulation, point: str) -> bool:
     (victim,) = pas.drain_flushes()
     with pytest.raises(ClientCrash):
         client.store(victim)
-    client.restart_commit_daemon().drain()
+    client.restart()
+    client.pump()
     sim.settle()
     data = sim.account.s3.exists_authoritative(DATA_BUCKET, victim.subject.name)
     provenance = victim.subject in client.stored_provenance()

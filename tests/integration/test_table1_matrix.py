@@ -2,12 +2,12 @@
 
 This is the headline correctness result — each architecture's property
 profile, derived experimentally from crash injection, consistency races,
-and live query measurement (see repro.core.properties).
+and live query measurement (see repro.properties).
 """
 
 import pytest
 
-from repro.core.properties import (
+from repro.properties import (
     PAPER_TABLE1,
     check_atomicity,
     check_causal_ordering,

@@ -84,6 +84,17 @@ class TestCommitDaemonIdempotency:
         result = store.read(trace[-1].subject.name)
         assert result.consistent
 
+    def test_restart_is_a_reboot_with_a_fresh_daemon(self, a3, trace):
+        # The store-level reboot hook (a no-op on A1/A2): A3's daemon
+        # comes back with no memory and replays the WAL.
+        a3.store_trace(trace)
+        before = a3.commit_daemon
+        a3.restart()
+        assert a3.commit_daemon is not before
+        assert a3.pump() >= 1
+        assert a3.wal_backlog() == 0
+        assert a3.read(trace[-1].subject.name).consistent
+
     def test_double_drain_harmless(self, a3, strong_account, trace):
         a3.store_trace(trace)
         a3.commit_daemon.drain()

@@ -7,11 +7,10 @@ the ``has_provenance_domain`` declaration of what A1 lacks, and the
 simulation, the fleet, the CLI, the matrix runner, the engines, the
 Table 1 property checks — calls those hooks or reads that attribute.
 This guard walks every module of ``repro`` outside ``core/`` (where the
-architectures themselves live; its one driver, ``core/properties.py``,
-is walked too) and ``analysis/`` (cost tables keyed by row label, no
-store involved) and fails on any comparison or set arithmetic against
-an architecture name (``==``, ``in``, ``- {"s3"}``) or any
-``isinstance`` / ``issubclass`` test on a store class.
+architectures themselves live) and ``analysis/`` (cost tables keyed by
+row label, no store involved) and fails on any comparison or set
+arithmetic against an architecture name (``==``, ``in``, ``- {"s3"}``)
+or any ``isinstance`` / ``issubclass`` test on a store class.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from repro.core import ARCHITECTURES, ProvenanceCloudStore
 
 ROOT = Path(repro.__file__).parent
 EXEMPT = ("core", "analysis")
-#: Drivers inside an exempt package, walked all the same.
-DRIVERS = ("core/properties.py",)
 NAMES = frozenset(ARCHITECTURES)
 STORE_CLASSES = frozenset(
     [ProvenanceCloudStore.__name__] + [cls.__name__ for cls in ARCHITECTURES.values()]
@@ -56,7 +53,7 @@ def architecture_branches(root: Path = ROOT) -> list[str]:
     found = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root)
-        if relative.parts[0] in EXEMPT and relative.as_posix() not in DRIVERS:
+        if relative.parts[0] in EXEMPT:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Compare, ast.BinOp)):
@@ -99,10 +96,6 @@ def test_the_guard_sees_both_kinds_of_branch(tmp_path):
     )
     (tmp_path / "core").mkdir()
     (tmp_path / "core" / "store.py").write_text("if name == 's3':\n    pass\n")
-    (tmp_path / "core" / "properties.py").write_text(
-        "\nif isinstance(store, S3SimpleDB):\n    pass\n"
-    )
     assert architecture_branches(tmp_path) == [
-        "core/properties.py:2",
         "driver.py:1", "driver.py:3", "driver.py:5", "driver.py:7", "driver.py:11",
     ]

@@ -254,6 +254,34 @@ class TestScanRobustness:
         engine.scan_bundles()
         assert engine.skipped_items == 0
 
+    @pytest.mark.parametrize("body", [b"not json", b"[1, 2]"])
+    def test_scan_and_oracle_skip_a_malformed_bundle_object(self, loaded, body):
+        # A hand-written bundle pointer at an object that is not a JSON
+        # object of strings: scans skip it like a bad nonce, the oracle
+        # reports no provenance for it, a targeted read raises.
+        from repro.core.base import DATA_BUCKET
+        from repro.errors import ReadCorrectnessViolation
+
+        store = make_architecture("s3", loaded)
+        engine = S3ScanEngine(loaded)
+        healthy = {ref.path for ref in engine.q1_all().refs}
+        loaded.s3.put(DATA_BUCKET, ".pass/overflow/hand-written", body, {})
+        record = loaded.s3.get(DATA_BUCKET, "out/0.hits")
+        metadata = {
+            serializer.BUNDLE_KEY: serializer.POINTER_PREFIX + ".pass/overflow/hand-written",
+            "nonce": record.metadata["nonce"],
+        }
+        loaded.s3.put(DATA_BUCKET, "out/0.hits", record.bytes(), metadata)
+        loaded.quiesce()
+        assert {ref.path for ref in engine.q1_all().refs} < healthy
+        assert engine.skipped_items == 1
+        outputs = {ref.path for ref in engine.q2_outputs_of("blast").refs}
+        assert engine.skipped_items == 1
+        assert outputs and "out/0.hits" not in outputs
+        assert "out/0.hits" not in {ref.path for ref in store.stored_provenance()}
+        with pytest.raises(ReadCorrectnessViolation, match="malformed bundle object"):
+            store.head_provenance("out/0.hits")
+
     @pytest.mark.parametrize("architecture", ["s3", "s3+simpledb"])
     def test_targeted_read_surfaces_malformed_nonce(
         self, strong_account, trace6, architecture

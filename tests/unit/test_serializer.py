@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.wal import prov_records
+from repro.errors import ReadCorrectnessViolation
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import Attr
 from repro.passlib import serializer
@@ -74,6 +75,16 @@ class TestS3Metadata:
         assert [records_of(a) for a in ancestors] == [
             records_of(a) for a in event.ancestors
         ]
+
+    @pytest.mark.parametrize("body", ["not json", "[1, 2]", '{"type": 7}'])
+    def test_malformed_bundle_object_is_a_read_error(self, body):
+        # Metadata is user text: a hand-written bundle pointer at an object
+        # that is not a JSON object of strings raises the domain error,
+        # not a bare JSONDecodeError or AttributeError.
+        event = event_with_env()
+        metadata = {serializer.BUNDLE_KEY: serializer.POINTER_PREFIX + "k", "nonce": "v0001"}
+        with pytest.raises(ReadCorrectnessViolation, match="malformed bundle object"):
+            serializer.bundles_from_s3_metadata(event.subject, metadata, {"k": body}.get)
 
     def test_repeated_attributes_keyed_distinctly(self):
         event = event_with_env(n_inputs=3)
