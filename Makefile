@@ -37,7 +37,8 @@
 #                     from (ROADMAP aim 1)
 #   make lint         ruff check over src/tests/benchmarks/examples
 #                     (config: ruff.toml)
-#   make loc          logical line count of src/repro, per module and total
+#   make loc          logical line count of src/repro, per module and total,
+#                     plus the tests/ total as a report line (no ceiling)
 #                     (benchmarks/check_loc.py: lines carrying a token that
 #                     is no comment, docstring or bare string) — the number
 #                     ROADMAP aim 2 asks to go down. A ratchet: fails when

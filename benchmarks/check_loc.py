@@ -9,6 +9,9 @@ A ratchet, not just a report: the total may not exceed :data:`CEILING`
 PR that legitimately grows ``src/repro`` raises the constant in the same
 diff, so growth shows up in review instead of arriving silently; a PR
 that shrinks the tree lowers it to the new total.
+
+It also prints the logical-line total of ``tests/`` — a report line, not
+a gate — so a PR can state its test-line delta beside its ``src`` one.
 """
 
 import ast
@@ -17,7 +20,10 @@ import tokenize
 from pathlib import Path
 
 #: Highest allowed total for ``src/repro`` (the current total).
-CEILING = 10943
+CEILING = 10961
+
+#: The test tree whose total is reported beside it (no ceiling).
+TESTS = "tests"
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -37,12 +43,17 @@ def logical_lines(path: Path) -> int:
     return len(counted - strings)
 
 
+def total_lines(root: str) -> int:
+    return sum(logical_lines(path) for path in Path(root).rglob("*.py"))
+
+
 def main(root: str = "src/repro") -> int:
     counts = {path: logical_lines(path) for path in sorted(Path(root).rglob("*.py"))}
     for path, count in counts.items():
         print(f"{count:6d}  {path}")
     total = sum(counts.values())
     print(f"{total:6d}  total (ceiling {CEILING})")
+    print(f"{total_lines(TESTS):6d}  {TESTS}/ total (report only, no ceiling)")
     if total > CEILING:
         print(
             f"{root} grew past the ceiling by {total - CEILING} logical lines: "

@@ -96,7 +96,8 @@ def crash_wal() -> None:
         store.store(event)
     except ClientCrash as crash:
         print(f"client crashed at {crash.point!r}")
-    store.restart_commit_daemon().drain()
+    store.restart()
+    store.pump()
     print(aftermath(account, event.subject))
     print("-> uncommitted transaction ignored: still atomic")
 

@@ -19,7 +19,7 @@ against (see DESIGN.md §2 for the substitution argument). It provides:
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.billing import Meter, PriceBook, Usage
 from repro.aws.elasticache import ReadCacheAuthority
-from repro.aws.faults import FaultPlan, RequestFaults, NO_FAULTS
+from repro.aws.faults import FaultPlan, RequestFaults
 from repro.aws.s3 import S3Service
 from repro.aws.simpledb import SimpleDBService
 from repro.aws.sqs import SQSService
@@ -32,7 +32,6 @@ __all__ = [
     "Usage",
     "FaultPlan",
     "RequestFaults",
-    "NO_FAULTS",
     "ReadCacheAuthority",
     "S3Service",
     "SimpleDBService",

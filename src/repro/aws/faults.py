@@ -8,11 +8,17 @@ scenarios first-class and testable, every architecture protocol in
 
     self.faults.check("a2.store.after_simpledb_put")
 
-A :class:`FaultPlan` armed for that point raises
+Every store and every commit daemon owns its :class:`FaultPlan` — a
+fresh, inert one unless a plan is handed to its constructor — so arming
+one client never arms another. A plan armed for a point raises
 :class:`~repro.errors.ClientCrash` there, leaving all service state
 exactly as a real power failure would. Plans can also crash at the *N*-th
 point encountered regardless of name, which is how the property-based
-tests sweep "crash anywhere in the protocol".
+tests sweep "crash anywhere in the protocol". Arming counts from the
+moment of arming: ``crash_at(p)`` fires at the next visit of ``p``
+whatever was visited before. A run interleaves its crashes through a
+:mod:`fault schedule <repro.schedule>`, whose ``crash`` step arms a
+client's plan (tests arm a daemon's directly).
 
 :class:`RequestFaults` injects *service-side* transient failures
 (``ServiceUnavailable``) so retry loops and the idempotency arguments of
@@ -31,34 +37,35 @@ from repro.errors import ClientCrash, ServiceUnavailable
 class FaultPlan:
     """Decides whether the client crashes at each named protocol point.
 
-    A fresh plan is inert. Arm it with :meth:`crash_at` (crash when a
-    specific point is reached, optionally only on its *k*-th visit) or
-    :meth:`crash_at_call` (crash at the *n*-th ``check`` call overall).
+    A fresh plan is inert. Arm it with :meth:`crash_at` (crash at the
+    next visit of a specific point, or its *k*-th visit from now) or
+    :meth:`crash_at_call` (crash at the *n*-th ``check`` call from now).
     Every visited point is appended to :attr:`log`, so a dry run with an
     inert plan enumerates the protocol's crash surface.
     """
 
     def __init__(self) -> None:
         self.log: list[str] = []
+        #: Armed points -> visits still to go before the crash.
         self._by_point: dict[str, int] = {}
-        self._visits: Counter[str] = Counter()
+        #: The ``len(log)`` at which the armed call-count crash fires.
         self._crash_call: int | None = None
-        self._calls = 0
 
     # -- arming -----------------------------------------------------------
 
     def crash_at(self, point: str, visit: int = 1) -> "FaultPlan":
-        """Crash when ``point`` is reached for the ``visit``-th time."""
+        """Crash at the ``visit``-th visit of ``point`` from now."""
         if visit < 1:
             raise ValueError(f"visit must be >= 1, got {visit}")
         self._by_point[point] = visit
         return self
 
     def crash_at_call(self, n: int) -> "FaultPlan":
-        """Crash at the ``n``-th fault-point check, whatever its name."""
+        """Crash at the ``n``-th fault-point check from now, whatever its
+        name."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        self._crash_call = n
+        self._crash_call = len(self.log) + n
         return self
 
     def disarm(self) -> None:
@@ -70,35 +77,26 @@ class FaultPlan:
 
     def check(self, point: str) -> None:
         """Record the visit and crash if this point is armed."""
-        self._calls += 1
-        self._visits[point] += 1
         self.log.append(point)
-        if self._crash_call is not None and self._calls == self._crash_call:
+        if len(self.log) == self._crash_call:
             self._crash_call = None
-            raise ClientCrash(point)
-        armed_visit = self._by_point.get(point)
-        if armed_visit is not None and self._visits[point] == armed_visit:
-            del self._by_point[point]
-            raise ClientCrash(point)
+            raise ClientCrash(point, self)
+        to_go = self._by_point.pop(point, None)
+        if to_go == 1:
+            raise ClientCrash(point, self)
+        if to_go is not None:
+            self._by_point[point] = to_go - 1
 
     @property
     def points_seen(self) -> list[str]:
         """Distinct points visited, in first-visit order."""
-        seen: list[str] = []
-        for point in self.log:
-            if point not in seen:
-                seen.append(point)
-        return seen
+        return list(dict.fromkeys(self.log))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FaultPlan(armed={sorted(self._by_point)}, "
             f"crash_call={self._crash_call}, visited={len(self.log)})"
         )
-
-
-#: Shared inert plan for callers that do not inject faults.
-NO_FAULTS = FaultPlan()
 
 
 class RequestFaults:

@@ -51,7 +51,7 @@ from functools import partial
 from typing import Callable, Iterable
 
 from repro.aws.account import AWSAccount
-from repro.aws.faults import NO_FAULTS, FaultPlan
+from repro.aws.faults import FaultPlan
 from repro.blob import Blob
 from repro.errors import (
     BucketAlreadyExists,
@@ -159,19 +159,20 @@ class ProvenanceCloudStore:
     #: every driver reads here instead of testing the architecture name.
     has_provenance_domain: bool = True
 
-    def __init__(self, account: AWSAccount, faults: FaultPlan = NO_FAULTS,
+    def __init__(self, account: AWSAccount, faults: FaultPlan | None = None,
                  retry: RetryPolicy | None = None, shards: int = 1,
                  router: ShardRouter | RouterHandle | None = None,
                  client_id: str = "client-0"):
         self.account = account
         #: The client host this store runs on (A3 names its WAL queue after it).
         self.client_id = client_id
-        self.faults = faults
+        #: This client's own crash points (a fresh inert plan by default).
+        self.faults = faults if faults is not None else FaultPlan()
         self.retry = retry or RetryPolicy()
         #: Shared routing-epoch indirection over the provenance shard
         #: layout. ``shards=1`` (the default) is the paper's single
         #: :data:`PROV_DOMAIN` deployment; passing an existing
-        #: :class:`RouterHandle` (what :meth:`repro.sim.Cloud.new_store`
+        #: :class:`RouterHandle` (what :meth:`repro.sim.Cloud.add_client`
         #: does) makes every consumer observe the same epoch — and the
         #: same live migration — simultaneously.
         self.routing = as_handle(router) if router is not None else fresh_handle(shards)

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.aws.account import AWSAccount
-from repro.aws.faults import NO_FAULTS, FaultPlan, call_with_retries
+from repro.aws.faults import FaultPlan, call_with_retries
 from repro.core.base import (
     DATA_BUCKET,
     TEMP_PREFIX,
@@ -111,7 +111,6 @@ class CommitDaemon:
         account: AWSAccount,
         queue_url: str,
         threshold: int = 10,
-        faults: FaultPlan = NO_FAULTS,
         router: ShardRouter | RouterHandle | None = None,
         write_batch: int | None = None,
     ):
@@ -130,7 +129,8 @@ class CommitDaemon:
         #: one-domain layout.
         self.routing = as_handle(router) if router is not None else fresh_handle()
         self.threshold = threshold
-        self.faults = faults
+        #: The daemon's own crash points (``daemon.apply.*``).
+        self.faults = FaultPlan()
         #: Group-commit width: how many complete transactions one apply
         #: round holds. At ``1`` (the default) a round is one
         #: transaction applied with single-item requests

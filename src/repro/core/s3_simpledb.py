@@ -34,7 +34,7 @@ Protocol on file close (§4.2):
 from __future__ import annotations
 
 from repro.aws.account import AWSAccount
-from repro.aws.faults import NO_FAULTS, FaultPlan, call_with_retries
+from repro.aws.faults import FaultPlan, call_with_retries
 from repro.core.base import (
     Component,
     DATA_BUCKET,
@@ -77,7 +77,7 @@ class S3SimpleDB(ProvenanceCloudStore):
     def __init__(
         self,
         account: AWSAccount,
-        faults: FaultPlan = NO_FAULTS,
+        faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         shards: int = 1,
         router=None,

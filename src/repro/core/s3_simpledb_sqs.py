@@ -33,7 +33,7 @@ import itertools
 _EPOCHS = itertools.count(1)
 
 from repro.aws.account import AWSAccount
-from repro.aws.faults import NO_FAULTS, FaultPlan, call_with_retries
+from repro.aws.faults import FaultPlan, call_with_retries
 from repro.core.base import (
     Component,
     DATA_BUCKET,
@@ -55,11 +55,10 @@ class S3SimpleDBSQS(S3SimpleDB):
     def __init__(
         self,
         account: AWSAccount,
-        faults: FaultPlan = NO_FAULTS,
+        faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         client_id: str = "client-0",
         commit_threshold: int = 10,
-        daemon_faults: FaultPlan = NO_FAULTS,
         shards: int = 1,
         router=None,
         write_batch: int | None = None,
@@ -72,7 +71,6 @@ class S3SimpleDBSQS(S3SimpleDB):
         self.queue_url: str | None = None
         self._txn_counter = itertools.count(1)
         self._commit_threshold = commit_threshold
-        self._daemon_faults = daemon_faults
         self._commit_daemon: CommitDaemon | None = None
         self._cleaner: CleanerDaemon | None = None
 
@@ -84,14 +82,14 @@ class S3SimpleDBSQS(S3SimpleDB):
 
     @property
     def commit_daemon(self) -> CommitDaemon:
-        """The commit daemon bound to this client's WAL queue."""
+        """The commit daemon bound to this client's WAL queue (its own
+        :class:`FaultPlan` is ``commit_daemon.faults``)."""
         self.provision()
         if self._commit_daemon is None:
             self._commit_daemon = CommitDaemon(
                 self.account,
                 self.queue_url,
                 threshold=self._commit_threshold,
-                faults=self._daemon_faults,
                 router=self.routing,
                 write_batch=self.coalescer.batch_size,
             )
@@ -104,25 +102,14 @@ class S3SimpleDBSQS(S3SimpleDB):
             self._cleaner = CleanerDaemon(self.account)
         return self._cleaner
 
-    def restart_commit_daemon(self, faults: FaultPlan = NO_FAULTS) -> CommitDaemon:
-        """Model a daemon crash: a fresh instance with no in-memory state."""
-        self.provision()
-        self._commit_daemon = CommitDaemon(
-            self.account,
-            self.queue_url,
-            threshold=self._commit_threshold,
-            faults=faults,
-            router=self.routing,
-            write_batch=self.coalescer.batch_size,
-        )
-        return self._commit_daemon
-
     def pump(self) -> int:
         """Run the commit daemon until the WAL drains; returns applies."""
         return self.commit_daemon.drain()
 
     def restart(self) -> None:
-        self.restart_commit_daemon()
+        """The commit daemon comes back with no in-memory state (and a
+        fresh, inert fault plan) the next time it is needed."""
+        self._commit_daemon = None
 
     def wal_backlog(self) -> int:
         return self.account.sqs.exact_message_count(self.queue_url)

@@ -38,7 +38,7 @@ Engineering notes faithful to the paper's discussion:
 from __future__ import annotations
 
 from repro.aws.account import AWSAccount
-from repro.aws.faults import NO_FAULTS, FaultPlan, call_with_retries
+from repro.aws.faults import FaultPlan, call_with_retries
 from repro.core.base import (
     Component,
     DATA_BUCKET,
@@ -68,7 +68,7 @@ class S3Standalone(ProvenanceCloudStore):
     def __init__(
         self,
         account: AWSAccount,
-        faults: FaultPlan = NO_FAULTS,
+        faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         shards: int = 1,
         router=None,

@@ -196,12 +196,15 @@ class ClientCrash(ReproError):
 
     The exception deliberately does *not* derive from :class:`AWSError`:
     service state mutated before the crash point remains mutated, exactly
-    as if a real client host had lost power mid-protocol.
+    as if a real client host had lost power mid-protocol. ``plan`` is
+    the :class:`~repro.aws.faults.FaultPlan` that raised it, which tells
+    a client's crash from its commit daemon's.
     """
 
-    def __init__(self, point: str):
+    def __init__(self, point: str, plan=None):
         super().__init__(f"client crashed at fault point {point!r}")
         self.point = point
+        self.plan = plan
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +244,18 @@ class TraceFormatError(ReproError):
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{where}")
         self.line = line
+
+
+class ScheduleFormatError(ReproError):
+    """A fault schedule failed validation and was rejected whole.
+
+    Raised by :func:`repro.schedule.loads` (non-JSON text, trailing
+    garbage, a wrong header, an unknown actor or action, an argument of
+    the wrong type) before any step runs, and by the interpreter for a
+    single step that is malformed or that the cloud cannot run (a client
+    it does not have, a ``store`` with an empty backlog) before that
+    step is recorded; the message names the step's index.
+    """
 
 
 # ---------------------------------------------------------------------------

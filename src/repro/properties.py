@@ -30,7 +30,10 @@ This module re-derives that table *experimentally*:
   than objects), which indexed SimpleDB achieves and the S3 scan cannot.
 
 Every world is a :class:`~repro.sim.Simulation`, the one cloud wiring,
-and every verdict reads the same two oracles, whatever the layout or
+driven by a :mod:`fault schedule <repro.schedule>`: the crash sweeps are
+step generators — store steps, a ``crash`` step, the recovery steps —
+over the cloud's one interpreter, which alone catches the crash. Every
+verdict reads the same two oracles, whatever the layout or
 backend: the data object's authoritative S3 record, and the store's
 :meth:`~repro.core.base.ProvenanceCloudStore.stored_provenance` — the
 object versions whose provenance the cloud durably holds (A2/A3: the
@@ -44,13 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
-from repro.aws.faults import FaultPlan
 from repro.blob import BytesBlob
 from repro.core.base import DATA_BUCKET
-from repro.errors import ClientCrash, ReadCorrectnessViolation
+from repro.errors import ReadCorrectnessViolation
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import FlushEvent
 from repro.query.ancestry import AncestryWalker
+from repro.schedule import Step
 from repro.sim import Simulation
 
 #: The paper's Table 1, as (atomicity, consistency, causal, query).
@@ -147,19 +150,22 @@ def _blast_trace(n_queries: int = 8) -> list[FlushEvent]:
     return pas.drain_flushes()
 
 
-def _recover(sim: Simulation) -> None:
-    """Run the architecture's *designed* crash recovery, then quiesce.
+#: The world's one client and the step that stores its next event.
+CLIENT = "client-0"
+STORE = Step(CLIENT, "store")
 
-    The clock jumps past the SQS visibility timeout so in-flight
-    receives expire, the host reboots (``restart()``: A3's commit daemon
-    comes back with no memory), and the store applies what it logged:
-    A3's daemon drains the WAL; A1/A2 have no automatic recovery — that
-    absence is precisely what the atomicity check exposes for A2.
-    """
-    sim.account.clock.advance(300.0)
-    sim.store.restart()
-    sim.store.pump()
-    sim.account.quiesce()
+#: The architecture's *designed* crash recovery, as steps: the clock
+#: jumps past the SQS visibility timeout so in-flight receives expire,
+#: the daemon reboots with no memory (a no-op on A1/A2) and applies what
+#: the client logged, and the cloud settles. A3's daemon drains the
+#: WAL; A1/A2 have no automatic recovery — that absence is precisely
+#: what the atomicity check exposes for A2.
+RECOVERY = (
+    Step("cloud", "advance", 300.0),
+    Step("daemon-0", "reboot"),
+    Step("daemon-0", "pump"),
+    Step("cloud", "settle"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -170,40 +176,36 @@ def _recover(sim: Simulation) -> None:
 CRASH_CONSISTENCY = ConsistencyConfig.eventual(window=2.0)
 
 
+def _crash_world(architecture: str, seed: int, events: list[FlushEvent]) -> Simulation:
+    """A fresh cloud whose client has ``events`` pending."""
+    sim = Simulation(architecture, seed=seed, consistency=CRASH_CONSISTENCY)
+    sim.submit(CLIENT, events)
+    return sim
+
+
 def check_atomicity(architecture: str, seed: int = 0) -> tuple[bool, str]:
     """Crash the store protocol at every fault point; judge the aftermath."""
     baseline = _chain_trace(2, prefix="baseline")
     victim_trace = _chain_trace(2, prefix="victim")
     victim = victim_trace[-1]
+    events = baseline + victim_trace
+    before_victim = [STORE] * (len(events) - 1)
 
     # Dry run to size the crash surface of one store() call.
-    dry_plan = FaultPlan()
-    sim = Simulation(
-        architecture, seed=seed, consistency=CRASH_CONSISTENCY, faults=dry_plan
-    )
-    sim.store.store_trace(baseline)
-    calls_before = len(dry_plan.log)
-    sim.store.store(victim_trace[-1])
-    crash_surface = len(dry_plan.log) - calls_before
+    sim = _crash_world(architecture, seed, baseline + victim_trace[-1:])
+    sim.replay([STORE] * len(baseline))
+    calls_before = len(sim.store.faults.log)
+    sim.apply(STORE)
+    crash_surface = len(sim.store.faults.log) - calls_before
     if crash_surface == 0:
         return False, "store protocol exposes no fault points"
 
     violations: list[str] = []
     for crash_call in range(1, crash_surface + 1):
-        plan = FaultPlan()
-        sim = Simulation(
-            architecture, seed=seed + crash_call, consistency=CRASH_CONSISTENCY,
-            faults=plan,
-        )
-        sim.store.store_trace(baseline + victim_trace[:-1])
-        plan.crash_at_call(len(plan.log) + crash_call)
-        crashed_at = "no-crash"
-        try:
-            sim.store.store(victim)
-        except ClientCrash as crash:
-            crashed_at = crash.point
-        plan.disarm()
-        _recover(sim)
+        sim = _crash_world(architecture, seed + crash_call, events)
+        sim.replay(before_victim + [Step(CLIENT, "crash", crash_call)])
+        crashed_at = sim.apply(STORE) or "no-crash"
+        sim.replay(RECOVERY)
         data_stored = _data_visible(sim.account, victim)
         prov_stored = victim.subject in sim.store.stored_provenance()
         if data_stored != prov_stored:
@@ -262,12 +264,9 @@ def check_causal_ordering(architecture: str, seed: int = 0) -> tuple[bool, str]:
     )
     violations = []
     for crash_after in range(len(trace)):
-        sim = Simulation(
-            architecture, seed=seed + crash_after, consistency=CRASH_CONSISTENCY
-        )
+        sim = _crash_world(architecture, seed + crash_after, trace)
         # The client host dies between two closes.
-        sim.store.store_trace(trace[:crash_after])
-        _recover(sim)
+        sim.replay([STORE] * crash_after + list(RECOVERY))
         if not oracle.is_causally_closed(sim.store.stored_provenance()):
             violations.append(f"crash before event {crash_after}")
     detail = f"{len(trace)} crash boundaries, {len(violations)} closure violations"

@@ -15,14 +15,27 @@ The paper's deployment is one cloud shared by *N* clients (§2.5), so
 the deployment is declared once, in :class:`Cloud`: the
 :class:`~repro.aws.account.AWSAccount` (clock, meter, services), the
 architecture name, the routing handle every consumer shares, the seven
-knobs, and the four things done *to* a deployment — build a client
-store (:meth:`Cloud.new_store`), hand out the matching query engine
+knobs, and the four things done *to* a deployment — add a client host
+(:meth:`Cloud.add_client`), hand out the matching query engine
 (:meth:`Cloud.query_engine`), start a live layout migration
 (:meth:`Cloud.start_migration`) and let daemons and replication
 converge (:meth:`Cloud.settle`). The two drivers differ only in client
 count and scheduling: :class:`Simulation` is that cloud with one store
 and a pump-every-N event loop; :class:`~repro.fleet.ClientFleet` is
 that cloud with N stores and a round-robin scheduler.
+
+One fault schedule
+------------------
+
+A cloud's clients are named hosts (``client-0``, ``client-1``, …), each
+with its store and a backlog of pending events. Every crash, reboot and
+daemon round a run interleaves with its work is a step of a
+:mod:`fault schedule <repro.schedule>`, executed by
+:meth:`Cloud.apply` — the only place a step runs and the only place a
+crash is caught — and recorded in :attr:`Cloud.schedule`, so
+:meth:`Cloud.replay` on a fresh cloud reproduces the run. The event
+loops (:meth:`Simulation.store_events`) and the daemons' own
+``run_once``/``drain`` stay off the interpreter.
 
 There is one event loop, too: an untimed stream is a timed stream whose
 inter-arrival delays are all zero, so :meth:`Simulation.store_events`
@@ -32,16 +45,19 @@ is :meth:`Simulation.store_timed_events` over ``(0.0, event)`` pairs.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
-from repro.aws.faults import FaultPlan, NO_FAULTS
 from repro.core import architecture_class, make_architecture
 from repro.core.base import ProvenanceCloudStore, ReadResult
+from repro.errors import ClientCrash, ScheduleFormatError
 from repro.migration.handle import as_handle, fresh_handle
 from repro.migration.live import LiveMigration, MigrationReport, begin_live_migration
+from repro.migration.live import parse_migration_spec
 from repro.passlib.records import FlushEvent
 from repro.query.engine import S3ScanEngine, SimpleDBEngine
+from repro.schedule import Step, check_step
 from repro.sharding import ShardRouter
 from repro.workloads.base import TraceStats, Workload
 
@@ -51,6 +67,23 @@ from repro.workloads.base import TraceStats, Workload
 SETTLE_ROUNDS = 10
 
 
+@dataclass
+class Client:
+    """One client host: its store (the current incarnation) and pending
+    work. ``stored`` counts this incarnation's stores; ``crashes`` the
+    reboots the host has gone through."""
+
+    name: str
+    store: ProvenanceCloudStore
+    pending: list[FlushEvent] = field(default_factory=list)
+    stored: int = 0
+    crashes: int = 0
+
+    @property
+    def backlog(self) -> int:
+        return len(self.pending)
+
+
 class Cloud:
     """One provenance-aware deployment, shared by every client of it."""
 
@@ -58,16 +91,17 @@ class Cloud:
         self,
         architecture: str,
         seed: int,
-        consistency: ConsistencyConfig | None,
+        consistency: ConsistencyConfig | None = None,
         *,
-        shards: int,
-        placement: str | dict[int, str] | None,
-        concurrency: int | None,
-        ddb_indexes: str | tuple | None,
-        write_batch: int | None,
-        read_cache: str | bool | int | None,
-        planner: str | None,
+        shards: int = 1,
+        placement: str | dict[int, str] | None = None,
+        concurrency: int | None = None,
+        ddb_indexes: str | tuple | None = None,
+        write_batch: int | None = None,
+        read_cache: str | bool | int | None = None,
+        planner: str | None = None,
         router=None,
+        **store_kwargs,
     ):
         """The seven knobs — the only documentation of them, set here or
         by their ``repro demo`` flag and nowhere else. Every one is
@@ -103,7 +137,8 @@ class Cloud:
         one authority per cloud, so any client's write invalidates what
         another client cached. ``planner`` is the query engines'
         access-path planning mode (``"off"``/``"first-fit"``/``"cost"``,
-        default off).
+        default off). Any other keyword goes to the constructor of every
+        client store and of every reboot of one (e.g. ``commit_threshold``).
         """
         #: The architecture's store class; what a driver needs to know
         #: about the architecture, it reads off this class.
@@ -128,20 +163,103 @@ class Cloud:
         self.concurrency = concurrency
         self.planner = planner
         self.write_batch = write_batch
+        #: The client hosts by name (``client-0``, ``client-1``, …).
+        self.clients: dict[str, Client] = {}
+        self._store_kwargs = store_kwargs
+        #: Every step :meth:`apply` ran, in order — ready for
+        #: :func:`repro.schedule.dumps` and :meth:`replay`.
+        self.schedule: list[Step] = []
+        #: The op log: ``(client, event)`` for each store step that
+        #: landed, in order (a crashed attempt lands on its retry).
+        self.trace: list[tuple[str, FlushEvent]] = []
 
     # -- the deployment's parts --------------------------------------------
 
-    def new_store(self, **store_kwargs) -> ProvenanceCloudStore:
-        """One more client of this cloud: a provisioned store of the
-        cloud's architecture on the shared routing handle."""
-        return make_architecture(
+    def add_client(self) -> str:
+        """One more client host (``client-<k>``) of this cloud; returns
+        its name."""
+        return self._spawn(f"client-{len(self.clients)}").name
+
+    def _spawn(self, name: str) -> Client:
+        """A client host's incarnation: a provisioned store of the
+        cloud's architecture on the shared routing handle, running as
+        the client (an A3 client logs to its own WAL queue, named after
+        it) and owning its fault plan."""
+        store = make_architecture(
             self.architecture, self.account, router=self.routing,
-            write_batch=self.write_batch, **store_kwargs,
+            write_batch=self.write_batch, client_id=name, **self._store_kwargs,
         )
+        self.clients[name] = client = Client(name, store)
+        return client
 
     def stores(self) -> list[ProvenanceCloudStore]:
         """Every live client store (what :meth:`settle` drains)."""
-        raise NotImplementedError
+        return [client.store for client in self.clients.values()]
+
+    def submit(self, client_name: str, events: list[FlushEvent]) -> None:
+        """Queue a client's flush events (its own namespace of objects)."""
+        self.clients[client_name].pending.extend(events)
+
+    def read(self, name: str, version: int | None = None) -> ReadResult:
+        """Read through the first client (they all share the cloud)."""
+        return self.stores()[0].read(name, version)
+
+    # -- the fault schedule --------------------------------------------------
+
+    def apply(self, step) -> str | None:
+        """Execute and record one schedule step (the actors and actions
+        are listed in :mod:`repro.schedule`) — the one place a step runs.
+        Returns the fault point if a ``store`` step crashed its client:
+        the event stays pending for the host's next incarnation. Any
+        other crash (a commit daemon's, even inside a store) propagates."""
+        number = len(self.schedule)
+        actor, action, arg = step = check_step(step, number)
+        kind, _, index = actor.partition("-")
+        client = self.clients.get(f"client-{index}") if index else None
+        if index and client is None:
+            raise ScheduleFormatError(f"step {number}: this cloud has no {actor}")
+        if action == "store" and not client.pending:
+            raise ScheduleFormatError(f"step {number}: {actor} has no pending event")
+        self.schedule.append(step)
+        if action == "store":
+            store = client.store
+            try:
+                store.store(client.pending[0])
+            except ClientCrash as crash:
+                if crash.plan is not store.faults:
+                    raise
+                return crash.point
+            self.trace.append((client.name, client.pending.pop(0)))
+            client.stored += 1
+        elif action == "crash":
+            plan = client.store.faults
+            (plan.crash_at_call if isinstance(arg, int) else plan.crash_at)(arg)
+        elif action == "pump":
+            client.store.pump()
+        elif action == "reboot" and kind == "daemon":
+            client.store.restart()
+        elif action == "reboot":
+            # The grid scheduler resubmits the interrupted job to a
+            # fresh incarnation over the same backlog.
+            reborn = self._spawn(client.name)
+            reborn.pending, reborn.crashes = client.pending, client.crashes + 1
+        elif action == "advance":
+            self.account.clock.advance(arg)
+        elif action == "settle":
+            self.settle()
+        elif self.routing.migration is None:
+            self.start_migration(**parse_migration_spec(arg))
+        else:
+            self.routing.migration.step()
+        return None
+
+    def replay(self, schedule: Iterable) -> int:
+        """Apply every step of ``schedule`` in order (a lazy generator is
+        consulted after each step lands); returns the events stored."""
+        before = len(self.trace)
+        for step in schedule:
+            self.apply(step)
+        return len(self.trace) - before
 
     def query_engine(self) -> S3ScanEngine | SimpleDBEngine:
         """The Table 3 query engine matching this architecture — the one
@@ -212,36 +330,24 @@ class Simulation(Cloud):
         architecture: str = "s3+simpledb+sqs",
         seed: int = 0,
         consistency: ConsistencyConfig | None = None,
-        faults: FaultPlan = NO_FAULTS,
         pump_every: int = 25,
-        shards: int = 1,
-        placement: str | dict[int, str] | None = None,
-        concurrency: int | None = None,
-        ddb_indexes: str | tuple | None = None,
-        write_batch: int | None = None,
-        read_cache: str | bool | int | None = None,
-        planner: str | None = None,
-        router=None,
-        **architecture_kwargs,
+        **knobs,
     ):
-        """The knobs are :class:`Cloud`'s. ``faults`` arms the client's
-        protocol crash points, ``pump_every`` is how many stores pass
-        between drains of the A3 commit daemon, and
-        ``architecture_kwargs`` go to the store's constructor
-        (``commit_threshold``, ``daemon_faults``, …)."""
-        super().__init__(
-            architecture, seed, consistency, shards=shards, placement=placement,
-            concurrency=concurrency, ddb_indexes=ddb_indexes,
-            write_batch=write_batch, read_cache=read_cache, planner=planner,
-            router=router,
-        )
-        self.store = self.new_store(faults=faults, **architecture_kwargs)
+        """The ``knobs`` (and store constructor arguments such as
+        ``commit_threshold``) are :class:`Cloud`'s. ``pump_every`` is how
+        many stores pass between drains of the A3 commit daemon. The
+        store arms its own crash points (``sim.store.faults``; a
+        schedule's ``crash`` step arms them)."""
+        super().__init__(architecture, seed, consistency, **knobs)
+        self.add_client()
         self._pump_every = pump_every
         self.events_stored = 0
         self.stats = TraceStats()
 
-    def stores(self) -> list[ProvenanceCloudStore]:
-        return [self.store]
+    @property
+    def store(self) -> ProvenanceCloudStore:
+        """The client's store (``client-0``'s current incarnation)."""
+        return self.clients["client-0"].store
 
     # -- storing ------------------------------------------------------------
 
@@ -286,11 +392,6 @@ class Simulation(Cloud):
     def pump(self) -> None:
         """Drain the store's commit daemon (no-op without a WAL)."""
         self.store.pump()
-
-    # -- reading ------------------------------------------------------------
-
-    def read(self, name: str, version: int | None = None) -> ReadResult:
-        return self.store.read(name, version)
 
     # -- layout migration ---------------------------------------------------
 

@@ -26,11 +26,12 @@ default-configuration reference run of the same seeded workload
    width 4;
 4. Q2–Q4 repeated, then a write burst, then Q2–Q4 again — both rounds
    equal the reference's;
-5. on A3, one more client crashes at the cell's fault point; after
-   settling, its object's data and provenance (the store's
-   ``stored_provenance()`` oracle) are both present or both absent
-   (present exactly when the crash came after the commit record), and
-   together the A3 cells hit every client fault point.
+5. on A3, one more client crashes at the cell's fault point (a
+   schedule of steps on the cloud's one interpreter); after its daemon
+   reboots and the cloud settles, its object's data and provenance (the
+   store's ``stored_provenance()`` oracle) are both present or both
+   absent (present exactly when the crash came after the commit
+   record), and together the A3 cells hit every client fault point.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.aws.faults import FaultPlan
 from repro.core.base import DATA_BUCKET
 from repro.devtools import sanitize
-from repro.errors import ClientCrash
 from repro.migration import parse_migration_spec
 from repro.passlib.capture import PassSystem
 from repro.sim import Simulation
@@ -163,19 +162,19 @@ def crash_one_client(sim: Simulation, point: str) -> bool:
     its commit daemon restarts with no memory and the cloud settles.
     Returns whether the object's data is visible — asserting first that
     its provenance agrees."""
-    client = sim.new_store(faults=FaultPlan().crash_at(point), client_id="doomed")
+    doomed = sim.add_client()
+    daemon = doomed.replace("client", "daemon")
     pas = PassSystem(workload="doomed")
     with pas.process("doomed", argv=point) as proc:
         proc.write("doomed/out.dat", b"never acknowledged")
         proc.close("doomed/out.dat")
     (victim,) = pas.drain_flushes()
-    with pytest.raises(ClientCrash):
-        client.store(victim)
-    client.restart()
-    client.pump()
-    sim.settle()
+    sim.submit(doomed, [victim])
+    sim.apply((doomed, "crash", point))
+    assert sim.apply((doomed, "store", None)) == point
+    sim.replay([(daemon, "reboot", None), (daemon, "pump", None), ("cloud", "settle", None)])
     data = sim.account.s3.exists_authoritative(DATA_BUCKET, victim.subject.name)
-    provenance = victim.subject in client.stored_provenance()
+    provenance = victim.subject in sim.store.stored_provenance()
     assert data == provenance, f"crash at {point}: data={data}, provenance={provenance}"
     return data
 
@@ -236,8 +235,7 @@ def test_the_cells_contain_every_former_ci_row():
 
 
 def test_the_a3_cells_crash_at_every_client_fault_point():
-    plan = FaultPlan()
-    sim = Simulation(seed=GRID_SEED, faults=plan)
+    sim = Simulation(seed=GRID_SEED)
     sim.store_events(GRID_EVENTS[:1], collect=False)
-    assert {cell.crash for cell in CELLS if cell.arch == "A3"} == set(plan.points_seen)
+    assert {cell.crash for cell in CELLS if cell.arch == "A3"} == set(sim.store.faults.points_seen)
     assert all(cell.crash is None for cell in CELLS if cell.arch == "A2")

@@ -90,3 +90,19 @@ def tiny_trace():
 @pytest.fixture
 def trace():
     return tiny_trace()
+
+
+#: Where A3's protocol is at its third fault point: the data is staged
+#: as a temp object, the commit record not yet sent.
+A3_MID_LOG = "a3.log.after_temp_put"
+
+
+def crash_during_store(steps, fleet, name: str, stored: int, point: str = A3_MID_LOG):
+    """Splice one ``crash`` step into a lazy fleet step stream: client
+    ``name`` crashes at ``point`` during the store it starts once its
+    incarnation has landed ``stored`` events."""
+    for step in steps:
+        if point and step == (name, "store", None) and fleet.clients[name].stored == stored:
+            yield (name, "crash", point)
+            point = None
+        yield step

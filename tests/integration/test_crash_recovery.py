@@ -113,7 +113,8 @@ class TestWalRecoveryMatrix:
         with pytest.raises(ClientCrash):
             store.store(event)
         plan.disarm()
-        store.restart_commit_daemon().drain()
+        store.restart()
+        store.pump()
 
         data = account.s3.exists_authoritative(DATA_BUCKET, event.subject.name)
         prov = provenance_oracle_item(account, event.subject.item_name) is not None
@@ -157,16 +158,15 @@ class TestDaemonCrashEveryPoint:
     @pytest.mark.parametrize("point", DAEMON_POINTS)
     def test_daemon_crash_then_replay_converges(self, point):
         account = fresh_account(6)
-        daemon_plan = FaultPlan().crash_at(point)
-        store = S3SimpleDBSQS(
-            account, commit_threshold=100, daemon_faults=daemon_plan
-        )
+        store = S3SimpleDBSQS(account, commit_threshold=100)
+        store.commit_daemon.faults.crash_at(point)
         event = one_event()
         store.store(event)
         with pytest.raises(ClientCrash):
             store.commit_daemon.drain()
         account.clock.advance(300.0)  # visibility timeout expires
-        store.restart_commit_daemon().drain()
+        store.restart()
+        store.pump()
         result = store.read(event.subject.name)
         assert result.consistent
         assert result.data.md5() == event.data.md5()

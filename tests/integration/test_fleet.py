@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from repro.errors import ClientCrash
 from repro.fleet import ClientFleet
 from repro.graph.provgraph import ProvenanceGraph
 from repro.passlib.capture import PassSystem
 from repro.workloads import BlastWorkload, ProvenanceChallengeWorkload
+from tests.conftest import crash_during_store
 
 
 def lab_trace(lab: str, n_files: int = 6):
@@ -59,18 +61,34 @@ class TestFleetCrashes:
         fleet = ClientFleet(n_clients=2, architecture="s3+simpledb+sqs", seed=47)
         for index, name in enumerate(sorted(fleet.clients)):
             fleet.submit(name, lab_trace(f"lab{index}", n_files=4))
-        stored = fleet.run_round_robin(batch=3, crash_schedule={"client-0": 2})
+        fleet.replay(crash_during_store(fleet.round_robin(batch=3), fleet, "client-0", 2))
+        fleet.settle()
         assert fleet.clients["client-0"].crashes == 1
         # Nothing lost: the resubmitted backlog all landed.
         for index in range(4):
             result = fleet.read(f"lab0/out/{index:02d}.dat")
             assert result.consistent
 
+    def test_a_commit_daemon_crash_propagates_out_of_a_store_step(self):
+        """Only a client's own crash ends its store step; its daemon's
+        crash (inside that store's monitor tick) is nobody's to absorb."""
+        fleet = ClientFleet(n_clients=2, architecture="s3+simpledb+sqs", seed=47)
+        for index, name in enumerate(sorted(fleet.clients)):
+            fleet.submit(name, lab_trace(f"lab{index}", n_files=4))
+        fleet.clients["client-0"].store.commit_daemon.faults.crash_at("daemon.apply.begin")
+        with pytest.raises(ClientCrash) as crash:
+            fleet.run_round_robin()
+        assert crash.value.point == "daemon.apply.begin"
+        assert fleet.schedule[-1] == ("client-0", "store", None)
+        assert all(step.action != "reboot" for step in fleet.schedule)
+        assert all(client.crashes == 0 for client in fleet.clients.values())
+
     def test_crash_does_not_corrupt_other_clients(self):
         fleet = ClientFleet(n_clients=3, architecture="s3+simpledb+sqs", seed=53)
         for index, name in enumerate(sorted(fleet.clients)):
             fleet.submit(name, lab_trace(f"lab{index}", n_files=3))
-        fleet.run_round_robin(batch=1, crash_schedule={"client-1": 1})
+        fleet.replay(crash_during_store(fleet.round_robin(batch=1), fleet, "client-1", 1))
+        fleet.settle()
         for index in (0, 2):
             result = fleet.read(f"lab{index}/out/02.dat")
             assert result.consistent

@@ -76,24 +76,23 @@ def test_a3_fleet_migration_survives_client_crashes():
     fleet.run_round_robin()
 
     fleet.scatter(traces[len(traces) // 2 :])
-    migration = fleet.start_migration(shards=3, placement="mixed")
-    crashed = False
-    while True:
-        stored = 0
-        for name in sorted(fleet.clients):
-            client = fleet.clients[name]
-            for _ in range(min(3, client.backlog)):
-                client.store.store(client.pending.pop(0))
-                client.stored += 1
-                stored += 1
-        if not crashed and migration.phase == "catch_up":
-            fleet.crash_client("client-1")
-            crashed = True
-        migrating = migration.step()
-        if not stored and not migrating:
-            break
+    target = "shards=3,placement=mixed"
+    fleet.apply(("cloud", "migrate", target))
+    migration = fleet.routing.migration
+
+    def host_dies_in_catch_up(steps):
+        """client-1's host reboots before the first catch-up step."""
+        for step in steps:
+            if step.action == "migrate" and migration.phase == "catch_up":
+                yield ("client-1", "reboot", None)
+                yield step
+                yield from steps
+                return
+            yield step
+
+    fleet.replay(host_dies_in_catch_up(fleet.round_robin(batch=3, migrate=target)))
     fleet.settle()
-    assert crashed
+    assert fleet.clients["client-1"].crashes == 1
 
     control = _control(traces, 32, shards=3, placement="mixed")
     assert authoritative_snapshot(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.fleet import ClientFleet
 from repro.passlib.capture import PassSystem
+from tests.conftest import crash_during_store
 
 N_CLIENTS = 8
 PROGRAM = "ingest"
@@ -61,9 +62,10 @@ def test_sharded_fleet_with_crash_matches_unsharded_control():
     # replacement incarnation takes over the backlog.
     victim = max(sorted(sharded.clients), key=lambda n: sharded.clients[n].backlog)
     assert sharded.clients[victim].backlog >= 2
-    stored_sharded = sharded.run_round_robin(
-        batch=3, crash_schedule={victim: 1}
+    stored_sharded = sharded.replay(
+        crash_during_store(sharded.round_robin(batch=3), sharded, victim, 1)
     )
+    sharded.settle()
     stored_control = control.run_round_robin(batch=3)
     assert sharded.clients[victim].crashes == 1
     assert stored_sharded == stored_control  # nothing lost to the crash

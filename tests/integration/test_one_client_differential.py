@@ -3,7 +3,7 @@ one-client :class:`~repro.fleet.ClientFleet` are the same
 :class:`~repro.sim.Cloud`, so the same events stored through either
 leave the same meter — request for request, byte for byte.
 
-The two drivers share every hook (``new_store``, the store's ``pump``
+The two drivers share every hook (``add_client``, the store's ``pump``
 and ``wal_backlog``, ``settle``); they differ only in scheduling. With
 ``pump_every`` past the end of the stream the simulation pumps only in
 its closing settle, exactly as the fleet's round-robin drain does.

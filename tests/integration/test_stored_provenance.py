@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.aws.faults import FaultPlan
 from repro.core.base import DATA_BUCKET, PROV_DOMAIN
 from repro.errors import ClientCrash
 from repro.passlib.capture import PassSystem
@@ -68,12 +67,10 @@ def test_the_oracle_sees_the_papers_anomaly_on_a_sharded_mixed_layout():
     the object routes to, none of them ``pass-prov``."""
     trace = build_trace()
     *stored, victim = trace
-    plan = FaultPlan()
-    sim = Simulation("s3+simpledb", seed=7, faults=plan, **LAYOUTS["mixed-4"])
+    sim = Simulation("s3+simpledb", seed=7, **LAYOUTS["mixed-4"])
     assert PROV_DOMAIN not in sim.routing.current.domains
     sim.store_events(stored, collect=False)
-    point = "a2.store.before_data_put"
-    plan.crash_at(point, visit=plan.log.count(point) + 1)
+    sim.store.faults.crash_at("a2.store.before_data_put")
     with pytest.raises(ClientCrash):
         sim.store.store(victim)
     sim.settle()

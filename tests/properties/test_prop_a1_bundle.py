@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aws.faults import FaultPlan
 from repro.core.base import DATA_BUCKET
 from repro.errors import ClientCrash
 from repro.passlib.capture import PassSystem
@@ -68,12 +67,14 @@ def test_a_crash_anywhere_on_the_bundle_path_keeps_data_and_provenance_together(
     payload = to_s3_metadata(event)
     assert BUNDLE_KEY in payload.metadata and len(payload.overflow) == 2
 
-    dry_plan = FaultPlan()
-    Simulation("s3", faults=dry_plan).store.store(event)
-    assert dry_plan.log.count("a1.store.overflow_put") == 2
+    dry_store = Simulation("s3").store
+    dry_store.store(event)
+    dry_log = dry_store.faults.log
+    assert dry_log.count("a1.store.overflow_put") == 2
     outcomes = []
-    for crash_call in range(1, len(dry_plan.log) + 1):
-        sim = Simulation("s3", faults=FaultPlan().crash_at_call(crash_call))
+    for crash_call in range(1, len(dry_log) + 1):
+        sim = Simulation("s3")
+        sim.store.faults.crash_at_call(crash_call)
         with pytest.raises(ClientCrash) as crash:
             sim.store.store(event)
         sim.settle()
@@ -81,4 +82,4 @@ def test_a_crash_anywhere_on_the_bundle_path_keeps_data_and_provenance_together(
         provenance = event.subject in sim.store.stored_provenance()
         assert data == provenance, crash.value.point
         outcomes.append((crash.value.point, data))
-    assert outcomes == [(point, point == "a1.store.done") for point in dry_plan.log]
+    assert outcomes == [(point, point == "a1.store.done") for point in dry_log]

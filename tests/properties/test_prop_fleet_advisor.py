@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.advisor import CacheReplay, ProvenanceAdvisor
 from repro.fleet import ClientFleet
 from repro.passlib.capture import PassSystem
+from tests.conftest import crash_during_store
 
 
 def lab_trace(lab: str, n_files: int):
@@ -39,8 +40,9 @@ def test_fleet_crashes_lose_nothing_submitted(
     )
     for index, name in enumerate(sorted(fleet.clients)):
         fleet.submit(name, lab_trace(f"lab{index}", files_per_client))
-    schedule = {"client-0": min(crash_at, files_per_client)}
-    fleet.run_round_robin(batch=2, crash_schedule=schedule)
+    steps = fleet.round_robin(batch=2)
+    fleet.replay(crash_during_store(steps, fleet, "client-0", min(crash_at, files_per_client)))
+    fleet.settle()
     for index in range(n_clients):
         for file_index in range(files_per_client):
             result = fleet.read(f"lab{index}/out{file_index}.dat")

@@ -65,7 +65,7 @@ def test_coalesced_crash_loses_nothing_acknowledged(crash_call, write_batch, see
     account, store = build_store(seed, faults=plan)
     store.coalescer.batch_size = write_batch
     store.store(events[0])  # acknowledged before the fault arms
-    plan.crash_at_call(len(plan.log) + crash_call)
+    plan.crash_at_call(crash_call)
     victim = events[1]
     try:
         store.store(victim)
@@ -115,8 +115,8 @@ def test_group_commit_daemon_crash_replay_idempotent(
         ref_store.store(event)
     settle(ref_account, ref_store)
 
-    daemon_plan = FaultPlan().crash_at_call(daemon_crash_call)
-    account, store = build_store(seed, daemon_faults=daemon_plan)
+    account, store = build_store(seed)
+    store.commit_daemon.faults.crash_at_call(daemon_crash_call)
     store.coalescer.batch_size = write_batch
     for event in events:
         store.store(event)

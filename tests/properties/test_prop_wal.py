@@ -19,7 +19,7 @@ from repro.passlib.capture import PassSystem
 from tests.conftest import provenance_oracle_item
 
 
-def build_store(seed: int, faults=None, daemon_faults=None, window=0.0):
+def build_store(seed: int, faults=None, window=0.0):
     account = AWSAccount(
         seed=seed,
         consistency=(
@@ -30,8 +30,7 @@ def build_store(seed: int, faults=None, daemon_faults=None, window=0.0):
     )
     store = S3SimpleDBSQS(
         account,
-        faults=faults or FaultPlan(),
-        daemon_faults=daemon_faults or FaultPlan(),
+        faults=faults,
         retry=RetryPolicy(attempts=15, wait=lambda: account.clock.advance(0.5)),
         commit_threshold=1000,
     )
@@ -52,7 +51,8 @@ def make_events(n_files: int, env_bytes: int):
 def settle(account, store):
     for _ in range(8):
         account.clock.advance(200.0)
-        store.restart_commit_daemon().drain()
+        store.restart()
+        store.pump()
         account.quiesce()
         if account.sqs.exact_message_count(store.queue_url) == 0:
             return
@@ -71,7 +71,7 @@ def test_crash_anywhere_is_atomic(crash_call, env_bytes, seed):
     plan = FaultPlan()
     account, store = build_store(seed, faults=plan)
     store.store(events[0])  # a healthy baseline transaction
-    plan.crash_at_call(len(plan.log) + crash_call)
+    plan.crash_at_call(crash_call)
     victim = events[1]
     try:
         store.store(victim)
@@ -105,8 +105,8 @@ def test_daemon_crash_replay_idempotent(daemon_crash_call, seed):
     settle(ref_account, ref_store)
 
     # Crashing world.
-    daemon_plan = FaultPlan().crash_at_call(daemon_crash_call)
-    account, store = build_store(seed, daemon_faults=daemon_plan)
+    account, store = build_store(seed)
+    store.commit_daemon.faults.crash_at_call(daemon_crash_call)
     for event in events:
         store.store(event)
     try:

@@ -116,7 +116,6 @@ def test_fleet_capture_replays_to_byte_identical_meter(seed, architecture):
         architecture=architecture,
         seed=seed,
         shards=2,
-        record_trace=True,
     )
     capture.scatter(chunks)
     capture.run_round_robin(batch=3)

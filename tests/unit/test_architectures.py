@@ -216,7 +216,8 @@ class TestS3SimpleDBSQS:
         with pytest.raises(ClientCrash):
             store.store(trace[-1])
         plan.disarm()
-        store.restart_commit_daemon().drain()
+        store.restart()
+        store.pump()
         # Uncommitted: neither data nor provenance became visible.
         assert not strong_account.s3.exists_authoritative(
             DATA_BUCKET, trace[-1].subject.name
@@ -238,7 +239,8 @@ class TestS3SimpleDBSQS:
         with pytest.raises(ClientCrash):
             store.store(trace[-1])  # commit record did reach the queue
         plan.disarm()
-        store.restart_commit_daemon().drain()
+        store.restart()
+        store.pump()
         assert strong_account.s3.exists_authoritative(
             DATA_BUCKET, trace[-1].subject.name
         )

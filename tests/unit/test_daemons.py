@@ -46,38 +46,33 @@ class TestCommitDaemonTrigger:
 
 class TestCommitDaemonIdempotency:
     def test_daemon_crash_mid_apply_then_replay(self, strong_account, trace):
-        daemon_plan = FaultPlan().crash_at("daemon.apply.after_copy")
         store = make_architecture(
-            "s3+simpledb+sqs",
-            strong_account,
-            commit_threshold=100,
-            daemon_faults=daemon_plan,
+            "s3+simpledb+sqs", strong_account, commit_threshold=100
         )
+        store.commit_daemon.faults.crash_at("daemon.apply.after_copy")
         store.store_trace(trace)
         with pytest.raises(ClientCrash):
             store.commit_daemon.drain()
         # Visibility timeout expires; a fresh daemon replays idempotently.
         strong_account.clock.advance(200.0)
-        fresh = store.restart_commit_daemon()
-        applied = fresh.drain()
+        store.restart()
+        applied = store.commit_daemon.drain()
         assert applied >= 1
         result = store.read(trace[-1].subject.name)
         assert result.consistent
         assert strong_account.sqs.exact_message_count(store.queue_url) == 0
 
     def test_crash_between_prov_and_message_delete(self, strong_account, trace):
-        daemon_plan = FaultPlan().crash_at("daemon.apply.after_put_attributes")
         store = make_architecture(
-            "s3+simpledb+sqs",
-            strong_account,
-            commit_threshold=100,
-            daemon_faults=daemon_plan,
+            "s3+simpledb+sqs", strong_account, commit_threshold=100
         )
+        store.commit_daemon.faults.crash_at("daemon.apply.after_put_attributes")
         store.store_trace(trace)
         with pytest.raises(ClientCrash):
             store.commit_daemon.drain()
         strong_account.clock.advance(200.0)
-        store.restart_commit_daemon().drain()
+        store.restart()
+        store.pump()
         # Replay stored provenance again without error (idempotency §4.3).
         item = provenance_oracle_item(strong_account, trace[-1].subject.item_name)
         assert item is not None

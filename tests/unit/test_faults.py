@@ -81,3 +81,53 @@ class TestRequestFaults:
     def test_validation(self):
         with pytest.raises(ValueError):
             RequestFaults().fail_next("s3", times=0)
+
+
+class TestEveryStoreOwnsItsPlan:
+    def test_arming_one_simulation_does_not_arm_another(self):
+        from repro.sim import Simulation
+        from tests.conftest import tiny_trace
+
+        armed, other = Simulation("s3+simpledb"), Simulation("s3+simpledb")
+        armed.store.faults.crash_at("a2.store.done")
+        stored = other.store.store_trace(tiny_trace())
+        assert other.store.faults.log.count("a2.store.done") == stored
+        assert armed.store.faults.log == []
+
+    def test_each_daemon_owns_its_plan(self):
+        from repro.sim import Simulation
+
+        first, second = Simulation().store, Simulation().store
+        assert first.faults is not second.faults
+        assert first.commit_daemon.faults is not second.commit_daemon.faults
+        before = first.commit_daemon
+        first.restart()
+        assert first.commit_daemon.faults is not before.faults
+
+
+class TestArmingCountsFromTheArmingCall:
+    def test_a_point_already_visited_still_fires(self):
+        from repro.sim import Simulation
+        from tests.conftest import tiny_trace
+
+        events = tiny_trace()
+        sim = Simulation("s3+simpledb+sqs")
+        sim.store.store(events[0])
+        sim.store.faults.crash_at("a3.log.begin")
+        with pytest.raises(ClientCrash) as exc:
+            sim.store.store(events[1])
+        assert exc.value.point == "a3.log.begin"
+
+    def test_counts_restart_at_arming(self):
+        plan = FaultPlan()
+        for point in ("a", "b", "a"):
+            plan.check(point)
+        plan.crash_at("a", visit=2)
+        plan.check("a")
+        with pytest.raises(ClientCrash):
+            plan.check("a")
+        plan.crash_at_call(2)
+        plan.check("x")
+        with pytest.raises(ClientCrash) as exc:
+            plan.check("y")
+        assert exc.value.point == "y"

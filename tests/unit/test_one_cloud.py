@@ -80,7 +80,7 @@ def test_matrix_cells_name_the_architectures_they_support():
 
 
 def test_the_drivers_inherit_the_wiring():
-    for name in ("new_store", "query_engine", "start_migration", "settle"):
+    for name in ("add_client", "apply", "query_engine", "start_migration", "settle"):
         shared = getattr(Cloud, name)
         assert getattr(Simulation, name) is shared
         assert getattr(ClientFleet, name) is shared

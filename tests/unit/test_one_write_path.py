@@ -14,7 +14,6 @@ import dataclasses
 
 
 from repro.aws.account import ConsistencyConfig
-from repro.aws.faults import FaultPlan
 from repro.errors import ClientCrash
 from repro.sim import Simulation
 from repro.workloads import CombinedWorkload
@@ -26,23 +25,18 @@ def crash_and_restart_run():
     (mid-apply of its second transaction) and is restarted with no
     memory. Every knob is pinned."""
     events = CombinedWorkload().generate(seed=7, scale=0.02).events[:14]
-    plans = {
-        "client": FaultPlan(),
-        "daemon": FaultPlan().crash_at_call(9),
-        "restarted": FaultPlan(),
-    }
     sim = Simulation(
         "s3+simpledb+sqs",
         seed=5,
         consistency=ConsistencyConfig.eventual(window=2.0, immediate_fraction=0.4),
-        faults=plans["client"],
-        daemon_faults=plans["daemon"],
         placement="sdb",
         ddb_indexes="",
         write_batch=1,
         read_cache="off",
         commit_threshold=12,
     )
+    plans = {"client": sim.store.faults, "daemon": sim.store.commit_daemon.faults}
+    plans["daemon"].crash_at_call(9)
     stats = []
     for event in events:
         try:
@@ -50,7 +44,8 @@ def crash_and_restart_run():
         except ClientCrash:
             stats.append(dataclasses.asdict(sim.store.commit_daemon.stats))
             sim.account.clock.advance(200.0)  # past the visibility timeout
-            sim.store.restart_commit_daemon(plans["restarted"])
+            sim.store.restart()
+            plans["restarted"] = sim.store.commit_daemon.faults
     sim.settle()
     stats.append(dataclasses.asdict(sim.store.commit_daemon.stats))
     logs = {name: plan.log for name, plan in plans.items()}

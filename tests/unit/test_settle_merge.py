@@ -16,6 +16,7 @@ from repro.aws.account import ConsistencyConfig
 from repro.fleet import ClientFleet
 from repro.sim import Simulation
 from repro.workloads import CombinedWorkload
+from tests.conftest import crash_during_store
 
 KNOBS = dict(
     seed=11,
@@ -49,7 +50,9 @@ def test_fleet_settle_with_a_crashed_client_is_unchanged():
     for index, name in enumerate(sorted(fleet.clients)):
         fleet.submit(name, trace[index * 8 : index * 8 + 8])
 
-    assert fleet.run_round_robin(batch=3, crash_schedule={"client-1": 4}) == 24
+    steps = crash_during_store(fleet.round_robin(batch=3), fleet, "client-1", 4)
+    assert fleet.replay(steps) == 24
+    fleet.settle()
 
     clients = fleet.clients
     assert {n: (c.stored, c.crashes) for n, c in clients.items()} == {
