@@ -22,10 +22,12 @@ the chosen phase only:
 
 Prints how many operations the profiled calls covered and how many
 ``json.dumps``, ``bundle_from_item`` and ring-hash (``_hash_point``,
-an MD5 in ``repro.sharding``) calls each cost (the serialisation,
-decode and routing counts CHANGES.md quotes), then the top 30
-functions by ``tottime`` and by ``cumulative``. Profiled seconds are
-2–3× the harness's: read shares and call counts, not rates.
+an MD5 in ``repro.sharding``) calls and ``Usage`` constructions (meter
+snapshots and bills; a query measurement builds its own only when its
+``usage`` is read) each cost — the serialisation, decode, routing and
+metering counts CHANGES.md quotes — then the top 30 functions by
+``tottime`` and by ``cumulative``. Profiled seconds are 2–3× the
+harness's: read shares and call counts, not rates.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "perf")]
 import harness
 from specs import BY_NAME, Q4_RANGES
 
+from repro.aws.billing import Usage
 from repro.sim import Simulation
 
 #: phase -> (plural, singular) of the operation it counts.
@@ -111,6 +114,18 @@ def run_cycle(spec, seed: int, phase: str, profiler: cProfile.Profile | None) ->
     return report.items_moved if phase == "migrate" else done
 
 
+def _mark_usage_constructions() -> None:
+    """Route ``Usage.__init__`` through a named function of this file, so
+    the profile counts constructions (the dataclass's generated
+    ``__init__`` has no file of its own to tell it apart by)."""
+    init = Usage.__init__
+
+    def usage_init(self, *args, **kwargs) -> None:
+        init(self, *args, **kwargs)
+
+    Usage.__init__ = usage_init
+
+
 def _calls(stats: pstats.Stats, function: str, where: str) -> int:
     """Calls of ``function`` defined in the file or package ``where``."""
     return sum(
@@ -129,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = BY_NAME[args.workload]
+    _mark_usage_constructions()
     run_cycle(spec, args.seed, args.phase, None)  # warm: imports, caches, first-use set-up
     profiler = cProfile.Profile()
     operations = sum(
@@ -140,12 +156,14 @@ def main(argv: list[str] | None = None) -> int:
     dumps = _calls(stats, "dumps", "json")
     decodes = _calls(stats, "bundle_from_item", "serializer.py")
     hashes = _calls(stats, "_hash_point", "sharding.py")
+    usages = _calls(stats, "usage_init", "profile_phase.py")
     print(
         f"{spec.name} seed={args.seed} phase={args.phase}: profiled {args.cycles} cycles, "
         f"{operations} {units}, {stats.total_tt:.2f} s under the profiler; "
         f"json.dumps {dumps} calls = {dumps / per_op:.1f} per {unit}; "
         f"bundle_from_item {decodes} calls = {decodes / per_op:.2f} per {unit}; "
-        f"_hash_point {hashes} calls = {hashes / per_op:.3g} per {unit}"
+        f"_hash_point {hashes} calls = {hashes / per_op:.3g} per {unit}; "
+        f"Usage {usages} built = {usages / per_op:.3g} per {unit}"
     )
     stats.strip_dirs()
     for order in ("tottime", "cumulative"):

@@ -344,16 +344,23 @@ class Meter:
         """
         return MeterScope(self._scopes)
 
-    def spent(self, scope: MeterScope) -> Usage:
+    def levels(self) -> dict[str, int]:
+        """A copy of every service's stored-byte level now — what
+        :meth:`spent` prices a block against once it has ended."""
+        return dict(self._stored)
+
+    @staticmethod
+    def spent(scope: MeterScope, levels: dict[str, int]) -> Usage:
         """What ``snapshot() - before`` reads for the block ``scope``
-        covered — its activity plus the current stored levels — without
-        copying and diffing the account-wide counters.
+        covered — its activity plus ``levels``, the stored levels
+        :meth:`levels` captured when the block ended — without copying
+        and diffing the account-wide counters.
 
         ``byte_seconds`` is empty: storage accrual is not spend of the
         block (the snapshot diff agrees whenever the clock did not move
         inside it, which only a throttled DynamoDB read's backoff does).
         """
-        return scope._usage(tuple(sorted(self._stored.items())))
+        return scope._usage(tuple(sorted(levels.items())))
 
     # -- recording -------------------------------------------------------
 

@@ -23,10 +23,15 @@ Each engine method runs inside one :meth:`~repro.aws.billing.Meter.scoped`
 block and returns a :class:`QueryMeasurement` whose operation and byte
 counts are read from that scope — the queries are charged exactly what
 the simulated AWS services metered, in time proportional to the query's
-own requests. Each scope (the query's, and each stream's) is read in
-one pass, :meth:`~repro.aws.billing.MeterScope.totals`, which splits
-backend from read-cache spend; the measurement is an immutable
-``NamedTuple`` carrying the query's one ``Usage``.
+own requests. The measurement is an immutable record of the query:
+its scope, the stored levels when it ended, and the ordered steps it
+ran (each scatter wave's ``(label, stream scope)`` list, each memo
+scope). The result refs, the planner's prediction and the counts read
+in one :meth:`~repro.aws.billing.MeterScope.totals` pass, which splits
+backend from read-cache spend, are eager; the ``Usage``, the per-shard,
+per-backend and cache splits and both modeled latencies are priced from
+the record when first read, so a Q1 probe that reads only its refs and
+counts builds none of them.
 
 Sharded domains (scatter-gather): when the provenance store is split
 across N domains by a :class:`~repro.sharding.ShardRouter`, the engine
@@ -51,21 +56,21 @@ seeded run issues one reproducible request sequence. Per-stream spend
 is captured with a **nested meter scope** per stream, so
 ``QueryMeasurement.per_shard`` sums exactly to the query's own scope.
 ``concurrency`` is the width of the *modeled* dispatch: the
-measurement's ``latency`` is the **critical path** — per wave, the
-makespan of the streams list-scheduled onto ``concurrency`` workers
-(``repro.query.latency``) — while ``sequential_latency`` keeps the
-one-request-at-a-time sum. Refs, operation counts and ``per_shard``
+measurement's ``latency`` is the **critical path** — per recorded wave,
+the makespan of the streams list-scheduled onto ``concurrency`` workers
+(``repro.query.latency``), priced when it is read — while
+``sequential_latency`` keeps the one-request-at-a-time sum. Refs, operation counts and ``per_shard``
 triples are the same at every width. Caveat: there is no cross-shard
 snapshot; each shard answers at its own replica time.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from functools import cached_property, partial
+from typing import Callable, Iterable, TypeVar
 
 from repro.aws.account import AWSAccount
-from repro.aws.billing import MeterScope, Usage
+from repro.aws.billing import ELASTICACHE, Meter, MeterScope, Usage
 from repro.aws.sdb_query import CompiledQuery, parse_query, quote_literal
 from repro.core.base import (
     DATA_BUCKET,
@@ -84,7 +89,7 @@ from repro.passlib.serializer import (
 )
 from repro.migration.handle import RouterHandle, Site, as_handle, fresh_handle
 from repro.query.ancestry import AncestryWalker
-from repro.query.latency import DEFAULT_LATENCY_MODEL, makespan
+from repro.query.latency import DEFAULT_LATENCY_MODEL, QueryLatencyModel, makespan
 from repro.query.planner import QueryPlanner, resolve_planner
 from repro.sharding import ShardRouter
 
@@ -95,12 +100,21 @@ T = TypeVar("T")
 REF_BATCH = 20
 
 
-class QueryMeasurement(NamedTuple):
+class QueryMeasurement:
     """A query's result set plus what it cost to compute.
 
-    An immutable named tuple (one is built per query, and a tuple is
-    several times cheaper to build than a frozen dataclass); fields are
-    read by name.
+    An immutable record of the query, built when it ends: its meter
+    scope, the stored levels at that moment, and the ordered steps it
+    ran — each scatter wave's ``(label, stream scope)`` list and each
+    memo consult or fill scope. ``refs``, ``predicted_cost`` and the
+    counts one :meth:`~repro.aws.billing.MeterScope.totals` pass gives
+    (``operations``, ``bytes_out``, ``cache_operations``,
+    ``cache_bytes_out``) are set eagerly; ``usage``, ``per_shard``,
+    ``per_backend``, ``per_shard_cache``, ``latency`` and
+    ``sequential_latency`` are priced from the record on first read and
+    kept, so a caller that reads only the result and the counts (every
+    Q1 probe) builds no bill. Fields are read by name; two measurements
+    are equal when every public field is.
 
     ``per_shard`` breaks the spend down as ``(domain, operations,
     bytes_out)`` triples, one per shard domain touched — populated by the
@@ -129,31 +143,130 @@ class QueryMeasurement(NamedTuple):
     field is zero and the backend counts are the historical totals.
 
     ``usage`` is read from the query's own meter scope
-    (:meth:`~repro.aws.billing.Meter.spent`): every integer field
-    equals the ``Meter.snapshot()`` delta around the call, and
-    ``box_usage_hours`` is the exact sum of the query's own records
-    (e.g. ``0.0006857000000000004``) where subtracting two large
-    running totals gives it to ~1e-12 relative
-    (``0.0006857000000001084``).
+    (:meth:`~repro.aws.billing.Meter.spent`, at the levels captured when
+    the query ended): every integer field equals the
+    ``Meter.snapshot()`` delta around the call, and ``box_usage_hours``
+    is the exact sum of the query's own records (e.g.
+    ``0.0006857000000000004``) where subtracting two large running
+    totals gives it to ~1e-12 relative (``0.0006857000000001084``).
+
+    ``predicted_cost`` is the query planner's pre-execution USD estimate
+    for the scatter phases it planned (chosen access paths plus its own
+    statistics consults) — put next to the priced ``usage``, it makes
+    the planner's honesty auditable per query. ``None`` when no planner
+    ran (planner off, or a query class the planner does not cover).
     """
 
-    refs: tuple[ObjectRef, ...]
-    operations: int
-    bytes_out: int
-    usage: Usage
-    per_shard: tuple[tuple[str, int, int], ...] = ()
-    per_backend: tuple[tuple[str, int, int], ...] = ()
-    latency: float = 0.0
-    sequential_latency: float = 0.0
-    cache_operations: int = 0
-    cache_bytes_out: int = 0
-    per_shard_cache: tuple[tuple[str, int, int], ...] = ()
-    #: The query planner's pre-execution USD estimate for the scatter
-    #: phases it planned (chosen access paths plus its own statistics
-    #: consults) — put next to the priced ``usage``, it makes the
-    #: planner's honesty auditable per query. ``None`` when no planner
-    #: ran (planner off, or a query class the planner does not cover).
-    predicted_cost: float | None = None
+    #: The public fields, in the order ``==`` and ``repr`` read them.
+    _fields = (
+        "refs", "operations", "bytes_out", "usage", "per_shard", "per_backend",
+        "latency", "sequential_latency", "cache_operations", "cache_bytes_out",
+        "per_shard_cache", "predicted_cost",
+    )
+
+    def __init__(
+        self,
+        refs: tuple[ObjectRef, ...],
+        scope: MeterScope,
+        levels: dict[str, int],
+        steps: list,
+        kinds: dict[str, str],
+        model: QueryLatencyModel,
+        width: int,
+        predicted_cost: float | None = None,
+    ):
+        requests, out_bytes, cache_ops, cache_bytes = scope.totals()
+        record = vars(self)  # written directly: __setattr__ refuses
+        record["refs"] = refs
+        record["operations"] = requests - cache_ops
+        record["bytes_out"] = out_bytes - cache_bytes
+        record["cache_operations"] = cache_ops
+        record["cache_bytes_out"] = cache_bytes
+        record["predicted_cost"] = predicted_cost
+        # What the lazy fields are priced from: the query scope and the
+        # stored levels at its end; the steps (waves of ``(label, stream
+        # scope)`` and memo scopes) with each wave label's backend kind;
+        # the latency model and the modeled wave width.
+        record["_scope"] = scope
+        record["_levels"] = levels
+        record["_steps"] = steps
+        record["_kinds"] = kinds
+        record["_model"] = model
+        record["_width"] = width
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"QueryMeasurement is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"QueryMeasurement is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QueryMeasurement) and all(
+            getattr(self, f) == getattr(other, f) for f in self._fields
+        )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"QueryMeasurement({fields})"
+
+    # -- priced on first read -------------------------------------------
+
+    @cached_property
+    def usage(self) -> Usage:
+        return Meter.spent(self._scope, self._levels)
+
+    def _streams(self) -> Iterable[tuple[str | None, MeterScope]]:
+        """``(label, scope)`` of every step in run order; a step no
+        shard's stream ran (a memo consult or fill, or the scan engine's
+        whole query) has no label."""
+        for step in self._steps:
+            if isinstance(step, MeterScope):
+                yield None, step
+            else:
+                yield from step
+
+    @cached_property
+    def per_shard(self) -> tuple[tuple[str, int, int], ...]:
+        split = []
+        for label, scope in self._streams():
+            if label is not None:
+                requests, out_bytes, cache_ops, cache_bytes = scope.totals()
+                split.append((label, requests - cache_ops, out_bytes - cache_bytes))
+        return _tally(split)
+
+    @cached_property
+    def per_backend(self) -> tuple[tuple[str, int, int], ...]:
+        return _tally((self._kinds[label], ops, nbytes) for label, ops, nbytes in self.per_shard)
+
+    @cached_property
+    def per_shard_cache(self) -> tuple[tuple[str, int, int], ...]:
+        split = []
+        for label, scope in self._streams():
+            _, _, cache_ops, cache_bytes = scope.totals()
+            if cache_ops or cache_bytes:
+                # Memo consults front a whole scatter phase, not one shard.
+                split.append((label or ELASTICACHE, cache_ops, cache_bytes))
+        return _tally(split)
+
+    def _seconds(self, width: int) -> float:
+        """Modeled wall-clock at ``width``: per wave, the makespan of its
+        streams; a memo step is one more sequential step."""
+        seconds = self._model.stream_seconds
+        total = 0.0
+        for step in self._steps:
+            if isinstance(step, MeterScope):
+                total += seconds(step)
+            else:
+                total += makespan([seconds(scope) for _, scope in step], width)
+        return total
+
+    @cached_property
+    def latency(self) -> float:
+        return self._seconds(self._width)
+
+    @cached_property
+    def sequential_latency(self) -> float:
+        return self._seconds(1)
 
     @property
     def result_count(self) -> int:
@@ -163,6 +276,15 @@ class QueryMeasurement(NamedTuple):
     def speedup(self) -> float:
         """Modeled sequential/dispatched latency ratio (1.0 when serial)."""
         return self.sequential_latency / self.latency if self.latency else 1.0
+
+
+def _tally(entries: Iterable[tuple[str, int, int]]) -> tuple[tuple[str, int, int], ...]:
+    """``(key, operations, bytes)`` entries summed per key, in key order."""
+    totals: dict[str, tuple[int, int]] = {}
+    for key, ops, nbytes in entries:
+        held_ops, held_bytes = totals.get(key, (0, 0))
+        totals[key] = (held_ops + ops, held_bytes + nbytes)
+    return tuple((key, ops, nbytes) for key, (ops, nbytes) in sorted(totals.items()))
 
 
 class _Metered:
@@ -239,18 +361,10 @@ class S3ScanEngine(_Metered):
     # -- the three queries ------------------------------------------------------
 
     def _measure(self, refs: set[ObjectRef], scope: MeterScope) -> QueryMeasurement:
-        usage = self.account.meter.spent(scope)
-        requests, out_bytes, cache_ops, cache_bytes = scope.totals()
-        seconds = self.latency_model.stream_seconds(usage)
+        """A one-step record: the whole scan is one sequential stream."""
         return QueryMeasurement(
-            refs=tuple(sorted(refs)),
-            operations=requests - cache_ops,
-            bytes_out=out_bytes - cache_bytes,
-            usage=usage,
-            latency=seconds,
-            sequential_latency=seconds,
-            cache_operations=cache_ops,
-            cache_bytes_out=cache_bytes,
+            tuple(sorted(refs)), scope, self.account.meter.levels(), [scope], {},
+            self.latency_model, 1,
         )
 
     def q1_all(self) -> QueryMeasurement:
@@ -341,18 +455,16 @@ class SimpleDBEngine(_Metered):
             if self.planner_mode != "off"
             else None
         )
-        self._shard_spend: dict[str, tuple[int, int]] = {}
-        self._cache_spend: dict[str, tuple[int, int]] = {}
+        #: The in-flight query's record: the backend kind of every wave
+        #: label, and its steps — each wave's ``(label, stream scope)``
+        #: list and each memo scope, in the order they ran.
         self._site_kinds: dict[str, str] = {}
-        self._latency = 0.0
-        self._sequential_latency = 0.0
+        self._steps: list[list[tuple[str, MeterScope]] | MeterScope] = []
         #: Accumulated planner prediction for the in-flight query, or
         #: None for query classes the planner does not cover (Q1).
         self._predicted: float | None = None
-        #: Under the sanitizer, the sum of the in-flight query's stream
-        #: and memo scopes, audited against the query's own scope when
-        #: it ends; None (nothing accumulated) otherwise.
-        self._attributed: Usage | None = None
+        #: Whether each query's stream and memo scopes are audited
+        #: against its own scope when it ends.
         self._audited = sanitize.ACTIVE
 
     @property
@@ -363,20 +475,16 @@ class SimpleDBEngine(_Metered):
     # -- scatter-gather dispatch ----------------------------------------------
 
     def _begin(self, planned: bool = False) -> None:
-        """Start a measured query: reset its per-query accounting.
+        """Start a measured query: a fresh record.
 
         ``planned`` arms the prediction accumulator — only the scatter
         query classes the planner covers (Q2/Q3/Q4) set it, so Q1's
         measurements keep ``predicted_cost=None`` instead of a
         misleading zero.
         """
-        self._shard_spend = {}
-        self._cache_spend = {}
         self._site_kinds = {}
-        self._latency = 0.0
-        self._sequential_latency = 0.0
+        self._steps = []
         self._predicted = 0.0 if planned and self.planner is not None else None
-        self._attributed = Usage.empty() if self._audited else None
 
     def _query_sites(self) -> list[tuple[str, Site]]:
         """(label, site) pairs a scatter phase must cover.
@@ -410,38 +518,18 @@ class SimpleDBEngine(_Metered):
         submission order; its spend is captured in a meter scope nested
         in the query's (including any S3 overflow GETs issued while
         decoding that shard's items), so per-shard spend sums to the
-        query total. The stream's split and modeled duration are read
-        straight off its scope, with no per-stream ``Usage`` snapshot
-        (only the sanitizer's running sum takes one). The wave's
-        modeled makespan at ``concurrency`` accrues to the query's
-        critical-path latency; the plain sum accrues to its sequential
-        latency.
+        query total. The wave's ``(label, scope)`` list goes on the
+        query's record, which prices its split and its makespan at
+        ``concurrency`` only when the measurement is read.
         """
         meter = self.account.meter
-        durations: list[float] = []
+        wave: list[tuple[str, MeterScope]] = []
         results: list[T] = []
-        for domain, fn in tasks:
+        for label, fn in tasks:
             with meter.scoped() as scope:
                 results.append(fn())
-            requests, out_bytes, cache_ops, cache_bytes = scope.totals()
-            ops, nbytes = self._shard_spend.get(domain, (0, 0))
-            self._shard_spend[domain] = (
-                ops + requests - cache_ops,
-                nbytes + out_bytes - cache_bytes,
-            )
-            if cache_ops or cache_bytes:
-                # Cache consults a shard stream issued (Q1 point reads)
-                # accrue to that shard's label on the cache split.
-                held, held_bytes = self._cache_spend.get(domain, (0, 0))
-                self._cache_spend[domain] = (
-                    held + cache_ops,
-                    held_bytes + cache_bytes,
-                )
-            if self._attributed is not None:
-                self._attributed += scope.usage()
-            durations.append(self.latency_model.stream_seconds(scope))
-        self._latency += makespan(durations, self.concurrency)
-        self._sequential_latency += sum(durations)
+            wave.append((label, scope))
+        self._steps.append(wave)
         return results
 
     def _gather(self, tasks: list[tuple[str, Callable[[], Iterable[T]]]]) -> set[T]:
@@ -481,17 +569,17 @@ class SimpleDBEngine(_Metered):
         wrong answers); the fill is fenced on the authority's
         invalidation generation, captured by the consult itself — any
         provenance write between consult and fill refuses the
-        memoisation. Memo spend is scoped and
-        credited to the ``"elasticache"`` label on the cache split,
-        since a memo hit stands in for the whole phase, not any one
-        shard's stream.
+        memoisation. Each memo consult and fill is a scoped step of the
+        query's record (priced as one sequential step, on the
+        ``"elasticache"`` label of the cache split, since a memo hit
+        stands in for the whole phase, not any one shard's stream).
         """
         cache = self.cache
         if cache is not None:
             full_key = memo_key + (self.routing.epoch,)
             with self.account.meter.scoped() as scope:
                 hit, value, fence = cache.memo_get(full_key)
-            self._credit_cache_scope(scope)
+            self._steps.append(scope)
             if hit:
                 return value
 
@@ -527,65 +615,24 @@ class SimpleDBEngine(_Metered):
         if cache is not None:
             with self.account.meter.scoped() as scope:
                 cache.memo_put(full_key, fence, value, _memo_nbytes(value))
-            self._credit_cache_scope(scope)
+            self._steps.append(scope)
         return value
-
-    def _credit_cache_scope(self, scope: MeterScope) -> None:
-        """Accrue one scoped memo consult/fill to the cache split.
-
-        Its modeled round trips accrue to both latency totals (a memo
-        consult is one more sequential step, never overlapped), keeping
-        the latency model linear: pricing the query's global usage still
-        agrees with the per-stream accumulation.
-        """
-        ops = scope.request_count()
-        nbytes = scope.transfer_out()
-        if ops or nbytes:
-            held, held_bytes = self._cache_spend.get("elasticache", (0, 0))
-            self._cache_spend["elasticache"] = (held + ops, held_bytes + nbytes)
-            if self._attributed is not None:
-                self._attributed += scope.usage()
-            seconds = self.latency_model.stream_seconds(scope)
-            self._latency += seconds
-            self._sequential_latency += seconds
 
     def _measure_sharded(
         self, refs: set[ObjectRef], scope: MeterScope
     ) -> QueryMeasurement:
-        """The measurement of the query that just ran inside ``scope``."""
-        usage = self.account.meter.spent(scope)
-        requests, out_bytes, cache_ops, cache_bytes = scope.totals()
-        if self._attributed is not None:
-            sanitize.audit_spend(usage, self._attributed)
-        per_shard = tuple(
-            (domain, ops, nbytes)
-            for domain, (ops, nbytes) in sorted(self._shard_spend.items())
+        """The record of the query that just ran inside ``scope``; under
+        the sanitizer, its step scopes are audited against it now."""
+        measurement = QueryMeasurement(
+            tuple(sorted(refs)), scope, self.account.meter.levels(), self._steps,
+            self._site_kinds, self.latency_model, self.concurrency, self._predicted,
         )
-        by_backend: dict[str, tuple[int, int]] = {}
-        for domain, ops, nbytes in per_shard:
-            kind = self._site_kinds.get(domain) or self.router.backend_for(domain)
-            total_ops, total_bytes = by_backend.get(kind, (0, 0))
-            by_backend[kind] = (total_ops + ops, total_bytes + nbytes)
-        return QueryMeasurement(
-            refs=tuple(sorted(refs)),
-            operations=requests - cache_ops,
-            bytes_out=out_bytes - cache_bytes,
-            usage=usage,
-            per_shard=per_shard,
-            per_backend=tuple(
-                (kind, ops, nbytes)
-                for kind, (ops, nbytes) in sorted(by_backend.items())
-            ),
-            latency=self._latency,
-            sequential_latency=self._sequential_latency,
-            cache_operations=cache_ops,
-            cache_bytes_out=cache_bytes,
-            per_shard_cache=tuple(
-                (domain, ops, nbytes)
-                for domain, (ops, nbytes) in sorted(self._cache_spend.items())
-            ),
-            predicted_cost=self._predicted,
-        )
+        if self._audited:
+            sanitize.audit_spend(
+                measurement.usage,
+                sum((step.usage() for _, step in measurement._streams()), Usage.empty()),
+            )
+        return measurement
 
     # -- Q1 -------------------------------------------------------------------
 

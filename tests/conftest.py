@@ -106,3 +106,18 @@ def crash_during_store(steps, fleet, name: str, stored: int, point: str = A3_MID
             yield (name, "crash", point)
             point = None
         yield step
+
+
+def leak_between_waves(engine, monkeypatch) -> None:
+    """Make a query engine's site enumeration — inside the query, outside
+    every stream scope — issue one metered backend request per scatter
+    phase: spend the sanitizer must report as unattributed."""
+    real = engine._query_sites
+
+    def leaky_sites():
+        sites = real()
+        label, site = sites[0]
+        engine.backends[site.kind].site_statistics(site.domain)
+        return sites
+
+    monkeypatch.setattr(engine, "_query_sites", leaky_sites)

@@ -16,8 +16,8 @@ two account-wide snapshots and a ``Usage`` diff would have read.
 * **Scope contract** — a scope is a plain context manager: nested
   scopes are both credited in record order, a scope stays readable
   after it closes, a raising block pops it; read directly it prices and
-  counts exactly as its ``Usage`` would, and a query builds one
-  ``Usage`` — its own.
+  counts exactly as its ``Usage`` would, and a query builds no ``Usage``
+  until its measurement's is read — then exactly one.
 """
 
 from __future__ import annotations
@@ -384,10 +384,11 @@ def test_a_scope_read_directly_agrees_with_its_usage(records):
 
 
 @pytest.mark.parametrize("name", ("q1", "q2"))
-def test_a_query_builds_exactly_one_usage(monkeypatch, name):
-    """The structural claim behind the cheap measurement: stream scopes
-    are read directly, so the only ``Usage`` a query builds is the one
-    its measurement carries (the sanitizer, off here, sums more)."""
+def test_a_query_builds_its_usage_only_when_it_is_read(monkeypatch, name):
+    """The structural claim behind the cheap measurement: the query
+    records its scopes and stored levels and builds no ``Usage`` (the
+    sanitizer, off here, sums some); reading ``usage`` builds exactly
+    one, and a re-read returns that same object."""
     monkeypatch.setattr(sanitize, "ACTIVE", False)
     engine = loaded().query_engine()
     built: list[Usage] = []
@@ -399,22 +400,20 @@ def test_a_query_builds_exactly_one_usage(monkeypatch, name):
 
     monkeypatch.setattr(Usage, "__init__", counting_init)
     measurement = issue(engine, name)
-    assert measurement.refs
-    assert len(built) == 1 and built[0] is measurement.usage
+    assert measurement.refs and measurement.operations
+    assert built == []
+    usage = measurement.usage
+    assert len(built) == 1 and built[0] is usage
+    assert measurement.usage is usage and len(built) == 1
 
 
-#: The fields and defaults ``QueryMeasurement`` had as a frozen
-#: dataclass; the tuple keeps them.
+#: The public fields ``QueryMeasurement`` has had since it was a frozen
+#: dataclass; the record keeps them, and no other.
 MEASUREMENT_FIELDS = (
     "refs", "operations", "bytes_out", "usage", "per_shard", "per_backend",
     "latency", "sequential_latency", "cache_operations", "cache_bytes_out",
     "per_shard_cache", "predicted_cost",
 )
-MEASUREMENT_DEFAULTS = {
-    "per_shard": (), "per_backend": (), "latency": 0.0,
-    "sequential_latency": 0.0, "cache_operations": 0, "cache_bytes_out": 0,
-    "per_shard_cache": (), "predicted_cost": None,
-}
 
 
 def _counting(monkeypatch, owner, name) -> list:
@@ -432,9 +431,9 @@ def _counting(monkeypatch, owner, name) -> list:
 
 def test_a_warm_q1_reuses_its_routing_answers(monkeypatch):
     """The work a warm ``q1`` does besides its read: no ring hash, no new
-    ``Site``, one ``Usage`` (its measurement's) — and a warm write plan
-    is handed out, not rebuilt. The measurement is an immutable tuple
-    with the dataclass's fields and defaults."""
+    ``Site``, no ``Usage`` — and a warm write plan is handed out, not
+    rebuilt. The measurement is an immutable record with the
+    dataclass's public fields."""
     from repro import sharding
     from repro.migration.handle import Site, WritePlan
     from repro.query.engine import QueryMeasurement
@@ -451,11 +450,17 @@ def test_a_warm_q1_reuses_its_routing_answers(monkeypatch):
     usages = _counting(monkeypatch, Usage, "__init__")
     measurement = engine.q1(SUBJECT)
     assert measurement.refs == (SUBJECT,)
-    assert (len(hashed), len(sites), len(usages)) == (0, 0, 1)
+    assert (len(hashed), len(sites), len(usages)) == (0, 0, 0)
     assert routing.write_plan(item_name) is routing.write_plan(item_name)
     assert plans == [] and hashed == []
 
     assert QueryMeasurement._fields == MEASUREMENT_FIELDS
-    assert QueryMeasurement._field_defaults == MEASUREMENT_DEFAULTS
-    with pytest.raises(AttributeError):
-        measurement.operations = 0
+    public = {
+        name for name in dir(measurement)
+        if not name.startswith("_") and name not in ("result_count", "speedup")
+    }
+    assert public == set(MEASUREMENT_FIELDS)
+    for name in MEASUREMENT_FIELDS:
+        getattr(measurement, name)
+        with pytest.raises(AttributeError):
+            setattr(measurement, name, 0)

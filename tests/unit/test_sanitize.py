@@ -11,6 +11,7 @@ from repro.clock import SimClock
 from repro.devtools import sanitize
 from repro.sim import Simulation
 from repro.workloads import CombinedWorkload
+from tests.conftest import leak_between_waves
 
 
 @pytest.fixture
@@ -60,7 +61,7 @@ def _scoped_reads(meter: Meter, leak: bool) -> tuple[Usage, Usage]:
                 meter.record_request("s3", "GET")
                 meter.record_transfer_out("s3", 40)
                 leak = False
-    return meter.spent(query), attributed
+    return meter.spent(query, meter.levels()), attributed
 
 
 def test_stream_scopes_summing_to_the_query_scope_is_clean(sanitized):
@@ -104,27 +105,13 @@ def test_real_queries_attribute_every_request(sanitized):
     assert sanitize.violations() == ()
 
 
-def _leak_between_waves(engine, monkeypatch):
-    """Make the engine's site enumeration — inside the query, outside
-    every stream scope — issue one metered backend request."""
-    real = engine._query_sites
-
-    def leaky_sites():
-        sites = real()
-        label, site = sites[0]
-        engine.backends[site.kind].site_statistics(site.domain)
-        return sites
-
-    monkeypatch.setattr(engine, "_query_sites", leaky_sites)
-
-
 def test_backend_request_outside_its_stream_scope_is_flagged(sanitized, monkeypatch):
     sim = loaded_sim()
     engine = sim.query_engine()
     clean = engine.q2_outputs_of("blast")
     assert sanitize.violations() == ()
 
-    _leak_between_waves(engine, monkeypatch)
+    leak_between_waves(engine, monkeypatch)
     leaky = engine.q2_outputs_of("blast")
     # Two scatter phases, one leaked DomainMetadata each: billed to the
     # query, absent from the per-shard split.
@@ -139,7 +126,7 @@ def test_backend_request_outside_its_stream_scope_is_flagged(sanitized, monkeypa
 
 def test_sanitizer_off_records_nothing_for_the_same_leak(unsanitized, monkeypatch):
     engine = loaded_sim().query_engine()
-    _leak_between_waves(engine, monkeypatch)
+    leak_between_waves(engine, monkeypatch)
     engine.q2_outputs_of("blast")
     assert sanitize.violations() == ()
 
@@ -154,12 +141,12 @@ def test_the_sanitizer_is_decided_when_the_engine_is_built(sanitized, monkeypatc
     built_off = sim.query_engine()
     monkeypatch.setattr(sanitize, "ACTIVE", True)
 
-    _leak_between_waves(built_off, monkeypatch)
+    leak_between_waves(built_off, monkeypatch)
     built_off.q2_outputs_of("blast")
     assert sanitize.violations() == ()
 
     monkeypatch.setattr(sanitize, "ACTIVE", False)
-    _leak_between_waves(built_on, monkeypatch)
+    leak_between_waves(built_on, monkeypatch)
     built_on.q2_outputs_of("blast")
     assert {v.kind for v in sanitize.violations()} == {"unattributed-spend"}
     sanitize.reset()
@@ -167,7 +154,7 @@ def test_the_sanitizer_is_decided_when_the_engine_is_built(sanitized, monkeypatc
 
 def test_violations_record_but_never_raise(sanitized, monkeypatch):
     engine = loaded_sim().query_engine()
-    _leak_between_waves(engine, monkeypatch)
+    leak_between_waves(engine, monkeypatch)
     measurement = engine.q3_descendants_of("blast")  # runs to completion
     assert measurement.refs
     assert sanitize.violations()

@@ -77,7 +77,7 @@ def spend(account: AWSAccount, service: str, call, *args, **kwargs):
     """``(requests, bytes out, read units)`` one call metered on ``service``."""
     with account.meter.scoped() as scope:
         call(*args, **kwargs)
-    usage = account.meter.spent(scope)
+    usage = account.meter.spent(scope, account.meter.levels())
     return (
         usage.request_count(service),
         usage.transfer_out(service),
