@@ -50,10 +50,11 @@
 #                     wire-format ownership, router handles);
 #                     stdlib-only, no install needed
 #
-# The seven deployment knobs are constructor arguments of
-# repro.sim.Simulation / ClientFleet (and `repro demo` flags), documented
-# in one place: the docstring of Cloud.__init__ in src/repro/sim.py
-#   PYTHONPATH=src python -c "from repro.sim import Cloud; help(Cloud.__init__)"
+# A cloud's settings are one repro.deployment.Deployment, passed to
+# repro.sim.Simulation / ClientFleet as deployment= or as field keywords
+# (and built from the `repro demo` flags), documented in one place: the
+# docstring of that class in src/repro/deployment.py
+#   PYTHONPATH=src python -c "from repro.deployment import Deployment; help(Deployment)"
 # No environment variable sets them. tests/adversary/test_config_grid.py
 # (in `make test`) runs a pairwise-covering grid of them against the
 # default configuration.

@@ -3,8 +3,7 @@
 The §6 discussion treats SimpleDB as one plausible provenance store;
 the backend protocol makes the placement a knob, and the GSI subsystem
 makes the DynamoDB-style store's *access path* a knob too. This
-benchmark loads the same live trace into four placements — all-SimpleDB
-(queried through both the bracket Query and SELECT front-ends),
+benchmark loads the same live trace into four placements — all-SimpleDB,
 all-DynamoDB answered by Scan, all-DynamoDB answered by GSI Query, and
 mixed (even shards SDB, odd DDB+GSI) — at N ∈ {1, 4, 16} and reports,
 from meter deltas:
@@ -32,7 +31,6 @@ import pytest
 from repro.analysis.report import TextTable
 from repro.aws import billing
 from repro.aws.billing import Usage
-from repro.query.engine import SimpleDBEngine
 from repro.sim import Simulation
 
 from conftest import save_result
@@ -45,9 +43,7 @@ CONFIGS = {
     "ddb-gsi": dict(placement="ddb", ddb_indexes="name,input"),
     "mixed": dict(placement="mixed", ddb_indexes="name,input"),
 }
-#: Rows derived without their own deployment: SELECT is the same sdb
-#: store queried through the other 2009 wire language.
-REGIMES = ("sdb", "sdb-select", "ddb-scan", "ddb-gsi", "mixed")
+REGIMES = tuple(CONFIGS)
 PROGRAM = "blast"
 
 
@@ -68,26 +64,12 @@ def placed_sims(live_events):
     return sims
 
 
-def _engine(placed_sims, regime, shards):
-    if regime == "sdb-select":
-        sim, _ = placed_sims[("sdb", shards)]
-        return SimpleDBEngine(
-            sim.account, router=sim.store.router, select_mode=True
-        )
-    return placed_sims[(regime, shards)][0].query_engine()
-
-
-def _load_row(placed_sims, regime, shards):
-    config = "sdb" if regime == "sdb-select" else regime
-    return placed_sims[(config, shards)]
-
-
 @pytest.fixture(scope="module")
 def query_rows(placed_sims):
     rows = {}
     for regime in REGIMES:
         for shards in SHARD_COUNTS:
-            engine = _engine(placed_sims, regime, shards)
+            engine = placed_sims[(regime, shards)][0].query_engine()
             q2 = engine.q2_outputs_of(PROGRAM)
             q3 = engine.q3_descendants_of(PROGRAM)
             q1 = engine.q1(q2.refs[0])
@@ -122,7 +104,7 @@ def test_multibackend_table(benchmark, placed_sims, query_rows, live_events):
     )
     for regime in REGIMES:
         for shards in SHARD_COUNTS:
-            sim, load_usage = _load_row(placed_sims, regime, shards)
+            sim, load_usage = placed_sims[(regime, shards)]
             rows = query_rows[(regime, shards)]
             query_usage = _query_usage(rows)
             table.add_row(

@@ -38,7 +38,9 @@ def planner_cell(mode):
     from dataclasses import replace
 
     base = next(c for c in default_cells() if c.key == "ddb-planner-cost-4")
-    return replace(base, key=f"ddb-planner-{mode}-4", planner=mode)
+    return replace(
+        base, key=f"ddb-planner-{mode}-4", deployment=replace(base.deployment, planner=mode)
+    )
 
 
 def run_row(spec, mode):

@@ -48,6 +48,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 BASELINE_PATH = Path(__file__).parent / "baselines.json"
@@ -123,6 +124,7 @@ def measure_planner() -> dict[str, int]:
     range slice beats a whole-partition read — a reviewable diff.
     """
     from repro.bench.matrix import Q4_VERSION_RANGE, default_cells, default_workloads
+    from repro.sim import Simulation
 
     specs = {s.key: s for s in default_workloads()}
     cell = next(c for c in default_cells() if c.key == "ddb-planner-cost-4")
@@ -131,12 +133,9 @@ def measure_planner() -> dict[str, int]:
         spec = specs[workload_key]
         rng = spec.rep_rng(SEED, 0)
         timed = list(spec.workload.iter_timed_events(rng, spec.scale))
-        from repro.sim import Simulation
-
         sim = Simulation(
-            architecture=cell.architecture, seed=SEED, shards=cell.shards,
-            placement=cell.placement, ddb_indexes=cell.ddb_indexes,
-            planner=planner,
+            cell.architecture, seed=SEED,
+            deployment=replace(cell.deployment, planner=planner),
         )
         sim.store_timed_events(timed, collect=False)
         engine = sim.query_engine()

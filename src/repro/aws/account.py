@@ -71,8 +71,8 @@ class AWSAccount:
         read_cache: str | bool | int | None = None,
     ):
         """``ddb_indexes`` and ``read_cache`` are the two deployment
-        knobs (documented on :class:`repro.sim.Cloud`) that the account
-        itself holds. Beyond the spec strings described there,
+        settings (documented on :class:`repro.deployment.Deployment`)
+        that the account itself holds. Beyond the spec strings described there,
         ``ddb_indexes`` accepts ready :class:`~repro.aws.dynamo.IndexSpec`
         objects (grammar: :func:`repro.aws.backend.parse_index_specs`)
         and ``read_cache`` accepts ``True``/``False`` or an option spec

@@ -113,7 +113,7 @@ def parse_index_specs(
     * ``"name@40"`` / ``"input+type@40:20"`` — an ``@WCU[:RCU]`` suffix
       provisions the index's *own* capacity, so its maintenance writes
       (and Query reads, with ``:RCU``) throttle independently of the
-      base table's window;
+      base table's window (both at least 1);
     * ``"name/nonce+*"`` / ``"type/nonce"`` — a ``hash/range`` key pair
       declares a **composite** index (DynamoDB's hash+range schema):
       entries sort by the range attribute within each hash partition
@@ -151,8 +151,11 @@ def parse_index_specs(
             try:
                 wcu = int(wcu_text)
                 rcu = int(rcu_text) if rcu_text else None
+                valid = wcu >= 1 and (rcu is None or rcu >= 1)
             except ValueError:
-                raise ValueError(f"bad DynamoDB index capacity {spec!r}") from None
+                valid = False
+            if not valid:
+                raise ValueError(f"bad DynamoDB index capacity {spec!r}")
         key, *include = [piece.strip() for piece in part.split("+")]
         if not key or not all(include):
             raise ValueError(f"bad DynamoDB index spec {spec!r}")
@@ -372,8 +375,6 @@ class ProvenanceBackend(Protocol):
         self,
         store: str,
         expression: str,
-        select: str,
-        select_mode: bool,
         attribute_names: list[str] | None,
         compiled: CompiledQuery | None = None,
         path: AccessPath | None = None,
@@ -386,7 +387,8 @@ class ProvenanceBackend(Protocol):
         it through (parsing is client CPU, never metered, so this is
         meter-neutral). ``path`` pins a specific
         :class:`AccessPath` chosen by the query planner; ``None`` keeps
-        the backend's native choice (SimpleDB Select / first-fit GSI).
+        the backend's native choice (SimpleDB's server-side query /
+        first-fit GSI).
         """
         ...
 
@@ -499,33 +501,21 @@ class SimpleDBBackend:
     def get_item(self, store: str, item_name: str) -> dict[str, tuple[str, ...]]:
         return self.service.get_attributes(store, item_name)
 
-    def query_pages(
-        self,
-        store,
-        expression,
-        select,
-        select_mode,
-        attribute_names,
-        compiled=None,
-        path=None,
-    ):
-        """Query/QueryWithAttributes (or SELECT) with result pagination
-        — the §2.2 front-ends, projected server-side.
+    def query_pages(self, store, expression, attribute_names, compiled=None, path=None):
+        """QueryWithAttributes with result pagination — the §2.2
+        front-end, projected server-side.
 
         ``compiled`` and ``path`` are accepted for protocol parity and
         ignored: SimpleDB evaluates the wire expression server-side and
         has exactly one access path, so the request sequence (and the
         meter) cannot depend on either.
         """
-        if select_mode:
-            pages = self._pages(self.service.select, select)
-        else:
-            pages = self._pages(
-                self.service.query_with_attributes,
-                store,
-                expression,
-                attribute_names=attribute_names,
-            )
+        pages = self._pages(
+            self.service.query_with_attributes,
+            store,
+            expression,
+            attribute_names=attribute_names,
+        )
         for page in pages:
             yield from page.items
 
@@ -564,7 +554,7 @@ class SimpleDBBackend:
         return first_fit(self.candidate_paths(store, compiled, wanted))
 
     def candidate_paths(self, store, compiled, wanted) -> list[AccessPath]:
-        """The one access path this backend has: server-side Select."""
+        """The one access path this backend has: the server-side query."""
         return [SDB_PATH]
 
     def item_count(self, store: str) -> int:
@@ -749,22 +739,12 @@ class DynamoBackend:
         counted stale fallback when a stale candidate was passed over."""
         return next(self._fresh_indexes(store, candidates, count=True), None)
 
-    def query_pages(
-        self,
-        store,
-        expression,
-        select,
-        select_mode,
-        attribute_names,
-        compiled=None,
-        path=None,
-    ):
+    def query_pages(self, store, expression, attribute_names, compiled=None, path=None):
         """Serve one logical query from a GSI when possible, else Scan.
 
         The *same* compiled predicate SimpleDB evaluates server-side is
-        used here (``select`` and ``select_mode`` are SimpleDB wire
-        language choices and do not apply; callers that already compiled
-        the expression pass it via ``compiled``); if it pins an indexed
+        used here (callers that already compiled the expression pass it
+        via ``compiled``); if it pins an indexed
         attribute to equality values and the index projection covers
         everything the predicate and the caller read, the phase becomes
         a paged index Query over those values — paying read units only

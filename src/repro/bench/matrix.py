@@ -4,7 +4,7 @@ Every performance claim in this repo used to rest on the paper's three
 uniform §5 workloads. This runner sweeps a grid instead:
 
     workload (skewed / bursty / deep / uniform / replayed)
-  × cell (architecture, shards, placement, GSIs, write_batch, read_cache)
+  × cell (architecture + deployment: layout, placement, GSIs, cache, …)
 
 with **R seeded repetitions per cell**. Each repetition generates a
 fresh trace (rep-derived seed), loads it through a fresh simulation,
@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.core import ARCHITECTURES
+from repro.deployment import Deployment
 from repro.passlib.records import ObjectRef
 from repro.sim import Simulation
 from repro.workloads import (
@@ -79,17 +80,11 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class MatrixCell:
-    """One architecture/knob cell of the grid."""
+    """One cell of the grid: an architecture and the deployment it runs."""
 
     key: str
     architecture: str = "s3+simpledb"
-    shards: int = 1
-    placement: str = "sdb"
-    ddb_indexes: str = ""
-    write_batch: int = 1
-    read_cache: str = "off"
-    concurrency: int = 1
-    planner: str = "off"
+    deployment: Deployment = Deployment()
 
     def __post_init__(self):
         # Every repetition probes Q1 and Q4, which only the indexed
@@ -104,10 +99,8 @@ class MatrixCell:
             )
 
     def build_simulation(self, seed: int) -> Simulation:
-        """A simulation with this cell's fields as its knobs."""
-        knobs = asdict(self)
-        del knobs["key"]
-        return Simulation(seed=seed, **knobs)
+        """A simulation of this cell's architecture and deployment."""
+        return Simulation(self.architecture, seed=seed, deployment=self.deployment)
 
 
 def default_workloads(scale: float = 1.0) -> list[WorkloadSpec]:
@@ -169,27 +162,24 @@ def default_workloads(scale: float = 1.0) -> list[WorkloadSpec]:
 
 def default_cells() -> list[MatrixCell]:
     """The standard cell axis: layouts × placements × knobs."""
+    composite = Deployment(
+        shards=4, placement="ddb", ddb_indexes="name/nonce+*,type/nonce,name,input"
+    )
     return [
-        MatrixCell(key="sdb-1"),
-        MatrixCell(key="sdb-4", shards=4),
-        MatrixCell(key="ddb-gsi-4", shards=4, placement="ddb", ddb_indexes="name,input"),
-        MatrixCell(key="mixed-4-cache", shards=4, placement="mixed", read_cache="on"),
-        MatrixCell(key="sdb-4-cache", shards=4, read_cache="on"),
-        MatrixCell(key="sqs-wb8", architecture="s3+simpledb+sqs", write_batch=8),
+        MatrixCell("sdb-1"),
+        MatrixCell("sdb-4", deployment=Deployment(shards=4)),
         MatrixCell(
-            key="ddb-planner-ff-4",
-            shards=4,
-            placement="ddb",
-            ddb_indexes="name/nonce+*,type/nonce,name,input",
-            planner="first-fit",
+            "ddb-gsi-4",
+            deployment=Deployment(shards=4, placement="ddb", ddb_indexes="name,input"),
         ),
         MatrixCell(
-            key="ddb-planner-cost-4",
-            shards=4,
-            placement="ddb",
-            ddb_indexes="name/nonce+*,type/nonce,name,input",
-            planner="cost",
+            "mixed-4-cache",
+            deployment=Deployment(shards=4, placement="mixed", read_cache="on"),
         ),
+        MatrixCell("sdb-4-cache", deployment=Deployment(shards=4, read_cache="on")),
+        MatrixCell("sqs-wb8", "s3+simpledb+sqs", Deployment(write_batch=8)),
+        MatrixCell("ddb-planner-ff-4", deployment=replace(composite, planner="first-fit")),
+        MatrixCell("ddb-planner-cost-4", deployment=replace(composite, planner="cost")),
     ]
 
 
@@ -213,8 +203,8 @@ def quick_workloads(scale: float = 1.0) -> list[WorkloadSpec]:
 
 def quick_cells() -> list[MatrixCell]:
     return [
-        MatrixCell(key="sdb-1"),
-        MatrixCell(key="sdb-4-cache", shards=4, read_cache="on"),
+        MatrixCell("sdb-1"),
+        MatrixCell("sdb-4-cache", deployment=Deployment(shards=4, read_cache="on")),
     ]
 
 

@@ -24,7 +24,7 @@ from repro.analysis.query_model import analytic_query_table, render_table3
 from repro.analysis.report import TextTable, check_mark
 from repro.analysis.storage_model import render_table2
 from repro.core import ARCHITECTURES
-from repro.knobs import positive_int
+from repro.deployment import PLANNER_MODES, positive_int
 from repro.units import fmt_bytes, fmt_count
 from repro.workloads import CombinedWorkload, collect_stats
 
@@ -146,6 +146,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.deployment import Deployment
     from repro.migration import parse_migration_spec
     from repro.passlib.capture import PassSystem
     from repro.sim import Simulation
@@ -154,14 +155,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
         # Every flag is checked before anything runs: a malformed spec
         # prints nothing on stdout.
         migration = parse_migration_spec(args.migrate) if args.migrate else None
-        sim = Simulation(architecture=args.architecture or "s3+simpledb+sqs",
-                         seed=args.seed, shards=args.shards,
-                         placement=args.backend,
-                         concurrency=args.concurrency,
-                         ddb_indexes=args.ddb_indexes,
-                         write_batch=args.write_batch,
-                         read_cache=args.read_cache,
-                         planner=args.planner)
+        deployment = Deployment(
+            shards=args.shards, placement=args.backend,
+            ddb_indexes=args.ddb_indexes, concurrency=args.concurrency,
+            write_batch=args.write_batch, read_cache=args.read_cache,
+            planner=args.planner,
+        )
+        sim = Simulation(args.architecture or "s3+simpledb+sqs", seed=args.seed,
+                         deployment=deployment)
     except ValueError as exc:  # e.g. a malformed --backend/--migrate spec
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -322,7 +323,7 @@ def _positive_int(noun: str):
 
     def parse(text: str) -> int:
         try:
-            return positive_int(text, noun)
+            return positive_int(int(text) if text.strip().isdecimal() else text, noun)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--planner", default=None, metavar="MODE",
-        choices=("off", "first-fit", "cost"),
+        choices=PLANNER_MODES,
         help="query access-path planning mode: 'off' (default — the "
         "backend's native choice, byte-identical meter), 'first-fit' "
         "(same paths, but each query carries a predicted cost), or "

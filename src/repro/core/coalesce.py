@@ -24,9 +24,9 @@ That keeps width 1 byte-identical on the billing meter to the paper's
 one-request-per-item protocol — the invariant the meter-identity
 property and the metered baselines enforce.
 
-The knob: pass ``write_batch=`` to :class:`~repro.sim.Simulation` /
-:class:`~repro.fleet.ClientFleet` / the stores, or use ``repro demo
---write-batch N``.
+The setting: the :class:`~repro.deployment.Deployment` field
+``write_batch`` (``Simulation(write_batch=N)``, ``repro demo
+--write-batch N``), or ``write_batch=`` on a store.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable
 
 from repro.aws.account import AWSAccount
 from repro.core.base import put_provenance_items
-from repro.knobs import positive_int
+from repro.deployment import positive_int
 from repro.migration.handle import RouterHandle
 from repro.sharding import ShardRouter
 

@@ -50,7 +50,7 @@ from repro.core.base import (
 from repro.core.coalesce import resolve_write_batch
 from repro.core.wal import AssembledTransaction, TransactionAssembler
 from repro.errors import NoSuchKey, ReceiptHandleInvalid
-from repro.knobs import positive_int
+from repro.deployment import positive_int
 from repro.migration.handle import RouterHandle, as_handle, fresh_handle
 from repro.passlib.records import ObjectRef
 from repro.sharding import ShardRouter

@@ -83,7 +83,11 @@ class S3SimpleDB(ProvenanceCloudStore):
         router=None,
         write_batch: int | None = None,
         client_id: str = "client-0",
+        commit_threshold: int | None = None,
     ):
+        # ``commit_threshold`` is A3's (it has the commit daemon); A2
+        # accepts it so every driver constructs every architecture
+        # uniformly.
         super().__init__(
             account, faults, retry, shards=shards, router=router, client_id=client_id
         )

@@ -74,11 +74,12 @@ class S3Standalone(ProvenanceCloudStore):
         router=None,
         write_batch: int | None = None,
         client_id: str = "client-0",
+        commit_threshold: int | None = None,
     ):
-        # A1 keeps no provenance domain; the router and the default
-        # width are accepted (so every driver constructs every
-        # architecture uniformly) but unused.
-        if write_batch is not None:
+        # A1 keeps no provenance domain; the router, the default width
+        # and the commit threshold are accepted (so every driver
+        # constructs every architecture uniformly) but unused.
+        if write_batch not in (None, 1):
             raise ValueError("the s3 architecture has no provenance write path to batch")
         super().__init__(
             account, faults, retry, shards=shards, router=router, client_id=client_id

@@ -14,10 +14,10 @@ The paper's three representative queries, plus a version-range query:
 * **Q4** — file versions inside a version window: one range predicate.
 
 Q2–Q4 are declarations over one phase executor:
-:meth:`SimpleDBEngine._scatter` takes a phase's queries — *(bracket
-expression, SELECT where-clause)* pairs, two spellings of one predicate
-— plus a row decoder, and owns site enumeration, compile-once-per-query,
-planning, paging, wave dispatch, merging and memoisation.
+:meth:`SimpleDBEngine._scatter` takes a phase's queries (bracket
+expressions) plus a row decoder, and owns site enumeration,
+compile-once-per-query, planning, paging, wave dispatch, merging and
+memoisation.
 
 Each engine method runs inside one :meth:`~repro.aws.billing.Meter.scoped`
 block and returns a :class:`QueryMeasurement` whose operation and byte
@@ -80,7 +80,7 @@ from repro.core.base import (
 )
 from repro.devtools import sanitize
 from repro.errors import NoSuchKey, ReadCorrectnessViolation
-from repro.knobs import positive_int
+from repro.deployment import positive_int, resolve_planner
 from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
 from repro.passlib.serializer import (
     bundles_from_s3_metadata,
@@ -90,7 +90,7 @@ from repro.passlib.serializer import (
 from repro.migration.handle import RouterHandle, Site, as_handle, fresh_handle
 from repro.query.ancestry import AncestryWalker
 from repro.query.latency import DEFAULT_LATENCY_MODEL, QueryLatencyModel, makespan
-from repro.query.planner import QueryPlanner, resolve_planner
+from repro.query.planner import QueryPlanner
 from repro.sharding import ShardRouter
 
 T = TypeVar("T")
@@ -395,10 +395,6 @@ class S3ScanEngine(_Metered):
 class SimpleDBEngine(_Metered):
     """Queries against architectures A2/A3: indexed SimpleDB lookups.
 
-    ``select_mode=True`` issues the same logical queries through the
-    SELECT front-end (§2.2 lists Query, QueryWithAttributes *and*
-    SELECT); results are identical, only the wire language differs.
-
     ``router`` (or a store's ``.router``) selects the sharded layout:
     Q1 routes to the one shard owning the subject's path, while Q2/Q3
     scatter every phase across all shards and merge the frontiers
@@ -419,7 +415,6 @@ class SimpleDBEngine(_Metered):
         self,
         account: AWSAccount,
         ref_batch: int = REF_BATCH,
-        select_mode: bool = False,
         router: ShardRouter | RouterHandle | None = None,
         concurrency: int | None = None,
         planner: str | None = None,
@@ -435,7 +430,6 @@ class SimpleDBEngine(_Metered):
         #: the adapter its placement names.
         self.backends = account.provenance_backends()
         self.ref_batch = ref_batch
-        self.select_mode = select_mode
         self.concurrency = positive_int(
             1 if concurrency is None else concurrency, "concurrency"
         )
@@ -542,25 +536,24 @@ class SimpleDBEngine(_Metered):
     def _scatter(
         self,
         memo_key: tuple,
-        queries: Iterable[tuple[str, str]],
+        queries: Iterable[str],
         decode: Callable[[str, dict], T],
     ) -> set[T]:
         """One scatter phase: every query on every site, as one wave.
 
-        ``queries`` are *(bracket expression, SELECT where-clause)*
-        pairs — two spellings of the same predicate (``select_mode`` is
-        a SimpleDB wire-language choice; a DynamoDB-placed shard
-        evaluates the compiled predicate over an index Query or a Scan
-        instead). Each expression is compiled once and shared across its
-        shard streams — compilation is client CPU, never metered, so
-        hoisting it is meter-neutral. The wave is built query-major,
-        site-minor over the sites routing names *now*; the query x site
-        streams are mutually independent reads. Each stream asks the
-        planner for its access path (None = the backend's native
-        choice) inside its own meter scope, so the statistics consult
-        is billed to the right shard and the USD prediction accrues to
-        the in-flight query, then pages the backend and decodes every
-        ``(item name, attrs)`` row with ``decode``.
+        ``queries`` are bracket expressions: a SimpleDB shard evaluates
+        one server-side, a DynamoDB-placed shard evaluates its compiled
+        predicate over an index Query or a Scan. Each expression is
+        compiled once and shared across its shard streams — compilation
+        is client CPU, never metered, so hoisting it is meter-neutral.
+        The wave is built query-major, site-minor over the sites routing
+        names *now*; the query x site streams are mutually independent
+        reads. Each stream asks the planner for its access path (None =
+        the backend's native choice) inside its own meter scope, so the
+        statistics consult is billed to the right shard and the USD
+        prediction accrues to the in-flight query, then pages the
+        backend and decodes every ``(item name, attrs)`` row with
+        ``decode``.
 
         Memoised through the cache authority: a repeated phase answers
         with zero backend reads until a write (or layout cutover)
@@ -583,7 +576,7 @@ class SimpleDBEngine(_Metered):
             if hit:
                 return value
 
-        def stream(site: Site, expression: str, where: str, compiled: CompiledQuery):
+        def stream(site: Site, expression: str, compiled: CompiledQuery):
             backend = self.backends[site.kind]
             path = None
             if self.planner is not None:
@@ -595,22 +588,16 @@ class SimpleDBEngine(_Metered):
             return [
                 decode(name, attrs)
                 for name, attrs in backend.query_pages(
-                    site.domain,
-                    expression,
-                    f"select type from {site.domain} where {where}",
-                    self.select_mode,
-                    [Attr.TYPE],
-                    compiled=compiled,
-                    path=path,
+                    site.domain, expression, [Attr.TYPE], compiled=compiled, path=path
                 )
             ]
 
         sites = self._query_sites()
         tasks = []
-        for expression, where in queries:
+        for expression in queries:
             compiled = parse_query(expression)
             for label, site in sites:
-                tasks.append((label, partial(stream, site, expression, where, compiled)))
+                tasks.append((label, partial(stream, site, expression, compiled)))
         value = self._gather(tasks)
         if cache is not None:
             with self.account.meter.scoped() as scope:
@@ -700,12 +687,7 @@ class SimpleDBEngine(_Metered):
         literal = quote_literal(program)
         return self._scatter(
             ("instances", program),
-            [
-                (
-                    f"['type' = 'process'] intersection ['name' = {literal}]",
-                    f"type = 'process' and name = {literal}",
-                )
-            ],
+            [f"['type' = 'process'] intersection ['name' = {literal}]"],
             _decode_ref,
         )
 
@@ -723,12 +705,11 @@ class SimpleDBEngine(_Metered):
 
         def chunk_queries():  # built only when the memo misses
             for start in range(0, len(encoded), self.ref_batch):
-                literals = [
-                    quote_literal(value)
+                disjunction = " or ".join(
+                    f"'input' = {quote_literal(value)}"
                     for value in encoded[start : start + self.ref_batch]
-                ]
-                disjunction = " or ".join(f"'input' = {lit}" for lit in literals)
-                yield f"[{disjunction}]", f"input in ({', '.join(literals)})"
+                )
+                yield f"[{disjunction}]"
 
         return self._scatter(
             ("inputs", *encoded), chunk_queries(), _decode_ref_and_kind
@@ -811,11 +792,8 @@ class SimpleDBEngine(_Metered):
             refs = self._scatter(
                 ("range", lo, hi),
                 [
-                    (
-                        f"['type' = 'file'] intersection "
-                        f"['nonce' >= {lo_literal} and 'nonce' <= {hi_literal}]",
-                        f"type = 'file' and nonce between {lo_literal} and {hi_literal}",
-                    )
+                    f"['type' = 'file'] intersection "
+                    f"['nonce' >= {lo_literal} and 'nonce' <= {hi_literal}]"
                 ],
                 _decode_ref,
             )

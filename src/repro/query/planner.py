@@ -3,7 +3,7 @@
 Without a planner every Q2/Q3 phase runs its backend's *first fit*.
 Each backend enumerates the access paths sound for a predicate
 (``candidate_paths``: the native default first — SimpleDB's server-side
-Query/Select, its only path, or a DynamoDB Scan — then every fresh
+QueryWithAttributes, its only path, or a DynamoDB Scan — then every fresh
 usable index in declaration order), and one function,
 :func:`~repro.aws.backend.first_fit`, picks the first ``"gsi"`` path of
 that enumeration, else the native default. ``query_pages(path=None)``,
@@ -11,7 +11,7 @@ that enumeration, else the native default. ``query_pages(path=None)``,
 rule. First fit consults no price book, even though every operation is
 already metered to the cent. This module closes that loop: it prices
 each candidate access path (DDB Scan, GSI equality Query, composite GSI
-hash+range Query, SimpleDB Select) from
+hash+range Query, SimpleDB QueryWithAttributes) from
 :class:`~repro.aws.billing.PriceBook` rates plus cheap incrementally
 maintained table statistics (DescribeTable / DomainMetadata — item
 counts, mean item sizes, exact per-index key histograms; never
@@ -58,9 +58,8 @@ from repro.aws.billing import GB, SDB_BOX_USAGE_HOURS, PriceBook
 from repro.aws.dynamo import SCAN_MAX_PAGE
 from repro.aws.sdb_query import CompiledQuery
 from repro.aws.simpledb import QUERY_MAX_PAGE, SCAN_HOURS_PER_ITEM
+from repro.deployment import PLANNER_MODES, resolve_planner
 from repro.units import DDB_INDEX_ENTRY_OVERHEAD, DDB_PAGE_BYTES, DDB_RCU_BYTES
-
-PLANNER_MODES = ("off", "first-fit", "cost")
 
 #: Cost mode abandons the first-fit path only for a candidate whose
 #: estimate is below ``HYSTERESIS × first-fit estimate`` — near-ties
@@ -82,20 +81,6 @@ PREDICTION_ERROR_BOUND = 0.05
 #: estimate is not *structurally* blind to result width, not because it
 #: moves the choice.
 SDB_MATCH_BYTES = 48
-
-
-
-def resolve_planner(mode: str | None = None) -> str:
-    """Normalise a planner mode (``None``, ``""`` and ``"none"`` are
-    ``"off"``)."""
-    mode = (mode or "off").lower()
-    if mode == "none":
-        mode = "off"
-    if mode not in PLANNER_MODES:
-        raise ValueError(
-            f"unknown planner mode {mode!r} (expected one of {PLANNER_MODES})"
-        )
-    return mode
 
 
 def _paged_read_units(entries: int, nbytes: int) -> tuple[int, float]:
@@ -186,7 +171,7 @@ class QueryPlanner:
     # -- per-path estimates ----------------------------------------------
 
     def _estimate_sdb(self, stats: dict, compiled: CompiledQuery) -> float:
-        """Predicted USD of one server-side Query/Select on a domain.
+        """Predicted USD of one server-side QueryWithAttributes on a domain.
 
         Every request replays the whole domain snapshot
         (:data:`~repro.aws.simpledb.SCAN_HOURS_PER_ITEM` of machine time
@@ -209,7 +194,7 @@ class QueryPlanner:
         matches = max(0, min(matches, item_count))
         requests = max(1, math.ceil(matches / QUERY_MAX_PAGE))
         box_hours = requests * (
-            SDB_BOX_USAGE_HOURS["Select"] + item_count * SCAN_HOURS_PER_ITEM
+            SDB_BOX_USAGE_HOURS["QueryWithAttributes"] + item_count * SCAN_HOURS_PER_ITEM
         )
         transfer = matches * SDB_MATCH_BYTES
         return (

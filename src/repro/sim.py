@@ -14,12 +14,13 @@ One cloud
 The paper's deployment is one cloud shared by *N* clients (§2.5), so
 the deployment is declared once, in :class:`Cloud`: the
 :class:`~repro.aws.account.AWSAccount` (clock, meter, services), the
-architecture name, the routing handle every consumer shares, the seven
-knobs, and the four things done *to* a deployment — add a client host
-(:meth:`Cloud.add_client`), hand out the matching query engine
-(:meth:`Cloud.query_engine`), start a live layout migration
-(:meth:`Cloud.start_migration`) and let daemons and replication
-converge (:meth:`Cloud.settle`). The two drivers differ only in client
+architecture name, the routing handle every consumer shares, the
+cloud's settings (one :class:`~repro.deployment.Deployment`, parsed
+once — the one place they are documented), and the four things done
+*to* a deployment — add a client host (:meth:`Cloud.add_client`), hand
+out the matching query engine (:meth:`Cloud.query_engine`), start a
+live layout migration (:meth:`Cloud.start_migration`) and let daemons
+and replication converge (:meth:`Cloud.settle`). The two drivers differ only in client
 count and scheduling: :class:`Simulation` is that cloud with one store
 and a pump-every-N event loop; :class:`~repro.fleet.ClientFleet` is
 that cloud with N stores and a round-robin scheduler.
@@ -45,14 +46,15 @@ is :meth:`Simulation.store_timed_events` over ``(0.0, event)`` pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.core import architecture_class, make_architecture
 from repro.core.base import ProvenanceCloudStore, ReadResult
+from repro.deployment import Deployment
 from repro.errors import ClientCrash, ScheduleFormatError
-from repro.migration.handle import as_handle, fresh_handle
+from repro.migration.handle import fresh_handle
 from repro.migration.live import LiveMigration, MigrationReport, begin_live_migration
 from repro.migration.live import parse_migration_spec
 from repro.passlib.records import FlushEvent
@@ -85,87 +87,44 @@ class Client:
 
 
 class Cloud:
-    """One provenance-aware deployment, shared by every client of it."""
+    """One provenance-aware deployment, shared by every client of it.
+
+    Its settings are :attr:`deployment`, one
+    :class:`~repro.deployment.Deployment` — the one place they are
+    documented — which the routing handle, the account, every client
+    store and every query engine read."""
 
     def __init__(
         self,
         architecture: str,
         seed: int,
         consistency: ConsistencyConfig | None = None,
-        *,
-        shards: int = 1,
-        placement: str | dict[int, str] | None = None,
-        concurrency: int | None = None,
-        ddb_indexes: str | tuple | None = None,
-        write_batch: int | None = None,
-        read_cache: str | bool | int | None = None,
-        planner: str | None = None,
-        router=None,
-        **store_kwargs,
+        deployment: Deployment | None = None,
+        **knobs,
     ):
-        """The seven knobs — the only documentation of them, set here or
-        by their ``repro demo`` flag and nowhere else. Every one is
-        optional, and ``None`` (or the default) is the paper's
-        deployment, byte-identical on the meter:
-
-        ``shards``/``placement`` pick the provenance layout: N stores
-        routed by consistent hash, each placed on the backend the
-        placement spec names (``"sdb"``, ``"ddb"``, ``"mixed"``,
-        ``"0:sdb,1:ddb"``, or a ``{index: kind}`` map — default
-        all-SimpleDB); a ready
-        ``router`` (a :class:`~repro.sharding.ShardRouter` or a shared
-        :class:`~repro.migration.RouterHandle`) replaces both.
-        ``concurrency`` is the wave width of the query engines handed
-        out — how many of a scatter wave's per-shard request streams the
-        *modeled* list schedule overlaps when it prices the query's
-        ``latency`` (an integer >= 1, default 1);
-        execution is sequential in submission order at every width, so
-        results, spend and the request sequence do not depend on it.
-        ``ddb_indexes`` declares global
-        secondary indexes on DynamoDB-placed shards (``"name,input"``,
-        ``"auto"``, ``""`` for none — default none), so
-        Q2/Q3 phases on those shards are index Queries instead of
-        Scans. ``write_batch`` is every client coalescer's and commit
-        daemon's group-commit width (an integer >= 1, default 1): one
-        write path at every width, and the
-        width picks the request shape — 1 is a batch of one sent as
-        single-item requests, the paper's one-request-per-item
-        protocol; above it the batch APIs. ``read_cache`` enables the
-        account-wide ElastiCache-style read-cache tier fronting the
-        provenance backends (``"on"``, a spec like
-        ``"capacity=65536"``, default off) —
-        one authority per cloud, so any client's write invalidates what
-        another client cached. ``planner`` is the query engines'
-        access-path planning mode (``"off"``/``"first-fit"``/``"cost"``,
-        default off). Any other keyword goes to the constructor of every
-        client store and of every reboot of one (e.g. ``commit_threshold``).
-        """
+        """The cloud's settings are one :class:`~repro.deployment.Deployment`
+        (documented there): ``deployment`` (default: the paper's), with
+        any ``knobs`` — its field names — replacing its fields."""
         #: The architecture's store class; what a driver needs to know
         #: about the architecture, it reads off this class.
         self.store_class = architecture_class(architecture)
-        if router is None:
-            router = fresh_handle(shards, placement=placement)
-        elif shards != 1 or placement is not None:
-            raise ValueError("pass shards=N/placement=... or router=..., not both")
         self.architecture = architecture
         self.seed = seed
+        #: Every setting of this cloud, parsed once.
+        self.deployment = settings = replace(deployment or Deployment(), **knobs)
         self.account = AWSAccount(
             seed=seed,
             consistency=consistency or ConsistencyConfig.strong(),
-            ddb_indexes=ddb_indexes,
-            read_cache=read_cache,
+            ddb_indexes=settings.ddb_indexes,
+            read_cache=settings.read_cache,
         )
         #: The one *routing handle* over the shard layout (and backend
         #: placement) of the provenance domain — shared by every store,
         #: commit daemon and query engine of this cloud, so a live
         #: migration redirects all of them simultaneously, epoch by epoch.
-        self.routing = as_handle(router)
-        self.concurrency = concurrency
-        self.planner = planner
-        self.write_batch = write_batch
+        self.routing = fresh_handle(settings.shards, placement=settings.placement)
         #: The client hosts by name (``client-0``, ``client-1``, …).
         self.clients: dict[str, Client] = {}
-        self._store_kwargs = store_kwargs
         #: Every step :meth:`apply` ran, in order — ready for
         #: :func:`repro.schedule.dumps` and :meth:`replay`.
         self.schedule: list[Step] = []
@@ -186,8 +145,9 @@ class Cloud:
         the client (an A3 client logs to its own WAL queue, named after
         it) and owning its fault plan."""
         store = make_architecture(
-            self.architecture, self.account, router=self.routing,
-            write_batch=self.write_batch, client_id=name, **self._store_kwargs,
+            self.architecture, self.account, router=self.routing, client_id=name,
+            write_batch=self.deployment.write_batch,
+            commit_threshold=self.deployment.commit_threshold,
         )
         self.clients[name] = client = Client(name, store)
         return client
@@ -268,14 +228,14 @@ class Cloud:
         An architecture without a provenance domain (A1) is answered by
         scanning object metadata. The indexed engine shares the cloud's
         routing handle, so queries scatter-gather across exactly the
-        domains the stores wrote, their waves modeled
-        ``self.concurrency`` streams wide, planned by ``self.planner``.
+        domains the stores wrote, their waves modeled and planned as the
+        deployment's ``concurrency`` and ``planner`` say.
         """
         if not self.store_class.has_provenance_domain:
             return S3ScanEngine(self.account)
         return SimpleDBEngine(
             self.account, router=self.routing,
-            concurrency=self.concurrency, planner=self.planner,
+            concurrency=self.deployment.concurrency, planner=self.deployment.planner,
         )
 
     def start_migration(
@@ -333,8 +293,8 @@ class Simulation(Cloud):
         pump_every: int = 25,
         **knobs,
     ):
-        """The ``knobs`` (and store constructor arguments such as
-        ``commit_threshold``) are :class:`Cloud`'s. ``pump_every`` is how
+        """The ``knobs`` (``deployment=`` or its fields) are
+        :class:`Cloud`'s. ``pump_every`` is how
         many stores pass between drains of the A3 commit daemon. The
         store arms its own crash points (``sim.store.faults``; a
         schedule's ``crash`` step arms them)."""

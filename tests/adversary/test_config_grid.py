@@ -1,13 +1,15 @@
 """The configuration grid: every deployment the knobs can build answers
 exactly what the paper's default deployment answers.
 
-Each knob (architecture, shard layout, DynamoDB indexes, modeled wave
-width, group-commit width, read cache, planner) is set by its
-constructor argument and nowhere else, so a knob's safety net is this
-one table instead of a full-suite pass per knob value. :data:`CELLS`
-covers every *pair* of knob values (``test_the_cells_cover_every_pair``)
-and contains each knob-variant configuration CI used to re-run the whole
-suite under (:data:`FORMER_CI_ROWS`).
+A cell is an architecture plus a :class:`~repro.deployment.Deployment`
+(shard layout, DynamoDB indexes, modeled wave width, group-commit
+width, read cache, planner, commit threshold) — the one value a cloud's
+settings are built from — so a setting's safety net is this one table
+instead of a full-suite pass per value. :data:`CELLS` covers every
+*pair* of values of the architecture and of every ``Deployment`` field
+(``test_the_cells_cover_every_pair``) and contains each knob-variant
+configuration CI used to re-run the whole suite under
+(:data:`FORMER_CI_ROWS`).
 
 Every cell, with the spend sanitizer on, is a differential against one
 default-configuration reference run of the same seeded workload
@@ -36,12 +38,14 @@ default-configuration reference run of the same seeded workload
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import NamedTuple
 
 import pytest
 
 from repro.core.base import DATA_BUCKET
+from repro.deployment import Deployment
 from repro.devtools import sanitize
 from repro.migration import parse_migration_spec
 from repro.passlib.capture import PassSystem
@@ -60,44 +64,34 @@ COMPOSITE = "name/nonce+*,type/nonce,name,input"
 
 class Cell(NamedTuple):
     arch: str
-    shards: int
-    placement: str
-    ddb_indexes: str
-    concurrency: int
-    write_batch: int
-    read_cache: str
-    planner: str
+    deployment: Deployment
     migrate: str             # target layout, ``repro demo --migrate`` grammar
     crash: str | None        # A3 client fault point (step 5)
-
-    def knobs(self) -> dict:
-        return dict(
-            shards=self.shards, placement=self.placement,
-            ddb_indexes=self.ddb_indexes, concurrency=self.concurrency,
-            write_batch=self.write_batch, read_cache=self.read_cache,
-            planner=self.planner,
-        )
 
 
 #: The grid. Its first seven rows are the former CI knob-variant passes
 #: (architecture and shard count chosen freely); the rest complete the
-#: pairwise cover.
+#: pairwise cover. Deployment columns: shards, placement, ddb_indexes,
+#: concurrency, write_batch, read_cache, planner.
 CELLS = (
-    Cell("A2", 4, "sdb", "", 4, 1, "off", "off", "shards=2", None),
-    Cell("A3", 4, "mixed", "", 4, 1, "off", "off", "shards=2", "a3.log.begin"),
-    Cell("A2", 3, "ddb", "name,input", 4, 1, "off", "off", "shards=4,placement=mixed", None),
-    Cell("A2", 4, "mixed", "name,input", 4, 1, "off", "off", "placement=ddb", None),
-    Cell("A2", 1, "sdb", "", 1, 8, "off", "off", "shards=3", None),
-    Cell("A3", 1, "sdb", "", 4, 1, "on", "off", "shards=4", "a3.log.after_begin_record"),
-    Cell("A3", 3, "ddb", COMPOSITE, 4, 1, "off", "cost", "shards=2", "a3.log.after_temp_put"),
-    Cell("A3", 4, "sdb", "name,input", 1, 8, "on", "cost", "shards=2,placement=mixed",
-         "a3.log.after_record"),
-    Cell("A2", 4, "mixed", COMPOSITE, 1, 8, "on", "cost", "shards=3", None),
-    Cell("A2", 3, "ddb", "", 1, 8, "on", "cost", "shards=1,placement=sdb", None),
-    Cell("A3", 1, "sdb", COMPOSITE, 4, 8, "off", "off", "shards=2,placement=ddb",
+    Cell("A2", Deployment(4, "sdb", "", 4, 1, "off", "off"), "shards=2", None),
+    Cell("A3", Deployment(4, "mixed", "", 4, 1, "off", "off"), "shards=2", "a3.log.begin"),
+    Cell("A2", Deployment(3, "ddb", "name,input", 4, 1, "off", "off"),
+         "shards=4,placement=mixed", None),
+    Cell("A2", Deployment(4, "mixed", "name,input", 4, 1, "off", "off"), "placement=ddb", None),
+    Cell("A2", Deployment(1, "sdb", "", 1, 8, "off", "off"), "shards=3", None),
+    Cell("A3", Deployment(1, "sdb", "", 4, 1, "on", "off"), "shards=4",
+         "a3.log.after_begin_record"),
+    Cell("A3", Deployment(3, "ddb", COMPOSITE, 4, 1, "off", "cost"), "shards=2",
+         "a3.log.after_temp_put"),
+    Cell("A3", Deployment(4, "sdb", "name,input", 1, 8, "on", "cost"),
+         "shards=2,placement=mixed", "a3.log.after_record"),
+    Cell("A2", Deployment(4, "mixed", COMPOSITE, 1, 8, "on", "cost"), "shards=3", None),
+    Cell("A2", Deployment(3, "ddb", "", 1, 8, "on", "cost"), "shards=1,placement=sdb", None),
+    Cell("A3", Deployment(1, "sdb", COMPOSITE, 4, 8, "off", "off"), "shards=2,placement=ddb",
          "a3.log.before_commit"),
-    Cell("A2", 1, "sdb", "name,input", 1, 1, "off", "cost", "placement=ddb", None),
-    Cell("A3", 4, "sdb", COMPOSITE, 1, 1, "on", "off", "shards=2,placement=mixed",
+    Cell("A2", Deployment(1, "sdb", "name,input", 1, 1, "off", "cost"), "placement=ddb", None),
+    Cell("A3", Deployment(4, "sdb", COMPOSITE, 1, 1, "on", "off"), "shards=2,placement=mixed",
          "a3.log.done"),
 )
 
@@ -115,22 +109,27 @@ FORMER_CI_ROWS = (
     dict(concurrency=4, placement="ddb", ddb_indexes=COMPOSITE, planner="cost"),
 )
 
-#: The values each knob takes across the grid.
+#: The values each axis takes across the grid: the architecture and
+#: every :class:`Deployment` field (as the deployment holds it), with
+#: ``shards`` and ``placement`` varying together as the layout.
 AXES = {
     "arch": ("A2", "A3"),
     "layout": ((1, "sdb"), (4, "sdb"), (4, "mixed"), (3, "ddb")),
     "ddb_indexes": ("", "name,input", COMPOSITE),
     "concurrency": (1, 4),
     "write_batch": (1, 8),
-    "read_cache": ("off", "on"),
+    "read_cache": ("", "on"),
     "planner": ("off", "cost"),
+    "commit_threshold": (10,),
 }
 
 
 def axis_values(cell: Cell) -> dict:
-    values = cell._asdict()
-    values["layout"] = (cell.shards, cell.placement)
-    return {axis: values[axis] for axis in AXES}
+    values = {"arch": cell.arch}
+    for spec in dataclasses.fields(Deployment):
+        values[spec.name] = getattr(cell.deployment, spec.name)
+    values["layout"] = (values.pop("shards"), values.pop("placement"))
+    return values
 
 
 #: Events stored per migration step.
@@ -142,7 +141,7 @@ def run(cell: Cell) -> tuple[Simulation, dict, list]:
     observations and every query measurement taken."""
     sim = Simulation(
         ARCHITECTURES[cell.arch], seed=GRID_SEED, consistency=GRID_CONSISTENCY,
-        **cell.knobs(),
+        deployment=cell.deployment,
     )
     half = len(GRID_EVENTS) // 2
     sim.store_events(GRID_EVENTS[:half], collect=False)
@@ -180,7 +179,12 @@ def crash_one_client(sim: Simulation, point: str) -> bool:
 
 
 @pytest.mark.parametrize(
-    "cell", CELLS, ids=[f"{i:02d}-{c.arch}-{c.shards}{c.placement}" for i, c in enumerate(CELLS)]
+    "cell",
+    CELLS,
+    ids=[
+        f"{i:02d}-{c.arch}-{c.deployment.shards}{c.deployment.placement}"
+        for i, c in enumerate(CELLS)
+    ],
 )
 def test_cell_matches_the_default_deployment(cell, monkeypatch):
     monkeypatch.setattr(sanitize, "ACTIVE", True)
@@ -196,11 +200,11 @@ def test_cell_matches_the_default_deployment(cell, monkeypatch):
     assert all(account.sqs.exact_message_count(url) == 0 for url in account.sqs.list_queues())
     for measurement in measured:
         assert sum(ops for _, ops, _ in measurement.per_shard) == measurement.operations
-        if cell.concurrency == 1:
+        if cell.deployment.concurrency == 1:
             assert measurement.latency == measurement.sequential_latency
         else:
             assert measurement.latency <= measurement.sequential_latency
-    if cell.concurrency > 1:
+    if cell.deployment.concurrency > 1:
         wave = sim.query_engine().q1_all()  # one wave, one stream per shard
         assert len(wave.per_shard) > 1
         assert wave.latency < wave.sequential_latency
@@ -213,25 +217,26 @@ def test_cell_matches_the_default_deployment(cell, monkeypatch):
 
 
 def test_the_cells_cover_every_pair():
+    # Every Deployment field is an axis, so a field added later cannot
+    # escape the cover.
+    assert all(set(axis_values(cell)) == set(AXES) for cell in CELLS)
     covered = {
-        pair
+        frozenset(pair)
         for cell in CELLS
         for pair in itertools.combinations(axis_values(cell).items(), 2)
     }
     for (a, a_values), (b, b_values) in itertools.combinations(AXES.items(), 2):
         for pair in itertools.product(a_values, b_values):
-            assert ((a, pair[0]), (b, pair[1])) in covered, (a, b, pair)
+            assert frozenset({(a, pair[0]), (b, pair[1])}) in covered, (a, b, pair)
     assert len(CELLS) <= 14
 
 
 def test_the_cells_contain_every_former_ci_row():
-    defaults = dict(placement="sdb", ddb_indexes="", concurrency=1, write_batch=1,
-                    read_cache="off", planner="off")
-    projections = [{knob: getattr(cell, knob) for knob in defaults} for cell in CELLS]
+    # The former rows left the shard count free.
+    deployments = [dataclasses.replace(cell.deployment, shards=1) for cell in CELLS]
     for row in FORMER_CI_ROWS:
-        wanted = {**defaults, **row}
-        wanted.pop("sanitize", None)
-        assert wanted in projections, row
+        knobs = {knob: value for knob, value in row.items() if knob != "sanitize"}
+        assert Deployment(**knobs) in deployments, row
 
 
 def test_the_a3_cells_crash_at_every_client_fault_point():

@@ -253,7 +253,7 @@ def test_one_enumeration_serves_first_fit_candidates_and_execution(
     )
     assert first_fit.index == expected_spec
     attribute_names = None if wanted is None else sorted(wanted)
-    assert list(backend.query_pages("t", expression, "", False, attribute_names)) == []
+    assert list(backend.query_pages("t", expression, attribute_names)) == []
     assert counters() == expected_counters
 
     # The other two readers of the declarations: version_history's

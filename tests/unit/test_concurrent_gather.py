@@ -237,14 +237,12 @@ class TestKnobs:
         with pytest.raises(ValueError, match="concurrency must be an integer >= 1"):
             SimpleDBEngine(strong_account, concurrency=malformed)
 
-    def test_fractional_width_fails_before_any_query(self, trace):
+    def test_fractional_width_fails_before_any_query(self):
         """A fractional width used to build fine and then raise a
-        ``TypeError`` inside ``makespan`` on the first scatter query."""
-        sim = Simulation(architecture="s3+simpledb", seed=7, shards=4,
-                         concurrency=2.5)
-        sim.store_events(trace, collect=False)
+        ``TypeError`` inside ``makespan`` on the first scatter query; it
+        now fails where the deployment is built."""
         with pytest.raises(ValueError, match=r"concurrency.*2\.5"):
-            sim.query_engine()
+            Simulation(architecture="s3+simpledb", seed=7, shards=4, concurrency=2.5)
 
     def test_simulation_passes_concurrency_through(self, trace):
         sim = Simulation(architecture="s3+simpledb", seed=7, shards=2,

@@ -271,7 +271,7 @@ class TestBackendAdapterReads:
             "t", "out/a.dat_v0001", [("type", "file"), ("name", "a.dat")]
         )
         expression = "['type' = 'process'] intersection ['name' = 'blast']"
-        matches = list(adapter.query_pages("t", expression, "", False, ["type"]))
+        matches = list(adapter.query_pages("t", expression, ["type"]))
         assert matches == [("proc/blast.1_v0001", {"type": ("process",)})]
 
     def test_enumerate_items_uses_scan_not_per_item_gets(self, account):

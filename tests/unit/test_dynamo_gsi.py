@@ -224,7 +224,7 @@ class TestAdapterPlanning:
         adapter.put_provenance_item("p", "hit", [("k", "a"), ("t", "file")])
         adapter.put_provenance_item("p", "miss", [("k", "z"), ("t", "file")])
         before = account.meter.snapshot()
-        rows = list(adapter.query_pages("p", "['k' = 'a']", "", False, ["t"]))
+        rows = list(adapter.query_pages("p", "['k' = 'a']", ["t"]))
         spent = account.meter.snapshot() - before
         assert rows == [("hit", {"t": ("file",)})]
         assert adapter.gsi_queries == 1
@@ -235,7 +235,7 @@ class TestAdapterPlanning:
         adapter = self.make_adapter(account)
         adapter.put_provenance_item("p", "multi", [("k", "a"), ("k", "b")])
         rows = list(
-            adapter.query_pages("p", "['k' = 'a' or 'k' = 'b']", "", False, ["t"])
+            adapter.query_pages("p", "['k' = 'a' or 'k' = 'b']", ["t"])
         )
         assert [name for name, _ in rows] == ["multi"]
         assert adapter.gsi_queries == 1
@@ -245,7 +245,7 @@ class TestAdapterPlanning:
         cannot promise that, so the adapter scans."""
         adapter = self.make_adapter(account)
         adapter.put_provenance_item("p", "item", [("k", "a"), ("x", "1")])
-        rows = list(adapter.query_pages("p", "['k' = 'a']", "", False, None))
+        rows = list(adapter.query_pages("p", "['k' = 'a']", None))
         assert rows == [("item", {"k": ("a",), "x": ("1",)})]
         assert adapter.gsi_queries == 0 and adapter.scan_fallbacks == 1
 
@@ -254,7 +254,7 @@ class TestAdapterPlanning:
         adapter.put_provenance_item("p", "item", [("k", "abc")])
         before = account.meter.snapshot()
         rows = list(
-            adapter.query_pages("p", "['k' starts-with 'ab']", "", False, ["k"])
+            adapter.query_pages("p", "['k' starts-with 'ab']", ["k"])
         )
         spent = account.meter.snapshot() - before
         assert [name for name, _ in rows] == ["item"]
@@ -264,7 +264,7 @@ class TestAdapterPlanning:
     def test_projection_gap_falls_back_to_scan(self, account):
         adapter = self.make_adapter(account)
         adapter.put_provenance_item("p", "item", [("k", "a"), ("x", "1")])
-        rows = list(adapter.query_pages("p", "['k' = 'a']", "", False, ["x"]))
+        rows = list(adapter.query_pages("p", "['k' = 'a']", ["x"]))
         assert rows == [("item", {"x": ("1",)})]
         assert adapter.gsi_queries == 0 and adapter.scan_fallbacks == 1
 
@@ -274,7 +274,7 @@ class TestAdapterPlanning:
         adapter.put_provenance_item("p", "bad", [("k", "a"), ("t", "proc")])
         rows = list(
             adapter.query_pages(
-                "p", "['k' = 'a'] intersection ['t' = 'file']", "", False, ["t"]
+                "p", "['k' = 'a'] intersection ['t' = 'file']", ["t"]
             )
         )
         assert [name for name, _ in rows] == ["good"]
@@ -307,8 +307,6 @@ class TestAdapterPlanning:
             adapter.query_pages(
                 "p",
                 "['k' = 'a' or 'k' = 'b'] intersection ['t' = 'file']",
-                "",
-                False,
                 ["t"],
             )
         )
@@ -327,8 +325,8 @@ class TestAdapterPlanning:
             indexed.put_provenance_item("p", *item)
             plain.put_provenance_item("q", *item)
         expression = "['k' = 'a']"
-        assert list(indexed.query_pages("p", expression, "", False, ["t"])) == list(
-            plain.query_pages("q", expression, "", False, ["t"])
+        assert list(indexed.query_pages("p", expression, ["t"])) == list(
+            plain.query_pages("q", expression, ["t"])
         )
         assert indexed.gsi_queries == 1
         assert plain.gsi_queries == 0 and plain.scan_fallbacks == 0
@@ -356,12 +354,12 @@ class TestStalenessBound:
         assert account.dynamodb.index_pending_writes("p", "gsi-k") > 0
         account.clock.advance(1.0)  # lag now exceeds the 0.5 s bound
         assert account.dynamodb.index_lag_seconds("p", "gsi-k") > 0.5
-        rows = list(adapter.query_pages("p", "['k' = 'a']", "", False, ["t"]))
+        rows = list(adapter.query_pages("p", "['k' = 'a']", ["t"]))
         assert [name for name, _ in rows] == ["item"]  # scan still answers
         assert adapter.stale_index_fallbacks == 1 and adapter.gsi_queries == 0
         account.quiesce()
         assert account.dynamodb.index_lag_seconds("p", "gsi-k") == 0.0
-        list(adapter.query_pages("p", "['k' = 'a']", "", False, ["t"]))
+        list(adapter.query_pages("p", "['k' = 'a']", ["t"]))
         assert adapter.gsi_queries == 1
 
     def test_steady_write_stream_does_not_inflate_lag(self):

@@ -1,4 +1,4 @@
-"""Unit tests for engine extras: SELECT mode, version history, retries."""
+"""Unit tests for engine extras: version history, retries."""
 
 import pytest
 
@@ -6,53 +6,7 @@ from repro.core.base import RetryPolicy, ReadResult
 from repro.errors import NoSuchKey, ReadCorrectnessViolation
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import Attr, ObjectRef
-from repro.query.engine import SimpleDBEngine
 from tests.conftest import make_architecture
-
-
-def blast_trace(n=4):
-    pas = PassSystem(workload="extras")
-    pas.stage_input("db/ref", b"reference")
-    for i in range(n):
-        with pas.process("blast", argv=f"-q {i}") as proc:
-            proc.read("db/ref")
-            proc.write(f"out/{i}.hits", f"h{i}".encode())
-            proc.close(f"out/{i}.hits")
-    return pas.drain_flushes()
-
-
-class TestSelectModeEngine:
-    # SELECT is a SimpleDB wire language; the store and the engines stay
-    # pinned to the sdb placement.
-    @pytest.fixture
-    def sdb_router(self):
-        from repro.sharding import ShardRouter
-
-        return ShardRouter(1, placement="sdb")
-
-    @pytest.fixture
-    def loaded(self, strong_account, sdb_router):
-        store = make_architecture(
-            "s3+simpledb", strong_account, router=sdb_router
-        )
-        store.store_trace(blast_trace())
-        return strong_account
-
-    def test_select_mode_matches_query_mode(self, loaded, sdb_router):
-        bracket = SimpleDBEngine(loaded, router=sdb_router)
-        select = SimpleDBEngine(loaded, select_mode=True, router=sdb_router)
-        assert set(select.q2_outputs_of("blast").refs) == set(
-            bracket.q2_outputs_of("blast").refs
-        )
-        assert set(select.q3_descendants_of("blast").refs) == set(
-            bracket.q3_descendants_of("blast").refs
-        )
-
-    def test_select_mode_uses_select_requests(self, loaded, sdb_router):
-        engine = SimpleDBEngine(loaded, select_mode=True, router=sdb_router)
-        measurement = engine.q2_outputs_of("blast")
-        assert measurement.usage.request_count("simpledb", "Select") >= 2
-        assert measurement.usage.request_count("simpledb", "QueryWithAttributes") == 0
 
 
 class TestVersionHistory:

@@ -35,8 +35,9 @@ def test_spec_parse_capacity_and_project_all():
     spec, = parse_index_specs("name@7")
     assert (spec.wcu, spec.rcu) == (7, None)
     assert spec.include == ("type",)  # default projection preserved
-    with pytest.raises(ValueError):
-        parse_index_specs("name@fast")
+    for malformed in ("name@fast", "name@0", "name@-3", "name@5:0"):
+        with pytest.raises(ValueError, match="bad DynamoDB index capacity"):
+            parse_index_specs(malformed)
     # covers(): an ALL projection answers anything, others their set.
     assert parse_index_specs("type+*")[0].covers({"name", "input", "md5"})
     assert not parse_index_specs("name")[0].covers({"input"})

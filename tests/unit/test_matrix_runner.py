@@ -17,6 +17,7 @@ import pytest
 from repro.bench import MatrixCell, WorkloadSpec, run_matrix
 from repro.bench.matrix import quick_cells, quick_workloads, summarize
 from repro.cli import main
+from repro.deployment import Deployment
 from repro.workloads import BlastWorkload, ZipfianFleetWorkload
 
 
@@ -101,7 +102,7 @@ def test_markdown_report_renders_every_cell():
 
 def test_zipfian_hit_rate_far_exceeds_uniform():
     """The acceptance headline: skew is what pays for the cache."""
-    cells = [MatrixCell(key="cache", shards=2, read_cache="on")]
+    cells = [MatrixCell("cache", deployment=Deployment(shards=2, read_cache="on"))]
     workloads = [
         WorkloadSpec(
             key="zipfian",

@@ -1,9 +1,9 @@
 """One cloud, declared once: ``Simulation`` and ``ClientFleet`` are the
 same :class:`~repro.sim.Cloud` at one client and at N.
 
-The knobs meet in the shared base, so both drivers must hand out the
-same engines for the same knobs, reject the same bad input with the
-same words, and inherit — not re-implement — the engine hand-out, the
+The knobs meet in the shared base as one ``Deployment``, so both
+drivers must hand out the same engines for the same knobs, reject the
+same bad input with the same words where it is passed, and inherit — not re-implement — the engine hand-out, the
 migration bootstrap and the settle loop.
 """
 
@@ -72,6 +72,29 @@ def test_s3_has_no_write_path_to_batch(build):
         build(write_batch=8)
     # None — the default width — stays fine on s3.
     assert build(write_batch=None).query_engine().q1_all().result_count == 0
+
+
+#: A malformed value of each setting, and the field its error names.
+MALFORMED = [
+    ("planner", "bogus"),
+    ("concurrency", 0),
+    ("concurrency", True),
+    ("ddb_indexes", "+"),
+    ("shards", 2.5),
+    ("shards", "4"),
+    ("shards", True),
+]
+
+
+@pytest.mark.parametrize("architecture", sorted(ARCHITECTURES))
+@pytest.mark.parametrize(
+    "build", [Simulation, lambda *args, **kw: ClientFleet(2, *args, **kw)],
+    ids=["simulation", "fleet"],
+)
+@pytest.mark.parametrize("field,value", MALFORMED, ids=[f"{f}={v!r}" for f, v in MALFORMED])
+def test_a_malformed_setting_fails_where_it_is_passed(architecture, build, field, value):
+    with pytest.raises(ValueError, match=field):
+        build(architecture, **{field: value})
 
 
 def test_matrix_cells_name_the_architectures_they_support():

@@ -184,18 +184,16 @@ class TestQuoteEscaping:
         store.store_trace(self.quoted_trace())
         return strong_account
 
-    @pytest.mark.parametrize("select_mode", [False, True])
-    def test_q2_with_apostrophes(self, loaded, select_mode):
-        engine = SimpleDBEngine(loaded, select_mode=select_mode)
+    def test_q2_with_apostrophes(self, loaded):
+        engine = SimpleDBEngine(loaded)
         measurement = engine.q2_outputs_of("o'brien")
         assert {ref.path for ref in measurement.refs} == {"out/o'brien result.dat"}
 
-    @pytest.mark.parametrize("select_mode", [False, True])
-    def test_q3_closure_crosses_quoted_paths(self, loaded, select_mode):
+    def test_q3_closure_crosses_quoted_paths(self, loaded):
         # Phase 2 interpolates the *refs* (paths with apostrophes) into
         # the IN list / disjunction: the closure must still reach the
         # plainly named descendant.
-        engine = SimpleDBEngine(loaded, select_mode=select_mode)
+        engine = SimpleDBEngine(loaded)
         measurement = engine.q3_descendants_of("o'brien")
         assert {ref.path for ref in measurement.refs} == {
             "out/o'brien result.dat",
