@@ -31,8 +31,8 @@
 #                     Simulation(...), what setup_s times): same plan and call
 #                     order as the harness, one warm cycle, then CYCLES
 #                     profiled; json.dumps, bundle_from_item,
-#                     _hash_point (ring hash) and Usage constructions
-#                     per operation, then top 30 by tottime and by
+#                     _hash_point (ring hash), Usage and ObjectRef
+#                     constructions per operation, then top 30 by tottime and by
 #                     cumulative. The profile every perf PR starts
 #                     from (ROADMAP aim 1)
 #   make lint         ruff check over src/tests/benchmarks/examples

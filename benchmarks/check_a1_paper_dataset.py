@@ -1,13 +1,15 @@
 """A1 stores the paper's whole dataset: stream ``paper_dataset()`` (33×)
 through ``Simulation("s3")``, then check that ``linux/vmlinux`` — whose
 ``ld`` bundle is too wide for S3's 2 KB metadata limit — reads back
-exactly as it was stored.
+exactly as it was stored. Prints the seconds it took and the process's
+peak RSS (``ru_maxrss``, KiB on Linux).
 
     PYTHONPATH=src python benchmarks/check_a1_paper_dataset.py
 
 Exit status 1 when the provenance read back differs from the trace's.
 """
 
+import resource
 import sys
 import time
 
@@ -43,8 +45,10 @@ def main() -> int:
         == [records_of(a) for a in expected.ancestors]
     )
     widest = max(len(bundle) for bundle in expected.all_bundles())
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
-        f"{stored} events at {PAPER_SCALE:g}x in {time.perf_counter() - started:.1f} s; "
+        f"{stored} events at {PAPER_SCALE:g}x in {time.perf_counter() - started:.1f} s, "
+        f"peak RSS {peak_mb:.0f} MB; "
         f"{PROBE} {expected.subject.version} ({widest}-record bundle) "
         f"{'round-trips' if ok else 'DIFFERS'}"
     )

@@ -22,10 +22,12 @@ the chosen phase only:
 
 Prints how many operations the profiled calls covered and how many
 ``json.dumps``, ``bundle_from_item`` and ring-hash (``_hash_point``,
-an MD5 in ``repro.sharding``) calls and ``Usage`` constructions (meter
+an MD5 in ``repro.sharding``) calls, ``Usage`` constructions (meter
 snapshots and bills; a query measurement builds its own only when its
-``usage`` is read) each cost — the serialisation, decode, routing and
-metering counts CHANGES.md quotes — then the top 30 functions by
+``usage`` is read) and ``ObjectRef`` constructions (a PASS object
+builds one per version, not per syscall) each cost — the
+serialisation, decode, routing, metering and capture counts CHANGES.md
+quotes — then the top 30 functions by
 ``tottime`` and by ``cumulative``. Profiled seconds are 2–3× the
 harness's: read shares and call counts, not rates.
 """
@@ -157,13 +159,15 @@ def main(argv: list[str] | None = None) -> int:
     decodes = _calls(stats, "bundle_from_item", "serializer.py")
     hashes = _calls(stats, "_hash_point", "sharding.py")
     usages = _calls(stats, "usage_init", "profile_phase.py")
+    refs = _calls(stats, "__new__", "records.py")
     print(
         f"{spec.name} seed={args.seed} phase={args.phase}: profiled {args.cycles} cycles, "
         f"{operations} {units}, {stats.total_tt:.2f} s under the profiler; "
         f"json.dumps {dumps} calls = {dumps / per_op:.1f} per {unit}; "
         f"bundle_from_item {decodes} calls = {decodes / per_op:.2f} per {unit}; "
         f"_hash_point {hashes} calls = {hashes / per_op:.3g} per {unit}; "
-        f"Usage {usages} built = {usages / per_op:.3g} per {unit}"
+        f"Usage {usages} built = {usages / per_op:.3g} per {unit}; "
+        f"ObjectRef {refs} built = {refs / per_op:.3g} per {unit}"
     )
     stats.strip_dirs()
     for order in ("tottime", "cumulative"):

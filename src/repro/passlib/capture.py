@@ -48,7 +48,9 @@ class PassSystem:
         self.versions = VersionManager()
         self.workload = workload
         self._files: dict[str, PassObject] = {}
-        self._pipes: dict[str, PassObject] = {}
+        #: Transient objects (processes, pipes) that have performed IO,
+        #: by object name: the owners a flush finds transient ancestors in.
+        self._transients: dict[str, PassObject] = {}
         self._pids = itertools.count(1000)
         self._pipe_ids = itertools.count(1)
         self._flush_queue: list[FlushEvent] = []
@@ -167,16 +169,14 @@ class PassSystem:
         for obj in self._files.values():
             freed += len(obj.history)
             obj.history.clear()
-        for registry in (self._transients, self._pipes):
-            for obj in registry.values():
-                persisted_versions = [
-                    version
-                    for version in obj.history
-                    if ObjectRef(obj.name, version) in self._persisted
-                ]
-                for version in persisted_versions:
-                    del obj.history[version]
-                    freed += 1
+        for obj in self._transients.values():
+            kept = {
+                version: records
+                for version, records in obj.history.items()
+                if ObjectRef(obj.name, version) not in self._persisted
+            }
+            freed += len(obj.history) - len(kept)
+            obj.history = kept
         return freed
 
     # -- internals ------------------------------------------------------------------------
@@ -195,7 +195,7 @@ class PassSystem:
 
     def _ensure_descriptors(self, obj: PassObject) -> None:
         """Descriptor records after a version bump (type/name again)."""
-        if not any(r.attribute == Attr.TYPE for r in obj.pending):
+        if not obj._typed:
             self._describe(obj)
 
     def _flush(self, obj: PassObject, blob: Blob) -> FlushEvent:
@@ -228,7 +228,7 @@ class PassSystem:
             if ref in seen or ref in self._persisted:
                 return
             seen.add(ref)
-            owner = self._transient_owner(ref)
+            owner = self._transients.get(ref.name)
             if owner is None:
                 return  # persistent object: flushed via its own close
             if owner.version == ref.version:
@@ -246,30 +246,8 @@ class PassSystem:
             walk(ref)
         return collected
 
-    def _transient_owner(self, ref: ObjectRef) -> PassObject | None:
-        if ref.name.startswith("proc/") or ref.name.startswith("pipe/"):
-            owner = self._pipes.get(ref.name)
-            if owner is not None:
-                return owner
-            # Processes are tracked by their handles; find by name via the
-            # registry maintained when handles perform IO.
-            return self._transients.get(ref.name)
-        return None
-
-    # Registry of transient objects that have participated in IO.
-    @property
-    def _transients(self) -> dict[str, PassObject]:
-        registry = getattr(self, "_transient_registry", None)
-        if registry is None:
-            registry = {}
-            self._transient_registry = registry
-        return registry
-
     def register_transient(self, obj: PassObject) -> None:
-        if obj.kind == Kind.PIPE:
-            self._pipes[obj.name] = obj
-        else:
-            self._transients[obj.name] = obj
+        self._transients[obj.name] = obj
 
 
 class ProcessHandle:

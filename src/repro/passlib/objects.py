@@ -5,7 +5,10 @@ tracks per-version provenance. Persistent objects (files) are related to
 one another through transient objects (processes, pipes), so transient
 objects carry provenance too (§2.4).
 
-A :class:`PassObject` accumulates records for its *current* version;
+A :class:`PassObject` accumulates records for its *current* version,
+and keeps what every syscall asks of that version — its reference, its
+input refs, whether it carries a ``type`` record — beside the records,
+so no syscall rescans them;
 :mod:`repro.passlib.versioning` decides when a new version must be cut
 to preserve causality, and :mod:`repro.passlib.capture` snapshots the
 accumulated records into immutable bundles at flush time.
@@ -58,18 +61,31 @@ class PassObject:
     def __post_init__(self) -> None:
         if self.kind not in Kind.ALL:
             raise ValueError(f"unknown object kind {self.kind!r}")
+        self._derive_current()
+
+    def _derive_current(self) -> None:
+        """Derive the current version's state from ``version`` and
+        ``pending``; :meth:`add` keeps it up to date from then on."""
+        self._ref = ObjectRef(self.name, self.version)
+        self._inputs = {r.value for r in self.pending if r.attribute == Attr.INPUT}
+        #: The current version carries a ``type`` record (its descriptors).
+        self._typed = any(r.attribute == Attr.TYPE for r in self.pending)
 
     @property
     def ref(self) -> ObjectRef:
         """Reference to the current version."""
-        return ObjectRef(self.name, self.version)
+        return self._ref
 
     # -- record accumulation ---------------------------------------------
 
     def add(self, attribute: str, value: "str | ObjectRef") -> ProvenanceRecord:
         """Attach a record to the current version."""
-        record = ProvenanceRecord(self.ref, attribute, value)
+        record = ProvenanceRecord(self._ref, attribute, value)
         self.pending.append(record)
+        if attribute == Attr.INPUT:
+            self._inputs.add(value)
+        elif attribute == Attr.TYPE:
+            self._typed = True
         return record
 
     def add_input(self, ancestor: ObjectRef) -> ProvenanceRecord:
@@ -77,10 +93,7 @@ class PassObject:
 
     def has_input(self, ancestor: ObjectRef) -> bool:
         """True if the current version already depends on ``ancestor``."""
-        return any(
-            record.attribute == Attr.INPUT and record.value == ancestor
-            for record in self.pending
-        )
+        return ancestor in self._inputs
 
     # -- versioning ---------------------------------------------------------
 
@@ -96,13 +109,14 @@ class PassObject:
         ``prev_version -> old ref``, the ancestry edge PASS uses to chain
         versions of the same object.
         """
-        previous = self.ref
+        previous = self._ref
         self.history[self.version] = tuple(self.pending)
         self.version += 1
         self.frozen = False
         self.pending = []
+        self._derive_current()
         self.add(Attr.VERSION_OF, previous)
-        return self.ref
+        return self._ref
 
     # -- flushing -------------------------------------------------------------
 
@@ -114,7 +128,7 @@ class PassObject:
         object has since moved on to a newer version).
         """
         if version is None or version == self.version:
-            subject, records = self.ref, tuple(self.pending)
+            subject, records = self._ref, tuple(self.pending)
         else:
             try:
                 records = self.history[version]

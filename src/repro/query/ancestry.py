@@ -57,23 +57,31 @@ class AncestryWalker:
     # -- traversal ------------------------------------------------------------
 
     def parents(self, ref: ObjectRef) -> list[ObjectRef]:
-        bundle = self._bundles.get(ref)
-        return sorted(bundle.inputs()) if bundle else []
+        return sorted(self._inputs_of(ref))
 
     def children(self, ref: ObjectRef) -> list[ObjectRef]:
-        return sorted(self._children.get(ref, ()))
+        return sorted(self._dependents_of(ref))
 
     def ancestors(self, ref: ObjectRef) -> set[ObjectRef]:
         """Transitive inputs of ``ref`` (excluding ``ref`` itself)."""
-        return self._closure(ref, self.parents)
+        return self._closure((ref,), self._inputs_of)
 
     def descendants(self, ref: ObjectRef) -> set[ObjectRef]:
         """Transitive dependents of ``ref`` (excluding ``ref`` itself)."""
-        return self._closure(ref, self.children)
+        return self._closure((ref,), self._dependents_of)
 
-    def _closure(self, ref: ObjectRef, step) -> set[ObjectRef]:
+    def _inputs_of(self, ref: ObjectRef) -> Iterable[ObjectRef]:
+        bundle = self._bundles.get(ref)
+        return bundle.inputs() if bundle else ()
+
+    def _dependents_of(self, ref: ObjectRef) -> Iterable[ObjectRef]:
+        return self._children.get(ref, ())
+
+    def _closure(self, refs: Iterable[ObjectRef], step) -> set[ObjectRef]:
+        """Nodes one or more ``step``s from any of ``refs``, walked in
+        whatever order ``step`` yields them (the result is a set)."""
         seen: set[ObjectRef] = set()
-        frontier = list(step(ref))
+        frontier = [node for ref in refs for node in step(ref)]
         while frontier:
             node = frontier.pop()
             if node in seen:
@@ -98,11 +106,10 @@ class AncestryWalker:
         """Q3 oracle: Q2's files plus every file downstream of them."""
         seeds = self.outputs_of(program)
         results = set(seeds)
-        for seed in seeds:
-            for node in self.descendants(seed):
-                bundle = self._bundles.get(node)
-                if bundle is not None and bundle.kind == "file":
-                    results.add(node)
+        for node in self._closure(seeds, self._dependents_of):
+            bundle = self._bundles.get(node)
+            if bundle is not None and bundle.kind == "file":
+                results.add(node)
         return results
 
     def is_causally_closed(self, visible: set[ObjectRef]) -> bool:

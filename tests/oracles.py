@@ -42,7 +42,7 @@ from repro.aws.sdb_query import (
 from repro.core.base import temp_key
 from repro.core.wal import MESSAGE_BUDGET
 from repro.passlib.capture import PassSystem
-from repro.passlib.records import FlushEvent, ProvenanceRecord
+from repro.passlib.records import Attr, FlushEvent, ProvenanceRecord
 from repro.passlib.serializer import (
     POINTER_PREFIX,
     SPILL_THRESHOLD,
@@ -508,6 +508,43 @@ def reference_domain_for(path: str, shards: int, vnodes: int = 384) -> str:
     positions, domains = _reference_ring(shards, vnodes)
     index = bisect.bisect_right(positions, _reference_point(path))
     return domains[index % len(domains)]
+
+
+def reference_has_input(obj, ancestor) -> bool:
+    """``PassObject.has_input`` as a scan of the current version's
+    records for an ``input`` record naming ``ancestor``."""
+    return any(
+        record.attribute == Attr.INPUT and record.value == ancestor
+        for record in obj.pending
+    )
+
+
+def reference_is_described(obj) -> bool:
+    """What ``PassSystem._ensure_descriptors`` asks of an object: does
+    its current version hold a ``type`` record? (A scan.)"""
+    return any(record.attribute == Attr.TYPE for record in obj.pending)
+
+
+def reference_descendants_of_outputs(walker, program: str) -> set:
+    """``AncestryWalker.descendants_of_outputs`` as one closure per Q2
+    seed over the sorted ``children`` lists, every file reached added
+    to the seeds."""
+    seeds = walker.outputs_of(program)
+    results = set(seeds)
+    for seed in seeds:
+        seen: set = set()
+        frontier = list(walker.children(seed))
+        while frontier:
+            node = frontier.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            frontier.extend(walker.children(node))
+        for node in seen:
+            bundle = walker.bundle(node)
+            if bundle is not None and bundle.kind == "file":
+                results.add(node)
+    return results
 
 
 # -- the default deployment: what every configuration-grid cell must answer ----
