@@ -20,15 +20,15 @@ against the in-memory ground-truth graph.
 """
 
 from repro.blob import SyntheticBlob
-from repro.graph.provgraph import ProvenanceGraph
 from repro.passlib.capture import PassSystem
+from repro.query.ancestry import AncestryWalker
 from repro.sim import Simulation
 
 FLAWED = "blast-2.2.16"
 FIXED = "blast-2.2.18"
 
 
-def run_campaign(sim: Simulation) -> ProvenanceGraph:
+def run_campaign(sim: Simulation) -> AncestryWalker:
     pas = PassSystem(workload="audit")
     pas.stage_input("db/nr.fasta", SyntheticBlob("nr", 5_000_000))
     for index in range(8):
@@ -51,10 +51,10 @@ def run_campaign(sim: Simulation) -> ProvenanceGraph:
     events = pas.drain_flushes()
     sim.store_events(events)
     print(f"campaign stored: {len(events)} objects")
-    return ProvenanceGraph.from_events(events)
+    return AncestryWalker(b for e in events for b in e.all_bundles())
 
 
-def audit(sim: Simulation, oracle: ProvenanceGraph) -> None:
+def audit(sim: Simulation, oracle: AncestryWalker) -> None:
     engine = sim.query_engine()
 
     direct = engine.q2_outputs_of(FLAWED)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
+from repro.query.ancestry import AncestryWalker
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,9 @@ class WorkflowModel:
         self._program: dict[ObjectRef, str] = {}
         #: process version -> argv string.
         self._argv: dict[ObjectRef, str] = {}
-        #: file version -> direct dependents (files and processes).
-        self._dependents: dict[ObjectRef, set[ObjectRef]] = defaultdict(set)
+        #: Lineage of the process and file bundles (pipes left out): the
+        #: dependents ``fan_out`` counts.
+        self._lineage = AncestryWalker(())
         self.bundles_ingested = 0
 
     # -- construction -------------------------------------------------------
@@ -66,13 +68,14 @@ class WorkflowModel:
         """Fold one stored bundle into the model."""
         self.bundles_ingested += 1
         subject = bundle.subject
+        if bundle.kind in ("process", "file"):
+            self._lineage.add(bundle)
         if bundle.kind == "process":
             names = bundle.attribute_values(Attr.NAME)
             self._program[subject] = names[0] if names else subject.name
             argvs = bundle.attribute_values(Attr.ARGV)
             self._argv[subject] = argvs[0] if argvs else ""
             for parent in bundle.inputs():
-                self._dependents[parent].add(subject)
                 if not parent.name.startswith(("proc/", "pipe/")):
                     self._inputs[subject].add(parent)
                     # A file read by this program: credit a transition
@@ -85,7 +88,6 @@ class WorkflowModel:
                             self.transitions[(source, target)] += 1
         elif bundle.kind == "file":
             for parent in bundle.inputs():
-                self._dependents[parent].add(subject)
                 if parent.name.startswith("proc/"):
                     self._producer[subject] = parent
                     self._outputs[parent].add(subject)
@@ -124,15 +126,7 @@ class WorkflowModel:
 
     def fan_out(self, ref: ObjectRef) -> int:
         """Transitive dependent count (how much is built on this object)."""
-        seen: set[ObjectRef] = set()
-        frontier = [ref]
-        while frontier:
-            node = frontier.pop()
-            for child in self._dependents.get(node, ()):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return len(seen)
+        return len(self._lineage.descendants(ref))
 
     def derivation_signature(self, file_ref: ObjectRef) -> DerivationSignature | None:
         """The computation that produced a file, if known."""

@@ -24,6 +24,7 @@ import json
 from typing import Iterable
 
 from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
+from repro.query.ancestry import AncestryWalker
 
 #: Prefix used for qualified names in the PROV document.
 NAMESPACE = "pass"
@@ -130,16 +131,7 @@ def lineage_dot(
     """
     bundle_map = {bundle.subject: bundle for bundle in bundles}
     if focus is not None:
-        keep: set[ObjectRef] = set()
-        frontier = [focus]
-        while frontier:
-            node = frontier.pop()
-            if node in keep:
-                continue
-            keep.add(node)
-            bundle = bundle_map.get(node)
-            if bundle is not None:
-                frontier.extend(bundle.inputs())
+        keep = AncestryWalker(bundle_map.values()).ancestors(focus) | {focus}
         bundle_map = {ref: b for ref, b in bundle_map.items() if ref in keep}
 
     lines = ["digraph lineage {", "  rankdir=BT;"]

@@ -22,7 +22,6 @@ the capture layer uses — :meth:`on_read` and :meth:`on_write` — plus
 from __future__ import annotations
 
 from repro.passlib.objects import PassObject
-from repro.passlib.records import ObjectRef
 
 
 class VersionManager:
@@ -31,8 +30,6 @@ class VersionManager:
     def __init__(self) -> None:
         self.version_bumps = 0
         self.cycles_avoided = 0
-        #: Version-graph edges (descendant, ancestor) for invariant checks.
-        self.edges: list[tuple[ObjectRef, ObjectRef]] = []
 
     # -- syscall hooks -------------------------------------------------------
 
@@ -52,7 +49,6 @@ class VersionManager:
             self.cycles_avoided += 1
         if not reader.has_input(source.ref):
             reader.add_input(source.ref)
-            self.edges.append((reader.ref, source.ref))
 
     def on_write(self, writer: PassObject, target: PassObject) -> None:
         """``writer`` (a process) wrote ``target`` (file or pipe).
@@ -68,7 +64,6 @@ class VersionManager:
             self._bump(target)
         if not target.has_input(writer.ref):
             target.add_input(writer.ref)
-            self.edges.append((target.ref, writer.ref))
 
     def on_observe(self, obj: PassObject) -> None:
         """An external observer (a flush) captured ``obj``'s current version."""
@@ -77,41 +72,5 @@ class VersionManager:
     # -- internals ---------------------------------------------------------------
 
     def _bump(self, obj: PassObject) -> None:
-        previous = obj.ref
         obj.bump_version()
         self.version_bumps += 1
-        self.edges.append((obj.ref, previous))
-
-    # -- invariant checking (used by tests) -----------------------------------------
-
-    def is_acyclic(self) -> bool:
-        """Check the recorded version graph is a DAG (test oracle)."""
-        children: dict[ObjectRef, list[ObjectRef]] = {}
-        for descendant, ancestor in self.edges:
-            children.setdefault(descendant, []).append(ancestor)
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour: dict[ObjectRef, int] = {}
-
-        def visit(node: ObjectRef) -> bool:
-            colour[node] = GREY
-            for child in children.get(node, ()):
-                state = colour.get(child, WHITE)
-                if state == GREY:
-                    return False
-                if state == WHITE and not visit(child):
-                    return False
-            colour[node] = BLACK
-            return True
-
-        import sys
-
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 10000 + len(self.edges)))
-        try:
-            for descendant, _ in self.edges:
-                if colour.get(descendant, WHITE) == WHITE:
-                    if not visit(descendant):
-                        return False
-            return True
-        finally:
-            sys.setrecursionlimit(old_limit)

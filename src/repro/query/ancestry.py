@@ -1,11 +1,23 @@
-"""Ancestry traversal utilities shared by engines, tests, and examples.
+"""The one in-memory lineage index over provenance bundles.
 
 :class:`AncestryWalker` answers lineage questions over any collection of
 provenance bundles — the in-memory analogue of the queries §5 runs
-against the cloud backends, used as the *ground truth* oracle in tests
-(the cloud engines must return the same sets) and as the building block
-for the examples' audit scenarios (e.g. "which data sets were produced
-by the flawed tool version?").
+against the cloud backends. Edges are the bundles' ``input`` and
+``prev_version`` references; no other module keeps its own copy of the
+graph. Its readers:
+
+* the A1 scan engine (:class:`repro.query.engine.S3ScanEngine`), which
+  answers Q2/Q3 by walking the bundles it scanned;
+* Table 1's causal-ordering and efficient-query checks
+  (:mod:`repro.properties`), which judge a store's
+  ``stored_provenance()`` against it;
+* :func:`repro.graph.export.lineage_dot`, which draws one object's
+  ancestry;
+* :class:`repro.advisor.model.WorkflowModel`, whose ``fan_out`` counts
+  a version's descendants;
+* the perf harness and the tests, as the ground-truth Q2/Q3 oracle the
+  cloud engines must agree with, and the examples' audit scenarios
+  (e.g. "which data sets were produced by the flawed tool version?").
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import ClientCrash
 from repro.fleet import ClientFleet
-from repro.graph.provgraph import ProvenanceGraph
 from repro.passlib.capture import PassSystem
+from repro.query.ancestry import AncestryWalker
 from repro.workloads import BlastWorkload, ProvenanceChallengeWorkload
 from tests.conftest import crash_during_store
 
@@ -112,7 +112,7 @@ class TestFleetWorkloads:
         fleet.run_round_robin(batch=4)
 
         engine = fleet.query_engine()
-        oracle = ProvenanceGraph.from_events(blast + fmri)
+        oracle = AncestryWalker(b for e in blast + fmri for b in e.all_bundles())
         assert set(engine.q2_outputs_of("blast").refs) == oracle.outputs_of("blast")
         assert set(engine.q2_outputs_of("softmean").refs) == oracle.outputs_of(
             "softmean"

@@ -525,6 +525,51 @@ def reference_is_described(obj) -> bool:
     return any(record.attribute == Attr.TYPE for record in obj.pending)
 
 
+def reference_is_acyclic(bundles) -> bool:
+    """Is the graph of the bundles' ``input`` / ``prev_version`` edges a
+    DAG? Kahn's algorithm, iterative: repeatedly retire the nodes with
+    no unretired parent; the graph is acyclic when every node retires.
+    A subject emitted twice contributes the union of its edges."""
+    parents: dict = {}
+    for bundle in bundles:
+        inputs = bundle.inputs()
+        parents.setdefault(bundle.subject, set()).update(inputs)
+        for parent in inputs:
+            parents.setdefault(parent, set())
+    waiting = {node: len(inputs) for node, inputs in parents.items()}
+    children: dict = {}
+    for node, inputs in parents.items():
+        for parent in inputs:
+            children.setdefault(parent, []).append(node)
+    ready = [node for node, count in waiting.items() if count == 0]
+    retired = 0
+    while ready:
+        node = ready.pop()
+        retired += 1
+        for child in children.get(node, ()):
+            waiting[child] -= 1
+            if waiting[child] == 0:
+                ready.append(child)
+    return retired == len(parents)
+
+
+def pass_bundles(objects, events=()) -> list:
+    """What PASS emits: the bundles of flushed ``events``, plus every
+    version each live ``PassObject`` still holds (its finalised history
+    and its current records)."""
+    bundles = [bundle for event in events for bundle in event.all_bundles()]
+    for obj in objects:
+        bundles.extend(obj.snapshot_bundle(version) for version in obj.history)
+        bundles.append(obj.snapshot_bundle())
+    return bundles
+
+
+def emitted_bundles(pas: PassSystem, events=()) -> list:
+    """``pass_bundles`` over every file and transient object ``pas``
+    tracks."""
+    return pass_bundles([*pas._files.values(), *pas._transients.values()], events)
+
+
 def reference_descendants_of_outputs(walker, program: str) -> set:
     """``AncestryWalker.descendants_of_outputs`` as one closure per Q2
     seed over the sorted ``children`` lists, every file reached added

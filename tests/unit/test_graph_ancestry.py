@@ -1,11 +1,11 @@
-"""Unit tests for the provenance graph and the ancestry walker."""
+"""Unit tests for the ancestry walker, the one in-memory lineage index."""
 
 import pytest
 
-from repro.graph.provgraph import ProvenanceGraph
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import ObjectRef
 from repro.query.ancestry import AncestryWalker
+from tests.oracles import reference_is_acyclic
 
 
 def chain_trace():
@@ -26,54 +26,33 @@ def events():
 
 
 @pytest.fixture
-def graph(events):
-    return ProvenanceGraph.from_events(events)
-
-
-@pytest.fixture
 def walker(events):
     return AncestryWalker(b for e in events for b in e.all_bundles())
 
 
-class TestProvenanceGraph:
-    def test_nodes_typed(self, graph):
-        assert ObjectRef("a", 1) in graph
-        assert graph.kind(ObjectRef("a", 1)) == "file"
-        assert len(graph.nodes("process")) == 2
-        assert len(graph.nodes("file")) == 3
+class TestAncestryWalker:
+    def test_bundles_typed(self, walker):
+        assert walker.bundle(ObjectRef("a", 1)).kind == "file"
+        kinds = [walker.bundle(ref).kind for ref in walker.subjects()]
+        assert kinds.count("process") == 2
+        assert kinds.count("file") == 3
 
-    def test_acyclic(self, graph):
-        assert graph.is_acyclic()
+    def test_acyclic(self, events):
+        assert reference_is_acyclic(b for e in events for b in e.all_bundles())
 
-    def test_ancestors_transitive(self, graph):
-        ancestors = graph.ancestors(ObjectRef("c", 1))
-        assert ObjectRef("a", 1) in ancestors
-        assert ObjectRef("b", 1) in ancestors
-
-    def test_descendants_transitive(self, graph):
-        descendants = graph.descendants(ObjectRef("a", 1))
+    def test_descendants_transitive(self, walker):
+        descendants = walker.descendants(ObjectRef("a", 1))
         assert ObjectRef("c", 1) in descendants
 
-    def test_outputs_of(self, graph):
-        assert graph.outputs_of("step0") == {ObjectRef("b", 1)}
+    def test_outputs_of(self, walker):
+        assert walker.outputs_of("step0") == {ObjectRef("b", 1)}
 
-    def test_descendants_of_outputs(self, graph):
-        assert graph.descendants_of_outputs("step0") == {
+    def test_descendants_of_outputs(self, walker):
+        assert walker.descendants_of_outputs("step0") == {
             ObjectRef("b", 1),
             ObjectRef("c", 1),
         }
 
-    def test_version_counts(self, graph):
-        counts = graph.version_counts()
-        assert counts["a"] == 1
-        assert counts["c"] == 1
-
-    def test_data_size_recorded(self, events):
-        graph = ProvenanceGraph.from_events(events)
-        assert graph.nx.nodes[ObjectRef("a", 1)]["data_size"] == 4
-
-
-class TestAncestryWalker:
     def test_parents_children(self, walker):
         c = ObjectRef("c", 1)
         parents = walker.parents(c)
@@ -86,6 +65,7 @@ class TestAncestryWalker:
         c = ObjectRef("c", 1)
         assert c not in walker.ancestors(c)
         assert ObjectRef("a", 1) in walker.ancestors(c)
+        assert ObjectRef("b", 1) in walker.ancestors(c)
 
     def test_find_by_attribute(self, walker):
         assert walker.find("name", "step0") == walker.instances_of("step0")

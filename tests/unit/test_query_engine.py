@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blob import BytesBlob
-from repro.graph.provgraph import ProvenanceGraph
 from repro.passlib import serializer
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import (
@@ -293,14 +292,6 @@ class TestScanRobustness:
         self.corrupt_nonce(strong_account, "out/0.hits", "vv7")
         with pytest.raises(ReadCorrectnessViolation):
             store.read("out/0.hits")
-
-
-class TestGraphOracleAgreement:
-    def test_walker_and_graph_agree(self, trace6):
-        walker = AncestryWalker(b for e in trace6 for b in e.all_bundles())
-        graph = ProvenanceGraph.from_events(trace6)
-        assert walker.outputs_of("blast") == graph.outputs_of("blast")
-        assert walker.descendants_of_outputs("blast") == graph.descendants_of_outputs("blast")
 
 
 def spilling_event(name: str, k: int) -> FlushEvent:
