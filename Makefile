@@ -35,6 +35,13 @@
 #                     constructions per operation, then top 30 by tottime and by
 #                     cumulative. The profile every perf PR starts
 #                     from (ROADMAP aim 1)
+#   make scale-curve [LABEL=name]
+#                     ROADMAP item 4c's scale curves (benchmarks/scale_curve.py):
+#                     each perf-harness workload's cycle at x1/x4/x16 of its
+#                     input, one process per point; host us per event/item/
+#                     result, items stored, peak RSS and the fitted exponent
+#                     of each phase, merged into benchmarks/scale_curve.json
+#                     under LABEL (~20 min)
 #   make lint         ruff check over src/tests/benchmarks/examples
 #                     (config: ruff.toml)
 #   make loc          logical line count of src/repro, per module and total,
@@ -82,8 +89,9 @@ MIGRATION_TEST_FILES = tests/unit/test_migration_handle.py \
 SECONDS ?= 5
 SEED ?= 1
 CYCLES ?= 3
+LABEL ?= current
 
-.PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check bench-perf profile lint lint-prov loc
+.PHONY: test test-fast test-migration bench bench-smoke bench-matrix bench-check bench-perf profile scale-curve lint lint-prov loc
 
 test:
 	HYPOTHESIS_PROFILE=ci $(PYTEST) -x -q --durations=10
@@ -112,6 +120,9 @@ bench-perf:
 profile:
 	$(PYTHON) benchmarks/profile_phase.py --workload $(W) --phase $(PHASE) \
 		--seed $(SEED) --cycles $(CYCLES)
+
+scale-curve:
+	$(PYTHON) benchmarks/scale_curve.py --label $(LABEL) --out benchmarks/scale_curve.json
 
 lint:
 	ruff check src tests benchmarks examples

@@ -63,6 +63,7 @@ from repro.aws.sdb_query import (
     Node,
     Not,
     Null,
+    matching,
     parse_query,
     run_query,
 )
@@ -176,76 +177,6 @@ def parse_index_specs(
             )
         )
     return tuple(specs)
-
-
-def _range_candidates(node: Node) -> dict[str, tuple[str | None, str | None]]:
-    """Attributes a predicate constrains to an inclusive value range.
-
-    For each returned ``attribute → (lo, hi)`` (either bound may be
-    ``None`` = unbounded), *every* item matching the predicate carries
-    at least one value of that attribute inside the range — both the
-    presence guarantee a sparse composite index needs (an item lacking
-    the range attribute has no entries, and also cannot match the
-    predicate) and the slice-superset guarantee that makes a
-    range-conditioned index Query sound (query the slice, then re-apply
-    the full predicate). Strict bounds are relaxed to inclusive ones —
-    a slightly wider slice is still a superset.
-    """
-    if isinstance(node, BracketPredicate):
-        lo: str | None = None
-        hi: str | None = None
-        for group in node.conjunctions:
-            # Only singleton groups constrain: an OR-group is satisfied
-            # by any of its comparisons, so it pins nothing by itself.
-            if len(group) != 1:
-                continue
-            comparison = group[0]
-            if comparison.op in (">=", ">", "="):
-                if lo is None or comparison.value > lo:
-                    lo = comparison.value
-            if comparison.op in ("<=", "<", "="):
-                if hi is None or comparison.value < hi:
-                    hi = comparison.value
-        if lo is None and hi is None:
-            return {}
-        return {node.attribute: (lo, hi)}
-    if isinstance(node, Comparison) and not node.every:
-        if node.op in (">=", ">"):
-            return {node.attribute: (node.value, None)}
-        if node.op in ("<=", "<"):
-            return {node.attribute: (None, node.value)}
-        if node.op == "=":
-            return {node.attribute: (node.value, node.value)}
-        return {}
-    if isinstance(node, BoolOp):
-        left = _range_candidates(node.left)
-        right = _range_candidates(node.right)
-        if node.op == "and":
-            # Both sides must hold: intersect bounds per attribute.
-            merged = dict(left)
-            for attribute, (lo, hi) in right.items():
-                if attribute in merged:
-                    mlo, mhi = merged[attribute]
-                    if lo is None or (mlo is not None and mlo > lo):
-                        lo = mlo
-                    if hi is None or (mhi is not None and mhi < hi):
-                        hi = mhi
-                merged[attribute] = (lo, hi)
-            return merged
-        # OR: only attributes constrained on *both* sides stay
-        # constrained, by the union (widest) of the two ranges.
-        merged = {}
-        for attribute in left:
-            if attribute not in right:
-                continue
-            llo, lhi = left[attribute]
-            rlo, rhi = right[attribute]
-            lo = None if llo is None or rlo is None else min(llo, rlo)
-            hi = None if lhi is None or rhi is None else max(lhi, rhi)
-            if lo is not None or hi is not None:
-                merged[attribute] = (lo, hi)
-        return merged
-    return {}  # Not / Null / MatchAll constrain nothing
 
 
 def range_condition_for(bounds: tuple[str | None, str | None]) -> tuple[str, ...]:
@@ -753,7 +684,11 @@ class DynamoBackend:
         and items deduplicated across entry keys. Otherwise it is the
         scan path: every scanned item is paid for in read units; the
         projection trims only what the caller sees, not what the scan
-        cost — DynamoDB's filter-expression accounting.
+        cost — DynamoDB's filter-expression accounting. Scan hands rows
+        out in name order, an unsorted query's order, so its pages are
+        filtered as they arrive (:func:`~repro.aws.sdb_query.matching`)
+        and never held as one table-sized list; only a sort clause
+        collects the matches to order them.
 
         ``path=None`` executes the :func:`first_fit` of
         :meth:`_access_paths`; a table with no indexes at all scans
@@ -788,8 +723,10 @@ class DynamoBackend:
                 range_condition=path.range_condition,
                 keep=compiled.matches,
             )
+        elif compiled.sort_attribute is None:
+            matches = matching(self._scan_all(store), compiled)
         else:
-            matches = run_query(list(self._scan_all(store)), compiled)
+            matches = run_query(self._scan_all(store), compiled)
         for item_name, attrs in matches:
             yield item_name, {
                 k: v for k, v in attrs.items() if wanted is None or k in wanted
@@ -824,8 +761,7 @@ class DynamoBackend:
         planner's improvement, never the first fit).
         """
         yield SCAN_PATH
-        candidates = compiled.pinned
-        ranges = _range_candidates(compiled.predicate)
+        candidates, ranges = compiled.pinned, compiled.ranges
         referenced = _referenced_attributes(compiled.predicate)
 
         def usable(spec: IndexSpec) -> bool:

@@ -33,7 +33,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import InvalidQueryExpression
 
@@ -304,7 +304,16 @@ class MatchAll(Node):
 
 @dataclass(frozen=True)
 class CompiledQuery:
-    """A parsed query plus its result ordering."""
+    """A parsed query plus its result ordering.
+
+    What an access path needs to know about the predicate is derived
+    once per parsed statement, not once per shard and page, and kept
+    on it (read-only): the compiled ``matches``, the attributes it
+    ``pinned`` to equality value sets and those it confines to value
+    ``ranges``. SimpleDB's postings and DynamoDB's index eligibility
+    read the last two; the parse caches share one instance per wire
+    string, so a paged reader may tell a query's pages by identity.
+    """
 
     predicate: Node
     sort_attribute: str | None = None
@@ -316,9 +325,13 @@ class CompiledQuery:
 
     @cached_property
     def pinned(self) -> dict[str, tuple[str, ...]]:
-        """:func:`equality_candidates` of the predicate — walked once
-        per parsed statement, not once per shard and page. Read-only."""
+        """:func:`equality_candidates` of the predicate."""
         return equality_candidates(self.predicate)
+
+    @cached_property
+    def ranges(self) -> dict[str, tuple[str | None, str | None]]:
+        """:func:`range_candidates` of the predicate."""
+        return range_candidates(self.predicate)
 
     def sort_key(self, name: str, attrs: ItemAttrs) -> tuple:
         if self.sort_attribute is None:
@@ -365,6 +378,73 @@ def equality_candidates(node: Node) -> dict[str, tuple[str, ...]]:
             if attribute in right
         }
     return {}  # Not / Null / MatchAll pin nothing
+
+
+def range_candidates(node: Node) -> dict[str, tuple[str | None, str | None]]:
+    """Attributes a predicate constrains to an inclusive value range.
+
+    For each returned ``attribute → (lo, hi)`` (either bound may be
+    ``None`` = unbounded), *every* item matching the predicate carries
+    at least one value of that attribute inside the range — both the
+    presence guarantee a sparse composite index needs (an item lacking
+    the range attribute has no entries, and also cannot match the
+    predicate) and the slice-superset guarantee that makes a
+    range-conditioned read sound (read the slice, then re-apply the
+    full predicate). Strict bounds are relaxed to inclusive ones — a
+    slightly wider slice is still a superset.
+    """
+    if isinstance(node, BracketPredicate):
+        lo: str | None = None
+        hi: str | None = None
+        for group in node.conjunctions:
+            # Only singleton groups constrain: an OR-group is satisfied
+            # by any of its comparisons, so it pins nothing by itself.
+            if len(group) != 1:
+                continue
+            comparison = group[0]
+            if comparison.op in (">=", ">", "="):
+                if lo is None or comparison.value > lo:
+                    lo = comparison.value
+            if comparison.op in ("<=", "<", "="):
+                if hi is None or comparison.value < hi:
+                    hi = comparison.value
+        if lo is None and hi is None:
+            return {}
+        return {node.attribute: (lo, hi)}
+    if isinstance(node, Comparison) and not node.every:
+        if node.op in (">=", ">"):
+            return {node.attribute: (node.value, None)}
+        if node.op in ("<=", "<"):
+            return {node.attribute: (None, node.value)}
+        if node.op == "=":
+            return {node.attribute: (node.value, node.value)}
+        return {}
+    if isinstance(node, BoolOp):
+        left = range_candidates(node.left)
+        right = range_candidates(node.right)
+        if node.op == "and":
+            # Both sides hold, but on a multi-valued attribute each may
+            # hold of a different value (``'k' >= 'a' and 'k' <= 'a'``
+            # matches k = {'0', 'b'}), so bounds from two sides do not
+            # intersect: either side's range alone is a valid superset
+            # filter. The left one is kept, so a Select ``between``
+            # narrows by its lower bound (a recent window's selective
+            # end).
+            return left | {a: r for a, r in right.items() if a not in left}
+        # OR: only attributes constrained on *both* sides stay
+        # constrained, by the union (widest) of the two ranges.
+        merged = {}
+        for attribute in left:
+            if attribute not in right:
+                continue
+            llo, lhi = left[attribute]
+            rlo, rhi = right[attribute]
+            lo = None if llo is None or rlo is None else min(llo, rlo)
+            hi = None if lhi is None or rhi is None else max(lhi, rhi)
+            if lo is not None or hi is not None:
+                merged[attribute] = (lo, hi)
+        return merged
+    return {}  # Not / Null / MatchAll constrain nothing
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +746,28 @@ def _parse_simple_condition(stream: _TokenStream) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Whole-result evaluation (a client-side DynamoDB Scan filter; the
-# reference the SimpleDB service's paged reads are tested against)
+# Evaluation over rows: the lazy filter every paged read ends in, and
+# whole-result evaluation (a sorted DynamoDB Scan)
 # ---------------------------------------------------------------------------
 
-def run_query(
-    items: Iterable[tuple[str, ItemAttrs]],
-    query: CompiledQuery,
-) -> list[tuple[str, ItemAttrs]]:
-    """Filter and order (name, attrs) pairs according to a compiled query."""
-    matched = [(name, attrs) for name, attrs in items if query.matches(attrs)]
+Row = tuple[str, ItemAttrs]
+
+
+def matching(rows: Iterable[Row], query: CompiledQuery) -> Iterator[Row]:
+    """The ``(name, attrs)`` rows ``query``'s predicate holds for, in
+    the order they come and produced lazily: the predicate runs on a
+    row only when the consumer pulls that far. A SimpleDB page (rows
+    already in the query's order) and an unsorted DynamoDB Scan (rows
+    in name order, which is an unsorted query's order) both end here."""
+    matches = query.matches
+    return (row for row in rows if matches(row[1]))
+
+
+def run_query(items: Iterable[Row], query: CompiledQuery) -> list[Row]:
+    """Filter and order (name, attrs) pairs according to a compiled
+    query: the whole result at once, as a client that must sort it
+    (a sorted DynamoDB Scan) computes it."""
+    matched = list(matching(items, query))
     matched.sort(key=lambda pair: query.sort_key(*pair))
     if query.sort_descending:
         matched.reverse()

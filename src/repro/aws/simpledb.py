@@ -30,8 +30,12 @@ every write path. A query whose predicate pins some attribute to an
 equality value set (:func:`~repro.aws.sdb_query.equality_candidates` —
 ``=``, ``in``, all-``=`` bracket groups, and intersections containing
 one) reads the postings of the pinned attribute with the fewest and
-evaluates the full predicate over those candidates only. Predicates
-that pin nothing (``not``, ``!=``, ranges, the empty expression) scan.
+evaluates the full predicate over those candidates only. An attribute
+the predicate confines to a value range without pinning it
+(:func:`~repro.aws.sdb_query.range_candidates` — Q4's version window)
+offers the holders of its in-range values the same way, and the
+smallest offer wins. Predicates that offer none (``not``, ``!=``, the
+empty expression) scan.
 The postings describe the *authoritative* state, so they are consulted
 only when the replica the request drew provably equals it (no replica
 install pending — always under the strong model, and after any
@@ -44,31 +48,37 @@ billed; only the **host** cost of simulating it is index-bound.
 Paging. An unsorted query returns rows in item-name order, which is the
 order the drawn replica's keys are kept in
 (:meth:`~repro.aws.consistency.ReplicaSet.ordered_snapshot`), so its
-``next_token`` is a seek: a page walks the keys (or the sorted
-candidates) from the token and stops one match past its size. It costs
-the rows it returns plus the non-matches it crosses, and a full walk of
-a domain is linear in the domain, not quadratic. A query with a sort
-clause is ordered by a value, not by name, so it still collects and
-sorts its matches on every page.
+``next_token`` is a seek: a page walks the keys from the token and
+stops one match past its size. A query the postings narrow, or one
+with a sort clause (ordered by ``(sort value, name)``, which key order
+cannot seek), reads its candidates in its own order instead: sorted
+once, kept for the domain's last query until its next write, and
+bisected past each page's token.
+Either way a page costs the rows it returns plus the non-matches it
+crosses, and a full walk of a domain is linear in the domain, not
+quadratic. Inside an eventual-consistency window a sorted page orders
+the drawn replica's items afresh, since no two requests need draw the
+same replica.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from typing import Collection, Iterator
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro import errors, units
 from repro.aws import billing
-from repro.aws.consistency import DelayModel, ReplicaSet, STRONG
+from repro.aws.consistency import DelayModel, OrderedSnapshot, ReplicaSet, STRONG
 from repro.aws.faults import RequestFaults
 from repro.aws.item import ABSENT, Attrs, ItemState, _attr_size, size_audit
 from repro.aws.sdb_query import (
     CompiledQuery,
     SelectStatement,
+    matching,
     parse_query,
     parse_select,
 )
@@ -146,6 +156,42 @@ def _holders(posting: str | set[str]) -> Collection[str]:
     return posting if isinstance(posting, set) else (posting,)
 
 
+#: A query's candidates in its order: the keys it is ordered on,
+#: ascending, and the item names in that order — one list for an
+#: unsorted query, whose key is the name.
+_Ordering = tuple[Sequence, Sequence[str]]
+
+
+def _in_order(query: CompiledQuery, view: OrderedSnapshot, names: Iterable[str]) -> _Ordering:
+    """``names`` (items of ``view``) ordered on the query's key,
+    ascending: the name for an unsorted query, ``(sort value, name)``
+    for a sorted one (a descending sort walks it backwards)."""
+    if query.sort_attribute is None:
+        ordered = sorted(names)
+        return ordered, ordered
+    values, key = view.values, query.sort_key
+    keys = sorted(key(name, values[name]) for name in names)
+    return keys, [name for _, name in keys]
+
+
+def _past(
+    ordered: _Ordering, last, descending: bool, values: Mapping[str, ItemState]
+) -> Iterator[tuple[str, ItemState]]:
+    """The rows of ``ordered`` beyond the token key ``last`` (``None`` =
+    from the start) in the query's order: up from just above it, or
+    for a descending sort down from just below it. Bisecting to the
+    start makes a page cost the rows it reads, not the ones before."""
+    keys, names = ordered
+    if descending:
+        stop = len(keys) if last is None else bisect_left(keys, last)
+        positions = range(stop - 1, -1, -1)
+    else:
+        positions = range(0 if last is None else bisect_right(keys, last), len(keys))
+    for i in positions:
+        name = names[i]
+        yield name, values[name]
+
+
 class SimpleDBService:
     """The simulated SimpleDB endpoint for one AWS account."""
 
@@ -178,6 +224,10 @@ class SimpleDBService:
         # per-attribute counts from them.
         self._stat_bytes: dict[str, int] = {}
         self._postings: dict[str, dict[str, dict[str, str | set[str]]]] = {}
+        # Per domain: the last query's ordered candidates (see
+        # _ordered), until the domain's next commit — a page of the same
+        # query bisects them instead of building them again.
+        self._orderings: dict[str, tuple[CompiledQuery, _Ordering]] = {}
 
     # -- domain management --------------------------------------------------
 
@@ -196,6 +246,7 @@ class SimpleDBService:
         self._request("DeleteDomain")
         self._domains.pop(name, None)
         self._postings.pop(name, None)
+        self._orderings.pop(name, None)
         if self._authority.pop(name, None):
             self._meter.adjust_stored(billing.SDB, -self._stat_bytes[name])
         self._stat_bytes.pop(name, None)
@@ -238,13 +289,15 @@ class SimpleDBService:
     def _commit_item(self, domain: str, item_name: str, new_state: ItemState) -> None:
         """Make ``new_state`` the item's authoritative state (empty =
         the item is gone): bill the stored-byte delta, fold the old→new
-        diff into the domain's statistics and postings, and replicate.
-        The one place an item changes; called from every write path."""
+        diff into the domain's statistics and postings, drop the
+        domain's kept query ordering, and replicate. The one place an
+        item changes; called from every write path."""
         authority = self._authority[domain]
         old_state = authority.get(item_name, ABSENT)
         delta = new_state.nbytes - old_state.nbytes
         self._meter.adjust_stored(billing.SDB, delta)
         self._stat_bytes[domain] += delta
+        self._orderings.pop(domain, None)
         postings = self._postings[domain]
         for attr in old_state.keys() | new_state.keys():
             old_values = old_state.get(attr, ())
@@ -557,49 +610,72 @@ class SimpleDBService:
         box usage on the number of items visible there — SimpleDB
         charged more machine time for broader queries, and that 2009
         model holds whichever path then finds the rows. When the drawn
-        replica equals the authoritative state (nothing pending) and the
-        predicate pins an attribute, the rows are that attribute's
-        postings candidates, sorted by name; otherwise the snapshot's
-        items in key order. An unsorted query's token names the last
-        item served, so either source starts just past it. A sort
-        clause orders rows by a value instead: its matches are sorted
-        and then filtered past the token, since key order cannot seek
-        them.
+        replica equals the authoritative state (nothing pending), the
+        rows come from the query's ordered candidates
+        (:meth:`_ordered`), built once between two writes and bisected
+        past the token. An unsorted query that nothing narrows, and
+        every query inside an eventual-consistency window (where the
+        drawn replica may lag the postings), walks the snapshot
+        instead: an unsorted one seeks its keys, a sorted one orders
+        that replica's items for the page.
         """
         store = self._domain(domain)
         view = store.ordered_snapshot()
         self._meter.record_box_usage(len(view.keys) * SCAN_HOURS_PER_ITEM)
         last = None if next_token is None else self._token_key(query, next_token)
-        seek = last[0] if last and query.sort_attribute is None else None
-        names = None if store.pending_installs else self._candidates(domain, query, seek)
-        rows = view.between(seek) if names is None else ((n, view.values[n]) for n in names)
-        matches = query.matches
-        matched = (row for row in rows if matches(row[1]))
-        if query.sort_attribute is None:
-            return matched
-        key = query.sort_key
-        ordered = sorted(matched, key=lambda row: key(*row), reverse=query.sort_descending)
-        beyond = operator.lt if query.sort_descending else operator.gt
-        return (row for row in ordered if last is None or beyond(key(*row), last))
+        if not store.pending_installs:
+            ordered = self._ordered(domain, query, view)
+        elif query.sort_attribute is not None:
+            ordered = _in_order(query, view, view.keys)
+        else:
+            ordered = view.keys, view.keys
+        return matching(_past(ordered, last, query.sort_descending, view.values), query)
 
-    def _candidates(
-        self, domain: str, query: CompiledQuery, after: str | None
-    ) -> list[str] | None:
-        """Names of every item past ``after`` that can match, in order,
-        read off the postings of the pinned attribute with the fewest;
-        ``None`` when the predicate pins no attribute (only a scan will
-        do)."""
-        pinned = query.pinned
-        if not pinned:
-            return None
+    def _ordered(
+        self, domain: str, query: CompiledQuery, view: OrderedSnapshot
+    ) -> _Ordering:
+        """The query's candidates in its order (:func:`_in_order`); for
+        an unsorted query nothing narrows, the snapshot's keys, already
+        in that order. Kept for one query per domain until the domain's
+        next commit drops it, so a walk sorts its candidates once, not
+        once per page; a query's pages are told by the parsed query's
+        identity (the parse caches hand out one instance per wire
+        string)."""
+        kept = self._orderings.get(domain)
+        if kept is not None and kept[0] is query:
+            return kept[1]
+        names = self._candidates(domain, query)
+        if names is None:
+            if query.sort_attribute is None:
+                return view.keys, view.keys
+            names = view.keys
+        ordered = _in_order(query, view, names)
+        self._orderings[domain] = (query, ordered)
+        return ordered
+
+    def _candidates(self, domain: str, query: CompiledQuery) -> Collection[str] | None:
+        """Names of every item that can match, unordered: the holders
+        of the narrowest option the postings offer, or ``None`` when
+        the predicate offers none (only a scan will do). Each attribute
+        the predicate pins contributes the holders of its pinned
+        values; each it bounds to a range without pinning it (a
+        version window) the holders of its in-range values."""
         postings = self._postings[domain]
-
-        def held(attr: str) -> list[Collection[str]]:
+        pinned = query.pinned
+        options: list[list[Collection[str]]] = []
+        for attr, values in pinned.items():
             by_value = postings.get(attr, {})
-            return [_holders(by_value[v]) for v in pinned[attr] if v in by_value]
-
-        fewest = min(map(held, pinned), key=lambda found: sum(map(len, found)))
-        return sorted(n for n in set().union(*fewest) if after is None or n > after)
+            options.append([_holders(by_value[v]) for v in values if v in by_value])
+        for attr, (lo, hi) in query.ranges.items():
+            if attr not in pinned:
+                options.append([
+                    _holders(holders)
+                    for value, holders in postings.get(attr, {}).items()
+                    if (lo is None or lo <= value) and (hi is None or value <= hi)
+                ])
+        if not options:
+            return None
+        return set().union(*min(options, key=lambda found: sum(map(len, found))))
 
     # A next_token names the last row served by its key in the query's
     # own ordering: ``after:<name>`` for an unsorted query (rows are in
@@ -607,10 +683,13 @@ class SimpleDBService:
     # a bare name cannot place a row ordered by (sort value, name).
 
     @staticmethod
-    def _token_key(query: CompiledQuery, next_token: str) -> tuple:
+    def _token_key(query: CompiledQuery, next_token: str) -> str | tuple[str, str]:
+        """The key a token names, as :func:`_in_order` orders keys: a
+        name for an unsorted query, ``(sort value, name)`` for a sorted
+        one."""
         if query.sort_attribute is None:
             if next_token.startswith("after:"):
-                return (next_token[len("after:"):],)
+                return next_token[len("after:"):]
         elif next_token.startswith("after-key:"):
             try:
                 key = json.loads(next_token[len("after-key:"):])

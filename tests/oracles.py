@@ -19,7 +19,7 @@ import random
 from repro import units
 from repro.aws import billing
 from repro.aws.account import ConsistencyConfig
-from repro.aws.backend import _range_candidates, _referenced_attributes
+from repro.aws.backend import _referenced_attributes
 from repro.aws.consistency import _TOMBSTONE
 from repro.aws.dynamo import (
     INDEX_KEY_SEP,
@@ -38,6 +38,7 @@ from repro.aws.sdb_query import (
     Not,
     Null,
     equality_candidates,
+    range_candidates,
 )
 from repro.core.base import temp_key
 from repro.core.wal import MESSAGE_BUDGET
@@ -421,7 +422,7 @@ def reference_index_plan(specs, lags, bound, compiled, wanted):
     if not specs:
         return None, (0, 0, 0)
     candidates = equality_candidates(compiled.predicate)
-    ranges = _range_candidates(compiled.predicate)
+    ranges = range_candidates(compiled.predicate)
     referenced = _referenced_attributes(compiled.predicate)
     stale = False
     for spec in specs:

@@ -30,6 +30,7 @@ from repro.aws import billing
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.backend import DynamoBackend, parse_index_specs
 from repro.aws.dynamo import IndexSpec
+from repro.aws.sdb_query import parse_query
 from repro.units import DDB_PAGE_BYTES
 
 
@@ -312,6 +313,21 @@ class TestAdapterPlanning:
         )
         assert rows == [("item", {"t": ("file", "proc")})]
         assert adapter.gsi_queries == 1
+
+    def test_every_path_finds_a_match_split_across_values(self, account):
+        """``['r' >= 'a'] intersection ['r' <= 'a']`` matches r = {'0',
+        'b'}: each bracket holds of a different value. The range slice
+        a composite-index path reads must not be the intersection of
+        the two brackets' bounds, which no value of the item is in."""
+        adapter = DynamoBackend(account.dynamodb, index_specs="k/r+*")
+        adapter.provision("p")
+        adapter.put_provenance_item("p", "split", [("k", "a"), ("r", "b"), ("r", "0")])
+        expression = "['k' = 'a'] intersection ['r' >= 'a'] intersection ['r' <= 'a']"
+        paths = adapter.candidate_paths("p", parse_query(expression), None)
+        assert [path.kind for path in paths] == ["scan", "gsi", "gsi-range"]
+        for path in paths:
+            rows = adapter.query_pages("p", expression, None, path=path)
+            assert [name for name, _ in rows] == ["split"], path.kind
 
     def test_results_identical_index_vs_scan(self, account):
         """Same items on an indexed and an unindexed table: the GSI

@@ -1,14 +1,15 @@
 """A page costs what it serves, not the size of what it pages through.
 
 SimpleDB Query / QueryWithAttributes / Select and S3 LIST resume at
-their token on the drawn replica's key order and stop one row past the
+their token — on the drawn replica's key order, or on a query's
+candidates sorted once in its own order — and stop one row past the
 page. The tests here count the work a walk does — items a query's
-compiled matcher is run on, keys a LIST examines — so they are exact
-and deterministic. A walk of N matching items in pages of P examines
-at most N + ⌈N/P⌉ of them (each page's look-ahead row is examined again
-as the next page's first), and walking 4N costs about four times
-walking N. A pager that filters and sorts the whole domain on every
-page costs N per page, and sixteen times as much.
+compiled matcher is run on, names the service sorts, keys a LIST
+examines — so they are exact and deterministic. A walk of N matching
+items in pages of P examines at most N + ⌈N/P⌉ of them (each page's
+look-ahead row is examined again as the next page's first), and walking
+4N costs about four times walking N. A pager that filters and sorts the
+whole domain on every page costs N per page, and sixteen times as much.
 """
 
 from __future__ import annotations
@@ -19,11 +20,21 @@ from collections import Counter
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from repro.aws import simpledb
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.sdb_query import run_query
-from tests.oracles import reference_list
+from tests.oracles import reference_list, reference_rows
 
-from test_sdb_index import DOMAIN, ask, compiled, count_matcher_calls
+from test_sdb_index import (
+    DOMAIN,
+    as_served,
+    ask,
+    authoritative,
+    compiled,
+    count_matcher_calls,
+    request,
+    rows_past,
+)
 
 BUCKET = "b"
 PAGE = 10
@@ -43,12 +54,32 @@ def domain_of(n: int):
     return sdb
 
 
+def count_ordered(monkeypatch) -> Counter:
+    """Count, under ``"names"``, every row a sort inside the SimpleDB
+    service orders, whichever code sorts (``sorted`` is looked up in the
+    module's namespace before the builtins)."""
+    ordered: Counter = Counter()
+
+    def counted(iterable, *args, **kwargs):
+        result = sorted(iterable, *args, **kwargs)
+        ordered["names"] += len(result)
+        return result
+
+    monkeypatch.setattr(simpledb, "sorted", counted, raising=False)
+    return ordered
+
+
 # (language, text), each matching most of the domain: the scan path and
-# the postings path (``type`` pinned), where every item examined matches...
+# the postings path (``type`` pinned), unsorted and sorted, where every
+# item examined matches...
 EVERY_MATCH = {
     "scan": ("query-with-attributes", None),
     "postings": ("query-with-attributes", "['type' = 'file']"),
     "select-postings": ("select", f"select * from {DOMAIN} where type = 'file'"),
+    "postings-sorted": ("query-with-attributes", "['type' = 'file'] sort 'k'"),
+    "select-scan-sorted": (
+        "select", f"select * from {DOMAIN} where k != 'x' order by k desc"
+    ),
 }
 # ...and where some do not. A page's look-ahead row is then preceded by
 # the non-matches crossed to reach it, and the next page, resuming past
@@ -57,6 +88,20 @@ SKIPPING = {
     "scan-skipping": ("query", "not ['k' = '0']"),
     "postings-skipping": (
         "query-with-attributes", "['type' = 'file'] intersection not ['k' = '0']"
+    ),
+    "postings-skipping-sorted": (
+        "query", "['type' = 'file'] intersection not ['k' = '3'] sort 'k' desc"
+    ),
+}
+# Predicates the postings narrow, each with the names that can match it:
+# the holders of a pinned value, and (Q4's shape: a type pinned, a
+# version window bounded) the holders of the in-range values, which are
+# fewer than the files.
+NARROWED = {
+    "pinned": ("['type' = 'file']", lambda i: i % 10 != 0),
+    "pinned-and-ranged": (
+        "['type' = 'file'] intersection ['k' >= '2' and 'k' <= '3']",
+        lambda i: i % 7 in (2, 3),
     ),
 }
 
@@ -97,6 +142,87 @@ def test_walking_four_times_the_items_costs_four_times_as_much(
     _, small = walk_cost(monkeypatch, N, language, text)
     _, large = walk_cost(monkeypatch, 4 * N, language, text)
     assert large <= 4.4 * small
+
+
+@pytest.mark.parametrize(
+    "text, candidate", NARROWED.values(), ids=NARROWED.keys()
+)
+def test_a_walk_sorts_its_candidates_once(monkeypatch, text, candidate):
+    """Every candidate is sorted exactly once per walk, not once per
+    page: the names ordered grow fourfold with the domain, not sixteen
+    times."""
+
+    def ordered_by_walk(n: int) -> int:
+        sdb = domain_of(n)
+        ordered = count_ordered(monkeypatch)
+        served = ask(sdb, "query", text, PAGE)
+        monkeypatch.undo()
+        assert len(served) > 2 * PAGE
+        assert ordered["names"] == sum(map(candidate, range(n)))
+        return ordered["names"]
+
+    assert ordered_by_walk(4 * N) <= 4.4 * ordered_by_walk(N)
+
+
+def test_a_range_walk_examines_only_what_it_serves(monkeypatch):
+    """A predicate that bounds an attribute without pinning it reads the
+    holders of its in-range values, not the domain: every item examined
+    matches, each once plus one look-ahead per page."""
+    names, cost = walk_cost(monkeypatch, 2 * N, "query", "['k' >= '2' and 'k' <= '3']")
+    assert 2 * PAGE < len(names) < N
+    assert cost <= len(names) + math.ceil(len(names) / PAGE)
+
+
+def is_file(attrs) -> bool:
+    return "file" in attrs.get("type", ())
+
+
+# (language, text, what makes an item a candidate: the narrowest option
+# the postings offer it).
+WALKS = {
+    "pinned": ("query-with-attributes", "['type' = 'file']", is_file),
+    "pinned-and-ranged": (
+        "query-with-attributes",
+        NARROWED["pinned-and-ranged"][0],
+        lambda attrs: any("2" <= k <= "3" for k in attrs.get("k", ())),
+    ),
+    "sorted": (
+        "select", f"select * from {DOMAIN} where type = 'file' order by k desc", is_file
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "language, text, candidate", WALKS.values(), ids=WALKS.keys()
+)
+def test_a_write_between_pages_is_seen_by_the_next_one(
+    monkeypatch, language, text, candidate
+):
+    """Sorted candidates are kept until the domain's next write: a write
+    between two pages of a walk — an insert, a delete and an update
+    each ahead of the token — makes the next page the reference over the
+    new state past the token, sorting the new candidates once; the page
+    after it sorts nothing."""
+    sdb = domain_of(N)
+    query = compiled(language, text)
+    first, token = request(sdb, language, text, PAGE)
+    following = rows_past(
+        reference_rows(authoritative(sdb), query), query, query.sort_key(*first[-1])
+    )
+    sdb.put_attributes(DOMAIN, "item-99999", [("type", "file"), ("k", "2")])
+    sdb.delete_attributes(DOMAIN, following[0][0])
+    sdb.put_attributes(DOMAIN, following[1][0], [("type", "proc", True)])
+    state = authoritative(sdb)
+    rest = rows_past(reference_rows(state, query), query, query.sort_key(*first[-1]))
+    candidates = sum(1 for _, attrs in state if candidate(attrs))
+    ordered = count_ordered(monkeypatch)
+    second, token = request(sdb, language, text, PAGE, token)
+    assert second == as_served(language, rest[:PAGE])
+    assert ordered["names"] == candidates
+    resorted = ordered["names"]
+    third, _ = request(sdb, language, text, PAGE, token)
+    assert third == as_served(language, rest[PAGE : 2 * PAGE])
+    assert ordered["names"] == resorted
 
 
 # -- S3 LIST -----------------------------------------------------------------

@@ -410,13 +410,20 @@ def test_domain_metadata_equals_a_recount(mutations):
 
 
 def test_postings_do_not_outlive_their_domain():
+    """Neither the postings nor a query's sorted candidates: the same
+    query asked of a re-created domain must not be served the old
+    domain's candidates."""
     sdb = account_with(ConsistencyConfig.strong()).simpledb
     sdb.put_attributes(DOMAIN, "i", [("k", "1")])
+    assert sdb.query(DOMAIN, "['k' = '1']").item_names == ("i",)
     sdb.delete_domain(DOMAIN)
     assert sdb._postings == {}
+    assert sdb._orderings == {}
     sdb.create_domain(DOMAIN)
     assert sdb.domain_metadata(DOMAIN)["attributes"] == {}
     assert sdb.query(DOMAIN, "['k' = '1']").item_names == ()
+    sdb.put_attributes(DOMAIN, "j", [("k", "1")])
+    assert sdb.query(DOMAIN, "['k' = '1']").item_names == ("j",)
 
 
 # -- compiled matcher ≡ interpreter -----------------------------------------
@@ -431,6 +438,45 @@ def test_postings_do_not_outlive_their_domain():
 def test_compiled_matcher_equals_the_interpreter(query, attrs):
     node = compiled(*query).predicate
     assert node.matches(attrs) is reference_matches(node, attrs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    query=_queries,
+    attrs=st.dictionaries(
+        keys=_attrs, values=st.lists(_pool, min_size=1, max_size=3).map(tuple)
+    ),
+)
+def test_every_match_holds_a_pinned_value_and_a_value_in_each_range(query, attrs):
+    """The superset guarantees the postings and the DynamoDB index paths
+    rest on, judged by the interpreter: an item the predicate matches
+    holds one of each pinned attribute's values and, for each ranged
+    attribute, one value inside its range."""
+    parsed = compiled(*query)
+    if not reference_matches(parsed.predicate, attrs):
+        return
+    event(f"pins {len(parsed.pinned)}, ranges {len(parsed.ranges)}")
+    for attribute, values in parsed.pinned.items():
+        assert set(attrs.get(attribute, ())) & set(values)
+    for attribute, (lo, hi) in parsed.ranges.items():
+        assert any(
+            (lo is None or lo <= value) and (hi is None or value <= hi)
+            for value in attrs.get(attribute, ())
+        )
+
+
+def test_two_sides_bounding_one_attribute_keep_the_left_range():
+    """Bounds from the two sides of an ``and`` do not intersect (each
+    may hold of a different value), so one side's range is kept: the
+    left, which makes a Select ``between`` narrow by its lower bound.
+    One bracket is one value, so its groups still intersect."""
+    assert compiled(
+        "select", f"select * from {DOMAIN} where k between 'b' and 'c'"
+    ).ranges == {"k": ("b", None)}
+    assert compiled("query", "['k' <= 'c'] intersection ['k' >= 'b']").ranges == {
+        "k": (None, "c")
+    }
+    assert compiled("query", "['k' >= 'b' and 'k' <= 'c']").ranges == {"k": ("b", "c")}
 
 
 VALUES = {"k": ("ab", "b")}
