@@ -18,7 +18,11 @@ Each point records, host time at the harness's reference machine speed:
 * ``ingest_us_per_event``, ``migrate_us_per_item``;
 * ``q1_all_us_per_item`` and per-result ``q2`` / ``q3`` / ``q4`` µs,
   each over a query round's results (from the harness's plan);
-* ``peak_rss_mb`` of the point's process.
+* ``peak_rss_mb`` of the point's process;
+* ``parse_misses`` — query expressions parsed afresh over the point's
+  cycles (the growth of ``parse_query.cache_info().misses``, a cache of
+  ``PARSE_CACHE_SIZE`` statements): where a point outgrows the cache,
+  its queries pay the tokenizer again.
 
 Per workload it fits, for each phase, the least-squares slope of
 log(host µs the phase takes) on log(items stored) — 1.0 is linear, and
@@ -49,6 +53,8 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "perf")]
 
 import harness
 from specs import BY_NAME, WORKLOADS
+
+from repro.aws.sdb_query import parse_query
 
 #: Cycles each point runs; its values are their medians.
 POINT_CYCLES = 3
@@ -96,7 +102,9 @@ def point(workload: str, scale: float) -> dict:
     """One point of a curve, measured in this process."""
     spec = BY_NAME[workload].shrunk(scale)
     results = _results(harness.build_plan(spec, SEED), spec)
+    misses = parse_query.cache_info().misses
     cycles = [harness.run_cycle(spec, SEED) for _ in range(POINT_CYCLES)]
+    misses = parse_query.cache_info().misses - misses
     failures = [failure for cycle in cycles for failure in cycle.failures]
     if failures:
         raise SystemExit(f"{workload} x{scale}: {failures[:5]}")
@@ -124,6 +132,7 @@ def point(workload: str, scale: float) -> dict:
         "phase_s": seconds,
         **{per_unit[p]: seconds[p] * 1e6 / units[p] for p in PHASES if units[p]},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "parse_misses": misses,
     }
 
 

@@ -800,8 +800,7 @@ class DynamoBackend:
         return list(self._access_paths(store, compiled, wanted))
 
     def _index_items(self, request, store: str, *args, keep=None, **kwargs):
-        """Paged index read, deduplicated to one yield per item (the
-        service hands out each page's entries as fresh copies).
+        """Paged index read, deduplicated to one yield per item.
 
         ``keep`` filters entries *before* they count as seen: an item
         holding two indexed values has two entries, and one whose

@@ -83,7 +83,7 @@ from repro import errors, units
 from repro.aws import billing
 from repro.aws.consistency import DelayModel, ReplicaSet, STRONG
 from repro.aws.faults import RequestFaults
-from repro.aws.item import ABSENT, Attrs, ItemState, _attr_size, size_audit
+from repro.aws.item import ABSENT, Attrs, ItemState, project, size_audit, sized
 from repro.clock import SimClock
 
 #: Maximum items returned per Scan page (modeled; real DynamoDB pages by
@@ -231,11 +231,7 @@ def _range_matches(value: str, condition: tuple[str, ...]) -> bool:
 def _project(state: ItemState, spec: IndexSpec) -> ItemState:
     """What ``spec``'s entries carry of ``state``, sized once for all of
     them (an ``ALL`` projection is the item's own state and size)."""
-    if spec.project_all:
-        return state
-    projected = spec.projected_attributes
-    attrs = {name: values for name, values in state.items() if name in projected}
-    return ItemState(attrs, _attr_size(attrs))
+    return state if spec.project_all else project(state, spec.projected_attributes)
 
 
 def _entry_size(entry_key: str, projected: ItemState) -> int:
@@ -255,7 +251,7 @@ def _read_units_for(nbytes: int, consistent: bool) -> float:
 class ScanResult:
     """One page of a table scan."""
 
-    items: tuple[tuple[str, Attrs], ...]
+    items: tuple[tuple[str, ItemState], ...]
     last_evaluated_key: str | None
 
     @property
@@ -274,7 +270,7 @@ class IndexQueryResult:
     pagination token (the last entry's index key position).
     """
 
-    entries: tuple[tuple[str, Attrs], ...]
+    entries: tuple[tuple[str, ItemState], ...]
     last_evaluated_key: str | None
 
 
@@ -346,8 +342,8 @@ class _Table:
     Stored item states are immutable (:class:`~repro.aws.item.ItemState`):
     ``authority`` and the replica set hold the *same* object (as do
     ``ALL``-projection index entries), every write installs a fresh one
-    (:func:`_merged` edits a copy), and every read hands out a plain
-    ``dict`` copy.
+    (:func:`_merged` edits a copy), and every read hands out the stored
+    object itself.
     """
 
     replicas: ReplicaSet
@@ -382,7 +378,7 @@ def _merged(key: str, existing: ItemState, adds: list[tuple[str, str]]) -> ItemS
         if value not in values:
             attrs[name] = tuple(sorted((*values, value)))
             nbytes += len(name.encode()) + len(value.encode())
-    state = ItemState(attrs, nbytes)
+    state = sized(attrs, nbytes)
     if _item_size(key, state) > units.DDB_MAX_ITEM_SIZE:
         raise errors.ItemSizeLimitExceeded(
             f"item {key!r} would be {_item_size(key, state)} bytes "
@@ -801,7 +797,7 @@ class DynamoDBService:
 
     def get_item(
         self, table_name: str, key: str, consistent: bool = False
-    ) -> Attrs:
+    ) -> ItemState:
         """Fetch one item; ``consistent=True`` reads the authoritative
         state at double the read-unit cost, ``False`` reads a replica
         (may be stale or empty) at half cost."""
@@ -816,7 +812,7 @@ class DynamoDBService:
         self._meter.record_request(billing.DDB, "GetItem")
         self._meter.record_capacity(billing.DDB, read_units=read_units)
         self._meter.record_transfer_out(billing.DDB, state.nbytes)
-        return {**state}
+        return state
 
     def scan(
         self,
@@ -842,10 +838,10 @@ class DynamoDBService:
             exclusive_start_key
         )
         page_limit = min(limit, SCAN_MAX_PAGE)
-        page: list[tuple[str, Attrs]] = []
+        page: list[tuple[str, ItemState]] = []
         scanned_bytes = 0
         for key, state in rows:
-            page.append((key, {**state}))
+            page.append((key, state))
             scanned_bytes += len(key.encode()) + state.nbytes
             if len(page) >= page_limit or scanned_bytes >= units.DDB_PAGE_BYTES:
                 break
@@ -950,13 +946,13 @@ class DynamoDBService:
         :data:`~repro.aws.billing.DDB_GSI_RANGE`).
         """
         page_limit = min(limit, SCAN_MAX_PAGE)
-        entries: list[tuple[str, Attrs]] = []
+        entries: list[tuple[str, ItemState]] = []
         page_bytes = 0
         transfer = 0
         entry_key = None
         for entry_key, projected in matches:
             item_name = entry_key.rpartition(INDEX_KEY_SEP)[2]
-            entries.append((item_name, {**projected}))
+            entries.append((item_name, projected))
             page_bytes += _entry_size(entry_key, projected)
             transfer += len(item_name.encode()) + projected.nbytes
             if len(entries) >= page_limit or page_bytes >= units.DDB_PAGE_BYTES:
@@ -1046,12 +1042,9 @@ class DynamoDBService:
 
     # -- oracle helpers (tests/migration verification) ----------------------
 
-    def authoritative_item(self, table_name: str, key: str) -> Attrs | None:
-        state = self._tables.get(table_name)
-        if state is None:
-            return None
-        found = state.authority.get(key)
-        return dict(found) if found is not None else None
+    def authoritative_item(self, table_name: str, key: str) -> ItemState | None:
+        table = self._tables.get(table_name)
+        return table.authority.get(key) if table is not None else None
 
     def authoritative_item_names(self, table_name: str) -> list[str]:
         table = self._tables.get(table_name)
@@ -1063,17 +1056,16 @@ class DynamoDBService:
 
     def authoritative_index_entries(
         self, table_name: str, index_name: str
-    ) -> dict[tuple[str, str], Attrs]:
+    ) -> dict[tuple[str, str], ItemState]:
         """The index's converged view: (key position, item name) →
         projected attributes — the key position is the hash value for a
         simple index, ``hash\\x00range`` for a composite one. Oracle
         read bypassing index replication."""
         index = self._index(table_name, index_name)
-        entries: dict[tuple[str, str], Attrs] = {}
-        for entry_key, projected in index.replicas.authoritative_items():
-            value, _, item_name = entry_key.rpartition(INDEX_KEY_SEP)
-            entries[(value, item_name)] = dict(projected)
-        return entries
+        return {
+            tuple(entry_key.rsplit(INDEX_KEY_SEP, 1)): projected
+            for entry_key, projected in index.replicas.authoritative_items()
+        }
 
     def index_converged(self, table_name: str, index_name: str) -> bool:
         """True when every index replica matches the converged view."""

@@ -215,7 +215,9 @@ class ReadCacheAuthority:
         between, the fill is refused (returns ``False``) — the entry
         could cache a value the backend no longer holds. Once admitted
         the entry stays valid until *its own* write-through invalidation
-        or age-out (writes to other items do not disturb it).
+        or age-out (writes to other items do not disturb it). ``attrs``
+        is what the read handed out — an immutable stored state — and
+        every hit hands that same object out.
         """
         return self._put(
             ("item", item_name),

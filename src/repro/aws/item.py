@@ -6,43 +6,55 @@ never changes — a write installs a fresh one on the authority and the
 replica set alike — so that byte count is fixed when the write commits
 and :class:`ItemState` carries it: a Scan / Query / Get page serving
 whole stored values adds integers instead of re-encoding every attribute
-of every item it crosses. A *projection* is a new value and is measured
-by :func:`_attr_size`, the one definition of the formula (the read
-cache's ``elasticache.attrs_nbytes`` is a different formula on purpose).
+of every item it crosses, and hands out the stored value itself. A
+*projection* is a new value and is measured by :func:`_attr_size`, the
+one definition of the formula (the read cache's
+``elasticache.attrs_nbytes`` is a different formula on purpose).
 """
 
 from __future__ import annotations
 
-#: A plain attribute map: name -> tuple of distinct values (sorted).
-#: What callers pass in and what every read hands out — theirs to mutate.
+from typing import Collection
+
+#: An attribute map: name -> tuple of distinct values (sorted). What
+#: callers pass in; every read hands out an immutable :class:`ItemState`.
 Attrs = dict[str, tuple[str, ...]]
 
 
 def _attr_size(attrs: Attrs) -> int:
-    """Billed bytes of an attribute map: name + value, per value."""
-    return sum(
-        len(name.encode()) + len(value.encode())
-        for name, values in attrs.items()
-        for value in values
-    )
+    """Billed bytes of an attribute map: name + value, per value. (A
+    loop, not a generator: a read measures every projection it serves,
+    most of them one value, where a generator's set-up is the cost.)"""
+    total = 0
+    for name, values in attrs.items():
+        for value in values:
+            total += len(name.encode()) + len(value.encode())
+    return total
 
 
 class ItemState(dict):
     """One committed item state (or GSI entry projection): an
     :data:`Attrs` map that knows its :func:`_attr_size` as ``nbytes``.
 
-    Built once by the write path that computed the size (incrementally
-    where it can) and immutable from then on — every in-place ``dict``
-    method raises, so the authority, every replica and every index
-    entry may share one object, and ``nbytes`` cannot go stale. Readers
-    copy (``{**state}`` / ``dict(state)`` give a plain ``dict``).
+    Built once — by :func:`sized`, from the write path that computed the
+    size (incrementally where it can), or by :func:`project` — and
+    immutable from then on: every in-place ``dict`` method raises, so
+    the authority, every replica, every index entry, every read result
+    and every cache entry may share one object, and ``nbytes`` cannot go
+    stale. A reader that needs a mutable map builds one
+    (``dict(state)``).
+
+    ``derived`` is one slot for a value a reader works out from the
+    state (unset until it does): the state never changes, so the value
+    holds for as long as the state is read — it is worked out once per
+    committed state, not once per read. Its one user is
+    :func:`repro.passlib.serializer.overflow_keys`.
     """
 
-    __slots__ = ("nbytes",)
+    __slots__ = ("nbytes", "derived")
 
-    def __init__(self, attrs: Attrs | tuple = (), nbytes: int = 0):
-        dict.__init__(self, attrs)
-        self.nbytes = nbytes
+    def __reduce__(self):  # copy / pickle rebuild it, never assign into it
+        return sized, (dict(self), self.nbytes)
 
     def _immutable(self, *_args, **_kwargs):
         raise TypeError("a stored item state is immutable; build a new one")
@@ -51,8 +63,25 @@ class ItemState(dict):
     pop = popitem = clear = update = setdefault = _immutable
 
 
+def sized(attrs: Attrs, nbytes: int) -> ItemState:
+    """The state of ``attrs``, whose :func:`_attr_size` the caller knows."""
+    state = ItemState(attrs)
+    state.nbytes = nbytes
+    return state
+
+
+def project(state: ItemState, names: Collection[str]) -> ItemState:
+    """The attributes of ``state`` named in ``names``: a new value,
+    measured — a read's projection, or a GSI entry's. A read builds one
+    per row it serves, so this is :func:`sized` inlined: one Python
+    call per row, and ``ItemState`` keeps ``dict``'s C ``__init__``."""
+    projected = ItemState({name: values for name, values in state.items() if name in names})
+    projected.nbytes = _attr_size(projected)
+    return projected
+
+
 #: The state of an item that is not there: no attributes, zero bytes.
-ABSENT = ItemState()
+ABSENT = sized({}, 0)
 
 
 def size_audit(meter, services, spaces) -> list[str]:

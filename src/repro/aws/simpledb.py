@@ -74,7 +74,7 @@ from repro import errors, units
 from repro.aws import billing
 from repro.aws.consistency import DelayModel, OrderedSnapshot, ReplicaSet, STRONG
 from repro.aws.faults import RequestFaults
-from repro.aws.item import ABSENT, Attrs, ItemState, _attr_size, size_audit
+from repro.aws.item import ABSENT, Attrs, ItemState, _attr_size, project, size_audit, sized
 from repro.aws.sdb_query import (
     CompiledQuery,
     SelectStatement,
@@ -116,7 +116,7 @@ class QueryResult:
 class QueryWithAttributesResult:
     """A page of items with their attributes (QueryWithAttributes/Select)."""
 
-    items: tuple[tuple[str, Attrs], ...]
+    items: tuple[tuple[str, ItemState], ...]
     next_token: str | None
 
     @property
@@ -128,20 +128,9 @@ class QueryWithAttributesResult:
 class SelectResult:
     """Result of a Select statement (items or a count)."""
 
-    items: tuple[tuple[str, Attrs], ...]
+    items: tuple[tuple[str, ItemState], ...]
     next_token: str | None
     count: int | None = None
-
-
-def _served(state: ItemState, wanted: Collection[str] | None) -> tuple[Attrs, int]:
-    """What a read hands out of one stored ``state`` and the bytes it
-    bills — the one place that is decided: the whole value (``wanted``
-    is None) is a copy at its stored size, a projection onto ``wanted``
-    is a new value and is measured."""
-    if wanted is None:
-        return {**state}, state.nbytes
-    attrs = {name: values for name, values in state.items() if name in wanted}
-    return attrs, _attr_size(attrs)
 
 
 def _attr_count(state: Attrs) -> int:
@@ -440,7 +429,7 @@ class SimpleDBService:
                 f"item {item_name!r} would hold {_attr_count(merged)} attributes "
                 f"(limit {units.SDB_MAX_ATTRS_PER_ITEM})"
             )
-        return ItemState(merged, nbytes)
+        return sized(merged, nbytes)
 
     def delete_attributes(
         self,
@@ -475,7 +464,7 @@ class SimpleDBService:
                 new_state[attr.name] = remaining
             else:
                 new_state.pop(attr.name, None)
-        self._commit_item(domain, item_name, ItemState(new_state, _attr_size(new_state)))
+        self._commit_item(domain, item_name, sized(new_state, _attr_size(new_state)))
 
     # -- reads -----------------------------------------------------------------
 
@@ -484,14 +473,14 @@ class SimpleDBService:
         domain: str,
         item_name: str,
         attribute_names: list[str] | None = None,
-    ) -> Attrs:
+    ) -> ItemState:
         """Fetch an item's attributes from a replica (may be stale/empty)."""
         self._request("GetAttributes")
         state = self._domain(domain).read(item_name) or ABSENT
-        wanted = None if attribute_names is None else set(attribute_names)
-        attrs, nbytes = _served(state, wanted)
-        self._meter.record_transfer_out(billing.SDB, nbytes)
-        return attrs
+        if attribute_names is not None:
+            state = project(state, set(attribute_names))
+        self._meter.record_transfer_out(billing.SDB, state.nbytes)
+        return state
 
     def query(
         self,
@@ -559,23 +548,21 @@ class SimpleDBService:
 
     def _serve_page(
         self, page: list[tuple[str, ItemState]], wanted: Collection[str] | None
-    ) -> tuple[tuple[str, Attrs], ...]:
-        """Hand out one page of rows, billing transfer-out for each
-        row's name and the attributes it carries."""
-        items: list[tuple[str, Attrs]] = []
-        out_bytes = 0
-        for name, state in page:
-            attrs, nbytes = _served(state, wanted)
-            items.append((name, attrs))
-            out_bytes += len(name.encode()) + nbytes
-        self._meter.record_transfer_out(billing.SDB, out_bytes)
-        return tuple(items)
+    ) -> tuple[tuple[str, ItemState], ...]:
+        """Hand out one page of rows — each stored state itself, or its
+        projection onto ``wanted`` — billing transfer-out for each row's
+        name and the attributes it carries (the ``nbytes`` of either)."""
+        if wanted is not None:
+            page = [(name, project(state, wanted)) for name, state in page]
+        self._meter.record_transfer_out(
+            billing.SDB, sum(len(name.encode()) + state.nbytes for name, state in page)
+        )
+        return tuple(page)
 
     # -- oracle helpers (tests/recovery scans) ----------------------------------
 
-    def authoritative_item(self, domain: str, item_name: str) -> Attrs | None:
-        state = self._authority.get(domain, {}).get(item_name)
-        return dict(state) if state is not None else None
+    def authoritative_item(self, domain: str, item_name: str) -> ItemState | None:
+        return self._authority.get(domain, {}).get(item_name)
 
     def authoritative_item_names(self, domain: str) -> list[str]:
         return sorted(self._authority.get(domain, {}))

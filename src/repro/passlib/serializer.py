@@ -331,16 +331,27 @@ def _bundle_to_item(
     )
 
 
-def overflow_keys(attributes: dict[str, tuple[str, ...]]) -> list[str]:
+def overflow_keys(attributes: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
     """The S3 keys one item's ``@s3:`` pointers name, in the order
     :func:`bundle_from_item` fetches them (sorted attribute, then value
-    order): the GETs a reader that needs no records still issues."""
-    return [
-        value[len(POINTER_PREFIX):]
-        for attribute in sorted(attributes)
-        for value in attributes[attribute]
-        if value.startswith(POINTER_PREFIX)
-    ]
+    order): the GETs a reader that needs no records still issues.
+
+    A stored item state (:class:`repro.aws.item.ItemState`, what every
+    read hands out) never changes, so its keys are kept in its
+    ``derived`` slot: worked out on the first read of a committed state
+    and handed back, the same tuple, on every later one. A plain
+    ``dict`` keeps nothing."""
+    keys = getattr(attributes, "derived", None)
+    if keys is None:
+        keys = tuple(
+            value[len(POINTER_PREFIX):]
+            for attribute in sorted(attributes)
+            for value in attributes[attribute]
+            if value.startswith(POINTER_PREFIX)
+        )
+        if type(attributes) is not dict:
+            attributes.derived = keys
+    return keys
 
 
 def bundle_from_item(

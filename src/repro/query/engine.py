@@ -298,8 +298,6 @@ class _Metered:
 
     def __init__(self, account: AWSAccount):
         self.account = account
-        #: Resolves a spilled value's ``@s3:`` pointer (a metered GET).
-        self._fetch_overflow = partial(fetch_overflow, account)
 
 
 class S3ScanEngine(_Metered):
@@ -312,6 +310,8 @@ class S3ScanEngine(_Metered):
 
     def __init__(self, account: AWSAccount):
         super().__init__(account)
+        #: Resolves a spilled value's ``@s3:`` pointer (a metered GET).
+        self._fetch_overflow = partial(fetch_overflow, account)
         #: Objects the last scan skipped because their ``nonce`` metadata
         #: or bundle object would not parse — a malformed item must not
         #: abort the scan.
@@ -625,10 +625,11 @@ class SimpleDBEngine(_Metered):
 
     def _item_ref(self, item_name: str, attrs: dict[str, tuple[str, ...]]) -> ObjectRef:
         """One read item's ref, after GETting its spilled values in decode
-        order (§5 charges Q1 one S3 GET per ``@s3:`` pointer)."""
+        order (§5 charges Q1 one S3 GET per ``@s3:`` pointer). The
+        bodies are fetched and billed, not decoded: Q1 returns refs."""
         subject = ObjectRef.from_item_name(item_name)
         for key in overflow_keys(attrs):
-            self._fetch_overflow(key)
+            self.account.s3.get(self.bucket, key)
         return subject
 
     def q1(self, ref: ObjectRef) -> QueryMeasurement:

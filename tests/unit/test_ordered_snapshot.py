@@ -230,12 +230,16 @@ def test_paged_walk_equals_the_unpaged_read_after_quiesce(
     same(on(ddb.query_index, COMPOSITE.name, key_values), range_condition=range_condition)
 
 
-def test_reads_never_alias_a_stored_state():
-    """Table, replicas and index entries share one state object per item;
-    no read may hand that object out."""
+def test_reads_hand_out_states_no_caller_can_edit():
+    """Table, replicas and index entries share one state object per item,
+    and every read hands that object (or its stored projection) out: an
+    edit of anything a read returned raises, and nothing stored moves."""
     ddb = new_account(ConsistencyConfig.strong()).dynamodb
     ddb.update_item(TABLE, "i0", [("k", "a"), ("r", "1"), ("t", "file")])
-    before = ddb.authoritative_item(TABLE, "i0")
+    before = dict(ddb.authoritative_item(TABLE, "i0"))
+    assert ddb.get_item(TABLE, "i0", consistent=True) is ddb.authoritative_item(
+        TABLE, "i0"
+    )
     handed_out = [
         ddb.get_item(TABLE, "i0"),
         ddb.get_item(TABLE, "i0", consistent=True),
@@ -246,8 +250,10 @@ def test_reads_never_alias_a_stored_state():
         ddb.authoritative_item(TABLE, "i0"),
     ]
     for state in handed_out:
-        state["k"] = ("clobbered",)
-        state.pop("t", None)
+        with pytest.raises(TypeError):
+            state["k"] = ("clobbered",)
+        with pytest.raises(TypeError):
+            state.pop("t", None)
     assert ddb.authoritative_item(TABLE, "i0") == before
     assert ddb.scan(TABLE).items == (("i0", before),)
     assert ddb.scan_index(TABLE, COMPOSITE.name).entries == (("i0", before),)

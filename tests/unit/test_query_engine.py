@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.aws.s3 import S3GetResult
 from repro.blob import BytesBlob
+from repro.core.base import fetch_overflow
 from repro.passlib import serializer
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import (
@@ -363,6 +365,41 @@ class TestQ1Spend:
         assert built == []
 
 
+@pytest.mark.parametrize("placement", sorted(POINT_READ))
+def test_q1_gets_spilled_values_without_reading_their_bodies(
+    strong_account, placement, monkeypatch
+):
+    """Items with 0, 1 and 3 spilled values: q1 and q1_all issue exactly
+    that many S3 GETs, and bill the s3 bytes the decoders' GETs
+    (``fetch_overflow``) bill, without materialising a body."""
+    router = ShardRouter(1, placement=placement)
+    store = make_architecture("s3+simpledb", strong_account, router=router)
+    events = {k: spilling_event(f"big/k{k}", k) for k in (0, 1, 3)}
+    store.store_trace(list(events.values()))
+    engine = SimpleDBEngine(strong_account, router=router)
+
+    def decoders_spend(event):
+        keys = [o.key for item in serializer.to_simpledb_items(event) for o in item.overflow]
+        with strong_account.meter.scoped() as scope:
+            for key in keys:
+                fetch_overflow(strong_account, key)
+        return len(keys), scope.transfer_out("s3")
+
+    expected = {k: decoders_spend(event) for k, event in events.items()}
+    assert [gets for gets, _ in expected.values()] == [0, 1, 3]
+    bodies = []
+    monkeypatch.setattr(S3GetResult, "bytes", lambda result: bodies.append(result.key))
+
+    def spend(measurement):
+        usage = measurement.usage
+        return usage.request_count("s3", "GET"), usage.transfer_out("s3")
+
+    for k, event in events.items():
+        assert spend(engine.q1(event.subject)) == expected[k]
+    assert spend(engine.q1_all()) == tuple(map(sum, zip(*expected.values())))
+    assert bodies == []
+
+
 _PLAIN = ObjectRef("x", 1).encode()  # a valid value for every attribute
 item_values = st.lists(
     st.one_of(st.just(_PLAIN), st.integers(0, 999).map(lambda n: f"@s3:k/{n:03d}")),
@@ -387,4 +424,4 @@ def test_overflow_keys_is_bundle_from_item_fetch_order(attrs):
         return _PLAIN
 
     serializer.bundle_from_item("doc_v0001", attrs, fetch)
-    assert serializer.overflow_keys(attrs) == fetched
+    assert serializer.overflow_keys(attrs) == tuple(fetched)
