@@ -6,7 +6,7 @@ with the bootstrap CI), USD, Q2/Q3 closure cost, point-read probe cost,
 and — on cache-enabled cells — the probe hit rate. Two claims are
 asserted, not just printed:
 
-* every cell's repetition 0 survives the JSONL trace codec and replays
+* every cell's repetition 0, written to a run file, replays from it
   to a **byte-identical** meter (the ``replay_ok`` honesty check);
 * Zipfian read probes hit the read cache far more often than uniform
   probes on the *same* cell — skew, not pool size, is what pays for
@@ -74,7 +74,7 @@ def test_every_cell_replays_byte_identically(matrix_report):
         for entry in matrix_report.grid
         if entry.replay_ok is not True
     ]
-    assert not drifted, f"trace replay drifted on cells: {drifted}"
+    assert not drifted, f"run-file replay drifted on cells: {drifted}"
 
 
 def test_zipfian_hit_rate_far_exceeds_uniform(matrix_report):

@@ -34,8 +34,8 @@ backend totals identical to the uncached path), and the ``on`` rows
 freeze the headline collapse — a repeated Q2/Q3 answers from memoised
 ancestry closures with zero backend operations. The ``matrix/*`` keys
 pin the ``repro matrix`` quick grid — the new skewed/deep generators'
-event streams, the runner's metered totals per cell, and the trace
-codec's replay identity (``replay_ok`` = 1).
+event streams, the runner's metered totals per cell, and the run-file
+replay identity (``replay_ok`` = 1).
 
 The workload and queries are fully deterministic (seeded RNG, MD5 shard
 routing, strong consistency), so totals are exact integers — comparison
@@ -182,9 +182,9 @@ def measure_matrix() -> dict[str, int]:
     One repetition of the ``--quick`` grid (Zipfian fleet + deep
     lineage × sdb-1 / sdb-4-cache) pins the new generators' event
     streams and the runner's load/query/probe request totals. The
-    ``replay_ok`` rows freeze the codec honesty check: repetition 0
-    serialised through the JSONL trace format must replay to a
-    byte-identical meter (1 = held).
+    ``replay_ok`` rows freeze the replay honesty check: repetition 0,
+    written to a run file and replayed from that file alone, must
+    meter exactly what the capture metered (1 = held).
     """
     from repro.bench.matrix import quick_cells, quick_workloads, run_matrix
 

@@ -16,6 +16,7 @@ other), the billing meter, and the three services.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from repro.aws.billing import Meter, PriceBook
@@ -38,6 +39,18 @@ class ConsistencyConfig:
     n_replicas: int = 3
     sqs_hosts: int = 8
     sqs_sample_fraction: float = 0.75
+
+    def __post_init__(self):
+        """Reject, at construction, a setting no service can be built
+        with (a run file's header is parsed into one)."""
+        for name in ("n_replicas", "sqs_hosts"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0 < self.sqs_sample_fraction <= 1:
+            raise ValueError(
+                f"sqs_sample_fraction must be in (0, 1], got {self.sqs_sample_fraction!r}"
+            )
 
     @classmethod
     def strong(cls) -> "ConsistencyConfig":
@@ -83,6 +96,12 @@ class AWSAccount:
         self.meter = Meter(self.clock)
         self.prices = prices or PriceBook()
         self.request_faults = RequestFaults()
+        #: Id streams numbered per account, so a run's names do not
+        #: depend on what else the process ran: an A3 client
+        #: incarnation's epoch (its WAL transaction ids sort by it) and
+        #: a live migration's id (its WAL queue's name).
+        self.epochs = itertools.count(1)
+        self.migration_ids = itertools.count(1)
         rng_for = make_rng_family(seed)
         delays = self.consistency.delay_model()
         self.s3 = S3Service(

@@ -3,7 +3,7 @@
 Every performance claim in this repo used to rest on the paper's three
 uniform §5 workloads. This runner sweeps a grid instead:
 
-    workload (skewed / bursty / deep / uniform / replayed)
+    workload (skewed / bursty / deep / uniform)
   × cell (architecture + deployment: layout, placement, GSIs, cache, …)
 
 with **R seeded repetitions per cell**. Each repetition generates a
@@ -17,9 +17,10 @@ mean.
 
 Two honesty checks ride along:
 
-* repetition 0 of every cell is serialised to the JSONL trace format
-  and replayed through an identically-seeded simulation; the replayed
-  meter must equal the original **byte for byte** (``replay_ok``);
+* repetition 0 of every cell is written to a run file
+  (:func:`repro.schedule.dumps`) and replayed from that file alone
+  (:meth:`repro.sim.Cloud.from_run`); the replayed meter must equal the
+  original **byte for byte** (``replay_ok``);
 * cache-enabled cells report the read-probe hit rate, so the report
   itself shows skew paying for the cache (Zipfian ≫ uniform).
 
@@ -37,17 +38,15 @@ from typing import Iterable, Sequence
 from repro.core import ARCHITECTURES
 from repro.deployment import Deployment
 from repro.passlib.records import ObjectRef
-from repro.sim import Simulation
+from repro.schedule import dumps, loads
+from repro.sim import Cloud, Simulation
 from repro.workloads import (
     BlastWorkload,
     DeepLineageWorkload,
     DiurnalBurstWorkload,
     LinuxCompileWorkload,
-    TraceReplayWorkload,
     Workload,
     ZipfianFleetWorkload,
-    dump_trace,
-    load_trace,
 )
 
 #: The Q4 window every matrix repetition asks for: file versions that
@@ -266,7 +265,6 @@ def _run_rep(
     rng = spec.rep_rng(seed, rep)
     timed = list(spec.workload.iter_timed_events(rng, spec.scale))
     events = [event for _, event in timed]
-    delays = [delay for delay, _ in timed] if spec.workload.timed else None
 
     sim = cell.build_simulation(seed=seed * 1000 + rep)
     clock_start = sim.account.clock.now
@@ -339,11 +337,10 @@ def _run_rep(
         metrics["query_metered_usd"] = metrics["query_usd"] + metrics["q4_usd"]
 
     if check_replay:
-        text = dump_trace(events, workload=spec.workload.name, delays=delays)
-        replay = TraceReplayWorkload(load_trace(text))
-        resim = cell.build_simulation(seed=seed * 1000 + rep)
-        resim.store_timed_events(replay.iter_timed_events(random.Random(0)))
-        metrics["replay_ok"] = resim.usage() == loaded
+        # The run file is written after the queries, so its schedule
+        # ends at the load's closing settle: the queries are not steps.
+        replayed = Cloud.from_run(loads(dumps(sim, {"client-0": events})))
+        metrics["replay_ok"] = replayed.account.meter.snapshot() == loaded
     return metrics
 
 
@@ -449,8 +446,9 @@ def run_matrix(
 
     Each repetition derives its own trace seed and simulation seed from
     ``seed``, so the whole report is reproducible from its header.
-    ``check_replay`` serialises repetition 0 of every cell through the
-    JSONL codec and requires the replayed meter to match byte for byte.
+    ``check_replay`` writes repetition 0 of every cell to a run file,
+    replays it from that file alone and requires the replayed meter to
+    match the load's byte for byte.
     """
     workload_list = list(workloads) if workloads is not None else default_workloads()
     cell_list = list(cells) if cells is not None else default_cells()

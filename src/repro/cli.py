@@ -8,6 +8,7 @@
     python -m repro advise --scale 0.3    # §7 extension: cloud hints
     python -m repro demo                  # 10-second end-to-end tour
     python -m repro matrix --quick        # workload x architecture sweep
+    python -m repro replay RUN.json       # replay a run file: bill + refs
 
 All subcommands are offline and deterministic (--seed).
 """
@@ -312,9 +313,25 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             handle.write(report.to_markdown())
         print(f"wrote {json_path} and {md_path}")
     if any(entry.replay_ok is False for entry in report.grid):
-        print("FAIL: a cell's trace replay drifted from its capture meter",
+        print("FAIL: a cell's run-file replay drifted from its capture meter",
               file=sys.stderr)
         return 1
+    return 0
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    from repro.errors import ScheduleFormatError
+    from repro.schedule import loads
+    from repro.sim import Cloud
+
+    try:
+        with open(args.file, encoding="utf-8") as handle:
+            cloud = Cloud.from_run(loads(handle.read()))
+    except (OSError, ScheduleFormatError) as error:
+        print(f"{args.file}: {error}", file=sys.stderr)
+        return 2
+    print(cloud.account.bill())
+    print(f"stored provenance: {len(cloud.stores()[0].stored_provenance())} refs")
     return 0
 
 
@@ -468,10 +485,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.add_argument(
         "--no-replay-check", action="store_true",
-        help="skip serialising rep 0 of each cell through the JSONL "
-        "trace codec and replaying it against the captured meter",
+        help="skip writing rep 0 of each cell to a run file and "
+        "replaying it from that file against the captured meter",
     )
     matrix.set_defaults(handler=cmd_matrix)
+
+    replay = commands.add_parser(
+        "replay", help="replay a run file; print its bill and stored refs"
+    )
+    replay.add_argument("file", help="a run file (repro.schedule.dumps)")
+    replay.set_defaults(handler=cmd_replay)
 
     export = commands.add_parser(
         "export", help="provenance as PROV-JSON or lineage DOT"

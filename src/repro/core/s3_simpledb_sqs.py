@@ -27,11 +27,6 @@ from __future__ import annotations
 
 import itertools
 
-#: Distinguishes client incarnations: a restarted client must not reuse
-#: transaction ids, or its fresh records would merge with a dead
-#: incarnation's leftovers on the queue.
-_EPOCHS = itertools.count(1)
-
 from repro.aws.account import AWSAccount
 from repro.aws.faults import FaultPlan, call_with_retries
 from repro.core.base import (
@@ -67,7 +62,10 @@ class S3SimpleDBSQS(S3SimpleDB):
             account, faults, retry, shards=shards, router=router,
             write_batch=write_batch, client_id=client_id,
         )
-        self.epoch = next(_EPOCHS)
+        #: Distinguishes client incarnations: a restarted client must not
+        #: reuse transaction ids, or its fresh records would merge with a
+        #: dead incarnation's leftovers on the queue.
+        self.epoch = next(account.epochs)
         self.queue_url: str | None = None
         self._txn_counter = itertools.count(1)
         self._commit_threshold = commit_threshold

@@ -227,35 +227,24 @@ class CacheMiss(PassError):
     """The local cache directory has no entry for the requested file."""
 
 
-# ---------------------------------------------------------------------------
-# Workload trace files
-# ---------------------------------------------------------------------------
+class ScheduleFormatError(ReproError):
+    """A run file or a fault-schedule step failed validation and was
+    rejected whole.
 
-class TraceFormatError(ReproError):
-    """A provenance trace file failed validation and was rejected whole.
-
-    Raised by the JSONL trace codec for malformed lines, unsupported
-    format versions, and truncated files. Loading is all-or-nothing: a
-    trace that raises this error yields no events, so a replay can never
-    apply a prefix of a corrupt capture.
+    Raised by :func:`repro.schedule.loads` (non-JSON text, trailing
+    garbage, a wrong header or version, a malformed event, an unknown
+    actor or action, an argument of the wrong type) before any step
+    runs, and by the interpreter for a single step that is malformed or
+    that the cloud cannot run (a client it does not have, a ``store``
+    with an empty backlog, a ``migrate`` to a layout other than the
+    running migration's) before that step is recorded; the message
+    names the step's index, and ``line`` the file line when known.
     """
 
     def __init__(self, message: str, line: int | None = None):
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{where}")
         self.line = line
-
-
-class ScheduleFormatError(ReproError):
-    """A fault schedule failed validation and was rejected whole.
-
-    Raised by :func:`repro.schedule.loads` (non-JSON text, trailing
-    garbage, a wrong header, an unknown actor or action, an argument of
-    the wrong type) before any step runs, and by the interpreter for a
-    single step that is malformed or that the cloud cannot run (a client
-    it does not have, a ``store`` with an empty backlog) before that
-    step is recorded; the message names the step's index.
-    """
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ introduction motivates.
 Its drivers are step generators over the cloud's one interpreter
 (:meth:`~repro.sim.Cloud.apply`): :meth:`ClientFleet.round_robin` yields
 the drain's ``store`` steps (and a ``reboot`` after any store that
-crashed its client), :meth:`ClientFleet.run_live_migration` interleaves
-``migrate`` steps, and :meth:`ClientFleet.replay_trace` stores a
-captured op log. A crash is injected as a ``crash`` step — applied
-before a run, or spliced into the lazy :meth:`round_robin` stream — and
-the recorded :attr:`~repro.sim.Cloud.schedule` replays the whole run,
-crashes included.
+crashed its client), and :meth:`ClientFleet.run_live_migration`
+interleaves ``migrate`` steps. A crash is injected as a ``crash`` step —
+applied before a run, or spliced into the lazy :meth:`round_robin`
+stream. The backlogs :meth:`ClientFleet.scatter` dealt and the recorded
+:attr:`~repro.sim.Cloud.schedule` make the run file
+(:func:`repro.schedule.dumps`) that replays the whole run, crashes
+included.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ from typing import Iterator
 from repro.aws.account import ConsistencyConfig
 from repro.migration.live import MigrationReport
 from repro.passlib.records import FlushEvent
-from repro.schedule import Step
+from repro.schedule import SETTLE, Step
 from repro.sharding import ShardRouter
 from repro.sim import Cloud
-from repro.workloads.trace import TraceDocument
-
-SETTLE = Step("cloud", "settle")
 
 
 class ClientFleet(Cloud):
@@ -65,21 +63,22 @@ class ClientFleet(Cloud):
 
     # -- work distribution -------------------------------------------------------
 
-    def scatter(self, traces: list[list[FlushEvent]]) -> dict[str, int]:
+    def scatter(self, traces: list[list[FlushEvent]]) -> dict[str, list[FlushEvent]]:
         """Deal whole traces across clients using the fleet's seeded RNG.
 
         Each trace (one job's causally ordered flush events) goes to a
         single client, chosen from the fleet's own ``random.Random``
         stream — deterministic for a given fleet seed regardless of what
-        other code did to the global RNG. Returns events-per-client.
+        other code did to the global RNG. Returns the backlog dealt to
+        each client (the run file's backlogs for a run that starts here).
         """
         names = sorted(self.clients)
-        assigned: dict[str, int] = {name: 0 for name in names}
+        dealt: dict[str, list[FlushEvent]] = {name: [] for name in names}
         for trace in traces:
             name = names[self._rng.randrange(len(names))]
             self.submit(name, trace)
-            assigned[name] += len(trace)
-        return assigned
+            dealt[name].extend(trace)
+        return dealt
 
     def round_robin(self, batch: int = 5, migrate: str | None = None) -> Iterator[Step]:
         """The round-robin drain as a lazy step stream, until every
@@ -112,40 +111,6 @@ class ClientFleet(Cloud):
         total = self.replay(self.round_robin(batch))
         self.apply(SETTLE)
         return total
-
-    # -- trace capture / replay --------------------------------------------------
-
-    def trace_document(self):
-        """The op log (:attr:`~repro.sim.Cloud.trace`) as a serialisable
-        :class:`~repro.workloads.trace.TraceDocument` (JSONL-ready)."""
-        return TraceDocument(
-            workload=f"fleet:{self.architecture}",
-            events=[event for _, event in self.trace],
-            clients=[name for name, _ in self.trace],
-        )
-
-    def replay_trace(self, document: TraceDocument) -> int:
-        """Re-execute a captured fleet op log, store for store.
-
-        ``document`` is a loaded :class:`~repro.workloads.trace.
-        TraceDocument` whose ``clients`` column was captured (see
-        :meth:`trace_document`). The events are queued on the named
-        clients, stored one ``store`` step at a time in the recorded
-        order, and the cloud settles — so a fresh fleet with the same
-        constructor arguments as a fault-free capture run ends with a
-        byte-identical meter.
-        """
-        unknown = set(document.clients) - set(self.clients)
-        if unknown or any(client.backlog for client in self.clients.values()):
-            raise ValueError(
-                f"replay needs a fleet shaped like the capture run, with empty "
-                f"backlogs (unknown clients: {sorted(unknown, key=str)})"
-            )
-        for name, event in zip(document.clients, document.events):
-            self.submit(name, [event])
-        count = self.replay(Step(name, "store") for name in document.clients)
-        self.apply(SETTLE)
-        return count
 
     # -- live layout migration ---------------------------------------------------
 

@@ -86,10 +86,6 @@ DROP = "drop"
 DONE = "done"
 PHASES = (PENDING, COPY, DOUBLE_WRITE, CATCH_UP, CUTOVER, DROP, DONE)
 
-#: Distinguishes migration incarnations (their WAL queues must never
-#: merge records across crashed runs).
-_MIGRATION_IDS = itertools.count(1)
-
 #: WAL depth at which catch-up hands over to cutover: drain it all.
 LAG_BOUND = 0
 #: Copied items per target store re-read (metered) at that shard's flip.
@@ -289,7 +285,9 @@ class LiveMigration:
         self.target = target
         self.phase = PENDING
         self.report = MigrationReport()
-        self.migration_id = next(_MIGRATION_IDS)
+        #: Distinguishes migration incarnations (their WAL queues must
+        #: never merge records across crashed runs).
+        self.migration_id = next(account.migration_ids)
         self._wal_url: str | None = None
         self._wal_seq = itertools.count(1)
         self._cut_over: set[str] = set()

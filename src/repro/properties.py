@@ -53,8 +53,8 @@ from repro.errors import ReadCorrectnessViolation
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import FlushEvent
 from repro.query.ancestry import AncestryWalker
-from repro.schedule import Step
-from repro.sim import Simulation
+from repro.schedule import SETTLE, Step
+from repro.sim import CLIENT, PUMP, STORE, Simulation
 
 #: The paper's Table 1, as (atomicity, consistency, causal, query).
 PAPER_TABLE1 = {
@@ -150,10 +150,6 @@ def _blast_trace(n_queries: int = 8) -> list[FlushEvent]:
     return pas.drain_flushes()
 
 
-#: The world's one client and the step that stores its next event.
-CLIENT = "client-0"
-STORE = Step(CLIENT, "store")
-
 #: The architecture's *designed* crash recovery, as steps: the clock
 #: jumps past the SQS visibility timeout so in-flight receives expire,
 #: the daemon reboots with no memory (a no-op on A1/A2) and applies what
@@ -163,8 +159,8 @@ STORE = Step(CLIENT, "store")
 RECOVERY = (
     Step("cloud", "advance", 300.0),
     Step("daemon-0", "reboot"),
-    Step("daemon-0", "pump"),
-    Step("cloud", "settle"),
+    PUMP,
+    SETTLE,
 )
 
 

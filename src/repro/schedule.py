@@ -1,4 +1,4 @@
-"""Fault schedules: every crash, reboot and daemon round as a recorded step.
+"""Run files: a whole run — its cloud, its backlogs and its schedule — as one document.
 
 The paper's Table 1 properties are argued under *"a client [that]
 crashes before recording the provenance"*. A **schedule** is how a run
@@ -6,11 +6,10 @@ interleaves such faults with its work: an ordered list of
 ``(actor, action, arg)`` steps, executed one at a time by
 :meth:`repro.sim.Cloud.apply` — the only code that executes a step —
 with :meth:`~repro.sim.Cloud.replay` a loop over it. A cloud records
-every step it applies in :attr:`~repro.sim.Cloud.schedule`, so any run
-driven through steps (the fleet's round-robin drain and live
-migration, Table 1's crash sweeps, the configuration grid's crash) can
-be written out with :func:`dumps` and replayed on a fresh cloud built
-with the same arguments and given the same backlogs.
+every step it applies in :attr:`~repro.sim.Cloud.schedule`, and every
+driver runs through steps (a simulation's event loop, the fleet's
+round-robin drain and live migration, Table 1's crash sweeps, the
+configuration grid's crash).
 
 Actors and their actions (``arg`` in parentheses):
 
@@ -23,14 +22,25 @@ Actors and their actions (``arg`` in parentheses):
   the WAL; ``reboot`` (none): the daemon comes back with no memory;
 * ``cloud`` — ``advance`` (seconds): move the simulated clock;
   ``migrate`` (a ``repro demo --migrate`` layout spec): start a live
-  migration to that layout, or advance the running one by one step;
-  ``settle`` (none): run daemons and let replication converge.
+  migration to that layout, or advance the running one (to the same
+  layout) by one step; ``settle`` (none): run daemons and let
+  replication converge.
 
-The file format is one small canonical JSON document, one step per
-line. :func:`loads` validates the whole document before returning any
-step, and rejects non-JSON text, trailing garbage, an unknown actor or
-action and an argument of the wrong type with
-:class:`~repro.errors.ScheduleFormatError`.
+A **run file** is the only thing a run is written to or replayed from:
+a header (the architecture, the seed, the
+:class:`~repro.aws.account.ConsistencyConfig` fields and the
+:class:`~repro.deployment.Deployment` fields), each client's backlog of
+flush events (:func:`repro.workloads.trace.encode_event`), how many of
+each client's events are still pending when the run ends, and the
+steps. :func:`dumps` writes it as one canonical JSON document, one
+event or step per line, so identical runs are identical bytes;
+:func:`loads` validates the whole document before returning a
+:class:`Run`, and :meth:`~repro.sim.Cloud.from_run` rebuilds the cloud
+and replays it. Truncation, version skew, trailing garbage, a malformed
+event (named by its line), an unknown actor or action and an argument
+of the wrong type raise :class:`~repro.errors.ScheduleFormatError`, and
+so does the replay of a step that cannot run or of a run that does not
+end with the recorded pending counts (a dropped or duplicated line).
 """
 
 from __future__ import annotations
@@ -38,17 +48,24 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Iterable, NamedTuple
+from dataclasses import asdict, fields
+from typing import Iterable, Mapping, NamedTuple
 
+from repro.aws.account import ConsistencyConfig
+from repro.core import ARCHITECTURES
+from repro.deployment import Deployment
 from repro.errors import ScheduleFormatError
 from repro.migration.live import parse_migration_spec
+from repro.passlib.records import FlushEvent
+from repro.workloads.trace import decode_event, encode_event
 
-#: The ``format`` field every schedule file carries.
-SCHEDULE_FORMAT = "repro-fault-schedule"
+#: The ``format`` field every run file carries.
+RUN_FORMAT = "repro-run"
 #: The (only) format version this codec reads and writes.
-SCHEDULE_VERSION = 1
+RUN_VERSION = 1
 
-_HEADER = f'{{"format":"{SCHEDULE_FORMAT}","version":{SCHEDULE_VERSION},"steps":['
+_KEYS = ["format", "version", "architecture", "seed", "consistency", "deployment",
+         "backlogs", "pending", "steps"]
 _ACTOR = re.compile(r"(client|daemon)-(?:0|[1-9][0-9]*)|cloud")
 
 
@@ -103,26 +120,160 @@ def check_step(step, index: int) -> Step:
         raise ScheduleFormatError(f"step {index}: unknown action {action!r} for {actor}")
     if not actions[action](arg):
         raise ScheduleFormatError(f"step {index}: wrong argument {arg!r} for {actor} {action}")
-    return Step(actor, action, arg)
+    return step if type(step) is Step else Step(actor, action, arg)
 
 
-def dumps(schedule: Iterable) -> str:
-    """The canonical text of ``schedule`` (steps as :meth:`~repro.sim.
-    Cloud.apply` records them): a JSON object, one step per line, so
-    identical schedules are identical bytes."""
-    lines = (json.dumps(list(step), separators=(",", ":")) for step in schedule)
-    return _HEADER + ",".join("\n" + line for line in lines) + "\n]}\n"
+class Run(NamedTuple):
+    """A loaded run file: everything :meth:`~repro.sim.Cloud.from_run`
+    needs to rebuild and replay the run."""
+
+    architecture: str
+    seed: int
+    consistency: ConsistencyConfig
+    deployment: Deployment
+    #: Client name (``client-0``, ``client-1``, …, in order) -> the
+    #: flush events submitted to it before the first step.
+    backlogs: dict[str, list[FlushEvent]]
+    #: Client name -> how many of its events are pending when the run
+    #: ends (what :meth:`~repro.sim.Cloud.from_run` checks its replay by).
+    pending: dict[str, int]
+    steps: list[Step]
 
 
-def loads(text: str) -> list[Step]:
-    """Parse and validate a whole schedule document — all or nothing."""
+#: The step that closes a driver's run.
+SETTLE = Step("cloud", "settle")
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _lines(items: Iterable[str]) -> str:
+    return "[" + ",".join("\n" + item for item in items) + "\n]"
+
+
+def _settings(value) -> dict:
+    """A settings dataclass's fields, each a JSON scalar."""
+    settings = asdict(value)
+    for name, field in settings.items():
+        if isinstance(field, bool) or not isinstance(field, (str, int, float)):
+            raise ValueError(f"a run file records {name} as a spec, got {field!r}")
+    return settings
+
+
+def dumps(cloud, backlogs: Mapping[str, Iterable[FlushEvent]]) -> str:
+    """The canonical run file of ``cloud`` (a :class:`~repro.sim.Cloud`)
+    after its run: its settings, ``backlogs`` (client name -> the
+    events its driver submitted to it, every client's at the start of
+    the run), each client's pending count and
+    :attr:`~repro.sim.Cloud.schedule`."""
+    unknown = set(backlogs) - set(cloud.clients)
+    if unknown:
+        raise ValueError(f"backlogs for clients the cloud does not have: {sorted(unknown)}")
+    header = {
+        "format": RUN_FORMAT,
+        "version": RUN_VERSION,
+        "architecture": cloud.architecture,
+        "seed": cloud.seed,
+        "consistency": _settings(cloud.account.consistency),
+        "deployment": _settings(cloud.deployment),
+    }
+    head = ",\n".join(f"{_json(key)}:{_json(value)}" for key, value in header.items())
+    queues = ",\n".join(
+        f"{_json(name)}:" + _lines(_json(encode_event(event)) for event in backlogs.get(name, ()))
+        for name in cloud.clients
+    )
+    pending = ",".join(f"{_json(name)}:{cloud.clients[name].backlog}" for name in cloud.clients)
+    steps = _lines(_json(list(step)) for step in cloud.schedule)
+    return f'{{{head},\n"backlogs":{{\n{queues}}},\n"pending":{{{pending}}},\n"steps":{steps}}}\n'
+
+
+def _line_of(text: str, value) -> int | None:
+    """The line of ``text`` holding ``value`` as :func:`dumps` writes it."""
+    needle = _json(value)
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.rstrip(",") == needle:
+            return number
+    return None
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _scalar(value) -> bool:
+    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def _build(cls, values, check, what: str):
+    """``cls(**values)`` when ``values`` names exactly ``cls``'s fields
+    and every value passes ``check``."""
+    names = [spec.name for spec in fields(cls)]
+    if not isinstance(values, dict) or sorted(values) != sorted(names):
+        raise ScheduleFormatError(f"{what} must name exactly the fields {sorted(names)}")
+    if not all(check(value) for value in values.values()):
+        raise ScheduleFormatError(f"wrong {what} field type in {values!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScheduleFormatError(f"{what}: {exc}") from None
+
+
+def loads(text: str) -> Run:
+    """Parse and validate a whole run file — all or nothing."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
-        what = "trailing garbage after the schedule" if exc.msg == "Extra data" else "not JSON"
-        raise ScheduleFormatError(f"{what}: {exc}") from exc
-    header = {"format": SCHEDULE_FORMAT, "version": SCHEDULE_VERSION}
-    steps = document.pop("steps", None) if isinstance(document, dict) else None
-    if document != header or not isinstance(steps, list):
-        raise ScheduleFormatError(f"not a {SCHEDULE_FORMAT} v{SCHEDULE_VERSION} document")
-    return [check_step(step, index) for index, step in enumerate(steps)]
+        what = "trailing garbage after the run" if exc.msg == "Extra data" else "not JSON"
+        raise ScheduleFormatError(f"{what}: {exc.msg}", line=exc.lineno) from exc
+    if not isinstance(document, dict) or document.get("format") != RUN_FORMAT:
+        raise ScheduleFormatError(f"not a {RUN_FORMAT} document", line=1)
+    if document.get("version") != RUN_VERSION:
+        raise ScheduleFormatError(
+            f"unsupported run file version {document.get('version')!r} "
+            f"(this codec reads {RUN_VERSION})", line=1,
+        )
+    if sorted(document) != sorted(_KEYS):
+        raise ScheduleFormatError(f"a run file has exactly the keys {_KEYS}, got {list(document)}")
+    architecture, seed = document["architecture"], document["seed"]
+    if not isinstance(architecture, str) or architecture not in ARCHITECTURES:
+        raise ScheduleFormatError(f"unknown architecture {architecture!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ScheduleFormatError(f"the seed must be an integer, got {seed!r}")
+    consistency = _build(ConsistencyConfig, document["consistency"], _number, "consistency")
+    deployment = _build(Deployment, document["deployment"], _scalar, "deployment")
+
+    queues, pending, steps = document["backlogs"], document["pending"], document["steps"]
+    if not (
+        isinstance(queues, dict)
+        and queues
+        and list(queues) == [f"client-{index}" for index in range(len(queues))]
+        and all(isinstance(queue, list) for queue in queues.values())
+    ):
+        raise ScheduleFormatError("backlogs must map client-0, client-1, … to event lists")
+    backlogs = {}
+    for name, queue in queues.items():
+        backlogs[name] = events = []
+        for index, value in enumerate(queue):
+            try:
+                events.append(decode_event(value))
+            except ScheduleFormatError as exc:
+                raise ScheduleFormatError(
+                    f"{name} event {index}: {exc}", line=_line_of(text, value)
+                ) from None
+    if not (
+        isinstance(pending, dict)
+        and list(pending) == list(backlogs)
+        and all(type(count) is int and 0 <= count <= len(backlogs[name])
+                for name, count in pending.items())
+    ):
+        raise ScheduleFormatError("pending must map each client to a count within its backlog")
+    if not isinstance(steps, list):
+        raise ScheduleFormatError("steps must be a list")
+    run = Run(architecture, seed, consistency, deployment, backlogs, pending,
+              [check_step(step, index) for index, step in enumerate(steps)])
+    for index, (actor, _, _) in enumerate(run.steps):
+        number = actor.partition("-")[2]
+        if number and int(number) >= len(backlogs):
+            raise ScheduleFormatError(f"step {index}: the run has no {actor}")
+    return run

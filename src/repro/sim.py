@@ -29,14 +29,16 @@ One fault schedule
 ------------------
 
 A cloud's clients are named hosts (``client-0``, ``client-1``, …), each
-with its store and a backlog of pending events. Every crash, reboot and
-daemon round a run interleaves with its work is a step of a
-:mod:`fault schedule <repro.schedule>`, executed by
+with its store and a backlog of pending events. Every store, crash,
+reboot, daemon round, clock advance, migration step and settle of a run
+is a step of a :mod:`fault schedule <repro.schedule>`, executed by
 :meth:`Cloud.apply` — the only place a step runs and the only place a
-crash is caught — and recorded in :attr:`Cloud.schedule`, so
-:meth:`Cloud.replay` on a fresh cloud reproduces the run. The event
-loops (:meth:`Simulation.store_events`) and the daemons' own
-``run_once``/``drain`` stay off the interpreter.
+crash is caught — and recorded in :attr:`Cloud.schedule`. Every driver
+runs through it, :class:`Simulation`'s event loop included, so every
+run can be written to a run file (:func:`repro.schedule.dumps`) and
+rebuilt and replayed from that file alone (:meth:`Cloud.from_run`).
+Only the daemons' own ``run_once``/``drain`` inside a ``pump`` stay
+below the interpreter.
 
 There is one event loop, too: an untimed stream is a timed stream whose
 inter-arrival delays are all zero, so :meth:`Simulation.store_events`
@@ -59,9 +61,15 @@ from repro.migration.live import LiveMigration, MigrationReport, begin_live_migr
 from repro.migration.live import parse_migration_spec
 from repro.passlib.records import FlushEvent
 from repro.query.engine import S3ScanEngine, SimpleDBEngine
-from repro.schedule import Step, check_step
+from repro.schedule import SETTLE, Run, Step, check_step
 from repro.sharding import ShardRouter
 from repro.workloads.base import TraceStats, Workload
+
+#: The one client of a :class:`Simulation`, and the steps its event loop
+#: applies.
+CLIENT = "client-0"
+STORE = Step(CLIENT, "store")
+PUMP = Step("daemon-0", "pump")
 
 #: Daemon-drain rounds :meth:`Cloud.settle` spends before giving up on a
 #: WAL that will not empty (a crashed client's abandoned records stay
@@ -128,9 +136,28 @@ class Cloud:
         #: Every step :meth:`apply` ran, in order — ready for
         #: :func:`repro.schedule.dumps` and :meth:`replay`.
         self.schedule: list[Step] = []
-        #: The op log: ``(client, event)`` for each store step that
-        #: landed, in order (a crashed attempt lands on its retry).
-        self.trace: list[tuple[str, FlushEvent]] = []
+
+    @staticmethod
+    def from_run(run: Run) -> "Cloud":
+        """The cloud a run file describes (:func:`repro.schedule.loads`),
+        after its run: built from the file's header with one client per
+        backlog, each backlog submitted, and every step replayed. A step
+        that cannot run, or a replay that leaves other pending counts
+        than the file records, raises :class:`ScheduleFormatError`."""
+        cloud = Cloud(run.architecture, run.seed, run.consistency, run.deployment)
+        for events in run.backlogs.values():
+            cloud.submit(cloud.add_client(), events)
+        for index, step in enumerate(run.steps):
+            try:
+                cloud.apply(step)
+            except ValueError as exc:
+                raise ScheduleFormatError(f"step {index}: {exc}") from None
+        left = {name: client.backlog for name, client in cloud.clients.items()}
+        if left != run.pending:
+            raise ScheduleFormatError(
+                f"the replay leaves {left} events pending, the file records {run.pending}"
+            )
+        return cloud
 
     # -- the deployment's parts --------------------------------------------
 
@@ -180,6 +207,15 @@ class Cloud:
             raise ScheduleFormatError(f"step {number}: this cloud has no {actor}")
         if action == "store" and not client.pending:
             raise ScheduleFormatError(f"step {number}: {actor} has no pending event")
+        migration = self.routing.migration
+        if action == "migrate" and migration is not None:
+            layout = self.routing.current.resized(**parse_migration_spec(arg))
+            if (layout.shards, layout.placement) != (
+                migration.target.shards, migration.target.placement
+            ):
+                raise ScheduleFormatError(
+                    f"step {number}: {arg!r} is not the running migration's layout"
+                )
         self.schedule.append(step)
         if action == "store":
             store = client.store
@@ -189,7 +225,7 @@ class Cloud:
                 if crash.plan is not store.faults:
                     raise
                 return crash.point
-            self.trace.append((client.name, client.pending.pop(0)))
+            client.pending.pop(0)
             client.stored += 1
         elif action == "crash":
             plan = client.store.faults
@@ -207,19 +243,20 @@ class Cloud:
             self.account.clock.advance(arg)
         elif action == "settle":
             self.settle()
-        elif self.routing.migration is None:
+        elif migration is None:
             self.start_migration(**parse_migration_spec(arg))
         else:
-            self.routing.migration.step()
+            migration.step()
         return None
 
     def replay(self, schedule: Iterable) -> int:
         """Apply every step of ``schedule`` in order (a lazy generator is
         consulted after each step lands); returns the events stored."""
-        before = len(self.trace)
+        stored = 0
         for step in schedule:
-            self.apply(step)
-        return len(self.trace) - before
+            if self.apply(step) is None and step[1] == "store":
+                stored += 1
+        return stored
 
     def query_engine(self) -> S3ScanEngine | SimpleDBEngine:
         """The Table 3 query engine matching this architecture — the one
@@ -307,7 +344,7 @@ class Simulation(Cloud):
     @property
     def store(self) -> ProvenanceCloudStore:
         """The client's store (``client-0``'s current incarnation)."""
-        return self.clients["client-0"].store
+        return self.clients[CLIENT].store
 
     # -- storing ------------------------------------------------------------
 
@@ -325,19 +362,31 @@ class Simulation(Cloud):
         simulated clock by each delay first — the rate-enveloped capture
         path of bursty workloads; a zero delay leaves the clock alone.
         The commit daemon is pumped every ``pump_every`` stores and the
-        cloud settled at the end.
+        cloud settled at the end. Each of these is a step through
+        :meth:`~Cloud.apply`, so the run's :attr:`~Cloud.schedule` holds
+        them all; the events themselves are not kept. A crash of the
+        client's store propagates as its :class:`ClientCrash`. The
+        client's backlog must be empty: the loop stores each event as
+        the backlog's only one.
         """
+        client = self.clients[CLIENT]
+        if client.pending:
+            raise ValueError(f"{CLIENT} has {client.backlog} events pending before the loop")
         count = 0
         for delay, event in timed_events:
             if delay > 0:
-                self.account.clock.advance(delay)
-            self.store.store(event)
+                self.apply(Step("cloud", "advance", delay))
+            client.pending.append(event)
+            point = self.apply(STORE)
+            if point is not None:
+                client.pending.pop()
+                raise ClientCrash(point, client.store.faults)
             if collect:
                 self.stats.add_event(event)
             count += 1
             if count % self._pump_every == 0:
-                self.pump()
-        self.settle()
+                self.apply(PUMP)
+        self.apply(SETTLE)
         return count
 
     def run_workload(
@@ -348,10 +397,6 @@ class Simulation(Cloud):
         stored = self.store_timed_events(workload.iter_timed_events(rng, scale))
         self.events_stored += stored
         return stored
-
-    def pump(self) -> None:
-        """Drain the store's commit daemon (no-op without a WAL)."""
-        self.store.pump()
 
     # -- layout migration ---------------------------------------------------
 

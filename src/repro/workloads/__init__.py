@@ -14,9 +14,8 @@ records >1 KB per object.
 Beyond the paper's uniform batch jobs, the fleet-traffic matrix adds
 skewed and bursty shapes — :class:`ZipfianFleetWorkload` (multi-tenant
 hot keys), :class:`DiurnalBurstWorkload` (day-shaped arrival rates),
-:class:`DeepLineageWorkload` (10k-step Q3 chains) — plus
-:class:`TraceReplayWorkload`, which re-executes any captured run from
-its versioned JSONL trace byte-identically.
+:class:`DeepLineageWorkload` (10k-step Q3 chains). A generated stream
+is recorded and replayed as part of a run file (:mod:`repro.schedule`).
 """
 
 from repro.workloads.base import TraceStats, Workload, WorkloadResult, collect_stats
@@ -26,14 +25,6 @@ from repro.workloads.deep import DeepLineageWorkload
 from repro.workloads.fleetgen import DiurnalBurstWorkload, ZipfianFleetWorkload
 from repro.workloads.linux_compile import LinuxCompileWorkload
 from repro.workloads.provchallenge import ProvenanceChallengeWorkload
-from repro.workloads.trace import (
-    TraceDocument,
-    TraceReplayWorkload,
-    dump_trace,
-    load_trace,
-    read_trace,
-    write_trace,
-)
 
 __all__ = [
     "Workload",
@@ -49,10 +40,4 @@ __all__ = [
     "ZipfianFleetWorkload",
     "DiurnalBurstWorkload",
     "DeepLineageWorkload",
-    "TraceReplayWorkload",
-    "TraceDocument",
-    "dump_trace",
-    "load_trace",
-    "read_trace",
-    "write_trace",
 ]

@@ -35,12 +35,6 @@ class Workload:
     #: Short name recorded in every generated object's provenance.
     name: str = "workload"
 
-    #: True for workloads whose events carry inter-arrival delays
-    #: (see :meth:`iter_timed_events`). Read only by trace capture, to
-    #: decide whether a dump records delays — the simulation stores
-    #: every workload through the one timed event loop.
-    timed: bool = False
-
     @property
     def instance_salt(self) -> str:
         """Deterministic identity that disambiguates RNG streams.
@@ -69,8 +63,8 @@ class Workload:
 
         The default stream arrives back-to-back (delay 0.0 — the
         paper's batch model). Bursty workloads override this with a
-        rate envelope, and set ``timed = True`` so a captured trace
-        records the delays.
+        rate envelope; a simulation records each positive delay as a
+        ``cloud advance`` step of its schedule.
         """
         for event in self.iter_events(rng, scale):
             yield 0.0, event

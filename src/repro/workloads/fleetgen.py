@@ -142,11 +142,11 @@ class DiurnalBurstWorkload(base.Workload):
     whose rate follows ``rate_at`` — a sinusoid between ``base_rate``
     (the overnight trough) and ``base_rate * peak_ratio`` (the daily
     peak). ``Simulation.run_workload`` advances the simulated clock by
-    each delay before storing, so capture genuinely arrives in bursts.
+    each delay before storing (a ``cloud advance`` step), so capture
+    genuinely arrives in bursts.
     """
 
     name = "diurnal-burst"
-    timed = True
 
     def __init__(
         self,

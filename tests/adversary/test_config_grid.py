@@ -49,7 +49,7 @@ from repro.deployment import Deployment
 from repro.devtools import sanitize
 from repro.migration import parse_migration_spec
 from repro.passlib.capture import PassSystem
-from repro.sim import Simulation
+from repro.sim import PUMP, Simulation
 from tests.oracles import (
     GRID_CONSISTENCY,
     GRID_EVENTS,
@@ -150,7 +150,7 @@ def run(cell: Cell) -> tuple[Simulation, dict, list]:
     while migration.step():
         for event in itertools.islice(rest, STEP_BATCH):
             sim.store.store(event)
-        sim.pump()
+        sim.apply(PUMP)
     sim.store_events(rest, collect=False)
     measured: list = []
     return sim, observe_deployment(sim, measured), measured

@@ -1,7 +1,7 @@
 """Property tests: the matrix workloads are backend- and layout-blind.
 
-Two invariants over the PR's new generators (Zipfian fleet, diurnal
-burst, deep lineage, trace replay):
+Two invariants over the matrix generators (Zipfian fleet, diurnal
+burst, deep lineage):
 
 * **placement is invisible to results** — for any seed, Q1/Q2/Q3 return
   identical result sets whether the provenance lives on one SimpleDB
@@ -9,11 +9,10 @@ burst, deep lineage, trace replay):
   placement. The generators only emit flush events; if a skewed or
   bursty stream could perturb a backend's result set, the whole matrix
   comparison would be measuring bugs, not architecture.
-* **a fleet capture replays to a byte-identical meter** — recording a
-  live fleet run's op log, round-tripping it through the JSONL trace
-  codec, and replaying it into a fresh identically-shaped fleet must
-  reproduce the original meter exactly. This is the acceptance bar for
-  ``repro matrix``'s ``replay_ok`` column.
+* **a fleet capture replays to a byte-identical meter** — writing a
+  live fleet run to a run file and replaying it from that file alone
+  must reproduce the original meter exactly. This is the acceptance bar
+  for ``repro matrix``'s ``replay_ok`` column.
 """
 
 from __future__ import annotations
@@ -22,15 +21,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro import schedule
 from repro.fleet import ClientFleet
-from repro.sim import Simulation
+from repro.sim import Cloud, Simulation
 from repro.workloads import (
     DeepLineageWorkload,
     DiurnalBurstWorkload,
-    TraceReplayWorkload,
     ZipfianFleetWorkload,
-    dump_trace,
-    load_trace,
 )
 
 #: (shards, placement, ddb_indexes) cells compared against the baseline.
@@ -43,7 +40,7 @@ CELLS = [
 ]
 BASELINE = (1, "sdb", "")
 
-WORKLOAD_KEYS = ["zipfian", "diurnal", "deep", "replay"]
+WORKLOAD_KEYS = ["zipfian", "diurnal", "deep"]
 
 
 def build_workload(key: str, seed: int):
@@ -55,10 +52,6 @@ def build_workload(key: str, seed: int):
         return DiurnalBurstWorkload(inner=inner), "ingest"
     if key == "deep":
         return DeepLineageWorkload(chain_length=30), "step"
-    if key == "replay":
-        source = ZipfianFleetWorkload(n_tenants=3, keys_per_tenant=6, n_ops=25)
-        events = list(source.iter_events(random.Random(source.seed_key(seed))))
-        return TraceReplayWorkload(load_trace(dump_trace(events))), "ingest"
     raise KeyError(key)
 
 
@@ -117,20 +110,13 @@ def test_fleet_capture_replays_to_byte_identical_meter(seed, architecture):
         seed=seed,
         shards=2,
     )
-    capture.scatter(chunks)
+    backlogs = capture.scatter(chunks)
     capture.run_round_robin(batch=3)
 
-    # Round-trip the op log through the serialised trace format — the
-    # replay must survive the codec, not just the in-memory list. The
-    # capture is the fleet's interleaved store order, so it is a
-    # permutation of the generated stream, not the stream itself.
-    document = load_trace(capture.trace_document().dumps())
-    assert len(document.events) == len(events)
-    assert set(document.events) == set(events)
+    # The replay must survive the codec, not just the in-memory lists.
+    run = schedule.loads(schedule.dumps(capture, backlogs))
+    assert sorted(sum(run.backlogs.values(), []), key=events.index) == events
 
-    replayer = ClientFleet(
-        n_clients=3, architecture=architecture, seed=seed, shards=2
-    )
-    stored = replayer.replay_trace(document)
-    assert stored == len(events)
+    replayer = Cloud.from_run(run)
+    assert not any(client.backlog for client in replayer.clients.values())
     assert replayer.account.meter.snapshot() == capture.account.meter.snapshot()

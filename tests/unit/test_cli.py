@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -146,3 +148,37 @@ class TestExport:
         out = capsys.readouterr().out
         assert out.startswith("digraph lineage")
         assert "vmlinux" in out
+
+
+class TestReplay:
+    RUN = Path(__file__).resolve().parents[1] / "regressions" / "two_a3_clients_crash_and_migrate.json"
+
+    def test_replays_the_committed_run_file(self, capsys):
+        assert main(["replay", str(self.RUN)]) == 0
+        out = capsys.readouterr().out
+        assert "TOTAL" in out
+        assert out.endswith("stored provenance: 8 refs\n")
+
+    def test_a_truncated_file_exits_2_and_applies_nothing(self, tmp_path, capsys, monkeypatch):
+        import repro.sim
+
+        def never(run):
+            raise AssertionError("a malformed run file was applied")
+
+        monkeypatch.setattr(repro.sim.Cloud, "from_run", staticmethod(never))
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(self.RUN.read_text()[:-40])
+        assert main(["replay", str(truncated)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not JSON" in captured.err
+
+    def test_a_run_that_does_not_replay_exits_2(self, tmp_path, capsys):
+        extra = tmp_path / "extra_store.json"
+        extra.write_text(self.RUN.read_text().replace(
+            '["cloud","settle",null]', '["client-0","store",null],\n["cloud","settle",null]'
+        ))
+        assert main(["replay", str(extra)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "step 11: client-0 has no pending event" in captured.err

@@ -13,8 +13,10 @@ import pytest
 
 from repro.bench import MatrixCell
 from repro.core import ARCHITECTURES, make_architecture
+from repro.errors import ClientCrash
 from repro.fleet import ClientFleet
 from repro.sim import Cloud, Simulation
+from repro.workloads import CombinedWorkload
 
 KNOB_SETS = [
     dict(shards=1, placement="sdb", concurrency=1, ddb_indexes="",
@@ -107,6 +109,24 @@ def test_the_drivers_inherit_the_wiring():
         shared = getattr(Cloud, name)
         assert getattr(Simulation, name) is shared
         assert getattr(ClientFleet, name) is shared
+
+
+def test_the_event_loop_runs_through_apply_and_a_crash_still_raises():
+    events = CombinedWorkload().generate(seed=3, scale=0.02).events[:4]
+    sim = Simulation("s3+simpledb+sqs", seed=3, pump_every=2)
+    sim.store_timed_events([(0.0, events[0]), (2.5, events[1])])
+    assert sim.schedule == [
+        ("client-0", "store", None), ("cloud", "advance", 2.5),
+        ("client-0", "store", None), ("daemon-0", "pump", None), ("cloud", "settle", None),
+    ]
+    sim.store.faults.crash_at("a3.log.after_temp_put")
+    with pytest.raises(ClientCrash) as crash:
+        sim.store_events(events[2:])
+    assert (crash.value.point, crash.value.plan) == ("a3.log.after_temp_put", sim.store.faults)
+    assert sim.clients["client-0"].pending == []
+    sim.submit("client-0", events[3:])
+    with pytest.raises(ValueError, match="client-0 has 1 events pending"):
+        sim.store_events(events[:1])
 
 
 def test_the_environment_sets_no_knob(monkeypatch):

@@ -5,13 +5,16 @@ load, the deep chain, the write burst) at a small fixed seed, the way
 ``benchmarks/perf/harness.materialise`` seeds it, serialises it with its
 delays, and compares the SHA-256 of that text with a literal recorded
 before the capture layer's bookkeeping was made incremental. A change
-to capture, versioning, the generators or the codec that moves any
-record, RNG draw or delay changes the hash.
+to capture, versioning, the generators or the event codec that moves
+any record, RNG draw or delay changes the hash. The text is laid out as
+the retired JSONL trace file was (a header line, then one event per
+line with its ``dt``), so the recorded literals still apply.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -20,8 +23,8 @@ from repro.workloads import (
     CombinedWorkload,
     DeepLineageWorkload,
     ZipfianFleetWorkload,
-    dump_trace,
 )
+from repro.workloads.trace import encode_event
 
 SEED = 3
 
@@ -52,11 +55,11 @@ CASES = {
 def trace_digest(workload, scale: float, seed: int) -> str:
     rng = random.Random(f"{workload.name}:{seed}")
     timed = list(workload.iter_timed_events(rng, scale))
-    text = dump_trace(
-        [event for _, event in timed],
-        workload=workload.name,
-        delays=[delay for delay, _ in timed],
-    )
+    header = {"events": len(timed), "format": "repro-prov-trace", "version": 1,
+              "workload": workload.name}
+    lines = [header] + [{**encode_event(event), "dt": delay} for delay, event in timed]
+    text = "".join(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+                   for line in lines)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

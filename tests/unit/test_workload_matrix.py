@@ -5,11 +5,12 @@ Three regression families for the PR-9 workloads:
 * **generator shape** — Zipf sampling really is skewed, deep chains
   really are ``chain_length`` deep, the diurnal envelope really
   advances the simulated clock;
-* **determinism** — same seed ⇒ byte-identical trace text and meter for
-  every new workload, at query concurrency 1 and 4, and with the
+* **determinism** — same seed ⇒ identical timed event stream and meter
+  for every new workload, at query concurrency 1 and 4, and with the
   ``read_cache`` / ``write_batch`` knobs on
   (the global RNG is scrambled between runs to catch module-state
-  leaks, the pytest-xdist hazard);
+  leaks, the pytest-xdist hazard), and a timed run replays from its
+  run file with the same meter and clock;
 * **salted seeding** — ``Workload.generate`` seeds by name *plus* a
   class-identity salt, so two same-named workload classes no longer
   collapse onto one stream, while ``CombinedWorkload``'s historical
@@ -23,21 +24,19 @@ from collections import Counter
 
 import pytest
 
-from repro.sim import Simulation
+from repro import schedule
+from repro.sim import Cloud, Simulation
 from repro.workloads import (
     BlastWorkload,
     CombinedWorkload,
     DeepLineageWorkload,
     DiurnalBurstWorkload,
-    TraceReplayWorkload,
     ZipfianFleetWorkload,
-    dump_trace,
-    load_trace,
 )
 from repro.workloads import base
 from repro.workloads.fleetgen import zipf_cdf, zipf_pick
 
-WORKLOAD_KEYS = ["zipfian", "diurnal", "deep", "replay"]
+WORKLOAD_KEYS = ["zipfian", "diurnal", "deep"]
 
 
 def build(key: str):
@@ -49,10 +48,6 @@ def build(key: str):
         )
     if key == "deep":
         return DeepLineageWorkload(chain_length=40)
-    if key == "replay":
-        source = ZipfianFleetWorkload(n_tenants=2, keys_per_tenant=4, n_ops=20)
-        events = list(source.iter_events(random.Random(source.seed_key(0))))
-        return TraceReplayWorkload(load_trace(dump_trace(events)))
     raise KeyError(key)
 
 
@@ -112,38 +107,26 @@ def test_diurnal_advances_the_simulated_clock():
     workload = DiurnalBurstWorkload(
         inner=ZipfianFleetWorkload(n_tenants=2, keys_per_tenant=4, n_ops=15)
     )
-    assert workload.timed
     sim = Simulation(architecture="s3+simpledb", seed=3)
     before = sim.account.clock.now
     sim.run_workload(workload, seed=4)
     assert sim.account.clock.now > before
 
 
-def test_replay_refuses_rescaling():
-    replay = build("replay")
-    with pytest.raises(ValueError):
-        list(replay.iter_events(random.Random(0), scale=2.0))
-    with pytest.raises(ValueError):
-        list(replay.iter_timed_events(random.Random(0), scale=0.5))
-
-
 # -- determinism regressions -------------------------------------------------
 
 
-def trace_text(workload, seed: int) -> str:
-    timed = list(workload.iter_timed_events(random.Random(workload.seed_key(seed))))
-    events = [event for _, event in timed]
-    delays = [delay for delay, _ in timed] if workload.timed else None
-    return dump_trace(events, workload=workload.name, delays=delays)
+def timed_stream(workload, seed: int) -> list:
+    return list(workload.iter_timed_events(random.Random(workload.seed_key(seed))))
 
 
 @pytest.mark.parametrize("key", WORKLOAD_KEYS)
-def test_same_seed_byte_identical_trace(key):
-    text_a = trace_text(build(key), seed=11)
+def test_same_seed_identical_timed_stream(key):
+    stream_a = timed_stream(build(key), seed=11)
     random.seed("adversarial interleaving")
     random.random()
-    text_b = trace_text(build(key), seed=11)
-    assert text_a == text_b
+    stream_b = timed_stream(build(key), seed=11)
+    assert stream_a == stream_b
 
 
 def run_usage(key: str, concurrency: int = 1, **sim_kwargs):
@@ -179,24 +162,21 @@ def test_knobs_stay_deterministic(knob):
     assert usage_a != run_usage("zipfian")  # the knob is live
 
 
-def test_timed_trace_replays_with_identical_meter_and_clock():
+def test_timed_run_replays_from_its_run_file_with_identical_meter_and_clock():
     workload = build("diurnal")
-    timed = list(workload.iter_timed_events(random.Random(workload.seed_key(2))))
+    timed = timed_stream(workload, seed=2)
     events = [event for _, event in timed]
-    delays = [delay for delay, _ in timed]
 
     original = Simulation(architecture="s3+simpledb", seed=6, shards=2)
     original.store_timed_events(timed)
+    advances = [step for step in original.schedule if step.action == "advance"]
+    assert [step.arg for step in advances] == [delay for delay, _ in timed if delay > 0]
 
-    replay = TraceReplayWorkload(
-        load_trace(dump_trace(events, workload=workload.name, delays=delays))
-    )
-    assert replay.timed
-    resim = Simulation(architecture="s3+simpledb", seed=6, shards=2)
-    resim.store_timed_events(replay.iter_timed_events(random.Random(0)))
+    run = schedule.loads(schedule.dumps(original, {"client-0": events}))
+    replayed = Cloud.from_run(run)
 
-    assert resim.usage() == original.usage()
-    assert resim.account.clock.now == original.account.clock.now
+    assert replayed.account.meter.snapshot() == original.usage()
+    assert replayed.account.clock.now == original.account.clock.now
 
 
 @pytest.mark.parametrize("architecture", ["s3", "s3+simpledb", "s3+simpledb+sqs"])
@@ -213,6 +193,7 @@ def test_untimed_stream_is_a_zero_delay_timed_stream(architecture):
     assert timed.usage() == untimed.usage()
     assert timed.account.clock.now == untimed.account.clock.now
     assert timed.stats == untimed.stats
+    assert timed.schedule == untimed.schedule
 
 
 # -- salted seeding (the name-collision fix) ---------------------------------
