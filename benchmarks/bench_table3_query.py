@@ -16,7 +16,7 @@ from repro.analysis.query_model import (
     render_table3,
     shape_check,
 )
-from repro.query.engine import S3ScanEngine, SimpleDBEngine
+from repro.query.engine import SimpleDBEngine
 from repro.sim import Simulation
 
 from conftest import save_result
@@ -34,7 +34,7 @@ def loaded_backends(live_events):
 @pytest.fixture(scope="module")
 def measured_rows(loaded_backends):
     scan_sim, indexed_sim = loaded_backends
-    scan = S3ScanEngine(scan_sim.account)
+    scan = scan_sim.query_engine()
     indexed = SimpleDBEngine(indexed_sim.account)
     program = "blast"
     rows = []
@@ -82,7 +82,7 @@ def test_table3_analytic_paper_scale(benchmark, paper_stats):
 
 def test_query_results_agree_across_backends(benchmark, loaded_backends):
     scan_sim, indexed_sim = loaded_backends
-    scan = S3ScanEngine(scan_sim.account)
+    scan = scan_sim.query_engine()
     indexed = SimpleDBEngine(indexed_sim.account)
     benchmark(indexed.q1, next(iter(indexed.q2_outputs_of('blast').refs)))
     assert set(scan.q2_outputs_of("blast").refs) == set(
@@ -95,7 +95,7 @@ def test_query_results_agree_across_backends(benchmark, loaded_backends):
 
 def test_bench_q2_scan(benchmark, loaded_backends):
     scan_sim, _ = loaded_backends
-    engine = S3ScanEngine(scan_sim.account)
+    engine = scan_sim.query_engine()
     measurement = benchmark(engine.q2_outputs_of, "blast")
     assert measurement.result_count > 0
 

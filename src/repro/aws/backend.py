@@ -242,7 +242,7 @@ def _referenced_attributes(node: Node) -> frozenset[str]:
     return frozenset()
 
 
-def _paged(fetch, token_attr: str = "next_token"):
+def paged(fetch, token_attr: str = "next_token"):
     """Every page of one continuation-token read, lazily: ``fetch(token)``
     issues one request (``None`` = from the start) and the page's
     ``token_attr`` resumes it. A page is handed over before the next is
@@ -452,7 +452,7 @@ class SimpleDBBackend:
 
     def _pages(self, request, *args, **kwargs):
         """Every page of one ``next_token``-paged service read."""
-        return _paged(lambda token: request(*args, next_token=token, **kwargs))
+        return paged(lambda token: request(*args, next_token=token, **kwargs))
 
     def enumerate_items(self, store):
         """The §5 Q1-over-everything pattern: page every item *name*
@@ -620,7 +620,7 @@ class DynamoBackend:
     def _pages(self, request, *args, **kwargs):
         """Every page of one paged service read, each request riding out
         throttles through :meth:`_with_backoff`."""
-        return _paged(
+        return paged(
             lambda key: self._with_backoff(
                 request, *args, exclusive_start_key=key, **kwargs
             ),

@@ -35,7 +35,6 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
-from repro.core import ARCHITECTURES
 from repro.deployment import Deployment
 from repro.passlib.records import ObjectRef
 from repro.schedule import dumps, loads
@@ -84,18 +83,6 @@ class MatrixCell:
     key: str
     architecture: str = "s3+simpledb"
     deployment: Deployment = Deployment()
-
-    def __post_init__(self):
-        # Every repetition probes Q1 and Q4, which only the indexed
-        # engine answers — the A1 scan engine has neither.
-        supported = sorted(
-            name for name, store in ARCHITECTURES.items() if store.has_provenance_domain
-        )
-        if self.architecture not in supported:
-            raise ValueError(
-                f"a matrix cell's architecture must be one of {supported}, "
-                f"got {self.architecture!r}"
-            )
 
     def build_simulation(self, seed: int) -> Simulation:
         """A simulation of this cell's architecture and deployment."""
@@ -165,6 +152,7 @@ def default_cells() -> list[MatrixCell]:
         shards=4, placement="ddb", ddb_indexes="name/nonce+*,type/nonce,name,input"
     )
     return [
+        MatrixCell("s3-1", "s3"),
         MatrixCell("sdb-1"),
         MatrixCell("sdb-4", deployment=Deployment(shards=4)),
         MatrixCell(

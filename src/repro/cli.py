@@ -167,8 +167,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     except ValueError as exc:  # e.g. a malformed --backend/--migrate spec
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # A1 keeps provenance in object metadata: no domain to shard, place,
-    # query by index or migrate.
+    # A1 keeps provenance in object metadata: no domain to shard, place
+    # or migrate.
     has_domain = sim.store_class.has_provenance_domain
     if args.shards > 1:
         if not has_domain:
@@ -205,36 +205,35 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"read back {result.subject.encode()} consistent={result.consistent}")
     for record in result.bundle.records:
         print(f"  {record}")
-    if has_domain:
-        engine = sim.query_engine()
-        outputs = engine.q2_outputs_of("analyze")
-        mode = (
-            f"concurrency={engine.concurrency}"
-            if engine.concurrency > 1
-            else "sequential"
-        )
+    engine = sim.query_engine()
+    outputs = engine.q2_outputs_of("analyze")
+    mode = (
+        f"concurrency={engine.concurrency}"
+        if engine.concurrency > 1
+        else "sequential"
+    )
+    print(
+        f"Q2 outputs-of(analyze): {outputs.result_count} file(s), "
+        f"{outputs.operations} ops, modeled latency "
+        f"{outputs.latency * 1000:.0f} ms ({mode}; one-at-a-time "
+        f"{outputs.sequential_latency * 1000:.0f} ms)"
+    )
+    if outputs.predicted_cost is not None:
+        metered = sim.account.prices.cost(outputs.usage).total
         print(
-            f"Q2 outputs-of(analyze): {outputs.result_count} file(s), "
-            f"{outputs.operations} ops, modeled latency "
-            f"{outputs.latency * 1000:.0f} ms ({mode}; one-at-a-time "
-            f"{outputs.sequential_latency * 1000:.0f} ms)"
+            f"Q2 planner={engine.planner_mode}: predicted "
+            f"${outputs.predicted_cost:.8f} vs metered ${metered:.8f}"
         )
-        if outputs.predicted_cost is not None:
-            metered = sim.account.prices.cost(outputs.usage).total
-            print(
-                f"Q2 planner={engine.planner_mode}: predicted "
-                f"${outputs.predicted_cost:.8f} vs metered ${metered:.8f}"
-            )
-        cache = sim.account.read_cache
-        if cache is not None:
-            repeat = sim.query_engine().q2_outputs_of("analyze")
-            print(
-                f"Q2 repeated with read cache: {repeat.operations} backend "
-                f"op(s) + {repeat.cache_operations} cache op(s) "
-                f"(hits {cache.hits}, misses {cache.misses}, "
-                f"evictions {cache.evictions}, "
-                f"{cache.stored_nbytes()}B cached)"
-            )
+    cache = sim.account.read_cache
+    if cache is not None:
+        repeat = sim.query_engine().q2_outputs_of("analyze")
+        print(
+            f"Q2 repeated with read cache: {repeat.operations} backend "
+            f"op(s) + {repeat.cache_operations} cache op(s) "
+            f"(hits {cache.hits}, misses {cache.misses}, "
+            f"evictions {cache.evictions}, "
+            f"{cache.stored_nbytes()}B cached)"
+        )
     if migration is not None and not has_domain:
         print("note: --migrate has no effect on the s3 architecture "
               "(provenance lives in object metadata, not a shard layout)")

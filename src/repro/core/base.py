@@ -300,9 +300,9 @@ def fetch_overflow(account: AWSAccount, key: str, bucket: str = DATA_BUCKET) -> 
 
 
 def read_provenance_item(
-    account: AWSAccount, site: Site, item_name: str
+    account: AWSAccount, backend, store: str, item_name: str
 ) -> dict[str, tuple[str, ...]]:
-    """Point-read one provenance item from its site's backend.
+    """Point-read one provenance item from ``store`` on ``backend``.
 
     SimpleDB shards read a replica via GetAttributes; DynamoDB-style
     shards issue an eventually consistent GetItem — either way the
@@ -321,7 +321,7 @@ def read_provenance_item(
         if hit:
             return attrs
         fence = cache.fence()
-    attrs = backend_for_site(account, site).get_item(site.domain, item_name)
+    attrs = backend.get_item(store, item_name)
     if cache is not None and attrs:
         cache.put_item(item_name, attrs, fence)
     return attrs

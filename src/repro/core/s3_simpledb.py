@@ -215,8 +215,9 @@ class S3SimpleDB(ProvenanceCloudStore):
         ``name`` right now — the site comes from the shared routing
         handle: during a live migration reads stay on the source layout
         until the owning shard cuts over."""
+        site = self.routing.read_site(name)
         return read_provenance_item(
-            self.account, self.routing.read_site(name), item_name
+            self.account, backend_for_site(self.account, site), site.domain, item_name
         )
 
     def _uncache(self, item_name: str) -> None:

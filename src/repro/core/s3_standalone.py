@@ -37,8 +37,13 @@ Engineering notes faithful to the paper's discussion:
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable, Iterable, Iterator
+
 from repro.aws.account import AWSAccount
 from repro.aws.faults import FaultPlan, call_with_retries
+from repro.aws.backend import paged
+from repro.aws.sdb_query import matching, parse_query
 from repro.core.base import (
     Component,
     DATA_BUCKET,
@@ -48,15 +53,76 @@ from repro.core.base import (
     ReadResult,
     RetryPolicy,
     data_key,
+    fetch_overflow,
 )
-from repro.errors import ReadCorrectnessViolation
-from repro.passlib.records import FlushEvent, ObjectRef
+from repro.errors import NoSuchKey, ReadCorrectnessViolation
+from repro.passlib.objects import Kind
+from repro.passlib.records import Attr, FlushEvent, ObjectRef, ProvenanceBundle
 from repro.passlib.serializer import (
     S3MetadataPayload,
     bundles_from_s3_metadata,
     parse_nonce,
     to_s3_metadata,
 )
+
+#: An item row: (item name, attribute -> values).
+Row = tuple[str, dict[str, tuple[str, ...]]]
+
+
+def metadata_version(metadata: dict[str, str]) -> int | None:
+    """The version an object's ``nonce`` metadata names (1 for an object
+    written without one), or ``None`` when the nonce is malformed."""
+    return parse_nonce(metadata.get(Attr.NONCE, "v0001"))
+
+
+def decode_object(name: str, metadata: dict[str, str], fetch: Callable[[str], str]):
+    """(own bundle, piggybacked ancestor bundles) of one data object; a
+    malformed nonce or bundle object raises
+    :class:`ReadCorrectnessViolation`."""
+    version = metadata_version(metadata)
+    if version is None:
+        raise ReadCorrectnessViolation(f"{name}: malformed nonce {metadata[Attr.NONCE]!r}")
+    return bundles_from_s3_metadata(ObjectRef(name, version), metadata, fetch)
+
+
+def object_bundles(
+    keys: Iterable[str], metadata_of: Callable[[str], dict[str, str]], fetch
+) -> Iterator[tuple[ProvenanceBundle, ...] | None]:
+    """The one decode loop over A1's metadata format: per data object
+    among ``keys``, in order, the bundles its metadata holds — its own,
+    then those piggybacked on it.
+
+    An object whose nonce or bundle object is malformed holds no
+    provenance a reader could decode: it yields ``None``, so a scan
+    skips and counts it instead of aborting. Keys under
+    :data:`PASS_PREFIX` hold spilled values and WAL copies, never a PASS
+    file, and an object ``metadata_of`` no longer finds (replica lag on
+    a brand-new object) is passed over.
+    """
+    for key in keys:
+        if key.startswith(PASS_PREFIX):
+            continue
+        try:
+            metadata = metadata_of(key)
+        except NoSuchKey:
+            continue
+        try:
+            own, ancestors = decode_object(key, metadata, fetch)
+        except ReadCorrectnessViolation:
+            yield None
+            continue
+        yield (own, *ancestors)
+
+
+def _row(bundle: ProvenanceBundle) -> Row:
+    """A decoded bundle as an item row: its records as attributes, plus
+    ``nonce`` for a file (what an A2/A3 item holds)."""
+    attrs: dict[str, tuple[str, ...]] = {}
+    for record in bundle.records:
+        attrs[record.attribute] = (*attrs.get(record.attribute, ()), record.encoded_value())
+    if bundle.kind == Kind.FILE:
+        attrs[Attr.NONCE] = (ObjectRef.nonce_of(bundle.subject.version),)
+    return bundle.subject.item_name, attrs
 
 
 class S3Standalone(ProvenanceCloudStore):
@@ -121,7 +187,8 @@ class S3Standalone(ProvenanceCloudStore):
 
     def _do_read(self, name: str, version: int | None) -> ReadResult:
         result = self.account.s3.get(DATA_BUCKET, data_key(name))
-        subject, (bundle, _ancestors) = self._decode(name, result.metadata)
+        bundle, _ = decode_object(name, result.metadata, self._fetch_overflow)
+        subject = bundle.subject
         if version is not None and subject.version != version:
             raise ReadCorrectnessViolation(
                 f"{name}: S3 holds version {subject.version}; version "
@@ -138,26 +205,14 @@ class S3Standalone(ProvenanceCloudStore):
         """Read provenance only, via HEAD (the §4.1 query primitive)."""
         self.provision()
         head = self.account.s3.head(DATA_BUCKET, data_key(name))
-        subject, (bundle, _ancestors) = self._decode(name, head.metadata)
-        return ReadResult(subject=subject, data=None, bundle=bundle, consistent=True)
-
-    def _decode(self, name: str, metadata: dict[str, str], fetch_overflow=None):
-        """(subject, (own bundle, piggybacked ancestor bundles))."""
-        nonce = metadata.get("nonce", "v0001")
-        version = parse_nonce(nonce)
-        if version is None:
-            raise ReadCorrectnessViolation(f"{name}: malformed nonce {nonce!r}")
-        subject = ObjectRef(name, version)
-        return subject, bundles_from_s3_metadata(
-            subject, metadata, fetch_overflow or self._fetch_overflow
-        )
+        bundle, _ = decode_object(name, head.metadata, self._fetch_overflow)
+        return ReadResult(subject=bundle.subject, data=None, bundle=bundle, consistent=True)
 
     def stored_provenance(self) -> set[ObjectRef]:
-        """Each data object's version (its ``nonce``) and the ancestors
-        piggybacked on it, decoded from authoritative metadata and
-        overflow objects. An object whose nonce or bundle object is
-        malformed holds no provenance a reader could decode, so it is
-        skipped, as a repository scan skips it."""
+        """Each data object's version and the ancestors piggybacked on
+        it, decoded by the scan's loop (:func:`object_bundles`) from
+        authoritative metadata and overflow objects — so an object a
+        scan skips holds no provenance here either."""
         s3 = self.account.s3
         records = {
             key: s3.authoritative_record(DATA_BUCKET, key)
@@ -167,22 +222,14 @@ class S3Standalone(ProvenanceCloudStore):
         def fetch(key: str) -> str:
             return records[key].blob.read().decode("utf-8")
 
-        stored = set()
-        for key, record in records.items():
-            if key.startswith(PASS_PREFIX):
-                continue
-            try:
-                _, (own, ancestors) = self._decode(key, record.metadata_dict, fetch)
-            except ReadCorrectnessViolation:
-                continue
-            stored.update(bundle.subject for bundle in (own, *ancestors))
-        return stored
+        decoded = object_bundles(records, lambda key: records[key].metadata_dict, fetch)
+        return {bundle.subject for bundles in decoded if bundles for bundle in bundles}
 
     def read_with_ancestors(self, name: str):
         """Read the full metadata payload including piggybacked ancestors."""
         self.provision()
         result = self.account.s3.get(DATA_BUCKET, data_key(name))
-        return self._decode(name, result.metadata)[1]
+        return decode_object(name, result.metadata, self._fetch_overflow)
 
     # -- diagram (Figure 1) ------------------------------------------------------
 
@@ -199,3 +246,77 @@ class S3Standalone(ProvenanceCloudStore):
             Flow("pass", "s3", "PUT(data + provenance metadata) on close"),
             Flow("s3", "pass", "GET data / HEAD provenance"),
         ]
+
+
+class BucketScan:
+    """A1's one query site: the data bucket, whose only access path is a
+    full metadata scan (§4.1). It plays the three parts
+    :class:`~repro.query.engine.SimpleDBEngine` asks of a layout:
+
+    * **the routing** — one site for every phase and every point read,
+      at an epoch that never moves (A1 has no layout to change);
+    * **the site** — labelled with the bucket's name, on backend kind
+      ``"s3"``;
+    * **the site's backend adapter.** The first phase of a query to reach
+      the bucket lists it, HEADs every data object and GETs its spilled
+      values, and keeps each decoded bundle, the object's own and the
+      piggybacked ones, as an item row: the bundle's records as
+      attributes, plus ``nonce`` for a file. Every later phase of the
+      same query evaluates its predicate over those rows and issues no
+      request; the engine calls :meth:`forget` as each query begins.
+      Rows are not projected, since the scan paid for every attribute.
+      A point read (:meth:`get_item`) is one HEAD of the object, a hit
+      when its nonce names the version asked for; the engine then GETs
+      each ``@s3:`` pointer of the metadata it returns.
+    """
+
+    kind = "s3"
+    domain = DATA_BUCKET
+    epoch = 0
+
+    def __init__(self, account: AWSAccount):
+        self.account = account
+        #: Objects the last scan skipped because their ``nonce`` metadata
+        #: or bundle object would not parse — a malformed object must not
+        #: abort the scan.
+        self.skipped_items = 0
+        self._rows: list[Row] | None = None
+
+    def query_sites(self) -> tuple["BucketScan"]:
+        return (self,)
+
+    def read_site(self, path: str) -> "BucketScan":
+        return self
+
+    def forget(self) -> None:
+        """Drop the last query's scan: the next phase scans again."""
+        self._rows = None
+
+    def _scanned(self) -> list[Row]:
+        if self._rows is None:
+            s3 = self.account.s3
+            pages = paged(lambda marker: s3.list_keys(DATA_BUCKET, marker=marker), "next_marker")
+            keys = [key for page in pages for key in page.keys]
+            decoded = list(object_bundles(
+                keys,
+                lambda key: s3.head(DATA_BUCKET, key).metadata,
+                partial(fetch_overflow, self.account),
+            ))
+            self.skipped_items = decoded.count(None)
+            self._rows = [_row(bundle) for bundles in decoded if bundles for bundle in bundles]
+        return self._rows
+
+    def query_pages(self, store, expression, attribute_names, compiled=None, path=None):
+        return matching(self._scanned(), compiled or parse_query(expression))
+
+    def enumerate_items(self, store) -> Iterator[Row]:
+        return iter(self._scanned())
+
+    def get_item(self, store: str, item_name: str) -> dict[str, tuple[str, ...]]:
+        ref = ObjectRef.from_item_name(item_name)
+        try:
+            metadata = self.account.s3.head(DATA_BUCKET, data_key(ref.name)).metadata
+        except NoSuchKey:
+            return {}
+        hit = metadata_version(metadata) == ref.version
+        return {key: (value,) for key, value in metadata.items()} if hit else {}

@@ -17,7 +17,6 @@ constructor arguments (``Simulation(architecture, **fields)``,
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping, Sequence
 
 from repro.aws.backend import parse_index_specs
 from repro.aws.elasticache import resolve_read_cache
@@ -55,10 +54,10 @@ def resolve_planner(mode: str | None = None) -> str:
     return mode
 
 
-def _check(name: str, parse, *args) -> None:
+def _check(name: str, parse, *args):
     """Run a spec grammar's parser, naming the field on a parse error."""
     try:
-        parse(*args)
+        return parse(*args)
     except ValueError as error:
         raise ValueError(f"{name}: {error}") from None
 
@@ -99,11 +98,13 @@ class Deployment:
     Integer fields hold ints, ``read_cache`` and ``planner`` their
     normalised text; ``placement`` and ``ddb_indexes`` keep the spec
     they were given, checked against its grammar (a placement is read
-    against ``shards``, so it stays a spec).
+    against ``shards``, so it stays a spec), except that a placement map
+    or sequence is kept as its spec string (``{1: "ddb"}`` at two shards
+    is ``"0:sdb,1:ddb"``), so a run file can record it.
     """
 
     shards: int = 1
-    placement: str | Mapping[int, str] | Sequence[str] = "sdb"
+    placement: str = "sdb"
     ddb_indexes: str | tuple = ""
     concurrency: int = 1
     write_batch: int = 1
@@ -125,5 +126,8 @@ class Deployment:
         }
         for name, value in parsed.items():
             object.__setattr__(self, name, value)
-        _check("placement", parse_placement, self.placement, self.shards)
+        kinds = _check("placement", parse_placement, self.placement, self.shards)
+        if not isinstance(self.placement, str):
+            spec = ",".join(f"{index}:{kind}" for index, kind in enumerate(kinds))
+            object.__setattr__(self, "placement", spec)
         _check("ddb_indexes", parse_index_specs, self.ddb_indexes)

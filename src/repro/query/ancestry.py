@@ -6,8 +6,6 @@ against the cloud backends. Edges are the bundles' ``input`` and
 ``prev_version`` references; no other module keeps its own copy of the
 graph. Its readers:
 
-* the A1 scan engine (:class:`repro.query.engine.S3ScanEngine`), which
-  answers Q2/Q3 by walking the bundles it scanned;
 * Table 1's causal-ordering and efficient-query checks
   (:mod:`repro.properties`), which judge a store's
   ``stored_provenance()`` against it;
@@ -16,7 +14,7 @@ graph. Its readers:
 * :class:`repro.advisor.model.WorkflowModel`, whose ``fan_out`` counts
   a version's descendants;
 * the perf harness and the tests, as the ground-truth Q2/Q3 oracle the
-  cloud engines must agree with, and the examples' audit scenarios
+  query engine must agree with, and the examples' audit scenarios
   (e.g. "which data sets were produced by the flawed tool version?").
 """
 

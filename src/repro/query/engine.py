@@ -1,4 +1,4 @@
-"""The Q1–Q4 query engines (paper §5, Table 3).
+"""The Q1–Q4 query engine (paper §5, Table 3).
 
 The paper's three representative queries, plus a version-range query:
 
@@ -18,6 +18,15 @@ Q2–Q4 are declarations over one phase executor:
 expressions) plus a row decoder, and owns site enumeration,
 compile-once-per-query, planning, paging, wave dispatch, merging and
 memoisation.
+
+One engine serves all three architectures; what differs is the sites
+:meth:`repro.sim.Cloud.query_engine` hands it. A2/A3 query their
+provenance domain's shards. A1 (§4.1) has one site, the data bucket
+(:class:`~repro.core.s3_standalone.BucketScan`), whose only access path
+is a full metadata scan: the first phase of a query to reach it pays
+the LIST, a HEAD per object and a GET per spilled value, and every later
+phase of that query filters the scanned rows for free — Table 3 charges
+A1 one scan for each of Q1, Q2 and Q3.
 
 Each engine method runs inside one :meth:`~repro.aws.billing.Meter.scoped`
 block and returns a :class:`QueryMeasurement` whose operation and byte
@@ -72,23 +81,13 @@ from typing import Callable, Iterable, TypeVar
 from repro.aws.account import AWSAccount
 from repro.aws.billing import ELASTICACHE, Meter, MeterScope, Usage
 from repro.aws.sdb_query import CompiledQuery, parse_query, quote_literal
-from repro.core.base import (
-    DATA_BUCKET,
-    PASS_PREFIX,
-    fetch_overflow,
-    read_provenance_item,
-)
+from repro.core.base import DATA_BUCKET, read_provenance_item
+from repro.core.s3_standalone import BucketScan
 from repro.devtools import sanitize
-from repro.errors import NoSuchKey, ReadCorrectnessViolation
 from repro.deployment import positive_int, resolve_planner
-from repro.passlib.records import Attr, ObjectRef, ProvenanceBundle
-from repro.passlib.serializer import (
-    bundles_from_s3_metadata,
-    overflow_keys,
-    parse_nonce,
-)
+from repro.passlib.records import Attr, ObjectRef
+from repro.passlib.serializer import overflow_keys
 from repro.migration.handle import RouterHandle, Site, as_handle, fresh_handle
-from repro.query.ancestry import AncestryWalker
 from repro.query.latency import DEFAULT_LATENCY_MODEL, QueryLatencyModel, makespan
 from repro.query.planner import QueryPlanner
 from repro.sharding import ShardRouter
@@ -117,12 +116,12 @@ class QueryMeasurement:
     are equal when every public field is.
 
     ``per_shard`` breaks the spend down as ``(domain, operations,
-    bytes_out)`` triples, one per shard domain touched — populated by the
-    SimpleDB engine from scoped meter contexts opened around each
-    shard's request stream (empty for the S3 scan engine, which has no
-    shards). ``per_backend`` rolls the same exact triples up by backend
-    kind (``"sdb"``/``"ddb"``) under heterogeneous placement, so the
-    cost of a placement decision is auditable per query.
+    bytes_out)`` triples, one per site touched — populated from scoped
+    meter contexts opened around each site's request stream (on A1, the
+    data bucket's one entry). ``per_backend`` rolls the same exact
+    triples up by backend kind (``"sdb"``/``"ddb"``; ``"s3"`` on A1)
+    under heterogeneous placement, so the cost of a placement decision
+    is auditable per query.
 
     ``latency`` is the modeled wall-clock of the query as dispatched:
     the sum over scatter phases of each wave's critical path at the
@@ -217,8 +216,7 @@ class QueryMeasurement:
 
     def _streams(self) -> Iterable[tuple[str | None, MeterScope]]:
         """``(label, scope)`` of every step in run order; a step no
-        shard's stream ran (a memo consult or fill, or the scan engine's
-        whole query) has no label."""
+        shard's stream ran (a memo consult or fill) has no label."""
         for step in self._steps:
             if isinstance(step, MeterScope):
                 yield None, step
@@ -287,119 +285,18 @@ def _tally(entries: Iterable[tuple[str, int, int]]) -> tuple[tuple[str, int, int
     return tuple((key, ops, nbytes) for key, (ops, nbytes) in sorted(totals.items()))
 
 
-class _Metered:
-    """What both engines share: the account, the data bucket and the
-    latency model."""
-
-    #: Where the architectures keep data objects and spilled values.
-    bucket = DATA_BUCKET
-    #: Per-request round-trip model behind ``latency``.
-    latency_model = DEFAULT_LATENCY_MODEL
-
-    def __init__(self, account: AWSAccount):
-        self.account = account
-
-
-class S3ScanEngine(_Metered):
-    """Queries against architecture A1: scan every object's metadata.
-
-    "If we do not know the exact object whose provenance we seek, then we
-    might need to iterate over the provenance of every object in the
-    repository, which is so inefficient as to be impractical." (§4.1)
-    """
-
-    def __init__(self, account: AWSAccount):
-        super().__init__(account)
-        #: Resolves a spilled value's ``@s3:`` pointer (a metered GET).
-        self._fetch_overflow = partial(fetch_overflow, account)
-        #: Objects the last scan skipped because their ``nonce`` metadata
-        #: or bundle object would not parse — a malformed item must not
-        #: abort the scan.
-        self.skipped_items = 0
-
-    # -- scanning -----------------------------------------------------------
-
-    def _data_keys(self) -> list[str]:
-        keys: list[str] = []
-        marker: str | None = None
-        while True:
-            page = self.account.s3.list_keys(self.bucket, marker=marker)
-            keys.extend(k for k in page.keys if not k.startswith(PASS_PREFIX))
-            if not page.is_truncated:
-                break
-            marker = page.next_marker
-        return keys
-
-    def scan_bundles(self) -> list[ProvenanceBundle]:
-        """HEAD every object; decode its own + piggybacked bundles.
-
-        Objects whose ``nonce`` metadata or bundle object is malformed
-        are skipped and counted on :attr:`skipped_items` instead of
-        aborting the scan.
-        """
-        bundles: list[ProvenanceBundle] = []
-        self.skipped_items = 0
-        for key in self._data_keys():
-            try:
-                head = self.account.s3.head(self.bucket, key)
-            except NoSuchKey:
-                continue  # replica lag on a brand-new object
-            version = parse_nonce(head.metadata.get("nonce", "v0001"))
-            try:
-                if version is None:
-                    raise ReadCorrectnessViolation(f"{key}: malformed nonce")
-                own, ancestors = bundles_from_s3_metadata(
-                    ObjectRef(key, version), head.metadata, self._fetch_overflow
-                )
-            except ReadCorrectnessViolation:
-                self.skipped_items += 1
-                continue
-            bundles.append(own)
-            bundles.extend(ancestors)
-        return bundles
-
-    # -- the three queries ------------------------------------------------------
-
-    def _measure(self, refs: set[ObjectRef], scope: MeterScope) -> QueryMeasurement:
-        """A one-step record: the whole scan is one sequential stream."""
-        return QueryMeasurement(
-            tuple(sorted(refs)), scope, self.account.meter.levels(), [scope], {},
-            self.latency_model, 1,
-        )
-
-    def q1_all(self) -> QueryMeasurement:
-        """Provenance of every object version (HEAD + overflow GETs)."""
-        with self.account.meter.scoped() as scope:
-            refs = {bundle.subject for bundle in self.scan_bundles()}
-        return self._measure(refs, scope)
-
-    def q2_outputs_of(self, program: str) -> QueryMeasurement:
-        """Files that are outputs of ``program`` — via a full scan."""
-        with self.account.meter.scoped() as scope:
-            refs = AncestryWalker(self.scan_bundles()).outputs_of(program)
-        return self._measure(refs, scope)
-
-    def q3_descendants_of(self, program: str) -> QueryMeasurement:
-        """Transitive descendants of files derived from ``program``.
-
-        The scan is executed once and the closure computed from cache —
-        the paper notes the second phase "can, of course, be executed
-        from a cache".
-        """
-        with self.account.meter.scoped() as scope:
-            walker = AncestryWalker(self.scan_bundles())
-            refs = walker.descendants_of_outputs(program)
-        return self._measure(refs, scope)
-
-
-class SimpleDBEngine(_Metered):
-    """Queries against architectures A2/A3: indexed SimpleDB lookups.
+class SimpleDBEngine:
+    """The one query engine: Q1–Q4 as phases over a layout's sites.
 
     ``router`` (or a store's ``.router``) selects the sharded layout:
     Q1 routes to the one shard owning the subject's path, while Q2/Q3
     scatter every phase across all shards and merge the frontiers
     client-side. The default router is the paper's single domain, under
     which every request sequence is identical to the unsharded engine.
+    A :class:`~repro.core.s3_standalone.BucketScan` in its place is
+    architecture A1's one site, the data bucket, whose only access path
+    is a full metadata scan taken once per query: the same phases then
+    run over the scanned rows.
 
     ``concurrency`` is the width at which each scatter wave's per-shard
     request streams are *modeled* to overlap (default 1; anything but an
@@ -411,24 +308,32 @@ class SimpleDBEngine(_Metered):
     critical path on ``concurrency`` workers.
     """
 
+    #: Where the architectures keep data objects and spilled values.
+    bucket = DATA_BUCKET
+    #: Per-request round-trip model behind ``latency``.
+    latency_model = DEFAULT_LATENCY_MODEL
+
     def __init__(
         self,
         account: AWSAccount,
         ref_batch: int = REF_BATCH,
-        router: ShardRouter | RouterHandle | None = None,
+        router: ShardRouter | RouterHandle | BucketScan | None = None,
         concurrency: int | None = None,
         planner: str | None = None,
     ):
-        super().__init__(account)
+        self.account = account
+        #: A1's bucket when it is the one site (its own routing and
+        #: backend), else None.
+        self.scan = router if isinstance(router, BucketScan) else None
         #: Shared routing indirection: passing the cloud's handle (what
         #: ``Cloud.query_engine`` does) makes every scatter phase
         #: observe live-migration cutovers at the moment it dispatches —
         #: during a migration, phases cover the union of source stores
         #: and cut-over target stores.
-        self.routing = as_handle(router) if router is not None else fresh_handle()
-        #: Backend adapters by kind; each shard's stream reads through
+        self.routing = self.scan or (as_handle(router) if router is not None else fresh_handle())
+        #: Backend adapters by kind; each site's stream reads through
         #: the adapter its placement names.
-        self.backends = account.provenance_backends()
+        self.backends = {self.scan.kind: self.scan} if self.scan else account.provenance_backends()
         self.ref_batch = ref_batch
         self.concurrency = positive_int(
             1 if concurrency is None else concurrency, "concurrency"
@@ -462,9 +367,10 @@ class SimpleDBEngine(_Metered):
         self._audited = sanitize.ACTIVE
 
     @property
-    def router(self) -> ShardRouter:
-        """The settled layout (kept for introspection call sites)."""
-        return self.routing.current
+    def skipped_items(self) -> int:
+        """Objects the last A1 scan skipped because their ``nonce``
+        metadata or bundle object would not parse (0 without a scan)."""
+        return self.scan.skipped_items if self.scan is not None else 0
 
     # -- scatter-gather dispatch ----------------------------------------------
 
@@ -474,11 +380,13 @@ class SimpleDBEngine(_Metered):
         ``planned`` arms the prediction accumulator — only the scatter
         query classes the planner covers (Q2/Q3/Q4) set it, so Q1's
         measurements keep ``predicted_cost=None`` instead of a
-        misleading zero.
+        misleading zero. A1's bucket forgets the last query's scan.
         """
         self._site_kinds = {}
         self._steps = []
         self._predicted = 0.0 if planned and self.planner is not None else None
+        if self.scan is not None:
+            self.scan.forget()
 
     def _query_sites(self) -> list[tuple[str, Site]]:
         """(label, site) pairs a scatter phase must cover.
@@ -641,13 +549,16 @@ class SimpleDBEngine(_Metered):
         shard cuts over, then the target). With the read-cache tier on,
         the point read consults the authority first. Fetches the item
         and each of its spilled values; returns the item's ref without
-        decoding its records.
+        decoding its records. On A1 the item is the object's metadata (one
+        HEAD), found only while the object still holds ``ref.version``.
         """
         self._begin()
         site = self.routing.read_site(ref.path)
 
         def lookup() -> list[ObjectRef]:
-            attrs = read_provenance_item(self.account, site, ref.item_name)
+            attrs = read_provenance_item(
+                self.account, self.backends[site.kind], site.domain, ref.item_name
+            )
             return [self._item_ref(ref.item_name, attrs)] if attrs else []
 
         with self.account.meter.scoped() as scope:
@@ -661,10 +572,11 @@ class SimpleDBEngine(_Metered):
         SimpleDB cannot "generalise the query", so its shards page item
         names and issue one GetAttributes per item (plus a GET per
         spilled value); DynamoDB-style shards page a Scan whose items
-        already carry their attributes. The N per-shard streams are
-        independent — one wave. Every item and spilled value is
-        fetched; records are not decoded, since the measurement returns
-        refs only.
+        already carry their attributes; A1's bucket hands over its
+        scan's rows, their spilled values already fetched. The N
+        per-shard streams are independent — one wave. Every item and
+        spilled value is fetched; records are not decoded (except by
+        A1's scan), since the measurement returns refs only.
         """
         self._begin()
 

@@ -18,7 +18,7 @@ architecture name, the routing handle every consumer shares, the
 cloud's settings (one :class:`~repro.deployment.Deployment`, parsed
 once — the one place they are documented), and the four things done
 *to* a deployment — add a client host (:meth:`Cloud.add_client`), hand
-out the matching query engine (:meth:`Cloud.query_engine`), start a
+out the query engine over its sites (:meth:`Cloud.query_engine`), start a
 live layout migration (:meth:`Cloud.start_migration`) and let daemons
 and replication converge (:meth:`Cloud.settle`). The two drivers differ only in client
 count and scheduling: :class:`Simulation` is that cloud with one store
@@ -54,13 +54,14 @@ from typing import Iterable
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.core import architecture_class, make_architecture
 from repro.core.base import ProvenanceCloudStore, ReadResult
+from repro.core.s3_standalone import BucketScan
 from repro.deployment import Deployment
 from repro.errors import ClientCrash, ScheduleFormatError
 from repro.migration.handle import fresh_handle
 from repro.migration.live import LiveMigration, MigrationReport, begin_live_migration
 from repro.migration.live import parse_migration_spec
 from repro.passlib.records import FlushEvent
-from repro.query.engine import S3ScanEngine, SimpleDBEngine
+from repro.query.engine import SimpleDBEngine
 from repro.schedule import SETTLE, Run, Step, check_step
 from repro.sharding import ShardRouter
 from repro.workloads.base import TraceStats, Workload
@@ -120,6 +121,14 @@ class Cloud:
         self.seed = seed
         #: Every setting of this cloud, parsed once.
         self.deployment = settings = replace(deployment or Deployment(), **knobs)
+        # The cache fronts, and the planner prices the access paths of, a
+        # provenance domain: no A1 write would invalidate a memo entry.
+        needs_domain = settings.read_cache or settings.planner != "off"
+        if needs_domain and not self.store_class.has_provenance_domain:
+            raise ValueError(
+                f"the {architecture} architecture has no provenance domain for "
+                "read_cache or planner"
+            )
         self.account = AWSAccount(
             seed=seed,
             consistency=consistency or ConsistencyConfig.strong(),
@@ -258,20 +267,21 @@ class Cloud:
                 stored += 1
         return stored
 
-    def query_engine(self) -> S3ScanEngine | SimpleDBEngine:
-        """The Table 3 query engine matching this architecture — the one
-        place the choice is made.
+    def query_engine(self) -> SimpleDBEngine:
+        """The Table 3 query engine over this cloud's sites — the one
+        place they are chosen.
 
-        An architecture without a provenance domain (A1) is answered by
-        scanning object metadata. The indexed engine shares the cloud's
-        routing handle, so queries scatter-gather across exactly the
-        domains the stores wrote, their waves modeled and planned as the
-        deployment's ``concurrency`` and ``planner`` say.
+        An architecture with a provenance domain is queried on the
+        cloud's routing handle, so queries scatter-gather across exactly
+        the domains the stores wrote; A1's one site is the data bucket,
+        whose only access path is a full metadata scan
+        (:class:`~repro.core.s3_standalone.BucketScan`). Waves are
+        modeled and planned as the deployment's ``concurrency`` and
+        ``planner`` say.
         """
-        if not self.store_class.has_provenance_domain:
-            return S3ScanEngine(self.account)
+        sites = self.routing if self.store_class.has_provenance_domain else BucketScan(self.account)
         return SimpleDBEngine(
-            self.account, router=self.routing,
+            self.account, router=sites,
             concurrency=self.deployment.concurrency, planner=self.deployment.planner,
         )
 

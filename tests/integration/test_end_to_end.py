@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.query_model import shape_check as query_shape
 from repro.analysis.storage_model import shape_check as storage_shape
 from repro.query.ancestry import AncestryWalker
-from repro.query.engine import S3ScanEngine, SimpleDBEngine
 from repro.sim import Simulation
 from repro.workloads import CombinedWorkload, collect_stats
 
@@ -43,8 +42,8 @@ class TestFullPipeline:
         sdb_sim = Simulation(architecture="s3+simpledb+sqs", seed=19)
         sdb_sim.store_events(combined_events, collect=False)
 
-        scan = S3ScanEngine(scan_sim.account)
-        indexed = SimpleDBEngine(sdb_sim.account)
+        scan = scan_sim.query_engine()
+        indexed = sdb_sim.query_engine()
         for program in ("blast", "softmean", "cc1"):
             expected_q2 = oracle.outputs_of(program)
             assert set(scan.q2_outputs_of(program).refs) == expected_q2
@@ -62,7 +61,7 @@ class TestFullPipeline:
         scan_sim.store_events(combined_events, collect=False)
         sdb_sim = Simulation(architecture="s3+simpledb", seed=23, placement="sdb")
         sdb_sim.store_events(combined_events, collect=False)
-        scan_cost = S3ScanEngine(scan_sim.account).q2_outputs_of("blast")
+        scan_cost = scan_sim.query_engine().q2_outputs_of("blast")
         indexed_cost = sdb_sim.query_engine().q2_outputs_of("blast")
         assert indexed_cost.operations * 10 < scan_cost.operations
         assert indexed_cost.bytes_out * 10 < scan_cost.bytes_out

@@ -21,7 +21,8 @@ import pytest
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.passlib.capture import PassSystem
-from repro.query.engine import SimpleDBEngine, parse_nonce
+from repro.passlib.serializer import parse_nonce
+from repro.query.engine import SimpleDBEngine
 from repro.query.latency import DEFAULT_LATENCY_MODEL, makespan
 from repro.sim import Simulation
 

@@ -15,7 +15,13 @@ import random
 import pytest
 
 from repro.bench import MatrixCell, WorkloadSpec, run_matrix
-from repro.bench.matrix import quick_cells, quick_workloads, summarize
+from repro.bench.matrix import (
+    default_cells,
+    default_workloads,
+    quick_cells,
+    quick_workloads,
+    summarize,
+)
 from repro.cli import main
 from repro.deployment import Deployment
 from repro.workloads import BlastWorkload, ZipfianFleetWorkload
@@ -71,6 +77,26 @@ def test_matrix_covers_the_grid_and_replays_byte_identically():
     assert "probe_hit_rate" not in uncached.stats
     with pytest.raises(KeyError):
         report.cell("zipfian", "no-such-cell")
+
+
+def test_a1_runs_every_default_workload_beside_the_paper_a2():
+    cells = {cell.key: cell for cell in default_cells()}
+    workloads = default_workloads()
+    report = run_matrix(workloads, [cells["s3-1"], cells["sdb-1"]], reps=1)
+
+    def results(workload: str, cell: str) -> tuple:
+        stats = report.cell(workload, cell).stats
+        return stats["q2_results"]["median"], stats["q3_results"]["median"]
+
+    for spec in workloads:
+        assert report.cell(spec.key, "s3-1").replay_ok is True
+    # No name is rewritten: A1 holds every version A2 does.
+    assert results("deep-lineage", "s3-1") == results("deep-lineage", "sdb-1") == (120, 120)
+    assert results("uniform-blast", "s3-1") == results("uniform-blast", "sdb-1") == (48, 96)
+    # Overwrites lose versions on A1 (ROADMAP item 7), never add any.
+    for workload in ("zipfian", "diurnal"):
+        a1, a2 = results(workload, "s3-1"), results(workload, "sdb-1")
+        assert all(mine <= theirs for mine, theirs in zip(a1, a2)), workload
 
 
 def test_matrix_report_is_deterministic():

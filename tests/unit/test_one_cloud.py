@@ -99,9 +99,19 @@ def test_a_malformed_setting_fails_where_it_is_passed(architecture, build, field
         build(architecture, **{field: value})
 
 
-def test_matrix_cells_name_the_architectures_they_support():
-    with pytest.raises(ValueError, match=r"one of \['s3\+simpledb', 's3\+simpledb\+sqs'\]"):
-        MatrixCell(key="scan", architecture="s3")
+@pytest.mark.parametrize(
+    "build", [Simulation, lambda *args, **kw: ClientFleet(2, *args, **kw)],
+    ids=["simulation", "fleet"],
+)
+@pytest.mark.parametrize(
+    "field,value", [("read_cache", "on"), ("planner", "cost"), ("planner", "first-fit")]
+)
+def test_an_a1_cloud_refuses_a_read_cache_and_a_planner(build, field, value):
+    # A1 has no provenance domain: no access path to plan, and no A1
+    # write would invalidate a memoised answer.
+    with pytest.raises(ValueError, match="read_cache or planner"):
+        build("s3", **{field: value})
+    assert MatrixCell(key="scan", architecture="s3").build_simulation(0).query_engine()
 
 
 def test_the_drivers_inherit_the_wiring():

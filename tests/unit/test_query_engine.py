@@ -1,4 +1,4 @@
-"""Unit tests for the Q1/Q2/Q3 query engines, validated against oracles."""
+"""Unit tests for the Q1–Q4 query engine on every architecture, validated against oracles."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +16,9 @@ from repro.passlib.records import (
     ProvenanceRecord,
 )
 from repro.query.ancestry import AncestryWalker
-from repro.query.engine import S3ScanEngine, SimpleDBEngine
+from repro.query.engine import SimpleDBEngine
 from repro.sharding import ShardRouter
+from repro.sim import Simulation
 from tests.conftest import make_architecture
 
 
@@ -46,35 +47,82 @@ def oracle(trace6):
     return AncestryWalker(b for e in trace6 for b in e.all_bundles())
 
 
-class TestS3ScanEngine:
+def a1_with(events) -> Simulation:
+    """An A1 cloud holding ``events``."""
+    sim = Simulation("s3", seed=1234)
+    sim.store_events(events, collect=False)
+    return sim
+
+
+def overwritten_trace():
+    """``doc/a`` written twice, each time by a process whose argument
+    list spills to its own S3 object."""
+    pas = PassSystem(workload="q1")
+    for run in range(2):
+        with pas.process(f"writer{run}", argv="x" * 1500) as writer:
+            writer.write("doc/a", f"text{run}".encode())
+            writer.close("doc/a")
+    return pas.drain_flushes()
+
+
+class TestA1Engine:
     @pytest.fixture
-    def loaded(self, strong_account, trace6):
-        store = make_architecture("s3", strong_account)
-        store.store_trace(trace6)
-        return strong_account
+    def loaded(self, trace6):
+        return a1_with(trace6)
 
     def test_q2_matches_oracle(self, loaded, oracle):
-        engine = S3ScanEngine(loaded)
+        engine = loaded.query_engine()
         measurement = engine.q2_outputs_of("blast")
         assert set(measurement.refs) == oracle.outputs_of("blast")
 
     def test_q3_matches_oracle(self, loaded, oracle):
-        engine = S3ScanEngine(loaded)
+        engine = loaded.query_engine()
         measurement = engine.q3_descendants_of("blast")
         assert set(measurement.refs) == oracle.descendants_of_outputs("blast")
 
     def test_scan_cost_scales_with_objects(self, loaded):
-        engine = S3ScanEngine(loaded)
+        engine = loaded.query_engine()
         measurement = engine.q2_outputs_of("blast")
         # LIST + one HEAD per data object (13 objects here).
         assert measurement.operations >= 13
 
     def test_q1_all_covers_every_subject(self, loaded, trace6):
-        engine = S3ScanEngine(loaded)
+        engine = loaded.query_engine()
         measurement = engine.q1_all()
         file_refs = {e.subject for e in trace6}
         # A1 keeps only current versions: every current file is covered.
         assert file_refs <= set(measurement.refs)
+
+    @pytest.mark.parametrize(
+        "ref, hit",
+        [
+            (ObjectRef("doc/a", 2), True),    # the version the object holds
+            (ObjectRef("doc/a", 1), False),   # overwritten (ROADMAP item 7)
+            (ObjectRef("doc/none", 1), False),
+        ],
+        ids=["current", "older", "unknown"],
+    )
+    def test_q1_is_one_head_plus_a_get_per_pointer(self, ref, hit):
+        sim = a1_with(overwritten_trace())
+        metadata = sim.account.s3.head("pass-data", "doc/a").metadata
+        pointers = sum(value.startswith(serializer.POINTER_PREFIX) for value in metadata.values())
+        assert pointers >= 1
+        measurement = sim.query_engine().q1(ref)
+        assert measurement.refs == ((ref,) if hit else ())
+        assert measurement.usage.request_count("s3", "HEAD") == 1
+        assert measurement.usage.request_count("s3", "GET") == (pointers if hit else 0)
+        assert measurement.operations == 1 + (pointers if hit else 0)
+        assert measurement.per_backend == (("s3", measurement.operations, measurement.bytes_out),)
+
+    def test_q4_is_one_scan_filtered_to_the_file_versions_in_range(self):
+        sim = a1_with(overwritten_trace())
+        engine = sim.query_engine()
+        stored = sim.store.stored_provenance()
+        expected = {ref for ref in stored if ref.name == "doc/a" and 2 <= ref.version <= 3}
+        assert expected == {ObjectRef("doc/a", 2)}
+        measurement = engine.q4_time_range(2, 3)
+        assert set(measurement.refs) == expected
+        assert measurement.operations == engine.q1_all().operations
 
 
 class TestSimpleDBEngine:
@@ -141,14 +189,12 @@ class TestEnginesAgree:
         the data bucket's per-object metadata, so sharing one account
         would have A2's nonce-only metadata clobber A1's provenance.
         """
-        from repro.aws.account import AWSAccount, ConsistencyConfig
-
-        account_a = AWSAccount(seed=1, consistency=ConsistencyConfig.strong())
-        account_b = AWSAccount(seed=2, consistency=ConsistencyConfig.strong())
-        make_architecture("s3", account_a).store_trace(trace6)
-        make_architecture("s3+simpledb", account_b).store_trace(trace6)
-        scan = S3ScanEngine(account_a)
-        indexed = SimpleDBEngine(account_b)
+        scan_sim = Simulation("s3", seed=1)
+        indexed_sim = Simulation("s3+simpledb", seed=2)
+        for sim in (scan_sim, indexed_sim):
+            sim.store_events(trace6, collect=False)
+        scan = scan_sim.query_engine()
+        indexed = indexed_sim.query_engine()
         assert set(scan.q2_outputs_of("blast").refs) == set(
             indexed.q2_outputs_of("blast").refs
         )
@@ -213,10 +259,8 @@ class TestScanRobustness:
     """A malformed nonce must not abort the whole A1 scan."""
 
     @pytest.fixture
-    def loaded(self, strong_account, trace6):
-        store = make_architecture("s3", strong_account)
-        store.store_trace(trace6)
-        return strong_account
+    def loaded(self, trace6):
+        return a1_with(trace6)
 
     @staticmethod
     def corrupt_nonce(account, key, nonce):
@@ -230,9 +274,9 @@ class TestScanRobustness:
 
     @pytest.mark.parametrize("bad", ["", "garbage", "v12x", "vv7"])
     def test_scan_skips_and_counts_bad_nonces(self, loaded, bad):
-        engine = S3ScanEngine(loaded)
+        engine = loaded.query_engine()
         healthy = {ref.path for ref in engine.q1_all().refs}
-        self.corrupt_nonce(loaded, "out/0.hits", bad)
+        self.corrupt_nonce(loaded.account, "out/0.hits", bad)
         measurement = engine.q1_all()
         assert engine.skipped_items == 1
         paths = {ref.path for ref in measurement.refs}
@@ -245,12 +289,12 @@ class TestScanRobustness:
         assert lost <= {"out/0.hits", "proc/blast.1000"}
 
     def test_skip_counter_resets_between_scans(self, loaded):
-        engine = S3ScanEngine(loaded)
-        self.corrupt_nonce(loaded, "out/0.hits", "garbage")
-        engine.scan_bundles()
+        engine = loaded.query_engine()
+        self.corrupt_nonce(loaded.account, "out/0.hits", "garbage")
+        engine.q1_all()
         assert engine.skipped_items == 1
-        self.corrupt_nonce(loaded, "out/0.hits", "v0001")
-        engine.scan_bundles()
+        self.corrupt_nonce(loaded.account, "out/0.hits", "v0001")
+        engine.q1_all()
         assert engine.skipped_items == 0
 
     @pytest.mark.parametrize("body", [b"not json", b"[1, 2]"])
@@ -261,17 +305,18 @@ class TestScanRobustness:
         from repro.core.base import DATA_BUCKET
         from repro.errors import ReadCorrectnessViolation
 
-        store = make_architecture("s3", loaded)
-        engine = S3ScanEngine(loaded)
+        store = loaded.store
+        engine = loaded.query_engine()
         healthy = {ref.path for ref in engine.q1_all().refs}
-        loaded.s3.put(DATA_BUCKET, ".pass/overflow/hand-written", body, {})
-        record = loaded.s3.get(DATA_BUCKET, "out/0.hits")
+        s3 = loaded.account.s3
+        s3.put(DATA_BUCKET, ".pass/overflow/hand-written", body, {})
+        record = s3.get(DATA_BUCKET, "out/0.hits")
         metadata = {
             serializer.BUNDLE_KEY: serializer.POINTER_PREFIX + ".pass/overflow/hand-written",
             "nonce": record.metadata["nonce"],
         }
-        loaded.s3.put(DATA_BUCKET, "out/0.hits", record.bytes(), metadata)
-        loaded.quiesce()
+        s3.put(DATA_BUCKET, "out/0.hits", record.bytes(), metadata)
+        loaded.account.quiesce()
         assert {ref.path for ref in engine.q1_all().refs} < healthy
         assert engine.skipped_items == 1
         outputs = {ref.path for ref in engine.q2_outputs_of("blast").refs}

@@ -132,13 +132,9 @@ def test_scan_engine_measurement_equals_the_snapshot_delta():
     sim = loaded("s3", shards=1)
     engine = sim.query_engine()
     meter = sim.account.meter
-    for query in (
-        engine.q1_all,
-        lambda: engine.q2_outputs_of("blast"),
-        lambda: engine.q3_descendants_of("blast"),
-    ):
+    for name in ("q1", "q1_all", "q2", "q3", "q4"):
         before = meter.snapshot()
-        measurement = query()
+        measurement = issue(engine, name)
         spent = meter.snapshot() - before
         assert measurement.refs
         assert measurement.usage == dataclasses.replace(

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import schedule
 from repro.aws.account import ConsistencyConfig
+from repro.aws.backend import parse_index_specs
 from repro.bench.matrix import default_cells, quick_cells
 from repro.errors import ScheduleFormatError
 from repro.fleet import ClientFleet
@@ -82,9 +83,19 @@ def test_the_header_round_trips_every_grid_deployment(cell):
 
 
 def test_dumps_refuses_a_setting_it_cannot_write_back():
-    cloud = Cloud("s3+simpledb", 0, placement={0: "sdb"})
-    with pytest.raises(ValueError, match="placement"):
-        schedule.dumps(cloud, {})
+    # A placement map is kept as its spec string, so its run replays.
+    workload = ZipfianFleetWorkload(n_tenants=2, keys_per_tenant=4, n_ops=6)
+    events = list(workload.iter_events(random.Random(workload.seed_key(0))))
+    sim = Simulation("s3+simpledb", seed=5, shards=2, placement={0: "sdb", 1: "ddb"})
+    assert sim.deployment.placement == "0:sdb,1:ddb"
+    sim.store_events(events)
+    replayed = Cloud.from_run(schedule.loads(schedule.dumps(sim, {"client-0": events})))
+    assert replayed.account.meter.snapshot() == sim.account.meter.snapshot()
+    assert replayed.routing.current.placement == ("sdb", "ddb")
+    # Index names are free text: a tuple of IndexSpecs has no spec string.
+    indexes = parse_index_specs("name,input")
+    with pytest.raises(ValueError, match="ddb_indexes"):
+        schedule.dumps(Cloud("s3+simpledb", 0, placement="ddb", ddb_indexes=indexes), {})
     with pytest.raises(ValueError, match="client-3"):
         schedule.dumps(Simulation("s3"), {"client-3": []})
 

@@ -31,9 +31,9 @@ class TestSimulation:
         assert sim.stats.n_objects == sim.events_stored
 
     def test_query_engine_matches_architecture(self):
-        from repro.query.engine import S3ScanEngine, SimpleDBEngine
+        from repro.query.engine import SimpleDBEngine
 
-        assert isinstance(Simulation(architecture="s3").query_engine(), S3ScanEngine)
+        assert isinstance(Simulation(architecture="s3").query_engine(), SimpleDBEngine)
         assert isinstance(
             Simulation(architecture="s3+simpledb").query_engine(), SimpleDBEngine
         )
