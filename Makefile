@@ -30,7 +30,8 @@
 #                     (benchmarks/profile_phase.py; setup = build_plan +
 #                     Simulation(...), what setup_s times): same plan and call
 #                     order as the harness, one warm cycle, then CYCLES
-#                     profiled; json.dumps, bundle_from_item,
+#                     profiled; json.dumps, to_s3_metadata,
+#                     build_wal_bundle, bundle_from_item,
 #                     _hash_point (ring hash), Usage and ObjectRef
 #                     constructions per operation, then top 30 by tottime and by
 #                     cumulative. The profile every perf PR starts

@@ -21,7 +21,9 @@ the chosen phase only:
 ``migrate``  the closing online re-shard.
 
 Prints how many operations the profiled calls covered and how many
-``json.dumps``, ``bundle_from_item`` and ring-hash (``_hash_point``,
+``json.dumps``, ``to_s3_metadata`` and ``build_wal_bundle`` (the A1
+metadata and WAL encodings: 0 per event on an A2 ingest, one WAL
+bundle per event on A3), ``bundle_from_item`` and ring-hash (``_hash_point``,
 an MD5 in ``repro.sharding``) calls, ``Usage`` constructions (meter
 snapshots and bills; a query measurement builds its own only when its
 ``usage`` is read) and ``ObjectRef`` constructions (a PASS object
@@ -156,6 +158,8 @@ def main(argv: list[str] | None = None) -> int:
     units, unit = PHASES[args.phase]
     per_op = max(operations, 1)
     dumps = _calls(stats, "dumps", "json")
+    s3_metadata = _calls(stats, "to_s3_metadata", "serializer.py")
+    wal_bundles = _calls(stats, "build_wal_bundle", "wal.py")
     decodes = _calls(stats, "bundle_from_item", "serializer.py")
     hashes = _calls(stats, "_hash_point", "sharding.py")
     usages = _calls(stats, "usage_init", "profile_phase.py")
@@ -164,6 +168,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{spec.name} seed={args.seed} phase={args.phase}: profiled {args.cycles} cycles, "
         f"{operations} {units}, {stats.total_tt:.2f} s under the profiler; "
         f"json.dumps {dumps} calls = {dumps / per_op:.1f} per {unit}; "
+        f"to_s3_metadata {s3_metadata} calls = {s3_metadata / per_op:.2f} per {unit}; "
+        f"build_wal_bundle {wal_bundles} calls = {wal_bundles / per_op:.2f} per {unit}; "
         f"bundle_from_item {decodes} calls = {decodes / per_op:.2f} per {unit}; "
         f"_hash_point {hashes} calls = {hashes / per_op:.3g} per {unit}; "
         f"Usage {usages} built = {usages / per_op:.3g} per {unit}; "

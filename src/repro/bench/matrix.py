@@ -141,7 +141,7 @@ def default_workloads(scale: float = 1.0) -> list[WorkloadSpec]:
             # (whole partition) pays strictly more Query requests than
             # the cost planner's version-window slice.
             scale=scale,
-            program="cc1",
+            program="as",
         ),
     ]
 

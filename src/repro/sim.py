@@ -349,6 +349,9 @@ class Simulation(Cloud):
         self.add_client()
         self._pump_every = pump_every
         self.events_stored = 0
+        #: What the loop stored, counted by :meth:`TraceStats.add_event`:
+        #: the A1-metadata and WAL sizing fields read 0 (they are
+        #: ``collect_stats``'s; the run's own traffic is on its meter).
         self.stats = TraceStats()
 
     @property
@@ -377,7 +380,10 @@ class Simulation(Cloud):
         them all; the events themselves are not kept. A crash of the
         client's store propagates as its :class:`ClientCrash`. The
         client's backlog must be empty: the loop stores each event as
-        the backlog's only one.
+        the backlog's only one. With ``collect`` each stored event is
+        counted into :attr:`stats` (:meth:`TraceStats.add_event`, which
+        reads the SimpleDB items an A2/A3 store has already memoised and
+        sizes no A1-metadata or WAL encoding).
         """
         client = self.clients[CLIENT]
         if client.pending:

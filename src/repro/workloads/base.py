@@ -7,7 +7,11 @@ analytic tables and the live runs are computed from identical inputs.
 
 :class:`TraceStats` accumulates exactly the quantities the paper's §5
 cost model needs, *streaming* (no event retention), so paper-scale
-traces can be measured without holding 31k events in memory.
+traces can be measured without holding 31k events in memory. A
+:class:`~repro.sim.Simulation` counts only what it stored
+(:meth:`TraceStats.add_event`); pricing each event in the A1-metadata
+and WAL formats is :func:`collect_stats`'s alone, so a run's event loop
+encodes each event in no format but its store's.
 """
 
 from __future__ import annotations
@@ -125,6 +129,12 @@ class TraceStats:
       batching;
     * ``n_wal_messages`` — WAL records (≈ provenance / 8 KB plus the
       per-transaction begin/data/commit envelope).
+
+    :meth:`add_event` fills every field but the analytic sizing
+    (``s3_prov_bytes``, ``n_wal_messages``, ``wal_prov_bytes``), which
+    :meth:`add_format_sizes` adds; :func:`collect_stats` runs both.
+    ``Simulation.stats`` runs only the first, so those three read 0
+    there: a run's real A1 and WAL traffic is on its meter.
     """
 
     n_objects: int = 0
@@ -144,6 +154,8 @@ class TraceStats:
     per_workload_objects: dict[str, int] = field(default_factory=dict)
 
     def add_event(self, event: FlushEvent) -> None:
+        """Count a stored event: the trace figures and the SimpleDB item
+        figures (the item encoding an A2/A3 store has memoised)."""
         self.n_objects += 1
         self.raw_bytes += event.data.size
 
@@ -151,11 +163,6 @@ class TraceStats:
         if workload_values:
             tag = workload_values[0]
             self.per_workload_objects[tag] = self.per_workload_objects.get(tag, 0) + 1
-
-        s3_payload = to_s3_metadata(event)
-        self.s3_prov_bytes += s3_payload.metadata_size + sum(
-            o.size for o in s3_payload.overflow
-        )
 
         items = to_simpledb_items(event)
         self.n_sdb_items += len(items)
@@ -187,6 +194,11 @@ class TraceStats:
             if bundle.kind != "file":
                 self.n_process_bundles += 1
 
+    def add_format_sizes(self, event: FlushEvent) -> None:
+        """Price ``event`` in the A1 S3-metadata and A3 WAL formats (the
+        analytic model's figures; each call encodes the event twice)."""
+        s3_payload = to_s3_metadata(event)
+        self.s3_prov_bytes += s3_payload.metadata_size + sum(o.size for o in s3_payload.overflow)
         wal = build_wal_bundle(event, txn_id="stats")
         self.n_wal_messages += len(wal.messages)
         self.wal_prov_bytes += sum(len(m) for m in wal.messages)  # wire_dumps is ASCII
@@ -197,6 +209,7 @@ def collect_stats(events: Iterable[FlushEvent]) -> TraceStats:
     stats = TraceStats()
     for event in events:
         stats.add_event(event)
+        stats.add_format_sizes(event)
     return stats
 
 

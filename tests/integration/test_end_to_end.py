@@ -85,8 +85,9 @@ class TestFullPipeline:
             latest[event.subject.name] = event.data.size
         live_bytes = sum(latest.values())
         stored = sim.account.meter.stored_bytes("s3")
+        trace = collect_stats(combined_events)
         assert stored >= live_bytes
-        assert stored <= sim.stats.raw_bytes + sim.stats.s3_prov_bytes
+        assert stored <= trace.raw_bytes + trace.s3_prov_bytes
 
 
 class TestEventualConsistencyEndToEnd:

@@ -1,15 +1,20 @@
 """A flush event is encoded once: the store path, the WAL and
 ``TraceStats`` share one serialisation kept on the event, which neither
-changes what any of them computes nor shows on the event itself."""
+changes what any of them computes nor shows on the event itself. A
+simulation's event loop encodes an event in no format its store does
+not write: the A1-metadata and WAL sizing is ``collect_stats``'s."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from repro.blob import BytesBlob
+from repro.core import wal
 from repro.passlib import serializer
 from repro.sim import Simulation
 from repro.workloads import CombinedWorkload
@@ -35,6 +40,26 @@ def bundle_encodings(monkeypatch):
     return encoded
 
 
+#: The analytic model's sizing, which only ``collect_stats`` fills.
+FORMAT_SIZES = ("s3_prov_bytes", "n_wal_messages", "wal_prov_bytes")
+
+
+@pytest.fixture
+def format_encodings(monkeypatch):
+    """Calls of ``to_s3_metadata`` and ``build_wal_bundle``, by name,
+    wherever a module has imported them."""
+    calls: Counter[str] = Counter()
+    for original in (serializer.to_s3_metadata, wal.build_wal_bundle):
+        def counting(*args, _original=original, **kwargs):
+            calls[_original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counting)
+    return calls
+
+
 @pytest.mark.parametrize("architecture", ["s3+simpledb", "s3+simpledb+sqs"])
 def test_storing_with_stats_encodes_each_bundle_once(architecture, bundle_encodings):
     events = small_trace()
@@ -42,7 +67,24 @@ def test_storing_with_stats_encodes_each_bundle_once(architecture, bundle_encodi
     assert sim.store_events(events) == len(events)
     expected = [b.subject.item_name for e in events for b in e.all_bundles()]
     assert bundle_encodings == expected
-    assert sim.stats == collect_stats(small_trace())
+    stored = dataclasses.asdict(sim.stats)
+    trace = dataclasses.asdict(collect_stats(small_trace()))
+    for name in FORMAT_SIZES:
+        assert stored.pop(name) == 0 < trace.pop(name)
+    assert stored == trace
+
+
+@pytest.mark.parametrize(
+    "architecture, wal_bundles_per_event",
+    [("s3+simpledb", 0), ("s3+simpledb+sqs", 1)],
+)
+def test_storing_sizes_no_other_format(architecture, wal_bundles_per_event, format_encodings):
+    """The loop builds only what the store writes: no A1 metadata on
+    A2/A3, and on A3 the one WAL transaction the store sends."""
+    events = small_trace()
+    Simulation(architecture, seed=0).store_events(events)
+    assert format_encodings["to_s3_metadata"] == 0
+    assert format_encodings["build_wal_bundle"] == wal_bundles_per_event * len(events)
 
 
 def test_non_default_thresholds_are_never_memoised(bundle_encodings):

@@ -99,6 +99,16 @@ def test_a1_runs_every_default_workload_beside_the_paper_a2():
         assert all(mine <= theirs for mine, theirs in zip(a1, a2)), workload
 
 
+def test_time_range_row_asks_of_a_program_that_writes_files():
+    """Its Q2/Q3 time real answers, not an empty lookup: ``as`` writes
+    the object files (``cc1`` writes only to a pipe)."""
+    spec = next(s for s in default_workloads() if s.key == "time-range")
+    cell = next(c for c in default_cells() if c.key == "sdb-1")
+    stats = run_matrix([spec], [cell], reps=1).cell("time-range", "sdb-1").stats
+    assert stats["q2_results"]["median"] >= 1
+    assert stats["q3_results"]["median"] >= stats["q2_results"]["median"]
+
+
 def test_matrix_report_is_deterministic():
     workloads, cells = tiny_grid()
     report_a = run_matrix(workloads, cells, reps=2, seed=3, probe_reads=12)
