@@ -5,7 +5,7 @@ against (see DESIGN.md §2 for the substitution argument). It provides:
 
 * :mod:`repro.aws.s3` — Simple Storage Service,
 * :mod:`repro.aws.simpledb` — SimpleDB (with :mod:`repro.aws.sdb_query`
-  implementing the 2009 bracket query language and a SELECT subset),
+  implementing the 2009 bracket query language),
 * :mod:`repro.aws.sqs` — Simple Queue Service,
 * :mod:`repro.aws.consistency` — the shared eventual-consistency engine,
 * :mod:`repro.aws.billing` — request/byte/byte-hour metering and the

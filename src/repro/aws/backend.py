@@ -58,14 +58,11 @@ from repro.aws.faults import call_with_retries
 from repro.aws.sdb_query import (
     BoolOp,
     BracketPredicate,
-    Comparison,
     CompiledQuery,
     Node,
     Not,
-    Null,
     matching,
     parse_query,
-    run_query,
 )
 from repro.aws.simpledb import Attribute, SimpleDBService
 from repro.errors import ProvisionedThroughputExceeded
@@ -233,7 +230,7 @@ def first_fit(paths: Iterable[AccessPath]) -> AccessPath:
 def _referenced_attributes(node: Node) -> frozenset[str]:
     """Every attribute the predicate reads — all must be projected for
     the predicate to evaluate identically on index entries."""
-    if isinstance(node, (BracketPredicate, Comparison, Null)):
+    if isinstance(node, BracketPredicate):
         return frozenset((node.attribute,))
     if isinstance(node, BoolOp):
         return _referenced_attributes(node.left) | _referenced_attributes(node.right)
@@ -685,10 +682,10 @@ class DynamoBackend:
         scan path: every scanned item is paid for in read units; the
         projection trims only what the caller sees, not what the scan
         cost — DynamoDB's filter-expression accounting. Scan hands rows
-        out in name order, an unsorted query's order, so its pages are
-        filtered as they arrive (:func:`~repro.aws.sdb_query.matching`)
-        and never held as one table-sized list; only a sort clause
-        collects the matches to order them.
+        out in name order, the order SimpleDB answers in, so its pages
+        are filtered as they arrive
+        (:func:`~repro.aws.sdb_query.matching`) and never held as one
+        table-sized list.
 
         ``path=None`` executes the :func:`first_fit` of
         :meth:`_access_paths`; a table with no indexes at all scans
@@ -723,10 +720,8 @@ class DynamoBackend:
                 range_condition=path.range_condition,
                 keep=compiled.matches,
             )
-        elif compiled.sort_attribute is None:
-            matches = matching(self._scan_all(store), compiled)
         else:
-            matches = run_query(self._scan_all(store), compiled)
+            matches = matching(self._scan_all(store), compiled)
         for item_name, attrs in matches:
             yield item_name, {
                 k: v for k, v in attrs.items() if wanted is None or k in wanted

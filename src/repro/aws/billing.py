@@ -88,13 +88,11 @@ SDB_BOX_USAGE_HOURS = {
     "DeleteAttributes": 2.20e-5,
     "Query": 1.40e-5,
     "QueryWithAttributes": 1.90e-5,
-    "Select": 1.90e-5,
     # Statistics read the query planner's cost model consults — priced
-    # like the other metadata reads (GetAttributes / ListDomains).
+    # like the other metadata read, GetAttributes.
     "DomainMetadata": 0.93e-5,
     "CreateDomain": 5.00e-4,
     "DeleteDomain": 5.00e-4,
-    "ListDomains": 0.93e-5,
 }
 
 
@@ -106,7 +104,7 @@ class Usage:
     phase (e.g. "operations performed by query Q2"):
 
     >>> before = meter.snapshot()          # doctest: +SKIP
-    >>> run_query()                        # doctest: +SKIP
+    >>> run_phase()                        # doctest: +SKIP
     >>> spent = meter.snapshot() - before  # doctest: +SKIP
     """
 

@@ -104,7 +104,7 @@ class ReplicaSet(Generic[V]):
 
     The authoritative keys are also kept as a sorted list, updated in
     place by every write, so paged readers — S3 LIST, SimpleDB Query /
-    QueryWithAttributes / Select, DynamoDB Scan / Query — seek to their
+    QueryWithAttributes, DynamoDB Scan / Query — seek to their
     token instead of sorting the keyspace on every page: see
     :meth:`ordered_snapshot`.
     """
@@ -231,8 +231,8 @@ class ReplicaSet(Generic[V]):
     def ordered_snapshot(self, authoritative: bool = False) -> OrderedSnapshot[V]:
         """The keyspace visible on one randomly chosen replica, in key
         order — the one view every ranged or paged read runs against: an
-        S3 LIST, a SimpleDB Query / QueryWithAttributes / Select, a
-        DynamoDB Scan or index Query. Recent inserts may be missing from
+        S3 LIST, a SimpleDB Query / QueryWithAttributes, a DynamoDB
+        Scan or index Query. Recent inserts may be missing from
         it and recent deletes may still show.
 
         With no install pending every replica equals the authoritative

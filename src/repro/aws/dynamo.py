@@ -455,10 +455,6 @@ class DynamoDBService:
         if index_freed:
             self._meter.adjust_stored(billing.DDB_GSI, -index_freed)
 
-    def list_tables(self) -> list[str]:
-        self._request("ListTables")
-        return sorted(self._tables)
-
     def _table(self, name: str) -> _Table:
         table = self._tables.get(name)
         if table is None:
@@ -513,17 +509,6 @@ class DynamoDBService:
             self._meter.adjust_stored(billing.DDB_GSI, stored)
         return backfill_units
 
-    def delete_index(self, table_name: str, index_name: str) -> None:
-        """Drop a GSI and free its projected storage (idempotent)."""
-        table = self._table(table_name)
-        self._check_faults("DeleteIndex")
-        self._meter.record_request(billing.DDB, "DeleteIndex")
-        index = table.indexes.pop(index_name, None)
-        if index is None:
-            return
-        if index.entry_bytes:
-            self._meter.adjust_stored(billing.DDB_GSI, -index.entry_bytes)
-
     def list_indexes(self, table_name: str) -> list[IndexSpec]:
         """The table's index declarations, in creation order. Unmetered:
         clients cache table schemas (DescribeTable) between requests."""
@@ -537,10 +522,6 @@ class DynamoDBService:
         propagating entry has been in flight (0.0 when converged).
         Unmetered observability, the CloudWatch-metric analogue."""
         return self._index(table_name, index_name).replicas.lag_seconds()
-
-    def index_pending_writes(self, table_name: str, index_name: str) -> int:
-        """Scheduled-but-unapplied index entry installs (lag backlog)."""
-        return self._index(table_name, index_name).replicas.pending_installs
 
     def _index(self, table_name: str, index_name: str) -> _Index:
         index = self._table(table_name).indexes.get(index_name)
@@ -1066,10 +1047,6 @@ class DynamoDBService:
             tuple(entry_key.rsplit(INDEX_KEY_SEP, 1)): projected
             for entry_key, projected in index.replicas.authoritative_items()
         }
-
-    def index_converged(self, table_name: str, index_name: str) -> bool:
-        """True when every index replica matches the converged view."""
-        return self._index(table_name, index_name).replicas.is_converged()
 
     def size_audit(self) -> list[str]:
         """Stored item and entry-projection sizes, ``total_bytes``, each

@@ -135,10 +135,6 @@ class S3Service:
             f"s3/{name}", self._clock, self._rng, self._n_replicas, self._delays
         )
 
-    def list_buckets(self) -> list[str]:
-        self._request("GET")
-        return sorted(self._buckets)
-
     def _bucket(self, name: str) -> ReplicaSet[S3ObjectRecord]:
         bucket = self._buckets.get(name)
         if bucket is None:

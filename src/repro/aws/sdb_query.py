@@ -1,17 +1,12 @@
-"""SimpleDB query languages (January 2009).
+"""The SimpleDB bracket Query language (January 2009).
 
-Two front-ends compile to one predicate representation:
+The language of ``Query`` and ``QueryWithAttributes`` — the API the
+paper's architectures call — and of the predicate a DynamoDB-placed
+shard applies to its Scan pages::
 
-* the original bracket **Query** language used by ``Query`` and
-  ``QueryWithAttributes`` — the API the paper's architectures call::
-
-      ['type' = 'proc'] intersection ['name' = 'blast']
-      ['input' = 'bar:2' or 'input' = 'baz:1']
-      not ['type' = 'file'] union ['version' > '0004']
-
-* a **SELECT** subset (comparisons, AND/OR/NOT, parentheses, IN, LIKE
-  with a trailing ``%``, BETWEEN, IS [NOT] NULL, ``every()``, LIMIT),
-  matching the SELECT primitive §2.2 mentions.
+    ['type' = 'proc'] intersection ['name' = 'blast']
+    ['input' = 'bar:2' or 'input' = 'baz:1']
+    not ['type' = 'file'] union ['version' > '0004']
 
 Semantics follow 2009 SimpleDB:
 
@@ -21,8 +16,7 @@ Semantics follow 2009 SimpleDB:
   bracket means a single attribute *value* satisfies every comparison
   (enabling range predicates), while cross-attribute conjunction is
   expressed with ``intersection``;
-* multi-valued attributes match if *any* value matches (``every()`` in
-  SELECT demands all values match);
+* multi-valued attributes match if *any* value matches;
 * set operators ``union`` / ``intersection`` / ``not`` combine predicate
   result sets left-to-right.
 """
@@ -56,19 +50,19 @@ _COMPARATORS: dict[str, Callable[[str, str], bool]] = {
 
 
 def quote_literal(value: str) -> str:
-    """Render ``value`` as a quoted string literal for either language.
+    """Render ``value`` as a quoted string literal.
 
-    Both the bracket Query language and SELECT escape an embedded
-    apostrophe by doubling it (``'`` → ``''`` — see the tokenizer's
-    string pattern). Every caller that interpolates user-controlled text
-    (object paths, program names) into a query must route it through
-    here, or a name like ``o'brien`` breaks the expression.
+    The bracket Query language escapes an embedded apostrophe by
+    doubling it (``'`` → ``''`` — see the tokenizer's string pattern).
+    Every caller that interpolates user-controlled text (object paths,
+    program names) into a query must route it through here, or a name
+    like ``o'brien`` breaks the expression.
     """
     return "'" + value.replace("'", "''") + "'"
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer (shared by both languages)
+# Tokenizer
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -76,7 +70,7 @@ _TOKEN_RE = re.compile(
     \s*(?:
         (?P<string>'(?:[^']|'')*')          # 'quoted', '' escapes a quote
       | (?P<op><=|>=|!=|=|<|>)
-      | (?P<punct>[\[\](),*])
+      | (?P<punct>[\[\]()])
       | (?P<word>[A-Za-z0-9_.:%$/-]+)
     )
     """,
@@ -129,14 +123,6 @@ class _TokenStream:
         self._index += 1
         return token
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        token = self.next()
-        if token.kind != kind or (text is not None and token.text.lower() != text):
-            raise InvalidQueryExpression(
-                f"expected {text or kind!r}, got {token.text!r} in {self._source!r}"
-            )
-        return token
-
     def accept_word(self, *words: str) -> str | None:
         token = self.peek()
         if token is not None and token.kind == "word" and token.text.lower() in words:
@@ -168,32 +154,13 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Comparison(Node):
-    """``attribute op value`` — true if any attribute value satisfies it."""
+class Comparison:
+    """``attribute op value``, one term of a bracket predicate; it is
+    evaluated on a single attribute value (:func:`_value_test`)."""
 
     attribute: str
     op: str
     value: str
-    every: bool = False  # SELECT's every(attr): all values must satisfy
-
-    @cached_property
-    def matches(self) -> Matcher:
-        attribute, literal, every = self.attribute, self.value, self.every
-        if self.op == "=" and not every:
-            return lambda attrs: literal in (attrs.get(attribute) or ())
-        compare = _COMPARATORS[self.op]
-
-        def matches(attrs: ItemAttrs) -> bool:
-            values = attrs.get(attribute)
-            if not values:
-                return False
-            # any(): the first True decides; every(): the first False.
-            for value in values:
-                if compare(value, literal) is not every:
-                    return not every
-            return every
-
-        return matches
 
 
 def _value_test(group: tuple[Comparison, ...]) -> Callable[[str], bool]:
@@ -241,19 +208,6 @@ class BracketPredicate(Node):
 
 
 @dataclass(frozen=True)
-class Null(Node):
-    """``attribute is null`` / ``is not null`` (SELECT only)."""
-
-    attribute: str
-    negated: bool
-
-    @cached_property
-    def matches(self) -> Matcher:
-        attribute, negated = self.attribute, self.negated
-        return lambda attrs: bool(attrs.get(attribute)) is negated
-
-
-@dataclass(frozen=True)
 class Not(Node):
     operand: Node
 
@@ -265,7 +219,7 @@ class Not(Node):
 
 @dataclass(frozen=True)
 class BoolOp(Node):
-    """AND/OR (SELECT) or intersection/union (Query), left-associative."""
+    """``intersection`` (``and``) or ``union`` (``or``), left-associative."""
 
     op: str  # 'and' | 'or'
     left: Node
@@ -273,8 +227,8 @@ class BoolOp(Node):
 
     @cached_property
     def matches(self) -> Matcher:
-        # A same-operator chain (an IN list is one, 25 deep) flattens to
-        # one loop over its operands, left to right.
+        # A same-operator chain flattens to one loop over its operands,
+        # left to right.
         operands: list[Matcher] = []
         pending: list[Node] = [self]
         while pending:
@@ -304,20 +258,18 @@ class MatchAll(Node):
 
 @dataclass(frozen=True)
 class CompiledQuery:
-    """A parsed query plus its result ordering.
+    """A parsed query.
 
     What an access path needs to know about the predicate is derived
     once per parsed statement, not once per shard and page, and kept
     on it (read-only): the compiled ``matches``, the attributes it
     ``pinned`` to equality value sets and those it confines to value
     ``ranges``. SimpleDB's postings and DynamoDB's index eligibility
-    read the last two; the parse caches share one instance per wire
+    read the last two; the parse cache shares one instance per wire
     string, so a paged reader may tell a query's pages by identity.
     """
 
     predicate: Node
-    sort_attribute: str | None = None
-    sort_descending: bool = False
 
     @cached_property
     def matches(self) -> Matcher:
@@ -332,12 +284,6 @@ class CompiledQuery:
     def ranges(self) -> dict[str, tuple[str | None, str | None]]:
         """:func:`range_candidates` of the predicate."""
         return range_candidates(self.predicate)
-
-    def sort_key(self, name: str, attrs: ItemAttrs) -> tuple:
-        if self.sort_attribute is None:
-            return (name,)
-        values = attrs.get(self.sort_attribute) or ("",)
-        return (min(values), name)
 
 
 def equality_candidates(node: Node) -> dict[str, tuple[str, ...]]:
@@ -359,10 +305,6 @@ def equality_candidates(node: Node) -> dict[str, tuple[str, ...]]:
                     node.attribute: tuple(dict.fromkeys(c.value for c in group))
                 }
         return {}
-    if isinstance(node, Comparison):
-        if node.op == "=" and not node.every:
-            return {node.attribute: (node.value,)}
-        return {}
     if isinstance(node, BoolOp):
         left = equality_candidates(node.left)
         right = equality_candidates(node.right)
@@ -377,7 +319,7 @@ def equality_candidates(node: Node) -> dict[str, tuple[str, ...]]:
             for attribute in left
             if attribute in right
         }
-    return {}  # Not / Null / MatchAll pin nothing
+    return {}  # Not / MatchAll pin nothing
 
 
 def range_candidates(node: Node) -> dict[str, tuple[str | None, str | None]]:
@@ -411,14 +353,6 @@ def range_candidates(node: Node) -> dict[str, tuple[str | None, str | None]]:
         if lo is None and hi is None:
             return {}
         return {node.attribute: (lo, hi)}
-    if isinstance(node, Comparison) and not node.every:
-        if node.op in (">=", ">"):
-            return {node.attribute: (node.value, None)}
-        if node.op in ("<=", "<"):
-            return {node.attribute: (None, node.value)}
-        if node.op == "=":
-            return {node.attribute: (node.value, node.value)}
-        return {}
     if isinstance(node, BoolOp):
         left = range_candidates(node.left)
         right = range_candidates(node.right)
@@ -427,9 +361,7 @@ def range_candidates(node: Node) -> dict[str, tuple[str | None, str | None]]:
             # hold of a different value (``'k' >= 'a' and 'k' <= 'a'``
             # matches k = {'0', 'b'}), so bounds from two sides do not
             # intersect: either side's range alone is a valid superset
-            # filter. The left one is kept, so a Select ``between``
-            # narrows by its lower bound (a recent window's selective
-            # end).
+            # filter. The left one is kept.
             return left | {a: r for a, r in right.items() if a not in left}
         # OR: only attributes constrained on *both* sides stay
         # constrained, by the union (widest) of the two ranges.
@@ -444,14 +376,14 @@ def range_candidates(node: Node) -> dict[str, tuple[str | None, str | None]]:
             if lo is not None or hi is not None:
                 merged[attribute] = (lo, hi)
         return merged
-    return {}  # Not / Null / MatchAll constrain nothing
+    return {}  # Not / MatchAll constrain nothing
 
 
 # ---------------------------------------------------------------------------
-# Query-language parser (bracket syntax)
+# Parser
 # ---------------------------------------------------------------------------
 
-#: Distinct statements each parser keeps compiled. A Q3 closure walks a
+#: Distinct statements the parser keeps compiled. A Q3 closure walks a
 #: few dozen reference chunks per wave and re-sends each to every shard
 #: and page, so a small window already absorbs every repeat.
 PARSE_CACHE_SIZE = 256
@@ -473,17 +405,11 @@ def parse_query(expression: str | None) -> CompiledQuery:
         return CompiledQuery(MatchAll())
     stream = _TokenStream(tokenize(expression), expression)
     node = _parse_set_expression(stream)
-    sort_attr: str | None = None
-    descending = False
-    if stream.accept_word("sort"):
-        sort_attr = stream.next().text
-        direction = stream.accept_word("asc", "desc")
-        descending = direction == "desc"
     if not stream.exhausted:
         raise InvalidQueryExpression(
             f"trailing tokens after {stream.peek().text!r} in {expression!r}"
         )
-    return CompiledQuery(node, sort_attr, descending)
+    return CompiledQuery(node)
 
 
 def _parse_set_expression(stream: _TokenStream) -> Node:
@@ -567,187 +493,7 @@ def _parse_bracket(stream: _TokenStream) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# SELECT parser
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SelectStatement:
-    """A parsed SELECT: projection, domain, predicate, order, limit."""
-
-    projection: tuple[str, ...]  # ('*',), ('itemName()',), ('count(*)',) or attrs
-    domain: str
-    query: CompiledQuery
-    limit: int | None
-
-    @property
-    def is_count(self) -> bool:
-        return self.projection == ("count(*)",)
-
-
-@lru_cache(maxsize=PARSE_CACHE_SIZE)
-def parse_select(statement: str) -> SelectStatement:
-    """Parse a SimpleDB SELECT statement (2009 subset); memoised on the
-    statement text like :func:`parse_query`.
-
-    >>> s = parse_select("select * from prov where type = 'file' limit 10")
-    >>> s.domain, s.limit
-    ('prov', 10)
-    """
-    stream = _TokenStream(tokenize(statement), statement)
-    if stream.accept_word("select") is None:
-        raise InvalidQueryExpression(f"not a SELECT statement: {statement!r}")
-    projection = _parse_projection(stream)
-    if stream.accept_word("from") is None:
-        raise InvalidQueryExpression("SELECT requires a FROM clause")
-    domain = stream.next().text
-    predicate: Node = MatchAll()
-    if stream.accept_word("where"):
-        predicate = _parse_condition(stream)
-    sort_attr, descending = None, False
-    if stream.accept_word("order"):
-        if stream.accept_word("by") is None:
-            raise InvalidQueryExpression("expected BY after ORDER")
-        sort_attr = stream.next().text
-        direction = stream.accept_word("asc", "desc")
-        descending = direction == "desc"
-    limit = None
-    if stream.accept_word("limit"):
-        limit_token = stream.next()
-        try:
-            limit = int(limit_token.text)
-        except ValueError:
-            raise InvalidQueryExpression(f"bad LIMIT {limit_token.text!r}") from None
-        if limit < 1:
-            raise InvalidQueryExpression(f"LIMIT must be >= 1, got {limit}")
-    if not stream.exhausted:
-        raise InvalidQueryExpression(
-            f"trailing tokens after {stream.peek().text!r} in {statement!r}"
-        )
-    return SelectStatement(
-        projection=projection,
-        domain=domain,
-        query=CompiledQuery(predicate, sort_attr, descending),
-        limit=limit,
-    )
-
-
-def _parse_projection(stream: _TokenStream) -> tuple[str, ...]:
-    token = stream.next()
-    if token.kind == "punct" and token.text == "*":
-        return ("*",)
-    if token.kind == "word" and token.text.lower() == "count":
-        stream.expect("punct", "(")
-        star = stream.next()
-        if star.kind != "punct" or star.text != "*":
-            raise InvalidQueryExpression("only count(*) is supported")
-        _expect_close(stream)
-        return ("count(*)",)
-    if token.kind == "word" and token.text == "itemName":
-        stream.expect("punct", "(")
-        _expect_close(stream)
-        names = ["itemName()"]
-    else:
-        names = [token.text]
-    while True:
-        comma = stream.peek()
-        if comma is None or comma.kind != "punct" or comma.text != ",":
-            return tuple(names)
-        stream.next()
-        names.append(stream.next().text)
-
-
-def _expect_close(stream: _TokenStream) -> None:
-    token = stream.next()
-    if token.kind != "punct" or token.text != ")":
-        raise InvalidQueryExpression(f"expected ')', got {token.text!r}")
-
-
-def _parse_condition(stream: _TokenStream) -> Node:
-    node = _parse_and(stream)
-    while stream.accept_word("or"):
-        node = BoolOp("or", node, _parse_and(stream))
-    return node
-
-
-def _parse_and(stream: _TokenStream) -> Node:
-    node = _parse_unary(stream)
-    while stream.accept_word("and"):
-        node = BoolOp("and", node, _parse_unary(stream))
-    return node
-
-
-def _parse_unary(stream: _TokenStream) -> Node:
-    if stream.accept_word("not"):
-        return Not(_parse_unary(stream))
-    token = stream.peek()
-    if token is not None and token.kind == "punct" and token.text == "(":
-        stream.next()
-        node = _parse_condition(stream)
-        _expect_close(stream)
-        return node
-    return _parse_simple_condition(stream)
-
-
-def _parse_simple_condition(stream: _TokenStream) -> Node:
-    every = False
-    attr_token = stream.next()
-    if attr_token.kind == "word" and attr_token.text.lower() == "every":
-        stream.expect("punct", "(")
-        attr_token = stream.next()
-        _expect_close(stream)
-        every = True
-    if attr_token.kind not in ("word", "string"):
-        raise InvalidQueryExpression(f"expected attribute, got {attr_token.text!r}")
-    attribute = attr_token.text
-
-    if stream.accept_word("is"):
-        negated = bool(stream.accept_word("not"))
-        if stream.accept_word("null") is None:
-            raise InvalidQueryExpression("expected NULL after IS [NOT]")
-        return Null(attribute, negated)
-    if stream.accept_word("in"):
-        stream.expect("punct", "(")
-        options: list[Node] = []
-        while True:
-            value = stream.next()
-            options.append(Comparison(attribute, "=", value.text, every))
-            sep = stream.next()
-            if sep.kind == "punct" and sep.text == ")":
-                break
-            if sep.kind != "punct" or sep.text != ",":
-                raise InvalidQueryExpression("expected ',' or ')' in IN list")
-        node = options[0]
-        for option in options[1:]:
-            node = BoolOp("or", node, option)
-        return node
-    if stream.accept_word("between"):
-        low = stream.next().text
-        if stream.accept_word("and") is None:
-            raise InvalidQueryExpression("expected AND in BETWEEN")
-        high = stream.next().text
-        return BoolOp(
-            "and",
-            Comparison(attribute, ">=", low, every),
-            Comparison(attribute, "<=", high, every),
-        )
-    if stream.accept_word("like"):
-        pattern = stream.next().text
-        if not pattern.endswith("%") or "%" in pattern[:-1]:
-            raise InvalidQueryExpression(
-                "LIKE supports only a single trailing %% wildcard"
-            )
-        return Comparison(attribute, "starts-with", pattern[:-1], every)
-
-    op_token = stream.next()
-    if op_token.kind != "op":
-        raise InvalidQueryExpression(f"unknown comparator {op_token.text!r}")
-    value_token = stream.next()
-    return Comparison(attribute, op_token.text, value_token.text, every)
-
-
-# ---------------------------------------------------------------------------
-# Evaluation over rows: the lazy filter every paged read ends in, and
-# whole-result evaluation (a sorted DynamoDB Scan)
+# Evaluation over rows: the lazy filter every paged read ends in
 # ---------------------------------------------------------------------------
 
 Row = tuple[str, ItemAttrs]
@@ -756,19 +502,9 @@ Row = tuple[str, ItemAttrs]
 def matching(rows: Iterable[Row], query: CompiledQuery) -> Iterator[Row]:
     """The ``(name, attrs)`` rows ``query``'s predicate holds for, in
     the order they come and produced lazily: the predicate runs on a
-    row only when the consumer pulls that far. A SimpleDB page (rows
-    already in the query's order) and an unsorted DynamoDB Scan (rows
-    in name order, which is an unsorted query's order) both end here."""
+    row only when the consumer pulls that far. A SimpleDB page and a
+    DynamoDB Scan (rows in name order, the order of every result) both
+    end here."""
     matches = query.matches
     return (row for row in rows if matches(row[1]))
 
-
-def run_query(items: Iterable[Row], query: CompiledQuery) -> list[Row]:
-    """Filter and order (name, attrs) pairs according to a compiled
-    query: the whole result at once, as a client that must sort it
-    (a sorted DynamoDB Scan) computes it."""
-    matched = list(matching(items, query))
-    matched.sort(key=lambda pair: query.sort_key(*pair))
-    if query.sort_descending:
-        matched.reverse()
-    return matched

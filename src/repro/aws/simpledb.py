@@ -8,8 +8,8 @@ Implements the indexing/query service of paper §2.2:
   per item, 100 attributes per ``PutAttributes`` call — the limits that
   force architecture A2 to spill large provenance values to S3 and to
   batch its writes;
-* **automatic indexing** and three query primitives — ``Query``,
-  ``QueryWithAttributes`` and ``Select`` — with result pagination (see
+* **automatic indexing** and the two bracket-language query primitives,
+  ``Query`` and ``QueryWithAttributes``, with result pagination (see
   "Indexing" below);
 * **idempotency**: re-running ``PutAttributes`` with the same attributes
   or ``DeleteAttributes`` on absent attributes is not an error (§2.2),
@@ -28,9 +28,9 @@ The service keeps, per domain, ``attribute → value → names of the items
 holding it`` (*postings*), folded in from each item's old→new diff on
 every write path. A query whose predicate pins some attribute to an
 equality value set (:func:`~repro.aws.sdb_query.equality_candidates` —
-``=``, ``in``, all-``=`` bracket groups, and intersections containing
-one) reads the postings of the pinned attribute with the fewest and
-evaluates the full predicate over those candidates only. An attribute
+all-``=`` bracket groups, and intersections containing one) reads the
+postings of the pinned attribute with the fewest and evaluates the full
+predicate over those candidates only. An attribute
 the predicate confines to a value range without pinning it
 (:func:`~repro.aws.sdb_query.range_candidates` — Q4's version window)
 offers the holders of its in-range values the same way, and the
@@ -45,49 +45,36 @@ box-usage stays the 2009 broad-scan model (``SCAN_HOURS_PER_ITEM`` ×
 visible items, whichever path ran), because that is what the service
 billed; only the **host** cost of simulating it is index-bound.
 
-Paging. An unsorted query returns rows in item-name order, which is the
-order the drawn replica's keys are kept in
+Paging. A query returns rows in item-name order, which is the order
+the drawn replica's keys are kept in
 (:meth:`~repro.aws.consistency.ReplicaSet.ordered_snapshot`), so its
 ``next_token`` is a seek: a page walks the keys from the token and
-stops one match past its size. A query the postings narrow, or one
-with a sort clause (ordered by ``(sort value, name)``, which key order
-cannot seek), reads its candidates in its own order instead: sorted
-once, kept for the domain's last query until its next write, and
-bisected past each page's token.
+stops one match past its size. A query the postings narrow walks its
+candidates' names instead: sorted once, kept for the domain's last
+query until its next write, and bisected past each page's token.
 Either way a page costs the rows it returns plus the non-matches it
 crosses, and a full walk of a domain is linear in the domain, not
-quadratic. Inside an eventual-consistency window a sorted page orders
-the drawn replica's items afresh, since no two requests need draw the
-same replica.
+quadratic.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from repro import errors, units
 from repro.aws import billing
 from repro.aws.consistency import DelayModel, OrderedSnapshot, ReplicaSet, STRONG
 from repro.aws.faults import RequestFaults
 from repro.aws.item import ABSENT, Attrs, ItemState, _attr_size, project, size_audit, sized
-from repro.aws.sdb_query import (
-    CompiledQuery,
-    SelectStatement,
-    matching,
-    parse_query,
-    parse_select,
-)
+from repro.aws.sdb_query import CompiledQuery, matching, parse_query
 from repro.clock import SimClock
 
 #: Maximum items returned per Query/QueryWithAttributes page (2009 limit).
 QUERY_MAX_PAGE = 250
-#: Maximum items returned per Select page.
-SELECT_MAX_PAGE = 250
 
 #: Box-usage machine hours each query request charges per item scanned —
 #: SimpleDB billed more machine time for broader queries. Named so the
@@ -114,7 +101,7 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class QueryWithAttributesResult:
-    """A page of items with their attributes (QueryWithAttributes/Select)."""
+    """A page of items with their attributes (QueryWithAttributes)."""
 
     items: tuple[tuple[str, ItemState], ...]
     next_token: str | None
@@ -122,15 +109,6 @@ class QueryWithAttributesResult:
     @property
     def item_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.items)
-
-
-@dataclass(frozen=True)
-class SelectResult:
-    """Result of a Select statement (items or a count)."""
-
-    items: tuple[tuple[str, ItemState], ...]
-    next_token: str | None
-    count: int | None = None
 
 
 def _attr_count(state: Attrs) -> int:
@@ -145,38 +123,13 @@ def _holders(posting: str | set[str]) -> Collection[str]:
     return posting if isinstance(posting, set) else (posting,)
 
 
-#: A query's candidates in its order: the keys it is ordered on,
-#: ascending, and the item names in that order — one list for an
-#: unsorted query, whose key is the name.
-_Ordering = tuple[Sequence, Sequence[str]]
-
-
-def _in_order(query: CompiledQuery, view: OrderedSnapshot, names: Iterable[str]) -> _Ordering:
-    """``names`` (items of ``view``) ordered on the query's key,
-    ascending: the name for an unsorted query, ``(sort value, name)``
-    for a sorted one (a descending sort walks it backwards)."""
-    if query.sort_attribute is None:
-        ordered = sorted(names)
-        return ordered, ordered
-    values, key = view.values, query.sort_key
-    keys = sorted(key(name, values[name]) for name in names)
-    return keys, [name for _, name in keys]
-
-
 def _past(
-    ordered: _Ordering, last, descending: bool, values: Mapping[str, ItemState]
+    names: Sequence[str], last: str | None, values: Mapping[str, ItemState]
 ) -> Iterator[tuple[str, ItemState]]:
-    """The rows of ``ordered`` beyond the token key ``last`` (``None`` =
-    from the start) in the query's order: up from just above it, or
-    for a descending sort down from just below it. Bisecting to the
-    start makes a page cost the rows it reads, not the ones before."""
-    keys, names = ordered
-    if descending:
-        stop = len(keys) if last is None else bisect_left(keys, last)
-        positions = range(stop - 1, -1, -1)
-    else:
-        positions = range(0 if last is None else bisect_right(keys, last), len(keys))
-    for i in positions:
+    """The rows of the sorted ``names`` after the token's name ``last``
+    (``None`` = from the start). Bisecting to the start makes a page
+    cost the rows it reads, not the ones before."""
+    for i in range(0 if last is None else bisect_right(names, last), len(names)):
         name = names[i]
         yield name, values[name]
 
@@ -213,10 +166,10 @@ class SimpleDBService:
         # per-attribute counts from them.
         self._stat_bytes: dict[str, int] = {}
         self._postings: dict[str, dict[str, dict[str, str | set[str]]]] = {}
-        # Per domain: the last query's ordered candidates (see
+        # Per domain: the last query's sorted candidate names (see
         # _ordered), until the domain's next commit — a page of the same
         # query bisects them instead of building them again.
-        self._orderings: dict[str, tuple[CompiledQuery, _Ordering]] = {}
+        self._orderings: dict[str, tuple[CompiledQuery, Sequence[str]]] = {}
 
     # -- domain management --------------------------------------------------
 
@@ -239,10 +192,6 @@ class SimpleDBService:
         if self._authority.pop(name, None):
             self._meter.adjust_stored(billing.SDB, -self._stat_bytes[name])
         self._stat_bytes.pop(name, None)
-
-    def list_domains(self) -> list[str]:
-        self._request("ListDomains")
-        return sorted(self._domains)
 
     def _domain(self, name: str) -> ReplicaSet[ItemState]:
         domain = self._domains.get(name)
@@ -279,7 +228,7 @@ class SimpleDBService:
         """Make ``new_state`` the item's authoritative state (empty =
         the item is gone): bill the stored-byte delta, fold the old→new
         diff into the domain's statistics and postings, drop the
-        domain's kept query ordering, and replicate. The one place an
+        domain's kept candidate names, and replicate. The one place an
         item changes; called from every write path."""
         authority = self._authority[domain]
         old_state = authority.get(item_name, ABSENT)
@@ -505,12 +454,20 @@ class SimpleDBService:
         max_items: int = QUERY_MAX_PAGE,
         next_token: str | None = None,
     ) -> QueryWithAttributesResult:
-        """Return matching items together with (a subset of) attributes."""
+        """Return matching items together with (a subset of) attributes:
+        each stored state itself, or its projection onto
+        ``attribute_names``, billing transfer-out for each row's name and
+        the attributes it carries (the ``nbytes`` of either)."""
         page, token = self._query_page(
             "QueryWithAttributes", domain, expression, max_items, next_token
         )
-        wanted = None if attribute_names is None else set(attribute_names)
-        return QueryWithAttributesResult(self._serve_page(page, wanted), token)
+        if attribute_names is not None:
+            wanted = set(attribute_names)
+            page = [(name, project(state, wanted)) for name, state in page]
+        self._meter.record_transfer_out(
+            billing.SDB, sum(len(name.encode()) + state.nbytes for name, state in page)
+        )
+        return QueryWithAttributesResult(tuple(page), token)
 
     def _query_page(
         self, op: str, domain: str, expression: str | None, max_items: int,
@@ -523,41 +480,7 @@ class SimpleDBService:
         self._request(op)
         compiled = parse_query(expression)
         matched = self._execute(domain, compiled, next_token)
-        return self._paginate(matched, min(max_items, QUERY_MAX_PAGE), compiled)
-
-    def select(
-        self,
-        statement: str | SelectStatement,
-        next_token: str | None = None,
-    ) -> SelectResult:
-        """Run a SELECT statement (2009 subset; see sdb_query)."""
-        self._request("Select")
-        parsed = parse_select(statement) if isinstance(statement, str) else statement
-        matched = self._execute(parsed.domain, parsed.query, next_token)
-        if parsed.is_count:
-            return SelectResult(items=(), next_token=None, count=sum(1 for _ in matched))
-        # parse_select rejects LIMIT < 1, so a falsy limit is an absent one.
-        limit = min(parsed.limit or SELECT_MAX_PAGE, SELECT_MAX_PAGE)
-        page, token = self._paginate(matched, limit, parsed.query)
-        wanted: Collection[str] | None = set(parsed.projection)
-        if parsed.projection == ("*",):
-            wanted = None
-        elif parsed.projection == ("itemName()",):
-            wanted = ()
-        return SelectResult(self._serve_page(page, wanted), token)
-
-    def _serve_page(
-        self, page: list[tuple[str, ItemState]], wanted: Collection[str] | None
-    ) -> tuple[tuple[str, ItemState], ...]:
-        """Hand out one page of rows — each stored state itself, or its
-        projection onto ``wanted`` — billing transfer-out for each row's
-        name and the attributes it carries (the ``nbytes`` of either)."""
-        if wanted is not None:
-            page = [(name, project(state, wanted)) for name, state in page]
-        self._meter.record_transfer_out(
-            billing.SDB, sum(len(name.encode()) + state.nbytes for name, state in page)
-        )
-        return tuple(page)
+        return self._paginate(matched, min(max_items, QUERY_MAX_PAGE))
 
     # -- oracle helpers (tests/recovery scans) ----------------------------------
 
@@ -589,54 +512,44 @@ class SimpleDBService:
         query: CompiledQuery,
         next_token: str | None,
     ) -> Iterator[tuple[str, ItemState]]:
-        """The rows the query matches from ``next_token`` on, in the
-        query's order, produced lazily: the predicate runs on an item
-        only when the consumer pulls that far.
+        """The rows the query matches from ``next_token`` on, in name
+        order, produced lazily: the predicate runs on an item only when
+        the consumer pulls that far.
 
         Each request draws one replica (its ordered snapshot) and bills
         box usage on the number of items visible there — SimpleDB
         charged more machine time for broader queries, and that 2009
         model holds whichever path then finds the rows. When the drawn
         replica equals the authoritative state (nothing pending), the
-        rows come from the query's ordered candidates
-        (:meth:`_ordered`), built once between two writes and bisected
-        past the token. An unsorted query that nothing narrows, and
-        every query inside an eventual-consistency window (where the
-        drawn replica may lag the postings), walks the snapshot
-        instead: an unsorted one seeks its keys, a sorted one orders
-        that replica's items for the page.
+        rows come from the query's sorted candidates (:meth:`_ordered`),
+        built once between two writes and bisected past the token. A
+        query that nothing narrows, and every query inside an
+        eventual-consistency window (where the drawn replica may lag
+        the postings), seeks the snapshot's keys instead.
         """
         store = self._domain(domain)
         view = store.ordered_snapshot()
         self._meter.record_box_usage(len(view.keys) * SCAN_HOURS_PER_ITEM)
-        last = None if next_token is None else self._token_key(query, next_token)
-        if not store.pending_installs:
-            ordered = self._ordered(domain, query, view)
-        elif query.sort_attribute is not None:
-            ordered = _in_order(query, view, view.keys)
-        else:
-            ordered = view.keys, view.keys
-        return matching(_past(ordered, last, query.sort_descending, view.values), query)
+        last = None if next_token is None else self._token_name(next_token)
+        names = view.keys if store.pending_installs else self._ordered(domain, query, view)
+        return matching(_past(names, last, view.values), query)
 
     def _ordered(
         self, domain: str, query: CompiledQuery, view: OrderedSnapshot
-    ) -> _Ordering:
-        """The query's candidates in its order (:func:`_in_order`); for
-        an unsorted query nothing narrows, the snapshot's keys, already
-        in that order. Kept for one query per domain until the domain's
-        next commit drops it, so a walk sorts its candidates once, not
-        once per page; a query's pages are told by the parsed query's
-        identity (the parse caches hand out one instance per wire
-        string)."""
+    ) -> Sequence[str]:
+        """The names of the query's candidates, sorted; when nothing
+        narrows the query, the snapshot's keys, already sorted. Kept
+        for one query per domain until the domain's next commit drops
+        it, so a walk sorts its candidates once, not once per page; a
+        query's pages are told by the parsed query's identity (the parse
+        cache hands out one instance per wire string)."""
         kept = self._orderings.get(domain)
         if kept is not None and kept[0] is query:
             return kept[1]
         names = self._candidates(domain, query)
         if names is None:
-            if query.sort_attribute is None:
-                return view.keys, view.keys
-            names = view.keys
-        ordered = _in_order(query, view, names)
+            return view.keys
+        ordered = sorted(names)
         self._orderings[domain] = (query, ordered)
         return ordered
 
@@ -664,35 +577,19 @@ class SimpleDBService:
             return None
         return set().union(*min(options, key=lambda found: sum(map(len, found))))
 
-    # A next_token names the last row served by its key in the query's
-    # own ordering: ``after:<name>`` for an unsorted query (rows are in
-    # name order), ``after-key:[sort value, name]`` for a sorted one —
-    # a bare name cannot place a row ordered by (sort value, name).
+    # A next_token names the last row served: ``after:<name>`` (rows
+    # are in name order).
 
     @staticmethod
-    def _token_key(query: CompiledQuery, next_token: str) -> str | tuple[str, str]:
-        """The key a token names, as :func:`_in_order` orders keys: a
-        name for an unsorted query, ``(sort value, name)`` for a sorted
-        one."""
-        if query.sort_attribute is None:
-            if next_token.startswith("after:"):
-                return next_token[len("after:"):]
-        elif next_token.startswith("after-key:"):
-            try:
-                key = json.loads(next_token[len("after-key:"):])
-            except ValueError:
-                key = None
-            if (
-                isinstance(key, list)
-                and len(key) == 2
-                and all(isinstance(part, str) for part in key)
-            ):
-                return tuple(key)
-        raise errors.InvalidNextToken(next_token)
+    def _token_name(next_token: str) -> str:
+        """The item name a token resumes after."""
+        if not next_token.startswith("after:"):
+            raise errors.InvalidNextToken(next_token)
+        return next_token[len("after:"):]
 
     @staticmethod
     def _paginate(
-        matched: Iterator[tuple[str, ItemState]], max_items: int, query: CompiledQuery
+        matched: Iterator[tuple[str, ItemState]], max_items: int
     ) -> tuple[list[tuple[str, ItemState]], str | None]:
         """The first ``max_items`` rows and the token that resumes past
         them, or ``None`` when no row follows: one row beyond the page
@@ -701,9 +598,7 @@ class SimpleDBService:
         if len(page) <= max_items:
             return page, None
         del page[max_items:]
-        if query.sort_attribute is None:
-            return page, f"after:{page[-1][0]}"
-        return page, "after-key:" + json.dumps(query.sort_key(*page[-1]))
+        return page, f"after:{page[-1][0]}"
 
     def _request(self, op: str) -> None:
         self._faults.before_request(billing.SDB, op)

@@ -134,10 +134,6 @@ class SQSService:
             freed = sum(m.nbytes for host in queue.hosts for m in host.values())
             self._meter.adjust_stored(billing.SQS, -freed)
 
-    def list_queues(self) -> list[str]:
-        self._request("ListQueues")
-        return sorted(self._queues)
-
     def _queue(self, url: str) -> _Queue:
         queue = self._queues.get(url)
         if queue is None:

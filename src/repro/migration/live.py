@@ -196,8 +196,8 @@ class MigrationReport:
     cross_backend_moves: int = 0
     moves_by_domain: dict[str, int] = field(default_factory=dict)
     #: Source stores absent from the target layout (by name or by
-    #: backend), dropped whole in the drop phase — so ``list_domains``
-    #: and skew reporting see only the target layout.
+    #: backend), dropped whole in the drop phase — so the account holds
+    #: only the target layout, and skew reporting sees only it.
     domains_deleted: list[str] = field(default_factory=list)
     #: Items the copy read off a covering (ALL-projection) GSI instead
     #: of scanning the base table — available only for DynamoDB-placed

@@ -50,11 +50,12 @@ result frontiers client-side between BFS rounds.
 
 Heterogeneous placement: each shard's request stream goes through the
 shard's *placed backend* (:mod:`repro.aws.backend`) — SimpleDB shards
-answer Q2/Q3 phases with server-side ``Query``/``Select`` predicates and
-Q1-over-everything with the §5 one-GetAttributes-per-item pattern, while
-DynamoDB-style shards answer every phase with paged ``Scan`` + the same
-predicate applied client-side (the service has no query language) and
-enumerate items straight off the scan pages. Result sets are identical
+answer Q2/Q3 phases with server-side bracket-language ``Query`` /
+``QueryWithAttributes`` predicates and Q1-over-everything with the §5
+one-GetAttributes-per-item pattern, while DynamoDB-style shards answer
+every phase with paged ``Scan`` + the same predicate applied
+client-side (the service has no query language) and enumerate items
+straight off the scan pages. Result sets are identical
 across placements; the metered cost is each backend's honest price, and
 ``QueryMeasurement.per_shard`` / ``per_backend`` keep the exact split.
 

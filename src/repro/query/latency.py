@@ -44,10 +44,8 @@ DEFAULT_RTT: Mapping[tuple[str, str], float] = {
     (billing.SDB, "DeleteAttributes"): 0.020,
     (billing.SDB, "Query"): 0.025,
     (billing.SDB, "QueryWithAttributes"): 0.030,
-    (billing.SDB, "Select"): 0.030,
     (billing.SDB, "CreateDomain"): 0.150,
     (billing.SDB, "DeleteDomain"): 0.150,
-    (billing.SDB, "ListDomains"): 0.012,
     (billing.S3, "GET"): 0.040,
     (billing.S3, "HEAD"): 0.025,
     (billing.S3, "PUT"): 0.045,

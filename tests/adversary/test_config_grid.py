@@ -56,6 +56,7 @@ from tests.oracles import (
     GRID_SEED,
     observe_deployment,
     reference_deployment,
+    store_names,
 )
 
 ARCHITECTURES = {"A2": "s3+simpledb", "A3": "s3+simpledb+sqs"}
@@ -197,7 +198,7 @@ def test_cell_matches_the_default_deployment(cell, monkeypatch):
     account = sim.account
     assert account.simpledb.size_audit() == []
     assert account.dynamodb.size_audit() == []
-    assert all(account.sqs.exact_message_count(url) == 0 for url in account.sqs.list_queues())
+    assert all(account.sqs.exact_message_count(url) == 0 for url in store_names(account.sqs))
     for measurement in measured:
         assert sum(ops for _, ops, _ in measurement.per_shard) == measurement.operations
         if cell.deployment.concurrency == 1:

@@ -24,6 +24,7 @@ from repro.passlib.records import ObjectRef
 from repro.sim import Cloud
 from repro.workloads import ZipfianFleetWorkload
 from tests.conftest import A3_MID_LOG
+from tests.oracles import store_names
 
 REGRESSIONS = Path(__file__).resolve().parent.parent / "regressions"
 COMMITTED = REGRESSIONS / "two_a3_clients_crash_and_migrate.json"
@@ -142,7 +143,7 @@ def test_two_replays_in_one_process_name_the_same_queues_and_keys():
     text = COMMITTED.read_text()
 
     def names(cloud):
-        return cloud.account.sqs.list_queues(), cloud.account.s3.authoritative_keys(DATA_BUCKET)
+        return store_names(cloud.account.sqs), cloud.account.s3.authoritative_keys(DATA_BUCKET)
 
     first, second = (Cloud.from_run(schedule.loads(text)) for _ in range(2))
     assert "sqs://queues/migration-wal-0001" in names(first)[0]

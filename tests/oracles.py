@@ -33,10 +33,8 @@ from repro.aws.s3 import S3ListResult
 from repro.aws.sdb_query import (
     BoolOp,
     BracketPredicate,
-    Comparison,
     MatchAll,
     Not,
-    Null,
     equality_candidates,
     range_candidates,
 )
@@ -359,6 +357,20 @@ def reference_list(s3, bucket, prefix, marker, max_keys) -> S3ListResult:
     return S3ListResult(page, truncated, page[-1] if truncated else None)
 
 
+# -- What a service holds, read off its state ---------------------------------
+
+
+def store_names(service) -> list[str]:
+    """The names a service holds — an S3 service's buckets, a SimpleDB
+    service's domains, an SQS service's queue URLs or a DynamoDB
+    service's tables — sorted and unmetered: the List* calls that would
+    bill for them are not simulated."""
+    for attr in ("_buckets", "_domains", "_queues", "_tables"):
+        if hasattr(service, attr):
+            return sorted(getattr(service, attr))
+    raise TypeError(f"{type(service).__name__} holds no named stores")
+
+
 # -- SimpleDB queries: the interpreter the compiled matchers replaced ----------
 
 
@@ -375,12 +387,6 @@ _REFERENCE_OPS = {
 
 
 def reference_matches(node, attrs) -> bool:
-    if isinstance(node, Comparison):
-        values = attrs.get(node.attribute)
-        if not values:
-            return False
-        quantify = all if node.every else any
-        return quantify(_REFERENCE_OPS[node.op](v, node.value) for v in values)
     if isinstance(node, BracketPredicate):
         return any(
             all(
@@ -389,9 +395,6 @@ def reference_matches(node, attrs) -> bool:
             )
             for value in attrs.get(node.attribute) or ()
         )
-    if isinstance(node, Null):
-        present = bool(attrs.get(node.attribute))
-        return present if node.negated else not present
     if isinstance(node, Not):
         return not reference_matches(node.operand, attrs)
     if isinstance(node, BoolOp):
@@ -403,12 +406,10 @@ def reference_matches(node, attrs) -> bool:
 
 
 def reference_rows(items, query):
-    """What the pre-index service returned for ``query`` over ``items``."""
+    """What the pre-index service returned for ``query`` over ``items``:
+    the matching rows in name order."""
     matched = [(n, a) for n, a in items if reference_matches(query.predicate, a)]
-    matched.sort(key=lambda pair: query.sort_key(*pair))
-    if query.sort_descending:
-        matched.reverse()
-    return [(name, dict(attrs)) for name, attrs in matched]
+    return [(name, dict(attrs)) for name, attrs in sorted(matched, key=lambda row: row[0])]
 
 
 # -- DynamoDB index picks: plain loops over the declarations -------------------

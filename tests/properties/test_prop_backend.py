@@ -30,6 +30,7 @@ from repro.passlib.records import Attr, ObjectRef
 from repro.query.engine import REF_BATCH, SimpleDBEngine
 from repro.sharding import ShardRouter, authoritative_snapshot
 from repro.sim import Simulation
+from tests.oracles import store_names
 
 
 def random_workload(rng: random.Random, n_stages: int):
@@ -252,15 +253,15 @@ def test_full_backend_flip_migrates_every_item():
     assert report.cross_backend_moves == report.items_moved == len(before)
     assert report.items_kept == 0
     assert authoritative_snapshot(sim.account, target) == before
-    assert sim.account.simpledb.list_domains() == []  # all dropped
-    assert set(sim.account.dynamodb.list_tables()) == set(target.domains)
+    assert store_names(sim.account.simpledb) == []  # all dropped
+    assert set(store_names(sim.account.dynamodb)) == set(target.domains)
     # And back again, through the other adapter's write path.
     back = sim.migrate(router=ShardRouter(3, placement="sdb"))
     assert back.cross_backend_moves == len(before)
     assert authoritative_snapshot(
         sim.account, ShardRouter(3, placement="sdb")
     ) == before
-    assert sim.account.dynamodb.list_tables() == []
+    assert store_names(sim.account.dynamodb) == []
 
 
 def test_queries_work_after_cross_backend_migration():

@@ -21,6 +21,7 @@ from repro.aws import billing
 from repro.query.engine import SimpleDBEngine
 from repro.sharding import ShardRouter, authoritative_snapshot
 from repro.sim import Simulation
+from tests.oracles import store_names
 from tests.properties.test_prop_backend import random_workload
 
 #: (name, placement, ddb_indexes) — the three DynamoDB access regimes
@@ -146,7 +147,7 @@ def test_rebalance_preserves_items_and_recreates_indexes(
 
     # Destinations carry the indexes, and each index agrees with its
     # base table item for item.
-    assert set(account.dynamodb.list_tables()) == set(target.domains)
+    assert set(store_names(account.dynamodb)) == set(target.domains)
     for domain in target.domains:
         specs = {spec.name for spec in account.dynamodb.list_indexes(domain)}
         assert specs == {"gsi-name", "gsi-input"}
@@ -190,7 +191,7 @@ def test_full_flip_round_trip_with_indexes_zeroes_the_ledger():
     outbound = sim.migrate(router=onto_ddb)
     assert outbound.cross_backend_moves == len(before)
     assert outbound.index_write_units > 0
-    assert account.simpledb.list_domains() == []
+    assert store_names(account.simpledb) == []
     for domain in onto_ddb.domains:
         assert {s.name for s in account.dynamodb.list_indexes(domain)} == {
             "gsi-name", "gsi-input",
@@ -203,7 +204,7 @@ def test_full_flip_round_trip_with_indexes_zeroes_the_ledger():
     ) == before
     # Dropping the indexed tables freed every stored byte — base and
     # index alike (the drop-emptied-source accounting invariant).
-    assert account.dynamodb.list_tables() == []
+    assert store_names(account.dynamodb) == []
     assert account.meter.stored_bytes(billing.DDB) == 0
     assert account.meter.stored_bytes(billing.DDB_GSI) == 0
 

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.aws.sdb_query import parse_query, run_query
+from repro.aws.sdb_query import matching, parse_query
 
 attr_names = st.sampled_from(["type", "name", "input", "ver"])
 attr_values = st.text(alphabet="abcd01", min_size=1, max_size=4)
@@ -23,7 +23,7 @@ items_strategy = st.dictionaries(
 
 
 def names(items, expression):
-    return {n for n, _ in run_query(items, parse_query(expression))}
+    return {n for n, _ in matching(items, parse_query(expression))}
 
 
 @st.composite

@@ -22,13 +22,13 @@ from hypothesis import given, settings, strategies as st
 from repro.passlib.capture import PassSystem
 from repro.sharding import ShardRouter, authoritative_snapshot
 from repro.sim import Simulation
-from tests.oracles import reference_domain_for, reference_domains
+from tests.oracles import reference_domain_for, reference_domains, store_names
 
 
 def all_store_names(account) -> set[str]:
     """Every provenance store name across both backends (the layout a
     shrink must leave behind, whatever the placement says)."""
-    return set(account.simpledb.list_domains()) | set(account.dynamodb.list_tables())
+    return set(store_names(account.simpledb)) | set(store_names(account.dynamodb))
 
 
 def random_workload(rng: random.Random, n_stages: int):

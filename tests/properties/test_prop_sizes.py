@@ -44,7 +44,6 @@ _ddb_ops = st.one_of(
     st.tuples(st.just("batch"), st.lists(st.tuples(_items, _adds), min_size=1, max_size=10)),
     st.tuples(st.just("delete"), _items),
     st.tuples(st.just("create_index"), st.sampled_from(sorted(SPECS))),
-    st.tuples(st.just("delete_index"), st.sampled_from(sorted(SPECS))),
     st.tuples(st.just("delete_table")),
     _advance,
 )
@@ -85,8 +84,6 @@ def test_dynamo_sizes_survive_every_write_path(ops):
             _written(account, lambda key: ddb.delete_item(T, *key), args)
         elif op == "create_index":
             ddb.create_index(T, SPECS[args[0]])
-        elif op == "delete_index":
-            ddb.delete_index(T, args[0])
         elif op == "delete_table":
             ddb.delete_table(T)
             ddb.create_table(T, write_capacity=CAPACITY)

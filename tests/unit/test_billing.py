@@ -194,9 +194,6 @@ class TestTransferOutIsBytesNotCharacters:
             billing.SDB,
             lambda: sdb.query_with_attributes("d", None),
         ) == name_bytes + attr_bytes
-        assert self._bytes_out(
-            strong_account, billing.SDB, lambda: sdb.select("select * from d")
-        ) == name_bytes + attr_bytes
 
     def test_s3_list(self, strong_account):
         s3 = strong_account.s3

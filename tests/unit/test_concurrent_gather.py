@@ -203,9 +203,9 @@ class TestMeterScopes:
         account = AWSAccount(seed=3, consistency=ConsistencyConfig.strong())
         account.simpledb.create_domain("d")
         with account.meter.scoped() as outer:
-            account.simpledb.list_domains()
+            account.simpledb.domain_metadata("d")
             with account.meter.scoped() as inner:
-                account.simpledb.list_domains()
+                account.simpledb.domain_metadata("d")
         assert inner.usage().request_count() == 1
         assert outer.usage().request_count() == 2
 

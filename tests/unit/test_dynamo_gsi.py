@@ -119,13 +119,10 @@ class TestMaintenance:
         # Re-creating is idempotent: no new charge, entries untouched.
         assert ddb.create_index("late", IndexSpec("gsi-k", "k")) == 0.0
 
-    def test_delete_index_and_table_free_storage(self, account, ddb):
+    def test_delete_table_frees_index_storage(self, account, ddb):
         ddb.update_item("t", "item", [("k", "a")])
         ddb.create_index("t", IndexSpec("gsi-2", "k"))
         assert account.meter.stored_bytes(billing.DDB_GSI) > 0
-        ddb.delete_index("t", "gsi-2")
-        remaining = account.meter.stored_bytes(billing.DDB_GSI)
-        assert remaining > 0  # gsi-k still holds its entry
         ddb.delete_table("t")
         assert account.meter.stored_bytes(billing.DDB_GSI) == 0
 
@@ -367,7 +364,7 @@ class TestStalenessBound:
         )
         adapter.provision("p")
         adapter.put_provenance_item("p", "item", [("k", "a"), ("t", "file")])
-        assert account.dynamodb.index_pending_writes("p", "gsi-k") > 0
+        assert account.dynamodb._index("p", "gsi-k").replicas.pending_installs > 0
         account.clock.advance(1.0)  # lag now exceeds the 0.5 s bound
         assert account.dynamodb.index_lag_seconds("p", "gsi-k") > 0.5
         rows = list(adapter.query_pages("p", "['k' = 'a']", ["t"]))
@@ -473,4 +470,4 @@ def test_gsi_fuzz_interleaved_ops_never_invent_data(ops, seed):
                     a: v for a, v in state.items() if a in ("k", "t")
                 }
         assert got == expected
-    assert ddb.index_converged("t", "gsi-k")
+    assert ddb._index("t", "gsi-k").replicas.is_converged()

@@ -93,8 +93,11 @@ READS = {
     "query_with_attributes": _sdb(
         lambda sdb: [attrs for _, attrs in sdb.query_with_attributes(DOMAIN).items]
     ),
-    "select *": _sdb(
-        lambda sdb: [attrs for _, attrs in sdb.select(f"select * from {DOMAIN}").items]
+    "query_with_attributes postings": _sdb(
+        lambda sdb: [
+            attrs
+            for _, attrs in sdb.query_with_attributes(DOMAIN, "['type' = 'file']").items
+        ]
     ),
     "sdb authoritative_item": _sdb(
         lambda sdb: [sdb.authoritative_item(DOMAIN, "ítem-011")]

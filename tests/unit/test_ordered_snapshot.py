@@ -34,6 +34,7 @@ from tests.oracles import (
     reference_query_index,
     reference_scan,
     reference_scan_index,
+    store_names,
 )
 
 TABLE = "t"
@@ -446,7 +447,7 @@ def stored(account) -> dict[str, int]:
 
 
 def recounted_storage(ddb) -> dict[str, int]:
-    counts = [recount(ddb, name) for name in ddb.list_tables()]
+    counts = [recount(ddb, name) for name in store_names(ddb)]
     return {
         billing.DDB: sum(c["table_bytes"] for c in counts),
         billing.DDB_GSI: sum(
@@ -462,10 +463,10 @@ def recounted_storage(ddb) -> dict[str, int]:
 )
 def test_totals_equal_a_recount_and_deletes_free_exactly_them(mutations, others):
     """``describe_table`` is a recount after every mutation, and
-    ``delete_index`` / ``delete_table`` — which free the maintained
-    totals instead of re-walking the data — leave the stored meters
-    where a recount of what remains says (a second table keeps the
-    levels from trivially reading zero)."""
+    ``delete_table`` — which frees the maintained totals instead of
+    re-walking the data — leaves the stored meters where a recount of
+    what remains says (a second table keeps the levels from trivially
+    reading zero)."""
     account = new_account(ConsistencyConfig.strong())
     ddb = account.dynamodb
     ddb.create_table("other")
@@ -476,10 +477,8 @@ def test_totals_equal_a_recount_and_deletes_free_exactly_them(mutations, others)
         mutate(account, mutation)
         assert ddb.describe_table(TABLE) == recount(ddb, TABLE)
         assert stored(account) == recounted_storage(ddb)
-    ddb.delete_index(TABLE, SIMPLE.name)
-    assert stored(account) == recounted_storage(ddb)
     ddb.delete_table(TABLE)
-    assert ddb.list_tables() == ["other"]
+    assert store_names(ddb) == ["other"]
     assert stored(account) == recounted_storage(ddb)
     ddb.delete_table("other")
     assert stored(account) == {billing.DDB: 0, billing.DDB_GSI: 0}

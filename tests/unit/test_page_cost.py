@@ -1,11 +1,11 @@
 """A page costs what it serves, not the size of what it pages through.
 
-SimpleDB Query / QueryWithAttributes / Select and S3 LIST resume at
-their token — on the drawn replica's key order, or on a query's
-candidates sorted once in its own order — and stop one row past the
-page. The tests here count the work a walk does — items a query's
-compiled matcher is run on, names the service sorts, keys a LIST
-examines — so they are exact and deterministic. A walk of N matching
+SimpleDB Query / QueryWithAttributes and S3 LIST resume at their
+token — on the drawn replica's key order, or on a query's candidate
+names sorted once — and stop one row past the page. The tests here
+count the work a walk does — items a query's compiled matcher is run
+on, names the service sorts, keys a LIST examines — so they are exact
+and deterministic. A walk of N matching
 items in pages of P examines at most N + ⌈N/P⌉ of them (each page's
 look-ahead row is examined again as the next page's first), and walking
 4N costs about four times walking N. A pager that filters and sorts the
@@ -22,7 +22,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from repro.aws import simpledb
 from repro.aws.account import AWSAccount, ConsistencyConfig
-from repro.aws.sdb_query import run_query
+from repro.aws.sdb_query import parse_query
 from tests.oracles import reference_list, reference_rows
 
 from test_sdb_index import (
@@ -30,7 +30,6 @@ from test_sdb_index import (
     as_served,
     ask,
     authoritative,
-    compiled,
     count_matcher_calls,
     request,
     rows_past,
@@ -69,17 +68,15 @@ def count_ordered(monkeypatch) -> Counter:
     return ordered
 
 
-# (language, text), each matching most of the domain: the scan path and
-# the postings path (``type`` pinned), unsorted and sorted, where every
-# item examined matches...
+# (language, text), each matching most of the domain: the scan path, the
+# postings path (``type`` pinned) and a range over every ``k`` value, on
+# both APIs, where every item examined matches...
 EVERY_MATCH = {
     "scan": ("query-with-attributes", None),
     "postings": ("query-with-attributes", "['type' = 'file']"),
-    "select-postings": ("select", f"select * from {DOMAIN} where type = 'file'"),
-    "postings-sorted": ("query-with-attributes", "['type' = 'file'] sort 'k'"),
-    "select-scan-sorted": (
-        "select", f"select * from {DOMAIN} where k != 'x' order by k desc"
-    ),
+    "query-scan": ("query", None),
+    "query-postings": ("query", "['type' = 'file']"),
+    "range": ("query-with-attributes", "['k' >= '0']"),
 }
 # ...and where some do not. A page's look-ahead row is then preceded by
 # the non-matches crossed to reach it, and the next page, resuming past
@@ -89,8 +86,8 @@ SKIPPING = {
     "postings-skipping": (
         "query-with-attributes", "['type' = 'file'] intersection not ['k' = '0']"
     ),
-    "postings-skipping-sorted": (
-        "query", "['type' = 'file'] intersection not ['k' = '3'] sort 'k' desc"
+    "query-postings-skipping": (
+        "query", "['type' = 'file'] intersection not ['k' = '3']"
     ),
 }
 # Predicates the postings narrow, each with the names that can match it:
@@ -118,7 +115,7 @@ def walk_cost(monkeypatch, n, language, text) -> tuple[list[str], int]:
         (name, sdb.authoritative_item(DOMAIN, name))
         for name in sdb.authoritative_item_names(DOMAIN)
     ]
-    assert names == [name for name, _ in run_query(items, compiled(language, text))]
+    assert names == [name for name, _ in reference_rows(items, parse_query(text))]
     return names, cost
 
 
@@ -186,9 +183,7 @@ WALKS = {
         NARROWED["pinned-and-ranged"][0],
         lambda attrs: any("2" <= k <= "3" for k in attrs.get("k", ())),
     ),
-    "sorted": (
-        "select", f"select * from {DOMAIN} where type = 'file' order by k desc", is_file
-    ),
+    "query-pinned": ("query", "['type' = 'file']", is_file),
 }
 
 
@@ -198,22 +193,20 @@ WALKS = {
 def test_a_write_between_pages_is_seen_by_the_next_one(
     monkeypatch, language, text, candidate
 ):
-    """Sorted candidates are kept until the domain's next write: a write
+    """Sorted candidate names are kept until the domain's next write: a write
     between two pages of a walk — an insert, a delete and an update
     each ahead of the token — makes the next page the reference over the
     new state past the token, sorting the new candidates once; the page
     after it sorts nothing."""
     sdb = domain_of(N)
-    query = compiled(language, text)
+    query = parse_query(text)
     first, token = request(sdb, language, text, PAGE)
-    following = rows_past(
-        reference_rows(authoritative(sdb), query), query, query.sort_key(*first[-1])
-    )
+    following = rows_past(reference_rows(authoritative(sdb), query), first[-1][0])
     sdb.put_attributes(DOMAIN, "item-99999", [("type", "file"), ("k", "2")])
     sdb.delete_attributes(DOMAIN, following[0][0])
     sdb.put_attributes(DOMAIN, following[1][0], [("type", "proc", True)])
     state = authoritative(sdb)
-    rest = rows_past(reference_rows(state, query), query, query.sort_key(*first[-1]))
+    rest = rows_past(reference_rows(state, query), first[-1][0])
     candidates = sum(1 for _, attrs in state if candidate(attrs))
     ordered = count_ordered(monkeypatch)
     second, token = request(sdb, language, text, PAGE, token)

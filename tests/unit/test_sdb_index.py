@@ -4,21 +4,21 @@ The service answers a query from its postings when the drawn replica
 provably equals the authoritative state and the predicate pins an
 attribute, and scans the replica otherwise; either way a page resumes
 at its token. Both must return exactly what the pre-index service did:
-filter and sort the visible items, with the *interpretive* matcher,
-which lives on in ``tests/oracles.py`` (``reference_matches``) as the
-oracle for the compiled closures too, then drop every row up to the token.
+filter the visible items, in name order, with the *interpretive*
+matcher, which lives on in ``tests/oracles.py`` (``reference_matches``)
+as the oracle for the compiled closures too, then drop every row up to
+the token.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
-from repro.aws.sdb_query import CompiledQuery, parse_query, parse_select
+from repro.aws.sdb_query import CompiledQuery, parse_query
 from repro.aws.simpledb import Attribute
 from tests.oracles import reference_matches, reference_rows
 
@@ -52,7 +52,6 @@ def count_matcher_calls(monkeypatch) -> Counter:
 POOL = ["a", "b", "ab", "abc", "0", "a0", "b:0", "c_"]
 _pool = st.sampled_from(POOL)
 _names = st.sampled_from([f"item-{i}" for i in range(7)])
-_sorts = st.sampled_from(["", " asc", " desc"])
 
 
 @st.composite
@@ -64,7 +63,7 @@ def equality_brackets(draw):
 
 @st.composite
 def bracket_queries(draw):
-    """Brackets under the set operators, optionally sorted."""
+    """Brackets under the set operators."""
     term = st.one_of(equality_brackets(), bracket_expressions(values=_pool))
     expression = draw(term)
     for _ in range(draw(st.integers(0, 2))):
@@ -72,8 +71,6 @@ def bracket_queries(draw):
         expression += f" {joiner} {draw(term)}"
     if draw(st.booleans()):
         expression = f"not {expression}"
-    if draw(st.booleans()):
-        expression += f" sort '{draw(_attrs)}'{draw(_sorts)}"
     return expression
 
 
@@ -81,50 +78,12 @@ def bracket_queries(draw):
 def broad_pinned_queries(draw):
     """A predicate pinned to every pool value of one attribute — each
     item holding it is a candidate, so its postings walk spans pages —
-    optionally narrowed by a random bracket and sorted."""
+    optionally narrowed by a random bracket."""
     attribute = draw(_attrs)
     expression = "[" + " or ".join(f"'{attribute}' = '{v}'" for v in POOL) + "]"
     if draw(st.booleans()):
         expression += f" intersection not {draw(bracket_expressions(values=_pool))}"
-    if draw(st.booleans()):
-        expression += f" sort '{draw(_attrs)}'{draw(_sorts)}"
     return draw(st.sampled_from(["query", "query-with-attributes"])), expression
-
-
-@st.composite
-def select_conditions(draw, depth=2):
-    attribute = draw(_attrs)
-    shape = draw(st.integers(0, 8 if depth else 5))
-    if shape == 0:
-        op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]))
-        return f"{attribute} {op} '{draw(_pool)}'"
-    if shape == 1:
-        op = draw(st.sampled_from(["=", "!=", "<", ">="]))
-        return f"every({attribute}) {op} '{draw(_pool)}'"
-    if shape == 2:
-        values = draw(st.lists(_pool, min_size=1, max_size=4))
-        return f"{attribute} in (" + ", ".join(f"'{v}'" for v in values) + ")"
-    if shape == 3:
-        return f"{attribute} between '{draw(_pool)}' and '{draw(_pool)}'"
-    if shape == 4:
-        return f"{attribute} like '{draw(_pool)}%'"
-    if shape == 5:
-        return f"{attribute} is {draw(st.sampled_from(['', 'not ']))}null"
-    inner = select_conditions(depth=depth - 1)
-    if shape == 6:
-        return f"not ({draw(inner)})"
-    joiner = "and" if shape == 7 else "or"
-    return f"({draw(inner)}) {joiner} ({draw(inner)})"
-
-
-@st.composite
-def select_statements(draw):
-    statement = f"select * from {DOMAIN}"
-    if draw(st.integers(0, 5)):
-        statement += f" where {draw(select_conditions())}"
-    if draw(st.booleans()):
-        statement += f" order by {draw(_attrs)}{draw(_sorts)}"
-    return statement
 
 
 _put_attrs = st.lists(
@@ -175,9 +134,6 @@ def request(sdb, language, text, page_size, token=None):
     """One page through the service API: (name, attrs) rows and the
     next token. Query pages carry names only, so attrs are then
     ``None``."""
-    if language == "select":
-        page = sdb.select(f"{text} limit {page_size}", next_token=token)
-        return list(page.items), page.next_token
     if language == "query":
         page = sdb.query(DOMAIN, text, max_items=page_size, next_token=token)
         return [(name, None) for name in page.item_names], page.next_token
@@ -197,24 +153,19 @@ def ask(sdb, language, text, page_size):
     return rows
 
 
-def compiled(language, text):
-    return parse_select(text).query if language == "select" else parse_query(text)
-
-
 def as_served(language, rows):
     return [(name, None) for name, _ in rows] if language == "query" else rows
 
 
 def expected(items, language, text):
-    return as_served(language, reference_rows(items, compiled(language, text)))
+    return as_served(language, reference_rows(items, parse_query(text)))
 
 
-def rows_past(rows, query, last):
-    """The reference rows a page resumed after sort key ``last`` may serve."""
+def rows_past(rows, last):
+    """The reference rows a page resumed after the name ``last`` may serve."""
     if last is None:
         return rows
-    beyond = operator.lt if query.sort_descending else operator.gt
-    return [row for row in rows if beyond(query.sort_key(*row), last)]
+    return [row for row in rows if row[0] > last]
 
 
 def size_for_three_pages(rows) -> int:
@@ -223,9 +174,8 @@ def size_for_three_pages(rows) -> int:
     return max(1, len(rows) // 3)
 
 
-_queries = st.one_of(
-    st.tuples(st.sampled_from(["query", "query-with-attributes"]), bracket_queries()),
-    st.tuples(st.just("select"), select_statements()),
+_queries = st.tuples(
+    st.sampled_from(["query", "query-with-attributes"]), bracket_queries()
 )
 
 EVENTUAL = ConsistencyConfig.eventual(window=2.0, immediate_fraction=0.4)
@@ -242,23 +192,18 @@ EVENTUAL = ConsistencyConfig.eventual(window=2.0, immediate_fraction=0.4)
 )
 def test_strong_model_pages_equal_the_reference_scan(mutations, queries, broad, page_size):
     """No install is ever pending: every pinned predicate takes the
-    postings path, an unpinned one the scan, and every page walk —
-    unsorted ones seek past the last name served, sorted ones resume on
-    the sort key — is the reference's rows, each exactly once, in order,
-    at a random page size and at one that crosses three pages."""
+    postings path, an unpinned one the scan, and every page walk — each
+    page seeks past the last name served — is the reference's rows, each
+    exactly once, in order, at a random page size and at one that crosses
+    three pages."""
     sdb = account_with(ConsistencyConfig.strong(), mutations).simpledb
     items = authoritative(sdb)
     for language, text in [broad, *queries]:
         want = expected(items, language, text)
         if len(want) >= 3:
-            query = compiled(language, text)
-            path = "postings" if query.pinned else "scan"
-            event(f"3+ pages: {path}, sorted = {query.sort_attribute is not None}")
+            event(f"3+ pages: {'postings' if parse_query(text).pinned else 'scan'}")
         for size in (page_size, size_for_three_pages(want)):
             assert ask(sdb, language, text, size) == want
-    if queries[0][0] == "select":
-        counted = sdb.select(queries[0][1].replace("*", "count(*)", 1))
-        assert counted.count == len(expected(items, *queries[0]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -279,16 +224,16 @@ def test_eventual_window_scans_the_drawn_replica_then_converges(mutations, queri
     sdb, twin = account.simpledb, account_with(EVENTUAL, mutations).simpledb
     event(f"installs pending: {sdb._domain(DOMAIN).pending_installs > 0}")
     for language, text in [broad, *queries]:
-        query, token, last = compiled(language, text), None, None
+        query, token, last = parse_query(text), None, None
         while True:
             drawn = list(twin._domain(DOMAIN).ordered_snapshot().between())
-            rest = rows_past(reference_rows(drawn, query), query, last)
+            rest = rows_past(reference_rows(drawn, query), last)
             got, token = request(sdb, language, text, 2, token)
             assert got == as_served(language, rest[:2])
             assert (token is None) == (len(rest) <= 2)
             if token is None:
                 break
-            last = query.sort_key(*rest[1])
+            last = rest[1][0]
     account.quiesce()
     items = authoritative(sdb)
     for language, text in [broad, *queries]:
@@ -346,11 +291,11 @@ def test_one_replica_draw_per_request_on_both_paths():
 
     def pinned(sdb):
         sdb.query(DOMAIN, "['k' = '1']")
-        sdb.select(f"select * from {DOMAIN} where k in ('1', '2')")
+        sdb.query_with_attributes(DOMAIN, "['k' = '1' or 'k' = '2']")
 
     def unpinned(sdb):
         sdb.query(DOMAIN, "not ['k' != '1']")
-        sdb.select(f"select * from {DOMAIN}")
+        sdb.query_with_attributes(DOMAIN, None)
 
     def point_reads(sdb):
         sdb.get_attributes(DOMAIN, "i0")
@@ -410,7 +355,7 @@ def test_domain_metadata_equals_a_recount(mutations):
 
 
 def test_postings_do_not_outlive_their_domain():
-    """Neither the postings nor a query's sorted candidates: the same
+    """Neither the postings nor a query's sorted candidate names: the same
     query asked of a re-created domain must not be served the old
     domain's candidates."""
     sdb = account_with(ConsistencyConfig.strong()).simpledb
@@ -436,7 +381,7 @@ def test_postings_do_not_outlive_their_domain():
     ),
 )
 def test_compiled_matcher_equals_the_interpreter(query, attrs):
-    node = compiled(*query).predicate
+    node = parse_query(query[1]).predicate
     assert node.matches(attrs) is reference_matches(node, attrs)
 
 
@@ -452,7 +397,7 @@ def test_every_match_holds_a_pinned_value_and_a_value_in_each_range(query, attrs
     rest on, judged by the interpreter: an item the predicate matches
     holds one of each pinned attribute's values and, for each ranged
     attribute, one value inside its range."""
-    parsed = compiled(*query)
+    parsed = parse_query(query[1])
     if not reference_matches(parsed.predicate, attrs):
         return
     event(f"pins {len(parsed.pinned)}, ranges {len(parsed.ranges)}")
@@ -468,15 +413,14 @@ def test_every_match_holds_a_pinned_value_and_a_value_in_each_range(query, attrs
 def test_two_sides_bounding_one_attribute_keep_the_left_range():
     """Bounds from the two sides of an ``and`` do not intersect (each
     may hold of a different value), so one side's range is kept: the
-    left, which makes a Select ``between`` narrow by its lower bound.
-    One bracket is one value, so its groups still intersect."""
-    assert compiled(
-        "select", f"select * from {DOMAIN} where k between 'b' and 'c'"
-    ).ranges == {"k": ("b", None)}
-    assert compiled("query", "['k' <= 'c'] intersection ['k' >= 'b']").ranges == {
+    left. One bracket is one value, so its groups still intersect."""
+    assert parse_query("['k' >= 'b'] intersection ['k' <= 'c']").ranges == {
+        "k": ("b", None)
+    }
+    assert parse_query("['k' <= 'c'] intersection ['k' >= 'b']").ranges == {
         "k": (None, "c")
     }
-    assert compiled("query", "['k' >= 'b' and 'k' <= 'c']").ranges == {"k": ("b", "c")}
+    assert parse_query("['k' >= 'b' and 'k' <= 'c']").ranges == {"k": ("b", "c")}
 
 
 VALUES = {"k": ("ab", "b")}
@@ -498,22 +442,21 @@ VALUES = {"k": ("ab", "b")}
         ("['k' > 'a' and 'k' < 'b']", True),
         ("['k' = 'b' and 'k' starts-with 'a']", False),  # one value, both groups
         ("['missing' != 'x']", False),
-        ("select * from d where k = 'ab'", True),
-        ("select * from d where every(k) >= 'ab'", True),
-        ("select * from d where every(k) = 'ab'", False),
-        ("select * from d where every(missing) = 'x'", False),
-        ("select * from d where k like 'a%'", True),
-        ("select * from d where k in ('x', 'b')", True),
-        ("select * from d where k between 'b' and 'c'", True),
-        ("select * from d where k is null", False),
-        ("select * from d where missing is null", True),
-        ("select * from d where k is not null", True),
-        ("select * from d where not (k = 'ab' and k = 'b')", False),
+        ("['k' = 'x' or 'k' = 'b']", True),
+        ("['k' = 'x'] union ['k' = 'ab']", True),
+        ("not (['k' = 'ab'] intersection ['k' = 'b'])", False),
+        ("['k' = 'ab'] intersection not ['missing' = 'x']", True),
+        ("['k' = 'x' or 'k' = 'y']", False),
+        ("['k' >= 'b' and 'k' <= 'c']", True),
+        ("['k' > 'ab' and 'k' < 'b']", False),  # no value strictly between
+        ("['k' starts-with 'c'] union ['k' = 'b']", True),
+        ("not ['k' = 'b']", False),
+        ("not ['missing' = 'x']", True),
+        ("['k' = 'ab'] intersection ['k' = 'b']", True),  # a value each
     ],
 )
 def test_every_comparator_compiles_to_its_meaning(text, verdict):
-    language = "select" if text.startswith("select") else "query"
-    node = compiled(language, text).predicate
+    node = parse_query(text).predicate
     assert node.matches(VALUES) is verdict
     assert reference_matches(node, VALUES) is verdict
     assert node.matches({}) is reference_matches(node, {})

@@ -1,13 +1,8 @@
-"""Unit tests for the SimpleDB query languages (bracket Query + SELECT)."""
+"""Unit tests for the SimpleDB bracket Query language."""
 
 import pytest
 
-from repro.aws.sdb_query import (
-    CompiledQuery,
-    parse_query,
-    parse_select,
-    run_query,
-)
+from repro.aws.sdb_query import CompiledQuery, matching, parse_query
 from repro.errors import InvalidQueryExpression
 
 ITEMS = [
@@ -19,7 +14,7 @@ ITEMS = [
 
 
 def names(query: CompiledQuery) -> list[str]:
-    return [name for name, _ in run_query(ITEMS, query)]
+    return [name for name, _ in matching(ITEMS, query)]
 
 
 class TestBracketLanguage:
@@ -74,9 +69,46 @@ class TestBracketLanguage:
         assert names(parse_query("['size' >= '0005']")) == ["apple_1", "banana_1"]
         assert names(parse_query("['size' <= '0002']")) == ["cherry_1"]
 
-    def test_sort(self):
-        query = parse_query("['type' = 'file'] sort 'size' desc")
-        assert names(query) == ["banana_1", "apple_1", "cherry_1"]
+    def test_intersection_with_a_negated_predicate(self):
+        query = parse_query("['type' = 'file'] intersection not ['color' = 'red']")
+        assert names(query) == ["banana_1"]
+
+    def test_or_chain_within_predicate(self):
+        query = parse_query(
+            "['color' = 'yellow' or 'color' = 'green' or 'color' = 'blue']"
+        )
+        assert names(query) == ["apple_1", "banana_1"]
+
+    def test_closed_range_within_predicate(self):
+        query = parse_query("['size' >= '0003' and 'size' <= '0008']")
+        assert names(query) == ["apple_1", "banana_1"]
+
+    def test_does_not_start_with(self):
+        # apple's green does not start with 're', so apple matches too.
+        query = parse_query("['color' does-not-start-with 're']")
+        assert names(query) == ["apple_1", "banana_1"]
+
+    def test_not_keeps_items_missing_the_attribute(self):
+        assert names(parse_query("not ['name' = 'blast']")) == [
+            "apple_1", "banana_1", "cherry_1",
+        ]
+        # An empty prefix holds of every value: the holders of 'name'.
+        assert names(parse_query("['name' starts-with '']")) == ["blast_1"]
+
+    def test_every_value_is_a_match_minus_a_mismatch(self):
+        # Some color is red and no color is anything else: cherry only.
+        query = parse_query("['color' = 'red'] intersection not ['color' != 'red']")
+        assert names(query) == ["cherry_1"]
+
+    def test_double_negation(self):
+        assert names(parse_query("not not ['type' = 'process']")) == ["blast_1"]
+
+    def test_union_narrowed_by_a_range(self):
+        query = parse_query(
+            "(['color' = 'red'] union ['color' = 'yellow']) "
+            "intersection ['size' >= '0005']"
+        )
+        assert names(query) == ["apple_1", "banana_1"]
 
     def test_parenthesised_set_expression(self):
         query = parse_query(
@@ -93,6 +125,14 @@ class TestBracketLanguage:
             "'a' = 'b'",
             "['a' = 'b'] intersect ['c' = 'd'] garbage",
             "[]",
+            "['a' = 'b'] union",
+            "not",
+            "(['a' = 'b']",
+            "['a' = 'b' or 'c' = 'd']",
+            "['a' starts-with]",
+            "['a' = 'b'], ['c' = 'd']",
+            "['a' = 'b'] limit 2",
+            "['a' = 'b'] ['c' = 'd']",
         ],
     )
     def test_malformed_rejected(self, bad):
@@ -102,88 +142,5 @@ class TestBracketLanguage:
     def test_quote_escaping(self):
         query = parse_query("['name' = 'o''brien']")
         items = [("x", {"name": ("o'brien",)})]
-        assert [n for n, _ in run_query(items, query)] == ["x"]
+        assert [n for n, _ in matching(items, query)] == ["x"]
 
-
-class TestSelect:
-    def test_basic(self):
-        statement = parse_select("select * from d where type = 'file'")
-        assert statement.domain == "d"
-        assert statement.projection == ("*",)
-        assert [n for n, _ in run_query(ITEMS, statement.query)] == [
-            "apple_1", "banana_1", "cherry_1",
-        ]
-
-    def test_and_or_not(self):
-        statement = parse_select(
-            "select * from d where type = 'file' and not color = 'red'"
-        )
-        assert [n for n, _ in run_query(ITEMS, statement.query)] == ["banana_1"]
-
-    def test_in_list(self):
-        statement = parse_select(
-            "select * from d where color in ('yellow', 'green')"
-        )
-        assert [n for n, _ in run_query(ITEMS, statement.query)] == [
-            "apple_1", "banana_1",
-        ]
-
-    def test_between(self):
-        statement = parse_select(
-            "select * from d where size between '0003' and '0008'"
-        )
-        assert [n for n, _ in run_query(ITEMS, statement.query)] == [
-            "apple_1", "banana_1",
-        ]
-
-    def test_like(self):
-        statement = parse_select("select * from d where name like 'bla%'")
-        assert [n for n, _ in run_query(ITEMS, statement.query)] == ["blast_1"]
-
-    def test_is_null_and_not_null(self):
-        null_q = parse_select("select * from d where name is null").query
-        assert "blast_1" not in [n for n, _ in run_query(ITEMS, null_q)]
-        not_null = parse_select("select * from d where name is not null").query
-        assert [n for n, _ in run_query(ITEMS, not_null)] == ["blast_1"]
-
-    def test_every_requires_all_values(self):
-        statement = parse_select("select * from d where every(color) = 'red'")
-        # apple has {red, green}: not every value is red; cherry qualifies.
-        assert [n for n, _ in run_query(ITEMS, statement.query)] == ["cherry_1"]
-
-    def test_order_and_limit(self):
-        statement = parse_select(
-            "select * from d where type = 'file' order by size desc limit 2"
-        )
-        assert statement.limit == 2
-        ordered = [n for n, _ in run_query(ITEMS, statement.query)]
-        assert ordered[:2] == ["banana_1", "apple_1"]
-
-    def test_count_star(self):
-        statement = parse_select("select count(*) from d where type = 'file'")
-        assert statement.is_count
-
-    def test_parentheses(self):
-        statement = parse_select(
-            "select * from d where (color = 'red' or color = 'yellow') "
-            "and size >= '0005'"
-        )
-        assert [n for n, _ in run_query(ITEMS, statement.query)] == [
-            "apple_1", "banana_1",
-        ]
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "update d set a = 'b'",
-            "select from d",
-            "select * where a = 'b'",
-            "select * from d where a like '%suffix'",
-            "select * from d limit many",
-            "select * from d limit 0",
-            "select * from d limit -1",
-        ],
-    )
-    def test_malformed_rejected(self, bad):
-        with pytest.raises(InvalidQueryExpression):
-            parse_select(bad)

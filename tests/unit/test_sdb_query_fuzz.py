@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import errors
 from repro.aws.account import AWSAccount, ConsistencyConfig
-from repro.aws.sdb_query import parse_query, parse_select, run_query
+from repro.aws.sdb_query import matching, parse_query
 from repro.passlib.records import ObjectRef
 from repro.query.engine import REF_BATCH
 from repro.sharding import ShardRouter
@@ -36,17 +36,17 @@ class TestEmptyPredicates:
 
     def test_none_and_blank_match_all(self):
         items = [("a", {"x": ("1",)}), ("b", {})]
-        assert run_query(items, parse_query(None)) == items
-        assert run_query(items, parse_query("")) == items
-        assert run_query(items, parse_query("   ")) == items
+        assert list(matching(items, parse_query(None))) == items
+        assert list(matching(items, parse_query(""))) == items
+        assert list(matching(items, parse_query("   "))) == items
 
     def test_lone_set_operator_is_rejected(self):
         with pytest.raises(errors.InvalidQueryExpression):
             parse_query("intersection")
 
-    def test_empty_select_in_list_is_rejected(self):
+    def test_empty_parentheses_are_rejected(self):
         with pytest.raises(errors.InvalidQueryExpression):
-            parse_select("select * from d where input in ()")
+            parse_query("()")
 
 
 # -- >REF_BATCH cross-reference disjunctions -------------------------------
@@ -64,12 +64,12 @@ class TestWideReferenceDisjunctions:
         assert query.matches(hit)
         assert not query.matches(miss)
 
-    def test_select_in_list_beyond_ref_batch(self):
+    def test_union_chain_beyond_ref_batch(self):
         refs = self.make_refs(REF_BATCH + 7)
-        in_list = ", ".join(f"'{r.encode()}'" for r in refs)
-        statement = parse_select(f"select type from d where input in ({in_list})")
-        assert statement.query.matches({"input": (refs[-1].encode(),)})
-        assert not statement.query.matches({"input": ("nope:v0001",)})
+        chain = " union ".join(f"['input' = '{r.encode()}']" for r in refs)
+        query = parse_query(chain)
+        assert query.matches({"input": (refs[-1].encode(),)})
+        assert not query.matches({"input": ("nope:v0001",)})
 
     def test_both_spellings_agree_at_width(self):
         refs = self.make_refs(REF_BATCH * 3)
@@ -77,12 +77,10 @@ class TestWideReferenceDisjunctions:
             (r.item_name, {"input": (r.encode(),), "type": ("file",)}) for r in refs
         ] + [("stranger_v0001", {"type": ("file",)})]
         disjunction = " or ".join(f"'input' = '{r.encode()}'" for r in refs)
-        in_list = ", ".join(f"'{r.encode()}'" for r in refs)
-        bracket = run_query(items, parse_query(f"[{disjunction}]"))
-        select = run_query(
-            items, parse_select(f"select * from d where input in ({in_list})").query
-        )
-        assert [n for n, _ in bracket] == [n for n, _ in select]
+        chain = " union ".join(f"['input' = '{r.encode()}']" for r in refs)
+        bracket = list(matching(items, parse_query(f"[{disjunction}]")))
+        union = list(matching(items, parse_query(chain)))
+        assert [n for n, _ in bracket] == [n for n, _ in union]
         assert len(bracket) == len(refs)
 
 
@@ -196,11 +194,20 @@ def test_parser_never_crashes_outside_its_error_type(expression, attrs):
     assert query.matches(attrs) in (True, False)
 
 
-@settings(max_examples=120, deadline=None)
-@given(statement=st.text(alphabet="select*fromwhd ()',=", max_size=40))
-def test_select_parser_never_crashes_outside_its_error_type(statement):
+_words = st.sampled_from(
+    ["[", "]", "(", ")", "'a'", "'b'", "''", "=", "!=", ">=", "starts-with",
+     "or", "and", "not", "union", "intersection", "sort", "desc", "limit", "2"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words=st.lists(_words, max_size=12))
+def test_parser_never_crashes_on_a_soup_of_its_own_words(words):
+    """Sequences of the language's own tokens — and of the sort and
+    limit words it does not have — either parse or raise
+    InvalidQueryExpression."""
     try:
-        parsed = parse_select(statement)
+        query = parse_query(" ".join(words))
     except errors.InvalidQueryExpression:
         return
-    assert parsed.domain is not None
+    assert query.matches({"a": ("b",)}) in (True, False)

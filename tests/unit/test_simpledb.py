@@ -4,8 +4,10 @@ import pytest
 
 from repro import errors
 from repro.aws import billing
+from repro.aws.sdb_query import parse_query
 from repro.aws.simpledb import Attribute
 from repro.units import KB
+from tests.oracles import store_names
 
 
 @pytest.fixture
@@ -17,7 +19,7 @@ def sdb(strong_account):
 class TestDomains:
     def test_create_is_idempotent(self, sdb):
         sdb.create_domain("d")
-        assert "d" in sdb.list_domains()
+        assert "d" in store_names(sdb)
 
     def test_missing_domain_rejected(self, sdb):
         with pytest.raises(errors.NoSuchDomain):
@@ -26,7 +28,7 @@ class TestDomains:
     def test_delete_domain(self, sdb):
         sdb.put_attributes("d", "i", [("a", "1")])
         sdb.delete_domain("d")
-        assert "d" not in sdb.list_domains()
+        assert "d" not in store_names(sdb)
 
 
 class TestPutGetAttributes:
@@ -170,68 +172,48 @@ class TestQuery:
         assert spent.request_count(billing.SDB) == 0
         assert spent.box_usage_hours == 0
 
-    @pytest.mark.parametrize("limit", ["0", "-1"])
-    def test_select_limit_below_one_is_a_malformed_statement(self, populated, limit):
-        with pytest.raises(errors.InvalidQueryExpression, match="LIMIT"):
-            populated.select(f"select * from d limit {limit}")
-
     def test_bad_next_token(self, populated):
         with pytest.raises(errors.InvalidNextToken):
             populated.query("d", next_token="garbage")
 
-    @pytest.mark.parametrize("api", ["query", "query_with_attributes", "select"])
-    @pytest.mark.parametrize(
-        "direction, page_size, expected",
-        [("asc", 2, ["d", "b", "c", "a"]), ("desc", 1, ["a", "c", "b", "d"])],
-    )
-    def test_sorted_query_pages_each_row_once_in_order(
-        self, sdb, api, direction, page_size, expected
-    ):
-        """Rows of a sorted query are ordered by (sort value, name); a
-        token naming only the last item's *name* resumed past the wrong
-        rows (asc lost ``a`` and served ``d`` twice)."""
-        for name, k in zip("abcd", "3120"):
+    @pytest.mark.parametrize("api", ["query", "query_with_attributes"])
+    @pytest.mark.parametrize("page_size", [1, 2, 3])
+    def test_a_walk_pages_each_matching_row_once_in_name_order(self, sdb, api, page_size):
+        """Items written out of name order, one of them not matching:
+        every page resumes past the last name served, so the walk yields
+        each match once, in name order, whatever the page size."""
+        for name, k in zip("dbca", "3120"):
             sdb.put_attributes("d", name, [("k", k)])
+        sdb.put_attributes("d", "bb", [("other", "x")])
         seen, token = [], None
         while True:
-            if api == "select":
-                page = sdb.select(
-                    f"select k from d where k is not null order by k {direction} "
-                    f"limit {page_size}",
-                    next_token=token,
-                )
-                seen += [name for name, _ in page.items]
-            else:
-                page = getattr(sdb, api)(
-                    "d",
-                    f"['k' >= '0'] sort 'k' {direction}",
-                    max_items=page_size,
-                    next_token=token,
-                )
-                seen += page.item_names
+            page = getattr(sdb, api)(
+                "d", "['k' >= '0']", max_items=page_size, next_token=token
+            )
+            seen += page.item_names
             token = page.next_token
             if token is None:
                 break
-        assert seen == expected
+        assert seen == ["a", "b", "c", "d"]
 
-    def test_sorted_query_rejects_a_token_it_did_not_mint(self, sdb):
-        for name, k in zip("abcd", "3120"):
-            sdb.put_attributes("d", name, [("k", k)])
-        sorted_query = "['k' >= '0'] sort 'k'"
-        token = sdb.query("d", sorted_query, max_items=1).next_token
-        for bad in ("after:a", "after-key:", 'after-key:["0"]', "after-key:[0, 1]"):
-            with pytest.raises(errors.InvalidNextToken):
-                sdb.query("d", sorted_query, next_token=bad)
+    @pytest.mark.parametrize(
+        "bad", ["", "before:foo_1", "AFTER:foo_1", "after-key:[0, 1]"]
+    )
+    def test_a_token_the_service_does_not_mint_is_malformed(self, populated, bad):
         with pytest.raises(errors.InvalidNextToken):
-            sdb.query("d", "['k' >= '0']", next_token=token)
+            populated.query("d", "['type' = 'file']", next_token=bad)
 
-    def test_select_count(self, populated):
-        result = populated.select("select count(*) from d where type = 'file'")
-        assert result.count == 2
-
-    def test_select_projection(self, populated):
-        result = populated.select("select itemName() from d where name = 'blast'")
-        assert [name for name, _ in result.items] == ["blast_1"]
+    def test_a_sort_clause_and_a_sort_key_token_are_malformed(self, populated):
+        """Rows come in name order only: a trailing ``sort`` clause is a
+        malformed expression, and a token naming a sort key instead of
+        an item name is a malformed token."""
+        with pytest.raises(errors.InvalidQueryExpression):
+            parse_query("['a' = 'b'] sort 'a'")
+        with pytest.raises(errors.InvalidQueryExpression):
+            populated.query("d", "['type' = 'file'] sort 'ver'")
+        for bad in ("after-key:", 'after-key:["0001", "foo_1"]'):
+            with pytest.raises(errors.InvalidNextToken):
+                populated.query("d", "['type' = 'file']", next_token=bad)
 
 
 class TestEventualConsistency:

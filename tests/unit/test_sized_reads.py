@@ -134,18 +134,6 @@ def sdb_reads() -> dict[str, tuple]:
             account, billing.SDB, sdb.query_with_attributes, DOMAIN,
             "['type' = 'process']", ["name", "naïve"], max_items=9,
         ),
-        "select *": spend(
-            account, billing.SDB, sdb.select,
-            f"select * from {DOMAIN} where name = 'file-2'",
-        ),
-        "select itemName()": spend(
-            account, billing.SDB, sdb.select,
-            f"select itemName() from {DOMAIN} where type = 'file'",
-        ),
-        "select columns": spend(
-            account, billing.SDB, sdb.select,
-            f"select input, env from {DOMAIN} where type = 'process' limit 12",
-        ),
     }
 
 
@@ -188,9 +176,6 @@ RECORDED = {
         "get_attributes miss": (1, 0, 0),
         "query_with_attributes": (1, 2731, 0),
         "query_with_attributes projected": (1, 269, 0),
-        "select *": (1, 1528, 0),
-        "select itemName()": (1, 126, 0),
-        "select columns": (1, 1464, 0),
     },
     "migration_usage": {
         "requests": (
@@ -272,10 +257,7 @@ def test_simpledb_stale_reads_bill_the_old_state():
     old = {"a": ("xx",)}
     assert sdb.get_attributes(DOMAIN, "k") == old
     assert spend(account, billing.SDB, sdb.get_attributes, DOMAIN, "k") == (1, 3, 0)
-    assert sdb.select(f"select * from {DOMAIN}").items == (("k", old),)
-    assert spend(
-        account, billing.SDB, sdb.select, f"select * from {DOMAIN}"
-    ) == (1, 1 + 3, 0)
+    assert sdb.query_with_attributes(DOMAIN).items == (("k", old),)
     assert spend(
         account, billing.SDB, sdb.query_with_attributes, DOMAIN
     ) == (1, 1 + 3, 0)

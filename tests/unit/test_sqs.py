@@ -10,6 +10,7 @@ from repro.aws import billing
 from repro.aws.sqs import SQSService
 from repro.clock import SimClock
 from repro.units import KB, SECONDS_PER_DAY
+from tests.oracles import store_names
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ class TestQueueManagement:
     def test_create_returns_url(self, strong_account):
         url = strong_account.sqs.create_queue("wal")
         assert "wal" in url
-        assert url in strong_account.sqs.list_queues()
+        assert url in store_names(strong_account.sqs)
 
     def test_create_idempotent_same_timeout(self, strong_account):
         first = strong_account.sqs.create_queue("q", visibility_timeout=10.0)
