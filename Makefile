@@ -36,13 +36,15 @@
 #                     constructions per operation, then top 30 by tottime and by
 #                     cumulative. The profile every perf PR starts
 #                     from (ROADMAP aim 1)
-#   make scale-curve [LABEL=name]
+#   make scale-curve [LABEL=name] [WORKLOADS="w1 w2"] [SCALES=1,4,16]
 #                     ROADMAP item 4c's scale curves (benchmarks/scale_curve.py):
 #                     each perf-harness workload's cycle at x1/x4/x16 of its
 #                     input, one process per point; host us per event/item/
 #                     result, items stored, peak RSS and the fitted exponent
 #                     of each phase, merged into benchmarks/scale_curve.json
-#                     under LABEL (~20 min)
+#                     under LABEL (~20 min for all four).
+#                     WORKLOADS (space-separated) and SCALES (comma-separated
+#                     factors) narrow the run: its --workloads / --scales
 #   make lint         ruff check over src/tests/benchmarks/examples
 #                     (config: ruff.toml)
 #   make loc          logical line count of src/repro, per module and total,
@@ -123,7 +125,8 @@ profile:
 		--seed $(SEED) --cycles $(CYCLES)
 
 scale-curve:
-	$(PYTHON) benchmarks/scale_curve.py --label $(LABEL) --out benchmarks/scale_curve.json
+	$(PYTHON) benchmarks/scale_curve.py --label $(LABEL) --out benchmarks/scale_curve.json \
+		$(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SCALES),--scales $(SCALES))
 
 lint:
 	ruff check src tests benchmarks examples

@@ -5,11 +5,13 @@ right after a PUT may see the old object; a SimpleDB query right after an
 insert may miss the item; an SQS receive samples a subset of hosts. This
 module models all of that with one mechanism:
 
-* A :class:`ReplicaSet` holds ``n`` replica views of a keyspace. Writes
-  are applied immediately to an *authoritative* log (total order,
+* A :class:`ReplicaSet` models ``n`` replicas of a keyspace. Writes
+  are applied immediately to an *authoritative* view (total order,
   last-writer-wins, as §2.1 describes for concurrent PUTs) and propagate
   to each replica after an independent random delay drawn from the
-  configured window.
+  configured window. A replica is stored as its lag alone — the keys
+  whose latest write has not reached it yet — so each value is held
+  once, and a quiesced keyspace costs what one copy of it costs.
 * Reads choose a replica uniformly at random and see only writes that
   have reached it — so stale reads happen exactly when the paper says
   they can, and letting the simulated clock drain its event queue
@@ -26,6 +28,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Generic, Iterator, Mapping, Sequence, TypeVar
 
 from repro.clock import SimClock
@@ -97,10 +100,17 @@ class ReplicaSet(Generic[V]):
     replace the whole value, mirroring how S3 PUT replaces whole objects
     and SimpleDB replicates item state — and the stored types enforce it
     (``S3ObjectRecord`` is frozen, :class:`~repro.aws.item.ItemState`
-    raises from every in-place method), so the authoritative view and
-    every replica share one object per write, and anything fixed when
-    the write committed (an item's billed byte size) is carried on the
-    value instead of being measured again by each read.
+    raises from every in-place method), so anything fixed when the write
+    committed (an item's billed byte size) is carried on the value
+    instead of being measured again by each read.
+
+    The set holds each value once. A replica is kept as its *lag*: the
+    keys whose latest write has not landed there yet, each mapped to
+    the ``(version, value)`` the replica still shows (a tombstone where
+    it shows nothing); every other key it shows as the authoritative
+    view does. Under the strong model every lag stays empty. A read
+    draws its replica, then answers from that replica's lag or else
+    from the authority.
 
     The authoritative keys are also kept as a sorted list, updated in
     place by every write, so paged readers — S3 LIST, SimpleDB Query /
@@ -132,10 +142,11 @@ class ReplicaSet(Generic[V]):
             self._ordered_keys, self._authority  # type: ignore[arg-type]
         )
         self._version = 0
-        # Per-replica views: key -> (version, value).
-        self._replicas: list[dict[str, tuple[int, object]]] = [
-            {} for _ in range(n_replicas)
-        ]
+        # Per replica, its lag: key -> (version, value) it still shows.
+        self._lags: list[dict[str, tuple[int, object]]] = [{} for _ in range(n_replicas)]
+        # The version of the latest write of each key lagging anywhere:
+        # the install that clears a lag entry.
+        self._heads: dict[str, int] = {}
         self.stale_reads = 0  # reads that returned a non-authoritative value
         #: Replica installs scheduled on the clock but not yet applied —
         #: the observable replication lag (e.g. a GSI's backlog).
@@ -148,85 +159,90 @@ class ReplicaSet(Generic[V]):
 
     # -- writing ----------------------------------------------------------
 
-    def write(self, key: str, value: V) -> int:
-        """Apply a write authoritatively and schedule replica propagation."""
-        return self._apply(key, value)
-
     def delete(self, key: str) -> int:
         """Delete a key; the tombstone propagates like any other write."""
-        return self._apply(key, _TOMBSTONE)
+        return self.write(key, _TOMBSTONE)  # type: ignore[arg-type]
 
-    def _apply(self, key: str, value: object) -> int:
+    def write(self, key: str, value: V) -> int:
+        """Apply a write authoritatively and schedule replica propagation."""
         self._version += 1
         version = self._version
+        shown = self._authority.get(key, _TOMBSTONE)
         if value is _TOMBSTONE:
-            if self._authority.pop(key, _TOMBSTONE) is not _TOMBSTONE:
+            if shown is not _TOMBSTONE:
+                del self._authority[key]
                 del self._ordered_keys[bisect_left(self._ordered_keys, key)]
         else:
-            if key not in self._authority:
+            if shown is _TOMBSTONE:
                 insort(self._ordered_keys, key)
             self._authority[key] = value
-        for replica in self._replicas:
+        if self._delays.is_strong:
+            return version  # every replica has it: no lag, and no draw
+        for lag in self._lags:
             delay = self._delays.sample(self._rng)
             if delay <= 0:
-                self._install(replica, key, version, value)
-            else:
-                issued_at = self._clock.now
-                self.pending_installs += 1
-                self._pending_issue_times[issued_at] = (
-                    self._pending_issue_times.get(issued_at, 0) + 1
-                )
-                self._clock.call_after(
-                    delay,
-                    lambda r=replica, k=key, ver=version, v=value, t=issued_at: (
-                        self._install_pending(r, k, ver, v, t)
-                    ),
-                )
+                lag.pop(key, None)
+                continue
+            # A replica that was up to date goes on showing the previous
+            # value. ``version - 1`` ranks it where last-writer-wins
+            # needs it: above every older write of the key still in
+            # flight, below this one.
+            lag.setdefault(key, (version - 1, shown))
+            self._heads[key] = version
+            issued_at, times = self._clock.now, self._pending_issue_times
+            times[issued_at] = times.get(issued_at, 0) + 1
+            self.pending_installs += 1
+            self._clock.call_after(
+                delay, partial(self._install_pending, lag, key, version, value, issued_at)
+            )
+        self._drop_head(key)
         return version
 
     def _install_pending(
-        self, replica: dict[str, tuple[int, object]], key: str, version: int,
+        self, lag: dict[str, tuple[int, object]], key: str, version: int,
         value: object, issued_at: float,
     ) -> None:
-        self._install(replica, key, version, value)
+        # Last-writer-wins by authoritative version: a delayed older write
+        # never clobbers a newer one that already arrived (a replica with
+        # no lag on the key has the latest).
+        shown = lag.get(key)
+        if shown is not None and shown[0] < version:
+            if version != self._heads[key]:
+                lag[key] = (version, value)
+            else:
+                del lag[key]
+                self._drop_head(key)
         self.pending_installs -= 1
-        remaining = self._pending_issue_times[issued_at] - 1
-        if remaining:
-            self._pending_issue_times[issued_at] = remaining
-        else:
+        self._pending_issue_times[issued_at] -= 1
+        if not self._pending_issue_times[issued_at]:
             del self._pending_issue_times[issued_at]
 
-    @staticmethod
-    def _install(
-        replica: dict[str, tuple[int, object]], key: str, version: int, value: object
-    ) -> None:
-        # Last-writer-wins by authoritative version: a delayed older write
-        # never clobbers a newer one that already arrived.
-        current = replica.get(key)
-        if current is not None and current[0] >= version:
-            return
-        replica[key] = (version, value)
+    def _drop_head(self, key: str) -> None:
+        """Forget ``key``'s latest version once no replica lags on it."""
+        if key in self._heads and not any(key in lag for lag in self._lags):
+            del self._heads[key]
 
     # -- reading ----------------------------------------------------------
 
     def _pick_replica(self) -> dict[str, tuple[int, object]]:
-        return self._rng.choice(self._replicas)
+        """Draw a replica: its lag."""
+        return self._rng.choice(self._lags)
 
     def read(self, key: str) -> V | None:
         """Read from a random replica; ``None`` if unknown (or deleted) there."""
-        replica = self._pick_replica()
-        entry = replica.get(key)
-        value = None if entry is None or entry[1] is _TOMBSTONE else entry[1]
-        if value is not self._authority.get(key):
+        authoritative = self._authority.get(key)
+        shown = self._pick_replica().get(key, (0, authoritative))
+        value = None if shown[1] is _TOMBSTONE else shown[1]
+        if value is not authoritative:
             self.stale_reads += 1
         return value  # type: ignore[return-value]
 
-    def read_authoritative(self, key: str) -> V | None:
-        """Bypass replication — test/oracle use only."""
-        return self._authority.get(key)  # type: ignore[return-value]
-
-    def contains_authoritative(self, key: str) -> bool:
-        return key in self._authority
+    @property
+    def authority(self) -> Mapping[str, V]:
+        """The authoritative view itself, not a copy — what a service's
+        read-modify-write and consistent reads consult. It changes only
+        through :meth:`write` and :meth:`delete`."""
+        return self._authority  # type: ignore[return-value]
 
     def ordered_snapshot(self, authoritative: bool = False) -> OrderedSnapshot[V]:
         """The keyspace visible on one randomly chosen replica, in key
@@ -235,24 +251,31 @@ class ReplicaSet(Generic[V]):
         Scan or index Query. Recent inserts may be missing from
         it and recent deletes may still show.
 
-        With no install pending every replica equals the authoritative
+        When the drawn replica lags on no key it shows the authoritative
         view, and the maintained sorted keys are handed out as a live
-        view instead of a copy: consume it before the next write. Inside
-        an eventual window the same kind of object is built once from
-        the drawn replica, tombstones dropped, so a reader never knows
-        which it got, and ``len(keys)`` is always the drawn replica's
-        item count. The replica draw is made either way — the RNG
-        stream does not depend on the replication state.
-        ``authoritative=True`` is the strongly consistent read: the live
-        view, and no draw.
+        view instead of a copy: consume it before the next write.
+        Otherwise the same kind of object is built once, copies of the
+        authoritative keys and values with that replica's lag laid over
+        them (no sort), so a reader never knows which it got, and
+        ``len(keys)`` is always the drawn replica's item count. The
+        replica draw is made either way — the RNG stream does not depend
+        on the replication state. ``authoritative=True`` is the strongly
+        consistent read: the live view, and no draw.
         """
         if authoritative:
             return self._live
-        replica = self._pick_replica()
-        if not self.pending_installs:
+        lag = self._pick_replica()
+        if not lag:
             return self._live
-        values = {k: v for k, (_, v) in replica.items() if v is not _TOMBSTONE}
-        return OrderedSnapshot(sorted(values), values)  # type: ignore[arg-type]
+        values, keys = dict(self._authority), list(self._ordered_keys)
+        for key, (_, value) in lag.items():
+            if value is not _TOMBSTONE:
+                if key not in values:
+                    insort(keys, key)
+                values[key] = value
+            elif values.pop(key, _TOMBSTONE) is not _TOMBSTONE:
+                del keys[bisect_left(keys, key)]
+        return OrderedSnapshot(keys, values)  # type: ignore[arg-type]
 
     def authoritative_keys(self) -> list[str]:
         return list(self._ordered_keys)
@@ -262,10 +285,10 @@ class ReplicaSet(Generic[V]):
 
     def stored_values(self) -> Iterator[V]:
         """Every value held anywhere: the authoritative view's, then each
-        replica's own — lagging ones included. Oracle use only."""
+        replica's lagging ones. Oracle use only."""
         yield from self._authority.values()  # type: ignore[misc]
-        for replica in self._replicas:
-            yield from (v for _, v in replica.values() if v is not _TOMBSTONE)  # type: ignore[misc]
+        for lag in self._lags:
+            yield from (v for _, v in lag.values() if v is not _TOMBSTONE)  # type: ignore[misc]
 
     # -- convergence ------------------------------------------------------
 
@@ -286,12 +309,13 @@ class ReplicaSet(Generic[V]):
         return max(0.0, self._clock.now - min(self._pending_issue_times))
 
     def is_converged(self) -> bool:
-        """True when every replica equals the authoritative view."""
-        for replica in self._replicas:
-            visible = {k: v for k, (_, v) in replica.items() if v is not _TOMBSTONE}
-            if visible != self._authority:
-                return False
-        return True
+        """True when every replica shows what the authoritative view
+        holds (a lag entry may already equal it)."""
+        return all(
+            value == self._authority.get(key, _TOMBSTONE)
+            for lag in self._lags
+            for key, (_, value) in lag.items()
+        )
 
     def __len__(self) -> int:
         """Number of keys in the authoritative view."""
@@ -300,7 +324,7 @@ class ReplicaSet(Generic[V]):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ReplicaSet({self.name!r}, keys={len(self._authority)}, "
-            f"replicas={len(self._replicas)}, converged={self.is_converged()})"
+            f"replicas={len(self._lags)}, converged={self.is_converged()})"
         )
 
 

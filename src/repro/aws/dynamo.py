@@ -77,7 +77,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro import errors, units
 from repro.aws import billing
@@ -340,14 +340,12 @@ class _Table:
     """One table: replicated state plus provisioned-throughput ledger.
 
     Stored item states are immutable (:class:`~repro.aws.item.ItemState`):
-    ``authority`` and the replica set hold the *same* object (as do
-    ``ALL``-projection index entries), every write installs a fresh one
-    (:func:`_merged` edits a copy), and every read hands out the stored
-    object itself.
+    the replica set holds each once (``ALL``-projection index entries
+    share it), every write installs a fresh one (:func:`_merged` edits a
+    copy), and every read hands out the stored object itself.
     """
 
     replicas: ReplicaSet
-    authority: dict[str, ItemState]
     read_capacity: int
     write_capacity: int
     indexes: dict[str, _Index] = field(default_factory=dict)
@@ -360,6 +358,11 @@ class _Table:
     window_start: float = 0.0
     window_read_units: float = 0.0
     window_write_units: float = 0.0
+
+    @property
+    def authority(self) -> Mapping[str, ItemState]:
+        """The authoritative items (the replica set's own view)."""
+        return self.replicas.authority
 
 
 def _merged(key: str, existing: ItemState, adds: list[tuple[str, str]]) -> ItemState:
@@ -439,7 +442,6 @@ class DynamoDBService:
             replicas=ReplicaSet(
                 f"ddb/{name}", self._clock, self._rng, self._n_replicas, self._delays
             ),
-            authority={},
             read_capacity=read_capacity or self._default_read_capacity,
             write_capacity=write_capacity or self._default_write_capacity,
         )
@@ -557,7 +559,7 @@ class DynamoDBService:
             projected = _project(state, index.spec) if state else None
             units = 0.0
             for entry_key in positions:
-                stored = index.replicas.read_authoritative(entry_key)
+                stored = index.replicas.authority.get(entry_key)
                 if stored == projected:
                     continue
                 old_size = _entry_size(entry_key, stored) if stored is not None else 0
@@ -671,10 +673,8 @@ class DynamoDBService:
         self._meter.adjust_stored(billing.DDB, new_size - old_size)
         table.total_bytes += new_size - old_size
         if state:
-            table.authority[key] = state
             table.replicas.write(key, state)
         else:
-            del table.authority[key]
             table.replicas.delete(key)
         index_stored = 0
         for index, entry_key, projected, size_delta, count_delta in changes:

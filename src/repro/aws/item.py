@@ -88,8 +88,8 @@ def size_audit(meter, services, spaces) -> list[str]:
     """Every size kept instead of measured, measured (the services'
     ``size_audit`` oracle). ``spaces`` lists the replicated keyspaces as
     ``(label, billing key, replica set, kept byte total, key_bytes)``:
-    each stored state — the authoritative view's and every replica's,
-    lagging ones included — is checked against :func:`_attr_size`; each
+    each stored state — the authoritative view's and those a lagging
+    replica still shows — is checked against :func:`_attr_size`; each
     kept total against a walk of the authoritative view at
     ``key_bytes(key) + _attr_size(state)`` per entry; and the meter's
     stored level of each of ``services`` against the sum of its spaces.

@@ -23,6 +23,7 @@ the A2/A3 read protocols must retry through.
 from __future__ import annotations
 
 import random
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import takewhile
@@ -31,7 +32,7 @@ from repro import errors, units
 from repro.aws import billing
 from repro.aws.consistency import DelayModel, ReplicaSet, STRONG
 from repro.aws.faults import RequestFaults
-from repro.blob import Blob, as_blob
+from repro.blob import Blob, BytesBlob, as_blob
 from repro.clock import SimClock
 
 
@@ -106,7 +107,15 @@ class S3ListResult:
 
 
 class S3Service:
-    """The simulated S3 endpoint for one AWS account."""
+    """The simulated S3 endpoint for one AWS account.
+
+    Objects with equal byte-backed payloads share one blob: PUT and COPY
+    store the live blob that holds the same bytes (found by ETag and
+    size, then compared), so a payload written under many keys — a
+    process environment spilled by every process of a compile unit — is
+    held once. A synthetic blob is only its ``(seed, size)`` already.
+    Nothing billed or returned changes: a GET reads equal bytes.
+    """
 
     def __init__(
         self,
@@ -124,6 +133,9 @@ class S3Service:
         self._delays = delays
         self._n_replicas = n_replicas
         self._buckets: dict[str, ReplicaSet[S3ObjectRecord]] = {}
+        # A stored byte-backed payload per (ETag, size), the one equal
+        # payloads share; an entry goes when no object holds its blob.
+        self._payloads: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     # -- bucket management -------------------------------------------------
 
@@ -180,6 +192,9 @@ class S3Service:
     ) -> str:
         """Make (blob, metadata) the object at ``key`` — what PUT and
         COPY share: one record, sized once, and the storage delta."""
+        if isinstance(blob, BytesBlob):
+            held = self._payloads.setdefault((blob.md5(), blob.size), blob)
+            blob = held if held.read() == blob.read() else blob
         record = S3ObjectRecord(
             blob=blob,
             metadata=tuple(sorted(metadata.items())),
@@ -187,7 +202,7 @@ class S3Service:
             etag=blob.md5(),
             last_modified=self._clock.now,
         )
-        previous = store.read_authoritative(key)
+        previous = store.authority.get(key)
         delta = record.stored_size - (previous.stored_size if previous else 0)
         self._meter.adjust_stored(billing.S3, delta)
         store.write(key, record)
@@ -267,7 +282,7 @@ class S3Service:
         """Delete an object. Idempotent: deleting a missing key succeeds."""
         self._request("DELETE")
         store = self._bucket(bucket)
-        previous = store.read_authoritative(key)
+        previous = store.authority.get(key)
         if previous is not None:
             self._meter.adjust_stored(billing.S3, -previous.stored_size)
             store.delete(key)
@@ -308,13 +323,13 @@ class S3Service:
 
     def exists_authoritative(self, bucket: str, key: str) -> bool:
         """Oracle check bypassing eventual consistency (tests only)."""
-        return self._bucket(bucket).contains_authoritative(key)
+        return key in self._bucket(bucket).authority
 
     def authoritative_keys(self, bucket: str) -> list[str]:
         return self._bucket(bucket).authoritative_keys()
 
     def authoritative_record(self, bucket: str, key: str) -> S3ObjectRecord | None:
-        return self._bucket(bucket).read_authoritative(key)
+        return self._bucket(bucket).authority.get(key)
 
     # -- internals -------------------------------------------------------------
 

@@ -152,11 +152,9 @@ class SimpleDBService:
         self._faults = faults or RequestFaults()
         self._delays = delays
         self._n_replicas = n_replicas
+        # Per domain, its items; read-modify-write reads the replica
+        # set's authoritative view (immutable states, sized at commit).
         self._domains: dict[str, ReplicaSet[ItemState]] = {}
-        # Authoritative attribute state used for read-modify-write; the
-        # ReplicaSet holds the same (immutable, sized-at-commit) objects
-        # for eventually consistent reads.
-        self._authority: dict[str, dict[str, ItemState]] = {}
         # Per domain: total attribute bytes, and the attribute index —
         # attribute name → value → the items holding it (see _holders).
         # Every write funnels through _commit_item, which folds the
@@ -180,16 +178,15 @@ class SimpleDBService:
             self._domains[name] = ReplicaSet(
                 f"sdb/{name}", self._clock, self._rng, self._n_replicas, self._delays
             )
-            self._authority[name] = {}
             self._stat_bytes[name] = 0
             self._postings[name] = {}
 
     def delete_domain(self, name: str) -> None:
         self._request("DeleteDomain")
-        self._domains.pop(name, None)
+        store = self._domains.pop(name, None)
         self._postings.pop(name, None)
         self._orderings.pop(name, None)
-        if self._authority.pop(name, None):
+        if store is not None and len(store):
             self._meter.adjust_stored(billing.SDB, -self._stat_bytes[name])
         self._stat_bytes.pop(name, None)
 
@@ -213,7 +210,7 @@ class SimpleDBService:
         self._domain(name)
         self._request("DomainMetadata")
         return {
-            "item_count": len(self._authority[name]),
+            "item_count": len(self._domains[name]),
             "item_bytes": self._stat_bytes[name],
             "attributes": {
                 attr: {
@@ -230,8 +227,8 @@ class SimpleDBService:
         diff into the domain's statistics and postings, drop the
         domain's kept candidate names, and replicate. The one place an
         item changes; called from every write path."""
-        authority = self._authority[domain]
-        old_state = authority.get(item_name, ABSENT)
+        store = self._domains[domain]
+        old_state = store.authority.get(item_name, ABSENT)
         delta = new_state.nbytes - old_state.nbytes
         self._meter.adjust_stored(billing.SDB, delta)
         self._stat_bytes[domain] += delta
@@ -259,12 +256,9 @@ class SimpleDBService:
                     del by_value[value]
             if not by_value:
                 del postings[attr]
-        store = self._domains[domain]
         if new_state:
-            authority[item_name] = new_state
             store.write(item_name, new_state)
         else:
-            authority.pop(item_name, None)
             store.delete(item_name)
 
     # -- writes ---------------------------------------------------------------
@@ -283,8 +277,7 @@ class SimpleDBService:
         """
         self._request("PutAttributes")
         attrs, transfer = self._validated_attrs("PutAttributes", attributes)
-        self._domain(domain)
-        old_state = self._authority[domain].get(item_name, ABSENT)
+        old_state = self._domain(domain).authority.get(item_name, ABSENT)
         state = self._merged_state(old_state, attrs, item_name)
         self._meter.record_transfer_in(billing.SDB, transfer)
         self._commit_item(domain, item_name, state)
@@ -313,8 +306,7 @@ class SimpleDBService:
                 f"{len(items)} items in one call (limit "
                 f"{units.SDB_MAX_BATCH_PUT_ITEMS})"
             )
-        self._domain(domain)
-        authority = self._authority[domain]
+        authority = self._domain(domain).authority
         staged: dict[str, ItemState] = {}
         transfer = 0
         for item_name, attributes in items:
@@ -391,8 +383,7 @@ class SimpleDBService:
         Idempotent: deleting absent attributes or items succeeds silently.
         """
         self._request("DeleteAttributes")
-        self._domain(domain)
-        state = self._authority[domain].get(item_name)
+        state = self._domain(domain).authority.get(item_name)
         if state is None:
             return
         if attributes is None:
@@ -485,14 +476,16 @@ class SimpleDBService:
     # -- oracle helpers (tests/recovery scans) ----------------------------------
 
     def authoritative_item(self, domain: str, item_name: str) -> ItemState | None:
-        return self._authority.get(domain, {}).get(item_name)
+        store = self._domains.get(domain)
+        return store.authority.get(item_name) if store is not None else None
 
     def authoritative_item_names(self, domain: str) -> list[str]:
-        return sorted(self._authority.get(domain, {}))
+        store = self._domains.get(domain)
+        return store.authoritative_keys() if store is not None else []
 
     def item_count(self, domain: str) -> int:
         """Authoritative number of items (used by the analysis module)."""
-        return len(self._authority.get(domain, {}))
+        return len(self._domains.get(domain, ()))
 
     def size_audit(self) -> list[str]:
         """Stored item sizes, domain byte statistics and the meter's

@@ -351,7 +351,8 @@ class Simulation(Cloud):
         self.events_stored = 0
         #: What the loop stored, counted by :meth:`TraceStats.add_event`:
         #: the A1-metadata and WAL sizing fields read 0 (they are
-        #: ``collect_stats``'s; the run's own traffic is on its meter).
+        #: ``collect_stats``'s; the run's own traffic is on its meter),
+        #: and on A1, which writes no SimpleDB item, the item figures.
         self.stats = TraceStats()
 
     @property
@@ -382,8 +383,8 @@ class Simulation(Cloud):
         client's backlog must be empty: the loop stores each event as
         the backlog's only one. With ``collect`` each stored event is
         counted into :attr:`stats` (:meth:`TraceStats.add_event`, which
-        reads the SimpleDB items an A2/A3 store has already memoised and
-        sizes no A1-metadata or WAL encoding).
+        reads the SimpleDB items an A2/A3 store has already memoised, on
+        A1 counts none, and sizes no A1-metadata or WAL encoding).
         """
         client = self.clients[CLIENT]
         if client.pending:
@@ -398,7 +399,7 @@ class Simulation(Cloud):
                 client.pending.pop()
                 raise ClientCrash(point, client.store.faults)
             if collect:
-                self.stats.add_event(event)
+                self.stats.add_event(event, self.store_class.has_provenance_domain)
             count += 1
             if count % self._pump_every == 0:
                 self.apply(PUMP)

@@ -134,7 +134,11 @@ class TraceStats:
     (``s3_prov_bytes``, ``n_wal_messages``, ``wal_prov_bytes``), which
     :meth:`add_format_sizes` adds; :func:`collect_stats` runs both.
     ``Simulation.stats`` runs only the first, so those three read 0
-    there: a run's real A1 and WAL traffic is on its meter.
+    there, and on a store without a provenance domain (A1) it leaves
+    out the SimpleDB item figures (``n_sdb_items`` through
+    ``n_put_attribute_calls``), which read 0 too: a run counts only
+    what its store wrote, and its real A1 and WAL traffic is on its
+    meter.
     """
 
     n_objects: int = 0
@@ -153,9 +157,10 @@ class TraceStats:
     n_process_bundles: int = 0
     per_workload_objects: dict[str, int] = field(default_factory=dict)
 
-    def add_event(self, event: FlushEvent) -> None:
-        """Count a stored event: the trace figures and the SimpleDB item
-        figures (the item encoding an A2/A3 store has memoised)."""
+    def add_event(self, event: FlushEvent, with_items: bool = True) -> None:
+        """Count a stored event: the trace figures and, ``with_items``,
+        the SimpleDB item figures (the item encoding an A2/A3 store has
+        memoised)."""
         self.n_objects += 1
         self.raw_bytes += event.data.size
 
@@ -163,6 +168,12 @@ class TraceStats:
         if workload_values:
             tag = workload_values[0]
             self.per_workload_objects[tag] = self.per_workload_objects.get(tag, 0) + 1
+        for bundle in event.all_bundles():
+            self.n_records += len(bundle)
+            if bundle.kind != "file":
+                self.n_process_bundles += 1
+        if not with_items:
+            return
 
         items = to_simpledb_items(event)
         self.n_sdb_items += len(items)
@@ -189,10 +200,6 @@ class TraceStats:
             self.n_put_attribute_calls += max(
                 1, -(-len(item.attributes) // SDB_MAX_ATTRS_PER_CALL)
             )
-        for bundle in event.all_bundles():
-            self.n_records += len(bundle)
-            if bundle.kind != "file":
-                self.n_process_bundles += 1
 
     def add_format_sizes(self, event: FlushEvent) -> None:
         """Price ``event`` in the A1 S3-metadata and A3 WAL formats (the

@@ -20,7 +20,7 @@ from repro import units
 from repro.aws import billing
 from repro.aws.account import ConsistencyConfig
 from repro.aws.backend import _referenced_attributes
-from repro.aws.consistency import _TOMBSTONE
+from repro.aws.consistency import _TOMBSTONE, DelayModel
 from repro.aws.dynamo import (
     INDEX_KEY_SEP,
     SCAN_MAX_PAGE,
@@ -203,6 +203,101 @@ def reference_wal_bundle(event, txn_id) -> tuple[list[str], list[str]]:
     return [reference_dumps(r) for r in [begin, *records]], temp_keys
 
 
+# -- Replica sets: every replica a full copy of the keyspace -------------------
+
+
+class ReferenceReplicaSet:
+    """``ReplicaSet`` with each replica held as a full ``key -> (version,
+    value)`` copy of the keyspace, tombstones kept: the model the
+    lag-only replica set is checked against. It makes the same RNG
+    draws (one delay per replica per write, one ``choice`` per read or
+    snapshot) and schedules the same installs on its clock."""
+
+    def __init__(self, name, clock, rng, n_replicas=3, delays=DelayModel()):
+        self.name = name
+        self._clock = clock
+        self._rng = rng
+        self._delays = delays
+        self._authority = {}
+        self._version = 0
+        self._replicas = [{} for _ in range(n_replicas)]
+        self.stale_reads = 0
+        self.pending_installs = 0
+        self._pending_issue_times = {}
+
+    def write(self, key, value):
+        return self._apply(key, value)
+
+    def delete(self, key):
+        return self._apply(key, _TOMBSTONE)
+
+    def _apply(self, key, value):
+        self._version += 1
+        version = self._version
+        if value is _TOMBSTONE:
+            self._authority.pop(key, None)
+        else:
+            self._authority[key] = value
+        for replica in self._replicas:
+            delay = self._delays.sample(self._rng)
+            if delay <= 0:
+                self._install(replica, key, version, value)
+                continue
+            issued_at = self._clock.now
+            self.pending_installs += 1
+            self._pending_issue_times[issued_at] = (
+                self._pending_issue_times.get(issued_at, 0) + 1
+            )
+            self._clock.call_after(
+                delay,
+                lambda r=replica, k=key, ver=version, v=value, t=issued_at: (
+                    self._install_pending(r, k, ver, v, t)
+                ),
+            )
+        return version
+
+    def _install_pending(self, replica, key, version, value, issued_at):
+        self._install(replica, key, version, value)
+        self.pending_installs -= 1
+        self._pending_issue_times[issued_at] -= 1
+        if not self._pending_issue_times[issued_at]:
+            del self._pending_issue_times[issued_at]
+
+    @staticmethod
+    def _install(replica, key, version, value):
+        current = replica.get(key)
+        if current is None or current[0] < version:
+            replica[key] = (version, value)
+
+    def _visible(self, replica):
+        return {k: v for k, (_, v) in replica.items() if v is not _TOMBSTONE}
+
+    def read(self, key):
+        entry = self._rng.choice(self._replicas).get(key)
+        value = None if entry is None or entry[1] is _TOMBSTONE else entry[1]
+        if value is not self._authority.get(key):
+            self.stale_reads += 1
+        return value
+
+    def snapshot_items(self):
+        """The drawn replica's (key, value) pairs, sorted."""
+        values = self._visible(self._rng.choice(self._replicas))
+        return [(key, values[key]) for key in sorted(values)]
+
+    def stored_values(self):
+        yield from self._authority.values()
+        for replica in self._replicas:
+            yield from self._visible(replica).values()
+
+    def lag_seconds(self):
+        if not self._pending_issue_times:
+            return 0.0
+        return max(0.0, self._clock.now - min(self._pending_issue_times))
+
+    def is_converged(self):
+        return all(self._visible(r) == self._authority for r in self._replicas)
+
+
 # -- DynamoDB pages: sort the drawn replica whole, then filter -----------------
 # These measure every item and entry they serve from scratch, as the
 # service did before stored values carried their size (ItemState.nbytes).
@@ -221,12 +316,15 @@ def reference_entry_size(entry_key, projected):
 
 
 def reference_items_snapshot(replicas):
-    """(key, value) pairs visible on one randomly chosen replica."""
-    replica = replicas._pick_replica()
-    for key in sorted(replica):
-        version_value = replica[key]
-        if version_value[1] is not _TOMBSTONE:
-            yield key, version_value[1]
+    """(key, value) pairs visible on one randomly chosen replica: its
+    whole view materialised (the authority, overridden by the replica's
+    lag), sorted, tombstones dropped."""
+    lag = replicas._pick_replica()
+    view = dict(replicas._authority)
+    view.update((key, value) for key, (_, value) in lag.items())
+    for key in sorted(view):
+        if view[key] is not _TOMBSTONE:
+            yield key, view[key]
 
 
 def reference_scan(
@@ -369,6 +467,16 @@ def store_names(service) -> list[str]:
         if hasattr(service, attr):
             return sorted(getattr(service, attr))
     raise TypeError(f"{type(service).__name__} holds no named stores")
+
+
+def replica_sets(account) -> list:
+    """Every replica set an account holds: its S3 buckets, SimpleDB
+    domains, DynamoDB tables and their secondary indexes."""
+    sets = list(account.s3._buckets.values()) + list(account.simpledb._domains.values())
+    for table in account.dynamodb._tables.values():
+        sets.append(table.replicas)
+        sets.extend(index.replicas for index in table.indexes.values())
+    return sets
 
 
 # -- SimpleDB queries: the interpreter the compiled matchers replaced ----------

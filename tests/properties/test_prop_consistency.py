@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aws.consistency import DelayModel, ReplicaSet
+from tests.oracles import ReferenceReplicaSet
+from repro.aws.consistency import STRONG, DelayModel, ReplicaSet
 from repro.clock import SimClock
 
 keys = st.text(alphabet="abcdef", min_size=1, max_size=3)
@@ -85,3 +87,65 @@ def test_last_writer_wins_always(values, seed):
         replicas.write("k", value)
     clock.run_until_idle()
     assert replicas.read("k") == values[-1]
+
+
+# -- differential: lag-only replicas against full-copy replicas ----------------
+
+_few_keys = st.sampled_from("abc")  # a key is rewritten while in flight
+_values = st.one_of(st.integers(0, 3), st.integers(0, 3).map(lambda v: (v,)))
+_diff_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _few_keys, _values),
+        st.tuples(st.just("delete"), _few_keys, st.none()),
+        st.tuples(st.just("advance"), st.sampled_from([0.2, 0.7, 1.6]), st.none()),
+        st.tuples(st.just("read"), _few_keys, st.none()),
+        st.tuples(st.just("snapshot"), st.none(), st.none()),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize(
+    "delays", [STRONG, DelayModel(0.1, 1.5, 0.3)], ids=["strong", "eventual"]
+)
+@settings(max_examples=100, deadline=None)
+@given(ops=_diff_ops, seed=st.integers(0, 10_000))
+def test_lag_only_replicas_match_full_copies(delays, ops, seed):
+    """Same seed, same operations: every answer, counter and RNG draw of
+    the lag-only ``ReplicaSet`` equals the full-copy model's, after every
+    operation. Tuples equal by value but not by identity tell
+    ``stale_reads`` (identity) from ``is_converged`` (equality)."""
+    clock, model_clock = SimClock(), SimClock()
+    replicas = ReplicaSet("r", clock, random.Random(seed), 3, delays)
+    model = ReferenceReplicaSet("r", model_clock, random.Random(seed), 3, delays)
+    for op, key, value in ops:
+        if op == "write":
+            assert replicas.write(key, value) == model.write(key, value)
+        elif op == "delete":
+            assert replicas.delete(key) == model.delete(key)
+        elif op == "advance":
+            clock.advance(key)
+            model_clock.advance(key)
+        elif op == "read":
+            assert replicas.read(key) is model.read(key)
+        else:
+            snapshot = replicas.ordered_snapshot()
+            rows = model.snapshot_items()
+            assert list(snapshot.between()) == rows
+            assert list(snapshot.keys) == [k for k, _ in rows]
+            assert all(snapshot.values[k] is v for k, v in rows)
+        assert replicas.stale_reads == model.stale_reads
+        assert replicas.pending_installs == model.pending_installs
+        assert replicas.lag_seconds() == model.lag_seconds()
+        assert replicas.is_converged() == model.is_converged()
+        assert {id(v) for v in replicas.stored_values()} == {
+            id(v) for v in model.stored_values()
+        }
+        assert replicas._rng.getstate() == model._rng.getstate()
+    if delays is STRONG:
+        assert not any(replicas._lags) and not replicas._heads
+    clock.run_until_idle()
+    model_clock.run_until_idle()
+    assert replicas.is_converged() and model.is_converged()
+    assert not any(replicas._lags) and not replicas._heads

@@ -53,7 +53,7 @@ class TestEventualMode:
         clock.run_until_idle()
         # Whatever the propagation interleaving, last write wins.
         assert replicas.read("k") == "new"
-        assert replicas.read_authoritative("k") == "new"
+        assert replicas.authority["k"] == "new"
 
     def test_stale_read_counter(self):
         clock, replicas = make_set(window=5.0, seed=3)
