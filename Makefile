@@ -78,7 +78,7 @@ BENCH = cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest -o python_files='
 BENCH_SMOKE_FILES = bench_sharding_scaleout.py bench_concurrent_gather.py \
 	bench_multibackend.py bench_migration_live.py bench_table3_query.py \
 	bench_group_commit.py bench_read_cache.py bench_workload_matrix.py \
-	bench_planner.py
+	bench_planner.py bench_extension_advisor.py
 
 # The live-migration suites alone (fleet writing while a layout
 # migration runs).

@@ -2,82 +2,36 @@
 
 The paper closes with: "we plan to investigate how a cloud might take
 advantage of this provenance." This benchmark runs that investigation
-over the reproduction's own workloads: replay each workload's read
-sequence through an LRU cache, with and without provenance-guided
-prefetching, and report the dedup/placement opportunities the stored
-provenance exposes.
+over the reproduction's own workloads: it stores the Combined trace in
+a four-shard cloud, hydrates the advisor from the provenance the cloud
+holds (``stored_bundles()``), and reports the dedup and placement
+opportunities it exposes; it also times the model's ingest.
 """
 
 import random
 
-import pytest
-
-from repro.advisor import CacheReplay, ProvenanceAdvisor
-from repro.analysis.report import TextTable
-from repro.workloads import (
-    BlastWorkload,
-    CombinedWorkload,
-    LinuxCompileWorkload,
-    ProvenanceChallengeWorkload,
-)
+from repro.advisor import ProvenanceAdvisor
+from repro.sim import Simulation
+from repro.workloads import CombinedWorkload, LinuxCompileWorkload
 
 from conftest import save_result
 
-WORKLOADS = {
-    "linux-compile": (LinuxCompileWorkload(), 0.25),
-    "blast": (BlastWorkload(), 0.6),
-    "provchallenge": (ProvenanceChallengeWorkload(), 1.2),
-}
 
-
-@pytest.fixture(scope="module")
-def traces():
-    return {
-        name: list(workload.iter_events(random.Random(f"adv:{name}"), scale))
-        for name, (workload, scale) in WORKLOADS.items()
-    }
-
-
-def test_prefetch_hit_rates(benchmark, traces):
-    replay = CacheReplay(capacity=24)
-    benchmark(replay.replay, traces["provchallenge"], True)
-    table = TextTable(
-        ["workload", "reads", "hit rate (demand)", "hit rate (advised)",
-         "prefetch precision"],
-        title="Extension: provenance-guided prefetch (LRU capacity 24)",
-    )
-    improvements = {}
-    for name, events in traces.items():
-        base, advised = replay.compare(events)
-        improvements[name] = advised.hit_rate - base.hit_rate
-        table.add_row(
-            name,
-            base.accesses,
-            f"{base.hit_rate:.3f}",
-            f"{advised.hit_rate:.3f}",
-            f"{advised.prefetch_precision:.2f}",
-        )
-    save_result("extension_advisor_prefetch", table.render())
-    # Advice must never hurt, and the pipeline-heavy workflow gains.
-    assert all(delta >= 0 for delta in improvements.values())
-    assert improvements["provchallenge"] > 0
-
-
-def test_dedup_and_placement_opportunities(benchmark, traces):
+def test_dedup_and_placement_opportunities(benchmark):
     events = list(
         CombinedWorkload().iter_events(random.Random("adv:combined"), 0.2)
     )
+    sim = Simulation("s3+simpledb", seed=0, shards=4)
+    sim.store_events(events, collect=False)
     advisor = benchmark.pedantic(
-        lambda: ProvenanceAdvisor.from_bundles(
-            b for e in events for b in e.all_bundles()
-        ),
+        lambda: ProvenanceAdvisor.from_bundles(sim.store.stored_bundles().values()),
         rounds=1,
         iterations=1,
     )
     dedup = advisor.dedup_report()
     groups = advisor.placement_groups()
     lines = [
-        "Extension: what stored provenance tells the provider",
+        "Extension: what stored provenance tells the provider (4 shards)",
         f"  duplicate computations: {len(dedup)} groups "
         f"({sum(len(g) - 1 for g in dedup)} redundant objects)",
         f"  co-placement groups (>=2 objects): {len(groups)}; "
@@ -89,8 +43,8 @@ def test_dedup_and_placement_opportunities(benchmark, traces):
     assert groups, "workflows must yield co-access structure"
 
 
-def test_bench_model_ingest(benchmark, traces):
-    events = traces["linux-compile"]
+def test_bench_model_ingest(benchmark):
+    events = LinuxCompileWorkload().iter_events(random.Random("adv:linux-compile"), 0.25)
     bundles = [b for e in events for b in e.all_bundles()]
 
     def build():

@@ -20,7 +20,7 @@ import tokenize
 from pathlib import Path
 
 #: Highest allowed total for ``src/repro`` (the current total).
-CEILING = 10502
+CEILING = 10374
 
 #: The test tree whose total is reported beside it (no ceiling).
 TESTS = "tests"

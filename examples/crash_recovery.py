@@ -17,7 +17,7 @@ This is Table 1's atomicity column as a narrative:
 
 from repro.aws.account import AWSAccount, ConsistencyConfig
 from repro.aws.faults import FaultPlan
-from repro.core.base import DATA_BUCKET, PROV_DOMAIN
+from repro.core.base import DATA_BUCKET
 from repro.core.s3_simpledb import S3SimpleDB
 from repro.core.s3_simpledb_sqs import S3SimpleDBSQS
 from repro.core.s3_standalone import S3Standalone
@@ -33,18 +33,9 @@ def make_event():
         return proc.close("exp/run42/output.dat")
 
 
-def aftermath(account, subject) -> str:
-    data = account.s3.exists_authoritative(DATA_BUCKET, subject.name)
-    try:
-        prov_item = account.simpledb.authoritative_item(
-            PROV_DOMAIN, subject.item_name
-        )
-    except Exception:
-        prov_item = None
-    prov = prov_item is not None
-    if not prov and data:
-        record = account.s3.authoritative_record(DATA_BUCKET, subject.name)
-        prov = record is not None and len(record.metadata_dict) > 1
+def aftermath(store, subject) -> str:
+    data = store.account.s3.exists_authoritative(DATA_BUCKET, subject.name)
+    prov = subject in store.stored_provenance()
     return f"data stored: {data}; provenance stored: {prov}"
 
 
@@ -58,7 +49,7 @@ def crash_standalone() -> None:
         store.store(event)
     except ClientCrash as crash:
         print(f"client crashed at {crash.point!r}")
-    print(aftermath(account, event.subject))
+    print(aftermath(store, event.subject))
     print("single-PUT atomicity: nothing half-written\n")
 
 
@@ -72,7 +63,7 @@ def crash_simpledb() -> None:
         store.store(event)
     except ClientCrash as crash:
         print(f"client crashed at {crash.point!r}")
-    print(aftermath(account, event.subject))
+    print(aftermath(store, event.subject))
     print("-> ORPHAN PROVENANCE: the read-correctness hole of Table 1")
 
     scavenger = S3SimpleDB(account)
@@ -98,7 +89,7 @@ def crash_wal() -> None:
         print(f"client crashed at {crash.point!r}")
     store.restart()
     store.pump()
-    print(aftermath(account, event.subject))
+    print(aftermath(store, event.subject))
     print("-> uncommitted transaction ignored: still atomic")
 
     temp_keys = [

@@ -8,23 +8,21 @@ might take advantage of this provenance." (§7)
 
 This example stores the First Provenance Challenge workflow through the
 S3+SimpleDB architecture, then plays cloud provider: it hydrates a
-:class:`ProvenanceAdvisor` from nothing but the SimpleDB items the
-clients already stored and derives
+:class:`ProvenanceAdvisor` from nothing but the provenance the cloud
+holds (``stored_bundles()``, which reads it on any architecture, shard
+layout or backend) and derives
 
 * prefetch hints (fetch ``scan.img`` → stage ``scan.hdr``),
-* duplicate-computation detection (same tool, argv, and input versions),
-* eviction ordering (keep what science is built on),
+* the workflow's stages (which program reads which program's output),
 * co-placement groups (whole workflows as units),
-
-and quantifies the prefetch win by replaying the workload's reads
-through an LRU cache.
+* eviction ordering (keep what science is built on).
 
     python examples/provenance_aware_cloud.py
 """
 
 import random
 
-from repro.advisor import CacheReplay, ProvenanceAdvisor
+from repro.advisor import ProvenanceAdvisor
 from repro.passlib.records import ObjectRef
 from repro.sim import Simulation
 from repro.workloads import ProvenanceChallengeWorkload
@@ -38,8 +36,8 @@ def main() -> None:
     sim.store_events(events, collect=False)
     print(f"stored {len(events)} objects through s3+simpledb")
 
-    # The provider's view: only what the provenance domain holds.
-    advisor = ProvenanceAdvisor.from_simpledb(sim.account)
+    # The provider's view: only the provenance the cloud holds.
+    advisor = ProvenanceAdvisor.from_bundles(sim.store.stored_bundles().values())
     print(f"advisor hydrated from {len(advisor.model)} stored bundles\n")
 
     img = ObjectRef("fmri/s0000/resliced1.img", 1)
@@ -64,13 +62,6 @@ def main() -> None:
         f"\neviction under pressure: drop {[r.encode() for r in plan]} "
         f"(fan-out {advisor.model.fan_out(plan[0])}) and keep "
         f"{atlas.encode()} (fan-out {advisor.model.fan_out(atlas)})"
-    )
-
-    base, advised = CacheReplay(capacity=12).compare(events)
-    print(
-        f"\nprefetch replay (LRU-12): hit rate {base.hit_rate:.3f} -> "
-        f"{advised.hit_rate:.3f}, prefetch precision "
-        f"{advised.prefetch_precision:.2f}"
     )
 
 

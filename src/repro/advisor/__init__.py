@@ -12,21 +12,14 @@ This subpackage is that investigation, built on the reproduction:
   output groups, ancestry fan-out;
 * :mod:`repro.advisor.advisor` — turns the model into actionable cloud
   hints: prefetch candidates on GET, duplicate-computation detection,
-  eviction scoring, and co-placement groups;
-* :mod:`repro.advisor.replay` — a cache simulator that replays a
-  workload's read sequence with and without provenance-guided
-  prefetching, quantifying the benefit (benchmarked in
-  ``benchmarks/bench_extension_advisor.py``).
+  eviction scoring, and co-placement groups.
+
+A provider hydrates it from what any cloud holds, whatever the
+architecture, layout or backend:
+``ProvenanceAdvisor.from_bundles(store.stored_bundles().values())``.
 """
 
-from repro.advisor.advisor import CloudAdvice, ProvenanceAdvisor
+from repro.advisor.advisor import ProvenanceAdvisor
 from repro.advisor.model import WorkflowModel
-from repro.advisor.replay import CacheReplay, ReplayResult
 
-__all__ = [
-    "ProvenanceAdvisor",
-    "CloudAdvice",
-    "WorkflowModel",
-    "CacheReplay",
-    "ReplayResult",
-]
+__all__ = ["ProvenanceAdvisor", "WorkflowModel"]

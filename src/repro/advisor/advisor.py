@@ -1,16 +1,16 @@
 """Turning the workflow model into cloud-side hints.
 
 :class:`ProvenanceAdvisor` is the component a provenance-aware cloud
-would run next to its object store. It can be fed directly from bundles
-(tests) or hydrated from a live SimpleDB provenance domain (the realistic
-deployment: the cloud already holds these items — §7's observation that
-the provenance "presents AWS cloud with many hints").
+would run next to its object store. It is built from bundles: a trace's
+(tests), or the ones a cloud already holds,
+:meth:`~repro.core.base.ProvenanceCloudStore.stored_bundles` — §7's
+observation that the provenance "presents AWS cloud with many hints".
+The model does not depend on the order the bundles arrive in.
 
 Four kinds of advice:
 
 * :meth:`prefetch_for` — on a GET, which objects to stage next
-  (workflow siblings, the producing stage's other inputs, and the
-  historical next stage's inputs);
+  (workflow siblings and the producing stage's other inputs);
 * :meth:`dedup_report` — computations stored more than once;
 * :meth:`eviction_plan` — cold objects ranked by (no dependents, age);
 * :meth:`placement_groups` — co-access components to co-locate.
@@ -18,66 +18,23 @@ Four kinds of advice:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
 from repro.advisor.model import WorkflowModel
-from repro.aws.account import AWSAccount
-from repro.aws.backend import SDB_KIND
-from repro.core.base import PROV_DOMAIN, fetch_overflow
 from repro.passlib.records import ObjectRef, ProvenanceBundle
-from repro.passlib.serializer import bundle_from_item
-
-
-@dataclass(frozen=True)
-class CloudAdvice:
-    """One batch of hints for the storage layer."""
-
-    prefetch: tuple[ObjectRef, ...] = ()
-    dedup_groups: tuple[tuple[ObjectRef, ...], ...] = ()
-    evict: tuple[ObjectRef, ...] = ()
-    placement_groups: tuple[tuple[str, ...], ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self.prefetch or self.dedup_groups or self.evict or self.placement_groups
-        )
 
 
 class ProvenanceAdvisor:
     """Provenance-derived optimisation hints for a cloud store."""
 
-    def __init__(self, model: WorkflowModel | None = None):
-        self.model = model or WorkflowModel()
+    def __init__(self, model: WorkflowModel):
+        self.model = model
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def from_bundles(cls, bundles: Iterable[ProvenanceBundle]) -> "ProvenanceAdvisor":
         return cls(WorkflowModel().ingest_all(bundles))
-
-    @classmethod
-    def from_simpledb(
-        cls, account: AWSAccount, domain: str = PROV_DOMAIN
-    ) -> "ProvenanceAdvisor":
-        """Hydrate from the provenance a cloud already stores.
-
-        Walks the domain with the same paginated queries clients use —
-        the advisor needs no special access, only what §4.2 put there.
-        """
-        advisor = cls()
-        backend = account.provenance_backends()[SDB_KIND]
-        fetch = partial(fetch_overflow, account)
-        for item_name, attrs in backend.enumerate_items(domain):
-            if attrs:
-                advisor.model.ingest(bundle_from_item(item_name, attrs, fetch))
-        return advisor
-
-    def observe(self, bundle: ProvenanceBundle) -> None:
-        """Online update as new provenance arrives (store-path hook)."""
-        self.model.ingest(bundle)
 
     # -- advice -----------------------------------------------------------------
 
@@ -120,12 +77,4 @@ class ProvenanceAdvisor:
             tuple(sorted(component))
             for component in self.model.co_access_components()
             if len(component) >= min_size
-        )
-
-    def advise(self, read_ref: ObjectRef | None = None) -> CloudAdvice:
-        """One-shot combined advice (used by the replay evaluator)."""
-        return CloudAdvice(
-            prefetch=self.prefetch_for(read_ref) if read_ref else (),
-            dedup_groups=self.dedup_report(),
-            placement_groups=self.placement_groups(),
         )

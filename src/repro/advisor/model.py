@@ -45,8 +45,6 @@ class WorkflowModel:
     """Aggregated workflow structure, incrementally built from bundles."""
 
     def __init__(self) -> None:
-        #: program -> program transition counts (A's output read by B).
-        self.transitions: Counter[tuple[str, str]] = Counter()
         #: process version -> file versions it wrote.
         self._outputs: dict[ObjectRef, set[ObjectRef]] = defaultdict(set)
         #: process version -> file versions it read.
@@ -78,14 +76,6 @@ class WorkflowModel:
             for parent in bundle.inputs():
                 if not parent.name.startswith(("proc/", "pipe/")):
                     self._inputs[subject].add(parent)
-                    # A file read by this program: credit a transition
-                    # from the program that produced the file.
-                    producer = self._producer.get(parent)
-                    if producer is not None:
-                        source = self._program.get(producer)
-                        target = self._program.get(subject)
-                        if source and target:
-                            self.transitions[(source, target)] += 1
         elif bundle.kind == "file":
             for parent in bundle.inputs():
                 if parent.name.startswith("proc/"):
@@ -99,8 +89,19 @@ class WorkflowModel:
 
     # -- queries ------------------------------------------------------------------
 
-    def producer_of(self, file_ref: ObjectRef) -> ObjectRef | None:
-        return self._producer.get(file_ref)
+    @property
+    def transitions(self) -> Counter[tuple[str, str]]:
+        """Program -> program transition counts (A's output read by B),
+        one per file version read. Keys are in sorted order, so ties in
+        ``most_common`` break the same way whatever order the bundles
+        came in."""
+        counts: Counter[tuple[str, str]] = Counter()
+        for process, inputs in self._inputs.items():
+            for parent in inputs:
+                source = self._program.get(self._producer.get(parent))
+                if source:
+                    counts[(source, self._program[process])] += 1
+        return Counter(dict(sorted(counts.items())))
 
     def siblings_of(self, file_ref: ObjectRef) -> set[ObjectRef]:
         """Other outputs of the process that produced this file."""
@@ -115,14 +116,6 @@ class WorkflowModel:
         if producer is None:
             return set()
         return set(self._inputs[producer])
-
-    def likely_next_programs(self, program: str, limit: int = 3) -> list[str]:
-        """Programs that historically consume ``program``'s outputs."""
-        candidates = Counter()
-        for (source, target), count in self.transitions.items():
-            if source == program:
-                candidates[target] += count
-        return [name for name, _ in candidates.most_common(limit)]
 
     def fan_out(self, ref: ObjectRef) -> int:
         """Transitive dependent count (how much is built on this object)."""

@@ -85,8 +85,9 @@ def resolve_read_cache(read_cache=None) -> str:
     return text
 
 
-def build_read_cache(spec, clock: SimClock, meter: Meter):
-    """Construct the authority a spec names, or ``None`` when disabled.
+def parse_read_cache(spec) -> tuple[int, float] | None:
+    """The (capacity, staleness bound) a spec names, or ``None`` when
+    disabled; a malformed spec raises ``ValueError``.
 
     Spec grammar: ``"1"``/``"on"`` for the defaults, a plain byte count
     for a custom capacity (``"65536"``), or comma-separated options
@@ -115,9 +116,14 @@ def build_read_cache(spec, clock: SimClock, meter: Meter):
                     staleness = float(value)
                 else:
                     raise ValueError(f"unknown read-cache option {key!r}")
-    return ReadCacheAuthority(
-        clock, meter, capacity=capacity, staleness_bound=staleness
-    )
+    return capacity, staleness
+
+
+def build_read_cache(spec, clock: SimClock, meter: Meter):
+    """Construct the authority a spec names (:func:`parse_read_cache`),
+    or ``None`` when disabled."""
+    parsed = parse_read_cache(spec)
+    return None if parsed is None else ReadCacheAuthority(clock, meter, *parsed)
 
 
 def attrs_nbytes(attrs) -> int:

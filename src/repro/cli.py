@@ -98,7 +98,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_advise(args: argparse.Namespace) -> int:
-    from repro.advisor import CacheReplay, ProvenanceAdvisor
+    from repro.advisor import ProvenanceAdvisor
 
     workload = CombinedWorkload()
     events = list(
@@ -107,15 +107,10 @@ def cmd_advise(args: argparse.Namespace) -> int:
     advisor = ProvenanceAdvisor.from_bundles(
         bundle for event in events for bundle in event.all_bundles()
     )
-    base, advised = CacheReplay(capacity=args.cache).compare(events)
     dedup = advisor.dedup_report()
     groups = advisor.placement_groups()
     print("provenance-aware cloud hints (§7 extension)")
     print(f"  trace: {len(events)} objects")
-    print(
-        f"  prefetch: hit rate {base.hit_rate:.3f} -> {advised.hit_rate:.3f} "
-        f"(precision {advised.prefetch_precision:.2f})"
-    )
     print(
         f"  dedup: {len(dedup)} duplicate-computation groups "
         f"({sum(len(g) - 1 for g in dedup)} redundant objects)"
@@ -379,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--dot", action="store_true", help="include DOT output")
     figures.set_defaults(handler=cmd_figures)
 
-    advise = commands.add_parser("advise", help="§7 extension: cloud hints")
+    advise = commands.add_parser("advise", help="§7 extension: dedup, co-placement, stage hints")
     advise.add_argument("--scale", type=float, default=0.2)
-    advise.add_argument("--cache", type=int, default=24)
     advise.set_defaults(handler=cmd_advise)
 
     demo = commands.add_parser("demo", help="end-to-end tour")

@@ -13,12 +13,13 @@
 one up by name and :func:`make_architecture` builds one — the registry
 and the builder every driver (:mod:`repro.sim`, :mod:`repro.fleet`, the
 test fixtures) goes through. Each store class also answers
-``stored_provenance()``, the unmetered oracle of which object versions'
-provenance the cloud durably holds.
+``stored_bundles()``, the unmetered oracle of the provenance the cloud
+durably holds, decoded (its keys are ``stored_provenance()``, the
+object versions it covers).
 
 :mod:`repro.properties` turns Table 1 into executable checks: a driver
 like any other, it builds every world as a :class:`~repro.sim.Simulation`
-and judges it through that oracle.
+and judges it through that oracle; :mod:`repro.advisor` hydrates from it.
 """
 
 from repro.core.base import ProvenanceCloudStore, ReadResult, RetryPolicy

@@ -264,14 +264,25 @@ class ProvenanceCloudStore:
 
     # -- the oracle --------------------------------------------------------------
 
-    def stored_provenance(self) -> set[ObjectRef]:
-        """The object versions whose provenance the cloud durably holds.
+    def stored_bundles(self) -> dict[ObjectRef, ProvenanceBundle]:
+        """The provenance the cloud durably holds, decoded: each object
+        version's bundle, keyed by its subject.
 
-        Read from the services' authoritative state, unmetered and past
+        Read from the services' authoritative state (``@s3:`` pointers
+        too, through :func:`authoritative_text`), unmetered and past
         every replica: the oracle the Table 1 checks judge atomicity and
-        causal closure against, on any layout and backend.
+        causal closure against, and what the §7 advisor hydrates from,
+        on any layout and backend. Two stored copies of one version's
+        provenance that disagree (A1 may find one ancestor piggybacked on
+        several objects) raise :class:`ReadCorrectnessViolation`: a
+        fault, never a merge.
         """
         raise NotImplementedError
+
+    def stored_provenance(self) -> set[ObjectRef]:
+        """The object versions whose provenance the cloud durably holds:
+        the keys of :meth:`stored_bundles`."""
+        return set(self.stored_bundles())
 
     # -- introspection -----------------------------------------------------------
 
@@ -297,6 +308,13 @@ def fetch_overflow(account: AWSAccount, key: str, bucket: str = DATA_BUCKET) -> 
     what every decoder passes to the serializer to resolve ``@s3:``
     pointers."""
     return account.s3.get(bucket, key).bytes().decode("utf-8")
+
+
+def authoritative_text(account: AWSAccount, key: str) -> str:
+    """:func:`fetch_overflow` read from the authoritative record instead,
+    unmetered: how :meth:`ProvenanceCloudStore.stored_bundles` resolves
+    ``@s3:`` pointers."""
+    return account.s3.authoritative_record(DATA_BUCKET, key).blob.read().decode("utf-8")
 
 
 def read_provenance_item(

@@ -33,6 +33,8 @@ Protocol on file close (§4.2):
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.aws.account import AWSAccount
 from repro.aws.faults import FaultPlan, call_with_retries
 from repro.core.base import (
@@ -43,6 +45,7 @@ from repro.core.base import (
     ReadResult,
     RetryPolicy,
     _InconsistentRead,
+    authoritative_text,
     backend_for_site,
     data_key,
     read_provenance_item,
@@ -298,12 +301,14 @@ class S3SimpleDB(ProvenanceCloudStore):
             history.append(self._decode_item(item_name, attrs))
         return history
 
-    def stored_provenance(self) -> set[ObjectRef]:
+    def stored_bundles(self) -> dict[ObjectRef, ProvenanceBundle]:
         """Every provenance item of the settled layout, on every shard of
-        either backend."""
+        either backend, decoded as a reader would."""
+        fetch = partial(authoritative_text, self.account)
+        snapshot = authoritative_snapshot(self.account, self.routing.current)
         return {
-            ObjectRef.from_item_name(item_name)
-            for item_name in authoritative_snapshot(self.account, self.routing.current)
+            ObjectRef.from_item_name(item_name): bundle_from_item(item_name, attrs, fetch)
+            for item_name, attrs in snapshot.items()
         }
 
     # -- recovery (the §4.2 "inelegant solution") --------------------------------------

@@ -52,6 +52,7 @@ from repro.core.base import (
     ProvenanceCloudStore,
     ReadResult,
     RetryPolicy,
+    authoritative_text,
     data_key,
     fetch_overflow,
 )
@@ -208,22 +209,25 @@ class S3Standalone(ProvenanceCloudStore):
         bundle, _ = decode_object(name, head.metadata, self._fetch_overflow)
         return ReadResult(subject=bundle.subject, data=None, bundle=bundle, consistent=True)
 
-    def stored_provenance(self) -> set[ObjectRef]:
-        """Each data object's version and the ancestors piggybacked on
+    def stored_bundles(self) -> dict[ObjectRef, ProvenanceBundle]:
+        """Each data object's own bundle and the ancestors piggybacked on
         it, decoded by the scan's loop (:func:`object_bundles`) from
         authoritative metadata and overflow objects — so an object a
         scan skips holds no provenance here either."""
         s3 = self.account.s3
-        records = {
-            key: s3.authoritative_record(DATA_BUCKET, key)
-            for key in s3.authoritative_keys(DATA_BUCKET)
-        }
-
-        def fetch(key: str) -> str:
-            return records[key].blob.read().decode("utf-8")
-
-        decoded = object_bundles(records, lambda key: records[key].metadata_dict, fetch)
-        return {bundle.subject for bundles in decoded if bundles for bundle in bundles}
+        decoded = object_bundles(
+            s3.authoritative_keys(DATA_BUCKET),
+            lambda key: s3.authoritative_record(DATA_BUCKET, key).metadata_dict,
+            partial(authoritative_text, self.account),
+        )
+        bundles: dict[ObjectRef, ProvenanceBundle] = {}
+        for bundle in (bundle for found in decoded if found for bundle in found):
+            if bundles.setdefault(bundle.subject, bundle) != bundle:
+                raise ReadCorrectnessViolation(
+                    f"{bundle.subject.encode()}: two objects carry different "
+                    "copies of its provenance"
+                )
+        return bundles
 
     def read_with_ancestors(self, name: str):
         """Read the full metadata payload including piggybacked ancestors."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from repro.aws.backend import parse_index_specs
-from repro.aws.elasticache import resolve_read_cache
+from repro.aws.elasticache import parse_read_cache, resolve_read_cache
 from repro.sharding import parse_placement
 
 #: The query planner's access-path modes.
@@ -131,3 +131,4 @@ class Deployment:
             spec = ",".join(f"{index}:{kind}" for index, kind in enumerate(kinds))
             object.__setattr__(self, "placement", spec)
         _check("ddb_indexes", parse_index_specs, self.ddb_indexes)
+        _check("read_cache", parse_read_cache, self.read_cache)

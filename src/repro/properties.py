@@ -101,9 +101,16 @@ class PropertyReport:
 # Traces and recovery
 # ---------------------------------------------------------------------------
 
-def _chain_trace(n_links: int = 3, prefix: str = "chain") -> list[FlushEvent]:
-    """A dependency chain: input → stage1 → … → stageN (one file each)."""
-    pas = PassSystem(workload="chain")
+def _chain_trace(
+    n_links: int = 3, prefix: str = "chain", pas: PassSystem | None = None
+) -> list[FlushEvent]:
+    """A dependency chain: input → stage1 → … → stageN (one file each).
+
+    Chains meant for one cloud come from one ``pas``: two systems would
+    each name their first process ``proc/stage0.1000``, with different
+    inputs.
+    """
+    pas = pas or PassSystem(workload="chain")
     pas.stage_input(f"{prefix}/input.dat", BytesBlob(b"source data"))
     previous = f"{prefix}/input.dat"
     for i in range(n_links):
@@ -181,8 +188,9 @@ def _crash_world(architecture: str, seed: int, events: list[FlushEvent]) -> Simu
 
 def check_atomicity(architecture: str, seed: int = 0) -> tuple[bool, str]:
     """Crash the store protocol at every fault point; judge the aftermath."""
-    baseline = _chain_trace(2, prefix="baseline")
-    victim_trace = _chain_trace(2, prefix="victim")
+    pas = PassSystem(workload="chain")
+    baseline = _chain_trace(2, prefix="baseline", pas=pas)
+    victim_trace = _chain_trace(2, prefix="victim", pas=pas)
     victim = victim_trace[-1]
     events = baseline + victim_trace
     before_victim = [STORE] * (len(events) - 1)

@@ -1,4 +1,5 @@
-"""``stored_provenance()``, the one oracle the Table 1 checks read, on every
+"""``stored_bundles()`` and its keys, ``stored_provenance()`` — the oracle
+the Table 1 checks read and the §7 advisor hydrates from — on every
 architecture and every provenance layout: one SimpleDB domain, four
 shards across both backends, three DynamoDB shards with indexes."""
 
@@ -6,10 +7,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.properties
 from repro.core.base import DATA_BUCKET, PROV_DOMAIN
-from repro.errors import ClientCrash
+from repro.errors import ClientCrash, ReadCorrectnessViolation
 from repro.passlib.capture import PassSystem
+from repro.properties import _chain_trace, check_atomicity
 from repro.sim import Simulation
+from tests.oracles import emitted_bundles
 
 LAYOUTS = {
     "sdb-1": dict(shards=1, placement="sdb"),
@@ -78,3 +82,64 @@ def test_the_oracle_sees_the_papers_anomaly_on_a_sharded_mixed_layout():
     assert victim.subject in sim.store.stored_provenance()
     assert not sim.account.s3.exists_authoritative(DATA_BUCKET, victim.subject.name)
     assert sim.store.stored_provenance() == refs_of(trace)
+
+
+@pytest.mark.parametrize(
+    ("architecture", "layout"),
+    [
+        ("s3", {}),
+        ("s3+simpledb", {}),
+        ("s3+simpledb+sqs", {}),
+        ("s3+simpledb", dict(shards=4)),
+        ("s3+simpledb+sqs", dict(placement="ddb")),
+    ],
+    ids=["s3", "s3+simpledb", "s3+simpledb+sqs", "s3+simpledb-shards4", "s3+simpledb+sqs-ddb"],
+)
+def test_stored_bundles_hold_the_emitted_records(architecture, layout):
+    """Every version PASS emitted comes back decoded, with its kind and
+    its exact record set, and reading the oracle spends nothing."""
+    pas = PassSystem(workload="chain")
+    trace = _chain_trace(4, pas=pas)
+    sim = Simulation(architecture, seed=3, **layout)
+    sim.store_events(trace, collect=False)
+    sim.settle()
+    before = sim.account.meter.snapshot()
+    stored = sim.store.stored_bundles()
+    assert sim.account.meter.snapshot() == before
+    emitted = {bundle.subject: bundle for bundle in emitted_bundles(pas, trace)}
+    assert stored.keys() == emitted.keys()
+    for subject, bundle in stored.items():
+        assert bundle.kind == emitted[subject].kind
+        assert set(bundle.records) == set(emitted[subject].records)
+
+
+def test_disagreeing_copies_of_one_ancestor_are_a_fault():
+    """Two systems each name their first process ``proc/stage0.1000``;
+    A1 then carries two different bundles for it, one per chain, and the
+    oracle refuses to pick one."""
+    sim = Simulation("s3", seed=3)
+    sim.store_events(
+        _chain_trace(2, prefix="baseline") + _chain_trace(2, prefix="victim"),
+        collect=False,
+    )
+    with pytest.raises(ReadCorrectnessViolation, match="proc/stage0.1000:v0001"):
+        sim.store.stored_bundles()
+
+
+def test_the_atomicity_trace_names_each_version_once(monkeypatch):
+    """Table 1's atomicity worlds store one trace; no subject in it may
+    carry two different record sets (A2/A3 would merge them into one
+    item, and A1 would hold two disagreeing copies)."""
+    traces = []
+    crash_world = repro.properties._crash_world
+
+    def spy(architecture, seed, events):
+        traces.append(events)
+        return crash_world(architecture, seed, events)
+
+    monkeypatch.setattr(repro.properties, "_crash_world", spy)
+    check_atomicity("s3+simpledb", seed=5)
+    for events in traces:
+        records: dict = {}
+        for bundle in (bundle for event in events for bundle in event.all_bundles()):
+            assert records.setdefault(bundle.subject, bundle.records) == bundle.records

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.advisor import CacheReplay, ProvenanceAdvisor
+from repro.advisor import ProvenanceAdvisor
 from repro.fleet import ClientFleet
 from repro.passlib.capture import PassSystem
 from tests.conftest import crash_during_store
@@ -54,11 +54,11 @@ def test_fleet_crashes_lose_nothing_submitted(
 @given(
     n_pipelines=st.integers(1, 5),
     outputs_per_stage=st.integers(1, 3),
-    capacity=st.integers(1, 16),
+    shuffle=st.randoms(use_true_random=False),
 )
-def test_replay_accounting_invariants(n_pipelines, outputs_per_stage, capacity):
-    """hits + misses == accesses; prefetches_used <= issued; the advised
-    replay never loses accesses relative to baseline."""
+def test_advice_does_not_depend_on_bundle_order(n_pipelines, outputs_per_stage, shuffle):
+    """A cloud hands its bundles over in whatever order its items sort
+    in; the advisor must learn the same workflow from any order."""
     pas = PassSystem(workload="prop")
     events = []
     for p in range(n_pipelines):
@@ -70,20 +70,27 @@ def test_replay_accounting_invariants(n_pipelines, outputs_per_stage, capacity):
                 proc.write(f"p{p}/mid{o}.dat", b"y")
                 proc.close(f"p{p}/mid{o}.dat")
         events.extend(pas.drain_flushes())
-        with pas.process("stage2") as proc:
+        # Two consumer programs, so ``most_common`` has ties to break.
+        with pas.process(f"stage2-{p % 2}") as proc:
             for o in range(outputs_per_stage):
                 proc.read(f"p{p}/mid{o}.dat")
             proc.write(f"p{p}/final.dat", b"z")
             proc.close(f"p{p}/final.dat")
         events.extend(pas.drain_flushes())
+    bundles = [b for e in events for b in e.all_bundles()]
+    shuffled = shuffle.sample(bundles, len(bundles))
 
-    replay = CacheReplay(capacity=capacity)
-    base, advised = replay.compare(events)
-    for result in (base, advised):
-        assert result.hits + result.misses == result.accesses
-        assert result.prefetches_used <= max(result.prefetches_issued, result.hits)
-    assert base.accesses == advised.accesses
-    assert base.prefetches_issued == 0
+    def advice(advisor):
+        return (
+            advisor.model.transitions.most_common(),
+            advisor.dedup_report(),
+            advisor.placement_groups(),
+            [advisor.prefetch_for(event.subject) for event in events],
+        )
+
+    ordered = ProvenanceAdvisor.from_bundles(bundles)
+    assert advice(ProvenanceAdvisor.from_bundles(shuffled)) == advice(ordered)
+    assert sum(ordered.model.transitions.values()) == n_pipelines * outputs_per_stage
 
 
 @settings(max_examples=30, deadline=None)

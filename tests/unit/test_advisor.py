@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from repro.advisor import CacheReplay, ProvenanceAdvisor, WorkflowModel
+from repro.advisor import ProvenanceAdvisor, WorkflowModel
 from repro.advisor.model import DerivationSignature
 from repro.blob import SyntheticBlob
 from repro.passlib.capture import PassSystem
 from repro.passlib.records import ObjectRef
+from repro.sim import Simulation
 from repro.workloads import ProvenanceChallengeWorkload
 
 
@@ -55,14 +56,12 @@ class TestWorkflowModel:
         model = paired_advisor.model
         img = ObjectRef("out/scan.img", 1)
         hdr = ObjectRef("out/scan.hdr", 1)
-        assert model.producer_of(img) is not None
         assert model.siblings_of(img) == {hdr}
         assert model.siblings_of(hdr) == {img}
 
     def test_transitions_learned(self, paired_advisor):
         model = paired_advisor.model
-        assert model.transitions[("convert", "view")] == 2  # img + hdr reads
-        assert model.likely_next_programs("convert") == ["view"]
+        assert model.transitions == {("convert", "view"): 2}  # img + hdr reads
 
     def test_fan_out_counts_transitives(self, paired_advisor):
         model = paired_advisor.model
@@ -115,57 +114,55 @@ class TestAdvisor:
         report = advisor.dedup_report()
         assert len(report) == 1 and len(report[0]) == 2
 
-    def test_from_simpledb_equals_from_bundles(self):
-        from repro.sim import Simulation
 
-        events = paired_output_trace()
-        # from_simpledb hydrates from the SimpleDB domain by name — pin
-        # the placement so the items actually live there.
-        sim = Simulation(architecture="s3+simpledb", seed=4, placement="sdb")
-        sim.store_events(events, collect=False)
-        hydrated = ProvenanceAdvisor.from_simpledb(sim.account)
-        direct = ProvenanceAdvisor.from_bundles(
-            b for e in events for b in e.all_bundles()
+#: The layouts a provider's advisor must read alike: the paper's one
+#: SimpleDB domain, four shards, all-DynamoDB, and one shard on each.
+LAYOUTS = {
+    "default": {},
+    "shards-4": dict(shards=4),
+    "ddb": dict(placement="ddb"),
+    "sdb+ddb": dict(shards=2, placement="0:sdb,1:ddb"),
+}
+CLOUDS = [("s3", "default")] + [
+    (architecture, layout)
+    for architecture in ("s3+simpledb", "s3+simpledb+sqs")
+    for layout in LAYOUTS
+]
+
+
+def advice(advisor, files):
+    """Everything the advisor tells a provider about ``files``."""
+    return (
+        advisor.model.transitions,
+        advisor.dedup_report(),
+        advisor.placement_groups(),
+        {ref: (advisor.prefetch_for(ref), advisor.model.fan_out(ref)) for ref in files},
+    )
+
+
+@pytest.fixture(scope="module")
+def challenge_trace():
+    return list(
+        ProvenanceChallengeWorkload(n_workflows=2).iter_events(
+            random.Random("advisor"), 1.0
         )
-        img = ObjectRef("out/scan.img", 1)
-        assert hydrated.prefetch_for(img) == direct.prefetch_for(img)
-        assert hydrated.model.transitions == direct.model.transitions
-
-    def test_advise_combined(self, paired_advisor):
-        advice = paired_advisor.advise(ObjectRef("out/scan.img", 1))
-        assert not advice.is_empty
-        assert advice.prefetch
+    )
 
 
-class TestCacheReplay:
-    def test_read_sequence_ordered(self):
-        events = paired_output_trace()
-        sequence = CacheReplay.read_sequence(events)
-        names = [ref.name for ref, _ in sequence]
-        assert names == ["in/raw.dat", "out/scan.img", "out/scan.hdr"]
-
-    def test_advised_never_worse_on_fmri(self):
-        events = list(
-            ProvenanceChallengeWorkload(n_workflows=3).iter_events(
-                random.Random("replay"), 1.0
-            )
-        )
-        base, advised = CacheReplay(capacity=6).compare(events)
-        assert advised.hit_rate >= base.hit_rate
-        assert advised.prefetches_issued > 0
-
-    def test_tiny_cache_still_correct(self):
-        events = paired_output_trace()
-        base, advised = CacheReplay(capacity=1).compare(events)
-        assert base.accesses == advised.accesses == 3
-
-    def test_no_oracle_peeking(self):
-        """The advisor must not suggest objects whose provenance has not
-        been flushed yet at access time: first access of each trace gets
-        no prefetches."""
-        events = paired_output_trace()
-        replay = CacheReplay(capacity=8)
-        advised = replay.replay(events, advised=True)
-        # Prefetches can only come from already-flushed provenance, so
-        # fewer were issued than total accesses.
-        assert advised.prefetches_issued <= advised.accesses
+@pytest.mark.parametrize(
+    ("architecture", "layout"), CLOUDS, ids=[f"{a}-{l}" for a, l in CLOUDS]
+)
+def test_advice_from_stored_bundles_equals_the_trace(challenge_trace, architecture, layout):
+    """Hydrated from what the cloud holds, on any architecture, layout
+    or backend, the advisor gives the advice the trace itself gives —
+    every stage transition included."""
+    sim = Simulation(architecture, seed=4, **LAYOUTS[layout])
+    sim.store_events(challenge_trace, collect=False)
+    sim.settle()
+    hydrated = ProvenanceAdvisor.from_bundles(sim.store.stored_bundles().values())
+    direct = ProvenanceAdvisor.from_bundles(
+        b for e in challenge_trace for b in e.all_bundles()
+    )
+    files = [event.subject for event in challenge_trace]
+    assert advice(hydrated, files) == advice(direct, files)
+    assert len(direct.model.transitions) == 4

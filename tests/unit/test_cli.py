@@ -118,7 +118,7 @@ class TestAdvise:
     def test_advise_summary(self, capsys):
         assert main(["advise", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
-        assert "prefetch: hit rate" in out
+        assert "dedup:" in out and "placement:" in out
         assert "stage transition" in out
 
 

@@ -277,6 +277,17 @@ def test_damaged_run_files_reject_cleanly_or_load_whole(data):
         return
 
 
+@pytest.mark.parametrize("char", ["=", ":"])
+def test_a_malformed_read_cache_spec_fails_to_load(char):
+    """The fuzz test's one recorded escape: a damaged ``read_cache``
+    spec loaded and then raised a bare ``ValueError`` as the replay
+    built the cloud's cache."""
+    text = sample_text()
+    at = text.index('"read_cache":"') + len('"read_cache":"')
+    with pytest.raises(ScheduleFormatError, match="read_cache"):
+        schedule.loads(text[:at] + char + text[at:])
+
+
 @settings(max_examples=40, deadline=None)
 @given(blob=st.text(max_size=200))
 def test_arbitrary_text_never_escapes_the_typed_error(blob):
